@@ -6,11 +6,9 @@
 //! shared session driver ([`disengage_core::RunSession`]), the same
 //! code path as the `repro` and `disengage` binaries.
 
-use disengage_chaos::FaultPlan;
-use disengage_core::pipeline::{PipelineOutcome, RunTrace};
+use disengage_core::pipeline::PipelineOutcome;
 use disengage_core::{RunConfig, RunSession};
 use disengage_corpus::CorpusConfig;
-use disengage_obs::Collector;
 
 pub mod crash;
 pub mod gate;
@@ -24,68 +22,6 @@ pub fn full_scale_config() -> RunConfig {
         seed: 0x5EED,
         scale: 1.0,
     })
-}
-
-/// A pipeline outcome at the paper's full scale. Used by the `repro`
-/// harness and the analysis benches.
-pub fn full_scale_outcome() -> PipelineOutcome {
-    full_scale_outcome_with(&Collector::new())
-}
-
-/// [`full_scale_outcome`] recording telemetry into `obs` (the `repro`
-/// harness shares one collector across the pipeline and every Stage IV
-/// artifact).
-pub fn full_scale_outcome_with(obs: &Collector) -> PipelineOutcome {
-    full_scale_outcome_jobs(obs, 1)
-}
-
-/// [`full_scale_outcome_with`] across a `jobs`-wide worker pool (0 =
-/// all available cores). Byte-identical to `jobs = 1` at any setting.
-pub fn full_scale_outcome_jobs(obs: &Collector, jobs: usize) -> PipelineOutcome {
-    full_scale_outcome_traced(obs, jobs, &RunTrace::disabled())
-}
-
-/// [`full_scale_outcome_jobs`] with run-level tracing: per-record
-/// lineage into `trace.provenance()`, pool tasks onto
-/// `trace.timeline()` (the `repro --lineage=` / `--trace=` exports).
-pub fn full_scale_outcome_traced(
-    obs: &Collector,
-    jobs: usize,
-    trace: &RunTrace,
-) -> PipelineOutcome {
-    RunSession::new(full_scale_config().with_jobs(jobs))
-        .run_traced(obs, trace)
-        .expect("full-scale pipeline runs")
-}
-
-/// [`full_scale_outcome_with`] under an armed fault-injection plan (the
-/// `repro --chaos` campaign). A rate-0 plan is inert and reproduces the
-/// clean run byte for byte.
-pub fn full_scale_chaos_outcome_with(obs: &Collector, plan: FaultPlan) -> PipelineOutcome {
-    full_scale_chaos_outcome_jobs(obs, plan, 1)
-}
-
-/// [`full_scale_chaos_outcome_with`] across a `jobs`-wide worker pool
-/// (0 = all available cores).
-pub fn full_scale_chaos_outcome_jobs(
-    obs: &Collector,
-    plan: FaultPlan,
-    jobs: usize,
-) -> PipelineOutcome {
-    full_scale_chaos_outcome_traced(obs, plan, jobs, &RunTrace::disabled())
-}
-
-/// [`full_scale_chaos_outcome_jobs`] with run-level tracing (see
-/// [`full_scale_outcome_traced`]).
-pub fn full_scale_chaos_outcome_traced(
-    obs: &Collector,
-    plan: FaultPlan,
-    jobs: usize,
-    trace: &RunTrace,
-) -> PipelineOutcome {
-    RunSession::new(full_scale_config().with_jobs(jobs).with_chaos(plan))
-        .run_traced(obs, trace)
-        .expect("full-scale chaos pipeline runs")
 }
 
 /// A smaller outcome (~10% scale) for benches where per-iteration work

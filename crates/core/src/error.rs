@@ -8,7 +8,7 @@ use std::fmt;
 /// can replay the queue after the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quarantined {
-    /// Pipeline stage that rejected the record (span name, e.g.
+    /// The pipeline stage that rejected the record (span name, e.g.
     /// `stage_ii_parse`).
     pub stage: &'static str,
     /// Best-effort identity of the rejected record (manufacturer +

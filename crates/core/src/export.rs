@@ -226,20 +226,10 @@ pub fn database_from_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
-    use disengage_corpus::CorpusConfig;
     use disengage_dataframe::{csv, Agg};
 
     fn outcome() -> crate::PipelineOutcome {
-        Pipeline::new(PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 33,
-                scale: 0.05,
-            },
-            ..Default::default()
-        })
-        .run()
-        .expect("pipeline")
+        crate::RunSession::test_outcome(33, 0.05)
     }
 
     #[test]

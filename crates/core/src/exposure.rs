@@ -153,19 +153,9 @@ pub fn category_association(tagged: &[TaggedDisengagement]) -> Result<ChiSquare>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
-    use disengage_corpus::CorpusConfig;
 
     fn outcome() -> crate::PipelineOutcome {
-        Pipeline::new(PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 23,
-                scale: 0.1,
-            },
-            ..Default::default()
-        })
-        .run()
-        .expect("pipeline")
+        crate::RunSession::test_outcome(23, 0.1)
     }
 
     #[test]

@@ -358,19 +358,9 @@ pub fn fig12(db: &FailureDatabase, kind: SpeedKind) -> Result<Fig12Panel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
-    use disengage_corpus::CorpusConfig;
 
     fn outcome() -> crate::PipelineOutcome {
-        Pipeline::new(PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 15,
-                scale: 0.15,
-            },
-            ..Default::default()
-        })
-        .run()
-        .unwrap()
+        crate::RunSession::test_outcome(15, 0.15)
     }
 
     #[test]

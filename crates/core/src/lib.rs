@@ -3,8 +3,9 @@
 //! This crate wires the substrates into the four-stage pipeline of Fig. 1
 //! and implements every analysis in Section V:
 //!
-//! * [`pipeline`] — Stage I (corpus + optional simulated OCR), Stage II
-//!   (parse/filter/normalize), Stage III (NLP tagging), Stage IV entry.
+//! * [`session`] — [`RunSession`], the one driver of Stage I (corpus +
+//!   optional simulated OCR), Stage II (parse/filter/normalize) and
+//!   Stage III (NLP tagging); [`pipeline`] holds its outcome type.
 //! * [`metrics`] — DPM, APM, DPA, APMi, and per-car rate attribution.
 //! * [`questions`] — the paper's five research questions as typed
 //!   analyses (Q1 technology assessment … Q5 human comparison).
@@ -20,12 +21,13 @@
 //! # Examples
 //!
 //! ```
-//! use disengage_core::pipeline::{Pipeline, PipelineConfig};
+//! use disengage_core::{RunConfig, RunSession};
+//! use disengage_corpus::CorpusConfig;
 //!
 //! # fn main() -> Result<(), disengage_core::CoreError> {
-//! let mut config = PipelineConfig::default();
-//! config.corpus.scale = 0.05; // small corpus for the doctest
-//! let outcome = Pipeline::new(config).run()?;
+//! // A small corpus for the doctest.
+//! let config = RunConfig::new().with_corpus(CorpusConfig { scale: 0.05, ..Default::default() });
+//! let outcome = RunSession::new(config).run()?;
 //! assert!(outcome.database.disengagements().len() > 100);
 //! assert_eq!(outcome.tagged.len(), outcome.database.disengagements().len());
 //! # Ok(())
@@ -50,7 +52,7 @@ pub mod telemetry;
 pub mod whatif;
 
 pub use error::{degrade, CoreError, Quarantined};
-pub use pipeline::{Pipeline, PipelineConfig, PipelineOutcome, RunTrace};
+pub use pipeline::{PipelineOutcome, RunTrace};
 pub use session::{RunConfig, RunDigest, RunSession, Stage, StageKeys};
 
 /// Convenience result alias used throughout the crate.

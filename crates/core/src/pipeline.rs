@@ -1,4 +1,6 @@
-//! The end-to-end pipeline of Fig. 1.
+//! The end-to-end pipeline of Fig. 1: its outcome, its tracing
+//! channels, and the Stage I digitize driver. [`crate::RunSession`]
+//! runs the stages.
 //!
 //! Stage I — generate the calibrated corpus and (optionally) digitize
 //! its raw documents through the simulated scanner + OCR engine.
@@ -10,12 +12,9 @@
 //! [`crate::figures`].
 
 use crate::error::Quarantined;
-use crate::session::{RunConfig, RunSession};
 use crate::tagging::TaggedDisengagement;
-use crate::Result;
-use disengage_chaos::{ChaosAudit, FaultPlan};
-use disengage_corpus::{Corpus, CorpusConfig};
-use disengage_nlp::Classifier;
+use disengage_chaos::ChaosAudit;
+use disengage_corpus::Corpus;
 use disengage_obs::profile;
 use disengage_obs::{
     Collector, ProvenanceEvent, ProvenanceLog, RecordId, Subject, TaskLog, TelemetryReport,
@@ -35,8 +34,8 @@ use rand::SeedableRng;
 /// Optional run-level tracing: the per-record [`ProvenanceLog`] behind
 /// `disengage explain` / `--lineage`, plus the [`TaskTimeline`] behind
 /// the `--trace` Chrome-trace export. A disabled trace (the default for
-/// [`Pipeline::run_with`]) turns every push into a no-op, so untraced
-/// runs pay nothing.
+/// [`crate::RunSession::run_with`]) turns every push into a no-op, so
+/// untraced runs pay nothing.
 ///
 /// The provenance log shares the shard/absorb discipline of the
 /// telemetry [`Collector`]: worker tasks log into per-task shards that
@@ -143,27 +142,6 @@ pub enum OcrMode {
     },
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineConfig {
-    /// Corpus generation parameters (seed + scale).
-    pub corpus: CorpusConfig,
-    /// Digitization mode.
-    pub ocr: OcrMode,
-    /// Seed for the OCR noise process (independent of the corpus seed).
-    pub ocr_seed: u64,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            corpus: CorpusConfig::default(),
-            ocr: OcrMode::Passthrough,
-            ocr_seed: 0xD0C5,
-        }
-    }
-}
-
 /// Aggregate OCR quality over a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OcrStats {
@@ -197,7 +175,7 @@ pub struct PipelineOutcome {
     /// `parse_failures`, in review-queue form).
     pub quarantined: Vec<Quarantined>,
     /// Fault-injection audit (`None` unless the run had an active
-    /// chaos plan; see [`Pipeline::with_chaos`]).
+    /// chaos plan; see [`crate::RunConfig::with_chaos`]).
     pub chaos: Option<ChaosAudit>,
     /// OCR statistics (`None` under [`OcrMode::Passthrough`]).
     pub ocr: Option<OcrStats>,
@@ -215,106 +193,6 @@ impl PipelineOutcome {
         } else {
             self.database.disengagements().len() as f64 / truth as f64
         }
-    }
-}
-
-/// The end-to-end pipeline.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    config: PipelineConfig,
-    classifier: Classifier,
-    chaos: Option<FaultPlan>,
-    jobs: usize,
-}
-
-impl Pipeline {
-    /// Builds a pipeline with the default (paper-derived) classifier.
-    pub fn new(config: PipelineConfig) -> Pipeline {
-        Pipeline {
-            config,
-            classifier: Classifier::with_default_dictionary(),
-            chaos: None,
-            jobs: 0,
-        }
-    }
-
-    /// Builds a pipeline with a custom classifier (dictionary ablations).
-    pub fn with_classifier(config: PipelineConfig, classifier: Classifier) -> Pipeline {
-        Pipeline {
-            config,
-            classifier,
-            chaos: None,
-            jobs: 0,
-        }
-    }
-
-    /// Sets the Stage I–III worker-pool size. `0` (the default) uses
-    /// every available core. Output is byte-identical at every
-    /// setting — `jobs` only changes wall-clock time — so this never
-    /// needs to appear in a reproducibility manifest.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Pipeline {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Arms a fault-injection plan: documents are perturbed between
-    /// Stage I and Stage II, the failure dictionary is poisoned, and
-    /// the run carries a [`ChaosAudit`] reconciling every injected
-    /// fault against its outcome. A plan with rate 0 is inert — the
-    /// run is byte-identical to one with no plan at all.
-    #[must_use]
-    pub fn with_chaos(mut self, plan: FaultPlan) -> Pipeline {
-        self.chaos = Some(plan);
-        self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Runs Stages I–III and returns the consolidated outcome.
-    ///
-    /// Telemetry is collected into a throwaway [`Collector`]; use
-    /// [`Pipeline::run_with`] to share one across a wider run.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in practice (parse failures are collected,
-    /// not raised); the `Result` guards future fallible stages.
-    pub fn run(&self) -> Result<PipelineOutcome> {
-        self.run_with(&Collector::new())
-    }
-
-    /// Runs Stages I–III, recording spans and metrics into `obs`.
-    ///
-    /// The run is wrapped in a `pipeline` span with one child span per
-    /// stage; [`PipelineOutcome::telemetry`] carries a snapshot taken
-    /// after the root span closes, so per-stage durations are complete
-    /// even if the caller keeps using `obs` afterwards.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::run`].
-    pub fn run_with(&self, obs: &Collector) -> Result<PipelineOutcome> {
-        self.run_traced(obs, &RunTrace::disabled())
-    }
-
-    /// [`Pipeline::run_with`] plus lineage and execution tracing: every
-    /// stage appends its per-record decisions to `trace.provenance()`
-    /// (OCR repairs, injected faults and their audited fates, Stage II
-    /// acceptances and quarantines, Stage III ballots and verdicts) and
-    /// every worker-pool task lands on `trace.timeline()`. With a
-    /// disabled trace this is exactly `run_with`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::run`].
-    pub fn run_traced(&self, obs: &Collector, trace: &RunTrace) -> Result<PipelineOutcome> {
-        let mut config = RunConfig::from_pipeline(self.config).with_jobs(self.jobs);
-        config.chaos = self.chaos;
-        RunSession::with_classifier(config, self.classifier.clone()).run_traced(obs, trace)
     }
 }
 
@@ -356,25 +234,21 @@ pub fn digitize_simulated_with(
     docs: &[RawDocument],
     obs: &Collector,
 ) -> (Vec<RawDocument>, OcrStats) {
-    digitize_simulated_traced(config, docs, obs, &RunTrace::disabled())
+    digitize_simulated_parts(
+        config,
+        docs,
+        obs,
+        &ProvenanceLog::disabled(),
+        &TaskTimeline::disabled(),
+    )
 }
 
 /// [`digitize_simulated_with`] plus tracing: every dictionary repair is
-/// logged as an `OcrRepair` provenance event against its source line
+/// logged into `prov` as an `OcrRepair` event against its source line
 /// (document index = `base_index + i`, matching Stage II's subjects),
-/// and each pool task lands on the timeline under `stage_i_ocr`.
-pub fn digitize_simulated_traced(
-    config: DigitizeConfig,
-    docs: &[RawDocument],
-    obs: &Collector,
-    trace: &RunTrace,
-) -> (Vec<RawDocument>, OcrStats) {
-    digitize_simulated_parts(config, docs, obs, trace.provenance(), trace.timeline())
-}
-
-/// [`digitize_simulated_traced`] with the trace channels split out, so
-/// the session driver can aim the provenance at a stage shard while
-/// the timeline stays run-global.
+/// and each pool task lands on `timeline` under `stage_i_ocr`. The
+/// session driver aims `prov` at a stage shard while the timeline stays
+/// run-global.
 pub(crate) fn digitize_simulated_parts(
     config: DigitizeConfig,
     docs: &[RawDocument],
@@ -591,18 +465,23 @@ pub fn default_corrector() -> Corrector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RunConfig, RunSession};
+    use disengage_chaos::FaultPlan;
+    use disengage_corpus::CorpusConfig;
 
-    fn small(scale: f64) -> PipelineConfig {
-        PipelineConfig {
-            corpus: CorpusConfig { seed: 11, scale },
-            ocr: OcrMode::Passthrough,
-            ocr_seed: 1,
-        }
+    fn small(scale: f64) -> RunConfig {
+        RunConfig::new()
+            .with_corpus(CorpusConfig { seed: 11, scale })
+            .with_ocr_seed(1)
+    }
+
+    fn simulated(noise: NoiseModel, correct: bool) -> RunConfig {
+        small(0.01).with_ocr(OcrMode::Simulated { noise, correct })
     }
 
     #[test]
     fn passthrough_recovers_everything() {
-        let outcome = Pipeline::new(small(0.05)).run().unwrap();
+        let outcome = RunSession::new(small(0.05)).run().unwrap();
         assert!(outcome.parse_failures.is_empty(), "{:?}", outcome.parse_failures);
         assert_eq!(
             outcome.database.disengagements().len(),
@@ -618,7 +497,7 @@ mod tests {
 
     #[test]
     fn tagged_aligned_with_database() {
-        let outcome = Pipeline::new(small(0.05)).run().unwrap();
+        let outcome = RunSession::new(small(0.05)).run().unwrap();
         assert_eq!(outcome.tagged.len(), outcome.database.disengagements().len());
         for (t, r) in outcome.tagged.iter().zip(outcome.database.disengagements()) {
             assert_eq!(&t.record, r);
@@ -627,18 +506,9 @@ mod tests {
 
     #[test]
     fn clean_simulated_ocr_lossless() {
-        let config = PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 11,
-                scale: 0.01,
-            },
-            ocr: OcrMode::Simulated {
-                noise: NoiseModel::clean(),
-                correct: false,
-            },
-            ocr_seed: 1,
-        };
-        let outcome = Pipeline::new(config).run().unwrap();
+        let outcome = RunSession::new(simulated(NoiseModel::clean(), false))
+            .run()
+            .unwrap();
         let stats = outcome.ocr.unwrap();
         assert!(stats.mean_cer < 1e-6, "cer = {}", stats.mean_cer);
         assert!(outcome.parse_failures.is_empty());
@@ -650,18 +520,9 @@ mod tests {
 
     #[test]
     fn noisy_ocr_degrades_recovery() {
-        let config = PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 11,
-                scale: 0.01,
-            },
-            ocr: OcrMode::Simulated {
-                noise: NoiseModel::heavy(),
-                correct: false,
-            },
-            ocr_seed: 1,
-        };
-        let outcome = Pipeline::new(config).run().unwrap();
+        let outcome = RunSession::new(simulated(NoiseModel::heavy(), false))
+            .run()
+            .unwrap();
         let stats = outcome.ocr.unwrap();
         assert!(stats.mean_cer > 0.001);
         // Heavy noise must push at least some lines to the manual queue
@@ -673,26 +534,12 @@ mod tests {
 
     #[test]
     fn correction_improves_cer() {
-        let base = PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 11,
-                scale: 0.01,
-            },
-            ocr: OcrMode::Simulated {
-                noise: NoiseModel::heavy(),
-                correct: false,
-            },
-            ocr_seed: 1,
-        };
-        let without = Pipeline::new(base).run().unwrap();
-        let with_cfg = PipelineConfig {
-            ocr: OcrMode::Simulated {
-                noise: NoiseModel::heavy(),
-                correct: true,
-            },
-            ..base
-        };
-        let with = Pipeline::new(with_cfg).run().unwrap();
+        let without = RunSession::new(simulated(NoiseModel::heavy(), false))
+            .run()
+            .unwrap();
+        let with = RunSession::new(simulated(NoiseModel::heavy(), true))
+            .run()
+            .unwrap();
         assert!(
             with.ocr.unwrap().mean_cer <= without.ocr.unwrap().mean_cer,
             "correction made CER worse"
@@ -707,9 +554,8 @@ mod tests {
 
     #[test]
     fn chaos_rate_zero_is_byte_identical() {
-        let clean = Pipeline::new(small(0.05)).run().unwrap();
-        let zero = Pipeline::new(small(0.05))
-            .with_chaos(FaultPlan::new(0.0, 42))
+        let clean = RunSession::new(small(0.05)).run().unwrap();
+        let zero = RunSession::new(small(0.05).with_chaos(FaultPlan::new(0.0, 42)))
             .run()
             .unwrap();
         assert_eq!(
@@ -723,8 +569,7 @@ mod tests {
 
     #[test]
     fn chaos_run_audits_and_reconciles() {
-        let outcome = Pipeline::new(small(0.05))
-            .with_chaos(FaultPlan::new(0.05, 7))
+        let outcome = RunSession::new(small(0.05).with_chaos(FaultPlan::new(0.05, 7)))
             .run()
             .unwrap();
         let audit = outcome.chaos.as_ref().expect("active plan must audit");
@@ -745,7 +590,7 @@ mod tests {
 
     #[test]
     fn record_ids_align_with_database_and_are_unique() {
-        let outcome = Pipeline::new(small(0.05)).run().unwrap();
+        let outcome = RunSession::new(small(0.05)).run().unwrap();
         assert_eq!(outcome.record_ids.len(), outcome.database.disengagements().len());
         let unique: std::collections::BTreeSet<_> = outcome.record_ids.iter().collect();
         assert_eq!(unique.len(), outcome.record_ids.len(), "duplicate record ids");
@@ -763,8 +608,7 @@ mod tests {
     fn traced_chaos_run_logs_full_lineage() {
         let obs = Collector::new();
         let trace = RunTrace::new(&obs);
-        let outcome = Pipeline::new(small(0.05))
-            .with_chaos(FaultPlan::new(0.05, 7))
+        let outcome = RunSession::new(small(0.05).with_chaos(FaultPlan::new(0.05, 7)))
             .run_traced(&obs, &trace)
             .unwrap();
         let prov = trace.provenance();
@@ -824,10 +668,12 @@ mod tests {
 
     #[test]
     fn disabled_trace_matches_run_with() {
-        let plain = Pipeline::new(small(0.05)).run().unwrap();
+        let plain = RunSession::new(small(0.05)).run().unwrap();
         let obs = Collector::new();
         let trace = RunTrace::disabled();
-        let traced = Pipeline::new(small(0.05)).run_traced(&obs, &trace).unwrap();
+        let traced = RunSession::new(small(0.05))
+            .run_traced(&obs, &trace)
+            .unwrap();
         assert_eq!(
             format!("{:?}", plain.database),
             format!("{:?}", traced.database)

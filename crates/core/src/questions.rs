@@ -329,19 +329,9 @@ pub fn q5_comparison(db: &FailureDatabase) -> Result<Q5Comparison> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
-    use disengage_corpus::CorpusConfig;
 
     fn outcome() -> crate::PipelineOutcome {
-        Pipeline::new(PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 3,
-                scale: 0.12,
-            },
-            ..Default::default()
-        })
-        .run()
-        .unwrap()
+        crate::RunSession::test_outcome(3, 0.12)
     }
 
     #[test]

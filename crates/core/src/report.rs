@@ -175,21 +175,11 @@ pub fn render_q5(q: &Q5Comparison) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
-    use crate::{figures, questions, tables};
-    use disengage_corpus::CorpusConfig;
+    use crate::{figures, questions, tables, RunSession};
 
     #[test]
     fn renderers_produce_text() {
-        let o = Pipeline::new(PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 2,
-                scale: 0.1,
-            },
-            ..Default::default()
-        })
-        .run()
-        .unwrap();
+        let o = RunSession::test_outcome(2, 0.1);
         let t1 = tables::table1(&o.database).unwrap();
         assert!(render_table("Table I", &t1).contains("Table I"));
         assert!(render_fig4(&figures::fig4(&o.database).unwrap()).contains("Waymo"));

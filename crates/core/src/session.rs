@@ -4,10 +4,9 @@
 //! `corpus → digitize → normalize → tag` (with `analyze` as the
 //! downstream consumer in [`crate::questions`] / [`crate::tables`] /
 //! [`crate::figures`]) — each with declared inputs and a stable
-//! config fingerprint. [`RunConfig`] is the single builder that
-//! subsumes the old `run` / `run_with` / `run_traced` entry points
-//! plus the chaos / jobs / cache knobs; [`crate::Pipeline`] is now a
-//! thin shim over it.
+//! config fingerprint. [`RunConfig`] is the single builder for the
+//! corpus / OCR / chaos / jobs / cache knobs, and [`RunSession`] is the
+//! one way to run the pipeline.
 //!
 //! # Sharded streaming execution
 //!
@@ -52,7 +51,7 @@ use crate::artifact::{self, NormalizeArtifact, FORMAT_VERSION};
 use crate::error::{CoreError, Quarantined};
 use crate::pipeline::{
     default_corrector, digitize_simulated_parts, record_repair_attempts, DigitizeConfig, OcrMode,
-    OcrStats, PipelineConfig, PipelineOutcome, RunTrace,
+    OcrStats, PipelineOutcome, RunTrace,
 };
 use crate::tagging::{tag_records_traced, TaggedDisengagement};
 use crate::Result;
@@ -179,23 +178,10 @@ pub struct RunConfig {
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig::from_pipeline(PipelineConfig::default())
-    }
-}
-
-impl RunConfig {
-    /// The default configuration: paper-calibrated corpus, passthrough
-    /// digitization, no chaos, no cache.
-    pub fn new() -> RunConfig {
-        RunConfig::default()
-    }
-
-    /// Adopts a legacy [`PipelineConfig`].
-    pub fn from_pipeline(config: PipelineConfig) -> RunConfig {
         RunConfig {
-            corpus: config.corpus,
-            ocr: config.ocr,
-            ocr_seed: config.ocr_seed,
+            corpus: CorpusConfig::default(),
+            ocr: OcrMode::Passthrough,
+            ocr_seed: 0xD0C5,
             jobs: 0,
             chaos: None,
             cache_dir: None,
@@ -206,14 +192,13 @@ impl RunConfig {
             flight_path: Some(PathBuf::from(flight::DEFAULT_DUMP_PATH)),
         }
     }
+}
 
-    /// The corresponding legacy [`PipelineConfig`] view.
-    pub fn pipeline(&self) -> PipelineConfig {
-        PipelineConfig {
-            corpus: self.corpus,
-            ocr: self.ocr,
-            ocr_seed: self.ocr_seed,
-        }
+impl RunConfig {
+    /// The default configuration: paper-calibrated corpus, passthrough
+    /// digitization, no chaos, no cache.
+    pub fn new() -> RunConfig {
+        RunConfig::default()
     }
 
     /// Sets the corpus parameters.
@@ -386,6 +371,15 @@ impl RunSession {
         &self.config
     }
 
+    /// The Stage IV unit tests' fixture: a default-configured run over a
+    /// `scale`-sized corpus drawn from `seed`.
+    #[cfg(test)]
+    pub(crate) fn test_outcome(seed: u64, scale: f64) -> PipelineOutcome {
+        RunSession::new(RunConfig::new().with_corpus(CorpusConfig { seed, scale }))
+            .run()
+            .expect("test pipeline runs")
+    }
+
     /// Derives every stage's cache key for this configuration.
     /// `lineage` is whether the run records provenance.
     pub fn stage_keys(&self, lineage: bool) -> StageKeys {
@@ -481,23 +475,27 @@ impl RunSession {
         self.run_traced(obs, &RunTrace::disabled())
     }
 
-    /// Runs the stage graph with lineage and execution tracing (see
-    /// [`crate::Pipeline::run_traced`] for the channels). Cached
-    /// stages replay their recorded telemetry and provenance, so a
-    /// warm run's exports are byte-identical to a cold run's.
+    /// Runs the stage graph with lineage and execution tracing: every
+    /// stage appends its per-record decisions to `trace.provenance()`
+    /// (OCR repairs, injected faults and their audited fates, Stage II
+    /// acceptances and quarantines, Stage III ballots and verdicts) and
+    /// every worker-pool task lands on `trace.timeline()`. With a
+    /// disabled trace this is exactly [`RunSession::run_with`].
+    ///
+    /// The run is wrapped in a `pipeline` span with one child span per
+    /// shard and stage; [`PipelineOutcome::telemetry`] is a snapshot
+    /// taken after the root span closes, so durations are complete even
+    /// if the caller keeps using `obs` afterwards. Cached stages replay
+    /// their recorded telemetry and provenance, so a warm run's exports
+    /// are byte-identical to a cold run's.
     ///
     /// # Errors
     ///
     /// See [`RunSession::run`].
     pub fn run_traced(&self, obs: &Collector, trace: &RunTrace) -> Result<PipelineOutcome> {
         let config = &self.config;
-        let generator = CorpusGenerator::new(config.corpus);
-        let all_shards = generator.shards();
-        let total_shards = all_shards.len();
-        let specs = filter_shards(all_shards, config.shards.as_deref())?;
-        let store = self.open_store(total_shards);
+        let (generator, specs, store) = self.plan_shards()?;
         let prov = trace.provenance();
-        let keys = self.stage_keys(prov.is_enabled());
         let run_start = Instant::now();
         let outcome = {
             let mut root = obs.span("pipeline");
@@ -512,67 +510,7 @@ impl RunSession {
                     0.0
                 },
             );
-
-            // Under chaos the dictionary is poisoned once, up front, on
-            // the main thread — every shard then tags through the same
-            // degraded classifier, exactly as a monolithic run would.
-            let (classifier, dict_dropped) = match config.active_chaos() {
-                Some(plan) => {
-                    let (dict, dropped) = poison_dictionary(&plan, self.classifier.dictionary());
-                    obs.add("chaos.dict.dropped", dropped);
-                    (Classifier::new(dict), Some(dropped))
-                }
-                None => (self.classifier.clone(), None),
-            };
-
-            // Stages I–III, shard at a time: the coarse map keeps at
-            // most `jobs` shards in flight, which is what bounds peak
-            // memory to the largest shards times the worker count. With
-            // more than one shard the shard is the unit of parallelism
-            // and the in-shard stage maps run inline; a single-shard
-            // run hands `jobs` down to the inner maps instead.
-            let inner_jobs = if specs.len() <= 1 { config.jobs } else { 1 };
-            let results = par::par_map_coarse_catch_timed(
-                config.jobs,
-                &specs,
-                |_, spec| {
-                    let wobs = obs.shard();
-                    let wprov = prov.shard();
-                    let keys = shard_keys(&keys, spec);
-                    let yielded = run_shard(
-                        config,
-                        &classifier,
-                        dict_dropped,
-                        &generator,
-                        spec,
-                        &keys,
-                        inner_jobs,
-                        &store,
-                        &wobs,
-                        &wprov,
-                        trace,
-                    );
-                    (yielded, wobs, wprov)
-                },
-                trace.timeline(),
-                "shard",
-            );
-            // Absorb every shard's telemetry and lineage in enumeration
-            // order — the fold that keeps sharded output byte-identical
-            // at any worker count. A shard-level panic is a programming
-            // error (parser panics are already quarantined in-shard),
-            // so it re-raises.
-            let mut yields = Vec::with_capacity(specs.len());
-            for (spec, result) in specs.iter().zip(results) {
-                match result {
-                    Ok((yielded, wobs, wprov)) => {
-                        obs.absorb(wobs);
-                        prov.absorb(wprov);
-                        yields.push(yielded);
-                    }
-                    Err(p) => panic!("shard {} panicked: {}", spec.label(), p.message),
-                }
-            }
+            let yields = self.map_shards(&generator, &specs, &store, obs, trace, |yielded| yielded);
 
             // The crash campaign's simulated kill point: every shard
             // stopped right after `stage`'s artifact committed, so stop
@@ -738,15 +676,69 @@ impl RunSession {
     /// [`CoreError::UnknownShard`] for a filter naming a shard the
     /// enumeration lacks.
     pub fn run_reduced(&self, obs: &Collector) -> Result<RunDigest> {
-        let config = &self.config;
-        let trace = RunTrace::disabled();
-        let generator = CorpusGenerator::new(config.corpus);
+        let (generator, specs, store) = self.plan_shards()?;
+        let digests = self.map_shards(
+            &generator,
+            &specs,
+            &store,
+            obs,
+            &RunTrace::disabled(),
+            |yielded| RunDigest {
+                shards: 1,
+                documents: yielded.corpus.documents.len(),
+                disengagements: yielded
+                    .normalize
+                    .as_ref()
+                    .map_or(0, |n| n.disengagements.len()),
+                tagged: yielded.assignments.as_ref().map_or(0, Vec::len),
+                total_miles: yielded.corpus.truth.total_miles(),
+            },
+        );
+        let mut out = RunDigest::default();
+        for digest in digests {
+            out.shards += digest.shards;
+            out.documents += digest.documents;
+            out.disengagements += digest.disengagements;
+            out.tagged += digest.tagged;
+            out.total_miles += digest.total_miles;
+        }
+        drain_store(&store, obs);
+        Ok(out)
+    }
+
+    /// The run's shard plan: the corpus generator, the shards the
+    /// `--shards` filter keeps (erroring on an unknown label before any
+    /// stage runs), and the artifact store, opened and reclaimed.
+    fn plan_shards(&self) -> Result<(CorpusGenerator, Vec<ShardSpec>, ArtifactStore)> {
+        let generator = CorpusGenerator::new(self.config.corpus);
         let all_shards = generator.shards();
         let total_shards = all_shards.len();
-        let specs = filter_shards(all_shards, config.shards.as_deref())?;
+        let specs = filter_shards(all_shards, self.config.shards.as_deref())?;
         let store = self.open_store(total_shards);
+        Ok((generator, specs, store))
+    }
+
+    /// The shard loop behind [`RunSession::run_traced`] and
+    /// [`RunSession::run_reduced`]. Runs Stages I–III for every shard of
+    /// `specs` and hands each shard's yield to `fold` inside its worker,
+    /// so a reducing caller drops the bulk records before the next shard
+    /// starts. Returns the folded values in enumeration order.
+    fn map_shards<Y: Send>(
+        &self,
+        generator: &CorpusGenerator,
+        specs: &[ShardSpec],
+        store: &ArtifactStore,
+        obs: &Collector,
+        trace: &RunTrace,
+        fold: impl Fn(ShardYield) -> Y + Sync,
+    ) -> Vec<Y> {
+        let config = &self.config;
         let prov = trace.provenance();
         let keys = self.stage_keys(prov.is_enabled());
+
+        // Under chaos the dictionary is poisoned once, up front, on the
+        // main thread — every shard then tags through the same degraded
+        // classifier, exactly as a monolithic run would.
         let (classifier, dict_dropped) = match config.active_chaos() {
             Some(plan) => {
                 let (dict, dropped) = poison_dictionary(&plan, self.classifier.dictionary());
@@ -755,10 +747,17 @@ impl RunSession {
             }
             None => (self.classifier.clone(), None),
         };
+
+        // Stages I–III, shard at a time: the coarse map keeps at most
+        // `jobs` shards in flight, which is what bounds peak memory to
+        // the largest shards times the worker count. With more than one
+        // shard the shard is the unit of parallelism and the in-shard
+        // stage maps run inline; a single-shard run hands `jobs` down to
+        // the inner maps instead.
         let inner_jobs = if specs.len() <= 1 { config.jobs } else { 1 };
         let results = par::par_map_coarse_catch_timed(
             config.jobs,
-            &specs,
+            specs,
             |_, spec| {
                 let wobs = obs.shard();
                 let wprov = prov.shard();
@@ -767,47 +766,37 @@ impl RunSession {
                     config,
                     &classifier,
                     dict_dropped,
-                    &generator,
+                    generator,
                     spec,
                     &keys,
                     inner_jobs,
-                    &store,
+                    store,
                     &wobs,
                     &wprov,
-                    &trace,
+                    trace,
                 );
-                let digest = RunDigest {
-                    shards: 1,
-                    documents: yielded.corpus.documents.len(),
-                    disengagements: yielded
-                        .normalize
-                        .as_ref()
-                        .map_or(0, |n| n.disengagements.len()),
-                    tagged: yielded.assignments.as_ref().map_or(0, Vec::len),
-                    total_miles: yielded.corpus.truth.total_miles(),
-                };
-                (digest, wobs, wprov)
+                (fold(yielded), wobs, wprov)
             },
             trace.timeline(),
             "shard",
         );
-        let mut out = RunDigest::default();
-        for (spec, result) in specs.iter().zip(results) {
-            match result {
-                Ok((digest, wobs, wprov)) => {
+        // Absorb every shard's telemetry and lineage in enumeration
+        // order — the fold that keeps sharded output byte-identical at
+        // any worker count. A shard-level panic is a programming error
+        // (parser panics are already quarantined in-shard), so it
+        // re-raises.
+        specs
+            .iter()
+            .zip(results)
+            .map(|(spec, result)| match result {
+                Ok((folded, wobs, wprov)) => {
                     obs.absorb(wobs);
                     prov.absorb(wprov);
-                    out.shards += digest.shards;
-                    out.documents += digest.documents;
-                    out.disengagements += digest.disengagements;
-                    out.tagged += digest.tagged;
-                    out.total_miles += digest.total_miles;
+                    folded
                 }
                 Err(p) => panic!("shard {} panicked: {}", spec.label(), p.message),
-            }
-        }
-        drain_store(&store, obs);
-        Ok(out)
+            })
+            .collect()
     }
 
     /// Opens the configured artifact store. The default per-stage cap
@@ -1340,8 +1329,11 @@ fn normalize_stage(
                 |i, doc| {
                     let shard = sobs.shard();
                     let pshard = sprov.shard();
-                    let (fixed, per_attempt, repairs) =
-                        corrector.correct_text_audited(&doc.text, plan.repair_attempts);
+                    let (fixed, per_attempt, repairs) = corrector.correct_text_observed(
+                        &doc.text,
+                        plan.repair_attempts,
+                        &mut |_, _| {},
+                    );
                     record_repair_attempts(&shard, &per_attempt);
                     if pshard.is_enabled() {
                         for r in &repairs {
@@ -1640,18 +1632,6 @@ mod tests {
         let names: std::collections::BTreeSet<_> =
             Stage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), Stage::ALL.len(), "stage names must be unique");
-    }
-
-    #[test]
-    fn session_matches_pipeline() {
-        let pipeline = crate::Pipeline::new(small().pipeline()).run().unwrap();
-        let session = RunSession::new(small()).run().unwrap();
-        assert_eq!(
-            format!("{:?}", pipeline.database),
-            format!("{:?}", session.database)
-        );
-        assert_eq!(pipeline.tagged, session.tagged);
-        assert_eq!(pipeline.record_ids, session.record_ids);
     }
 
     #[test]

@@ -339,19 +339,9 @@ pub fn table8(db: &FailureDatabase) -> Result<DataFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
-    use disengage_corpus::CorpusConfig;
 
     fn outcome() -> crate::PipelineOutcome {
-        Pipeline::new(PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 5,
-                scale: 0.1,
-            },
-            ..Default::default()
-        })
-        .run()
-        .unwrap()
+        crate::RunSession::test_outcome(5, 0.1)
     }
 
     #[test]

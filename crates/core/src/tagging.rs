@@ -28,32 +28,62 @@ pub fn tag_records(
         .collect()
 }
 
-/// Tags one record, recording its Stage III telemetry into `obs`:
-/// per-tag verdict counter (`nlp.tag.<tag>`), Unknown-T and
-/// ambiguous-tie counts, vote-margin and dictionary-hit samples. The
-/// per-record body of [`tag_records_with`]; parallel callers hand each
-/// task its own collector shard.
-pub fn tag_record_with(
+/// [`tag_records`] across a `jobs`-wide worker pool (0 = all available
+/// cores), recording Stage III telemetry into `obs`: per-tag verdict
+/// counter (`nlp.tag.<tag>`), Unknown-T and ambiguous-tie counts,
+/// vote-margin and dictionary-hit samples, and the overall Unknown-T
+/// rate gauge.
+///
+/// Lineage and execution tracing ride along: when `prov` is enabled,
+/// each record's full ballot is logged against `ids[i]` (records past
+/// the end of `ids` trace nothing) — one `DictVote` event per scoring
+/// tag followed by the `Tagged` verdict — and every pool task lands on
+/// `timeline` under the `stage_iii_tag` label. Each record classifies
+/// into its own collector and provenance shard, absorbed in record
+/// order, so records, verdicts, telemetry and lineage alike are
+/// byte-identical to the sequential run at any worker count.
+pub fn tag_records_traced(
     classifier: &Classifier,
-    record: &DisengagementRecord,
+    records: &[DisengagementRecord],
+    ids: &[disengage_obs::RecordId],
+    jobs: usize,
     obs: &disengage_obs::Collector,
-) -> TaggedDisengagement {
-    tag_record_traced(
-        classifier,
-        record,
-        obs,
-        &disengage_obs::ProvenanceLog::disabled(),
-        None,
-    )
+    prov: &disengage_obs::ProvenanceLog,
+    timeline: &disengage_par::TaskTimeline,
+) -> Vec<TaggedDisengagement> {
+    let per_record = disengage_par::par_map_indexed_timed(
+        jobs,
+        records,
+        |i, r| {
+            let shard = obs.shard();
+            let pshard = prov.shard();
+            let t = tag_record(classifier, r, &shard, &pshard, ids.get(i));
+            (t, shard, pshard)
+        },
+        timeline,
+        "stage_iii_tag",
+    );
+    let tagged: Vec<TaggedDisengagement> = per_record
+        .into_iter()
+        .map(|(t, shard, pshard)| {
+            obs.absorb(shard);
+            prov.absorb(pshard);
+            t
+        })
+        .collect();
+    if !tagged.is_empty() {
+        let unknown = tagged
+            .iter()
+            .filter(|t| t.assignment.tag == FaultTag::UnknownT)
+            .count();
+        obs.gauge("nlp.unknown_t_rate", unknown as f64 / tagged.len() as f64);
+    }
+    tagged
 }
 
-/// [`tag_record_with`] plus per-record provenance: when `prov` is
-/// enabled and the record carries an id, the full ballot lands in the
-/// log — one `DictVote` event per scoring tag (tag, category, score,
-/// matched keywords) followed by the `Tagged` verdict with its margin
-/// and ambiguity flag. Telemetry is identical to the untraced path; the
-/// record is classified exactly once either way.
-pub fn tag_record_traced(
+/// The per-record body of [`tag_records_traced`]. The record is
+/// classified exactly once whether or not `prov` records its ballot.
+fn tag_record(
     classifier: &Classifier,
     record: &DisengagementRecord,
     obs: &disengage_obs::Collector,
@@ -108,83 +138,6 @@ pub fn tag_record_traced(
         t.assignment.matched_keywords.len() as f64,
     );
     t
-}
-
-/// [`tag_records`], recording Stage III telemetry into `obs` (see
-/// [`tag_record_with`]) plus the overall Unknown-T rate gauge.
-pub fn tag_records_with(
-    classifier: &Classifier,
-    records: &[DisengagementRecord],
-    obs: &disengage_obs::Collector,
-) -> Vec<TaggedDisengagement> {
-    tag_records_par_with(classifier, records, 1, obs)
-}
-
-/// [`tag_records_with`] across a `jobs`-wide worker pool (0 = all
-/// available cores). Each record classifies into its own collector
-/// shard; shards are absorbed into `obs` in record order, so the
-/// output — records, verdicts, and telemetry alike — is byte-identical
-/// to the sequential run at any worker count.
-pub fn tag_records_par_with(
-    classifier: &Classifier,
-    records: &[DisengagementRecord],
-    jobs: usize,
-    obs: &disengage_obs::Collector,
-) -> Vec<TaggedDisengagement> {
-    tag_records_traced(
-        classifier,
-        records,
-        &[],
-        jobs,
-        obs,
-        &disengage_obs::ProvenanceLog::disabled(),
-        &disengage_par::TaskTimeline::disabled(),
-    )
-}
-
-/// [`tag_records_par_with`] plus lineage and execution tracing: each
-/// record's ballot is logged against `ids[i]` (see
-/// [`tag_record_traced`]; records past the end of `ids` trace nothing),
-/// and every pool task lands on `timeline` under the `stage_iii_tag`
-/// label. Provenance shards absorb in record order, so the merged log —
-/// like the telemetry — is byte-identical at any worker count.
-pub fn tag_records_traced(
-    classifier: &Classifier,
-    records: &[DisengagementRecord],
-    ids: &[disengage_obs::RecordId],
-    jobs: usize,
-    obs: &disengage_obs::Collector,
-    prov: &disengage_obs::ProvenanceLog,
-    timeline: &disengage_par::TaskTimeline,
-) -> Vec<TaggedDisengagement> {
-    let per_record = disengage_par::par_map_indexed_timed(
-        jobs,
-        records,
-        |i, r| {
-            let shard = obs.shard();
-            let pshard = prov.shard();
-            let t = tag_record_traced(classifier, r, &shard, &pshard, ids.get(i));
-            (t, shard, pshard)
-        },
-        timeline,
-        "stage_iii_tag",
-    );
-    let tagged: Vec<TaggedDisengagement> = per_record
-        .into_iter()
-        .map(|(t, shard, pshard)| {
-            obs.absorb(shard);
-            prov.absorb(pshard);
-            t
-        })
-        .collect();
-    if !tagged.is_empty() {
-        let unknown = tagged
-            .iter()
-            .filter(|t| t.assignment.tag == FaultTag::UnknownT)
-            .count();
-        obs.gauge("nlp.unknown_t_rate", unknown as f64 / tagged.len() as f64);
-    }
-    tagged
 }
 
 /// Per-manufacturer tag counts (Fig. 6's ingredients).

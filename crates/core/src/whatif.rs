@@ -184,21 +184,9 @@ pub fn demonstration_gap(db: &FailureDatabase, confidence: f64) -> Result<Demons
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
-    use disengage_corpus::CorpusConfig;
 
     fn db() -> FailureDatabase {
-        Pipeline::new(PipelineConfig {
-            corpus: CorpusConfig {
-                seed: 4,
-                scale: 0.1,
-            },
-            ..Default::default()
-        })
-        .run()
-        .expect("pipeline")
-        .database
-        .clone()
+        crate::RunSession::test_outcome(4, 0.1).database
     }
 
     #[test]

@@ -214,31 +214,10 @@ impl CorpusGenerator {
         }
     }
 
-    /// [`CorpusGenerator::generate`], recording Stage I telemetry into
-    /// `obs`: total and per-manufacturer record counters, document
-    /// counts, and the total-mileage gauge.
-    pub fn generate_with(&self, obs: &disengage_obs::Collector) -> Corpus {
-        let corpus = self.generate();
-        obs.add(
-            "corpus.disengagements",
-            corpus.truth.disengagements().len() as u64,
-        );
-        obs.add("corpus.accidents", corpus.truth.accidents().len() as u64);
-        obs.add("corpus.documents", corpus.documents.len() as u64);
-        for r in corpus.truth.disengagements() {
-            obs.incr(&format!(
-                "corpus.dis.{}",
-                disengage_obs::key_segment(r.manufacturer.name())
-            ));
-        }
-        obs.gauge("corpus.total_miles", corpus.truth.total_miles());
-        corpus
-    }
-
     /// [`CorpusGenerator::generate_shard`], recording the shard's slice
-    /// of the Stage I telemetry into `obs`: the same counters as
-    /// [`CorpusGenerator::generate_with`], which sum across shards to
-    /// the monolithic values. The `corpus.total_miles` gauge is *not*
+    /// of the Stage I telemetry into `obs`: total and per-manufacturer
+    /// record counters and document counts, which sum across shards to
+    /// the corpus-wide values. The `corpus.total_miles` gauge is *not*
     /// recorded here — gauges overwrite on absorb, so the corpus-wide
     /// value is the merge stage's job.
     pub fn generate_shard_with(

@@ -291,52 +291,28 @@ impl Corrector {
     /// Corrects every whitespace-delimited word of a text, preserving the
     /// original spacing structure (single spaces between words per line).
     pub fn correct_text(&self, text: &str) -> String {
-        self.correct_text_counted(text).0
-    }
-
-    /// [`Corrector::correct_text`], also returning how many words were
-    /// repaired — the correction-hit count the pipeline telemetry
-    /// reports per run.
-    pub fn correct_text_counted(&self, text: &str) -> (String, u64) {
-        let (out, attempts) = self.correct_text_bounded(text, 1);
-        (out, attempts.first().copied().unwrap_or(0))
+        self.correct_text_observed(text, 1, &mut |_, _| {}).0
     }
 
     /// Bounded-retry correction: attempt `k` repairs words still
     /// unknown after attempt `k − 1`, at repair edit distance `k`
-    /// (capped at 2 — beyond that, "repairs" are fabrications).
-    /// Returns the corrected text plus the per-attempt hit counts; the
-    /// ladder stops early once an attempt repairs nothing.
+    /// (capped at 2 — beyond that, "repairs" are fabrications). Returns
+    /// the corrected text, the per-attempt hit counts, and the audited
+    /// per-token repairs (the provenance feed), listed in ladder order:
+    /// attempt ascending, then line, then token order. The ladder stops
+    /// early once an attempt past distance 1 repairs nothing; zero
+    /// attempts behave like one.
     ///
     /// This is the degraded-scan path: past the calibrated CER a single
     /// distance-1 pass leaves too many words broken, and a second,
     /// more aggressive pass buys real recovery at bounded risk.
-    pub fn correct_text_bounded(&self, text: &str, max_attempts: u32) -> (String, Vec<u64>) {
-        let (out, per_attempt, _) = self.correct_text_audited(text, max_attempts);
-        (out, per_attempt)
-    }
-
-    /// [`Corrector::correct_text_bounded`], also returning the audited
-    /// per-token repairs — the provenance feed. The corrected text and
-    /// hit counts are computed by the same single pass, so the audited
-    /// and unaudited paths can never diverge; repairs are listed in
-    /// ladder order (attempt ascending, then line, then token order).
-    pub fn correct_text_audited(
-        &self,
-        text: &str,
-        max_attempts: u32,
-    ) -> (String, Vec<u64>, Vec<TokenRepair>) {
-        self.correct_text_observed(text, max_attempts, &mut |_, _| {})
-    }
-
-    /// [`Corrector::correct_text_audited`] with a per-attempt timing
-    /// callback: `on_attempt(attempt, elapsed)` fires once per executed
-    /// ladder rung, in rung order, with that rung's wall-clock
-    /// duration. This is the profiler's hook — the corrector stays
+    ///
+    /// `on_attempt(attempt, elapsed)` fires once per executed ladder
+    /// rung, in rung order, with that rung's wall-clock duration. This
+    /// is the profiler's hook — the corrector stays
     /// observability-agnostic (no telemetry dependency); callers turn
-    /// the durations into whatever metric they keep. The callback
-    /// cannot influence the ladder, so the corrected text, hit counts,
-    /// and audit trail are identical to the uninstrumented form.
+    /// the durations into whatever metric they keep, or pass a no-op.
+    /// The callback cannot influence the ladder.
     pub fn correct_text_observed(
         &self,
         text: &str,
@@ -399,6 +375,12 @@ mod tests {
         Corrector::new(["watchdog", "error", "software", "module", "froze", "driver"])
     }
 
+    /// The ladder's text and per-attempt hits, untimed.
+    fn ladder(c: &Corrector, text: &str, max_attempts: u32) -> (String, Vec<u64>) {
+        let (fixed, hits, _) = c.correct_text_observed(text, max_attempts, &mut |_, _| {});
+        (fixed, hits)
+    }
+
     #[test]
     fn known_words_unchanged() {
         assert_eq!(corrector().correct_word("watchdog"), "watchdog");
@@ -442,12 +424,12 @@ mod tests {
     #[test]
     fn correction_hits_counted() {
         let c = corrector();
-        let (fixed, hits) = c.correct_text_counted("s0ftware module froz\nwatchdog err0r");
+        let (fixed, hits) = ladder(&c, "s0ftware module froz\nwatchdog err0r", 1);
         assert_eq!(fixed, "software module froze\nwatchdog error");
-        assert_eq!(hits, 3);
-        let (clean, none) = c.correct_text_counted("software module froze");
+        assert_eq!(hits, vec![3]);
+        let (clean, none) = ladder(&c, "software module froze", 1);
         assert_eq!(clean, "software module froze");
-        assert_eq!(none, 0);
+        assert_eq!(none, vec![0]);
     }
 
     #[test]
@@ -455,10 +437,10 @@ mod tests {
         let c = corrector();
         // "watchdqq" is distance 2 from "watchdog": one pass leaves it,
         // the second (distance-2) pass repairs it.
-        let (one, hits1) = c.correct_text_bounded("watchdqq error", 1);
+        let (one, hits1) = ladder(&c, "watchdqq error", 1);
         assert_eq!(one, "watchdqq error");
         assert_eq!(hits1, vec![0]);
-        let (two, hits2) = c.correct_text_bounded("watchdqq error", 2);
+        let (two, hits2) = ladder(&c, "watchdqq error", 2);
         assert_eq!(two, "watchdog error");
         assert_eq!(hits2, vec![0, 1]);
     }
@@ -468,7 +450,7 @@ mod tests {
         let c = corrector();
         // Attempt 1 repairs everything; attempt 2 finds nothing and the
         // ladder stops — no attempt 3 even with max_attempts = 4.
-        let (fixed, hits) = c.correct_text_bounded("watchd0g err0r", 4);
+        let (fixed, hits) = ladder(&c, "watchd0g err0r", 4);
         assert_eq!(fixed, "watchdog error");
         assert_eq!(hits, vec![2, 0]);
     }
@@ -478,7 +460,7 @@ mod tests {
         let c = corrector();
         // Distance 3 from every vocabulary word: never repaired no
         // matter how many attempts (the cap keeps repairs honest).
-        let (fixed, _) = c.correct_text_bounded("errqqq", 5);
+        let (fixed, _) = ladder(&c, "errqqq", 5);
         assert_eq!(fixed, "errqqq");
     }
 
@@ -488,7 +470,7 @@ mod tests {
         // "w4tchd0g" is two digit substitutions from "watchdog", but a
         // two-edit repair of a digit-bearing token is forbidden — it
         // could just as well be an identifier.
-        let (fixed, _) = c.correct_text_bounded("w4tchd0g car-7", 3);
+        let (fixed, _) = ladder(&c, "w4tchd0g car-7", 3);
         assert_eq!(fixed, "w4tchd0g car-7");
     }
 
@@ -496,7 +478,7 @@ mod tests {
     fn audited_repairs_carry_lines_tokens_and_attempts() {
         let c = corrector();
         let (fixed, hits, repairs) =
-            c.correct_text_audited("s0ftware module\nwatchdqq err0r", 2);
+            c.correct_text_observed("s0ftware module\nwatchdqq err0r", 2, &mut |_, _| {});
         assert_eq!(fixed, "software module\nwatchdog error");
         assert_eq!(hits, vec![2, 1]);
         assert_eq!(
@@ -522,15 +504,12 @@ mod tests {
                 },
             ]
         );
-        // The unaudited form is the same pass with the audit dropped.
-        let (same, same_hits) = c.correct_text_bounded("s0ftware module\nwatchdqq err0r", 2);
-        assert_eq!((same, same_hits), (fixed, hits));
     }
 
     #[test]
     fn bounded_zero_attempts_behaves_like_one() {
         let c = corrector();
-        let (fixed, hits) = c.correct_text_bounded("err0r", 0);
+        let (fixed, hits) = ladder(&c, "err0r", 0);
         assert_eq!(fixed, "error");
         assert_eq!(hits, vec![1]);
     }
@@ -650,7 +629,7 @@ mod tests {
     fn observed_ladder_times_each_rung_without_changing_results() {
         let c = corrector();
         let text = "the watchdog module frose\nsoftwar3 error";
-        let reference = c.correct_text_audited(text, 3);
+        let reference = c.correct_text_observed(text, 3, &mut |_, _| {});
         let mut rungs = Vec::new();
         let observed = c.correct_text_observed(text, 3, &mut |attempt, elapsed| {
             rungs.push((attempt, elapsed));

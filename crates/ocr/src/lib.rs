@@ -12,8 +12,8 @@
 //! * [`engine`] — a template-matching recognizer: segment the fixed grid,
 //!   correlate each cell against every glyph, emit the best match with a
 //!   confidence score. The hot path is bit-packed (one `u64` per 5×7
-//!   glyph, AND + popcount scoring) and pinned bit-for-bit to the
-//!   scalar reference in [`engine::scalar`],
+//!   glyph, AND + popcount scoring) and pinned bit-for-bit to a scalar
+//!   per-pixel reference kept in the `packed_equivalence` test suite,
 //! * [`correct`] — dictionary post-correction (edit-distance-1 repair
 //!   against a vocabulary),
 //! * [`metrics`] — character/word error rates for measuring the

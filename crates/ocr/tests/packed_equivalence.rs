@@ -3,17 +3,19 @@
 //! The packed engine ([`disengage_ocr::OcrEngine`]) must be a pure
 //! speedup: every `(char, score)` it emits — including tie-breaks and
 //! the exact `f64` bit pattern of the score — must equal what the
-//! scalar per-pixel reference ([`disengage_ocr::engine::scalar`])
+//! scalar per-pixel reference (the test-support [`scalar`] module)
 //! computes. Any divergence would ripple into recognized text,
 //! confidences, telemetry, and every downstream fingerprint.
 
-use disengage_ocr::engine::scalar::ScalarEngine;
+mod scalar;
+
 use disengage_ocr::engine::EngineConfig;
 use disengage_ocr::font::{all_glyphs, GLYPH_H, GLYPH_W};
 use disengage_ocr::raster::rasterize;
 use disengage_ocr::{NoiseModel, OcrEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scalar::ScalarEngine;
 
 const CELL_BITS: usize = GLYPH_W * GLYPH_H;
 
@@ -167,5 +169,24 @@ fn non_default_configs_agree_too() {
         let s = scalar.recognize(&page);
         assert_eq!(p.text, s.text, "config {config:?}");
         assert_eq!(p.confidences, s.confidences, "config {config:?}");
+    }
+}
+
+#[test]
+fn multi_byte_lines_with_trailing_padding_agree() {
+    // Lines ending in multi-byte glyphs, padded by the grid with
+    // trailing blank cells that both engines trim by char count.
+    let samples = [
+        "1/4/16 — 1:25 PM —\nTHE LONGEST LINE SETS THE GRID WIDTH",
+        "——— A\nLONGER LINE HERE",
+        "a — b  \nWIDE LINE BELOW THE DASHES",
+    ];
+    let packed = OcrEngine::new();
+    let scalar = ScalarEngine::new();
+    for text in samples {
+        let p = packed.recognize(&rasterize(text));
+        let s = scalar.recognize(&rasterize(text));
+        assert_eq!(p.text, s.text, "{text:?}");
+        assert_eq!(p.confidences, s.confidences, "{text:?}");
     }
 }

@@ -59,26 +59,18 @@ impl Normalized {
 /// is parsed with the shared table format. Accident filings are parsed
 /// as OL 316 forms.
 pub fn normalize_document(doc: &RawDocument) -> Normalized {
-    normalize_document_inner(doc, None)
+    normalize_document_traced(doc, 0, None, &disengage_obs::ProvenanceLog::disabled()).0
 }
 
-/// [`normalize_document`], recording Stage II telemetry into `obs`:
-/// attempted/parsed/failed line counters, total and per-manufacturer
-/// (the within-stage identity `parse.dis.lines == parse.dis.parsed +
-/// parse.dis.failed` holds by construction — each attempted line lands
-/// in exactly one bucket).
-pub fn normalize_document_with(doc: &RawDocument, obs: &disengage_obs::Collector) -> Normalized {
-    normalize_document_inner(doc, Some(obs))
-}
-
-fn normalize_document_inner(doc: &RawDocument, obs: Option<&disengage_obs::Collector>) -> Normalized {
-    normalize_document_traced(doc, 0, obs, &disengage_obs::ProvenanceLog::disabled()).0
-}
-
-/// [`normalize_document_with`] plus provenance: assigns every
-/// recovered disengagement a stable [`disengage_obs::RecordId`]
-/// (manufacturer, filing year, car, per-car ordinal within this
-/// document) and records `normalized`/`quarantined` events into
+/// [`normalize_document`] with Stage II telemetry and provenance.
+///
+/// With `obs` set it records attempted/parsed/failed line counters,
+/// total and per-manufacturer (the within-stage identity
+/// `parse.dis.lines == parse.dis.parsed + parse.dis.failed` holds by
+/// construction — each attempted line lands in exactly one bucket).
+/// It also assigns every recovered disengagement a stable
+/// [`disengage_obs::RecordId`] (manufacturer, filing year, car, per-car
+/// ordinal within this document) and records `normalized`/`quarantined` events into
 /// `prov` — `normalized` on the record's subject (carrying `doc_index`
 /// and the 1-based source line so a record's lineage joins to its
 /// line's OCR/chaos events), `quarantined` on the offending line (or
@@ -235,19 +227,6 @@ pub fn normalize_all<'a>(docs: impl IntoIterator<Item = &'a RawDocument>) -> Nor
     let mut out = Normalized::default();
     for doc in docs {
         out.merge(normalize_document(doc));
-    }
-    out
-}
-
-/// [`normalize_all`] with Stage II telemetry (see
-/// [`normalize_document_with`]).
-pub fn normalize_all_with<'a>(
-    docs: impl IntoIterator<Item = &'a RawDocument>,
-    obs: &disengage_obs::Collector,
-) -> Normalized {
-    let mut out = Normalized::default();
-    for doc in docs {
-        out.merge(normalize_document_with(doc, obs));
     }
     out
 }

@@ -14,7 +14,6 @@
 //!   Normal — with maximum-likelihood fitting (Figs. 11, 12) ([`dist`],
 //!   [`fit`]),
 //! * Kolmogorov–Smirnov goodness-of-fit tests ([`ks`]),
-//! * bootstrap confidence intervals ([`bootstrap`]),
 //! * the Kalra–Paddock "driving to safety" reliability-demonstration model
 //!   used by the paper for significance of accident rates ([`kalra_paddock`]),
 //! * histograms / empirical PDFs for figure series ([`histogram`]).
@@ -34,7 +33,6 @@
 //! # }
 //! ```
 
-pub mod bootstrap;
 pub mod boxplot;
 pub mod chi_square;
 pub mod correlation;
@@ -45,12 +43,10 @@ pub mod fit;
 pub mod histogram;
 pub mod kalra_paddock;
 pub mod ks;
-pub mod mann_whitney;
 pub mod optimize;
 pub mod quantile;
 pub mod regression;
 pub mod special;
-pub mod theil_sen;
 
 pub use error::StatsError;
 

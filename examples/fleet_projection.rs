@@ -7,12 +7,12 @@
 //! ```
 
 use disengage::core::constants::HUMAN_APM;
-use disengage::core::pipeline::{Pipeline, PipelineConfig};
 use disengage::core::whatif::{demonstration_gap, fleet_scale_projection, miles_to_target_dpm};
+use disengage::core::{RunConfig, RunSession};
 use disengage::reports::Manufacturer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let outcome = Pipeline::new(PipelineConfig::default()).run()?;
+    let outcome = RunSession::new(RunConfig::new()).run()?;
     let db = &outcome.database;
 
     println!("== projecting DPM trends to a 1e-4 disengagements/mile target ==");

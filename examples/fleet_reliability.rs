@@ -5,15 +5,14 @@
 //! cargo run --release --example fleet_reliability
 //! ```
 
-use disengage::core::pipeline::{Pipeline, PipelineConfig};
-use disengage::core::{figures, metrics};
+use disengage::core::{figures, metrics, RunConfig, RunSession};
 use disengage::corpus::profile::{CategoryMix, ModalityMix, YearProfile};
 use disengage::corpus::{CorpusConfig, CorpusGenerator, ManufacturerProfile};
 use disengage::reports::{Manufacturer, ReportYear};
 use disengage::stats::boxplot::box_stats;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let outcome = Pipeline::new(PipelineConfig::default()).run()?;
+    let outcome = RunSession::new(RunConfig::new()).run()?;
     let db = &outcome.database;
 
     println!("== per-manufacturer disengagement rates ==");

@@ -8,7 +8,8 @@
 //! cargo run --release --example ocr_stress
 //! ```
 
-use disengage::core::pipeline::{OcrMode, Pipeline, PipelineConfig};
+use disengage::core::pipeline::OcrMode;
+use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::ocr::NoiseModel;
 
@@ -24,15 +25,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             NoiseModel::new(salt, erosion)
         };
         for correct in [false, true] {
-            let outcome = Pipeline::new(PipelineConfig {
-                corpus: CorpusConfig {
+            let config = RunConfig::new()
+                .with_corpus(CorpusConfig {
                     seed: 21,
                     scale: 0.02,
-                },
-                ocr: OcrMode::Simulated { noise, correct },
-                ocr_seed: 4,
-            })
-            .run()?;
+                })
+                .with_ocr(OcrMode::Simulated { noise, correct })
+                .with_ocr_seed(4);
+            let outcome = RunSession::new(config).run()?;
             let stats = outcome.ocr.expect("simulated mode reports stats");
             println!(
                 "{:>8.3}  {:>8.3}  {:>10.4}  {:>10.3}  {:>7.1}%  {:>6} lines{}",

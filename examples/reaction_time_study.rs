@@ -7,14 +7,13 @@
 //! ```
 
 use disengage::core::constants::{HUMAN_REACTION_OWNED_S, REACTION_OUTLIER_CUTOFF_S};
-use disengage::core::pipeline::{Pipeline, PipelineConfig};
-use disengage::core::questions;
+use disengage::core::{questions, RunConfig, RunSession};
 use disengage::reports::Manufacturer;
 use disengage::stats::fit::{fit_exponential, fit_exponentiated_weibull, fit_weibull, prefer_by_aic};
 use disengage::stats::ks::ks_test;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let outcome = Pipeline::new(PipelineConfig::default()).run()?;
+    let outcome = RunSession::new(RunConfig::new()).run()?;
     let db = &outcome.database;
 
     let q4 = questions::q4_alertness(db)?;

@@ -7,14 +7,13 @@
 //! ```
 
 use disengage::core::constants::{AIRLINE_APM, HUMAN_APM, SURGICAL_ROBOT_APM};
-use disengage::core::pipeline::{Pipeline, PipelineConfig};
-use disengage::core::{questions, report};
+use disengage::core::{questions, report, RunConfig, RunSession};
 use disengage::stats::kalra_paddock::{
     demonstration_miles, failure_free_miles, rate_confidence_interval,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let outcome = Pipeline::new(PipelineConfig::default()).run()?;
+    let outcome = RunSession::new(RunConfig::new()).run()?;
     let db = &outcome.database;
 
     let q5 = questions::q5_comparison(db)?;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 build + tests with warnings denied, the
-# full workspace test suite, the repro harness's telemetry self-check
+# benchmark package's tests and smoke run, the full workspace test
+# suite, the repro harness's telemetry self-check
 # (nonzero exit if the pipeline's counters fail to reconcile), a
 # seeded chaos smoke campaign (nonzero exit on any panic, unreconciled
 # fault ledger, or rate-0 divergence from the clean run), the
@@ -39,6 +40,14 @@ cargo build --release --offline
 
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
+
+echo "== benchmark: builds, tests and smoke-runs against the workspace =="
+# benchmark/ is a package of its own (see BENCHMARK.json), so no
+# workspace command compiles it; these steps catch a core API change
+# that breaks it. The smoke run checks every workload's output and
+# exits nonzero on any failed check.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "== workspace: cargo test --workspace -q =="
 cargo test --workspace -q --offline

@@ -33,10 +33,10 @@
 //! # Quickstart
 //!
 //! ```
-//! use disengage::core::pipeline::{Pipeline, PipelineConfig};
+//! use disengage::core::{RunConfig, RunSession};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let outcome = Pipeline::new(PipelineConfig::default()).run()?;
+//! let outcome = RunSession::new(RunConfig::new()).run()?;
 //! let db = &outcome.database;
 //! println!("disengagements: {}", db.disengagements().len());
 //! println!("accidents:      {}", db.accidents().len());

@@ -6,15 +6,14 @@
 //! These are *shape* assertions with tolerances, *exact* where the
 //! corpus is calibrated by construction (counts).
 
-use disengage::core::pipeline::{Pipeline, PipelineConfig};
-use disengage::core::{figures, questions};
+use disengage::core::{figures, questions, RunConfig, RunSession};
 use disengage::reports::{Manufacturer, Modality};
 use std::sync::OnceLock;
 
 fn outcome() -> &'static disengage::core::PipelineOutcome {
     static OUTCOME: OnceLock<disengage::core::PipelineOutcome> = OnceLock::new();
     OUTCOME.get_or_init(|| {
-        Pipeline::new(PipelineConfig::default())
+        RunSession::new(RunConfig::new())
             .run()
             .expect("full-scale pipeline runs")
     })

@@ -12,8 +12,8 @@
 //!    what the injectors produce (guarded by `catch_unwind`).
 
 use disengage::chaos::{inject_documents, poison_dictionary, DegenerateKind, FaultPlan};
-use disengage::core::pipeline::{Pipeline, PipelineConfig};
 use disengage::core::telemetry::reconcile;
+use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::nlp::{Classifier, FailureDictionary, FaultTag};
 use disengage::stats::dist::Exponential;
@@ -23,19 +23,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn config(seed: u64) -> PipelineConfig {
-    PipelineConfig {
-        corpus: CorpusConfig { seed, scale: 0.03 },
-        ..Default::default()
-    }
+fn config(seed: u64) -> RunConfig {
+    RunConfig::new().with_corpus(CorpusConfig { seed, scale: 0.03 })
 }
 
 #[test]
 fn no_fault_plan_is_inert() {
     for seed in 0..6u64 {
-        let clean = Pipeline::new(config(seed)).run().expect("clean run");
-        let zero = Pipeline::new(config(seed))
-            .with_chaos(FaultPlan::new(0.0, seed ^ 0xABC))
+        let clean = RunSession::new(config(seed)).run().expect("clean run");
+        let zero = RunSession::new(config(seed).with_chaos(FaultPlan::new(0.0, seed ^ 0xABC)))
             .run()
             .expect("rate-0 run");
         assert_eq!(
@@ -56,8 +52,7 @@ fn every_fault_corrected_quarantined_or_absorbed_never_a_panic() {
         let rate = rng.gen_range(0.01..0.3);
         let plan = FaultPlan::new(rate, 0x1000 + case);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            Pipeline::new(config(case))
-                .with_chaos(plan)
+            RunSession::new(config(case).with_chaos(plan))
                 .run()
                 .expect("chaos run returns, never panics")
         }));
@@ -83,8 +78,8 @@ fn every_fault_corrected_quarantined_or_absorbed_never_a_panic() {
 #[test]
 fn chaos_runs_are_deterministic() {
     let plan = FaultPlan::new(0.12, 0xD5);
-    let a = Pipeline::new(config(3)).with_chaos(plan).run().unwrap();
-    let b = Pipeline::new(config(3)).with_chaos(plan).run().unwrap();
+    let a = RunSession::new(config(3).with_chaos(plan)).run().unwrap();
+    let b = RunSession::new(config(3).with_chaos(plan)).run().unwrap();
     assert_eq!(format!("{:?}", a.database), format!("{:?}", b.database));
     assert_eq!(a.tagged, b.tagged);
     assert_eq!(a.chaos, b.chaos);

@@ -1,21 +1,18 @@
 //! End-to-end integration: Stage I → II → III → IV over the full
 //! pipeline, including the simulated-OCR digitization path.
 
-use disengage::core::pipeline::{OcrMode, Pipeline, PipelineConfig};
-use disengage::core::{figures, questions, tables, tagging};
+use disengage::core::pipeline::OcrMode;
+use disengage::core::{figures, questions, tables, tagging, RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::ocr::NoiseModel;
 
-fn config(scale: f64) -> PipelineConfig {
-    PipelineConfig {
-        corpus: CorpusConfig { seed: 314, scale },
-        ..Default::default()
-    }
+fn config(seed: u64, scale: f64) -> RunConfig {
+    RunConfig::new().with_corpus(CorpusConfig { seed, scale })
 }
 
 #[test]
 fn passthrough_pipeline_is_lossless_and_exact() {
-    let outcome = Pipeline::new(config(0.08)).run().expect("pipeline runs");
+    let outcome = RunSession::new(config(314, 0.08)).run().expect("pipeline runs");
     assert!(outcome.parse_failures.is_empty());
     assert_eq!(
         outcome.database.disengagements().len(),
@@ -38,19 +35,13 @@ fn passthrough_pipeline_is_lossless_and_exact() {
 
 #[test]
 fn simulated_ocr_pipeline_survives_light_noise() {
-    let outcome = Pipeline::new(PipelineConfig {
-        corpus: CorpusConfig {
-            seed: 314,
-            scale: 0.02,
-        },
-        ocr: OcrMode::Simulated {
+    let config = config(314, 0.02)
+        .with_ocr(OcrMode::Simulated {
             noise: NoiseModel::light(),
             correct: true,
-        },
-        ocr_seed: 9,
-    })
-    .run()
-    .expect("pipeline runs");
+        })
+        .with_ocr_seed(9);
+    let outcome = RunSession::new(config).run().expect("pipeline runs");
     let stats = outcome.ocr.expect("ocr stats present");
     assert!(stats.mean_cer < 0.05, "cer = {}", stats.mean_cer);
     assert!(
@@ -76,7 +67,7 @@ fn simulated_ocr_pipeline_survives_light_noise() {
 
 #[test]
 fn every_table_and_figure_computes_from_one_run() {
-    let outcome = Pipeline::new(config(0.1)).run().expect("pipeline runs");
+    let outcome = RunSession::new(config(314, 0.1)).run().expect("pipeline runs");
     let db = &outcome.database;
     let classifier = disengage::nlp::Classifier::with_default_dictionary();
 
@@ -115,8 +106,8 @@ fn every_table_and_figure_computes_from_one_run() {
 
 #[test]
 fn pipeline_is_deterministic() {
-    let a = Pipeline::new(config(0.05)).run().expect("run a");
-    let b = Pipeline::new(config(0.05)).run().expect("run b");
+    let a = RunSession::new(config(314, 0.05)).run().expect("run a");
+    let b = RunSession::new(config(314, 0.05)).run().expect("run b");
     assert_eq!(a.database.disengagements(), b.database.disengagements());
     assert_eq!(a.database.accidents(), b.database.accidents());
     assert_eq!(
@@ -127,24 +118,8 @@ fn pipeline_is_deterministic() {
 
 #[test]
 fn different_corpus_seeds_change_data_not_shape() {
-    let a = Pipeline::new(PipelineConfig {
-        corpus: CorpusConfig {
-            seed: 1,
-            scale: 0.05,
-        },
-        ..Default::default()
-    })
-    .run()
-    .expect("run a");
-    let b = Pipeline::new(PipelineConfig {
-        corpus: CorpusConfig {
-            seed: 2,
-            scale: 0.05,
-        },
-        ..Default::default()
-    })
-    .run()
-    .expect("run b");
+    let a = RunSession::new(config(1, 0.05)).run().expect("run a");
+    let b = RunSession::new(config(2, 0.05)).run().expect("run b");
     // Same calibrated totals...
     assert_eq!(
         a.database.disengagements().len(),

@@ -1,6 +1,7 @@
 //! Failure injection: OCR noise sweeps and malformed-document handling.
 
-use disengage::core::pipeline::{OcrMode, Pipeline, PipelineConfig};
+use disengage::core::pipeline::OcrMode;
+use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::ocr::NoiseModel;
 use disengage::reports::formats::{DocumentKind, RawDocument};
@@ -8,16 +9,14 @@ use disengage::reports::normalize::normalize_document;
 use disengage::reports::{Manufacturer, ReportYear};
 
 fn run(noise: NoiseModel, correct: bool) -> disengage::core::PipelineOutcome {
-    Pipeline::new(PipelineConfig {
-        corpus: CorpusConfig {
+    let config = RunConfig::new()
+        .with_corpus(CorpusConfig {
             seed: 500,
             scale: 0.015,
-        },
-        ocr: OcrMode::Simulated { noise, correct },
-        ocr_seed: 12,
-    })
-    .run()
-    .expect("pipeline runs")
+        })
+        .with_ocr(OcrMode::Simulated { noise, correct })
+        .with_ocr_seed(12);
+    RunSession::new(config).run().expect("pipeline runs")
 }
 
 #[test]

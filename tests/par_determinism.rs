@@ -4,31 +4,26 @@
 //! sequential run, in clean and chaos modes both.
 
 use disengage::chaos::FaultPlan;
-use disengage::core::pipeline::{OcrMode, Pipeline, PipelineConfig, PipelineOutcome};
+use disengage::core::pipeline::{OcrMode, PipelineOutcome};
 use disengage::core::telemetry::reconcile;
+use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::ocr::NoiseModel;
 
-fn config() -> PipelineConfig {
-    PipelineConfig {
-        corpus: CorpusConfig {
+fn run(jobs: usize, chaos: Option<FaultPlan>) -> PipelineOutcome {
+    let mut config = RunConfig::new()
+        .with_corpus(CorpusConfig {
             seed: 0x5EED,
             scale: 0.01,
-        },
-        ocr: OcrMode::Simulated {
+        })
+        .with_ocr(OcrMode::Simulated {
             noise: NoiseModel::light(),
             correct: true,
-        },
-        ocr_seed: 0xD0C5,
-    }
-}
-
-fn run(jobs: usize, chaos: Option<FaultPlan>) -> PipelineOutcome {
-    let mut pipeline = Pipeline::new(config()).with_jobs(jobs);
-    if let Some(plan) = chaos {
-        pipeline = pipeline.with_chaos(plan);
-    }
-    pipeline.run().expect("pipeline runs")
+        })
+        .with_ocr_seed(0xD0C5)
+        .with_jobs(jobs);
+    config.chaos = chaos;
+    RunSession::new(config).run().expect("pipeline runs")
 }
 
 /// Everything the pipeline produced, as one comparable string.

@@ -8,28 +8,26 @@
 //! enforced by `scripts/verify.sh` diffing full `repro` runs.
 
 use disengage::chaos::FaultPlan;
-use disengage::core::pipeline::{Pipeline, PipelineConfig, RunTrace};
+use disengage::core::pipeline::RunTrace;
 use disengage::core::telemetry::execution_trace_json;
+use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::obs::json::Value;
 use disengage::obs::{validate_chrome_trace, Collector, Subject};
 use std::collections::BTreeSet;
 
-fn config(scale: f64) -> PipelineConfig {
-    PipelineConfig {
-        corpus: CorpusConfig { seed: 11, scale },
-        ..Default::default()
-    }
+fn config(scale: f64) -> RunConfig {
+    RunConfig::new().with_corpus(CorpusConfig { seed: 11, scale })
 }
 
 fn lineage(scale: f64, chaos: Option<FaultPlan>, jobs: usize) -> (String, RunTrace, Collector) {
     let obs = Collector::new();
     let trace = RunTrace::new(&obs);
-    let mut pipeline = Pipeline::new(config(scale)).with_jobs(jobs);
-    if let Some(plan) = chaos {
-        pipeline = pipeline.with_chaos(plan);
-    }
-    pipeline.run_traced(&obs, &trace).expect("pipeline runs");
+    let mut config = config(scale).with_jobs(jobs);
+    config.chaos = chaos;
+    RunSession::new(config)
+        .run_traced(&obs, &trace)
+        .expect("pipeline runs");
     let jsonl = trace.provenance().to_jsonl();
     (jsonl, trace, obs)
 }
@@ -126,7 +124,7 @@ fn explain_covers_corrected_quarantined_and_clean_records() {
 fn record_ids_align_with_tagged_output_and_are_unique() {
     let obs = Collector::new();
     let trace = RunTrace::disabled();
-    let o = Pipeline::new(config(0.05))
+    let o = RunSession::new(config(0.05))
         .run_traced(&obs, &trace)
         .unwrap();
     assert_eq!(o.record_ids.len(), o.database.disengagements().len());

@@ -5,6 +5,7 @@
 //! depend on *when* shards finish, only on the enumeration order the
 //! session absorbs them in.
 
+use disengage::chaos::FaultPlan;
 use disengage::core::pipeline::{PipelineOutcome, RunTrace};
 use disengage::core::{CoreError, RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
@@ -99,17 +100,55 @@ fn unknown_shard_label_is_rejected() {
 }
 
 /// The reduced (digest-only) entry point agrees with the full run —
-/// it drops the bulk per shard, not the numbers.
+/// it drops the bulk per shard, not the numbers — on the clean path,
+/// under chaos (poisoned classifier, injected faults), and with an
+/// exclusion filter.
 #[test]
 fn reduced_digest_matches_the_full_run() {
-    let full = run(&small());
-    let obs = Collector::new();
-    let digest = RunSession::new(small()).run_reduced(&obs).expect("reduced run");
-    assert_eq!(digest.shards, 18);
-    assert_eq!(digest.documents, full.corpus.documents.len());
-    assert_eq!(digest.disengagements, full.database.disengagements().len());
-    assert_eq!(digest.tagged, full.tagged.len());
-    assert!((digest.total_miles - full.corpus.truth.total_miles()).abs() < 1e-9);
+    let configs = [
+        ("clean", small(), 18),
+        ("chaos", small().with_chaos(FaultPlan::new(0.05, 7)), 18),
+        (
+            "filtered",
+            small().with_shards(vec!["-waymo_2016".to_owned(), "-bosch_2016".to_owned()]),
+            16,
+        ),
+    ];
+    for (name, config, shards) in configs {
+        let full = run(&config);
+        let obs = Collector::new();
+        let digest = RunSession::new(config)
+            .run_reduced(&obs)
+            .expect("reduced run");
+        assert_eq!(digest.shards, shards, "{name}");
+        assert_eq!(digest.documents, full.corpus.documents.len(), "{name}");
+        assert_eq!(
+            digest.disengagements,
+            full.database.disengagements().len(),
+            "{name}"
+        );
+        assert_eq!(digest.tagged, full.tagged.len(), "{name}");
+        assert!(
+            (digest.total_miles - full.corpus.truth.total_miles()).abs() < 1e-9,
+            "{name}"
+        );
+        // The shared shard loop records the same stage counters either
+        // way, the chaos dictionary poisoning included.
+        let reduced = obs.report();
+        if name == "chaos" {
+            assert!(
+                reduced.counter("chaos.injected.total") > 0,
+                "chaos injected nothing"
+            );
+        }
+        for counter in ["chaos.dict.dropped", "chaos.injected.total", "nlp.tagged"] {
+            assert_eq!(
+                reduced.counter(counter),
+                full.telemetry.counter(counter),
+                "{name}: {counter}"
+            );
+        }
+    }
 }
 
 /// Counter and histogram folds are invariant to the order shards are

@@ -2,8 +2,7 @@
 //! dictionary-learning tooling against the corpus, and dataframe
 //! interchange of analysis artifacts.
 
-use disengage::core::pipeline::{Pipeline, PipelineConfig};
-use disengage::core::tables;
+use disengage::core::{tables, RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::dataframe::csv;
 use disengage::nlp::ngram::top_ngrams;
@@ -13,13 +12,10 @@ use disengage::stpa::overlay::overlay_for;
 use disengage::stpa::{Component, ControlLoop, LoopId};
 
 fn outcome() -> disengage::core::PipelineOutcome {
-    Pipeline::new(PipelineConfig {
-        corpus: CorpusConfig {
-            seed: 88,
-            scale: 0.06,
-        },
-        ..Default::default()
-    })
+    RunSession::new(RunConfig::new().with_corpus(CorpusConfig {
+        seed: 88,
+        scale: 0.06,
+    }))
     .run()
     .expect("pipeline runs")
 }

@@ -2,24 +2,22 @@
 //! span tree covering all four stages, counters that reconcile across
 //! stage boundaries, and a JSON document that parses back intact.
 
-use disengage::core::pipeline::{OcrMode, Pipeline, PipelineConfig};
+use disengage::core::pipeline::OcrMode;
 use disengage::core::telemetry::reconcile;
+use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::obs::json::Value;
 use disengage::obs::Collector;
 use disengage::ocr::NoiseModel;
 
-fn config(scale: f64) -> PipelineConfig {
-    PipelineConfig {
-        corpus: CorpusConfig { seed: 0x5EED, scale },
-        ..Default::default()
-    }
+fn config(scale: f64) -> RunConfig {
+    RunConfig::new().with_corpus(CorpusConfig { seed: 0x5EED, scale })
 }
 
 #[test]
 fn span_tree_covers_all_four_stages() {
     let obs = Collector::new();
-    let o = Pipeline::new(config(0.05)).run_with(&obs).unwrap();
+    let o = RunSession::new(config(0.05)).run_with(&obs).unwrap();
     let t = &o.telemetry;
     let root = t.find_span("pipeline").expect("root span");
     assert!(root.closed, "root span must close before the snapshot");
@@ -43,7 +41,7 @@ fn span_tree_covers_all_four_stages() {
 #[test]
 fn counters_reconcile_on_default_seed() {
     let obs = Collector::new();
-    let o = Pipeline::new(config(0.1)).run_with(&obs).unwrap();
+    let o = RunSession::new(config(0.1)).run_with(&obs).unwrap();
     let t = &o.telemetry;
 
     // Records in = parsed + failed.
@@ -84,14 +82,11 @@ fn counters_reconcile_on_default_seed() {
 #[test]
 fn simulated_ocr_records_quality_metrics() {
     let obs = Collector::new();
-    let cfg = PipelineConfig {
-        ocr: OcrMode::Simulated {
-            noise: NoiseModel::heavy(),
-            correct: true,
-        },
-        ..config(0.02)
-    };
-    let o = Pipeline::new(cfg).run_with(&obs).unwrap();
+    let cfg = config(0.02).with_ocr(OcrMode::Simulated {
+        noise: NoiseModel::heavy(),
+        correct: true,
+    });
+    let o = RunSession::new(cfg).run_with(&obs).unwrap();
     let t = &o.telemetry;
     assert_eq!(t.gauge("pipeline.passthrough"), Some(0.0));
     assert_eq!(t.counter("ocr.documents"), o.corpus.documents.len() as u64);
@@ -109,7 +104,7 @@ fn simulated_ocr_records_quality_metrics() {
 #[test]
 fn telemetry_json_round_trips() {
     let obs = Collector::new();
-    let o = Pipeline::new(config(0.02)).run_with(&obs).unwrap();
+    let o = RunSession::new(config(0.02)).run_with(&obs).unwrap();
     let text = o.telemetry.to_json();
     let v = Value::parse(&text).expect("telemetry JSON parses back");
     assert_eq!(v, o.telemetry.to_value());
