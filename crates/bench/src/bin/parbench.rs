@@ -1,49 +1,33 @@
-//! `parbench` — measure the Stage I–III worker-pool speedup.
+//! `parbench` — prove that peak memory stays flat as the corpus grows.
 //!
-//! Runs the simulated-OCR pipeline (the per-document-heavy
-//! rasterize→degrade→recognize→correct path) across a **jobs × scale
-//! grid**: a jobs ladder of `1`, `2` (when the machine has distinct
-//! cores for it), and `0` (all cores), at the requested corpus scale
-//! plus two smaller scales (¼ and ½ of it). Every cell is checked
-//! byte-identical against the sequential run at the same scale, and
-//! the whole curve lands in one versioned [`disengage_bench::gate`]
-//! envelope at `BENCH_par.json`.
+//! Runs the reduced (digest-only) simulated-OCR pipeline at ⅛×, ¼×,
+//! ½×, and 1× of the requested scale — each point in a **fresh child
+//! process**, because Linux `VmHWM` is monotone over a process's
+//! lifetime — and prints peak RSS, peak live heap, and shard
+//! throughput per point. The headline number, `stress_rss_ratio`
+//! (peak RSS at full scale over peak RSS at ⅛ scale), must stay at or
+//! below [`MAX_STRESS_RSS_RATIO`]: shard-at-a-time streaming keeps only
+//! `jobs` shards in flight however many shards the corpus has.
 //!
-//! The multi-scale curve is the honest version of the old single
-//! number: pool overhead is amortized over per-document work, so a
-//! speedup measured only at full scale can hide a regression that
-//! makes small corpora *slower* in parallel. With three scales in the
-//! envelope, `benchgate` catches both ends.
+//! The ladder runs at `--jobs=1` unless told otherwise, so the verdict
+//! does not depend on the machine: at `--jobs=0` an 18-core box would
+//! hold every shard at once, and each extra worker thread adds its own
+//! allocator arena to RSS.
 //!
 //! ```text
-//! parbench                    # measure, write BENCH_par.json
-//! parbench --scale 0.1        # largest corpus scale (default 0.2)
-//! parbench --samples=5        # timed samples per grid cell
-//! parbench --out=PATH         # write the envelope elsewhere
-//! parbench --require-speedup  # exit nonzero if < 1.5x on 4+ cores
-//! parbench --scale-stress     # add the peak-RSS-vs-scale ladder
+//! parbench               # ladder up to scale 0.2, one shard in flight
+//! parbench --scale 0.1   # ladder up to scale 0.1
+//! parbench --jobs=2      # two shards in flight
 //! ```
 //!
-//! `--scale-stress` appends a second pass that proves the
-//! shard-at-a-time streaming contract: it re-runs the reduced
-//! (digest-only) pipeline at ⅛×, ¼×, ½×, and 1× of the requested
-//! scale — each point in a **fresh child process**, because Linux
-//! `VmHWM` is monotone over a process's lifetime — and records peak
-//! RSS plus shard throughput per point. The headline number,
-//! `stress_rss_ratio` (peak RSS at full scale over peak RSS at ⅛
-//! scale), carries an absolute [`disengage_bench::gate`] ceiling of
-//! 1.25×: memory must stay flat while the corpus grows 8×.
-//!
-//! `--require-speedup` needs 4+ physical cores to be meaningful: on a
-//! 1- or 2-core box the pool cannot come close to the threshold no
-//! matter how lean its overhead is, so the flag prints a loud SKIPPED
-//! notice and only enforces byte-identity. Flag parsing rides on the
-//! shared [`disengage_core::args`] module (the artifact cache is
-//! deliberately refused: a cached replay would measure disk reads, not
-//! the worker pool).
+//! Exits nonzero when a child fails or the ratio exceeds the budget.
+//! Flag parsing rides on the shared [`disengage_core::args`] module;
+//! the artifact cache is refused, because a cached replay would
+//! measure disk reads, not the streaming pipeline. Timing lives in the
+//! standalone `benchmark/` package.
 
 use disengage_core::args::{ArgError, CommonArgs};
-use disengage_core::pipeline::{OcrMode, PipelineOutcome};
+use disengage_core::pipeline::OcrMode;
 use disengage_core::{RunConfig, RunSession};
 use disengage_corpus::CorpusConfig;
 use disengage_ocr::NoiseModel;
@@ -56,22 +40,19 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: disengage_obs::CountingAlloc = disengage_obs::CountingAlloc;
 
-const USAGE: &str =
-    "usage: parbench [--scale F] [--samples=N] [--out=PATH] [--require-speedup] [--scale-stress]";
+const USAGE: &str = "usage: parbench [--scale F] [--jobs N] [--shards=LIST]";
 
-/// Default envelope path; the committed baseline `benchgate` compares
-/// against lives under the same name in the repository root.
-const DEFAULT_OUT: &str = "BENCH_par.json";
+/// Peak-RSS growth budget across the ladder's 8× corpus growth.
+const MAX_STRESS_RSS_RATIO: f64 = 1.25;
 
-/// Cores needed before a parallel-speedup requirement is meaningful.
-const SPEEDUP_MIN_CORES: usize = 4;
-
-/// `--require-speedup` threshold at the default jobs (all cores).
-const SPEEDUP_THRESHOLD: f64 = 1.5;
+const MIB: f64 = 1024.0 * 1024.0;
 
 fn config(scale: f64) -> RunConfig {
     RunConfig::new()
-        .with_corpus(CorpusConfig { seed: 0x5EED, scale })
+        .with_corpus(CorpusConfig {
+            seed: 0x5EED,
+            scale,
+        })
         .with_ocr(OcrMode::Simulated {
             noise: NoiseModel::light(),
             correct: true,
@@ -79,64 +60,24 @@ fn config(scale: f64) -> RunConfig {
         .with_ocr_seed(0xD0C5)
 }
 
-/// Fingerprint of everything Stage I–III produced, for the
-/// byte-identity check (telemetry is compared in canonical form, with
-/// wall-clock fields zeroed).
-fn fingerprint(o: &PipelineOutcome) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{}",
-        o.database,
-        o.tagged,
-        o.parse_failures,
-        o.ocr,
-        o.telemetry.clone().canonical().to_json()
-    )
-}
-
-/// Minimum wall-clock over `samples` runs (minimum, not mean: the
-/// cleanest estimate of the work itself on a shared machine).
-fn time_runs(cfg: &RunConfig, jobs: usize, samples: usize) -> (f64, PipelineOutcome) {
-    let mut best = f64::INFINITY;
-    let mut outcome = None;
-    let session = RunSession::new(cfg.clone().with_jobs(jobs));
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let o = session.run().expect("pipeline runs");
-        best = best.min(t0.elapsed().as_secs_f64());
-        outcome = Some(o);
-    }
-    (best, outcome.expect("at least one sample"))
-}
-
-/// The jobs ladder for a machine with `cores` cores: always `1`, then
-/// `2` when it exercises real parallelism distinct from the top rung,
-/// then `0` (= all cores). Deduplicated so a 1-core box measures just
-/// the sequential run (plus the jobs=0 identity check) and a 2-core
-/// box doesn't time jobs=2 twice.
-fn jobs_ladder(cores: usize) -> Vec<usize> {
-    let mut ladder = vec![1];
-    if cores > 2 {
-        ladder.push(2);
-    }
-    if cores > 1 {
-        ladder.push(0);
-    }
-    ladder
-}
-
-/// Scale tag for metric names: the scale in thousandths, zero-padded
-/// (`0.05` → `s050`), so names sort and stay unambiguous.
-fn scale_tag(scale: f64) -> String {
-    format!("s{:03}", (scale * 1000.0).round() as usize)
-}
-
 /// One `--stress-child` measurement, parsed back from the child's
 /// single stdout line.
 struct StressPoint {
     rss_bytes: f64,
+    peak_live_bytes: f64,
     shards: f64,
-    disengagements: f64,
     secs: f64,
+}
+
+/// Peak RSS at the top of the ladder over peak RSS at its foot;
+/// `None` when the platform reports no RSS.
+fn stress_rss_ratio(first: &StressPoint, last: &StressPoint) -> Option<f64> {
+    (first.rss_bytes > 0.0).then(|| last.rss_bytes / first.rss_bytes)
+}
+
+/// Whether a ladder's `stress_rss_ratio` is within the memory budget.
+fn within_budget(ratio: f64) -> bool {
+    ratio <= MAX_STRESS_RSS_RATIO
 }
 
 /// Child mode: run the reduced (digest-only) sharded pipeline once at
@@ -170,14 +111,21 @@ fn stress_child(scale: f64, jobs: usize, shards: Option<&[String]>) -> ExitCode 
 
 /// Spawns one stress point as a fresh child process and parses its
 /// report line.
-fn run_stress_point(scale: f64, jobs: Option<usize>) -> Result<StressPoint, String> {
+fn run_stress_point(
+    scale: f64,
+    jobs: usize,
+    shards: Option<&[String]>,
+) -> Result<StressPoint, String> {
     let exe = std::env::current_exe().map_err(|e| format!("no current exe: {e}"))?;
     let mut cmd = std::process::Command::new(exe);
     cmd.arg(format!("--stress-child={scale}"));
-    if let Some(j) = jobs {
-        cmd.arg(format!("--jobs={j}"));
+    cmd.arg(format!("--jobs={jobs}"));
+    if let Some(s) = shards {
+        cmd.arg(format!("--shards={}", s.join(",")));
     }
-    let out = cmd.output().map_err(|e| format!("stress child spawn failed: {e}"))?;
+    let out = cmd
+        .output()
+        .map_err(|e| format!("stress child spawn failed: {e}"))?;
     if !out.status.success() {
         return Err(format!(
             "stress child at scale {scale} failed: {}",
@@ -194,49 +142,18 @@ fn run_stress_point(scale: f64, jobs: Option<usize>) -> Result<StressPoint, Stri
     };
     Ok(StressPoint {
         rss_bytes: field("rss_bytes")?,
+        peak_live_bytes: field("peak_live_bytes")?,
         shards: field("shards")?,
-        disengagements: field("disengagements")?,
         secs: field("secs")?,
     })
 }
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut samples = 3usize;
-    let mut require_speedup = false;
-    let mut scale_stress = false;
     let mut stress_child_scale: Option<f64> = None;
-    let mut out = DEFAULT_OUT.to_owned();
     let parsed = CommonArgs::parse_with(&raw, |flag, value| match flag {
-        "--out" => {
-            let v = value.ok_or_else(|| ArgError {
-                flag: flag.to_owned(),
-                reason: "expected --out=PATH".to_owned(),
-            })?;
-            out = v.to_owned();
-            Ok(true)
-        }
-        "--samples" => {
-            let v = value.ok_or_else(|| ArgError {
-                flag: flag.to_owned(),
-                reason: "expected --samples=N".to_owned(),
-            })?;
-            samples = v.parse().map_err(|_| ArgError {
-                flag: flag.to_owned(),
-                reason: format!("`{v}` is not a sample count"),
-            })?;
-            Ok(true)
-        }
-        "--require-speedup" => {
-            require_speedup = true;
-            Ok(true)
-        }
-        "--scale-stress" => {
-            scale_stress = true;
-            Ok(true)
-        }
-        // Internal: one point of the --scale-stress ladder, run in a
-        // fresh process so VmHWM measures only this scale.
+        // Internal: one point of the ladder, run in a fresh process so
+        // VmHWM measures only this scale.
         "--stress-child" => {
             let v = value.ok_or_else(|| ArgError {
                 flag: flag.to_owned(),
@@ -268,159 +185,95 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if args.cache_dir.is_some() {
-        eprintln!("error: parbench measures the worker pool; --cache-dir would measure the cache");
+        eprintln!(
+            "error: parbench measures the streaming pipeline; --cache-dir would measure the cache"
+        );
         return ExitCode::FAILURE;
     }
+    let shards = args.shards.as_deref();
+    let jobs = args.jobs.unwrap_or(1);
     if let Some(scale) = stress_child_scale {
-        return stress_child(scale, args.jobs.unwrap_or(0), args.shards.as_deref());
+        return stress_child(scale, jobs, shards);
     }
+
     let full_scale = args.scale.unwrap_or(0.2);
-
-    let cores = disengage_par::available_jobs();
-    let ladder = jobs_ladder(cores);
-    // Quarter, half, and full scale: small corpora expose per-task
-    // overhead, the full corpus measures steady-state throughput.
-    let scales = [full_scale / 4.0, full_scale / 2.0, full_scale];
-    eprintln!(
-        "measuring simulated-OCR pipeline on {cores} core(s); jobs ladder {ladder:?}, scales {scales:?}"
-    );
-
-    let mut identical = true;
-    let mut metrics: Vec<(String, f64)> = vec![
-        ("scale".to_owned(), full_scale),
-        ("samples".to_owned(), samples as f64),
-        ("jobs_ladder_len".to_owned(), ladder.len() as f64),
-        (
-            "jobs_ladder_max".to_owned(),
-            ladder
-                .iter()
-                .map(|&j| if j == 0 { cores } else { j })
-                .max()
-                .unwrap_or(1) as f64,
-        ),
+    let points = [
+        full_scale / 8.0,
+        full_scale / 4.0,
+        full_scale / 2.0,
+        full_scale,
     ];
-    // Summary numbers from the full-scale column, filled in below.
-    let mut summary: Option<(f64, f64, usize)> = None;
-    for &scale in &scales {
-        let tag = scale_tag(scale);
-        let cfg = config(scale);
-        let mut seq: Option<(f64, String)> = None;
-        for &jobs in &ladder {
-            let (secs, outcome) = time_runs(&cfg, jobs, samples);
-            let docs = outcome.database.disengagements().len();
-            let print = fingerprint(&outcome);
-            let workers = if jobs == 0 { cores } else { jobs };
-            match &seq {
-                None => {
-                    eprintln!("scale {scale}: jobs=1: {secs:.3} s ({docs} docs)");
-                    metrics.push((format!("curve_{tag}_j1_s"), secs));
-                    seq = Some((secs, print));
-                }
-                Some((seq_s, seq_print)) => {
-                    let speedup = seq_s / secs;
-                    let same = print == *seq_print;
-                    identical &= same;
-                    eprintln!(
-                        "scale {scale}: jobs={jobs} ({workers} workers): {secs:.3} s ({speedup:.2}x, identical: {same})"
-                    );
-                    metrics.push((format!("curve_{tag}_j{workers}_s"), secs));
-                    metrics.push((format!("curve_{tag}_j{workers}_speedup"), speedup));
-                }
+    eprintln!("scale-stress ladder: {points:?} at --jobs={jobs} (one child process per point)");
+    let mut measured: Vec<StressPoint> = Vec::new();
+    for &scale in &points {
+        match run_stress_point(scale, jobs, shards) {
+            Ok(p) => {
+                eprintln!(
+                    "scale {scale}: peak RSS {:.1} MiB, peak live {:.1} MiB, {} shard(s), {:.1} shards/s",
+                    p.rss_bytes / MIB,
+                    p.peak_live_bytes / MIB,
+                    p.shards,
+                    if p.secs > 0.0 { p.shards / p.secs } else { 0.0 }
+                );
+                measured.push(p);
             }
-            if scale == full_scale && (jobs == 0 || ladder.len() == 1) {
-                summary = Some((seq.as_ref().expect("jobs=1 ran first").0, secs, docs));
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
             }
         }
     }
 
-    let (seq_s, par_s, docs) = summary.expect("full scale measured");
-    let speedup = seq_s / par_s;
-    eprintln!(
-        "full scale: {speedup:.2}x, {:.2} docs/s sequential, outputs identical: {identical}",
-        docs as f64 / seq_s
-    );
-    metrics.push(("docs".to_owned(), docs as f64));
-    metrics.push(("sequential_s".to_owned(), seq_s));
-    metrics.push(("parallel_s".to_owned(), par_s));
-    metrics.push(("speedup".to_owned(), speedup));
-    metrics.push(("seq_docs_per_s".to_owned(), docs as f64 / seq_s));
-    metrics.push(("docs_per_s".to_owned(), docs as f64 / par_s));
-    metrics.push(("identical".to_owned(), if identical { 1.0 } else { 0.0 }));
-
-    if scale_stress {
-        // The memory-flatness ladder: ⅛× → 1× of the requested scale,
-        // one fresh child process per point (VmHWM is monotone within
-        // a process). Peak RSS must stay flat while the corpus grows
-        // 8× — shard-at-a-time streaming keeps only `jobs` shards in
-        // flight regardless of how many shards the corpus has.
-        let points = [full_scale / 8.0, full_scale / 4.0, full_scale / 2.0, full_scale];
-        eprintln!("scale-stress ladder: {points:?} (one child process per point)");
-        let mut measured: Vec<(f64, StressPoint)> = Vec::new();
-        for &scale in &points {
-            match run_stress_point(scale, args.jobs) {
-                Ok(p) => {
-                    eprintln!(
-                        "scale {scale}: peak RSS {:.1} MiB, {} shard(s), {:.1} shards/s",
-                        p.rss_bytes / (1024.0 * 1024.0),
-                        p.shards,
-                        if p.secs > 0.0 { p.shards / p.secs } else { 0.0 }
-                    );
-                    measured.push((scale, p));
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let growth = full_scale / points[0];
+    match stress_rss_ratio(&measured[0], &measured[measured.len() - 1]) {
+        None => {
+            eprintln!("scale-stress: peak RSS unavailable on this platform; ratio NOT checked");
+            ExitCode::SUCCESS
         }
-        for (scale, p) in &measured {
-            let tag = scale_tag(*scale);
-            metrics.push((format!("stress_{tag}_rss_bytes"), p.rss_bytes));
-            metrics.push((format!("stress_{tag}_shards"), p.shards));
-            metrics.push((format!("stress_{tag}_dis"), p.disengagements));
-        }
-        let first = &measured.first().expect("ladder measured").1;
-        let last = &measured.last().expect("ladder measured").1;
-        if first.rss_bytes > 0.0 {
-            let ratio = last.rss_bytes / first.rss_bytes;
+        Some(ratio) if !within_budget(ratio) => {
             eprintln!(
-                "scale-stress: RSS ratio {ratio:.3} across {:.0}x scale growth",
-                full_scale / points[0]
+                "FAILED: stress_rss_ratio {ratio:.3} > {MAX_STRESS_RSS_RATIO} across {growth:.0}x scale growth"
             );
-            metrics.push(("stress_rss_ratio".to_owned(), ratio));
-        } else {
-            eprintln!("scale-stress: peak RSS unavailable on this platform; ratio not recorded");
+            ExitCode::FAILURE
         }
-        metrics.push(("stress_scale_growth".to_owned(), full_scale / points[0]));
-        if last.secs > 0.0 {
-            metrics.push(("stress_shards_per_s".to_owned(), last.shards / last.secs));
+        Some(ratio) => {
+            eprintln!(
+                "scale-stress: stress_rss_ratio {ratio:.3} <= {MAX_STRESS_RSS_RATIO} across {growth:.0}x scale growth"
+            );
+            ExitCode::SUCCESS
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(rss_bytes: f64) -> StressPoint {
+        StressPoint {
+            rss_bytes,
+            peak_live_bytes: 0.0,
+            shards: 18.0,
+            secs: 1.0,
         }
     }
 
-    let body = disengage_bench::gate::envelope("disengage-bench/par", &metrics).render();
-    if let Err(e) = std::fs::write(&out, &body) {
-        eprintln!("error: could not write {out}: {e}");
-        return ExitCode::FAILURE;
+    #[test]
+    fn stress_rss_ratio_has_an_absolute_budget() {
+        assert_eq!(MAX_STRESS_RSS_RATIO, 1.25);
+        let foot = point(4.0 * MIB);
+        // Flat memory passes, and the budget itself is inclusive.
+        let flat = stress_rss_ratio(&foot, &point(4.3 * MIB)).expect("ratio");
+        assert!((flat - 1.075).abs() < 1e-9);
+        assert!(within_budget(flat));
+        assert!(within_budget(
+            stress_rss_ratio(&foot, &point(5.0 * MIB)).expect("ratio")
+        ));
+        // Memory that scales with the corpus breaches it.
+        assert!(!within_budget(
+            stress_rss_ratio(&foot, &point(12.0 * MIB)).expect("ratio")
+        ));
+        // No RSS reading, no ratio.
+        assert!(stress_rss_ratio(&point(0.0), &point(5.0 * MIB)).is_none());
     }
-    eprintln!("wrote {out}");
-
-    if !identical {
-        eprintln!("FAILED: parallel outcome diverged from sequential");
-        return ExitCode::FAILURE;
-    }
-    if require_speedup {
-        if cores < SPEEDUP_MIN_CORES {
-            eprintln!(
-                "SKIPPED: --require-speedup needs {SPEEDUP_MIN_CORES}+ cores, this machine has \
-                 {cores}; byte-identity was still enforced, the {SPEEDUP_THRESHOLD}x speedup \
-                 floor was not"
-            );
-        } else if speedup < SPEEDUP_THRESHOLD {
-            eprintln!(
-                "FAILED: {speedup:.2}x < {SPEEDUP_THRESHOLD}x required on {cores} cores"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }

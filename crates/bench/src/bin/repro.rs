@@ -22,7 +22,6 @@
 //! repro --trace=trace.json       # export a Chrome trace-event timeline
 //! repro --cache-dir=.disengage-cache  # content-addressed stage cache
 //! repro --cache-cap=0                 # unbounded per-stage cache
-//! repro --bench=BENCH_pipeline.json   # write a perf-baseline envelope
 //! repro --crash-campaign=25           # crash-recovery campaign, 25 trials
 //! repro --crash-campaign=25,7         # same, explicit campaign seed
 //! ```
@@ -36,13 +35,6 @@
 //! outcome ledger lands in `crash_report.json`; any non-recovered trial
 //! exits nonzero. `--scale`, `--seed`, `--jobs`, and `--cache-cap`
 //! shape the workload under test.
-//!
-//! `--bench=PATH` writes a versioned [`disengage_bench::gate`]
-//! envelope with the per-stage wall times (from the pipeline span
-//! tree), end-to-end throughput, and — when a cache is armed — the
-//! stage-cache hit rate. `scripts/verify.sh` gates a fresh candidate
-//! against the committed `BENCH_pipeline.json` baseline via
-//! `benchgate`.
 //!
 //! Flag parsing is shared with the `disengage` front-end
 //! ([`disengage_core::args`]): unknown `--` flags are rejected with
@@ -124,7 +116,6 @@ artifacts: table1..table8, fig4..fig12, q1..q5, exposure, whatif,
 accuracy (none selects everything)
 
 repro-only flags:
-  --bench=PATH        write a perf-baseline envelope (see benchgate)
   --crash-campaign=TRIALS[,SEED]
                       run the crash-recovery campaign instead of the
                       reproduction (writes crash_report.json)
@@ -139,17 +130,8 @@ flags (shared with the `disengage` front-end; both --flag VALUE and
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut bench_out: Option<String> = None;
     let mut crash_campaign: Option<(usize, u64)> = None;
     let parsed = CommonArgs::parse_with(&raw, |flag, value| match flag {
-        "--bench" => {
-            let v = value.ok_or_else(|| ArgError {
-                flag: flag.to_owned(),
-                reason: "expected --bench=PATH".to_owned(),
-            })?;
-            bench_out = Some(v.to_owned());
-            Ok(true)
-        }
         "--crash-campaign" => {
             let v = value.ok_or_else(|| ArgError {
                 flag: flag.to_owned(),
@@ -575,53 +557,6 @@ fn main() -> ExitCode {
     // Telemetry self-check: refuse to bless a run whose counters do not
     // reconcile across stages (see disengage_core::telemetry::reconcile).
     let snapshot = obs.report();
-
-    // Perf-baseline envelope: per-stage wall from the span tree,
-    // end-to-end throughput, and (with a cache armed) the hit rate.
-    if let Some(path) = &bench_out {
-        let mut metrics: Vec<(String, f64)> =
-            vec![("scale".to_owned(), config.corpus.scale)];
-        for span in [
-            "pipeline",
-            "stage_i_corpus",
-            "stage_i_ocr",
-            "stage_ii_parse",
-            "stage_iii_tag",
-        ] {
-            if let Some(node) = snapshot.find_span(span) {
-                metrics.push((format!("{span}_s"), node.duration_s));
-            }
-        }
-        if let Some(node) = snapshot.find_span("pipeline") {
-            if node.duration_s > 0.0 {
-                metrics.push((
-                    "records_per_s".to_owned(),
-                    o.database.disengagements().len() as f64 / node.duration_s,
-                ));
-            }
-        }
-        let probes = snapshot.counter("cache.hit") + snapshot.counter("cache.miss");
-        if probes > 0 {
-            metrics.push((
-                "cache_hit_rate".to_owned(),
-                snapshot.counter("cache.hit") as f64 / probes as f64,
-            ));
-        }
-        // Recorder self-overhead: flight-ring time / pipeline wall.
-        // Gated by an absolute ceiling (not baseline-relative) so the
-        // always-on recorder can never quietly grow past its budget.
-        if let Some(frac) = snapshot.gauge("obs.overhead.frac") {
-            metrics.push(("obs_overhead_frac".to_owned(), frac));
-        }
-        let body = disengage_bench::gate::envelope("disengage-bench/pipeline", &metrics).render();
-        match std::fs::write(path, body) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let violations = reconcile(&snapshot);
     for v in &violations {
         eprintln!("telemetry reconciliation FAILED: {v}");

@@ -29,6 +29,8 @@ fn repro_help_exits_zero_and_unknown_flags_fail() {
     for bad in ["--telemetry=loud", "--chaos=2.0", "--jobs=many"] {
         assert!(!run(exe, &[bad]).status.success(), "{bad} must fail");
     }
+    // The perf-envelope flag is gone: performance lives in benchmark/.
+    assert_unknown(exe, &["--bench", "x"]);
 }
 
 #[test]
@@ -39,10 +41,29 @@ fn parbench_help_exits_zero_and_unknown_flags_fail() {
         assert!(out.status.success(), "parbench {flag} must exit 0");
         assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
     }
-    let out = run(exe, &["--bogus"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
+    assert_unknown(exe, &["--bogus"]);
+    // The timing grid's flags are gone; the stress ladder is the default.
+    for removed in [
+        "--out=x",
+        "--samples=3",
+        "--require-speedup",
+        "--scale-stress",
+    ] {
+        assert_unknown(exe, &[removed]);
+    }
     // The cache would corrupt the measurement; parbench refuses it.
     assert!(!run(exe, &["--cache-dir=/tmp/x"]).status.success());
-    assert!(!run(exe, &["--samples=zero"]).status.success());
+}
+
+/// `args` fail before any pipeline work: their first flag is rejected
+/// as unknown, named in the error alongside the usage text.
+fn assert_unknown(exe: &str, args: &[&str]) {
+    let out = run(exe, args);
+    assert!(!out.status.success(), "{args:?} must exit nonzero");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let name = args[0].split('=').next().unwrap_or(args[0]);
+    assert!(
+        stderr.contains(&format!("{name}: unknown flag")) && stderr.contains("usage:"),
+        "{args:?} must be rejected as unknown: {stderr}"
+    );
 }

@@ -403,8 +403,15 @@ pub(crate) fn record_repair_attempts(obs: &Collector, per_attempt: &[u64]) {
 }
 
 /// The post-correction vocabulary: every word of the failure dictionary
-/// plus the structural tokens of the report formats.
-pub fn default_corrector() -> Corrector {
+/// plus the structural tokens of the report formats. A pure function of
+/// the built-in dictionary and templates, so it is built once per
+/// process and shared by every shard.
+pub fn default_corrector() -> &'static Corrector {
+    static CORRECTOR: std::sync::OnceLock<Corrector> = std::sync::OnceLock::new();
+    CORRECTOR.get_or_init(build_default_corrector)
+}
+
+fn build_default_corrector() -> Corrector {
     let mut words: Vec<String> = Vec::new();
     let push_text = |text: &str, words: &mut Vec<String>| {
         for w in text.split_whitespace() {

@@ -668,8 +668,8 @@ impl RunSession {
     /// the largest `jobs` shards — never the corpus. Same stages, same
     /// per-shard artifacts, same cache keys as
     /// [`RunSession::run_traced`]; only the fold differs. This is what
-    /// `parbench --scale-stress` drives to prove peak RSS stays flat
-    /// while scale grows.
+    /// `parbench` drives to prove peak RSS stays flat while scale
+    /// grows.
     ///
     /// # Errors
     ///

@@ -364,7 +364,8 @@ pub struct PoolRow {
 /// The aggregated profile: what `disengage profile` renders.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileReport {
-    /// Stage wall times from `stage_*` spans, in start order.
+    /// Stage wall times from `stage_*` spans, one row per name summed
+    /// over every shard, in first-seen order.
     pub stages: Vec<StageRow>,
     /// Phase rows sorted by path components (parents before children).
     pub phases: Vec<PhaseRow>,
@@ -407,14 +408,19 @@ impl ProfileReport {
             ka.cmp(&kb)
         });
 
+        // A sharded run opens each stage span once per shard; fold them
+        // into one row per name so the table reads as stage totals.
         let mut stages = Vec::new();
         fn walk(nodes: &[crate::report::SpanNode], out: &mut Vec<StageRow>) {
             for n in nodes {
                 if n.name.starts_with("stage_") || n.name == "chaos_inject" {
-                    out.push(StageRow {
-                        name: n.name.clone(),
-                        wall_s: n.duration_s,
-                    });
+                    match out.iter_mut().find(|s| s.name == n.name) {
+                        Some(row) => row.wall_s += n.duration_s,
+                        None => out.push(StageRow {
+                            name: n.name.clone(),
+                            wall_s: n.duration_s,
+                        }),
+                    }
                 }
                 walk(&n.children, out);
             }
@@ -442,6 +448,11 @@ impl ProfileReport {
     /// A phase row by exact path.
     pub fn phase(&self, path: &str) -> Option<&PhaseRow> {
         self.phases.iter().find(|r| r.path == path)
+    }
+
+    /// A stage row by span name, its wall summed over every shard.
+    pub fn stage(&self, name: &str) -> Option<&StageRow> {
+        self.stages.iter().find(|s| s.name == name)
     }
 
     /// Fraction of `stage_wall_s` attributed to the direct children of
@@ -828,6 +839,37 @@ mod tests {
         // JSON round-trips through the in-tree parser.
         let parsed = Value::parse(&prof.to_json()).expect("valid json");
         assert!(parsed.get("phases").is_some());
+    }
+
+    #[test]
+    fn stage_rows_fold_per_name_in_first_seen_order() {
+        let obs = Collector::new();
+        for _ in 0..3 {
+            let _shard = obs.span("shard");
+            for stage in ["stage_i_ocr", "stage_iii_tag"] {
+                let _s = obs.span(stage);
+                spin(1);
+            }
+        }
+        let report = obs.report();
+        let prof = ProfileReport::from_report(&report);
+        let names: Vec<&str> = prof.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["stage_i_ocr", "stage_iii_tag"]);
+        let summed: f64 = report
+            .spans
+            .iter()
+            .flat_map(|shard| &shard.children)
+            .filter(|s| s.name == "stage_i_ocr")
+            .map(|s| s.duration_s)
+            .sum();
+        let row = prof.stage("stage_i_ocr").expect("stage row");
+        assert!(
+            (row.wall_s - summed).abs() < 1e-12,
+            "{} vs {summed}",
+            row.wall_s
+        );
+        assert!(row.wall_s >= 0.003);
+        assert!(prof.stage("stage_ii_parse").is_none());
     }
 
     #[test]

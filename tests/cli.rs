@@ -125,6 +125,14 @@ fn profile_command_renders_and_folded_round_trips() {
     for needle in ["== profile ==", "stage_i_ocr", "digitize", "rasterize", "throughput"] {
         assert!(stdout.contains(needle), "table must mention {needle}:\n{stdout}");
     }
+    let stage_rows: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| *l != "stages:")
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_each_stage_once(&stage_rows);
 
     let folded = disengage(&["profile", "--scale=0.01", "--profile=folded"]);
     assert!(folded.status.success());
@@ -149,6 +157,36 @@ fn profile_json_parses_with_expected_sections() {
     for section in ["stages", "phases", "throughput", "memory", "pool"] {
         assert!(value.get(section).is_some(), "missing `{section}` section");
     }
+    let stages: Vec<&str> = value
+        .get("stages")
+        .and_then(|s| s.as_arr())
+        .expect("stages is an array")
+        .iter()
+        .map(|s| s.get("name").and_then(|n| n.as_str()).expect("stage name"))
+        .collect();
+    assert_each_stage_once(&stages);
+}
+
+/// A sharded run opens every stage span once per shard; the profile
+/// folds them, so each stage name must appear exactly once.
+fn assert_each_stage_once(names: &[&str]) {
+    for stage in [
+        "stage_i_corpus",
+        "stage_i_ocr",
+        "stage_ii_parse",
+        "stage_iii_tag",
+    ] {
+        let n = names.iter().filter(|&&s| s == stage).count();
+        assert_eq!(n, 1, "{stage} listed {n} times in {names:?}");
+    }
+    let mut unique = names.to_vec();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(
+        unique.len(),
+        names.len(),
+        "a stage is listed twice: {names:?}"
+    );
 }
 
 #[test]
