@@ -1243,7 +1243,7 @@ fn run_shard(
                 trace.timeline(),
             );
             span.field("tagged", tagged.len() as u64);
-            tagged.into_iter().map(|t| t.assignment).collect::<Vec<_>>()
+            tagged
         },
     );
     throughput[3] = StageSample {

@@ -14,34 +14,20 @@ pub struct TaggedDisengagement {
     pub assignment: TagAssignment,
 }
 
-/// Tags every record with the given classifier.
-pub fn tag_records(
-    classifier: &Classifier,
-    records: &[DisengagementRecord],
-) -> Vec<TaggedDisengagement> {
-    records
-        .iter()
-        .map(|r| TaggedDisengagement {
-            record: r.clone(),
-            assignment: classifier.classify(&r.description),
-        })
-        .collect()
-}
-
-/// [`tag_records`] across a `jobs`-wide worker pool (0 = all available
-/// cores), recording Stage III telemetry into `obs`: per-tag verdict
-/// counter (`nlp.tag.<tag>`), Unknown-T and ambiguous-tie counts,
-/// vote-margin and dictionary-hit samples, and the overall Unknown-T
-/// rate gauge.
+/// Tags every record across a `jobs`-wide worker pool (0 = all
+/// available cores), recording Stage III telemetry into `obs`: per-tag
+/// verdict counter (`nlp.tag.<tag>`), Unknown-T and ambiguous-tie
+/// counts, vote-margin and dictionary-hit samples, and the overall
+/// Unknown-T rate gauge. Returns one verdict per record, in order.
 ///
 /// Lineage and execution tracing ride along: when `prov` is enabled,
 /// each record's full ballot is logged against `ids[i]` (records past
 /// the end of `ids` trace nothing) — one `DictVote` event per scoring
 /// tag followed by the `Tagged` verdict — and every pool task lands on
-/// `timeline` under the `stage_iii_tag` label. Each record classifies
-/// into its own collector and provenance shard, absorbed in record
-/// order, so records, verdicts, telemetry and lineage alike are
-/// byte-identical to the sequential run at any worker count.
+/// `timeline` under the `stage_iii_tag` label. The pool runs only the
+/// pure classification; telemetry and lineage are then recorded on the
+/// calling thread in record order, so verdicts, telemetry and lineage
+/// are byte-identical at any worker count.
 pub fn tag_records_traced(
     classifier: &Classifier,
     records: &[DisengagementRecord],
@@ -50,94 +36,79 @@ pub fn tag_records_traced(
     obs: &disengage_obs::Collector,
     prov: &disengage_obs::ProvenanceLog,
     timeline: &disengage_par::TaskTimeline,
-) -> Vec<TaggedDisengagement> {
-    let per_record = disengage_par::par_map_indexed_timed(
+) -> Vec<TagAssignment> {
+    let lineage = prov.is_enabled();
+    let verdicts = disengage_par::par_map_indexed_timed(
         jobs,
         records,
-        |i, r| {
-            let shard = obs.shard();
-            let pshard = prov.shard();
-            let t = tag_record(classifier, r, &shard, &pshard, ids.get(i));
-            (t, shard, pshard)
+        |_, r| {
+            if lineage {
+                classifier.classify_detailed(&r.description)
+            } else {
+                (classifier.classify(&r.description), Vec::new())
+            }
         },
         timeline,
         "stage_iii_tag",
     );
-    let tagged: Vec<TaggedDisengagement> = per_record
-        .into_iter()
-        .map(|(t, shard, pshard)| {
-            obs.absorb(shard);
-            prov.absorb(pshard);
-            t
-        })
+    let tag_counters: Vec<String> = FaultTag::ALL
+        .iter()
+        .map(|t| format!("nlp.tag.{}", disengage_obs::key_segment(t.name())))
         .collect();
-    if !tagged.is_empty() {
-        let unknown = tagged
-            .iter()
-            .filter(|t| t.assignment.tag == FaultTag::UnknownT)
-            .count();
-        obs.gauge("nlp.unknown_t_rate", unknown as f64 / tagged.len() as f64);
-    }
-    tagged
-}
-
-/// The per-record body of [`tag_records_traced`]. The record is
-/// classified exactly once whether or not `prov` records its ballot.
-fn tag_record(
-    classifier: &Classifier,
-    record: &DisengagementRecord,
-    obs: &disengage_obs::Collector,
-    prov: &disengage_obs::ProvenanceLog,
-    id: Option<&disengage_obs::RecordId>,
-) -> TaggedDisengagement {
-    let (assignment, votes) = classifier.classify_detailed(&record.description);
-    let t = TaggedDisengagement {
-        record: record.clone(),
-        assignment,
-    };
-    if prov.is_enabled() {
-        if let Some(id) = id {
+    let mut assignments = Vec::with_capacity(verdicts.len());
+    let mut unknown = 0usize;
+    for (i, (assignment, votes)) in verdicts.into_iter().enumerate() {
+        if let Some(id) = ids.get(i).filter(|_| lineage) {
             let subject = disengage_obs::Subject::Record(id.clone());
-            for v in &votes {
+            for v in votes {
                 prov.push(
                     subject.clone(),
                     disengage_obs::ProvenanceEvent::DictVote {
                         tag: v.tag.name().to_owned(),
                         category: v.tag.category().name().to_owned(),
                         score: v.score,
-                        keywords: v.matched_keywords.clone(),
+                        keywords: v.matched_keywords,
                     },
                 );
             }
             prov.push(
                 subject,
                 disengage_obs::ProvenanceEvent::Tagged {
-                    tag: t.assignment.tag.name().to_owned(),
-                    category: t.assignment.category.name().to_owned(),
-                    score: t.assignment.score,
-                    margin: t.assignment.margin,
-                    ambiguous: t.assignment.ambiguous,
+                    tag: assignment.tag.name().to_owned(),
+                    category: assignment.category.name().to_owned(),
+                    score: assignment.score,
+                    margin: assignment.margin,
+                    ambiguous: assignment.ambiguous,
                 },
             );
         }
+        obs.incr("nlp.tagged");
+        let tag = FaultTag::ALL
+            .iter()
+            .position(|&t| t == assignment.tag)
+            .expect("FaultTag::ALL lists every tag");
+        obs.incr(&tag_counters[tag]);
+        if assignment.tag == FaultTag::UnknownT {
+            unknown += 1;
+            obs.incr("nlp.unknown_t");
+        }
+        if assignment.ambiguous {
+            obs.incr("nlp.ambiguous");
+        }
+        obs.record("nlp.vote_margin", assignment.margin);
+        obs.record(
+            "nlp.dictionary_hits",
+            assignment.matched_keywords.len() as f64,
+        );
+        assignments.push(assignment);
     }
-    obs.incr("nlp.tagged");
-    obs.incr(&format!(
-        "nlp.tag.{}",
-        disengage_obs::key_segment(t.assignment.tag.name())
-    ));
-    if t.assignment.tag == FaultTag::UnknownT {
-        obs.incr("nlp.unknown_t");
+    if !assignments.is_empty() {
+        obs.gauge(
+            "nlp.unknown_t_rate",
+            unknown as f64 / assignments.len() as f64,
+        );
     }
-    if t.assignment.ambiguous {
-        obs.incr("nlp.ambiguous");
-    }
-    obs.record("nlp.vote_margin", t.assignment.margin);
-    obs.record(
-        "nlp.dictionary_hits",
-        t.assignment.matched_keywords.len() as f64,
-    );
-    t
+    assignments
 }
 
 /// Per-manufacturer tag counts (Fig. 6's ingredients).
@@ -292,15 +263,21 @@ mod tests {
 
     fn tagged_fixture() -> Vec<TaggedDisengagement> {
         let cl = Classifier::with_default_dictionary();
-        tag_records(
-            &cl,
-            &[
-                record(Manufacturer::Waymo, "perception missed the pedestrian"),
-                record(Manufacturer::Waymo, "watchdog error"),
-                record(Manufacturer::Nissan, "planner failed to anticipate the cyclist"),
-                record(Manufacturer::Tesla, "event logged during routine operation"),
-            ],
-        )
+        [
+            record(Manufacturer::Waymo, "perception missed the pedestrian"),
+            record(Manufacturer::Waymo, "watchdog error"),
+            record(
+                Manufacturer::Nissan,
+                "planner failed to anticipate the cyclist",
+            ),
+            record(Manufacturer::Tesla, "event logged during routine operation"),
+        ]
+        .into_iter()
+        .map(|record| TaggedDisengagement {
+            assignment: cl.classify(&record.description),
+            record,
+        })
+        .collect()
     }
 
     #[test]

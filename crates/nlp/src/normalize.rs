@@ -48,9 +48,15 @@ pub fn remove_stop_words(tokens: &[String]) -> Vec<String> {
 /// assert_eq!(stem("car"), "car");
 /// ```
 pub fn stem(token: &str) -> String {
+    stem_slice(token).to_owned()
+}
+
+/// [`stem`] without the allocation: the stem is always a prefix of the
+/// token, so it is returned borrowed.
+pub(crate) fn stem_slice(token: &str) -> &str {
     let t = token;
     if t.len() <= 4 {
-        return t.to_owned();
+        return t;
     }
     // Ordered longest-suffix-first.
     const SUFFIXES: &[&str] = &[
@@ -60,11 +66,11 @@ pub fn stem(token: &str) -> String {
     for suf in SUFFIXES {
         if let Some(stripped) = t.strip_suffix(suf) {
             if stripped.len() >= 3 {
-                return stripped.to_owned();
+                return stripped;
             }
         }
     }
-    t.to_owned()
+    t
 }
 
 /// Full normalization: stop-word removal then stemming.

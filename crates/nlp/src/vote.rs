@@ -4,12 +4,22 @@
 //! normalized description; contiguous full-phrase matches vote with
 //! double weight. The highest score wins; a zero score falls back to
 //! `Unknown-T`, exactly as the paper describes.
+//!
+//! [`Classifier::new`] compiles the dictionary once. Every stem a keyword
+//! or phrase uses is interned to a `u32` id, assigned in lexicographic
+//! order so that ascending ids list matched keywords the way a sorted set
+//! would; each id carries a bitmask of the tags it is a keyword of; and
+//! every phrase of two or more tokens is indexed under its first stem,
+//! one entry per phrase, so phrases that stem alike or sit under two tags
+//! each still vote. Classifying then reads the description once into
+//! per-thread scratch, with one hash lookup per token, sums integer
+//! votes, and allocates only the strings it returns.
 
 use crate::dictionary::FailureDictionary;
-use crate::normalize::{normalize, stem};
+use crate::normalize::{is_stop_word, stem_slice};
 use crate::ontology::{FailureCategory, FaultTag};
-use crate::token::tokenize;
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// The classifier's verdict for one description.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,31 +54,116 @@ pub struct TagVote {
     pub matched_keywords: Vec<String>,
 }
 
-/// Keyword-voting classifier over a [`FailureDictionary`].
+// Keyword tag sets are `u16` bitmasks over `FaultTag::ALL` positions.
+const _: () = assert!(FaultTag::ALL.len() <= 16);
+
+/// Id of a description stem that no keyword or phrase uses.
+const NO_STEM: u32 = u32::MAX;
+
+/// A dictionary phrase of two or more tokens.
+#[derive(Debug, Clone)]
+struct Phrase {
+    /// Position of its tag in [`FaultTag::ALL`].
+    tag: usize,
+    /// Its tokens' stem ids, in order.
+    stems: Vec<u32>,
+}
+
+/// Per-thread classification scratch, reused across calls.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The description, ASCII-lowercased.
+    text: String,
+    /// Stem id of every token ([`NO_STEM`] when unused by the dictionary).
+    ids: Vec<u32>,
+    /// Keyword ids hit by non-stop-word tokens.
+    keyword_hits: Vec<u32>,
+    /// Indices of the phrases that matched.
+    phrase_hits: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Keyword-voting classifier over a [`FailureDictionary`], compiled
+/// into interned-stem indexes.
 #[derive(Debug, Clone)]
 pub struct Classifier {
     dictionary: FailureDictionary,
-    keyword_sets: Vec<(FaultTag, BTreeSet<String>)>,
-    phrase_sets: Vec<(FaultTag, Vec<Vec<String>>)>,
+    /// Every stem a keyword or phrase uses, ascending; an id indexes it.
+    stems: Vec<String>,
+    /// Stem → id.
+    ids: HashMap<String, u32>,
+    /// Per stem id: bit `t` set when the stem is a keyword of
+    /// `FaultTag::ALL[t]`.
+    keyword_tags: Vec<u16>,
+    /// Phrases of two or more tokens, grouped by first stem id.
+    phrases: Vec<Phrase>,
+    /// `phrases[phrase_start[id]..phrase_start[id + 1]]` start with stem `id`.
+    phrase_start: Vec<usize>,
 }
 
 impl Classifier {
-    /// Builds a classifier from a dictionary.
+    /// Builds a classifier from a dictionary, compiling its keyword sets
+    /// and phrases into interned-stem indexes.
     pub fn new(dictionary: FailureDictionary) -> Classifier {
-        let keyword_sets = FaultTag::ALL
+        let mut keywords: Vec<(usize, BTreeSet<String>)> = Vec::new();
+        let mut phrase_tokens: Vec<(usize, Vec<String>)> = Vec::new();
+        for (t, &tag) in FaultTag::ALL.iter().enumerate() {
+            if tag == FaultTag::UnknownT {
+                continue;
+            }
+            keywords.push((t, dictionary.keyword_set(tag)));
+            phrase_tokens.extend(
+                dictionary
+                    .phrase_tokens(tag)
+                    .into_iter()
+                    .filter(|p| p.len() >= 2)
+                    .map(|p| (t, p)),
+            );
+        }
+        let stems: Vec<String> = keywords
             .iter()
-            .filter(|&&t| t != FaultTag::UnknownT)
-            .map(|&t| (t, dictionary.keyword_set(t)))
+            .flat_map(|(_, set)| set.iter())
+            .chain(phrase_tokens.iter().flat_map(|(_, p)| p.iter()))
+            .cloned()
+            .collect::<BTreeSet<String>>()
+            .into_iter()
             .collect();
-        let phrase_sets = FaultTag::ALL
+        let ids: HashMap<String, u32> = stems
             .iter()
-            .filter(|&&t| t != FaultTag::UnknownT)
-            .map(|&t| (t, dictionary.phrase_tokens(t)))
+            .enumerate()
+            .map(|(i, s)| (s.clone(), u32::try_from(i).expect("fewer than 2^32 stems")))
             .collect();
+        let mut keyword_tags = vec![0u16; stems.len()];
+        for (t, set) in &keywords {
+            for k in set {
+                keyword_tags[ids[k] as usize] |= 1 << t;
+            }
+        }
+        let mut phrases: Vec<Phrase> = phrase_tokens
+            .iter()
+            .map(|(t, p)| Phrase {
+                tag: *t,
+                stems: p.iter().map(|s| ids[s]).collect(),
+            })
+            .collect();
+        phrases.sort_by_key(|p| p.stems[0]);
+        let mut phrase_start = vec![0usize; stems.len() + 1];
+        for p in &phrases {
+            phrase_start[p.stems[0] as usize + 1] += 1;
+        }
+        for i in 1..phrase_start.len() {
+            phrase_start[i] += phrase_start[i - 1];
+        }
         Classifier {
             dictionary,
-            keyword_sets,
-            phrase_sets,
+            stems,
+            ids,
+            keyword_tags,
+            phrases,
+            phrase_start,
         }
     }
 
@@ -94,7 +189,7 @@ impl Classifier {
     /// assert_eq!(c.classify("odd noise").tag, FaultTag::UnknownT);
     /// ```
     pub fn classify(&self, description: &str) -> TagAssignment {
-        self.classify_detailed(description).0
+        self.vote(description, None)
     }
 
     /// [`Classifier::classify`], also returning every scoring tag's
@@ -102,82 +197,130 @@ impl Classifier {
     /// verdict is computed by the same single pass, so the detailed and
     /// plain forms can never disagree.
     pub fn classify_detailed(&self, description: &str) -> (TagAssignment, Vec<TagVote>) {
-        let raw_tokens = tokenize(description);
-        let desc_tokens = normalize(&raw_tokens);
-        let desc_set: BTreeSet<&str> = desc_tokens.iter().map(String::as_str).collect();
-        // Stemmed-but-unstopped sequence for contiguous phrase matching.
-        let stem_seq: Vec<String> = raw_tokens.iter().map(|t| stem(t)).collect();
-
-        let mut best: Option<(FaultTag, f64, Vec<String>)> = None;
-        let mut second_score = 0.0f64;
-        let mut ambiguous = false;
         let mut votes = Vec::new();
-        for ((tag, keywords), (_, phrases)) in self.keyword_sets.iter().zip(&self.phrase_sets) {
-            let matched: Vec<String> = keywords
-                .iter()
-                .filter(|k| desc_set.contains(k.as_str()))
-                .cloned()
-                .collect();
-            let mut score = matched.len() as f64;
-            // Contiguous multi-word phrase hits vote double.
-            for phrase in phrases {
-                if phrase.len() >= 2 && contains_subsequence(&stem_seq, phrase) {
-                    score += phrase.len() as f64;
-                }
-            }
-            if score <= 0.0 {
-                continue;
-            }
-            votes.push(TagVote {
-                tag: *tag,
-                score,
-                matched_keywords: matched.clone(),
-            });
-            match &best {
-                Some((_, best_score, _)) if score < *best_score => {
-                    second_score = second_score.max(score);
-                }
-                Some((_, best_score, _)) if (score - best_score).abs() < f64::EPSILON => {
-                    ambiguous = true;
-                    second_score = *best_score;
-                }
-                _ => {
-                    if let Some((_, prev_best, _)) = &best {
-                        second_score = second_score.max(*prev_best);
-                    }
-                    ambiguous = false;
-                    best = Some((*tag, score, matched));
-                }
-            }
-        }
-
-        let assignment = match best {
-            Some((tag, score, matched_keywords)) => TagAssignment {
-                tag,
-                category: tag.category(),
-                score,
-                margin: score - second_score,
-                matched_keywords,
-                ambiguous,
-            },
-            None => TagAssignment {
-                tag: FaultTag::UnknownT,
-                category: FailureCategory::UnknownC,
-                score: 0.0,
-                margin: 0.0,
-                matched_keywords: Vec::new(),
-                ambiguous: false,
-            },
-        };
+        let assignment = self.vote(description, Some(&mut votes));
         (assignment, votes)
     }
 
-    /// Classifies a batch of descriptions.
-    pub fn classify_all<'a, I>(&self, descriptions: I) -> Vec<TagAssignment>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        descriptions.into_iter().map(|d| self.classify(d)).collect()
+    /// The single classification pass; pushes each scoring tag's
+    /// [`TagVote`] onto `ballot` when one is given.
+    fn vote(&self, description: &str, mut ballot: Option<&mut Vec<TagVote>>) -> TagAssignment {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let Scratch {
+                text,
+                ids,
+                keyword_hits,
+                phrase_hits,
+            } = &mut *scratch;
+            // Reset on entry, not exit: the worker pool quarantines a
+            // panicking task and reuses its thread, so a call may find
+            // whatever an unwound call left behind.
+            text.clear();
+            ids.clear();
+            keyword_hits.clear();
+            phrase_hits.clear();
+            text.push_str(description);
+            text.make_ascii_lowercase();
+
+            // Tokens are maximal ASCII-alphanumeric runs (as `tokenize`
+            // splits them). Phrases match on every token's stem; keywords
+            // only on the stems of tokens that are not stop words.
+            for token in text
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|t| !t.is_empty())
+            {
+                let id = self.ids.get(stem_slice(token)).copied().unwrap_or(NO_STEM);
+                if id != NO_STEM && self.keyword_tags[id as usize] != 0 && !is_stop_word(token) {
+                    keyword_hits.push(id);
+                }
+                ids.push(id);
+            }
+
+            let mut scores = [0usize; FaultTag::ALL.len()];
+            // A phrase found anywhere votes its length, once.
+            for (at, &id) in ids.iter().enumerate() {
+                if id == NO_STEM {
+                    continue;
+                }
+                let candidates = self.phrase_start[id as usize]..self.phrase_start[id as usize + 1];
+                for p in candidates {
+                    let phrase = &self.phrases[p];
+                    if ids[at..].starts_with(&phrase.stems) && !phrase_hits.contains(&p) {
+                        phrase_hits.push(p);
+                        scores[phrase.tag] += phrase.stems.len();
+                    }
+                }
+            }
+            // A keyword found anywhere votes once for each of its tags.
+            keyword_hits.sort_unstable();
+            keyword_hits.dedup();
+            for &id in keyword_hits.iter() {
+                let mut tags = self.keyword_tags[id as usize];
+                while tags != 0 {
+                    scores[tags.trailing_zeros() as usize] += 1;
+                    tags &= tags - 1;
+                }
+            }
+            let matched = |t: usize| -> Vec<String> {
+                keyword_hits
+                    .iter()
+                    .filter(|&&id| self.keyword_tags[id as usize] & (1 << t) != 0)
+                    .map(|&id| self.stems[id as usize].clone())
+                    .collect()
+            };
+
+            let mut best: Option<usize> = None;
+            let mut second = 0usize;
+            let mut ambiguous = false;
+            for (t, &score) in scores.iter().enumerate() {
+                if score == 0 {
+                    continue;
+                }
+                if let Some(votes) = ballot.as_mut() {
+                    votes.push(TagVote {
+                        tag: FaultTag::ALL[t],
+                        score: score as f64,
+                        matched_keywords: matched(t),
+                    });
+                }
+                match best {
+                    Some(b) if score < scores[b] => second = second.max(score),
+                    Some(b) if score == scores[b] => {
+                        ambiguous = true;
+                        second = scores[b];
+                    }
+                    _ => {
+                        if let Some(b) = best {
+                            second = second.max(scores[b]);
+                        }
+                        ambiguous = false;
+                        best = Some(t);
+                    }
+                }
+            }
+
+            match best {
+                // Integer votes convert exactly, so `score` and `margin`
+                // carry the same bits as float accumulation would.
+                Some(t) => TagAssignment {
+                    tag: FaultTag::ALL[t],
+                    category: FaultTag::ALL[t].category(),
+                    score: scores[t] as f64,
+                    margin: (scores[t] - second) as f64,
+                    matched_keywords: matched(t),
+                    ambiguous,
+                },
+                None => TagAssignment {
+                    tag: FaultTag::UnknownT,
+                    category: FailureCategory::UnknownC,
+                    score: 0.0,
+                    margin: 0.0,
+                    matched_keywords: Vec::new(),
+                    ambiguous: false,
+                },
+            }
+        })
     }
 }
 
@@ -197,25 +340,16 @@ mod margin_tests {
         assert!(clear.margin > 0.0);
         assert!(clear.margin <= clear.score);
         // An ambiguous verdict (tie) reports zero margin.
-        let all: Vec<TagAssignment> = c.classify_all(
-            ["software module froze", "the AV didn't see the lead vehicle"],
-        );
-        for a in &all {
+        for text in [
+            "software module froze",
+            "the AV didn't see the lead vehicle",
+        ] {
+            let a = c.classify(text);
             if a.ambiguous {
                 assert_eq!(a.margin, 0.0);
             }
         }
     }
-}
-
-/// Whether `needle` appears as a contiguous subsequence of `haystack`.
-fn contains_subsequence(haystack: &[String], needle: &[String]) -> bool {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return false;
-    }
-    haystack
-        .windows(needle.len())
-        .any(|w| w.iter().zip(needle).all(|(a, b)| a == b))
 }
 
 #[cfg(test)]
@@ -315,11 +449,11 @@ mod tests {
     }
 
     #[test]
-    fn classify_all_batches() {
-        let out = c().classify_all(["watchdog error", "gps signal lost"]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].tag, FaultTag::HangCrash);
-        assert_eq!(out[1].tag, FaultTag::Sensor);
+    fn independent_calls_share_no_state() {
+        let cl = c();
+        assert_eq!(cl.classify("watchdog error").tag, FaultTag::HangCrash);
+        assert_eq!(cl.classify("gps signal lost").tag, FaultTag::Sensor);
+        assert_eq!(cl.classify("watchdog error").tag, FaultTag::HangCrash);
     }
 
     #[test]
@@ -346,16 +480,6 @@ mod tests {
         let (unknown, no_votes) = cl.classify_detailed("odd noise");
         assert_eq!(unknown.tag, FaultTag::UnknownT);
         assert!(no_votes.is_empty());
-    }
-
-    #[test]
-    fn subsequence_helper() {
-        let hay: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
-        let yes: Vec<String> = ["b", "c"].iter().map(|s| s.to_string()).collect();
-        let no: Vec<String> = ["b", "d"].iter().map(|s| s.to_string()).collect();
-        assert!(contains_subsequence(&hay, &yes));
-        assert!(!contains_subsequence(&hay, &no));
-        assert!(!contains_subsequence(&hay, &[]));
     }
 
     #[test]

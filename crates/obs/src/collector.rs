@@ -219,7 +219,14 @@ impl Collector {
     /// prefixes ([`flight::watched`]) also land in the flight ring.
     pub fn add(&self, name: &str, delta: u64) {
         let mut inner = self.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
+        // Look up before inserting: hot paths update existing counters,
+        // and only an insert needs an owned name.
+        match inner.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                inner.counters.insert(name.to_owned(), delta);
+            }
+        }
         if flight::watched(name) {
             let t0 = Instant::now();
             let t_s = self.epoch.elapsed().as_secs_f64();
@@ -246,11 +253,15 @@ impl Collector {
 
     /// Records a sample into a histogram (creating it empty).
     pub fn record(&self, name: &str, sample: f64) {
-        self.lock()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(sample);
+        let mut inner = self.lock();
+        match inner.histograms.get_mut(name) {
+            Some(hist) => hist.record(sample),
+            None => {
+                let mut hist = Histogram::new();
+                hist.record(sample);
+                inner.histograms.insert(name.to_owned(), hist);
+            }
+        }
     }
 
     /// Records an info-level log event (echoed to stderr when the

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 build + tests with warnings denied, the
 # benchmark package's tests and smoke run, the full workspace test
-# suite, the repro harness's telemetry self-check
+# suite, the compiled Stage III classifier's full equivalence grid
+# against the reference classifier (release), the repro harness's
+# telemetry self-check
 # (nonzero exit if the pipeline's counters fail to reconcile), a
 # seeded chaos smoke campaign (nonzero exit on any panic, unreconciled
 # fault ledger, or rate-0 divergence from the clean run), the
@@ -50,6 +52,11 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 
 echo "== workspace: cargo test --workspace -q =="
 cargo test --workspace -q --offline
+
+echo "== Stage III: compiled classifier vs reference, full grid =="
+# Every full-scale and chaos-recovered description and their variants,
+# under every test dictionary; tier-1 runs only a sample of the grid.
+cargo test --release --offline --test classifier_equivalence -- --ignored
 
 echo "== repro telemetry self-check (counter reconciliation) =="
 cargo run --release --offline -p disengage-bench --bin repro -- \
