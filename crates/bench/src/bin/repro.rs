@@ -66,11 +66,11 @@
 
 use disengage_bench::full_scale_config;
 use disengage_core::args::{ArgError, CommonArgs, TelemetryMode};
-use disengage_core::pipeline::RunTrace;
-use disengage_core::telemetry::{execution_trace_json, reconcile, timed};
+use disengage_core::telemetry::{execution_trace_json, reconcile, task_stamps, timed};
 use disengage_core::{degrade, exposure, figures, questions, report, tables, whatif, RunSession};
 use disengage_nlp::Classifier;
-use disengage_obs::{flight, health, Collector, ProvenanceEvent, ProvenanceLog, Subject};
+use disengage_obs::{flight, health, Collector, ProvenanceEvent, Subject};
+use disengage_par::TaskTimeline;
 use disengage_reports::Manufacturer;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -78,10 +78,10 @@ use std::sync::Arc;
 
 /// Tracks artifacts that degraded instead of rendering, so the run can
 /// summarize them (and the chaos report can list them) at the end. Each
-/// degradation also lands in the run's provenance log as a Stage IV
-/// `Degraded` event (so `--lineage` exports carry the full story), a
-/// warn-level log line, and a `degrade` flight-ring event.
-struct Degradations<'a>(Vec<&'static str>, &'a ProvenanceLog, &'a Collector);
+/// degradation also lands in the run's collector as a Stage IV
+/// `Degraded` lineage event (so `--lineage` exports carry the full
+/// story), a warn-level log line, and a `degrade` flight-ring event.
+struct Degradations<'a>(Vec<&'static str>, &'a Collector);
 
 impl Degradations<'_> {
     /// Prints a rendered artifact, or its degradation notice; never
@@ -91,10 +91,10 @@ impl Degradations<'_> {
             Ok(text) => print(text),
             Err(e) => {
                 print(format!("== {artifact}: DEGRADED ==\n{e}"));
-                self.2.warn(&format!("artifact {artifact} degraded: {e}"));
-                self.2.event("degrade", artifact);
-                if self.1.is_enabled() {
-                    self.1.push(
+                self.1.warn(&format!("artifact {artifact} degraded: {e}"));
+                self.1.event("degrade", artifact);
+                if self.1.lineage_enabled() {
+                    self.1.lineage(
                         Subject::Run,
                         ProvenanceEvent::Degraded {
                             artifact: artifact.to_owned(),
@@ -198,14 +198,16 @@ fn main() -> ExitCode {
 
     let want = |name: &str| args.positional.is_empty() || args.positional.iter().any(|a| a == name);
 
-    let obs_arc = Arc::new(Collector::with_echo());
+    // Only --lineage records lineage (it moves every stage cache key);
+    // only --trace times the pool (it never does).
+    let obs_arc = Arc::new(Collector::with_echo().with_lineage(args.lineage.is_some()));
     let obs: &Collector = &obs_arc;
-    let trace = if args.wants_trace() {
-        RunTrace::new(obs)
+    let timeline = Arc::new(if args.trace.is_some() {
+        TaskTimeline::with_epoch(obs.epoch())
     } else {
-        RunTrace::disabled()
-    };
-    install_panic_dump(&obs_arc, trace.flight_tasks());
+        TaskTimeline::disabled()
+    });
+    install_panic_dump(&obs_arc, &timeline);
     obs.log("running full-scale pipeline (5,328 disengagements, 42 accidents)...");
     if let Some(p) = config.active_chaos() {
         obs.log(&format!(
@@ -213,7 +215,7 @@ fn main() -> ExitCode {
             p.rate, p.seed
         ));
     }
-    let o = match RunSession::new(config.clone()).run_traced(&obs, &trace) {
+    let o = match RunSession::new(config.clone()).run_traced(obs, &timeline) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -263,7 +265,7 @@ fn main() -> ExitCode {
     }
 
     let classifier = Classifier::with_default_dictionary();
-    let mut deg = Degradations(Vec::new(), trace.provenance(), obs);
+    let mut deg = Degradations(Vec::new(), obs);
 
     if want("table1") {
         let r = timed(&obs, "stage_iv_table1", || tables::table1(&o.database));
@@ -564,11 +566,11 @@ fn main() -> ExitCode {
     if !violations.is_empty() {
         // A non-reconciling run is a postmortem subject: dump the full
         // flight ring next to the error output.
-        let suspects = flight::suspects(trace.provenance(), 8);
+        let suspects = flight::suspects(&obs.provenance(), 8);
         match flight::write_dump(
             Path::new(flight::DEFAULT_DUMP_PATH),
             obs,
-            Some(trace.flight_tasks()),
+            Some(&task_stamps(&timeline)),
             "telemetry reconciliation failed",
             &suspects,
             false,
@@ -644,9 +646,9 @@ fn main() -> ExitCode {
     // across worker counts; the Chrome trace is wall-clock by nature
     // and only format-checked.
     if let Some(Some(path)) = &args.lineage {
-        let prov = trace.provenance();
+        let prov = obs.provenance();
         match std::fs::write(path, prov.to_jsonl()) {
-            Ok(()) => eprintln!("wrote {path} ({} events)", prov.len()),
+            Ok(()) => eprintln!("wrote {path} ({} events)", prov.entries().len()),
             Err(e) => {
                 eprintln!("error: could not write {path}: {e}");
                 return ExitCode::FAILURE;
@@ -654,9 +656,9 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &args.trace {
-        let body = execution_trace_json(&snapshot, trace.timeline());
+        let body = execution_trace_json(&snapshot, &timeline);
         match std::fs::write(path, body) {
-            Ok(()) => eprintln!("wrote {path} ({} tasks)", trace.timeline().len()),
+            Ok(()) => eprintln!("wrote {path} ({} tasks)", timeline.len()),
             Err(e) => {
                 eprintln!("error: could not write {path}: {e}");
                 return ExitCode::FAILURE;
@@ -668,7 +670,7 @@ fn main() -> ExitCode {
     // (wall-clock-free, worker-count-independent — verify.sh diffs it
     // across --jobs) and the Prometheus/OpenMetrics exposition.
     if let Some(path) = &args.flight {
-        let suspects = flight::suspects(trace.provenance(), 8);
+        let suspects = flight::suspects(&obs.provenance(), 8);
         match flight::write_dump(
             Path::new(path),
             obs,
@@ -729,21 +731,23 @@ fn print(text: String) {
     println!("{text}");
 }
 
-/// Arms a panic hook that dumps the full flight ring to `flight.json`
-/// before the default hook prints the backtrace. Gated to the main
-/// thread: pool-worker panics are caught by `par_map_catch` and
-/// quarantined as part of normal chaos operation, so they must not
-/// leave postmortem litter behind a successful run.
-fn install_panic_dump(obs: &Arc<Collector>, tasks: &disengage_obs::TaskLog) {
+/// Arms a panic hook that dumps the full flight ring, followed by the
+/// timeline's last pool-task stamps, to `flight.json` before the
+/// default hook prints the backtrace. Gated to the main thread: Stage
+/// II parser panics on pool workers are caught by the pool's
+/// quarantining map (`disengage_par::par_map_catch`) as part of normal
+/// chaos operation, so they must not leave postmortem litter behind a
+/// successful run.
+fn install_panic_dump(obs: &Arc<Collector>, timeline: &Arc<TaskTimeline>) {
     let hook_obs = Arc::clone(obs);
-    let hook_tasks = tasks.clone();
+    let hook_timeline = Arc::clone(timeline);
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         if std::thread::current().name() == Some("main") {
             let _ = flight::write_dump(
                 Path::new(flight::DEFAULT_DUMP_PATH),
                 &hook_obs,
-                Some(&hook_tasks),
+                Some(&task_stamps(&hook_timeline)),
                 "panic",
                 &[],
                 false,

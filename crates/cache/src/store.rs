@@ -33,8 +33,8 @@
 //!
 //! # Fault injection
 //!
-//! Every filesystem touch first consults the optional
-//! [`IoFaults`](crate::faults::IoFaults) surface. Transient faults are
+//! Every filesystem touch first consults the optional [`IoFaults`]
+//! surface. Transient faults are
 //! absorbed by bounded retry with backoff; persistent ones degrade to
 //! recompute. Every degraded path is counted (see
 //! [`ArtifactStore::take_counters`]) under `cache.io.*` / `cache.tmp.*` /

@@ -321,12 +321,6 @@ impl CommonArgs {
         }
     }
 
-    /// Whether the run needs an enabled trace (lineage or Chrome
-    /// trace).
-    pub fn wants_trace(&self) -> bool {
-        self.lineage.is_some() || self.trace.is_some()
-    }
-
     /// The usage lines for the shared flags, for embedding in each
     /// binary's help text.
     pub fn shared_usage() -> &'static str {
@@ -539,7 +533,6 @@ mod tests {
         assert_eq!(a.positional, ["run"]);
         let b = parse(&["--lineage=out.jsonl"]).unwrap();
         assert_eq!(b.lineage, Some(Some("out.jsonl".to_owned())));
-        assert!(b.wants_trace());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Every cached stage persists one *envelope*: the stage's telemetry
 //! shard ([`CollectorState`] — counters, gauges, raw histograms, and
-//! the stage's own spans), its provenance entries, and the stage's
-//! typed output. Replaying the envelope through
-//! `Collector::absorb_state` + `ProvenanceLog::push` is
-//! indistinguishable from re-running the stage, which is what makes a
-//! warm run byte-identical to a cold one.
+//! the stage's own spans), its lineage entries, and the stage's typed
+//! output. Replaying the envelope through `Collector::absorb_state` +
+//! `Collector::absorb_lineage` is indistinguishable from re-running
+//! the stage, which is what makes a warm run byte-identical to a cold
+//! one.
 //!
 //! The encoding rides on `disengage-cache`'s [`Enc`]/[`Dec`] codec:
 //! enums serialize as indices into their stable `ALL` arrays, floats

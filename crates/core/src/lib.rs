@@ -15,8 +15,9 @@
 //!   APM, airline/surgical-robot rates, trip length, human reaction
 //!   time).
 //! * [`report`] — plain-text rendering of tables for the `repro` harness.
-//! * [`telemetry`] — Stage IV span helper and the cross-stage counter
-//!   reconciliation check the `repro` harness enforces.
+//! * [`telemetry`] — Stage IV span helper, the cross-stage counter
+//!   reconciliation check the `repro` harness enforces, and the
+//!   Chrome-trace and flight-dump views of the pool's task timeline.
 //!
 //! # Examples
 //!
@@ -52,7 +53,7 @@ pub mod telemetry;
 pub mod whatif;
 
 pub use error::{degrade, CoreError, Quarantined};
-pub use pipeline::{PipelineOutcome, RunTrace};
+pub use pipeline::PipelineOutcome;
 pub use session::{RunConfig, RunDigest, RunSession, Stage, StageKeys};
 
 /// Convenience result alias used throughout the crate.

@@ -1,6 +1,8 @@
-//! The end-to-end pipeline of Fig. 1: its outcome, its tracing
-//! channels, and the Stage I digitize driver. [`crate::RunSession`]
-//! runs the stages.
+//! The end-to-end pipeline of Fig. 1: its outcome and the Stage I
+//! digitize driver. [`crate::RunSession`] runs the stages, recording
+//! everything — telemetry, flight events, lineage — into one
+//! [`Collector`] per task, and every pool task once on the run's
+//! [`TaskTimeline`].
 //!
 //! Stage I — generate the calibrated corpus and (optionally) digitize
 //! its raw documents through the simulated scanner + OCR engine.
@@ -16,9 +18,7 @@ use crate::tagging::TaggedDisengagement;
 use disengage_chaos::ChaosAudit;
 use disengage_corpus::Corpus;
 use disengage_obs::profile;
-use disengage_obs::{
-    Collector, ProvenanceEvent, ProvenanceLog, RecordId, Subject, TaskLog, TelemetryReport,
-};
+use disengage_obs::{Collector, ProvenanceEvent, RecordId, Subject, TelemetryReport};
 use disengage_ocr::correct::Corrector;
 use disengage_ocr::engine::OcrEngine;
 use disengage_ocr::metrics::cer;
@@ -30,101 +30,6 @@ use disengage_reports::formats::RawDocument;
 use disengage_reports::{FailureDatabase, ReportError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Optional run-level tracing: the per-record [`ProvenanceLog`] behind
-/// `disengage explain` / `--lineage`, plus the [`TaskTimeline`] behind
-/// the `--trace` Chrome-trace export. A disabled trace (the default for
-/// [`crate::RunSession::run_with`]) turns every push into a no-op, so
-/// untraced runs pay nothing.
-///
-/// The provenance log shares the shard/absorb discipline of the
-/// telemetry [`Collector`]: worker tasks log into per-task shards that
-/// merge in task-index order, so the lineage export is byte-identical
-/// at any `jobs` setting. The timeline is wall-clock by construction
-/// and deliberately outside that determinism contract.
-pub struct RunTrace {
-    provenance: ProvenanceLog,
-    timeline: TaskTimeline,
-    flight_tasks: TaskLog,
-}
-
-/// Adapter feeding every pool-task completion into the flight
-/// recorder's task ring. Lives on the timeline as a
-/// [`par::TaskObserver`] so `disengage-par` stays free of any `obs`
-/// dependency; the observer fires even when the timeline itself is
-/// disabled, keeping the crash-dump task log always-on.
-struct TaskLogObserver(TaskLog);
-
-impl par::TaskObserver for TaskLogObserver {
-    fn task(&self, label: &str, worker: usize, chunk: usize, items: usize) {
-        self.0.push(label, worker, chunk, items);
-    }
-}
-
-impl RunTrace {
-    /// An enabled trace whose timeline shares `obs`'s epoch, so span
-    /// and pool-task timestamps land on one clock in the trace export.
-    pub fn new(obs: &Collector) -> RunTrace {
-        let flight_tasks = TaskLog::new();
-        RunTrace {
-            provenance: ProvenanceLog::new(),
-            timeline: TaskTimeline::with_epoch(obs.epoch())
-                .with_observer(std::sync::Arc::new(TaskLogObserver(flight_tasks.clone()))),
-            flight_tasks,
-        }
-    }
-
-    /// A trace that records nothing — except the flight recorder's
-    /// task ring, which is always-on (a crash dump should name the
-    /// last pool tasks even on an untraced run).
-    pub fn disabled() -> RunTrace {
-        let flight_tasks = TaskLog::new();
-        RunTrace {
-            provenance: ProvenanceLog::disabled(),
-            timeline: TaskTimeline::disabled()
-                .with_observer(std::sync::Arc::new(TaskLogObserver(flight_tasks.clone()))),
-            flight_tasks,
-        }
-    }
-
-    /// Timeline only, provenance off — the `disengage profile`
-    /// constructor. Worker-pool accounting (busy/idle/steals, chunk
-    /// sizes) needs the timeline, but enabling provenance would flip
-    /// the lineage bit folded into the stage cache keys and make a
-    /// profiled run key its artifacts differently from an unprofiled
-    /// one; profiling must never change what gets computed.
-    pub fn profiled(obs: &Collector) -> RunTrace {
-        let flight_tasks = TaskLog::new();
-        RunTrace {
-            provenance: ProvenanceLog::disabled(),
-            timeline: TaskTimeline::with_epoch(obs.epoch())
-                .with_observer(std::sync::Arc::new(TaskLogObserver(flight_tasks.clone()))),
-            flight_tasks,
-        }
-    }
-
-    /// Whether any channel is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.provenance.is_enabled() || self.timeline.is_enabled()
-    }
-
-    /// The per-record lineage log.
-    pub fn provenance(&self) -> &ProvenanceLog {
-        &self.provenance
-    }
-
-    /// The worker-pool execution timeline.
-    pub fn timeline(&self) -> &TaskTimeline {
-        &self.timeline
-    }
-
-    /// The flight recorder's bounded ring of recent pool-task stamps
-    /// (always recording, even on a disabled trace). Schedule-dependent
-    /// by nature — full crash dumps include it, canonical dumps omit it.
-    pub fn flight_tasks(&self) -> &TaskLog {
-        &self.flight_tasks
-    }
-}
 
 /// How Stage I digitizes the raw documents.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,26 +139,19 @@ pub fn digitize_simulated_with(
     docs: &[RawDocument],
     obs: &Collector,
 ) -> (Vec<RawDocument>, OcrStats) {
-    digitize_simulated_parts(
-        config,
-        docs,
-        obs,
-        &ProvenanceLog::disabled(),
-        &TaskTimeline::disabled(),
-    )
+    digitize_simulated_parts(config, docs, obs, &TaskTimeline::disabled())
 }
 
-/// [`digitize_simulated_with`] plus tracing: every dictionary repair is
-/// logged into `prov` as an `OcrRepair` event against its source line
-/// (document index = `base_index + i`, matching Stage II's subjects),
-/// and each pool task lands on `timeline` under `stage_i_ocr`. The
-/// session driver aims `prov` at a stage shard while the timeline stays
-/// run-global.
+/// [`digitize_simulated_with`] on the run's timeline: each pool task
+/// lands on `timeline` under `stage_i_ocr`, and when `obs` records
+/// lineage every dictionary repair is logged as an `OcrRepair` event
+/// against its source line (document index = `base_index + i`,
+/// matching Stage II's subjects). The session driver aims `obs` at a
+/// stage shard while the timeline stays run-global.
 pub(crate) fn digitize_simulated_parts(
     config: DigitizeConfig,
     docs: &[RawDocument],
     obs: &Collector,
-    prov: &ProvenanceLog,
     timeline: &TaskTimeline,
 ) -> (Vec<RawDocument>, OcrStats) {
     let engine = OcrEngine::new();
@@ -271,12 +169,11 @@ pub(crate) fn digitize_simulated_parts(
         static OCR_SCRATCH: std::cell::RefCell<StreamScratch> =
             std::cell::RefCell::new(StreamScratch::default());
     }
-    let per_doc = par::par_map_indexed_timed(
+    let per_doc = par::par_map_indexed(
         config.jobs,
         docs,
         |i, doc| {
             let shard = obs.shard();
-            let pshard = prov.shard();
             // The per-document phase tree roots here, inside the pool
             // closure, so the phase paths (`digitize;rasterize`, …) are
             // identical at every --jobs value — see the no-guard-across-
@@ -323,9 +220,9 @@ pub(crate) fn digitize_simulated_parts(
                         },
                     );
                     record_repair_attempts(&shard, &per_attempt);
-                    if pshard.is_enabled() {
+                    if shard.lineage_enabled() {
                         for r in &repairs {
-                            pshard.push(
+                            shard.lineage(
                                 Subject::Line {
                                     doc: config.base_index + i,
                                     line: r.line,
@@ -358,7 +255,6 @@ pub(crate) fn digitize_simulated_parts(
                 doc_cer,
                 confidence,
                 shard,
-                pshard,
             )
         },
         timeline,
@@ -366,9 +262,8 @@ pub(crate) fn digitize_simulated_parts(
     );
     let mut out = Vec::with_capacity(docs.len());
     let (mut cer_sum, mut conf_sum) = (0.0f64, 0.0f64);
-    for (doc, doc_cer, confidence, shard, pshard) in per_doc {
+    for (doc, doc_cer, confidence, shard) in per_doc {
         obs.absorb(shard);
-        prov.absorb(pshard);
         cer_sum += doc_cer;
         conf_sum += confidence;
         out.push(doc);
@@ -613,13 +508,13 @@ mod tests {
 
     #[test]
     fn traced_chaos_run_logs_full_lineage() {
-        let obs = Collector::new();
-        let trace = RunTrace::new(&obs);
+        let obs = Collector::new().with_lineage(true);
+        let timeline = TaskTimeline::with_epoch(obs.epoch());
         let outcome = RunSession::new(small(0.05).with_chaos(FaultPlan::new(0.05, 7)))
-            .run_traced(&obs, &trace)
+            .run_traced(&obs, &timeline)
             .unwrap();
-        let prov = trace.provenance();
-        assert!(!prov.is_empty());
+        let prov = obs.provenance();
+        assert!(!prov.entries().is_empty());
         // Every injected fault appears twice: once at injection, once
         // with its audited fate.
         let audit = outcome.chaos.as_ref().unwrap();
@@ -658,28 +553,24 @@ mod tests {
             assert!(chain.contains("stage"), "{chain}");
         }
         // Pool tasks cover all three parallel stages.
-        let labels: std::collections::BTreeSet<String> = trace
-            .timeline()
-            .tasks()
-            .iter()
-            .map(|t| t.label.clone())
-            .collect();
+        let labels: std::collections::BTreeSet<String> =
+            timeline.tasks().iter().map(|t| t.label.clone()).collect();
         assert!(labels.contains("chaos_repair"), "{labels:?}");
         assert!(labels.contains("stage_ii_parse"), "{labels:?}");
         assert!(labels.contains("stage_iii_tag"), "{labels:?}");
         // And the export round-trips through the trace validator.
-        let json = crate::telemetry::execution_trace_json(&outcome.telemetry, trace.timeline());
+        let json = crate::telemetry::execution_trace_json(&outcome.telemetry, &timeline);
         let n = disengage_obs::validate_chrome_trace(&json).unwrap();
         assert!(n > 0);
     }
 
     #[test]
-    fn disabled_trace_matches_run_with() {
+    fn tracing_changes_no_output() {
         let plain = RunSession::new(small(0.05)).run().unwrap();
-        let obs = Collector::new();
-        let trace = RunTrace::disabled();
+        let obs = Collector::new().with_lineage(true);
+        let timeline = TaskTimeline::with_epoch(obs.epoch());
         let traced = RunSession::new(small(0.05))
-            .run_traced(&obs, &trace)
+            .run_traced(&obs, &timeline)
             .unwrap();
         assert_eq!(
             format!("{:?}", plain.database),
@@ -687,8 +578,10 @@ mod tests {
         );
         assert_eq!(plain.tagged, traced.tagged);
         assert_eq!(plain.record_ids, traced.record_ids);
-        assert!(trace.provenance().is_empty());
-        assert!(trace.timeline().tasks().is_empty());
+        assert_eq!(
+            plain.telemetry.canonical().to_json(),
+            traced.telemetry.canonical().to_json()
+        );
     }
 
     #[test]

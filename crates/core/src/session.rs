@@ -16,16 +16,17 @@
 //! Stages I–III run *per shard*, at most `jobs` shards in flight, so
 //! peak memory is bounded by the largest shard times the worker count
 //! rather than by the corpus. An explicit merge stage then folds the
-//! per-shard outputs (telemetry shards, provenance shards, chaos
-//! audits, records) in enumeration order, which is what keeps sharded
-//! output byte-identical to a monolithic fold at every `--jobs`.
+//! per-shard outputs (collector shards — telemetry and lineage
+//! together — chaos audits, records) in enumeration order, which is
+//! what keeps sharded output byte-identical to a monolithic fold at
+//! every `--jobs`.
 //! `--shards` restricts a run to named cells (or, `-`-prefixed,
 //! excludes them) without moving any surviving shard's bytes.
 //!
 //! # Artifact cache
 //!
 //! With a cache directory configured, every *shard's* stage output
-//! (plus its telemetry shard and provenance entries — see
+//! (plus its telemetry shard and lineage entries — see
 //! [`crate::artifact`]) persists content-addressed under
 //! `<cache-dir>/<stage>/<fingerprint>`. The fingerprint folds the
 //! stage's own config, the shard's identity (manufacturer, filing
@@ -51,9 +52,10 @@ use crate::artifact::{self, NormalizeArtifact, FORMAT_VERSION};
 use crate::error::{CoreError, Quarantined};
 use crate::pipeline::{
     default_corrector, digitize_simulated_parts, record_repair_attempts, DigitizeConfig, OcrMode,
-    OcrStats, PipelineOutcome, RunTrace,
+    OcrStats, PipelineOutcome,
 };
-use crate::tagging::{tag_records_traced, TaggedDisengagement};
+use crate::tagging::{tag_records, TaggedDisengagement};
+use crate::telemetry::task_stamps;
 use crate::Result;
 use disengage_cache::{ArtifactStore, Dec, Enc, Fingerprint, Flight, Fp, Lookup};
 use disengage_chaos::{
@@ -63,10 +65,9 @@ use disengage_chaos::{
 use disengage_corpus::{Corpus, CorpusConfig, CorpusGenerator, ShardSpec};
 use disengage_nlp::{Classifier, FaultTag, TagAssignment};
 use disengage_obs::profile;
-use disengage_obs::{
-    flight, Collector, ProvenanceEvent, ProvenanceLog, RecordId, Subject, TelemetryReport,
-};
+use disengage_obs::{flight, Collector, ProvenanceEvent, RecordId, Subject, TelemetryReport};
 use disengage_par as par;
+use disengage_par::TaskTimeline;
 use disengage_reports::formats::RawDocument;
 use disengage_reports::normalize::{normalize_document_traced, Normalized};
 use disengage_reports::{
@@ -456,7 +457,8 @@ impl RunSession {
         }
     }
 
-    /// Runs the stage graph with throwaway telemetry and no tracing.
+    /// Runs the stage graph with throwaway telemetry, no lineage, and
+    /// no execution timeline.
     ///
     /// # Errors
     ///
@@ -466,36 +468,40 @@ impl RunSession {
         self.run_with(&Collector::new())
     }
 
-    /// Runs the stage graph, recording spans and metrics into `obs`.
+    /// Runs the stage graph, recording spans, metrics, and (when `obs`
+    /// records lineage) lineage into `obs`, on a disabled timeline.
     ///
     /// # Errors
     ///
     /// See [`RunSession::run`].
     pub fn run_with(&self, obs: &Collector) -> Result<PipelineOutcome> {
-        self.run_traced(obs, &RunTrace::disabled())
+        self.run_traced(obs, &TaskTimeline::disabled())
     }
 
-    /// Runs the stage graph with lineage and execution tracing: every
-    /// stage appends its per-record decisions to `trace.provenance()`
-    /// (OCR repairs, injected faults and their audited fates, Stage II
-    /// acceptances and quarantines, Stage III ballots and verdicts) and
-    /// every worker-pool task lands on `trace.timeline()`. With a
-    /// disabled trace this is exactly [`RunSession::run_with`].
+    /// Runs the stage graph on the caller's execution timeline: every
+    /// worker-pool task lands on `timeline` once (an enabled timeline
+    /// shares `obs`'s epoch — see [`TaskTimeline::with_epoch`] — so
+    /// span and task timestamps line up in the Chrome-trace export).
+    /// When `obs` records lineage ([`Collector::with_lineage`]), every
+    /// stage also records its per-record decisions there (OCR repairs,
+    /// injected faults and their audited fates, Stage II acceptances
+    /// and quarantines, Stage III ballots and verdicts), read back with
+    /// [`Collector::provenance`]. An interrupted run's crash dump
+    /// appends the timeline's task tail.
     ///
     /// The run is wrapped in a `pipeline` span with one child span per
     /// shard and stage; [`PipelineOutcome::telemetry`] is a snapshot
     /// taken after the root span closes, so durations are complete even
     /// if the caller keeps using `obs` afterwards. Cached stages replay
-    /// their recorded telemetry and provenance, so a warm run's exports
+    /// their recorded telemetry and lineage, so a warm run's exports
     /// are byte-identical to a cold run's.
     ///
     /// # Errors
     ///
     /// See [`RunSession::run`].
-    pub fn run_traced(&self, obs: &Collector, trace: &RunTrace) -> Result<PipelineOutcome> {
+    pub fn run_traced(&self, obs: &Collector, timeline: &TaskTimeline) -> Result<PipelineOutcome> {
         let config = &self.config;
         let (generator, specs, store) = self.plan_shards()?;
-        let prov = trace.provenance();
         let run_start = Instant::now();
         let outcome = {
             let mut root = obs.span("pipeline");
@@ -510,7 +516,8 @@ impl RunSession {
                     0.0
                 },
             );
-            let yields = self.map_shards(&generator, &specs, &store, obs, trace, |yielded| yielded);
+            let yields =
+                self.map_shards(&generator, &specs, &store, obs, timeline, |yielded| yielded);
 
             // The crash campaign's simulated kill point: every shard
             // stopped right after `stage`'s artifact committed, so stop
@@ -523,13 +530,13 @@ impl RunSession {
                 drain_store(&store, obs);
                 if let Some(path) = &config.flight_path {
                     let reason = format!("interrupted after stage {}", stage.name());
-                    let suspects = flight::suspects(prov, 8);
+                    let suspects = flight::suspects(&obs.provenance(), 8);
                     // Best-effort: a failing dump must never mask the
                     // interrupt itself.
                     let _ = flight::write_dump(
                         path,
                         obs,
-                        Some(trace.flight_tasks()),
+                        Some(&task_stamps(timeline)),
                         &reason,
                         &suspects,
                         false,
@@ -649,9 +656,9 @@ impl RunSession {
         // `pipeline` span (and all children) carry final durations.
         drain_store(&store, obs);
         // Recorder self-accounting: fraction of the run's wall clock
-        // spent inside collector/flight recording ops. Wall-clock by
-        // nature, so `canonical()` strips it; the bench gate holds it
-        // under its absolute ceiling.
+        // spent inside flight-recording ops. Wall-clock by nature, so
+        // `canonical()` strips it; the benchmark reports it as the
+        // per-layer `obs.overhead_frac`, which nothing gates.
         let wall = run_start.elapsed().as_secs_f64();
         if wall > 0.0 {
             obs.gauge("obs.overhead.frac", obs.overhead_seconds() / wall);
@@ -682,7 +689,7 @@ impl RunSession {
             &specs,
             &store,
             obs,
-            &RunTrace::disabled(),
+            &TaskTimeline::disabled(),
             |yielded| RunDigest {
                 shards: 1,
                 documents: yielded.corpus.documents.len(),
@@ -729,12 +736,11 @@ impl RunSession {
         specs: &[ShardSpec],
         store: &ArtifactStore,
         obs: &Collector,
-        trace: &RunTrace,
+        timeline: &TaskTimeline,
         fold: impl Fn(ShardYield) -> Y + Sync,
     ) -> Vec<Y> {
         let config = &self.config;
-        let prov = trace.provenance();
-        let keys = self.stage_keys(prov.is_enabled());
+        let keys = self.stage_keys(obs.lineage_enabled());
 
         // Under chaos the dictionary is poisoned once, up front, on the
         // main thread — every shard then tags through the same degraded
@@ -755,12 +761,11 @@ impl RunSession {
         // stage maps run inline; a single-shard run hands `jobs` down to
         // the inner maps instead.
         let inner_jobs = if specs.len() <= 1 { config.jobs } else { 1 };
-        let results = par::par_map_coarse_catch_timed(
+        let results = par::par_map_coarse_catch(
             config.jobs,
             specs,
             |_, spec| {
                 let wobs = obs.shard();
-                let wprov = prov.shard();
                 let keys = shard_keys(&keys, spec);
                 let yielded = run_shard(
                     config,
@@ -772,26 +777,24 @@ impl RunSession {
                     inner_jobs,
                     store,
                     &wobs,
-                    &wprov,
-                    trace,
+                    timeline,
                 );
-                (fold(yielded), wobs, wprov)
+                (fold(yielded), wobs)
             },
-            trace.timeline(),
+            timeline,
             "shard",
         );
-        // Absorb every shard's telemetry and lineage in enumeration
-        // order — the fold that keeps sharded output byte-identical at
-        // any worker count. A shard-level panic is a programming error
-        // (parser panics are already quarantined in-shard), so it
-        // re-raises.
+        // Absorb every shard's collector (telemetry and lineage) in
+        // enumeration order — the fold that keeps sharded output
+        // byte-identical at any worker count. A shard-level panic is a
+        // programming error (parser panics are already quarantined
+        // in-shard), so it re-raises.
         specs
             .iter()
             .zip(results)
             .map(|(spec, result)| match result {
-                Ok((folded, wobs, wprov)) => {
+                Ok((folded, wobs)) => {
                     obs.absorb(wobs);
-                    prov.absorb(wprov);
                     folded
                 }
                 Err(p) => panic!("shard {} panicked: {}", spec.label(), p.message),
@@ -1058,7 +1061,7 @@ fn record_stage_memory(obs: &Collector, name: &str) {
 
 /// Runs Stages I–III for one shard, each stage through the artifact
 /// cache under the shard's own fingerprints. Runs entirely inside one
-/// coarse-map worker: `obs`/`prov` are that worker's shards, absorbed
+/// coarse-map worker: `obs` is that worker's collector shard, absorbed
 /// by the main thread in enumeration order after the map joins.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
@@ -1071,8 +1074,7 @@ fn run_shard(
     inner_jobs: usize,
     store: &ArtifactStore,
     obs: &Collector,
-    prov: &ProvenanceLog,
-    trace: &RunTrace,
+    timeline: &TaskTimeline,
 ) -> ShardYield {
     let mut throughput = [StageSample::default(); 4];
     let mut shard_span = obs.span("shard");
@@ -1087,10 +1089,9 @@ fn run_shard(
         keys.corpus,
         true,
         obs,
-        prov,
         artifact::enc_corpus,
         artifact::dec_corpus,
-        |sobs, _sprov| {
+        |sobs| {
             let mut span = sobs.span("stage_i_corpus");
             let corpus = generator.generate_shard_with(spec, sobs);
             span.field("records", corpus.truth.disengagements().len() as u64);
@@ -1125,10 +1126,9 @@ fn run_shard(
         keys.digitize,
         digitize_cacheable,
         obs,
-        prov,
         artifact::enc_digitized,
         artifact::dec_digitized,
-        |sobs, sprov| {
+        |sobs| {
             let mut span = sobs.span("stage_i_ocr");
             match config.ocr {
                 OcrMode::Passthrough => {
@@ -1152,13 +1152,8 @@ fn run_shard(
                         repair_attempts: config.repair_attempts(),
                         jobs: inner_jobs,
                     };
-                    let (out, stats) = digitize_simulated_parts(
-                        digitize,
-                        &corpus.documents,
-                        sobs,
-                        sprov,
-                        trace.timeline(),
-                    );
+                    let (out, stats) =
+                        digitize_simulated_parts(digitize, &corpus.documents, sobs, timeline);
                     (out, Some(stats))
                 }
             }
@@ -1190,12 +1185,9 @@ fn run_shard(
         keys.normalize,
         true,
         obs,
-        prov,
         artifact::enc_normalized,
         artifact::dec_normalized,
-        move |sobs, sprov| {
-            normalize_stage(config, documents, doc_base, inner_jobs, sobs, sprov, trace)
-        },
+        move |sobs| normalize_stage(config, documents, doc_base, inner_jobs, sobs, timeline),
     );
     throughput[2] = StageSample {
         records: normalize.disengagements.len() as u64,
@@ -1222,10 +1214,9 @@ fn run_shard(
         keys.tag,
         true,
         obs,
-        prov,
         artifact::enc_assignments,
         artifact::dec_assignments,
-        |sobs, sprov| {
+        |sobs| {
             let mut span = sobs.span("stage_iii_tag");
             for name in ["nlp.tagged", "nlp.unknown_t"] {
                 sobs.add(name, 0);
@@ -1233,14 +1224,13 @@ fn run_shard(
             if let Some(dropped) = dict_dropped {
                 span.field("dict_dropped", dropped);
             }
-            let tagged = tag_records_traced(
+            let tagged = tag_records(
                 classifier,
                 &normalize.disengagements,
                 &normalize.record_ids,
                 inner_jobs,
                 sobs,
-                sprov,
-                trace.timeline(),
+                timeline,
             );
             span.field("tagged", tagged.len() as u64);
             tagged
@@ -1279,19 +1269,18 @@ fn drain_store(store: &ArtifactStore, obs: &Collector) {
 
 /// The `normalize` stage body: chaos inject + bounded repair + audit
 /// (when a plan is armed), then Stage II parse/filter/normalize.
-/// Records exclusively into the stage's `sobs`/`sprov` shards so the
-/// whole stage can be snapshotted into a cache artifact. `doc_base` is
-/// the batch's global corpus offset: chaos seeds and provenance
-/// subjects use corpus-wide document indices, which is what keeps a
-/// shard's artifact byte-identical to its slice of a monolithic run.
+/// Records exclusively into the stage's `sobs` shard so the whole
+/// stage can be snapshotted into a cache artifact. `doc_base` is the
+/// batch's global corpus offset: chaos seeds and lineage subjects use
+/// corpus-wide document indices, which is what keeps a shard's
+/// artifact byte-identical to its slice of a monolithic run.
 fn normalize_stage(
     config: &RunConfig,
     documents: Vec<RawDocument>,
     doc_base: usize,
     jobs: usize,
     sobs: &Collector,
-    sprov: &ProvenanceLog,
-    trace: &RunTrace,
+    timeline: &TaskTimeline,
 ) -> NormalizeArtifact {
     // Chaos: perturb the digitized batch between Stage I and Stage II
     // (where real corruption enters), run the bounded dictionary-repair
@@ -1308,9 +1297,9 @@ fn normalize_stage(
             for kind in FaultKind::ALL {
                 sobs.add(&format!("chaos.injected.{}", kind.name()), log.count(kind));
             }
-            if sprov.is_enabled() {
+            if sobs.lineage_enabled() {
                 for f in &log.faults {
-                    sprov.push(
+                    sobs.lineage(
                         Subject::Line {
                             doc: f.doc,
                             line: f.line,
@@ -1323,21 +1312,20 @@ fn normalize_stage(
                 }
             }
             let corrector = default_corrector();
-            let per_doc = par::par_map_indexed_timed(
+            let per_doc = par::par_map_indexed(
                 jobs,
                 &faulted,
                 |i, doc| {
                     let shard = sobs.shard();
-                    let pshard = sprov.shard();
                     let (fixed, per_attempt, repairs) = corrector.correct_text_observed(
                         &doc.text,
                         plan.repair_attempts,
                         &mut |_, _| {},
                     );
                     record_repair_attempts(&shard, &per_attempt);
-                    if pshard.is_enabled() {
+                    if shard.lineage_enabled() {
                         for r in &repairs {
-                            pshard.push(
+                            shard.lineage(
                                 Subject::Line {
                                     doc: doc_base + i,
                                     line: r.line,
@@ -1354,17 +1342,15 @@ fn normalize_stage(
                     (
                         RawDocument::new(doc.manufacturer, doc.report_year, doc.kind, fixed),
                         shard,
-                        pshard,
                     )
                 },
-                trace.timeline(),
+                timeline,
                 "chaos_repair",
             );
             let repaired: Vec<RawDocument> = per_doc
                 .into_iter()
-                .map(|(doc, shard, pshard)| {
+                .map(|(doc, shard)| {
                     sobs.absorb(shard);
-                    sprov.absorb(pshard);
                     doc
                 })
                 .collect();
@@ -1383,9 +1369,9 @@ fn normalize_stage(
             {
                 sobs.event("chaos.quarantined", &af.fault.describe());
             }
-            if sprov.is_enabled() {
+            if sobs.lineage_enabled() {
                 for af in &audited.faults {
-                    sprov.push(
+                    sobs.lineage(
                         Subject::Line {
                             doc: af.fault.doc,
                             line: af.fault.line,
@@ -1412,17 +1398,15 @@ fn normalize_stage(
     for name in ["parse.dis.lines", "parse.dis.parsed", "parse.dis.failed"] {
         sobs.add(name, 0);
     }
-    let per_doc = par::par_map_catch_timed(
+    let per_doc = par::par_map_catch(
         jobs,
         &documents,
         |i, doc| {
             let shard = sobs.shard();
-            let pshard = sprov.shard();
-            let (normalized, ids) =
-                normalize_document_traced(doc, doc_base + i, Some(&shard), &pshard);
-            (normalized, ids, shard, pshard)
+            let (normalized, ids) = normalize_document_traced(doc, doc_base + i, Some(&shard));
+            (normalized, ids, shard)
         },
-        trace.timeline(),
+        timeline,
         "stage_ii_parse",
     );
     let mut normalized = Normalized::default();
@@ -1430,16 +1414,15 @@ fn normalize_stage(
     let mut panicked: Vec<Quarantined> = Vec::new();
     for outcome in per_doc {
         match outcome {
-            Ok((n, ids, shard, pshard)) => {
+            Ok((n, ids, shard)) => {
                 sobs.absorb(shard);
-                sprov.absorb(pshard);
                 record_ids.extend(ids);
                 normalized.merge(n);
             }
             Err(p) => {
                 sobs.incr("parse.docs.panicked");
-                if sprov.is_enabled() {
-                    sprov.push(
+                if sobs.lineage_enabled() {
+                    sobs.lineage(
                         Subject::Document(doc_base + p.index),
                         ProvenanceEvent::Quarantined {
                             stage: "stage_ii_parse".to_owned(),
@@ -1492,9 +1475,10 @@ fn record_throughput(obs: &Collector, stage: &str, records: u64, bytes: u64, ela
 }
 
 /// Runs one stage through the cache: probe, replay on hit, otherwise
-/// compute into fresh telemetry/provenance shards, persist the
-/// envelope, and absorb the shards. Every path is deterministic and
-/// byte-identical to every other; only the `cache.*` counters differ.
+/// compute into a fresh collector shard, persist the envelope (the
+/// shard's telemetry state and lineage beside the value), and absorb
+/// the shard. Every path is deterministic and byte-identical to every
+/// other; only the `cache.*` counters differ.
 ///
 /// The self-profiler sees each run as two phases on the run-global
 /// collector: `stage_<name>` covering the whole call (self time
@@ -1518,10 +1502,9 @@ fn cached_stage<T>(
     key: Fingerprint,
     cacheable: bool,
     obs: &Collector,
-    prov: &ProvenanceLog,
     encode: impl FnOnce(&mut Enc, &T),
     decode: impl Fn(&mut Dec) -> Option<T>,
-    compute: impl FnOnce(&Collector, &ProvenanceLog) -> T,
+    compute: impl FnOnce(&Collector) -> T,
 ) -> T {
     let stage_start = Instant::now();
     let phase_root = format!("stage_{}", stage.name());
@@ -1555,9 +1538,7 @@ fn cached_stage<T>(
                 obs.add(&format!("cache.hit.{}", stage.name()), 1);
                 obs.debug(&format!("cache hit: replaying stage {}", stage.name()));
                 obs.absorb_state(state);
-                for entry in entries {
-                    prov.push(entry.subject, entry.event);
-                }
+                obs.absorb_lineage(entries);
                 replayed = Some(value);
             }
             None => {
@@ -1576,9 +1557,7 @@ fn cached_stage<T>(
                     obs.add("cache.hit", 1);
                     obs.add(&format!("cache.hit.{}", stage.name()), 1);
                     obs.absorb_state(state);
-                    for entry in entries {
-                        prov.push(entry.subject, entry.event);
-                    }
+                    obs.absorb_lineage(entries);
                     replayed = Some(value);
                 }
                 None => {
@@ -1592,18 +1571,20 @@ fn cached_stage<T>(
         Some(value) => value,
         None => {
             let sobs = obs.shard();
-            let sprov = prov.shard();
-            let value = compute(&sobs, &sprov);
+            let value = compute(&sobs);
             if caching {
-                let bytes =
-                    artifact::encode_stage(&sobs.state(), &sprov.entries(), &value, encode);
+                let bytes = artifact::encode_stage(
+                    &sobs.state(),
+                    sobs.provenance().entries(),
+                    &value,
+                    encode,
+                );
                 let evicted = store.save(stage.name(), key, &bytes);
                 if evicted > 0 {
                     obs.add("cache.evict", evicted as u64);
                 }
             }
             obs.absorb(sobs);
-            prov.absorb(sprov);
             value
         }
     };

@@ -20,25 +20,24 @@ pub struct TaggedDisengagement {
 /// counts, vote-margin and dictionary-hit samples, and the overall
 /// Unknown-T rate gauge. Returns one verdict per record, in order.
 ///
-/// Lineage and execution tracing ride along: when `prov` is enabled,
-/// each record's full ballot is logged against `ids[i]` (records past
-/// the end of `ids` trace nothing) — one `DictVote` event per scoring
-/// tag followed by the `Tagged` verdict — and every pool task lands on
-/// `timeline` under the `stage_iii_tag` label. The pool runs only the
-/// pure classification; telemetry and lineage are then recorded on the
-/// calling thread in record order, so verdicts, telemetry and lineage
-/// are byte-identical at any worker count.
-pub fn tag_records_traced(
+/// Lineage and execution tracing ride along: when `obs` records
+/// lineage, each record's full ballot is logged against `ids[i]`
+/// (records past the end of `ids` trace nothing) — one `DictVote`
+/// event per scoring tag followed by the `Tagged` verdict — and every
+/// pool task lands on `timeline` under the `stage_iii_tag` label. The
+/// pool runs only the pure classification; telemetry and lineage are
+/// then recorded on the calling thread in record order, so verdicts,
+/// telemetry and lineage are byte-identical at any worker count.
+pub fn tag_records(
     classifier: &Classifier,
     records: &[DisengagementRecord],
     ids: &[disengage_obs::RecordId],
     jobs: usize,
     obs: &disengage_obs::Collector,
-    prov: &disengage_obs::ProvenanceLog,
     timeline: &disengage_par::TaskTimeline,
 ) -> Vec<TagAssignment> {
-    let lineage = prov.is_enabled();
-    let verdicts = disengage_par::par_map_indexed_timed(
+    let lineage = obs.lineage_enabled();
+    let verdicts = disengage_par::par_map_indexed(
         jobs,
         records,
         |_, r| {
@@ -61,7 +60,7 @@ pub fn tag_records_traced(
         if let Some(id) = ids.get(i).filter(|_| lineage) {
             let subject = disengage_obs::Subject::Record(id.clone());
             for v in votes {
-                prov.push(
+                obs.lineage(
                     subject.clone(),
                     disengage_obs::ProvenanceEvent::DictVote {
                         tag: v.tag.name().to_owned(),
@@ -71,7 +70,7 @@ pub fn tag_records_traced(
                     },
                 );
             }
-            prov.push(
+            obs.lineage(
                 subject,
                 disengage_obs::ProvenanceEvent::Tagged {
                     tag: assignment.tag.name().to_owned(),

@@ -6,8 +6,13 @@
 //! dropping records, a counter incremented on the wrong branch, a
 //! filter applied twice. [`reconcile`] states those identities; the
 //! `repro` harness refuses to bless a run that violates them.
+//!
+//! The worker pool's [`TaskTimeline`] has two views here: the
+//! Chrome-trace export ([`execution_trace_json`]) and the task stamps a
+//! postmortem flight dump appends ([`task_stamps`]).
 
-use disengage_obs::{Collector, TelemetryReport};
+use disengage_obs::{Collector, FlightEvent, FlightKind, FlightSnapshot, TelemetryReport};
+use disengage_par::TaskTimeline;
 
 /// Runs `f` inside a span named `name` — the one-liner for wrapping
 /// Stage IV artifacts (tables, figures, exports) at their call sites.
@@ -33,10 +38,7 @@ pub fn timed<T>(obs: &Collector, name: &str, f: impl FnOnce() -> T) -> T {
 /// `<stage>#<chunk>`. Timestamps are wall-clock — the export is for
 /// humans and deliberately outside the byte-identity contract that
 /// covers the lineage log.
-pub fn execution_trace_json(
-    report: &TelemetryReport,
-    timeline: &disengage_par::TaskTimeline,
-) -> String {
+pub fn execution_trace_json(report: &TelemetryReport, timeline: &TaskTimeline) -> String {
     let tasks: Vec<disengage_obs::TraceTask> = timeline
         .tasks()
         .iter()
@@ -48,6 +50,30 @@ pub fn execution_trace_json(
         })
         .collect();
     disengage_obs::render_chrome_trace(report, &tasks)
+}
+
+/// The pool tasks a full (postmortem) flight dump appends: the
+/// timeline's last [`disengage_par::TASK_TAIL`] tasks as untimed
+/// `task` events, oldest first, and how many earlier tasks that
+/// leaves out. Works on a disabled timeline too, which keeps exactly
+/// that tail, so a crash dump names the last pool tasks of any run.
+pub fn task_stamps(timeline: &TaskTimeline) -> FlightSnapshot {
+    let (tail, dropped) = timeline.task_tail();
+    FlightSnapshot {
+        events: tail
+            .into_iter()
+            .map(|t| FlightEvent {
+                t_s: 0.0,
+                kind: FlightKind::Task {
+                    label: t.label,
+                    worker: t.worker,
+                    chunk: t.chunk,
+                    items: t.len,
+                },
+            })
+            .collect(),
+        dropped,
+    }
 }
 
 /// Checks the cross-stage counter identities on a pipeline telemetry

@@ -1,14 +1,20 @@
-//! The collector: explicit, thread-safe accumulation of spans and
-//! metrics.
+//! The collector: explicit, thread-safe accumulation of spans,
+//! metrics, flight events, and per-record lineage — the one recording
+//! sink a pipeline task writes to.
 //!
 //! No global state is required — the pipeline threads a `&Collector`
 //! through its stages. Interior mutability (a `Mutex` around the whole
 //! state) keeps the API `&self` so a collector can be shared freely;
 //! contention is irrelevant at the pipeline's instrumentation
 //! granularity (thousands of updates per run, not millions per second).
+//! Parallel tasks record into [`Collector::shard`]s that the caller
+//! folds back with [`Collector::absorb`] in task-index order, which
+//! keeps every channel (lineage included) independent of the worker
+//! count.
 
 use crate::flight::{self, FlightEvent, FlightKind, FlightRing, FlightSnapshot};
 use crate::hist::{Histogram, HistogramState};
+use crate::provenance::{ProvenanceEntry, ProvenanceEvent, ProvenanceLog, Subject};
 use crate::report::{FieldValue, LogEvent, LogLevel, SpanNode, TelemetryReport};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +46,7 @@ struct SpanData {
     fields: Vec<(String, FieldValue)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     spans: Vec<SpanData>,
     // Per-thread open-span stacks. A single shared stack would parent a
@@ -56,20 +62,9 @@ struct Inner {
     // Always-on flight recorder ring (see crate::flight). Shares the
     // collector's mutex so event order is exactly recording order.
     flight: FlightRing,
-}
-
-impl Default for Inner {
-    fn default() -> Inner {
-        Inner {
-            spans: Vec::new(),
-            stacks: HashMap::new(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            logs: Vec::new(),
-            flight: FlightRing::default(),
-        }
-    }
+    // Per-record lineage (see crate::provenance); stays empty unless
+    // the collector records lineage.
+    lineage: Vec<ProvenanceEntry>,
 }
 
 /// A replayable snapshot of one span: arena-indexed parentage,
@@ -89,10 +84,12 @@ pub struct SpanState {
     pub fields: Vec<(String, FieldValue)>,
 }
 
-/// A raw, replayable snapshot of everything a collector accumulated:
-/// the exact mirror of [`Collector::absorb`]'s by-value input, but as
-/// plain data that can be serialized (the artifact cache persists one
-/// per stage) and folded back later with [`Collector::absorb_state`].
+/// A raw, replayable snapshot of a collector's telemetry: the exact
+/// mirror of [`Collector::absorb`]'s by-value input (less the flight
+/// ring and the lineage), but as plain data that can be serialized
+/// (the artifact cache persists one per stage, with the stage's
+/// lineage beside it) and folded back later with
+/// [`Collector::absorb_state`].
 ///
 /// Unlike [`TelemetryReport`] this is lossless — histograms keep their
 /// raw buckets and exact float sums, spans keep arena parentage — so
@@ -112,13 +109,15 @@ pub struct CollectorState {
     pub logs: Vec<LogEvent>,
 }
 
-/// Accumulates spans, counters, gauges, histograms, log events, and
-/// the flight-recorder ring.
+/// Accumulates spans, counters, gauges, histograms, log events, the
+/// flight-recorder ring, and — when built [`Collector::with_lineage`]
+/// — per-record lineage.
 #[derive(Debug)]
 pub struct Collector {
     inner: Mutex<Inner>,
     epoch: Instant,
     echo: bool,
+    lineage: bool,
     // Wall time spent inside recording operations, for the honest
     // `obs.overhead.frac` gauge. Atomic (not under the mutex) so the
     // accounting itself stays cheap.
@@ -132,12 +131,14 @@ impl Default for Collector {
 }
 
 impl Collector {
-    /// An empty collector whose clock starts now.
+    /// An empty collector whose clock starts now. It records no
+    /// lineage; see [`Collector::with_lineage`].
     pub fn new() -> Collector {
         Collector {
             inner: Mutex::new(Inner::default()),
             epoch: Instant::now(),
             echo: false,
+            lineage: false,
             overhead_ns: AtomicU64::new(0),
         }
     }
@@ -148,6 +149,20 @@ impl Collector {
         Collector {
             echo: true,
             ..Collector::new()
+        }
+    }
+
+    /// Sets whether this collector records per-record lineage
+    /// ([`Collector::lineage`]) — the switch behind `--lineage` and
+    /// `disengage explain`, set when the collector is built and
+    /// inherited by every [`Collector::shard`]. A run's stage cache
+    /// keys fold it, since an artifact recorded without lineage has
+    /// none to replay.
+    #[must_use]
+    pub fn with_lineage(self, on: bool) -> Collector {
+        Collector {
+            lineage: on,
+            ..self
         }
     }
 
@@ -165,12 +180,12 @@ impl Collector {
     /// Total wall time spent on flight-recorder work — ring pushes for
     /// spans, watched counters, logs, named events, and ring absorbs
     /// (this collector only; absorbed shards contribute theirs on
-    /// absorb). Deliberately *not* the whole recording path: counter
-    /// and histogram bookkeeping predates the recorder and is gated by
-    /// the per-stage wall metrics; this ledger isolates what the
-    /// always-on recorder adds, which `obs.overhead.frac` holds under
-    /// its 2% ceiling. Unwatched counters pay only a prefix check —
-    /// timing them would itself be the dominant cost on hot paths.
+    /// absorb). Deliberately *not* the whole recording path: counter,
+    /// histogram and lineage bookkeeping stay untimed, so the
+    /// `obs.overhead.frac` gauge (reported, not gated) isolates what
+    /// the always-on recorder adds. Unwatched counters pay only a
+    /// prefix check — timing them would itself be the dominant cost on
+    /// hot paths.
     pub fn overhead_seconds(&self) -> f64 {
         self.overhead_ns.load(Ordering::Relaxed) as f64 / 1e9
     }
@@ -332,6 +347,40 @@ impl Collector {
         self.note_overhead(t0);
     }
 
+    /// Whether this collector records lineage (see
+    /// [`Collector::with_lineage`]). Stages check it to skip building
+    /// event payloads entirely.
+    pub fn lineage_enabled(&self) -> bool {
+        self.lineage
+    }
+
+    /// Records one lineage event about `subject` (a no-op unless the
+    /// collector records lineage). Entry order is recording order, and
+    /// shards fold in task-index order, so the lineage of a run is the
+    /// same at any worker count.
+    pub fn lineage(&self, subject: Subject, event: ProvenanceEvent) {
+        if self.lineage {
+            self.lock().lineage.push(ProvenanceEntry { subject, event });
+        }
+    }
+
+    /// Appends lineage entries in their recorded order — the replay of
+    /// a cache envelope's lineage next to [`Collector::absorb_state`]
+    /// (a no-op unless the collector records lineage).
+    pub fn absorb_lineage(&self, entries: Vec<ProvenanceEntry>) {
+        if self.lineage {
+            self.lock().lineage.extend(entries);
+        }
+    }
+
+    /// Snapshot of the lineage recorded so far, in causal order — the
+    /// data behind `--lineage` exports and `disengage explain`.
+    pub fn provenance(&self) -> ProvenanceLog {
+        ProvenanceLog {
+            entries: self.lock().lineage.clone(),
+        }
+    }
+
     /// Snapshot of the flight ring: events oldest-first plus the
     /// eviction count.
     pub fn flight_snapshot(&self) -> FlightSnapshot {
@@ -342,8 +391,9 @@ impl Collector {
         }
     }
 
-    /// An empty shard collector sharing this collector's epoch — the
-    /// thread-local accumulator a parallel worker records into.
+    /// An empty shard collector sharing this collector's epoch and
+    /// lineage switch — the thread-local accumulator a parallel worker
+    /// records into.
     ///
     /// Workers on a pool complete in arbitrary order, so they must not
     /// write into a shared collector directly: interleaved counter
@@ -358,6 +408,7 @@ impl Collector {
             inner: Mutex::new(Inner::default()),
             epoch: self.epoch,
             echo: false,
+            lineage: self.lineage,
             overhead_ns: AtomicU64::new(0),
         }
     }
@@ -365,15 +416,17 @@ impl Collector {
     /// Folds a shard's accumulated state into this collector: counters
     /// add, gauges overwrite (the shard is the later writer),
     /// histograms merge ([`Histogram::merge`]), logs append, flight
-    /// events append in recorded order (drop counts add), recording
-    /// overhead adds, and shard root spans attach under the calling
-    /// thread's innermost open span.
+    /// events append in recorded order (drop counts add), lineage
+    /// entries append in recorded order, recording overhead adds, and
+    /// shard root spans attach under the calling thread's innermost
+    /// open span.
     ///
     /// Absorbing per-task shards in task-index order is deterministic:
     /// the result is identical at any worker count, bit-for-bit even
     /// in the order-sensitive float accumulations — and the flight
-    /// ring inherits the same guarantee, which is what makes canonical
-    /// `flight.json` dumps byte-identical at any `--jobs`.
+    /// ring and the lineage inherit the same guarantee, which is what
+    /// makes canonical `flight.json` dumps and lineage JSONL
+    /// byte-identical at any `--jobs`.
     pub fn absorb(&self, shard: Collector) {
         self.overhead_ns.fetch_add(
             shard.overhead_ns.load(Ordering::Relaxed),
@@ -401,6 +454,9 @@ impl Collector {
             inner.histograms.entry(name).or_default().merge(&hist);
         }
         inner.logs.extend(shard.logs);
+        if self.lineage {
+            inner.lineage.extend(shard.lineage);
+        }
         let t0 = Instant::now();
         inner.flight.absorb(shard.flight);
         self.note_overhead(t0);
@@ -412,6 +468,8 @@ impl Collector {
     /// deliberately *not* part of the state: a cache-replayed stage
     /// contributes no flight events beyond its own `cache.hit`
     /// counters, which is exactly what a postmortem should show.
+    /// Lineage is not part of it either; the cache envelope carries
+    /// [`Collector::provenance`] beside it.
     pub fn state(&self) -> CollectorState {
         let inner = self.lock();
         CollectorState {
@@ -895,6 +953,54 @@ mod tests {
             d.events.iter().map(|e| &e.kind).collect::<Vec<_>>(),
             s.events.iter().map(|e| &e.kind).collect::<Vec<_>>()
         );
+    }
+
+    fn quarantine(reason: &str) -> ProvenanceEvent {
+        ProvenanceEvent::Quarantined {
+            stage: "stage_ii_parse".into(),
+            reason: reason.into(),
+        }
+    }
+
+    #[test]
+    fn collector_without_lineage_records_none() {
+        let c = Collector::new();
+        assert!(!c.lineage_enabled());
+        c.lineage(Subject::Run, quarantine("direct"));
+        let shard = c.shard();
+        assert!(!shard.lineage_enabled(), "shards inherit the switch");
+        shard.lineage(Subject::Document(0), quarantine("sharded"));
+        c.absorb(shard);
+        c.absorb_lineage(vec![ProvenanceEntry {
+            subject: Subject::Document(1),
+            event: quarantine("replayed"),
+        }]);
+        assert!(c.provenance().entries().is_empty());
+        assert_eq!(c.provenance().to_jsonl(), "");
+    }
+
+    #[test]
+    fn lineage_shards_absorbed_in_task_order_match_direct_recording() {
+        let direct = Collector::new().with_lineage(true);
+        let sharded = Collector::new().with_lineage(true);
+        let mut shards = Vec::new();
+        for i in 0..10 {
+            let event = quarantine(&format!("reason {i}"));
+            direct.lineage(Subject::Document(i), event.clone());
+            let shard = sharded.shard();
+            assert!(shard.lineage_enabled(), "shards inherit the switch");
+            shard.lineage(Subject::Document(i), event);
+            shards.push(shard);
+        }
+        for shard in shards {
+            sharded.absorb(shard);
+        }
+        assert_eq!(direct.provenance(), sharded.provenance());
+        assert_eq!(
+            direct.provenance().to_jsonl(),
+            sharded.provenance().to_jsonl()
+        );
+        assert_eq!(direct.provenance().entries().len(), 10);
     }
 
     #[test]

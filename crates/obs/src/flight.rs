@@ -16,14 +16,16 @@
 //! the worker's shard collector and are folded back in task-index
 //! order by [`crate::Collector::absorb`], exactly like counters, so
 //! the merged event *sequence* is identical at any `--jobs`. The
-//! only schedule-dependent stream — pool task completion stamps — is
-//! kept in a separate [`TaskLog`] ring so its arrival order can
-//! never change which main-ring events survive eviction. A
-//! [canonical dump](dump_value) zeroes timestamps, omits the task
-//! ring, and drops counter events in the environment-fact namespaces
-//! (`cache.*` / `lock.*` / `profile.*`, mirroring
-//! [`crate::TelemetryReport::canonical`]), and is byte-identical at
-//! any worker count, clean or chaos.
+//! only schedule-dependent stream — pool task completion stamps —
+//! never enters the ring, so its arrival order can never change which
+//! ring events survive eviction: the worker pool's task timeline
+//! keeps the last 256 stamps itself, and a full dump appends them,
+//! handed in as a [`FlightSnapshot`] of `task` events (this crate
+//! cannot name the pool's types). A [canonical dump](dump_value)
+//! zeroes timestamps, omits the task stamps, and drops counter events
+//! in the environment-fact namespaces (`cache.*` / `lock.*` /
+//! `profile.*`, mirroring [`crate::TelemetryReport::canonical`]), and
+//! is byte-identical at any worker count, clean or chaos.
 
 use crate::collector::Collector;
 use crate::json::Value;
@@ -32,7 +34,6 @@ use crate::report::LogLevel;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Envelope `schema` field of a flight dump.
 pub const FLIGHT_SCHEMA: &str = "disengage-flight";
@@ -40,8 +41,6 @@ pub const FLIGHT_SCHEMA: &str = "disengage-flight";
 pub const FLIGHT_VERSION: u64 = 1;
 /// Default main-ring capacity (events kept before oldest-first drop).
 pub const DEFAULT_CAPACITY: usize = 2048;
-/// Default task-ring capacity (pool task stamps kept).
-pub const TASK_CAPACITY: usize = 256;
 /// Counter surfaced in [`crate::TelemetryReport`] with the number of
 /// events the ring evicted oldest-first.
 pub const DROP_COUNTER: &str = "flight.dropped";
@@ -112,8 +111,9 @@ pub enum FlightKind {
         /// Free-text detail.
         detail: String,
     },
-    /// A completed pool task (task-ring only; completion order is
-    /// schedule-dependent and excluded from canonical dumps).
+    /// A completed pool task (full dumps only, never the ring;
+    /// completion order is schedule-dependent and excluded from
+    /// canonical dumps).
     Task {
         /// Pool call label.
         label: String,
@@ -131,7 +131,7 @@ pub enum FlightKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightEvent {
     /// Seconds since the recording collector's epoch (0 for task
-    /// stamps, whose ring has no clock).
+    /// stamps, which carry no time).
     pub t_s: f64,
     /// Payload.
     pub kind: FlightKind,
@@ -206,68 +206,15 @@ impl FlightRing {
     }
 }
 
-/// The events and drop count a collector's ring held at snapshot
-/// time.
+/// Events oldest-first plus how many were dropped before them: a
+/// collector's ring at snapshot time, or the pool task stamps a full
+/// dump appends.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlightSnapshot {
     /// Events oldest-first.
     pub events: Vec<FlightEvent>,
     /// Events evicted before the snapshot.
     pub dropped: u64,
-}
-
-/// A shared, cloneable ring of pool task stamps.
-///
-/// Task completion order is a property of the scheduler, not the
-/// workload, so these stamps must not share a ring with the
-/// deterministic event stream: a racing stamp would change *which
-/// other events* get evicted. They live here instead, appear only in
-/// full (non-canonical) dumps, and carry no timestamps.
-#[derive(Debug, Clone)]
-pub struct TaskLog {
-    inner: Arc<Mutex<FlightRing>>,
-}
-
-impl Default for TaskLog {
-    fn default() -> Self {
-        TaskLog::new()
-    }
-}
-
-impl TaskLog {
-    /// An empty task log with the default capacity.
-    pub fn new() -> TaskLog {
-        TaskLog {
-            inner: Arc::new(Mutex::new(FlightRing::new(TASK_CAPACITY))),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FlightRing> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Records one completed pool task.
-    pub fn push(&self, label: &str, worker: usize, chunk: usize, items: usize) {
-        self.lock().push(FlightEvent {
-            t_s: 0.0,
-            kind: FlightKind::Task {
-                label: label.to_owned(),
-                worker,
-                chunk,
-                items,
-            },
-        });
-    }
-
-    /// Snapshot of the stamps recorded so far (oldest-first) and the
-    /// drop count.
-    pub fn snapshot(&self) -> FlightSnapshot {
-        let ring = self.lock();
-        FlightSnapshot {
-            events: ring.events().cloned().collect(),
-            dropped: ring.dropped(),
-        }
-    }
 }
 
 /// Suspect record ids for a postmortem: subjects of the most recent
@@ -353,14 +300,14 @@ fn open_span_names(nodes: &[crate::report::SpanNode], out: &mut Vec<String>) {
 /// state.
 ///
 /// `canonical: false` is the postmortem form: real timestamps, the
-/// task ring, and every counter event. `canonical: true` is the
+/// `tasks` stamps after the ring's events, and every counter event. `canonical: true` is the
 /// byte-identity form used by `--flight=` and the determinism tests:
 /// timestamps zeroed, task stamps omitted, counter events in the
 /// volatile namespaces dropped, and the counter snapshot taken from
 /// [`crate::TelemetryReport::canonical`].
 pub fn dump_value(
     obs: &Collector,
-    tasks: Option<&TaskLog>,
+    tasks: Option<&FlightSnapshot>,
     reason: &str,
     suspects: &[String],
     canonical: bool,
@@ -395,9 +342,8 @@ pub fn dump_value(
     let mut task_dropped = 0;
     if !canonical {
         if let Some(tasks) = tasks {
-            let stamps = tasks.snapshot();
-            task_dropped = stamps.dropped;
-            events.extend(stamps.events.iter().map(event_value));
+            task_dropped = tasks.dropped;
+            events.extend(tasks.events.iter().map(event_value));
         }
     }
     let mut open = Vec::new();
@@ -437,7 +383,7 @@ pub fn dump_value(
 /// Renders a dump envelope to its JSON text.
 pub fn render_dump(
     obs: &Collector,
-    tasks: Option<&TaskLog>,
+    tasks: Option<&FlightSnapshot>,
     reason: &str,
     suspects: &[String],
     canonical: bool,
@@ -452,7 +398,7 @@ pub fn render_dump(
 pub fn write_dump(
     path: &Path,
     obs: &Collector,
-    tasks: Option<&TaskLog>,
+    tasks: Option<&FlightSnapshot>,
     reason: &str,
     suspects: &[String],
     canonical: bool,
@@ -694,6 +640,21 @@ pub fn render_postmortem(dump: &FlightDump, last_n: usize) -> String {
 mod tests {
     use super::*;
 
+    fn task_stamp(label: &str, worker: usize, chunk: usize, items: usize) -> FlightSnapshot {
+        FlightSnapshot {
+            events: vec![FlightEvent {
+                t_s: 0.0,
+                kind: FlightKind::Task {
+                    label: label.to_owned(),
+                    worker,
+                    chunk,
+                    items,
+                },
+            }],
+            dropped: 0,
+        }
+    }
+
     fn counter_event(name: &str, delta: u64) -> FlightEvent {
         FlightEvent {
             t_s: 0.0,
@@ -810,8 +771,7 @@ mod tests {
         let obs = Collector::new();
         obs.add("quarantine.records", 1);
         obs.add("cache.hit.corpus", 1);
-        let tasks = TaskLog::new();
-        tasks.push("parse", 0, 0, 8);
+        let tasks = task_stamp("parse", 0, 0, 8);
         let text = render_dump(&obs, Some(&tasks), "end-of-run", &[], true);
         let dump = validate_dump(&text).expect("canonical dump validates");
         assert!(dump.canonical);
@@ -837,8 +797,8 @@ mod tests {
     #[test]
     fn full_dump_carries_task_stamps() {
         let obs = Collector::new();
-        let tasks = TaskLog::new();
-        tasks.push("digitize", 2, 5, 16);
+        let mut tasks = task_stamp("digitize", 2, 5, 16);
+        tasks.dropped = 3;
         let text = render_dump(&obs, Some(&tasks), "end-of-run", &[], false);
         let dump = validate_dump(&text).expect("validates");
         assert!(dump
@@ -846,6 +806,7 @@ mod tests {
             .iter()
             .any(|e| matches!(&e.kind, FlightKind::Task { label, worker: 2, chunk: 5, items: 16 }
                 if label == "digitize")));
+        assert_eq!(dump.dropped, 3, "task drops add to the ring's");
     }
 
     #[test]

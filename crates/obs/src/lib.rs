@@ -16,6 +16,10 @@
 //!   ([`Collector::record`]).
 //! * **Logs** — timestamped progress events ([`Collector::log`]),
 //!   optionally echoed to stderr for CLI progress lines.
+//! * **Lineage** — typed per-record provenance events
+//!   ([`Collector::lineage`]) on a collector built
+//!   [`Collector::with_lineage`], read back as a [`ProvenanceLog`]
+//!   ([`Collector::provenance`]).
 //!
 //! A [`Collector::report`] snapshot ([`TelemetryReport`]) renders as a
 //! plaintext span tree ([`TelemetryReport::render_tree`]) or as JSON
@@ -53,7 +57,7 @@ pub mod report;
 pub mod trace;
 
 pub use collector::{Collector, CollectorState, SpanGuard, SpanState};
-pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRing, FlightSnapshot, TaskLog};
+pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRing, FlightSnapshot};
 pub use health::{HealthReport, HealthRule};
 pub use hist::{Histogram, HistogramState, HistogramSummary};
 pub use profile::{

@@ -694,16 +694,6 @@ pub fn validate_folded(text: &str) -> Result<usize, String> {
     Ok(lines)
 }
 
-/// Builds a chunk-size distribution (`(items, chunks)`, ascending) —
-/// a small helper for pool accounting callers.
-pub fn chunk_size_counts(lens: impl IntoIterator<Item = usize>) -> Vec<(usize, u64)> {
-    let mut map = std::collections::BTreeMap::new();
-    for len in lens {
-        *map.entry(len).or_insert(0u64) += 1;
-    }
-    map.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,11 +860,6 @@ mod tests {
         );
         assert!(row.wall_s >= 0.003);
         assert!(prof.stage("stage_ii_parse").is_none());
-    }
-
-    #[test]
-    fn chunk_size_counts_accumulate() {
-        assert_eq!(chunk_size_counts([4, 2, 4]), vec![(2, 1), (4, 2)]);
     }
 
     #[test]

@@ -3,17 +3,24 @@
 //!
 //! The aggregate telemetry in [`crate::collector`] answers *how many*
 //! records were corrected, quarantined, or tagged; this module answers
-//! *why this record* landed where it did. Every stage appends typed
+//! *why this record* landed where it did. Every stage records typed
 //! [`ProvenanceEvent`]s about a [`Subject`] (a record, a document, a
-//! document line, or the run as a whole) to a shared [`ProvenanceLog`].
+//! document line, or the run as a whole) into the same
+//! [`Collector`](crate::Collector) that takes its telemetry
+//! ([`Collector::lineage`](crate::Collector::lineage), recorded only on
+//! a collector built
+//! [`with_lineage`](crate::Collector::with_lineage));
+//! [`Collector::provenance`](crate::Collector::provenance) returns the
+//! read-only [`ProvenanceLog`] snapshot that the exports and
+//! `disengage explain` read.
 //!
 //! Determinism is the core contract: no event carries wall-clock data,
 //! entry order is causal order, and parallel stages record into
-//! per-task shards ([`ProvenanceLog::shard`]) folded back in task-index
-//! order ([`ProvenanceLog::absorb`]) — the same discipline as
-//! `Collector::shard`/`absorb` — so the serialized log
-//! ([`ProvenanceLog::to_jsonl`]) is byte-identical at any `--jobs`
-//! count, clean or under chaos.
+//! collector shards folded back in task-index order
+//! ([`Collector::absorb`](crate::Collector::absorb)) together with
+//! their telemetry, so the
+//! serialized log ([`ProvenanceLog::to_jsonl`]) is byte-identical at
+//! any `--jobs` count, clean or under chaos.
 //!
 //! Records are addressed by a stable [`RecordId`] derived from report
 //! content (manufacturer, report year, car, per-car ordinal), never
@@ -22,7 +29,6 @@
 use crate::json::Value;
 use crate::key_segment;
 use std::fmt;
-use std::sync::Mutex;
 
 /// Stable, content-derived identity of one disengagement record.
 ///
@@ -377,98 +383,24 @@ impl ProvenanceEntry {
     }
 }
 
-/// Append-only, thread-safe provenance log.
-///
-/// Sequential stages push directly; parallel stages record into
-/// per-task [`ProvenanceLog::shard`]s absorbed in task-index order so
-/// the final entry sequence is independent of the worker count.
-#[derive(Debug)]
+/// A read-only snapshot of a run's lineage, in causal order — what
+/// [`Collector::provenance`](crate::Collector::provenance) returns.
+#[derive(Debug, PartialEq)]
 pub struct ProvenanceLog {
-    enabled: bool,
-    inner: Mutex<Vec<ProvenanceEntry>>,
-}
-
-impl Default for ProvenanceLog {
-    fn default() -> Self {
-        ProvenanceLog::new()
-    }
+    pub(crate) entries: Vec<ProvenanceEntry>,
 }
 
 impl ProvenanceLog {
-    /// An empty, recording log.
-    pub fn new() -> ProvenanceLog {
-        ProvenanceLog {
-            enabled: true,
-            inner: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A log that ignores every push — the zero-overhead default for
-    /// runs that did not ask for lineage.
-    pub fn disabled() -> ProvenanceLog {
-        ProvenanceLog {
-            enabled: false,
-            inner: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Whether pushes are recorded. Stages may use this to skip
-    /// building event payloads entirely.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<ProvenanceEntry>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Appends one event (no-op when disabled).
-    pub fn push(&self, subject: Subject, event: ProvenanceEvent) {
-        if self.enabled {
-            self.lock().push(ProvenanceEntry { subject, event });
-        }
-    }
-
-    /// An empty shard with this log's enablement — what a parallel
-    /// worker records into. Fold back with [`ProvenanceLog::absorb`]
-    /// in task-index order.
-    pub fn shard(&self) -> ProvenanceLog {
-        if self.enabled {
-            ProvenanceLog::new()
-        } else {
-            ProvenanceLog::disabled()
-        }
-    }
-
-    /// Appends a shard's entries in their recorded order.
-    pub fn absorb(&self, shard: ProvenanceLog) {
-        if !self.enabled {
-            return;
-        }
-        let entries = shard.inner.into_inner().unwrap_or_else(|e| e.into_inner());
-        self.lock().extend(entries);
-    }
-
-    /// Snapshot of every entry in causal order.
-    pub fn entries(&self) -> Vec<ProvenanceEntry> {
-        self.lock().clone()
-    }
-
-    /// Number of entries recorded so far.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+    /// Every entry in causal order.
+    pub fn entries(&self) -> &[ProvenanceEntry] {
+        &self.entries
     }
 
     /// Serializes the log as JSON Lines: one stable-field-order object
     /// per entry, no timestamps — byte-identical at any worker count.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for entry in self.lock().iter() {
+        for entry in &self.entries {
             out.push_str(&entry.to_value().render());
             out.push('\n');
         }
@@ -479,7 +411,7 @@ impl ProvenanceLog {
     pub fn record_ids(&self) -> Vec<RecordId> {
         let mut seen = std::collections::BTreeSet::new();
         let mut out = Vec::new();
-        for entry in self.lock().iter() {
+        for entry in &self.entries {
             if let Subject::Record(id) = &entry.subject {
                 if seen.insert(id.clone()) {
                     out.push(id.clone());
@@ -493,7 +425,7 @@ impl ProvenanceLog {
     /// `(label, subject)` pairs covering a corrected record, a
     /// quarantined line, and a cleanly tagged record when present.
     pub fn exemplars(&self) -> Vec<(&'static str, String)> {
-        let entries = self.lock();
+        let entries = &self.entries;
         // Map each (doc, line) to whether the line saw a repair/fault.
         let mut touched = std::collections::BTreeSet::new();
         for e in entries.iter() {
@@ -553,7 +485,7 @@ impl ProvenanceLog {
     /// document's events are included.
     pub fn explain(&self, target: &str) -> Option<String> {
         let target = target.trim();
-        let entries = self.lock();
+        let entries = &self.entries;
         let mut keys: Vec<String> = vec![target.to_owned()];
         // Expand record -> source line/document, line -> document.
         for e in entries.iter() {
@@ -665,24 +597,6 @@ mod tests {
         assert_eq!(Subject::parse("doc:x"), None);
     }
 
-    #[test]
-    fn disabled_log_records_nothing() {
-        let log = ProvenanceLog::disabled();
-        log.push(
-            Subject::Run,
-            ProvenanceEvent::Degraded {
-                artifact: "table4".into(),
-                reason: "empty".into(),
-            },
-        );
-        let shard = log.shard();
-        assert!(!shard.is_enabled());
-        shard.push(Subject::Document(0), quarantine("x"));
-        log.absorb(shard);
-        assert!(log.is_empty());
-        assert_eq!(log.to_jsonl(), "");
-    }
-
     fn quarantine(reason: &str) -> ProvenanceEvent {
         ProvenanceEvent::Quarantined {
             stage: "stage_ii_parse".into(),
@@ -690,47 +604,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_absorb_in_order_matches_direct() {
-        let direct = ProvenanceLog::new();
-        let sharded = ProvenanceLog::new();
-        let mut shards = Vec::new();
-        for i in 0..10 {
-            let e = quarantine(&format!("reason {i}"));
-            direct.push(Subject::Document(i), e.clone());
-            let shard = sharded.shard();
-            shard.push(Subject::Document(i), e);
-            shards.push(shard);
+    /// A log recorded the way stages record it: through a lineage
+    /// collector.
+    fn log(entries: Vec<(Subject, ProvenanceEvent)>) -> ProvenanceLog {
+        let obs = crate::Collector::new().with_lineage(true);
+        for (subject, event) in entries {
+            obs.lineage(subject, event);
         }
-        for shard in shards {
-            sharded.absorb(shard);
-        }
-        assert_eq!(direct.entries(), sharded.entries());
-        assert_eq!(direct.to_jsonl(), sharded.to_jsonl());
+        obs.provenance()
     }
 
     #[test]
     fn jsonl_is_stable_order_and_parseable() {
-        let log = ProvenanceLog::new();
-        log.push(
-            Subject::Record(id()),
-            ProvenanceEvent::Tagged {
-                tag: "planner".into(),
-                category: "ml_design".into(),
-                score: 4.0,
-                margin: 3.0,
-                ambiguous: false,
-            },
-        );
-        log.push(
-            Subject::Line { doc: 2, line: 9 },
-            ProvenanceEvent::OcrRepair {
-                line: 9,
-                before: "disengag3".into(),
-                after: "disengage".into(),
-                attempt: 1,
-            },
-        );
+        let log = log(vec![
+            (
+                Subject::Record(id()),
+                ProvenanceEvent::Tagged {
+                    tag: "planner".into(),
+                    category: "ml_design".into(),
+                    score: 4.0,
+                    margin: 3.0,
+                    ambiguous: false,
+                },
+            ),
+            (
+                Subject::Line { doc: 2, line: 9 },
+                ProvenanceEvent::OcrRepair {
+                    line: 9,
+                    before: "disengag3".into(),
+                    after: "disengage".into(),
+                    attempt: 1,
+                },
+            ),
+        ]);
         let jsonl = log.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -750,42 +656,43 @@ mod tests {
 
     #[test]
     fn explain_groups_stages_and_joins_record_to_line() {
-        let log = ProvenanceLog::new();
         let rid = id();
-        log.push(
-            Subject::Line { doc: 4, line: 17 },
-            ProvenanceEvent::OcrRepair {
-                line: 17,
-                before: "str3et".into(),
-                after: "street".into(),
-                attempt: 1,
-            },
-        );
-        log.push(
-            Subject::Line { doc: 4, line: 17 },
-            ProvenanceEvent::FaultInjected {
-                kind: "char_noise".into(),
-                line: 17,
-            },
-        );
-        log.push(
-            Subject::Record(rid.clone()),
-            ProvenanceEvent::Normalized {
-                doc: 4,
-                line: 17,
-                summary: "car-3 2016-03-14 auto".into(),
-            },
-        );
-        log.push(
-            Subject::Record(rid.clone()),
-            ProvenanceEvent::Tagged {
-                tag: "planner".into(),
-                category: "ml_design".into(),
-                score: 4.0,
-                margin: 3.0,
-                ambiguous: false,
-            },
-        );
+        let log = log(vec![
+            (
+                Subject::Line { doc: 4, line: 17 },
+                ProvenanceEvent::OcrRepair {
+                    line: 17,
+                    before: "str3et".into(),
+                    after: "street".into(),
+                    attempt: 1,
+                },
+            ),
+            (
+                Subject::Line { doc: 4, line: 17 },
+                ProvenanceEvent::FaultInjected {
+                    kind: "char_noise".into(),
+                    line: 17,
+                },
+            ),
+            (
+                Subject::Record(rid.clone()),
+                ProvenanceEvent::Normalized {
+                    doc: 4,
+                    line: 17,
+                    summary: "car-3 2016-03-14 auto".into(),
+                },
+            ),
+            (
+                Subject::Record(rid.clone()),
+                ProvenanceEvent::Tagged {
+                    tag: "planner".into(),
+                    category: "ml_design".into(),
+                    score: 4.0,
+                    margin: 3.0,
+                    ambiguous: false,
+                },
+            ),
+        ]);
         let tree = log.explain(&rid.to_string()).expect("record has lineage");
         // Stage groups appear in pipeline order and include the source
         // line's events discovered through the normalized event.
@@ -801,35 +708,36 @@ mod tests {
 
     #[test]
     fn exemplars_cover_corrected_quarantined_clean() {
-        let log = ProvenanceLog::new();
-        log.push(
-            Subject::Line { doc: 0, line: 3 },
-            ProvenanceEvent::OcrRepair {
-                line: 3,
-                before: "a".into(),
-                after: "b".into(),
-                attempt: 1,
-            },
-        );
         let fixed = RecordId::new("Nissan", 2015, "car-0", 0);
-        log.push(
-            Subject::Record(fixed.clone()),
-            ProvenanceEvent::Normalized {
-                doc: 0,
-                line: 3,
-                summary: "x".into(),
-            },
-        );
-        log.push(Subject::Line { doc: 0, line: 9 }, quarantine("bad row"));
         let clean = RecordId::new("Waymo", 2015, "car-1", 0);
-        log.push(
-            Subject::Record(clean.clone()),
-            ProvenanceEvent::Normalized {
-                doc: 0,
-                line: 4,
-                summary: "y".into(),
-            },
-        );
+        let log = log(vec![
+            (
+                Subject::Line { doc: 0, line: 3 },
+                ProvenanceEvent::OcrRepair {
+                    line: 3,
+                    before: "a".into(),
+                    after: "b".into(),
+                    attempt: 1,
+                },
+            ),
+            (
+                Subject::Record(fixed.clone()),
+                ProvenanceEvent::Normalized {
+                    doc: 0,
+                    line: 3,
+                    summary: "x".into(),
+                },
+            ),
+            (Subject::Line { doc: 0, line: 9 }, quarantine("bad row")),
+            (
+                Subject::Record(clean.clone()),
+                ProvenanceEvent::Normalized {
+                    doc: 0,
+                    line: 4,
+                    summary: "y".into(),
+                },
+            ),
+        ]);
         let exemplars = log.exemplars();
         assert_eq!(
             exemplars,

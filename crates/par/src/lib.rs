@@ -11,7 +11,7 @@
 //!
 //! # Determinism contract
 //!
-//! For a pure `f`, `par_map_indexed(jobs, items, f)` returns the same
+//! For a pure `f`, `par_map_indexed(jobs, items, f, ..)` returns the same
 //! `Vec` for every `jobs` value — 1, 2, 8, or the machine's core
 //! count. Nothing about the result depends on the schedule: each item
 //! is evaluated exactly once from its own index, results land in
@@ -29,10 +29,21 @@
 //! poisons sibling work. [`par_map_indexed`] is the strict form,
 //! re-raising the first (lowest-index) panic after the pool drains.
 //!
+//! # Task timeline
+//!
+//! Every map records its chunks on a [`TaskTimeline`] under a label:
+//! an enabled timeline times every task for the Chrome-trace export
+//! and the self-profiler; a [disabled](TaskTimeline::disabled) one
+//! keeps only the untimed stamps of the last [`TASK_TAIL`] tasks, the
+//! tail a crash dump names.
+//!
 //! # Examples
 //!
 //! ```
-//! let squares = disengage_par::par_map_indexed(4, &[1u64, 2, 3, 4], |_, &x| x * x);
+//! use disengage_par::{par_map_indexed, TaskTimeline};
+//!
+//! let timeline = TaskTimeline::disabled();
+//! let squares = par_map_indexed(4, &[1u64, 2, 3, 4], |_, &x| x * x, &timeline, "square");
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -40,7 +51,6 @@ mod pool;
 mod timeline;
 
 pub use pool::{
-    available_jobs, par_map_catch, par_map_catch_timed, par_map_coarse_catch_timed,
-    par_map_indexed, par_map_indexed_timed, resolve_jobs, TaskPanic,
+    available_jobs, par_map_catch, par_map_coarse_catch, par_map_indexed, resolve_jobs, TaskPanic,
 };
-pub use timeline::{PoolCall, TaskObserver, TaskSpan, TaskTimeline, WorkerStats};
+pub use timeline::{PoolCall, TaskSpan, TaskTimeline, WorkerStats, TASK_TAIL};

@@ -115,22 +115,14 @@ fn next_chunk(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 /// (0 = all available cores), quarantining per-item panics: the output
 /// slot for a panicking item carries its [`TaskPanic`] and every other
 /// item still completes. Output order is input order.
-pub fn par_map_catch<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_catch_timed(jobs, items, f, &TaskTimeline::disabled(), "par")
-}
-
-/// [`par_map_catch`] that also records one [`crate::TaskSpan`] per
-/// executed chunk into `timeline`, labeled `label` — the execution
-/// timeline behind the Chrome-trace export. The sequential (`jobs <=
-/// 1`) path records the same chunk structure on worker 0, so the set
-/// of tasks is identical at every worker count; only their timings
+///
+/// Every executed chunk lands on `timeline` as one [`crate::TaskSpan`]
+/// labeled `label` — the execution timeline behind the Chrome-trace
+/// export and the flight recorder's task tail. The sequential (`jobs
+/// <= 1`) path records the same chunk structure on worker 0, so the
+/// set of tasks is identical at every worker count; only their timings
 /// and worker assignments differ.
-pub fn par_map_catch_timed<T, R, F>(
+pub fn par_map_catch<T, R, F>(
     jobs: usize,
     items: &[T],
     f: F,
@@ -142,18 +134,18 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_chunked_timed(jobs, items, chunk_len(items.len()), f, timeline, label)
+    par_map_chunked(jobs, items, chunk_len(items.len()), f, timeline, label)
 }
 
 /// The coarse scheduling form: every item is its own chunk, so at most
 /// `jobs` items are ever in flight at once. This is the shard-level
 /// scheduler — each item is a whole pipeline shard whose working set is
 /// the thing being memory-bounded, so pairing items (the fine-grained
-/// [`chunk_len`] floor) would double peak RSS for no scheduling win at
+/// two-item chunk floor) would double peak RSS for no scheduling win at
 /// shard counts of a few dozen. Determinism is unchanged: the partition
 /// is still a pure function of `items.len()`, results land in
 /// per-item slots, and output order is input order.
-pub fn par_map_coarse_catch_timed<T, R, F>(
+pub fn par_map_coarse_catch<T, R, F>(
     jobs: usize,
     items: &[T],
     f: F,
@@ -165,12 +157,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_chunked_timed(jobs, items, 1, f, timeline, label)
+    par_map_chunked(jobs, items, 1, f, timeline, label)
 }
 
 /// Shared body of the fine- and coarse-grained maps: the chunk length
 /// is a caller-supplied pure function of the input (never of `jobs`).
-fn par_map_chunked_timed<T, R, F>(
+fn par_map_chunked<T, R, F>(
     jobs: usize,
     items: &[T],
     chunk: usize,
@@ -241,7 +233,8 @@ where
 }
 
 /// Maps `f(index, &item)` over `items` on a pool of `jobs` workers
-/// (0 = all available cores), preserving input order in the output.
+/// (0 = all available cores), preserving input order in the output,
+/// and records its chunks on `timeline` like [`par_map_catch`].
 ///
 /// This is the strict form: the whole batch runs to completion (the
 /// pool never hangs), then the first panic by input index — if any —
@@ -251,22 +244,7 @@ where
 /// # Panics
 ///
 /// Re-raises the lowest-index task panic, if any task panicked.
-pub fn par_map_indexed<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_timed(jobs, items, f, &TaskTimeline::disabled(), "par")
-}
-
-/// [`par_map_indexed`] that also records one [`crate::TaskSpan`] per
-/// executed chunk into `timeline` (see [`par_map_catch_timed`]).
-///
-/// # Panics
-///
-/// Re-raises the lowest-index task panic, if any task panicked.
-pub fn par_map_indexed_timed<T, R, F>(
+pub fn par_map_indexed<T, R, F>(
     jobs: usize,
     items: &[T],
     f: F,
@@ -278,7 +256,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_catch_timed(jobs, items, f, timeline, label)
+    par_map_catch(jobs, items, f, timeline, label)
         .into_iter()
         .map(|r| match r {
             Ok(value) => value,
@@ -292,10 +270,19 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The strict map without a timeline to inspect.
+    fn map<T: Sync, R: Send>(
+        jobs: usize,
+        items: &[T],
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        par_map_indexed(jobs, items, f, &TaskTimeline::disabled(), "test")
+    }
+
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map_indexed(8, &items, |i, &x| {
+        let out = map(8, &items, |i, &x| {
             assert_eq!(i as u64, x);
             x * 3 + 1
         });
@@ -305,9 +292,9 @@ mod tests {
     #[test]
     fn identical_at_every_worker_count() {
         let items: Vec<u64> = (0..777).collect();
-        let reference = par_map_indexed(1, &items, |i, &x| x.wrapping_mul(i as u64 + 7));
+        let reference = map(1, &items, |i, &x| x.wrapping_mul(i as u64 + 7));
         for jobs in [2, 3, 8, 0] {
-            let out = par_map_indexed(jobs, &items, |i, &x| x.wrapping_mul(i as u64 + 7));
+            let out = map(jobs, &items, |i, &x| x.wrapping_mul(i as u64 + 7));
             assert_eq!(out, reference, "jobs = {jobs}");
         }
     }
@@ -317,7 +304,7 @@ mod tests {
         // Early items are much heavier: stealing has to kick in for
         // the run to finish promptly, and order must survive it.
         let items: Vec<usize> = (0..64).collect();
-        let out = par_map_indexed(4, &items, |_, &x| {
+        let out = map(4, &items, |_, &x| {
             let mut acc = 0u64;
             let spins = if x < 4 { 200_000 } else { 200 };
             for k in 0..spins {
@@ -332,15 +319,15 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map_indexed(8, &empty, |_, &x| x).is_empty());
-        assert_eq!(par_map_indexed(8, &[5u32], |i, &x| x + i as u32), vec![5]);
+        assert!(map(8, &empty, |_, &x| x).is_empty());
+        assert_eq!(map(8, &[5u32], |i, &x| x + i as u32), vec![5]);
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let hits = AtomicUsize::new(0);
         let items: Vec<u32> = (0..513).collect();
-        par_map_indexed(6, &items, |_, _| {
+        map(6, &items, |_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), items.len());
@@ -349,10 +336,16 @@ mod tests {
     #[test]
     fn panic_quarantined_to_its_item() {
         let items: Vec<u32> = (0..40).collect();
-        let out = par_map_catch(4, &items, |_, &x| {
-            assert!(x != 17, "poisoned item");
-            x + 1
-        });
+        let out = par_map_catch(
+            4,
+            &items,
+            |_, &x| {
+                assert!(x != 17, "poisoned item");
+                x + 1
+            },
+            &TaskTimeline::disabled(),
+            "test",
+        );
         for (i, r) in out.iter().enumerate() {
             if i == 17 {
                 let p = r.as_ref().unwrap_err();
@@ -367,10 +360,16 @@ mod tests {
     #[test]
     fn many_panics_do_not_hang_the_pool() {
         let items: Vec<u32> = (0..200).collect();
-        let out = par_map_catch(8, &items, |_, &x| {
-            assert!(x % 2 == 0, "odd item {x}");
-            x
-        });
+        let out = par_map_catch(
+            8,
+            &items,
+            |_, &x| {
+                assert!(x % 2 == 0, "odd item {x}");
+                x
+            },
+            &TaskTimeline::disabled(),
+            "test",
+        );
         let (ok, err): (Vec<_>, Vec<_>) = out.iter().partition(|r| r.is_ok());
         assert_eq!(ok.len(), 100);
         assert_eq!(err.len(), 100);
@@ -380,7 +379,7 @@ mod tests {
     fn strict_form_reraises_lowest_index_panic() {
         let items: Vec<u32> = (0..50).collect();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed(4, &items, |_, &x| {
+            map(4, &items, |_, &x| {
                 assert!(x != 9 && x != 33, "bad item {x}");
                 x
             })
@@ -395,8 +394,7 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         for jobs in [1usize, 4] {
             let timeline = TaskTimeline::new();
-            let out =
-                par_map_indexed_timed(jobs, &items, |_, &x| x + 1, &timeline, "stage_test");
+            let out = par_map_indexed(jobs, &items, |_, &x| x + 1, &timeline, "stage_test");
             assert_eq!(out.len(), items.len());
             let mut tasks = timeline.tasks();
             tasks.sort_by_key(|t| t.chunk);
@@ -426,7 +424,7 @@ mod tests {
         let items: Vec<usize> = (0..512).collect();
         for jobs in [1usize, 4] {
             let timeline = TaskTimeline::new();
-            par_map_indexed_timed(
+            par_map_indexed(
                 jobs,
                 &items,
                 |_, &x| {
@@ -481,7 +479,7 @@ mod tests {
         let items: Vec<u64> = (0..23).collect();
         for jobs in [1usize, 4] {
             let timeline = TaskTimeline::new();
-            let out = par_map_coarse_catch_timed(
+            let out = par_map_coarse_catch(
                 jobs,
                 &items,
                 |i, &x| {
@@ -508,7 +506,7 @@ mod tests {
         let in_flight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let items: Vec<u32> = (0..48).collect();
-        par_map_coarse_catch_timed(
+        par_map_coarse_catch(
             jobs,
             &items,
             |_, _| {

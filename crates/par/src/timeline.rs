@@ -2,10 +2,10 @@
 //! when — plus per-call accounting (busy/idle/steal time per worker,
 //! chunk-size distribution) for the self-profiler.
 //!
-//! A [`TaskTimeline`] is passed to the `_timed` map variants; each
-//! claimed chunk records one [`TaskSpan`] carrying the worker index,
-//! chunk number, covered item range, and start/end seconds relative to
-//! the timeline's epoch. Each pool invocation additionally records one
+//! A [`TaskTimeline`] is passed to every map call; each claimed chunk
+//! records one [`TaskSpan`] carrying the worker index, chunk number,
+//! covered item range, and start/end seconds relative to the
+//! timeline's epoch. Each pool invocation additionally records one
 //! [`PoolCall`] envelope (label, effective worker count, partition
 //! shape, wall window); [`TaskTimeline::worker_stats`] folds the two
 //! into per-worker busy/idle/steal accounting. The Chrome-trace
@@ -15,30 +15,26 @@
 //! contract (chunk structure is: the partition is a pure function of
 //! the input length, so the set of recorded tasks is the same at every
 //! worker count; only their timings and worker assignments vary).
+//!
+//! A [disabled](TaskTimeline::disabled) timeline reads no clock and
+//! opens no call envelopes, but still keeps the last [`TASK_TAIL`]
+//! task stamps (untimed) and counts the older ones it drops, so a
+//! crash dump can name the last pool tasks of any run.
+//! [`TaskTimeline::task_tail`] reads that tail from either kind.
 
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A lightweight hook invoked once per completed pool task, even on a
-/// disabled timeline.
-///
-/// The flight recorder (in the observability crate, which this crate
-/// does not depend on) wants task stamps from *every* run, while the
-/// timeline proper only records when tracing was requested — so the
-/// hook fires before the enabled check. Implementations must be cheap
-/// and must not block: they run on pool workers, inside the task
-/// completion path.
-pub trait TaskObserver: Send + Sync {
-    /// One completed task: call label, worker that ran it, chunk
-    /// index, items in the chunk.
-    fn task(&self, label: &str, worker: usize, chunk: usize, items: usize);
-}
+/// Task stamps a disabled timeline keeps, and the length of
+/// [`TaskTimeline::task_tail`]: the most recent tasks, older ones
+/// dropped oldest-first and counted.
+pub const TASK_TAIL: usize = 256;
 
 /// One executed pool task (a chunk of contiguous items).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpan {
-    /// Stage label passed to the `_timed` map call.
+    /// Stage label passed to the map call.
     pub label: String,
     /// Worker that ran the chunk (0-based; 0 on the sequential path).
     pub worker: usize,
@@ -48,11 +44,12 @@ pub struct TaskSpan {
     pub first_index: usize,
     /// Number of items in the chunk.
     pub len: usize,
-    /// Start, seconds since the timeline epoch.
+    /// Start, seconds since the timeline epoch (0 when disabled).
     pub start_s: f64,
-    /// End, seconds since the timeline epoch.
+    /// End, seconds since the timeline epoch (0 when disabled).
     pub end_s: f64,
-    /// Index of the [`PoolCall`] this task ran under.
+    /// Index of the [`PoolCall`] this task ran under (0 when
+    /// disabled, which records no calls).
     pub call: usize,
 }
 
@@ -60,7 +57,7 @@ pub struct TaskSpan {
 /// workers, and the call's wall-clock window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolCall {
-    /// Stage label passed to the `_timed` map call.
+    /// Stage label passed to the map call.
     pub label: String,
     /// Effective worker count (after `resolve_jobs` and the
     /// input-length clamp; 1 on the sequential path).
@@ -97,24 +94,22 @@ pub struct WorkerStats {
     pub items: u64,
 }
 
+/// The recorded tasks: every task when enabled, the last
+/// [`TASK_TAIL`] when disabled, plus the count of tasks dropped to
+/// keep that bound.
+#[derive(Debug, Default)]
+struct Tasks {
+    spans: VecDeque<TaskSpan>,
+    dropped: u64,
+}
+
 /// Thread-safe accumulator of [`TaskSpan`]s across pool calls.
+#[derive(Debug)]
 pub struct TaskTimeline {
     enabled: bool,
     epoch: Instant,
-    tasks: Mutex<Vec<TaskSpan>>,
+    tasks: Mutex<Tasks>,
     calls: Mutex<Vec<PoolCall>>,
-    observer: Option<Arc<dyn TaskObserver>>,
-}
-
-impl fmt::Debug for TaskTimeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TaskTimeline")
-            .field("enabled", &self.enabled)
-            .field("tasks", &self.tasks)
-            .field("calls", &self.calls)
-            .field("observer", &self.observer.as_ref().map(|_| "…"))
-            .finish()
-    }
 }
 
 impl Default for TaskTimeline {
@@ -136,37 +131,19 @@ impl TaskTimeline {
         TaskTimeline {
             enabled: true,
             epoch,
-            tasks: Mutex::new(Vec::new()),
+            tasks: Mutex::new(Tasks::default()),
             calls: Mutex::new(Vec::new()),
-            observer: None,
         }
     }
 
-    /// A timeline that records nothing — the zero-overhead default for
-    /// runs that did not ask for an execution trace. An attached
-    /// [`TaskObserver`] still fires.
+    /// A timeline for runs that did not ask for an execution trace: no
+    /// clock reads and no call envelopes, only the untimed stamps of
+    /// the last [`TASK_TAIL`] tasks.
     pub fn disabled() -> TaskTimeline {
         TaskTimeline {
             enabled: false,
-            epoch: Instant::now(),
-            tasks: Mutex::new(Vec::new()),
-            calls: Mutex::new(Vec::new()),
-            observer: None,
+            ..TaskTimeline::new()
         }
-    }
-
-    /// Attaches a per-task observer (builder style). The observer
-    /// fires on every completed task regardless of whether the
-    /// timeline itself records.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn TaskObserver>) -> TaskTimeline {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Whether task spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Seconds-since-epoch stamp for a task about to start
@@ -218,8 +195,8 @@ impl TaskTimeline {
         }
     }
 
-    /// Records one completed task (no-op when disabled, except that an
-    /// attached observer always fires).
+    /// Records one completed task. A disabled timeline keeps only the
+    /// last [`TASK_TAIL`], dropping the oldest.
     pub(crate) fn record(
         &self,
         label: &str,
@@ -230,15 +207,13 @@ impl TaskTimeline {
         start: Duration,
         call: usize,
     ) {
-        if let Some(observer) = &self.observer {
-            observer.task(label, worker, chunk, len);
-        }
-        if !self.enabled {
-            return;
-        }
-        let end = self.epoch.elapsed();
+        let end = self.stamp();
         let mut tasks = self.tasks.lock().unwrap_or_else(|e| e.into_inner());
-        tasks.push(TaskSpan {
+        if !self.enabled && tasks.spans.len() == TASK_TAIL {
+            tasks.spans.pop_front();
+            tasks.dropped += 1;
+        }
+        tasks.spans.push_back(TaskSpan {
             label: label.to_owned(),
             worker,
             chunk,
@@ -250,9 +225,21 @@ impl TaskTimeline {
         });
     }
 
-    /// Snapshot of every recorded task, in completion order.
+    /// Snapshot of every task held, in completion order.
     pub fn tasks(&self) -> Vec<TaskSpan> {
-        self.tasks.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        let tasks = self.tasks.lock().unwrap_or_else(|e| e.into_inner());
+        tasks.spans.iter().cloned().collect()
+    }
+
+    /// The last [`TASK_TAIL`] tasks in completion order, and how many
+    /// earlier tasks that leaves out — the flight recorder's
+    /// postmortem view, the same for an enabled or a disabled
+    /// timeline.
+    pub fn task_tail(&self) -> (Vec<TaskSpan>, u64) {
+        let tasks = self.tasks.lock().unwrap_or_else(|e| e.into_inner());
+        let skip = tasks.spans.len().saturating_sub(TASK_TAIL);
+        let tail = tasks.spans.iter().skip(skip).cloned().collect();
+        (tail, tasks.dropped + skip as u64)
     }
 
     /// Snapshot of every pool-call envelope, in call order.
@@ -260,12 +247,16 @@ impl TaskTimeline {
         self.calls.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Number of tasks recorded so far.
+    /// Number of tasks held.
     pub fn len(&self) -> usize {
-        self.tasks.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.tasks
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .spans
+            .len()
     }
 
-    /// Whether no task has been recorded.
+    /// Whether no task is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -338,40 +329,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_timeline_records_nothing() {
+    fn disabled_timeline_keeps_an_untimed_bounded_tail() {
         let t = TaskTimeline::disabled();
-        let s = t.stamp();
-        let call = t.begin_call("x", 1, 4, 1, 4);
-        t.record("x", 0, 0, 0, 4, s, call);
+        let call = t.begin_call("stage", 1, 1, 300, 300);
+        for chunk in 0..300 {
+            let s = t.stamp();
+            t.record("stage", 0, chunk, chunk, 1, s, call);
+        }
         t.end_call(call);
-        assert!(t.is_empty());
-        assert!(t.calls().is_empty());
-        assert!(!t.is_enabled());
+        assert!(t.calls().is_empty(), "no call envelopes when disabled");
         assert!(t.worker_stats().is_empty());
+        assert_eq!(t.len(), TASK_TAIL);
+        let (tail, dropped) = t.task_tail();
+        assert_eq!(dropped, (300 - TASK_TAIL) as u64);
+        assert_eq!(tail.first().map(|t| t.chunk), Some(300 - TASK_TAIL));
+        assert_eq!(tail.last().map(|t| t.chunk), Some(299));
+        assert!(tail.iter().all(|t| t.start_s == 0.0 && t.end_s == 0.0));
     }
 
     #[test]
-    fn observer_fires_even_when_disabled() {
-        struct Count(Mutex<Vec<(String, usize, usize, usize)>>);
-        impl TaskObserver for Count {
-            fn task(&self, label: &str, worker: usize, chunk: usize, items: usize) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push((label.to_owned(), worker, chunk, items));
-            }
+    fn enabled_tail_is_the_last_tasks_of_the_full_record() {
+        let t = TaskTimeline::new();
+        let call = t.begin_call("stage", 1, 1, 300, 300);
+        for chunk in 0..300 {
+            let s = t.stamp();
+            t.record("stage", 0, chunk, chunk, 1, s, call);
         }
-        let observer = Arc::new(Count(Mutex::new(Vec::new())));
-        let t = TaskTimeline::disabled().with_observer(observer.clone());
-        let s = t.stamp();
-        let call = t.begin_call("stage", 1, 4, 1, 4);
-        t.record("stage", 0, 3, 0, 4, s, call);
         t.end_call(call);
-        assert!(t.is_empty(), "disabled timeline still records nothing");
-        assert_eq!(
-            observer.0.lock().unwrap().as_slice(),
-            [("stage".to_owned(), 0, 3, 4)]
-        );
+        assert_eq!(t.len(), 300, "an enabled timeline keeps every task");
+        let (tail, dropped) = t.task_tail();
+        assert_eq!(tail.len(), TASK_TAIL);
+        assert_eq!(dropped, (300 - TASK_TAIL) as u64);
+        assert_eq!(tail[..], t.tasks()[300 - TASK_TAIL..]);
     }
 
     #[test]

@@ -59,10 +59,10 @@ impl Normalized {
 /// is parsed with the shared table format. Accident filings are parsed
 /// as OL 316 forms.
 pub fn normalize_document(doc: &RawDocument) -> Normalized {
-    normalize_document_traced(doc, 0, None, &disengage_obs::ProvenanceLog::disabled()).0
+    normalize_document_traced(doc, 0, None).0
 }
 
-/// [`normalize_document`] with Stage II telemetry and provenance.
+/// [`normalize_document`] with Stage II telemetry and lineage.
 ///
 /// With `obs` set it records attempted/parsed/failed line counters,
 /// total and per-manufacturer (the within-stage identity
@@ -70,22 +70,24 @@ pub fn normalize_document(doc: &RawDocument) -> Normalized {
 /// construction — each attempted line lands in exactly one bucket).
 /// It also assigns every recovered disengagement a stable
 /// [`disengage_obs::RecordId`] (manufacturer, filing year, car, per-car
-/// ordinal within this document) and records `normalized`/`quarantined` events into
-/// `prov` — `normalized` on the record's subject (carrying `doc_index`
-/// and the 1-based source line so a record's lineage joins to its
-/// line's OCR/chaos events), `quarantined` on the offending line (or
-/// the document, for whole-document accident/mileage failures).
+/// ordinal within this document) and, when `obs` records lineage,
+/// records `normalized`/`quarantined` events — `normalized` on the
+/// record's subject (carrying `doc_index` and the 1-based source line
+/// so a record's lineage joins to its line's OCR/chaos events),
+/// `quarantined` on the offending line (or the document, for
+/// whole-document accident/mileage failures).
 ///
 /// The returned ids are aligned index-for-index with
-/// `Normalized::disengagements` and are computed whether or not `prov`
-/// is enabled, so callers can thread them to Stage III unconditionally.
+/// `Normalized::disengagements` and are computed whether or not
+/// lineage is recorded, so callers can thread them to Stage III
+/// unconditionally.
 pub fn normalize_document_traced(
     doc: &RawDocument,
     doc_index: usize,
     obs: Option<&disengage_obs::Collector>,
-    prov: &disengage_obs::ProvenanceLog,
 ) -> (Normalized, Vec<disengage_obs::RecordId>) {
     use disengage_obs::{ProvenanceEvent, RecordId, Subject};
+    let lineage = obs.filter(|o| o.lineage_enabled());
     let count = |name: &str| {
         if let Some(obs) = obs {
             obs.incr(name);
@@ -101,8 +103,8 @@ pub fn normalize_document_traced(
         }
     };
     let quarantine = |subject: Subject, reason: &dyn std::fmt::Display| {
-        if prov.is_enabled() {
-            prov.push(
+        if let Some(obs) = lineage {
+            obs.lineage(
                 subject,
                 ProvenanceEvent::Quarantined {
                     stage: "stage_ii_parse".to_owned(),
@@ -159,8 +161,8 @@ pub fn normalize_document_traced(
                                     *seq,
                                 );
                                 *seq += 1;
-                                if prov.is_enabled() {
-                                    prov.push(
+                                if let Some(obs) = lineage {
+                                    obs.lineage(
                                         Subject::Record(id.clone()),
                                         ProvenanceEvent::Normalized {
                                             doc: doc_index,
@@ -352,7 +354,7 @@ mod tests {
 
     #[test]
     fn traced_normalize_assigns_stable_ids_and_events() {
-        use disengage_obs::{ProvenanceEvent, ProvenanceLog, Subject};
+        use disengage_obs::{Collector, ProvenanceEvent, Subject};
         let f = crate::formats::disengagement::NissanFormat;
         let mut second = sample_record();
         second.car = CarId::Known(3);
@@ -368,8 +370,8 @@ mod tests {
             DocumentKind::Disengagements,
             text,
         );
-        let prov = ProvenanceLog::new();
-        let (n, ids) = normalize_document_traced(&doc, 5, None, &prov);
+        let obs = Collector::new().with_lineage(true);
+        let (n, ids) = normalize_document_traced(&doc, 5, Some(&obs));
         assert_eq!(n.disengagements.len(), 3);
         assert_eq!(n.failures.len(), 1);
         // Ids align with the disengagements and disambiguate repeat cars
@@ -381,6 +383,7 @@ mod tests {
         );
         // One normalized event per record (joined to doc 5 and its line),
         // one quarantined event on the garbage line.
+        let prov = obs.provenance();
         let entries = prov.entries();
         let normalized: Vec<_> = entries
             .iter()
@@ -397,10 +400,12 @@ mod tests {
             .collect();
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].subject, Subject::Line { doc: 5, line: 2 });
-        // Disabled provenance still yields the same ids.
-        let (_, silent_ids) =
-            normalize_document_traced(&doc, 5, None, &ProvenanceLog::disabled());
+        // Without lineage (or without a collector) the ids are the same.
+        let silent = Collector::new();
+        let (_, silent_ids) = normalize_document_traced(&doc, 5, Some(&silent));
         assert_eq!(silent_ids, ids);
+        assert!(silent.provenance().entries().is_empty());
+        assert_eq!(normalize_document_traced(&doc, 5, None).1, ids);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification: tier-1 build + tests with warnings denied, the
+# Offline verification: tier-1 build + tests with warnings denied,
+# rustdoc with warnings denied (broken intra-doc links fail), the
 # benchmark package's tests and smoke run, the full workspace test
 # suite, the compiled Stage III classifier's full equivalence grid
 # against the reference classifier (release), the repro harness's
@@ -41,6 +42,11 @@ cargo build --release --offline
 
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
+
+echo "== docs: rustdoc builds with warnings denied =="
+# Catches intra-doc links to renamed, deleted or private items, which
+# no compiler or test step checks.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== benchmark: builds, tests and smoke-runs against the workspace =="
 # benchmark/ is a package of its own (see BENCHMARK.json), so no

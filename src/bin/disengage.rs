@@ -25,15 +25,16 @@
 //! `--help`/`-h` exit 0.
 //! Full-corpus commands accept `--scale`/`--seed` (corpus),
 //! `--jobs` (Stage I–III worker pool; output is byte-identical at
-//! every setting), `--chaos` (fault injection), `--lineage`/`--trace`
-//! (provenance and Chrome-trace exports), `--telemetry=MODE`
-//! (off|tree|json|stable-json, rendered after the command's own
-//! output), and `--cache-dir=`/`--no-cache` (the content-addressed
-//! stage artifact cache — a warm re-run replays Stages I–II instead
-//! of regenerating and re-OCRing the corpus).
+//! every setting), `--chaos` (fault injection), `--lineage` (record
+//! provenance — it moves the stage cache keys — and optionally export
+//! it), `--trace` (Chrome-trace export; never a cache key),
+//! `--telemetry=MODE` (off|tree|json|stable-json, rendered after the
+//! command's own output), and `--cache-dir=`/`--no-cache` (the
+//! content-addressed stage artifact cache — a warm re-run replays
+//! Stages I–II instead of regenerating and re-OCRing the corpus).
 
 use disengage::core::args::{ArgError, CommonArgs, ProfileMode, TelemetryMode};
-use disengage::core::pipeline::{OcrMode, RunTrace};
+use disengage::core::pipeline::OcrMode;
 use disengage::core::telemetry::{execution_trace_json, timed};
 use disengage::core::{exposure, questions, report, tables, whatif, RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
@@ -41,6 +42,7 @@ use disengage::dataframe::csv;
 use disengage::nlp::Classifier;
 use disengage::obs::{flight, health, Collector};
 use disengage::ocr::NoiseModel;
+use disengage::par::TaskTimeline;
 use disengage::reports::Manufacturer;
 use disengage::stats::kalra_paddock::failure_free_miles;
 use disengage::stpa::dot::to_dot;
@@ -124,24 +126,23 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
     if let Some(shards) = &args.shards {
         config = config.with_shards(shards.clone());
     }
-    let obs = Collector::new();
-    // `explain` always traces (it has nothing to show otherwise); other
-    // full-corpus commands trace only when an export was requested.
-    // `profile` takes a timeline without provenance so the lineage bit
-    // never perturbs stage cache keys.
-    let trace = if command == "profile" {
-        RunTrace::profiled(&obs)
-    } else if args.wants_trace() || command == "explain" {
-        RunTrace::new(&obs)
+    // Lineage is recorded only for `--lineage` and for `explain` (which
+    // has nothing to show otherwise): it moves every stage cache key, so
+    // no other flag may turn it on. The timeline is timed only for a
+    // `--trace` export and for `profile`'s pool accounting; it never
+    // touches a key.
+    let obs = Collector::new().with_lineage(args.lineage.is_some() || command == "explain");
+    let timeline = if args.trace.is_some() || command == "profile" {
+        TaskTimeline::with_epoch(obs.epoch())
     } else {
-        RunTrace::disabled()
+        TaskTimeline::disabled()
     };
     let session = RunSession::new(config.clone());
 
     let result = match command {
         "summary" => {
             let o = session
-                .run_traced(&obs, &trace)
+                .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
             println!(
                 "{} disengagements, {} accidents, {:.0} autonomous miles\n",
@@ -170,7 +171,7 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
             let dir = args.positional.get(1).ok_or("export needs a directory")?;
             std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
             let o = session
-                .run_traced(&obs, &trace)
+                .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
             let classifier = Classifier::with_default_dictionary();
             let artifacts: Vec<(&str, disengage::dataframe::DataFrame)> =
@@ -279,7 +280,7 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
                 .parse()
                 .map_err(|_| "target DPM must be a number")?;
             let o = session
-                .run_traced(&obs, &trace)
+                .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
             let p = whatif::miles_to_target_dpm(&o.database, m, target)
                 .map_err(|e| e.to_string())?;
@@ -333,9 +334,9 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
         }
         "explain" => {
             let o = session
-                .run_traced(&obs, &trace)
+                .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
-            let prov = trace.provenance();
+            let prov = obs.provenance();
             match args.positional.get(1) {
                 Some(target) => {
                     let chain = prov.explain(target).ok_or_else(|| {
@@ -349,7 +350,7 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
                 None => {
                     println!(
                         "{} provenance events over {} records ({} disengagements recovered)",
-                        prov.len(),
+                        prov.entries().len(),
                         prov.record_ids().len(),
                         o.database.disengagements().len()
                     );
@@ -383,11 +384,10 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
                     .with_ocr_seed(seed ^ 0xFF),
             );
             profiled
-                .run_traced(&obs, &trace)
+                .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
             disengage::obs::profile::record_process_gauges(&obs);
             let report = obs.report();
-            let timeline = trace.timeline();
             let mut profile = disengage::obs::ProfileReport::from_report(&report);
             profile.pool = timeline
                 .worker_stats()
@@ -456,7 +456,7 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
             // (from --health=FILE or the built-in defaults) against the
             // run's telemetry and sets the exit code.
             let o = session
-                .run_traced(&obs, &trace)
+                .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
             println!(
                 "{} disengagements, {} accidents, {} quarantined",
@@ -472,20 +472,20 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
     result?;
     let mut exit = ExitCode::SUCCESS;
     if let Some(Some(path)) = &args.lineage {
-        let prov = trace.provenance();
+        let prov = obs.provenance();
         std::fs::write(path, prov.to_jsonl())
             .map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("wrote {path} ({} events)", prov.len());
+        eprintln!("wrote {path} ({} events)", prov.entries().len());
     }
     if let Some(path) = &args.trace {
-        let body = execution_trace_json(&obs.report(), trace.timeline());
+        let body = execution_trace_json(&obs.report(), &timeline);
         std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("wrote {path} ({} tasks)", trace.timeline().len());
+        eprintln!("wrote {path} ({} tasks)", timeline.len());
     }
     if let Some(path) = &args.flight {
         // The canonical (byte-identity) form: wall clock zeroed,
         // environment-fact events stripped, no task stamps.
-        let suspects = flight::suspects(trace.provenance(), 8);
+        let suspects = flight::suspects(&obs.provenance(), 8);
         flight::write_dump(
             std::path::Path::new(path),
             &obs,

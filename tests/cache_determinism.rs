@@ -7,7 +7,7 @@
 //! fact, not an output.
 
 use disengage::chaos::FaultPlan;
-use disengage::core::pipeline::{OcrMode, PipelineOutcome, RunTrace};
+use disengage::core::pipeline::{OcrMode, PipelineOutcome};
 use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::nlp::{Classifier, FailureDictionary, FaultTag};
@@ -59,11 +59,10 @@ struct RunBytes {
     torn_reclaimed: u64,
 }
 
-fn run_traced(config: &RunConfig) -> (PipelineOutcome, RunBytes) {
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+fn run_with_lineage(config: &RunConfig) -> (PipelineOutcome, RunBytes) {
+    let obs = Collector::new().with_lineage(true);
     let o = RunSession::new(config.clone())
-        .run_traced(&obs, &trace)
+        .run_with(&obs)
         .expect("session runs");
     let bytes = RunBytes {
         outcome_repr: format!(
@@ -71,7 +70,7 @@ fn run_traced(config: &RunConfig) -> (PipelineOutcome, RunBytes) {
             o.database, o.tagged, o.record_ids, o.parse_failures, o.quarantined
         ),
         canonical_telemetry: o.telemetry.clone().canonical().to_json(),
-        lineage: trace.provenance().to_jsonl(),
+        lineage: obs.provenance().to_jsonl(),
         hits: o.telemetry.counter("cache.hit"),
         misses: o.telemetry.counter("cache.miss"),
         corrupt: o.telemetry.counter("cache.corrupt"),
@@ -90,7 +89,7 @@ fn assert_identical(cold: &RunBytes, warm: &RunBytes) {
         "warm canonical telemetry diverged from cold"
     );
     assert_eq!(cold.lineage, warm.lineage, "warm lineage diverged from cold");
-    assert!(!cold.lineage.is_empty(), "traced run recorded no lineage");
+    assert!(!cold.lineage.is_empty(), "lineage run recorded no lineage");
 }
 
 #[test]
@@ -98,13 +97,13 @@ fn warm_equals_cold_passthrough() {
     let cache = TempCache::new("passthrough");
     let config = small().with_cache_dir(cache.path());
 
-    let (_, cold) = run_traced(&config);
+    let (_, cold) = run_with_lineage(&config);
     // Passthrough digitization is never store-cached, so three stages
     // miss cold and hit warm — once per shard (18 manufacturer × year
     // cells).
     assert_eq!((cold.hits, cold.misses), (0, 3 * 18));
 
-    let (_, warm) = run_traced(&config);
+    let (_, warm) = run_with_lineage(&config);
     assert_eq!((warm.hits, warm.misses), (3 * 18, 0));
     assert_eq!(warm.corrupt, 0);
     assert_identical(&cold, &warm);
@@ -125,11 +124,11 @@ fn warm_equals_cold_under_chaos_ocr_and_any_worker_count() {
     // Cold on the default pool; warm pinned to one worker. `jobs` is
     // not part of any cache key, so the warm run must both find the
     // artifacts and replay them byte-identically.
-    let (cold_o, cold) = run_traced(&config.clone().with_jobs(0));
+    let (cold_o, cold) = run_with_lineage(&config.clone().with_jobs(0));
     assert_eq!((cold.hits, cold.misses), (0, 4 * 18));
     assert!(cold_o.chaos.is_some(), "chaos audit must survive the run");
 
-    let (warm_o, warm) = run_traced(&config.clone().with_jobs(1));
+    let (warm_o, warm) = run_with_lineage(&config.clone().with_jobs(1));
     assert_eq!((warm.hits, warm.misses), (4 * 18, 0));
     assert_identical(&cold, &warm);
     // The chaos audit itself is part of the cached normalize artifact.
@@ -153,7 +152,7 @@ fn stage_iii_change_still_replays_stages_i_and_ii() {
         })
         .with_cache_dir(cache.path());
 
-    let (_, cold) = run_traced(&config);
+    let (_, cold) = run_with_lineage(&config);
     assert_eq!((cold.hits, cold.misses), (0, 4 * 18));
 
     // A dictionary edit is a pure Stage III change: every shard's
@@ -162,10 +161,9 @@ fn stage_iii_change_still_replays_stages_i_and_ii() {
     // key.
     let mut dict = FailureDictionary::default_bank();
     dict.add_phrase(FaultTag::ALL[0], "entirely novel failure phrase");
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    let obs = Collector::new().with_lineage(true);
     let o = RunSession::with_classifier(config.clone(), Classifier::new(dict))
-        .run_traced(&obs, &trace)
+        .run_with(&obs)
         .expect("session runs");
     assert_eq!(o.telemetry.counter("cache.hit"), 3 * 18);
     assert_eq!(o.telemetry.counter("cache.miss"), 18);
@@ -178,7 +176,7 @@ fn corrupted_artifacts_recompute_silently_and_identically() {
     let cache = TempCache::new("corrupt");
     let config = small().with_cache_dir(cache.path());
 
-    let (_, cold) = run_traced(&config);
+    let (_, cold) = run_with_lineage(&config);
     assert_eq!(cold.corrupt, 0);
 
     // Vandalize every cached artifact a different way: truncate one,
@@ -204,13 +202,13 @@ fn corrupted_artifacts_recompute_silently_and_identically() {
     // (startup recovery frame-validates the directory and reclaims
     // torn artifacts before the first probe), and must still produce
     // the cold run's exact bytes.
-    let (_, damaged) = run_traced(&config);
+    let (_, damaged) = run_with_lineage(&config);
     assert_eq!(damaged.torn_reclaimed, 3, "every vandalized artifact reclaimed");
     assert_eq!((damaged.hits, damaged.misses), (3 * 18 - 3, 3));
     assert_identical(&cold, &damaged);
 
     // And it healed the store: the next run hits everything again.
-    let (_, healed) = run_traced(&config);
+    let (_, healed) = run_with_lineage(&config);
     assert_eq!((healed.hits, healed.misses, healed.corrupt), (3 * 18, 0, 0));
     assert_eq!(healed.torn_reclaimed, 0);
     assert_identical(&cold, &healed);
@@ -221,7 +219,7 @@ fn interrupted_run_resumes_byte_identically() {
     use disengage::core::{CoreError, Stage};
 
     // The reference: a cold, uncached, uninterrupted run.
-    let (_, cold) = run_traced(&small());
+    let (_, cold) = run_with_lineage(&small());
 
     // The crash: die right after the normalize artifact commits.
     let cache = TempCache::new("interrupted");
@@ -229,12 +227,12 @@ fn interrupted_run_resumes_byte_identically() {
         .with_cache_dir(cache.path())
         .with_abort_after(Stage::Normalize)
         .with_flight_path(cache.path().join("flight.json"));
-    // Traced, like the reference and the resume: lineage recording is
-    // part of every stage key, so all three halves must agree on it.
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    // Recording lineage, like the reference and the resume: the lineage
+    // switch is part of every stage key, so all three halves must agree
+    // on it.
+    let obs = Collector::new().with_lineage(true);
     let err = RunSession::new(config.clone())
-        .run_traced(&obs, &trace)
+        .run_with(&obs)
         .expect_err("abort point must fire");
     assert!(
         matches!(err, CoreError::Interrupted { after: "normalize" }),
@@ -247,7 +245,7 @@ fn interrupted_run_resumes_byte_identically() {
     // and every byte matches the run that never crashed.
     let mut resume = config;
     resume.abort_after = None;
-    let (_, warm) = run_traced(&resume);
+    let (_, warm) = run_with_lineage(&resume);
     assert_eq!((warm.hits, warm.misses), (2 * 18, 18));
     assert_identical(&cold, &warm);
 }
@@ -259,7 +257,7 @@ fn interrupted_faulted_run_resumes_byte_identically() {
     use disengage::core::artifact::FORMAT_VERSION;
     use disengage::core::{CoreError, Stage};
 
-    let (_, cold) = run_traced(&small());
+    let (_, cold) = run_with_lineage(&small());
 
     // The crash, this time with the store under seeded I/O fire and
     // a crashed peer's litter already on disk.
@@ -270,10 +268,9 @@ fn interrupted_faulted_run_resumes_byte_identically() {
         .with_io_faults(IoFaultPlan::new(0.3, 0xFA11))
         .with_abort_after(Stage::Corpus)
         .with_flight_path(cache.path().join("flight.json"));
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    let obs = Collector::new().with_lineage(true);
     let err = RunSession::new(config.clone())
-        .run_traced(&obs, &trace)
+        .run_with(&obs)
         .expect_err("abort point must fire");
     assert!(matches!(err, CoreError::Interrupted { after: "corpus" }), "{err:?}");
 
@@ -283,7 +280,7 @@ fn interrupted_faulted_run_resumes_byte_identically() {
     let mut resume = config;
     resume.abort_after = None;
     resume.io_faults = Some(IoFaultPlan::new(0.3, 0xFA12));
-    let (_, warm) = run_traced(&resume);
+    let (_, warm) = run_with_lineage(&resume);
     assert_identical(&cold, &warm);
 
     // And the directory ends clean: litter reclaimed, nothing torn,

@@ -241,6 +241,57 @@ fn flight_and_prom_exports_round_trip_through_their_validators() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--trace` only times the worker pool; it must not turn lineage on,
+/// whose bit every stage cache key folds. So a `--trace` run over a
+/// cache an untraced run warmed replays every stage.
+#[test]
+fn trace_export_replays_a_cache_an_untraced_run_warmed() {
+    let dir =
+        std::env::temp_dir().join(format!("disengage-cli-trace-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = format!("--cache-dir={}", dir.join("cache").display());
+    let cold = disengage(&["summary", "--scale=0.01", &cache]);
+    assert!(
+        cold.status.success(),
+        "{}",
+        String::from_utf8_lossy(&cold.stderr)
+    );
+
+    let prom = dir.join("metrics.prom");
+    let trace = dir.join("trace.json");
+    let warm = disengage(&[
+        "summary",
+        "--scale=0.01",
+        &cache,
+        &format!("--trace={}", trace.display()),
+        &format!("--prom={}", prom.display()),
+    ]);
+    assert!(
+        warm.status.success(),
+        "{}",
+        String::from_utf8_lossy(&warm.stderr)
+    );
+    let text = std::fs::read_to_string(&prom).expect("prom written");
+    let counter = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or(0)
+    };
+    let shards = counter("disengage_cache_hit_corpus_total");
+    assert!(shards > 0, "the warm run replayed no corpus shard:\n{text}");
+    assert_eq!(counter("disengage_cache_miss_total"), 0, "{text}");
+    // Corpus, normalize and tag per shard (passthrough digitize is
+    // never store-cached).
+    assert_eq!(counter("disengage_cache_hit_total"), 3 * shards, "{text}");
+
+    let check = disengage(&["check-trace", trace.to_str().expect("utf-8 path")]);
+    assert!(
+        check.status.success(),
+        "check-trace must accept our own export"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `doctor` and `check-prom` are loud on garbage and missing files.
 #[test]
 fn doctor_and_check_prom_reject_garbage() {

@@ -6,18 +6,20 @@
 //! setting, on clean and chaos runs alike. The *full* dump is the
 //! postmortem form: an interrupted session must leave a validating
 //! `flight.json` whose postmortem names the aborted stage and the
-//! spans that were still open at death.
+//! spans that were still open at death, followed by the last pool task
+//! stamps from the run's task timeline — timed or not.
 //!
 //! Warm-vs-cold flight identity is deliberately NOT promised: a warm
 //! run genuinely did not execute the cached stages, so its ring holds
 //! different history. These tests therefore run cacheless.
 
 use disengage::chaos::FaultPlan;
-use disengage::core::pipeline::{OcrMode, RunTrace};
+use disengage::core::pipeline::OcrMode;
 use disengage::core::{CoreError, RunConfig, RunSession, Stage};
 use disengage::corpus::CorpusConfig;
-use disengage::obs::{flight, Collector};
+use disengage::obs::{flight, Collector, FlightDump, FlightKind};
 use disengage::ocr::NoiseModel;
+use disengage::par::{TaskTimeline, TASK_TAIL};
 use std::path::{Path, PathBuf};
 
 /// A unique, self-cleaning scratch directory per test.
@@ -64,13 +66,24 @@ fn small() -> RunConfig {
 
 /// Runs a config and renders its canonical flight dump.
 fn canonical_dump(config: &RunConfig) -> String {
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    let obs = Collector::new().with_lineage(true);
+    let timeline = TaskTimeline::with_epoch(obs.epoch());
     RunSession::new(config.clone())
-        .run_traced(&obs, &trace)
+        .run_traced(&obs, &timeline)
         .expect("session runs");
-    let suspects = flight::suspects(trace.provenance(), 8);
+    let suspects = flight::suspects(&obs.provenance(), 8);
     flight::render_dump(&obs, None, "run complete", &suspects, true)
+}
+
+/// The pool-task stamps a full dump carries, as `(label, items)`.
+fn dumped_tasks(dump: &FlightDump) -> Vec<(String, usize)> {
+    dump.events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            FlightKind::Task { label, items, .. } => Some((label.clone(), *items)),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -119,10 +132,10 @@ fn interrupted_run_leaves_a_doctorable_postmortem() {
     let config = small()
         .with_abort_after(Stage::Normalize)
         .with_flight_path(&dump_path);
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    let obs = Collector::new().with_lineage(true);
+    let timeline = TaskTimeline::with_epoch(obs.epoch());
     let err = RunSession::new(config)
-        .run_traced(&obs, &trace)
+        .run_traced(&obs, &timeline)
         .expect_err("abort point must interrupt the run");
     assert!(
         matches!(err, CoreError::Interrupted { after: "normalize" }),
@@ -154,6 +167,51 @@ fn interrupted_run_leaves_a_doctorable_postmortem() {
     assert!(
         post.contains("pipeline"),
         "postmortem must list the open spans:\n{post}"
+    );
+    let stamps = dumped_tasks(&dump);
+    assert!(
+        stamps.iter().any(|(label, _)| label == "stage_ii_parse"),
+        "the timed timeline's task tail must follow the ring: {stamps:?}"
+    );
+}
+
+#[test]
+fn interrupted_untraced_run_dumps_its_last_pool_tasks() {
+    // No lineage, no --trace: `run_with` runs on a disabled timeline,
+    // which still keeps the last pool-task stamps for the crash dump.
+    let scratch = TempDir::new("interrupt-untraced");
+    let dump_path = scratch.path().join("flight.json");
+    let config = small()
+        .with_abort_after(Stage::Normalize)
+        .with_flight_path(&dump_path);
+    let err = RunSession::new(config)
+        .run_with(&Collector::new())
+        .expect_err("abort point must interrupt the run");
+    assert!(matches!(err, CoreError::Interrupted { after: "normalize" }));
+
+    let text = std::fs::read_to_string(&dump_path).expect("crash dump written");
+    let dump = flight::validate_dump(&text).expect("crash dump validates");
+    assert!(!dump.canonical, "crash dumps are the full form");
+    let stamps = dumped_tasks(&dump);
+    assert!(
+        !stamps.is_empty(),
+        "an untraced crash dump must name pool tasks"
+    );
+    assert!(stamps.len() <= TASK_TAIL, "{} stamps", stamps.len());
+    assert!(
+        stamps
+            .iter()
+            .any(|(label, items)| label == "stage_ii_parse" && *items > 0),
+        "the last Stage II parse tasks must be named: {stamps:?}"
+    );
+    assert!(
+        stamps.iter().all(|(label, _)| [
+            "shard",
+            "stage_i_ocr",
+            "stage_ii_parse",
+        ]
+        .contains(&label.as_str())),
+        "{stamps:?}"
     );
 }
 

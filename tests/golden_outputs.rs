@@ -1,5 +1,5 @@
-//! Cross-commit output pins: FNV-1a digests of what a traced run
-//! produces — every Stage III verdict, the canonical telemetry, and the
+//! Cross-commit output pins: FNV-1a digests of what a lineage-recording
+//! run produces — every Stage III verdict, the canonical telemetry, and the
 //! lineage log — at scale 0.1, clean and under a seeded fault plan.
 //!
 //! The other byte-identity suites compare two runs of the *same* build
@@ -10,7 +10,7 @@
 
 use disengage::cache::Fp;
 use disengage::chaos::FaultPlan;
-use disengage::core::pipeline::{PipelineOutcome, RunTrace};
+use disengage::core::pipeline::PipelineOutcome;
 use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::obs::Collector;
@@ -30,10 +30,9 @@ fn digests(chaos: Option<FaultPlan>) -> Digests {
         scale: 0.1,
     });
     config.chaos = chaos;
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    let obs = Collector::new().with_lineage(true);
     let outcome: PipelineOutcome = RunSession::new(config)
-        .run_traced(&obs, &trace)
+        .run_with(&obs)
         .expect("pipeline runs");
     let mut fp = Fp::new();
     for t in &outcome.tagged {
@@ -53,7 +52,7 @@ fn digests(chaos: Option<FaultPlan>) -> Digests {
         records: outcome.tagged.len(),
         assignments: fp.finish().to_hex(),
         telemetry: text(&outcome.telemetry.clone().canonical().to_json()),
-        lineage: text(&trace.provenance().to_jsonl()),
+        lineage: text(&obs.provenance().to_jsonl()),
     }
 }
 

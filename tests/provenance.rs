@@ -8,28 +8,30 @@
 //! enforced by `scripts/verify.sh` diffing full `repro` runs.
 
 use disengage::chaos::FaultPlan;
-use disengage::core::pipeline::RunTrace;
 use disengage::core::telemetry::execution_trace_json;
 use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::obs::json::Value;
 use disengage::obs::{validate_chrome_trace, Collector, Subject};
+use disengage::par::TaskTimeline;
 use std::collections::BTreeSet;
 
 fn config(scale: f64) -> RunConfig {
     RunConfig::new().with_corpus(CorpusConfig { seed: 11, scale })
 }
 
-fn lineage(scale: f64, chaos: Option<FaultPlan>, jobs: usize) -> (String, RunTrace, Collector) {
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+/// A lineage-recording run on a timed timeline: its lineage JSONL,
+/// its timeline, and its collector.
+fn lineage(scale: f64, chaos: Option<FaultPlan>, jobs: usize) -> (String, TaskTimeline, Collector) {
+    let obs = Collector::new().with_lineage(true);
+    let timeline = TaskTimeline::with_epoch(obs.epoch());
     let mut config = config(scale).with_jobs(jobs);
     config.chaos = chaos;
     RunSession::new(config)
-        .run_traced(&obs, &trace)
+        .run_traced(&obs, &timeline)
         .expect("pipeline runs");
-    let jsonl = trace.provenance().to_jsonl();
-    (jsonl, trace, obs)
+    let jsonl = obs.provenance().to_jsonl();
+    (jsonl, timeline, obs)
 }
 
 #[test]
@@ -87,8 +89,8 @@ fn lineage_lines_parse_and_carry_stable_fields_without_wall_clock() {
 
 #[test]
 fn explain_covers_corrected_quarantined_and_clean_records() {
-    let (_, trace, _) = lineage(0.05, Some(FaultPlan::new(0.3, 7)), 0);
-    let prov = trace.provenance();
+    let (_, _, obs) = lineage(0.05, Some(FaultPlan::new(0.3, 7)), 0);
+    let prov = obs.provenance();
     let exemplars = prov.exemplars();
     let labels: Vec<&str> = exemplars.iter().map(|(l, _)| *l).collect();
     assert_eq!(
@@ -115,18 +117,14 @@ fn explain_covers_corrected_quarantined_and_clean_records() {
     }
     // A record exemplar explains through to its Stage III verdict.
     let (_, record) = exemplars.iter().find(|(l, _)| *l == "clean").unwrap();
-    let chain = trace.provenance().explain(record).unwrap();
+    let chain = prov.explain(record).unwrap();
     assert!(chain.contains("tagged"), "{chain}");
     assert!(chain.contains("normalized"), "{chain}");
 }
 
 #[test]
 fn record_ids_align_with_tagged_output_and_are_unique() {
-    let obs = Collector::new();
-    let trace = RunTrace::disabled();
-    let o = RunSession::new(config(0.05))
-        .run_traced(&obs, &trace)
-        .unwrap();
+    let o = RunSession::new(config(0.05)).run().unwrap();
     assert_eq!(o.record_ids.len(), o.database.disengagements().len());
     assert_eq!(o.record_ids.len(), o.tagged.len());
     let unique: BTreeSet<_> = o.record_ids.iter().collect();
@@ -144,11 +142,11 @@ fn record_ids_align_with_tagged_output_and_are_unique() {
 
 #[test]
 fn chrome_trace_export_validates_and_covers_every_pool_task() {
-    let (_, trace, obs) = lineage(0.05, Some(FaultPlan::new(0.1, 7)), 3);
+    let (_, timeline, obs) = lineage(0.05, Some(FaultPlan::new(0.1, 7)), 3);
     let report = obs.report();
-    let json = execution_trace_json(&report, trace.timeline());
+    let json = execution_trace_json(&report, &timeline);
     let events = validate_chrome_trace(&json).expect("trace must validate");
-    let tasks = trace.timeline().tasks();
+    let tasks = timeline.tasks();
     assert!(!tasks.is_empty());
     // Every pool task appears as an event on its worker's tid
     // (tid = worker + 1; tid 0 is the telemetry span tree).

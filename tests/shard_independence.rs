@@ -6,7 +6,7 @@
 //! session absorbs them in.
 
 use disengage::chaos::FaultPlan;
-use disengage::core::pipeline::{PipelineOutcome, RunTrace};
+use disengage::core::pipeline::PipelineOutcome;
 use disengage::core::{CoreError, RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::obs::Collector;
@@ -19,10 +19,9 @@ fn small() -> RunConfig {
 }
 
 fn run(config: &RunConfig) -> PipelineOutcome {
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    let obs = Collector::new().with_lineage(true);
     RunSession::new(config.clone())
-        .run_traced(&obs, &trace)
+        .run_with(&obs)
         .expect("session runs")
 }
 
@@ -88,10 +87,9 @@ fn exclusion_filter_is_the_exact_complement() {
 /// An unknown label is a loud, typed error — not a silent empty run.
 #[test]
 fn unknown_shard_label_is_rejected() {
-    let obs = Collector::new();
-    let trace = RunTrace::new(&obs);
+    let obs = Collector::new().with_lineage(true);
     let err = RunSession::new(small().with_shards(vec!["delorean_1985".to_owned()]))
-        .run_traced(&obs, &trace)
+        .run_with(&obs)
         .expect_err("unknown label must fail");
     assert!(
         matches!(err, CoreError::UnknownShard { ref label } if label == "delorean_1985"),
