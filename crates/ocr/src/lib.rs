@@ -16,7 +16,7 @@
 //!   per-pixel reference kept in the `packed_equivalence` test suite,
 //! * [`correct`] — dictionary post-correction (edit-distance-1 repair
 //!   against a vocabulary),
-//! * [`metrics`] — character/word error rates for measuring the
+//! * [`metrics`] — the character error rate, for measuring the
 //!   noise → accuracy relationship.
 //!
 //! The crucial property for the reproduction: noise level drives a

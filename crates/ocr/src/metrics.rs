@@ -1,4 +1,4 @@
-//! OCR quality metrics: character and word error rates.
+//! OCR quality metric: the character error rate.
 
 use crate::correct::edit_distance;
 
@@ -16,30 +16,6 @@ pub fn cer(reference: &str, hypothesis: &str) -> f64 {
     edit_distance(reference, hypothesis) as f64 / ref_len as f64
 }
 
-/// Word error rate: word-level edit distance over reference word count.
-pub fn wer(reference: &str, hypothesis: &str) -> f64 {
-    let ref_words: Vec<&str> = reference.split_whitespace().collect();
-    let hyp_words: Vec<&str> = hypothesis.split_whitespace().collect();
-    if ref_words.is_empty() {
-        return hyp_words.len() as f64;
-    }
-    word_edit_distance(&ref_words, &hyp_words) as f64 / ref_words.len() as f64
-}
-
-fn word_edit_distance(a: &[&str], b: &[&str]) -> usize {
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut curr = vec![0usize; b.len() + 1];
-    for (i, wa) in a.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, wb) in b.iter().enumerate() {
-            let cost = usize::from(wa != wb);
-            curr[j + 1] = (prev[j + 1] + 1).min(curr[j] + 1).min(prev[j] + cost);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,7 +23,6 @@ mod tests {
     #[test]
     fn perfect_recognition() {
         assert_eq!(cer("abc def", "abc def"), 0.0);
-        assert_eq!(wer("abc def", "abc def"), 0.0);
     }
 
     #[test]
@@ -57,18 +32,9 @@ mod tests {
     }
 
     #[test]
-    fn word_error_counts_words() {
-        let w = wer("software module froze", "software modul froze");
-        assert!((w - 1.0 / 3.0).abs() < 1e-12);
-        let w = wer("a b c d", "a b"); // two deletions
-        assert!((w - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_reference() {
         assert_eq!(cer("", ""), 0.0);
         assert_eq!(cer("", "xy"), 2.0);
-        assert_eq!(wer("", "one two"), 2.0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 # rustdoc with warnings denied (broken intra-doc links fail), the
 # benchmark package's tests and smoke run, the full workspace test
 # suite, the compiled Stage III classifier's full equivalence grid
-# against the reference classifier (release), the repro harness's
-# telemetry self-check
+# against the reference classifier (release), the diagonal-transition
+# CER edit distance's full equivalence grid against the banded
+# reference (release), the repro harness's telemetry self-check
 # (nonzero exit if the pipeline's counters fail to reconcile), a
 # seeded chaos smoke campaign (nonzero exit on any panic, unreconciled
 # fault ledger, or rate-0 divergence from the clean run), the
@@ -63,6 +64,12 @@ echo "== Stage III: compiled classifier vs reference, full grid =="
 # Every full-scale and chaos-recovered description and their variants,
 # under every test dictionary; tier-1 runs only a sample of the grid.
 cargo test --release --offline --test classifier_equivalence -- --ignored
+
+echo "== Stage I: CER edit distance vs banded reference, full grid =="
+# Every filing digitized at scales 0.25 and 1, light and heavy noise,
+# and chaos-perturbed documents; tier-1 runs scale 0.05 only. Most of
+# the ~70 s is the O(n·d) reference on heavy noise at full scale.
+cargo test --release --offline --test distance_equivalence -- --ignored
 
 echo "== repro telemetry self-check (counter reconciliation) =="
 cargo run --release --offline -p disengage-bench --bin repro -- \
