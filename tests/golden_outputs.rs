@@ -3,7 +3,8 @@
 //! the canonical telemetry, and the lineage log — at scale 0.1, clean,
 //! under a seeded fault plan, and through simulated OCR at light and
 //! heavy noise (which pins the `ocr.cer` histogram, `ocr.mean_cer` and
-//! every `OcrRepair` lineage event).
+//! every `OcrRepair` lineage event) — plus the bits of both Fig. 11
+//! reaction-time fits at full scale, as `repro` prints them.
 //!
 //! The other byte-identity suites compare two runs of the *same* build
 //! (`--jobs`, warm/cold, sharded/monolithic), so a rewrite that changes
@@ -13,11 +14,13 @@
 
 use disengage::cache::Fp;
 use disengage::chaos::FaultPlan;
+use disengage::core::figures::fig11;
 use disengage::core::pipeline::{OcrMode, PipelineOutcome};
 use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::obs::Collector;
 use disengage::ocr::NoiseModel;
+use disengage::reports::Manufacturer;
 
 /// The four digests of one run, as 16-digit hex.
 #[derive(Debug, PartialEq)]
@@ -144,4 +147,49 @@ fn simulated_heavy_ocr_output_is_pinned() {
             "1183e03330ff713b"
         )
     );
+}
+
+/// One Fig. 11 panel's Exponentiated-Weibull fit: `n`, then the bits of
+/// k, λ, α, the log-likelihood and the AIC.
+type FitBits = (usize, [u64; 5]);
+
+#[test]
+fn fig11_fits_are_pinned() {
+    let config = RunConfig::new().with_corpus(CorpusConfig {
+        seed: 0x5EED,
+        scale: 1.0,
+    });
+    let outcome = RunSession::new(config).run().expect("pipeline runs");
+    let bits = |m: Manufacturer| -> FitBits {
+        let fit = fig11(&outcome.database, m).expect("panel fits").fit;
+        let d = &fit.dist;
+        let params = [d.shape(), d.scale(), d.alpha(), fit.log_likelihood, fit.aic];
+        (fit.n, params.map(f64::to_bits))
+    };
+    let got = [bits(Manufacturer::MercedesBenz), bits(Manufacturer::Waymo)];
+    let want: [FitBits; 2] = [
+        // Mercedes-Benz: k 0.6034, λ 0.4740, α 1.6031, lnL −1255.29.
+        (
+            1328,
+            [
+                0x3fe34eff145eb6bd,
+                0x3fde55bf4c4c1301,
+                0x3ff9a63d1c677263,
+                0xc0939d29a1445e97,
+                0x40a3a929a1445e97,
+            ],
+        ),
+        // Waymo: k 1.4691, λ 0.9438, α 1.0776, lnL −352.09.
+        (
+            464,
+            [
+                0x3ff7816fc00fb8dd,
+                0x3fee335e31f506ec,
+                0x3ff13dd4359be2ce,
+                0xc076018512dc5cab,
+                0x4086318512dc5cab,
+            ],
+        ),
+    ];
+    assert_eq!(got, want, "Fig. 11 fits moved: {got:#x?}");
 }
