@@ -258,6 +258,36 @@ impl ExponentiatedWeibull {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
+
+    /// `ln α + ln(k/λ)`, the term of the log-density that does not
+    /// depend on `x`.
+    fn ln_norm(&self) -> f64 {
+        self.alpha.ln() + (self.shape / self.scale).ln()
+    }
+
+    /// The log-density at `x`, given [`Self::ln_norm`]. The expression
+    /// adds left to right, so taking its first sum as an argument leaves
+    /// every rounding, and so every bit, unchanged.
+    fn ln_pdf_with(&self, ln_norm: f64, x: f64) -> f64 {
+        if x <= 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        let z = x / self.scale;
+        let zk = z.powf(self.shape);
+        let base = 1.0 - (-zk).exp();
+        if base <= 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        ln_norm + (self.shape - 1.0) * z.ln() + (self.alpha - 1.0) * base.ln() - zk
+    }
+
+    /// Replaces `out` with the log-density at each of `xs`, computing
+    /// [`Self::ln_norm`] once for the batch.
+    pub(crate) fn ln_pdf_into(&self, xs: &[f64], out: &mut Vec<f64>) {
+        let ln_norm = self.ln_norm();
+        out.clear();
+        out.extend(xs.iter().map(|&x| self.ln_pdf_with(ln_norm, x)));
+    }
 }
 
 impl Continuous for ExponentiatedWeibull {
@@ -301,18 +331,7 @@ impl Continuous for ExponentiatedWeibull {
     }
 
     fn ln_pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        let z = x / self.scale;
-        let zk = z.powf(self.shape);
-        let base = 1.0 - (-zk).exp();
-        if base <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        self.alpha.ln() + (self.shape / self.scale).ln() + (self.shape - 1.0) * z.ln()
-            + (self.alpha - 1.0) * base.ln()
-            - zk
+        self.ln_pdf_with(self.ln_norm(), x)
     }
 }
 
@@ -482,6 +501,16 @@ mod tests {
     fn exp_weibull_pdf_integrates() {
         let ew = ExponentiatedWeibull::new(2.0, 1.0, 0.5).unwrap();
         check_pdf_integrates_cdf(&ew, 0.0, 8.0, 1e-3);
+    }
+
+    #[test]
+    fn exp_weibull_batch_ln_pdf_is_pointwise_ln_pdf() {
+        let ew = ExponentiatedWeibull::new(0.6, 0.47, 1.6).unwrap();
+        let xs = [-1.0, 0.0, 1e-300, 0.01, 0.47, 3.0, 60.0];
+        let mut out = vec![f64::NAN; 2];
+        ew.ln_pdf_into(&xs, &mut out);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(out), bits(xs.iter().map(|&x| ew.ln_pdf(x)).collect()));
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //!   equation by bisection, then the scale in closed form.
 //! * [`fit_exponentiated_weibull`] — three-parameter MLE via Nelder–Mead in
 //!   log-parameter space, seeded from the Weibull fit.
+//!
+//! Reaction times are recorded to 0.01 s, so a sample repeats few values
+//! many times (Mercedes-Benz: 1,328 observations, 336 distinct). Each
+//! fitter therefore evaluates every per-observation term once per
+//! distinct value and gathers the results back in observation order
+//! before summing: the same addends in the same order, so the same bits
+//! as summing over the observations directly.
 
 use crate::dist::{Continuous, Exponential, ExponentiatedWeibull, Weibull};
 use crate::optimize::{bisect, nelder_mead, NelderMeadOptions};
@@ -48,15 +55,50 @@ fn validate_positive_sample(xs: &[f64], min_n: usize) -> Result<()> {
     Ok(())
 }
 
-fn log_likelihood<D: Continuous>(d: &D, xs: &[f64]) -> f64 {
-    xs.iter().map(|&x| d.ln_pdf(x)).sum()
+/// A sample as its ascending distinct values plus, for each observation
+/// in input order, the index of its value.
+struct Sample {
+    values: Vec<f64>,
+    index: Vec<usize>,
 }
 
-fn fitted<D: Continuous>(d: D, xs: &[f64], k_params: usize) -> Fitted<D> {
-    let ll = log_likelihood(&d, xs);
+impl Sample {
+    /// Splits a sample that passed [`validate_positive_sample`]. Its
+    /// values are finite and positive, so equal values have equal bits.
+    fn new(xs: &[f64]) -> Sample {
+        let mut values = xs.to_vec();
+        values.sort_unstable_by(f64::total_cmp);
+        values.dedup();
+        let index = xs
+            .iter()
+            .map(|x| {
+                values
+                    .binary_search_by(|v| v.total_cmp(x))
+                    .expect("every observation is a value")
+            })
+            .collect();
+        Sample { values, index }
+    }
+
+    /// Number of observations.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// `Σ term(xᵢ)` in observation order, given `per_value[u] =
+    /// term(values[u])`: the addends and the fold of summing the
+    /// observations' terms directly, so the same bits.
+    fn sum(&self, per_value: &[f64]) -> f64 {
+        self.index.iter().map(|&u| per_value[u]).sum()
+    }
+}
+
+fn fitted<D: Continuous>(d: D, sample: &Sample, k_params: usize) -> Fitted<D> {
+    let ln_pdfs: Vec<f64> = sample.values.iter().map(|&x| d.ln_pdf(x)).collect();
+    let ll = sample.sum(&ln_pdfs);
     Fitted {
         log_likelihood: ll,
-        n: xs.len(),
+        n: sample.len(),
         aic: 2.0 * k_params as f64 - 2.0 * ll,
         dist: d,
     }
@@ -78,9 +120,10 @@ fn fitted<D: Continuous>(d: D, xs: &[f64], k_params: usize) -> Fitted<D> {
 /// ```
 pub fn fit_exponential(xs: &[f64]) -> Result<Fitted<Exponential>> {
     validate_positive_sample(xs, 1)?;
+    let sample = Sample::new(xs);
     let mean = xs.iter().sum::<f64>() / xs.len() as f64;
     let dist = Exponential::with_mean(mean)?;
-    Ok(fitted(dist, xs, 1))
+    Ok(fitted(dist, &sample, 1))
 }
 
 /// MLE fit of a [`Weibull`] via the profile-likelihood shape equation.
@@ -96,22 +139,36 @@ pub fn fit_exponential(xs: &[f64]) -> Result<Fitted<Exponential>> {
 /// a degenerate (all-equal) sample.
 pub fn fit_weibull(xs: &[f64]) -> Result<Fitted<Weibull>> {
     validate_positive_sample(xs, 2)?;
-    if xs.windows(2).all(|w| w[0] == w[1]) {
+    weibull(&Sample::new(xs))
+}
+
+/// [`fit_weibull`] on a validated sample.
+fn weibull(sample: &Sample) -> Result<Fitted<Weibull>> {
+    let values = &sample.values;
+    if values.len() == 1 {
         return Err(StatsError::DegenerateSample(
             "all observations identical; weibull shape unbounded",
         ));
     }
-    let n = xs.len() as f64;
-    let mean_ln: f64 = xs.iter().map(|x| x.ln()).sum::<f64>() / n;
+    let n = sample.len() as f64;
+    let ln_values: Vec<f64> = values.iter().map(|x| x.ln()).collect();
+    let mean_ln = sample.sum(&ln_values) / n;
     // Normalize by the sample maximum so x^k stays finite for large k.
-    let x_max = xs.iter().copied().fold(f64::MIN, f64::max);
-    let scaled: Vec<f64> = xs.iter().map(|x| x / x_max).collect();
-    let g = |k: f64| -> f64 {
+    let x_max = values[values.len() - 1];
+    let scaled: Vec<f64> = values.iter().map(|x| x / x_max).collect();
+    // Per distinct value: (sᵏ, sᵏ·ln x).
+    let mut terms: Vec<(f64, f64)> = Vec::with_capacity(values.len());
+    let mut g = |k: f64| -> f64 {
+        terms.clear();
+        terms.extend(scaled.iter().zip(&ln_values).map(|(&s, &ln_x)| {
+            let w = s.powf(k);
+            (w, w * ln_x)
+        }));
         let mut num = 0.0;
         let mut den = 0.0;
-        for (&s, &x) in scaled.iter().zip(xs) {
-            let w = s.powf(k);
-            num += w * x.ln();
+        for &u in &sample.index {
+            let (w, w_ln_x) = terms[u];
+            num += w_ln_x;
             den += w;
         }
         num / den - 1.0 / k - mean_ln
@@ -133,11 +190,12 @@ pub fn fit_weibull(xs: &[f64]) -> Result<Fitted<Weibull>> {
     }
     let shape = bisect(g, lo, hi, 1e-12, 200)?;
     let scale = {
-        let s: f64 = scaled.iter().map(|x| x.powf(shape)).sum::<f64>() / n;
+        let powers: Vec<f64> = scaled.iter().map(|x| x.powf(shape)).collect();
+        let s = sample.sum(&powers) / n;
         x_max * s.powf(1.0 / shape)
     };
     let dist = Weibull::new(shape, scale)?;
-    Ok(fitted(dist, xs, 2))
+    Ok(fitted(dist, sample, 2))
 }
 
 /// MLE fit of an [`ExponentiatedWeibull`] via Nelder–Mead, seeded from the
@@ -152,12 +210,14 @@ pub fn fit_weibull(xs: &[f64]) -> Result<Fitted<Weibull>> {
 /// optimizer failure.
 pub fn fit_exponentiated_weibull(xs: &[f64]) -> Result<Fitted<ExponentiatedWeibull>> {
     validate_positive_sample(xs, 3)?;
-    let seed = fit_weibull(xs)?;
+    let sample = Sample::new(xs);
+    let seed = weibull(&sample)?;
     let x0 = [
         seed.dist.shape().ln(),
         seed.dist.scale().ln(),
         0.0, // ln α = 0  →  α = 1
     ];
+    let mut ln_pdfs = Vec::with_capacity(sample.values.len());
     let objective = |theta: &[f64]| -> f64 {
         let (k, l, a) = (theta[0].exp(), theta[1].exp(), theta[2].exp());
         // Guard against overflow in extreme corners of the search space.
@@ -165,7 +225,10 @@ pub fn fit_exponentiated_weibull(xs: &[f64]) -> Result<Fitted<ExponentiatedWeibu
             return f64::INFINITY;
         }
         match ExponentiatedWeibull::new(k, l, a) {
-            Ok(d) => -log_likelihood(&d, xs),
+            Ok(d) => {
+                d.ln_pdf_into(&sample.values, &mut ln_pdfs);
+                -sample.sum(&ln_pdfs)
+            }
             Err(_) => f64::INFINITY,
         }
     };
@@ -178,7 +241,7 @@ pub fn fit_exponentiated_weibull(xs: &[f64]) -> Result<Fitted<ExponentiatedWeibu
         },
     )?;
     let dist = ExponentiatedWeibull::new(min.x[0].exp(), min.x[1].exp(), min.x[2].exp())?;
-    Ok(fitted(dist, xs, 3))
+    Ok(fitted(dist, &sample, 3))
 }
 
 /// Compares two fitted models by AIC; returns `true` when `a` is the
