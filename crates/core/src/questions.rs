@@ -82,15 +82,13 @@ pub struct Q2Causes {
 
 /// Answers Q2 from the Stage III verdicts.
 pub fn q2_causes(tagged: &[TaggedDisengagement]) -> Q2Causes {
-    let non_tesla: Vec<TaggedDisengagement> = tagged
+    let non_tesla = tagged
         .iter()
-        .filter(|t| t.record.manufacturer != Manufacturer::Tesla)
-        .cloned()
-        .collect();
+        .filter(|t| t.record.manufacturer != Manufacturer::Tesla);
     Q2Causes {
         global: category_shares(tagged),
         by_manufacturer: category_shares_by_manufacturer(tagged),
-        global_excluding_tesla: category_shares(&non_tesla),
+        global_excluding_tesla: category_shares(non_tesla),
     }
 }
 

@@ -148,17 +148,13 @@ impl CategoryShares {
     }
 }
 
-/// Computes category shares for a slice of tagged records.
-pub fn category_shares(tagged: &[TaggedDisengagement]) -> CategoryShares {
-    let mut shares = CategoryShares {
-        n: tagged.len(),
-        ..Default::default()
-    };
-    if tagged.is_empty() {
-        return shares;
-    }
-    let n = tagged.len() as f64;
+/// Computes category shares over tagged records.
+pub fn category_shares<'a>(
+    tagged: impl IntoIterator<Item = &'a TaggedDisengagement>,
+) -> CategoryShares {
+    let mut shares = CategoryShares::default();
     for t in tagged {
+        shares.n += 1;
         match t.assignment.category {
             FailureCategory::MlDesign => {
                 match t.assignment.tag.ml_subsystem() {
@@ -172,6 +168,10 @@ pub fn category_shares(tagged: &[TaggedDisengagement]) -> CategoryShares {
             FailureCategory::UnknownC => shares.unknown += 1.0,
         }
     }
+    if shares.n == 0 {
+        return shares;
+    }
+    let n = shares.n as f64;
     shares.perception /= n;
     shares.planner /= n;
     shares.system /= n;
@@ -183,16 +183,13 @@ pub fn category_shares(tagged: &[TaggedDisengagement]) -> CategoryShares {
 pub fn category_shares_by_manufacturer(
     tagged: &[TaggedDisengagement],
 ) -> BTreeMap<Manufacturer, CategoryShares> {
-    let mut grouped: BTreeMap<Manufacturer, Vec<TaggedDisengagement>> = BTreeMap::new();
+    let mut grouped: BTreeMap<Manufacturer, Vec<&TaggedDisengagement>> = BTreeMap::new();
     for t in tagged {
-        grouped
-            .entry(t.record.manufacturer)
-            .or_default()
-            .push(t.clone());
+        grouped.entry(t.record.manufacturer).or_default().push(t);
     }
     grouped
         .into_iter()
-        .map(|(m, v)| (m, category_shares(&v)))
+        .map(|(m, v)| (m, category_shares(v)))
         .collect()
 }
 
