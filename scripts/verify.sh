@@ -5,7 +5,9 @@
 # suite, the compiled Stage III classifier's full equivalence grid
 # against the reference classifier (release), the diagonal-transition
 # CER edit distance's full equivalence grid against the banded
-# reference (release), the repro harness's telemetry self-check
+# reference (release), the distinct-value Weibull and
+# Exponentiated-Weibull fitters' full equivalence grid against the
+# reference fitters (release), the repro harness's telemetry self-check
 # (nonzero exit if the pipeline's counters fail to reconcile), a
 # seeded chaos smoke campaign (nonzero exit on any panic, unreconciled
 # fault ledger, or rate-0 divergence from the clean run), the
@@ -70,6 +72,12 @@ echo "== Stage I: CER edit distance vs banded reference, full grid =="
 # and chaos-perturbed documents; tier-1 runs scale 0.05 only. Most of
 # the ~70 s is the O(n·d) reference on heavy noise at full scale.
 cargo test --release --offline --test distance_equivalence -- --ignored
+
+echo "== Stage IV: distinct-value fitters vs reference fitters, full grid =="
+# Every analyzed manufacturer's Fig. 11 sample at seeds 1-20 (full
+# scale), scales 0.25 and 0.5, a chaos-recovered database and light
+# simulated OCR at scale 0.25; tier-1 runs the default seed only.
+cargo test --release --offline --test fit_equivalence -- --ignored
 
 echo "== repro telemetry self-check (counter reconciliation) =="
 cargo run --release --offline -p disengage-bench --bin repro -- \
