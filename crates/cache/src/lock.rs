@@ -21,10 +21,10 @@ use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// Default lease TTL: generous enough for any stage computation at
-/// full scale, small enough that a crashed peer's lock clears within
-/// one coffee-less minute.
-pub const DEFAULT_LOCK_TTL: Duration = Duration::from_secs(60);
+/// Lease TTL: generous enough for any stage computation at full scale,
+/// small enough that a crashed peer's lock clears within one
+/// coffee-less minute.
+pub const LOCK_TTL: Duration = Duration::from_secs(60);
 
 /// Milliseconds since the Unix epoch (the lease clock).
 pub fn now_millis() -> u64 {
@@ -190,15 +190,15 @@ mod tests {
     fn acquire_release_reacquire() {
         let dir = scratch("basic");
         let path = dir.join("k.lock");
-        let a = try_acquire(&path, DEFAULT_LOCK_TTL);
+        let a = try_acquire(&path, LOCK_TTL);
         assert!(a.guard.is_some());
         // Held: a second attempt must fail without breaking anything.
-        let b = try_acquire(&path, DEFAULT_LOCK_TTL);
+        let b = try_acquire(&path, LOCK_TTL);
         assert!(b.guard.is_none());
         assert_eq!(b.reclaimed, 0);
         drop(a);
         assert!(!path.exists(), "drop must release the lock file");
-        assert!(try_acquire(&path, DEFAULT_LOCK_TTL).guard.is_some());
+        assert!(try_acquire(&path, LOCK_TTL).guard.is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -212,7 +212,7 @@ mod tests {
         // A pid far above any real pid_max, with a fresh lease: only
         // the liveness check can (and must) break this.
         fs::write(&path, compose(3_999_999_999, now_millis())).unwrap();
-        let a = try_acquire(&path, DEFAULT_LOCK_TTL);
+        let a = try_acquire(&path, LOCK_TTL);
         assert!(a.guard.is_some(), "dead-owner lock must be reclaimed");
         assert_eq!(a.reclaimed, 1);
         let _ = fs::remove_dir_all(&dir);
@@ -231,8 +231,8 @@ mod tests {
         drop(a);
         // A fresh lease under a live pid holds.
         fs::write(&path, compose(std::process::id(), now_millis())).unwrap();
-        assert!(!is_stale(&path, DEFAULT_LOCK_TTL));
-        assert!(try_acquire(&path, DEFAULT_LOCK_TTL).guard.is_none());
+        assert!(!is_stale(&path, LOCK_TTL));
+        assert!(try_acquire(&path, LOCK_TTL).guard.is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

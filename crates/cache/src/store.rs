@@ -122,7 +122,6 @@ pub struct ArtifactStore {
     root: Option<PathBuf>,
     version: u32,
     cap: usize,
-    lock_ttl: Duration,
     faults: Option<Arc<dyn IoFaults>>,
     counters: Arc<Mutex<BTreeMap<&'static str, u64>>>,
     events: Arc<Mutex<Vec<(&'static str, String)>>>,
@@ -134,7 +133,6 @@ impl std::fmt::Debug for ArtifactStore {
             .field("root", &self.root)
             .field("version", &self.version)
             .field("cap", &self.cap)
-            .field("lock_ttl", &self.lock_ttl)
             .field("faults", &self.faults.as_ref().map(|_| "armed"))
             .finish()
     }
@@ -149,7 +147,6 @@ impl ArtifactStore {
             root: Some(dir.into()),
             version,
             cap: DEFAULT_PER_STAGE_CAP,
-            lock_ttl: lock::DEFAULT_LOCK_TTL,
             faults: None,
             counters: Arc::new(Mutex::new(BTreeMap::new())),
             events: Arc::new(Mutex::new(Vec::new())),
@@ -163,7 +160,6 @@ impl ArtifactStore {
             root: None,
             version: 0,
             cap: DEFAULT_PER_STAGE_CAP,
-            lock_ttl: lock::DEFAULT_LOCK_TTL,
             faults: None,
             counters: Arc::new(Mutex::new(BTreeMap::new())),
             events: Arc::new(Mutex::new(Vec::new())),
@@ -174,14 +170,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn with_cap(mut self, cap: usize) -> ArtifactStore {
         self.cap = cap;
-        self
-    }
-
-    /// Sets the lock lease TTL (staleness threshold for reclaiming
-    /// crashed peers' locks and tmp files).
-    #[must_use]
-    pub fn with_lock_ttl(mut self, ttl: Duration) -> ArtifactStore {
-        self.lock_ttl = ttl;
         self
     }
 
@@ -432,7 +420,7 @@ impl ArtifactStore {
         if fs::create_dir_all(dir).is_err() {
             return None;
         }
-        let acquired = lock::try_acquire(&path, self.lock_ttl);
+        let acquired = lock::try_acquire(&path, lock::LOCK_TTL);
         if acquired.reclaimed > 0 {
             self.bump("lock.reclaimed", acquired.reclaimed);
         }
@@ -548,13 +536,13 @@ impl ArtifactStore {
         for entry in entries.flatten() {
             let path = entry.path();
             if is_tmp(&path) {
-                if tmp_is_stale(&path, self.lock_ttl) && fs::remove_file(&path).is_ok() {
+                if tmp_is_stale(&path, lock::LOCK_TTL) && fs::remove_file(&path).is_ok() {
                     self.bump("cache.tmp.reclaimed", 1);
                     self.note("cache.reclaim.tmp", &path);
                     removed += 1;
                 }
             } else if has_ext(&path, "lock")
-                && lock::is_stale(&path, self.lock_ttl)
+                && lock::is_stale(&path, lock::LOCK_TTL)
                 && fs::remove_file(&path).is_ok()
             {
                 self.bump("lock.reclaimed", 1);
@@ -601,7 +589,7 @@ impl ArtifactStore {
         let mut evicted = 0;
         for (_, path) in arts.into_iter().take(excess) {
             let lock_sibling = path.with_extension("lock");
-            if lock_sibling.exists() && !lock::is_stale(&lock_sibling, self.lock_ttl) {
+            if lock_sibling.exists() && !lock::is_stale(&lock_sibling, lock::LOCK_TTL) {
                 // In flight for a concurrent session — not evictable.
                 self.bump("cache.evict.skipped_locked", 1);
                 continue;

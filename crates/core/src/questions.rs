@@ -10,7 +10,7 @@ use crate::{CoreError, Result};
 use disengage_reports::{Date, FailureDatabase, Manufacturer};
 use disengage_stats::correlation::{log_log_pearson, pearson, Correlation};
 use disengage_stats::kalra_paddock::compare_to_benchmark;
-use disengage_stats::quantile::{quantile, QuantileMethod};
+use disengage_stats::quantile::quantile;
 use std::collections::BTreeMap;
 
 /// Q1 — "How do we assess the stability/maturity of the AV technology?"
@@ -38,8 +38,8 @@ pub fn q1_assessment(db: &FailureDatabase) -> Result<Q1Assessment> {
         if dpms.is_empty() {
             continue;
         }
-        let median = quantile(&dpms, 0.5, QuantileMethod::Linear)?;
-        let p99 = quantile(&dpms, 0.99, QuantileMethod::Linear)?;
+        let median = quantile(&dpms, 0.5)?;
+        let p99 = quantile(&dpms, 0.99)?;
         dpm_by_manufacturer.insert(m, (median, p99));
     }
     if dpm_by_manufacturer.is_empty() {
@@ -121,7 +121,7 @@ pub fn q3_dynamics(db: &FailureDatabase) -> Result<Q3Dynamics> {
             if dpms.is_empty() {
                 continue;
             }
-            let median = quantile(&dpms, 0.5, QuantileMethod::Linear)?;
+            let median = quantile(&dpms, 0.5)?;
             series.push((year, median));
         }
         if let (Some(&(_, first)), Some(&(_, last))) = (series.first(), series.last()) {
@@ -287,7 +287,7 @@ pub fn q5_comparison(db: &FailureDatabase) -> Result<Q5Comparison> {
         if dpms.is_empty() {
             continue;
         }
-        let median_dpm = quantile(&dpms, 0.5, QuantileMethod::Linear)?;
+        let median_dpm = quantile(&dpms, 0.5)?;
         // APM via the paper's identity: median DPM / DPA.
         let apm = db.dpa(m).map(|dpa| median_dpm / dpa);
         let accidents = db.accidents_for(m).len() as u64;

@@ -7,7 +7,7 @@ use crate::Result;
 use disengage_dataframe::{Column, DataFrame, Value};
 use disengage_nlp::Classifier;
 use disengage_reports::{FailureDatabase, Manufacturer, Modality, ReportYear};
-use disengage_stats::quantile::{quantile, QuantileMethod};
+use disengage_stats::quantile::quantile;
 
 fn opt_f64(v: Option<f64>) -> Value {
     v.map_or(Value::Null, Value::Float)
@@ -292,7 +292,7 @@ pub fn table7(db: &FailureDatabase) -> Result<DataFrame> {
         if dpms.is_empty() {
             continue;
         }
-        let median_dpm = quantile(&dpms, 0.5, QuantileMethod::Linear)?;
+        let median_dpm = quantile(&dpms, 0.5)?;
         let apm = db.dpa(m).map(|dpa| median_dpm / dpa);
         df.push_row(vec![
             Value::from(m.name()),
@@ -324,7 +324,7 @@ pub fn table8(db: &FailureDatabase) -> Result<DataFrame> {
             continue;
         }
         let Some(dpa) = db.dpa(m) else { continue };
-        let median_dpm = quantile(&dpms, 0.5, QuantileMethod::Linear)?;
+        let median_dpm = quantile(&dpms, 0.5)?;
         let apmi = median_dpm / dpa * MEDIAN_TRIP_MILES;
         df.push_row(vec![
             Value::from(m.name()),
@@ -344,6 +344,15 @@ mod tests {
         crate::RunSession::test_outcome(5, 0.1)
     }
 
+    /// The index of the one row whose `manufacturer` is `name`.
+    fn row_of(t: &DataFrame, name: &str) -> usize {
+        let rows: Vec<usize> = (0..t.n_rows())
+            .filter(|&r| t.get(r, "manufacturer").unwrap() == Value::from(name))
+            .collect();
+        assert_eq!(rows.len(), 1, "{name} rows: {rows:?}");
+        rows[0]
+    }
+
     #[test]
     fn table1_shape_and_dashes() {
         let o = outcome();
@@ -351,23 +360,12 @@ mod tests {
         assert_eq!(t.n_cols(), 9);
         assert!(t.n_rows() >= 8);
         // Volkswagen reported only in the first window: 2016 columns null.
-        let vw = t
-            .filter(&disengage_dataframe::Predicate::eq(
-                "manufacturer",
-                Value::from("Volkswagen"),
-            ))
-            .unwrap();
-        assert_eq!(vw.n_rows(), 1);
-        assert!(vw.get(0, "miles_2016").unwrap().is_null());
-        assert!(!vw.get(0, "miles_2015").unwrap().is_null());
+        let vw = row_of(&t, "Volkswagen");
+        assert!(t.get(vw, "miles_2016").unwrap().is_null());
+        assert!(!t.get(vw, "miles_2015").unwrap().is_null());
         // Tesla is the opposite.
-        let tesla = t
-            .filter(&disengage_dataframe::Predicate::eq(
-                "manufacturer",
-                Value::from("Tesla"),
-            ))
-            .unwrap();
-        assert!(tesla.get(0, "miles_2015").unwrap().is_null());
+        let tesla = row_of(&t, "Tesla");
+        assert!(t.get(tesla, "miles_2015").unwrap().is_null());
     }
 
     #[test]
@@ -401,32 +399,19 @@ mod tests {
             assert!((total - 100.0).abs() < 1e-6, "row {row} sums to {total}");
         }
         // Tesla's unknown share dominates.
-        let tesla = t
-            .filter(&disengage_dataframe::Predicate::eq(
-                "manufacturer",
-                Value::from("Tesla"),
-            ))
-            .unwrap();
-        assert!(tesla.get(0, "unknown_pct").unwrap().as_f64().unwrap() > 90.0);
+        let tesla = row_of(&t, "Tesla");
+        assert!(t.get(tesla, "unknown_pct").unwrap().as_f64().unwrap() > 90.0);
     }
 
     #[test]
     fn table5_matches_calibration() {
         let o = outcome();
         let t = table5(&o.database).unwrap();
-        let row = |name: &str| {
-            t.filter(&disengage_dataframe::Predicate::eq(
-                "manufacturer",
-                Value::from(name),
-            ))
-            .unwrap()
-        };
-        let bosch = row("Bosch");
-        assert!((bosch.get(0, "planned_pct").unwrap().as_f64().unwrap() - 100.0).abs() < 1e-9);
-        let vw = row("Volkswagen");
-        assert!((vw.get(0, "automatic_pct").unwrap().as_f64().unwrap() - 100.0).abs() < 1e-9);
-        let waymo = row("Waymo");
-        let auto = waymo.get(0, "automatic_pct").unwrap().as_f64().unwrap();
+        let pct =
+            |name: &str, column: &str| t.get(row_of(&t, name), column).unwrap().as_f64().unwrap();
+        assert!((pct("Bosch", "planned_pct") - 100.0).abs() < 1e-9);
+        assert!((pct("Volkswagen", "automatic_pct") - 100.0).abs() < 1e-9);
+        let auto = pct("Waymo", "automatic_pct");
         assert!((35.0..=65.0).contains(&auto), "waymo auto = {auto}");
     }
 
@@ -439,13 +424,8 @@ mod tests {
             .sum();
         assert!((total - 100.0).abs() < 1e-6);
         // Waymo holds the majority of accidents.
-        let waymo = t
-            .filter(&disengage_dataframe::Predicate::eq(
-                "manufacturer",
-                Value::from("Waymo"),
-            ))
-            .unwrap();
-        assert!(waymo.get(0, "fraction_pct").unwrap().as_f64().unwrap() > 40.0);
+        let waymo = row_of(&t, "Waymo");
+        assert!(t.get(waymo, "fraction_pct").unwrap().as_f64().unwrap() > 40.0);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 //! ```
 
 pub mod allocation;
-pub mod case_studies;
 pub mod generator;
 pub mod profile;
 pub mod rawdoc;

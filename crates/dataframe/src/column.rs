@@ -6,8 +6,8 @@ use crate::{FrameError, Result};
 /// A typed column of values with per-row nullability.
 ///
 /// Internally each variant stores `Option<T>` per cell; `None` is the
-/// missing marker (rendered as an empty CSV field, skipped by numeric
-/// aggregations).
+/// missing marker (rendered as an empty CSV field, skipped by
+/// [`Column::to_f64s`] and [`Column::to_strs`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integers.
@@ -186,22 +186,6 @@ impl Column {
         }
     }
 
-    /// Selects the cells at `indices` into a new column (used by filter,
-    /// sort, and join).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds (internal use only — callers
-    /// validate).
-    pub(crate) fn take(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i]).collect()),
-            Column::Float(v) => Column::Float(indices.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(indices.iter().map(|&i| v[i].clone()).collect()),
-            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
-        }
-    }
-
     /// Iterates over all cells as [`Value`]s (nulls included).
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i).expect("index in range"))
@@ -285,14 +269,6 @@ mod tests {
         assert_eq!(c.to_f64s().unwrap(), vec![1.0, 3.0]);
         let s = Column::from_strs(&["a"]);
         assert!(s.to_f64s().is_err());
-    }
-
-    #[test]
-    fn take_reorders() {
-        let c = Column::from_strs(&["a", "b", "c"]);
-        let t = c.take(&[2, 0]);
-        assert_eq!(t.get(0).unwrap(), Value::Str("c".into()));
-        assert_eq!(t.get(1).unwrap(), Value::Str("a".into()));
     }
 
     #[test]

@@ -57,14 +57,6 @@ pub enum FrameError {
     },
     /// An operation that requires rows was applied to an empty frame.
     Empty(&'static str),
-    /// An aggregation could not be computed (e.g. mean of a non-numeric
-    /// column).
-    BadAggregation {
-        /// Column the aggregation targeted.
-        column: String,
-        /// Why it failed.
-        message: &'static str,
-    },
     /// An I/O error occurred (CSV file read/write).
     Io(String),
 }
@@ -100,9 +92,6 @@ impl fmt::Display for FrameError {
                 message,
             } => write!(f, "csv cell error at line {line}, column `{column}`: {message}"),
             FrameError::Empty(op) => write!(f, "operation `{op}` requires a non-empty frame"),
-            FrameError::BadAggregation { column, message } => {
-                write!(f, "cannot aggregate column `{column}`: {message}")
-            }
             FrameError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }

@@ -1,10 +1,8 @@
 //! The [`DataFrame`] type: a schema-checked set of equal-length columns.
 
 use crate::column::Column;
-use crate::expr::Predicate;
 use crate::value::Value;
 use crate::{FrameError, Result};
-use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -52,15 +50,6 @@ impl DataFrame {
             columns: cols,
             n_rows: n_rows.unwrap_or(0),
         })
-    }
-
-    /// An empty frame with no columns.
-    pub fn empty() -> DataFrame {
-        DataFrame {
-            names: Vec::new(),
-            columns: Vec::new(),
-            n_rows: 0,
-        }
     }
 
     /// Number of rows.
@@ -179,80 +168,6 @@ impl DataFrame {
         Ok(())
     }
 
-    /// A new frame containing only the named columns, in the given order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError::UnknownColumn`] for any missing name.
-    pub fn select(&self, names: &[&str]) -> Result<DataFrame> {
-        let mut cols = Vec::with_capacity(names.len());
-        for &name in names {
-            cols.push((name.to_owned(), self.column(name)?.clone()));
-        }
-        DataFrame::new(cols)
-    }
-
-    /// Rows where `predicate` evaluates true.
-    ///
-    /// # Errors
-    ///
-    /// Propagates column-lookup and type errors from the predicate.
-    pub fn filter(&self, predicate: &Predicate) -> Result<DataFrame> {
-        let mut keep = Vec::new();
-        for row in 0..self.n_rows {
-            if predicate.eval(self, row)? {
-                keep.push(row);
-            }
-        }
-        Ok(self.take(&keep))
-    }
-
-    /// Rows at the given indices (in that order) as a new frame.
-    pub(crate) fn take(&self, indices: &[usize]) -> DataFrame {
-        DataFrame {
-            names: self.names.clone(),
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
-            n_rows: indices.len(),
-        }
-    }
-
-    /// A stable sort by one column, ascending or descending.
-    ///
-    /// Nulls sort last regardless of direction. Mixed numeric comparison
-    /// (Int vs Float columns) is by value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError::UnknownColumn`] for a missing column.
-    pub fn sort_by(&self, name: &str, ascending: bool) -> Result<DataFrame> {
-        let col = self.column(name)?;
-        let mut indices: Vec<usize> = (0..self.n_rows).collect();
-        indices.sort_by(|&a, &b| {
-            let va = col.get(a).expect("in range");
-            let vb = col.get(b).expect("in range");
-            let ord = compare_values(&va, &vb);
-            if ascending {
-                ord
-            } else {
-                ord.reverse()
-            }
-        });
-        Ok(self.take(&indices))
-    }
-
-    /// The first `n` rows.
-    pub fn head(&self, n: usize) -> DataFrame {
-        let indices: Vec<usize> = (0..self.n_rows.min(n)).collect();
-        self.take(&indices)
-    }
-
-    /// The last `n` rows.
-    pub fn tail(&self, n: usize) -> DataFrame {
-        let start = self.n_rows.saturating_sub(n);
-        let indices: Vec<usize> = (start..self.n_rows).collect();
-        self.take(&indices)
-    }
-
     /// One row as a vector of values.
     ///
     /// # Errors
@@ -275,35 +190,6 @@ impl DataFrame {
     /// Iterates over rows as value vectors.
     pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
         (0..self.n_rows).map(move |i| self.row(i).expect("in range"))
-    }
-}
-
-/// Total ordering over values for sorting: nulls last, numerics by value,
-/// strings lexicographic, bools false < true. Cross-type comparisons fall
-/// back to a fixed type order (numeric < string < bool) and should not
-/// occur within a typed column.
-pub(crate) fn compare_values(a: &Value, b: &Value) -> Ordering {
-    use Value::*;
-    match (a, b) {
-        (Null, Null) => Ordering::Equal,
-        (Null, _) => Ordering::Greater, // nulls last
-        (_, Null) => Ordering::Less,
-        (Int(x), Int(y)) => x.cmp(y),
-        (Float(x), Float(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
-        (Int(x), Float(y)) => (*x as f64).partial_cmp(y).unwrap_or(Ordering::Equal),
-        (Float(x), Int(y)) => x.partial_cmp(&(*y as f64)).unwrap_or(Ordering::Equal),
-        (Str(x), Str(y)) => x.cmp(y),
-        (Bool(x), Bool(y)) => x.cmp(y),
-        (x, y) => type_rank(x).cmp(&type_rank(y)),
-    }
-}
-
-fn type_rank(v: &Value) -> u8 {
-    match v {
-        Value::Null => 3,
-        Value::Int(_) | Value::Float(_) => 0,
-        Value::Str(_) => 1,
-        Value::Bool(_) => 2,
     }
 }
 
@@ -345,7 +231,6 @@ impl fmt::Display for DataFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Predicate;
 
     fn sample() -> DataFrame {
         DataFrame::new(vec![
@@ -428,78 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn select_reorders() {
-        let df = sample().select(&["events", "maker"]).unwrap();
-        assert_eq!(df.names(), &["events", "maker"]);
-        assert!(sample().select(&["missing"]).is_err());
-    }
-
-    #[test]
-    fn filter_by_predicate() {
-        let df = sample();
-        let big = df
-            .filter(&Predicate::gt("miles", Value::Float(60.0)))
-            .unwrap();
-        assert_eq!(big.n_rows(), 2);
-        let waymo = df
-            .filter(&Predicate::eq("maker", Value::Str("waymo".into())))
-            .unwrap();
-        assert_eq!(waymo.n_rows(), 2);
-    }
-
-    #[test]
-    fn sort_ascending_descending() {
-        let df = sample();
-        let asc = df.sort_by("miles", true).unwrap();
-        assert_eq!(asc.get(0, "miles").unwrap(), Value::Float(20.0));
-        let desc = df.sort_by("miles", false).unwrap();
-        assert_eq!(desc.get(0, "miles").unwrap(), Value::Float(300.0));
-    }
-
-    #[test]
-    fn sort_nulls_last_both_directions() {
-        let df = DataFrame::new(vec![(
-            "x",
-            Column::from_opt_f64s(vec![Some(2.0), None, Some(1.0)]),
-        )])
-        .unwrap();
-        let asc = df.sort_by("x", true).unwrap();
-        assert_eq!(asc.get(2, "x").unwrap(), Value::Null);
-        let desc = df.sort_by("x", false).unwrap();
-        assert_eq!(desc.get(0, "x").unwrap(), Value::Null);
-        // Descending reverses the whole ordering, so the null leads; the
-        // non-null ordering is still reversed.
-        assert_eq!(desc.get(1, "x").unwrap(), Value::Float(2.0));
-    }
-
-    #[test]
-    fn sort_is_stable() {
-        let df = DataFrame::new(vec![
-            ("k", Column::from_i64s(&[1, 1, 1])),
-            ("tag", Column::from_strs(&["a", "b", "c"])),
-        ])
-        .unwrap();
-        let s = df.sort_by("k", true).unwrap();
-        let tags: Vec<Value> = (0..3).map(|i| s.get(i, "tag").unwrap()).collect();
-        assert_eq!(
-            tags,
-            vec![
-                Value::Str("a".into()),
-                Value::Str("b".into()),
-                Value::Str("c".into())
-            ]
-        );
-    }
-
-    #[test]
-    fn head_tail() {
-        let df = sample();
-        assert_eq!(df.head(2).n_rows(), 2);
-        assert_eq!(df.tail(1).get(0, "maker").unwrap(), Value::Str("waymo".into()));
-        assert_eq!(df.head(100).n_rows(), 4);
-    }
-
-    #[test]
     fn rows_iterate() {
         let df = sample();
         assert_eq!(df.rows().count(), 4);
@@ -524,12 +337,5 @@ mod tests {
         let out = sample().to_string();
         assert!(out.contains("maker"));
         assert!(out.contains("waymo"));
-    }
-
-    #[test]
-    fn empty_frame() {
-        let df = DataFrame::empty();
-        assert_eq!(df.n_rows(), 0);
-        assert_eq!(df.n_cols(), 0);
     }
 }

@@ -1,52 +1,42 @@
 //! A small, typed, columnar dataframe — the analysis substrate for the
 //! `disengage` toolkit.
 //!
-//! The paper's Stage IV is pandas-style tabular analysis (group-bys over
-//! manufacturers, per-car aggregations, filters over categories, CSV
-//! interchange). The Rust ecosystem's dataframe tooling being immature,
-//! this crate implements the subset the reproduction needs from scratch:
+//! The paper's Stage IV is pandas-style tabular analysis whose results
+//! are tables (Tables I–VIII) and CSV interchange. The Rust ecosystem's
+//! dataframe tooling being immature, this crate implements the subset
+//! the reproduction needs from scratch:
 //!
 //! * typed, null-aware columns ([`Column`], [`Value`], [`DType`]),
-//! * a schema-checked frame ([`DataFrame`]) with row append, select,
-//!   filter, sort, head/tail, and column arithmetic,
-//! * hash group-by with the usual aggregations ([`DataFrame::group_by`],
-//!   [`Agg`]),
-//! * inner/left hash joins ([`DataFrame::join`]),
+//! * a schema-checked frame ([`DataFrame`]) with row and column append,
+//!   cell access, and a plain-text rendering,
 //! * CSV read/write ([`csv`]) with quoting and type inference.
 //!
 //! # Examples
 //!
 //! ```
-//! use disengage_dataframe::{DataFrame, Column, Agg};
+//! use disengage_dataframe::{csv, Column, DataFrame, Value};
 //!
 //! # fn main() -> Result<(), disengage_dataframe::FrameError> {
 //! let df = DataFrame::new(vec![
 //!     ("maker", Column::from_strs(&["waymo", "bosch", "waymo"])),
-//!     ("miles", Column::from_f64s(&[100.0, 20.0, 300.0])),
+//!     ("miles", Column::from_f64s(&[100.0, 20.5, 300.0])),
 //! ])?;
-//! let per_maker = df.group_by(&["maker"], &[("miles", Agg::Sum, "total_miles")])?;
-//! assert_eq!(per_maker.n_rows(), 2);
+//! let back = csv::read_str(&csv::write_str(&df))?;
+//! assert_eq!(back, df);
+//! assert_eq!(back.get(1, "miles")?, Value::Float(20.5));
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod agg;
 pub mod column;
 pub mod csv;
 mod error;
-pub mod expr;
 pub mod frame;
-pub mod groupby;
-pub mod join;
-pub mod ops;
 pub mod value;
 
-pub use agg::Agg;
 pub use column::Column;
 pub use error::FrameError;
-pub use expr::Predicate;
 pub use frame::DataFrame;
-pub use join::JoinKind;
 pub use value::{DType, Value};
 
 /// Convenience result alias used throughout the crate.

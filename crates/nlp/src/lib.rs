@@ -34,7 +34,6 @@
 //! ```
 
 pub mod dictionary;
-pub mod eval;
 pub mod learn;
 pub mod ngram;
 pub mod normalize;

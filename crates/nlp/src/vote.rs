@@ -393,9 +393,16 @@ mod tests {
     #[test]
     fn case_study_phrases() {
         let cl = c();
-        let a = cl.classify("incorrect behavior prediction");
-        assert_eq!(a.tag, FaultTag::IncorrectBehaviorPrediction);
-        assert_eq!(a.category, FailureCategory::MlDesign);
+        // The second text is the disengagement filed for the paper's
+        // Case Study I (§II).
+        for text in [
+            "incorrect behavior prediction",
+            "incorrect behavior prediction for the approaching car",
+        ] {
+            let a = cl.classify(text);
+            assert_eq!(a.tag, FaultTag::IncorrectBehaviorPrediction, "text: {text}");
+            assert_eq!(a.category, FailureCategory::MlDesign, "text: {text}");
+        }
     }
 
     #[test]

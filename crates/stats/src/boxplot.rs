@@ -5,8 +5,11 @@
 //! the statistics those plots display: quartiles, medians, notches
 //! (`median ± 1.57 · IQR / √n`), Tukey whiskers, and fliers.
 
-use crate::quantile::{quantile_sorted, QuantileMethod};
-use crate::{Result, StatsError};
+use crate::quantile::quantile_sorted;
+use crate::Result;
+
+/// Whisker length in multiples of the IQR (Tukey's; matplotlib's default).
+const WHISKER_MULT: f64 = 1.5;
 
 /// The statistics rendered by a single box in a box plot.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,9 +26,9 @@ pub struct BoxStats {
     pub notch_lo: f64,
     /// Upper notch bound, `median + 1.57 · IQR / √n`.
     pub notch_hi: f64,
-    /// Lower whisker: smallest observation `>= q1 − whisker_mult · IQR`.
+    /// Lower whisker: smallest observation `>= q1 − 1.5 · IQR`.
     pub whisker_lo: f64,
-    /// Upper whisker: largest observation `<= q3 + whisker_mult · IQR`.
+    /// Upper whisker: largest observation `<= q3 + 1.5 · IQR`.
     pub whisker_hi: f64,
     /// Smallest observation.
     pub min: f64,
@@ -50,31 +53,13 @@ impl BoxStats {
     }
 }
 
-/// Configuration for box-plot statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoxPlotConfig {
-    /// Whisker length in multiples of the IQR (Tukey's default is 1.5).
-    pub whisker_mult: f64,
-    /// Quantile interpolation method for the quartiles.
-    pub method: QuantileMethod,
-}
-
-impl Default for BoxPlotConfig {
-    fn default() -> Self {
-        BoxPlotConfig {
-            whisker_mult: 1.5,
-            method: QuantileMethod::Linear,
-        }
-    }
-}
-
-/// Computes box-plot statistics for one sample with the default
-/// configuration (Tukey 1.5·IQR whiskers, linear quantiles).
+/// Computes box-plot statistics for one sample (Tukey 1.5·IQR whiskers).
 ///
 /// # Errors
 ///
-/// Returns [`StatsError::EmptyInput`] for an empty sample and
-/// [`StatsError::NonFinite`] for NaN/infinite observations.
+/// Returns [`StatsError::EmptyInput`](crate::StatsError::EmptyInput) for
+/// an empty sample and [`StatsError::NonFinite`](crate::StatsError::NonFinite)
+/// for NaN/infinite observations.
 ///
 /// # Examples
 ///
@@ -85,32 +70,16 @@ impl Default for BoxPlotConfig {
 /// assert_eq!(b.fliers, vec![100.0]);
 /// ```
 pub fn box_stats(xs: &[f64]) -> Result<BoxStats> {
-    box_stats_with(xs, BoxPlotConfig::default())
-}
-
-/// Computes box-plot statistics with an explicit configuration.
-///
-/// # Errors
-///
-/// Same conditions as [`box_stats`]; additionally returns
-/// [`StatsError::InvalidParameter`] for a negative `whisker_mult`.
-pub fn box_stats_with(xs: &[f64], config: BoxPlotConfig) -> Result<BoxStats> {
-    if config.whisker_mult < 0.0 || !config.whisker_mult.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            name: "whisker_mult",
-            value: config.whisker_mult,
-        });
-    }
     crate::error::ensure_nonempty_finite(xs)?;
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values are comparable"));
     let n = sorted.len();
-    let q1 = quantile_sorted(&sorted, 0.25, config.method)?;
-    let median = quantile_sorted(&sorted, 0.5, config.method)?;
-    let q3 = quantile_sorted(&sorted, 0.75, config.method)?;
+    let q1 = quantile_sorted(&sorted, 0.25)?;
+    let median = quantile_sorted(&sorted, 0.5)?;
+    let q3 = quantile_sorted(&sorted, 0.75)?;
     let iqr = q3 - q1;
-    let lo_fence = q1 - config.whisker_mult * iqr;
-    let hi_fence = q3 + config.whisker_mult * iqr;
+    let lo_fence = q1 - WHISKER_MULT * iqr;
+    let hi_fence = q3 + WHISKER_MULT * iqr;
     let whisker_lo = sorted
         .iter()
         .copied()
@@ -158,7 +127,8 @@ impl GroupedBoxes {
     ///
     /// # Errors
     ///
-    /// Propagates [`StatsError::NonFinite`] from any group.
+    /// Propagates [`StatsError::NonFinite`](crate::StatsError::NonFinite)
+    /// from any group.
     pub fn from_samples<L: Into<String>>(
         samples: impl IntoIterator<Item = (L, Vec<f64>)>,
     ) -> Result<GroupedBoxes> {
@@ -186,6 +156,7 @@ impl GroupedBoxes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StatsError;
 
     #[test]
     fn quartiles_ordered() {
@@ -209,27 +180,6 @@ mod tests {
         assert_eq!(b.fliers, vec![50.0]);
         assert!(b.whisker_hi < 50.0);
         assert_eq!(b.max, 50.0);
-    }
-
-    #[test]
-    fn zero_whisker_mult_marks_everything_outside_box() {
-        let cfg = BoxPlotConfig {
-            whisker_mult: 0.0,
-            ..Default::default()
-        };
-        let b = box_stats_with(&[1.0, 2.0, 3.0, 4.0, 5.0], cfg).unwrap();
-        assert_eq!(b.whisker_lo, b.q1);
-        assert_eq!(b.whisker_hi, b.q3);
-        assert_eq!(b.fliers.len(), 2); // 1.0 and 5.0
-    }
-
-    #[test]
-    fn negative_whisker_mult_rejected() {
-        let cfg = BoxPlotConfig {
-            whisker_mult: -1.0,
-            ..Default::default()
-        };
-        assert!(box_stats_with(&[1.0], cfg).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Stage IV of the paper *"Hands Off the Wheel in Autonomous Vehicles?"*
 //! (Banerjee et al., DSN 2018):
 //!
-//! * descriptive statistics and quantiles ([`descriptive`], [`quantile`]),
+//! * quantiles, R type 7 as in numpy/pandas ([`quantile`]),
 //! * five-number box-plot summaries with notches (Figs. 4, 7, 10) ([`boxplot`]),
 //! * ordinary least-squares linear regression with inference (Figs. 5, 9)
 //!   ([`regression`]),
@@ -36,7 +36,6 @@
 pub mod boxplot;
 pub mod chi_square;
 pub mod correlation;
-pub mod descriptive;
 pub mod dist;
 mod error;
 pub mod fit;

@@ -1,26 +1,12 @@
 //! Quantile estimation.
 //!
-//! Implements the common quantile definitions (R types 4–9 subset) needed
-//! by the box-plot summaries of Figs. 4, 7, and 10.
+//! One definition, R type 7 (linear interpolation between order
+//! statistics), the numpy/pandas default. It gives the medians and
+//! quartiles behind Tables VII–VIII, the questions' answers, and the box
+//! plots of Figs. 4, 7, and 10.
 
 use crate::error::ensure_nonempty_finite;
 use crate::{Result, StatsError};
-
-/// Interpolation scheme for quantile estimation.
-///
-/// The names follow the R `quantile()` type numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QuantileMethod {
-    /// R type 7 (linear interpolation of modes; the numpy/pandas default).
-    #[default]
-    Linear,
-    /// R type 1 (inverse of the empirical CDF; a step function).
-    InvertedCdf,
-    /// R type 2 (like type 1 but averaging at discontinuities).
-    AveragedInvertedCdf,
-    /// Nearest-rank (lower) — always returns an observed value.
-    LowerRank,
-}
 
 /// Estimates the `q`-quantile (`0 <= q <= 1`) of a sample.
 ///
@@ -37,15 +23,15 @@ pub enum QuantileMethod {
 /// # Examples
 ///
 /// ```
-/// # use disengage_stats::quantile::{quantile, QuantileMethod};
+/// # use disengage_stats::quantile::quantile;
 /// let xs = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(quantile(&xs, 0.5, QuantileMethod::Linear).unwrap(), 2.5);
+/// assert_eq!(quantile(&xs, 0.5).unwrap(), 2.5);
 /// ```
-pub fn quantile(xs: &[f64], q: f64, method: QuantileMethod) -> Result<f64> {
+pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
     ensure_nonempty_finite(xs)?;
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values are comparable"));
-    quantile_sorted(&sorted, q, method)
+    quantile_sorted(&sorted, q)
 }
 
 /// Estimates the `q`-quantile of an already-sorted sample.
@@ -54,7 +40,7 @@ pub fn quantile(xs: &[f64], q: f64, method: QuantileMethod) -> Result<f64> {
 ///
 /// Same as [`quantile`]. The caller must guarantee `xs` is sorted
 /// ascending; this is checked with `debug_assert!` only.
-pub fn quantile_sorted(xs: &[f64], q: f64, method: QuantileMethod) -> Result<f64> {
+pub fn quantile_sorted(xs: &[f64], q: f64) -> Result<f64> {
     if xs.is_empty() {
         return Err(StatsError::EmptyInput);
     }
@@ -65,46 +51,14 @@ pub fn quantile_sorted(xs: &[f64], q: f64, method: QuantileMethod) -> Result<f64
         xs.windows(2).all(|w| w[0] <= w[1]),
         "quantile_sorted requires ascending input"
     );
-    let n = xs.len();
-    Ok(match method {
-        QuantileMethod::Linear => {
-            let h = (n as f64 - 1.0) * q;
-            let lo = h.floor() as usize;
-            let hi = h.ceil() as usize;
-            if lo == hi {
-                xs[lo]
-            } else {
-                xs[lo] + (h - lo as f64) * (xs[hi] - xs[lo])
-            }
-        }
-        QuantileMethod::InvertedCdf => {
-            let h = (n as f64 * q).ceil() as usize;
-            xs[h.saturating_sub(1).min(n - 1)]
-        }
-        QuantileMethod::AveragedInvertedCdf => {
-            let np = n as f64 * q;
-            if (np - np.round()).abs() < f64::EPSILON && np >= 1.0 && (np as usize) < n {
-                let k = np as usize;
-                (xs[k - 1] + xs[k]) / 2.0
-            } else {
-                let h = np.ceil() as usize;
-                xs[h.saturating_sub(1).min(n - 1)]
-            }
-        }
-        QuantileMethod::LowerRank => {
-            let h = ((n as f64 - 1.0) * q).floor() as usize;
-            xs[h.min(n - 1)]
-        }
+    let h = (xs.len() as f64 - 1.0) * q;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    Ok(if lo == hi {
+        xs[lo]
+    } else {
+        xs[lo] + (h - lo as f64) * (xs[hi] - xs[lo])
     })
-}
-
-/// Median using linear interpolation.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] for an empty sample.
-pub fn median(xs: &[f64]) -> Result<f64> {
-    quantile(xs, 0.5, QuantileMethod::Linear)
 }
 
 /// Computes several quantiles in one pass (one sort).
@@ -112,22 +66,20 @@ pub fn median(xs: &[f64]) -> Result<f64> {
 /// # Errors
 ///
 /// Same conditions as [`quantile`] for each requested `q`.
-pub fn quantiles(xs: &[f64], qs: &[f64], method: QuantileMethod) -> Result<Vec<f64>> {
+pub fn quantiles(xs: &[f64], qs: &[f64]) -> Result<Vec<f64>> {
     ensure_nonempty_finite(xs)?;
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values are comparable"));
-    qs.iter()
-        .map(|&q| quantile_sorted(&sorted, q, method))
-        .collect()
+    qs.iter().map(|&q| quantile_sorted(&sorted, q)).collect()
 }
 
-/// Interquartile range (Q3 − Q1) using linear interpolation.
+/// Interquartile range (Q3 − Q1).
 ///
 /// # Errors
 ///
 /// Returns [`StatsError::EmptyInput`] for an empty sample.
 pub fn iqr(xs: &[f64]) -> Result<f64> {
-    let qs = quantiles(xs, &[0.25, 0.75], QuantileMethod::Linear)?;
+    let qs = quantiles(xs, &[0.25, 0.75])?;
     Ok(qs[1] - qs[0])
 }
 
@@ -137,78 +89,40 @@ mod tests {
 
     #[test]
     fn median_odd_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]).unwrap(), 2.5);
+        assert_eq!(quantile(&[3.0, 1.0, 2.0], 0.5).unwrap(), 2.0);
+        assert_eq!(quantile(&[4.0, 1.0, 3.0, 2.0], 0.5).unwrap(), 2.5);
     }
 
     #[test]
     fn extremes_are_min_max() {
         let xs = [5.0, 1.0, 3.0];
-        for m in [
-            QuantileMethod::Linear,
-            QuantileMethod::InvertedCdf,
-            QuantileMethod::AveragedInvertedCdf,
-            QuantileMethod::LowerRank,
-        ] {
-            assert_eq!(quantile(&xs, 0.0, m).unwrap(), 1.0, "{m:?} q=0");
-            assert_eq!(quantile(&xs, 1.0, m).unwrap(), 5.0, "{m:?} q=1");
-        }
+        assert_eq!(quantile(&xs, 0.0).unwrap(), 1.0);
+        assert_eq!(quantile(&xs, 1.0).unwrap(), 5.0);
     }
 
     #[test]
     fn linear_interpolation_matches_numpy() {
         // numpy.percentile([1,2,3,4], 25) == 1.75
         let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((quantile(&xs, 0.25, QuantileMethod::Linear).unwrap() - 1.75).abs() < 1e-12);
-        assert!((quantile(&xs, 0.75, QuantileMethod::Linear).unwrap() - 3.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverted_cdf_is_step() {
-        let xs = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(
-            quantile(&xs, 0.5, QuantileMethod::InvertedCdf).unwrap(),
-            20.0
-        );
-        assert_eq!(
-            quantile(&xs, 0.51, QuantileMethod::InvertedCdf).unwrap(),
-            30.0
-        );
-    }
-
-    #[test]
-    fn averaged_inverted_cdf_averages_at_jump() {
-        let xs = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(
-            quantile(&xs, 0.5, QuantileMethod::AveragedInvertedCdf).unwrap(),
-            25.0
-        );
-    }
-
-    #[test]
-    fn lower_rank_returns_observed_value() {
-        let xs = [1.0, 5.0, 9.0];
-        for q in [0.0, 0.3, 0.49, 0.5, 0.9, 1.0] {
-            let v = quantile(&xs, q, QuantileMethod::LowerRank).unwrap();
-            assert!(xs.contains(&v), "q={q} returned non-observed {v}");
-        }
+        assert!((quantile(&xs, 0.25).unwrap() - 1.75).abs() < 1e-12);
+        assert!((quantile(&xs, 0.75).unwrap() - 3.25).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_out_of_range_q() {
         assert!(matches!(
-            quantile(&[1.0], 1.5, QuantileMethod::Linear),
+            quantile(&[1.0], 1.5),
             Err(StatsError::InvalidParameter { name: "q", .. })
         ));
-        assert!(quantile(&[1.0], -0.1, QuantileMethod::Linear).is_err());
+        assert!(quantile(&[1.0], -0.1).is_err());
     }
 
     #[test]
     fn quantiles_batch_matches_individual() {
         let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let batch = quantiles(&xs, &[0.25, 0.5, 0.75], QuantileMethod::Linear).unwrap();
+        let batch = quantiles(&xs, &[0.25, 0.5, 0.75]).unwrap();
         for (i, &q) in [0.25, 0.5, 0.75].iter().enumerate() {
-            assert_eq!(batch[i], quantile(&xs, q, QuantileMethod::Linear).unwrap());
+            assert_eq!(batch[i], quantile(&xs, q).unwrap());
         }
     }
 
@@ -224,7 +138,7 @@ mod tests {
         let mut prev = f64::NEG_INFINITY;
         for i in 0..=20 {
             let q = i as f64 / 20.0;
-            let v = quantile(&xs, q, QuantileMethod::Linear).unwrap();
+            let v = quantile(&xs, q).unwrap();
             assert!(v >= prev, "quantile not monotone at q={q}");
             prev = v;
         }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 build + tests with warnings denied,
 # rustdoc with warnings denied (broken intra-doc links fail), the
-# benchmark package's tests and smoke run, the full workspace test
+# module reachability gate (scripts/reach.sh: every library module
+# must own a function in a shipped binary, or sit on its allowlist),
+# the benchmark package's tests and smoke run, the full workspace test
 # suite, the compiled Stage III classifier's full equivalence grid
 # against the reference classifier (release), the diagonal-transition
 # CER edit distance's full equivalence grid against the banded
@@ -50,6 +52,12 @@ echo "== docs: rustdoc builds with warnings denied =="
 # Catches intra-doc links to renamed, deleted or private items, which
 # no compiler or test step checks.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+echo "== reachability: every library module is reached by a binary =="
+# Exits nonzero naming each module under crates/*/src that no binary,
+# example or the benchmark links a function from (dev build, so no
+# inlining hides one); kept-on-purpose modules are allowlisted there.
+scripts/reach.sh
 
 echo "== benchmark: builds, tests and smoke-runs against the workspace =="
 # benchmark/ is a package of its own (see BENCHMARK.json), so no

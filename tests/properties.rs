@@ -13,7 +13,7 @@ use disengage::ocr::{engine::OcrEngine, raster::rasterize};
 use disengage::reports::formats::disengagement::format_for;
 use disengage::reports::record::CarId;
 use disengage::reports::{Date, DisengagementRecord, Manufacturer, Modality, RoadType, Weather};
-use disengage::stats::quantile::{quantile, QuantileMethod};
+use disengage::stats::quantile::quantile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -186,12 +186,12 @@ fn quantiles_monotone_and_bounded() {
         let xs: Vec<f64> = (0..n)
             .map(|_| (rng.gen_range(-1e6..1e6f64) * 100.0).round() / 100.0)
             .collect();
-        let lo = quantile(&xs, 0.0, QuantileMethod::Linear).expect("q0");
-        let hi = quantile(&xs, 1.0, QuantileMethod::Linear).expect("q1");
+        let lo = quantile(&xs, 0.0).expect("q0");
+        let hi = quantile(&xs, 1.0).expect("q1");
         let mut prev = lo;
         for i in 0..=10 {
             let q = i as f64 / 10.0;
-            let v = quantile(&xs, q, QuantileMethod::Linear).expect("q");
+            let v = quantile(&xs, q).expect("q");
             assert!(v >= prev - 1e-9);
             assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
             prev = v;
