@@ -37,7 +37,8 @@
 //! shape the workload under test.
 //!
 //! Flag parsing is shared with the `disengage` front-end
-//! ([`disengage_core::args`]): unknown `--` flags are rejected with
+//! ([`disengage_core::args`]): unknown `--` flags, like artifact names
+//! outside [`disengage_core::analyze::ARTIFACTS`], are rejected with
 //! usage text, `--help`/`-h` exits 0, and every value-taking flag
 //! accepts both the `--flag value` and `--flag=value` spellings
 //! (`--telemetry` and `--lineage` have optional values, so theirs
@@ -62,58 +63,32 @@
 //! injection path is inert by diffing against a clean run. Under chaos
 //! an artifact that cannot be produced at full fidelity prints itself
 //! as DEGRADED and the run continues — one broken table never takes
-//! down the campaign.
+//! down the campaign. Every artifact is rendered by
+//! [`disengage_core::analyze::run`], which lists each degraded one once
+//! for the stderr summary and `chaos_report.json`.
 
 use disengage_bench::full_scale_config;
+use disengage_core::analyze::{self, Inputs, ARTIFACTS};
 use disengage_core::args::{ArgError, CommonArgs, TelemetryMode};
-use disengage_core::telemetry::{execution_trace_json, reconcile, task_stamps, timed};
-use disengage_core::{degrade, exposure, figures, questions, report, tables, whatif, RunSession};
+use disengage_core::telemetry::{execution_trace_json, reconcile, task_stamps};
+use disengage_core::RunSession;
 use disengage_nlp::Classifier;
-use disengage_obs::{flight, health, Collector, ProvenanceEvent, Subject};
+use disengage_obs::{flight, health, Collector};
 use disengage_par::TaskTimeline;
-use disengage_reports::Manufacturer;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Tracks artifacts that degraded instead of rendering, so the run can
-/// summarize them (and the chaos report can list them) at the end. Each
-/// degradation also lands in the run's collector as a Stage IV
-/// `Degraded` lineage event (so `--lineage` exports carry the full
-/// story), a warn-level log line, and a `degrade` flight-ring event.
-struct Degradations<'a>(Vec<&'static str>, &'a Collector);
-
-impl Degradations<'_> {
-    /// Prints a rendered artifact, or its degradation notice; never
-    /// propagates the error.
-    fn emit(&mut self, artifact: &'static str, result: disengage_core::Result<String>) {
-        match degrade(artifact, result) {
-            Ok(text) => print(text),
-            Err(e) => {
-                print(format!("== {artifact}: DEGRADED ==\n{e}"));
-                self.1.warn(&format!("artifact {artifact} degraded: {e}"));
-                self.1.event("degrade", artifact);
-                if self.1.lineage_enabled() {
-                    self.1.lineage(
-                        Subject::Run,
-                        ProvenanceEvent::Degraded {
-                            artifact: artifact.to_owned(),
-                            reason: e.to_string(),
-                        },
-                    );
-                }
-                self.0.push(artifact);
-            }
-        }
-    }
-}
-
 fn usage() -> String {
+    let artifacts: Vec<String> = ARTIFACTS
+        .chunks(10)
+        .map(|names| format!("  {}", names.join(" ")))
+        .collect();
     format!(
         "usage: repro [artifact ...] [flags]
 
-artifacts: table1..table8, fig4..fig12, q1..q5, exposure, whatif,
-accuracy (none selects everything)
+artifacts (none selects everything):
+{}
 
 repro-only flags:
   --crash-campaign=TRIALS[,SEED]
@@ -123,6 +98,7 @@ repro-only flags:
 flags (shared with the `disengage` front-end; both --flag VALUE and
 --flag=VALUE spellings work, except optional values must be inline):
 {}",
+        artifacts.join("\n"),
         CommonArgs::shared_usage()
     )
 }
@@ -157,6 +133,16 @@ fn main() -> ExitCode {
     if args.help {
         println!("{}", usage());
         return ExitCode::SUCCESS;
+    }
+    if let Some(name) = args
+        .positional
+        .iter()
+        .find(|a| !ARTIFACTS.contains(&a.as_str()))
+    {
+        eprintln!("error: unknown artifact `{name}`");
+        eprintln!();
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
     }
 
     // The full-scale paper corpus by default; --scale/--seed shrink or
@@ -196,8 +182,6 @@ fn main() -> ExitCode {
         );
     }
 
-    let want = |name: &str| args.positional.is_empty() || args.positional.iter().any(|a| a == name);
-
     // Only --lineage records lineage (it moves every stage cache key);
     // only --trace times the pool (it never does).
     let obs_arc = Arc::new(Collector::with_echo().with_lineage(args.lineage.is_some()));
@@ -208,7 +192,14 @@ fn main() -> ExitCode {
         TaskTimeline::disabled()
     });
     install_panic_dump(&obs_arc, &timeline);
-    obs.log("running full-scale pipeline (5,328 disengagements, 42 accidents)...");
+    obs.log(&format!(
+        "running pipeline: seed {:#x}, scale {}{}",
+        config.corpus.seed,
+        config.corpus.scale,
+        args.shards
+            .as_ref()
+            .map_or(String::new(), |s| format!(", shards {}", s.join(",")))
+    ));
     if let Some(p) = config.active_chaos() {
         obs.log(&format!(
             "chaos campaign armed: rate {:.3}, seed {:#x}",
@@ -264,295 +255,19 @@ fn main() -> ExitCode {
         }
     }
 
+    let selection: Vec<&str> = if args.positional.is_empty() {
+        ARTIFACTS.to_vec()
+    } else {
+        args.positional.iter().map(String::as_str).collect()
+    };
     let classifier = Classifier::with_default_dictionary();
-    let mut deg = Degradations(Vec::new(), obs);
-
-    if want("table1") {
-        let r = timed(&obs, "stage_iv_table1", || tables::table1(&o.database));
-        deg.emit(
-            "table1",
-            r.map(|t| report::render_table("Table I: fleet, miles, disengagements, accidents", &t)),
-        );
-    }
-    if want("table2") {
-        let r = timed(&obs, "stage_iv_table2", || tables::table2(&classifier));
-        deg.emit(
-            "table2",
-            r.map(|t| report::render_table("Table II: sample raw logs with recovered tags", &t)),
-        );
-    }
-    if want("table3") {
-        let r = timed(&obs, "stage_iv_table3", tables::table3);
-        deg.emit(
-            "table3",
-            r.map(|t| report::render_table("Table III: fault tags and categories", &t)),
-        );
-    }
-    if want("table4") {
-        let r = timed(&obs, "stage_iv_table4", || tables::table4(&o.tagged));
-        deg.emit(
-            "table4",
-            r.map(|t| report::render_table("Table IV: disengagements by failure category (%)", &t)),
-        );
-    }
-    if want("table5") {
-        let r = timed(&obs, "stage_iv_table5", || tables::table5(&o.database));
-        deg.emit(
-            "table5",
-            r.map(|t| report::render_table("Table V: disengagements by modality (%)", &t)),
-        );
-    }
-    if want("table6") {
-        let r = timed(&obs, "stage_iv_table6", || tables::table6(&o.database));
-        deg.emit(
-            "table6",
-            r.map(|t| report::render_table("Table VI: accidents and DPA", &t)),
-        );
-    }
-    if want("table7") {
-        let r = timed(&obs, "stage_iv_table7", || tables::table7(&o.database));
-        deg.emit(
-            "table7",
-            r.map(|t| report::render_table("Table VII: reliability vs human drivers", &t)),
-        );
-    }
-    if want("table8") {
-        let r = timed(&obs, "stage_iv_table8", || tables::table8(&o.database));
-        deg.emit(
-            "table8",
-            r.map(|t| {
-                report::render_table("Table VIII: reliability vs other safety-critical systems", &t)
-            }),
-        );
-    }
-    if want("fig4") {
-        let r = timed(&obs, "stage_iv_fig4", || figures::fig4(&o.database));
-        deg.emit("fig4", r.map(|f| report::render_fig4(&f)));
-    }
-    if want("fig5") {
-        timed(&obs, "stage_iv_fig5", || {
-            let series = figures::fig5(&o.database);
-            let mut out = String::from("== Figure 5: cumulative disengagements vs miles ==\n");
-            for s in &series {
-                if let Some(fit) = &s.fit {
-                    out.push_str(&format!(
-                        "{:<16} final ({:>10.0} mi, {:>5.0} dis)  log-log slope {:.2}\n",
-                        s.manufacturer.name(),
-                        s.points.last().map_or(0.0, |p| p.0),
-                        s.points.last().map_or(0.0, |p| p.1),
-                        fit.exponent
-                    ));
-                }
-            }
-            print(out);
-        });
-    }
-    if want("fig6") {
-        timed(&obs, "stage_iv_fig6", || {
-            let f = figures::fig6(&o.tagged);
-            let mut out = String::from("== Figure 6: fault-tag fractions per manufacturer ==\n");
-            for (m, stack) in &f.stacks {
-                out.push_str(&format!("{}:\n", m.name()));
-                let mut sorted = stack.clone();
-                sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
-                for (tag, frac) in sorted.iter().take(5) {
-                    out.push_str(&format!(
-                        "    {:<32} {:>5.1}%\n",
-                        tag.to_string(),
-                        frac * 100.0
-                    ));
-                }
-            }
-            print(out);
-        });
-    }
-    if want("fig7") {
-        let r = timed(&obs, "stage_iv_fig7", || figures::fig7(&o.database));
-        deg.emit(
-            "fig7",
-            r.map(|f| {
-                let mut out = String::from("== Figure 7: per-car DPM by manufacturer and year ==\n");
-                for (m, year, b) in &f.panels {
-                    out.push_str(&format!(
-                        "{:<16} {}  median {:.6}  iqr {:.6}\n",
-                        m.name(),
-                        year,
-                        b.median,
-                        b.iqr()
-                    ));
-                }
-                out
-            }),
-        );
-    }
-    if want("fig8") {
-        let r = timed(&obs, "stage_iv_fig8", || figures::fig8(&o.database));
-        deg.emit("fig8", r.map(|f| report::render_fig8(&f)));
-    }
-    if want("fig9") {
-        timed(&obs, "stage_iv_fig9", || {
-            let series = figures::fig9(&o.database);
-            let mut out = String::from("== Figure 9: DPM vs cumulative miles (fits) ==\n");
-            for s in &series {
-                if let Some(fit) = &s.fit {
-                    out.push_str(&format!(
-                        "{:<16} log-log slope {:.2} over {} months\n",
-                        s.manufacturer.name(),
-                        fit.exponent,
-                        s.points.len()
-                    ));
-                }
-            }
-            print(out);
-        });
-    }
-    if want("fig10") {
-        let r = timed(&obs, "stage_iv_fig10", || figures::fig10(&o.database));
-        deg.emit("fig10", r.map(|f| report::render_fig10(&f)));
-    }
-    if want("fig11") {
-        timed(&obs, "stage_iv_fig11", || {
-            for m in [Manufacturer::MercedesBenz, Manufacturer::Waymo] {
-                deg.emit(
-                    "fig11",
-                    figures::fig11(&o.database, m).map(|p| report::render_fig11(&p)),
-                );
-            }
-        });
-    }
-    if want("fig12") {
-        timed(&obs, "stage_iv_fig12", || {
-            for kind in [
-                figures::SpeedKind::Av,
-                figures::SpeedKind::Manual,
-                figures::SpeedKind::Relative,
-            ] {
-                deg.emit(
-                    "fig12",
-                    figures::fig12(&o.database, kind).map(|f| report::render_fig12(&f)),
-                );
-            }
-        });
-    }
-    if want("q1") {
-        let r = timed(&obs, "stage_iv_q1", || questions::q1_assessment(&o.database));
-        deg.emit("q1", r.map(|q| report::render_q1(&q)));
-    }
-    if want("q2") {
-        print(timed(&obs, "stage_iv_q2", || {
-            report::render_q2(&questions::q2_causes(&o.tagged))
-        }));
-    }
-    if want("q3") {
-        let r = timed(&obs, "stage_iv_q3", || questions::q3_dynamics(&o.database));
-        deg.emit("q3", r.map(|q| report::render_q3(&q)));
-    }
-    if want("q4") {
-        let r = timed(&obs, "stage_iv_q4", || questions::q4_alertness(&o.database));
-        deg.emit("q4", r.map(|q| report::render_q4(&q)));
-    }
-    if want("q5") {
-        let r = timed(&obs, "stage_iv_q5", || questions::q5_comparison(&o.database));
-        deg.emit("q5", r.map(|q| report::render_q5(&q)));
-    }
-    if want("exposure") {
-        timed(&obs, "stage_iv_exposure", || {
-            let road = exposure::road_type_mix(&o.database);
-            let weather = exposure::weather_mix(&o.database);
-            let coverage = exposure::field_coverage(&o.database);
-            let mut out = String::from("== Exposure: road/weather context (SIII-C, SVI) ==\n");
-            for (rt, frac) in &road {
-                out.push_str(&format!(
-                    "road {:<14} {:>5.1}%\n",
-                    rt.to_string(),
-                    frac * 100.0
-                ));
-            }
-            for (w, frac) in &weather {
-                out.push_str(&format!(
-                    "weather {:<11} {:>5.1}%\n",
-                    w.to_string(),
-                    frac * 100.0
-                ));
-            }
-            out.push_str(&format!(
-                "field coverage: road {:.0}%, weather {:.0}%, reaction {:.0}% of {} records\n",
-                coverage.road_type * 100.0,
-                coverage.weather * 100.0,
-                coverage.reaction_time * 100.0,
-                coverage.n
-            ));
-            match exposure::modality_association(&o.database) {
-                Ok(t) => out.push_str(&format!(
-                    "modality x manufacturer chi-square = {:.0} (df {}, p = {:.2e})\n",
-                    t.statistic, t.df, t.p_value
-                )),
-                Err(e) => out.push_str(&format!("modality association DEGRADED: {e}\n")),
-            }
-            match exposure::category_association(&o.tagged) {
-                Ok(t) => out.push_str(&format!(
-                    "category x manufacturer chi-square = {:.0} (df {}, p = {:.2e})\n",
-                    t.statistic, t.df, t.p_value
-                )),
-                Err(e) => out.push_str(&format!("category association DEGRADED: {e}\n")),
-            }
-            print(out);
-        });
-    }
-    if want("whatif") {
-        timed(&obs, "stage_iv_whatif", || {
-            let mut out = String::from("== What-if projections (SV-C1) ==\n");
-            for m in [
-                Manufacturer::Waymo,
-                Manufacturer::Nissan,
-                Manufacturer::GmCruise,
-            ] {
-                match whatif::miles_to_target_dpm(&o.database, m, 1e-4) {
-                    Ok(p) => out.push_str(&format!(
-                        "{:<14} DPM ~ miles^{:+.2}; extra miles to 1e-4: {}\n",
-                        m.name(),
-                        p.fit.exponent,
-                        p.additional_miles()
-                            .map_or("never".to_owned(), |x| format!("{x:.0}"))
-                    )),
-                    Err(e) => out.push_str(&format!("{:<14} DEGRADED: {e}\n", m.name())),
-                }
-            }
-            if let Ok(g) = whatif::demonstration_gap(&o.database, 0.95) {
-                out.push_str(&format!(
-                    "demonstrating human-level safety at 95%: {:.2}M failure-free miles ({:.1}x this program)\n",
-                    g.required_miles / 1e6,
-                    g.programs_needed
-                ));
-            }
-            if let Ok(p) = whatif::fleet_scale_projection(2.35e-5) {
-                out.push_str(&format!(
-                    "fleet-scale at today's best APM: {:.1}M accidents/year ({:.0}x aviation)\n",
-                    p.annual_av_accidents / 1e6,
-                    p.ratio_to_aviation
-                ));
-            }
-            print(out);
-        });
-    }
-    if want("accuracy") {
-        timed(&obs, "stage_iv_accuracy", || {
-            let acc = disengage_core::tagging::tagging_accuracy(&o.tagged, &o.corpus.intended_tags);
-            print(format!(
-                "== Stage III evaluation against generator ground truth ==\n\
-                 tag accuracy: {:.1}%  category accuracy: {:.1}%  (n = {})\n",
-                acc.tag_accuracy * 100.0,
-                acc.category_accuracy * 100.0,
-                acc.n
-            ));
-        });
-    }
-
-    if !deg.0.is_empty() {
+    let (text, degraded) = analyze::run(&selection, &Inputs::of(&o, &classifier), obs);
+    print!("{text}");
+    if !degraded.is_empty() {
         eprintln!(
             "{} artifact(s) degraded under this run: {}",
-            deg.0.len(),
-            deg.0.join(", ")
+            degraded.len(),
+            degraded.join(", ")
         );
     }
 
@@ -622,7 +337,7 @@ fn main() -> ExitCode {
             );
             chaos_ok = false;
         }
-        let degraded: Vec<String> = deg.0.iter().map(|a| format!("\"{a}\"")).collect();
+        let degraded: Vec<String> = degraded.iter().map(|a| format!("\"{a}\"")).collect();
         let body = format!(
             "{{\"audit\":{},\"dict_dropped\":{},\"quarantine_records\":{},\"degraded_artifacts\":[{}],\"health\":{}}}",
             audit.to_json(),
@@ -725,10 +440,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn print(text: String) {
-    println!("{text}");
 }
 
 /// Arms a panic hook that dumps the full flight ring, followed by the

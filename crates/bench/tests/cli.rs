@@ -1,7 +1,9 @@
 //! CLI contract of the `repro` and `parbench` harnesses: `--help`/`-h`
 //! exit 0 with usage, unknown flags exit nonzero naming the flag —
-//! both binaries ride the shared parser in `disengage_core::args`.
+//! both binaries ride the shared parser in `disengage_core::args` — and
+//! `repro`'s artifact selection and degradation ledger.
 
+use disengage_core::analyze::ARTIFACTS;
 use std::process::{Command, Output};
 
 fn run(exe: &str, args: &[&str]) -> Output {
@@ -31,6 +33,82 @@ fn repro_help_exits_zero_and_unknown_flags_fail() {
     }
     // The perf-envelope flag is gone: performance lives in benchmark/.
     assert_unknown(exe, &["--bench", "x"]);
+}
+
+#[test]
+fn repro_help_lists_every_artifact_and_rejects_unknown_ones() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let help = String::from_utf8_lossy(&run(exe, &["--help"]).stdout).into_owned();
+    let listed: Vec<&str> = help.split_whitespace().collect();
+    for artifact in ARTIFACTS {
+        assert!(
+            listed.contains(&artifact),
+            "--help omits {artifact}: {help}"
+        );
+    }
+    // A typo fails before any pipeline work instead of selecting nothing.
+    let out = run(exe, &["table1", "tabel1"]);
+    assert!(!out.status.success(), "repro tabel1 must exit nonzero");
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown artifact `tabel1`") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn repro_prints_a_selection_in_artifact_order() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let print = |args: &[&str]| {
+        let out = run(exe, args);
+        assert!(out.status.success(), "repro {args:?} failed");
+        out.stdout
+    };
+    let forward = print(&["table4", "fig8", "--scale=0.05"]);
+    assert_eq!(forward, print(&["fig8", "table4", "--scale=0.05"]));
+    let text = String::from_utf8_lossy(&forward);
+    assert!(text.find("Table IV").unwrap() < text.find("Figure 8").unwrap());
+}
+
+#[test]
+fn repro_ledger_lists_each_degraded_artifact_once() {
+    // One shard: no Mercedes-Benz or Waymo data, and one manufacturer.
+    // Both Fig. 11 panels degrade as blocks; the exposure association
+    // tests and two what-if projections degrade on their own lines.
+    // `--chaos` writes chaos_report.json into a fresh working directory.
+    let dir = std::env::temp_dir().join(format!("disengage-repro-ledger-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "fig11",
+            "exposure",
+            "whatif",
+            "--shards=nissan_2016",
+            "--chaos=0.05,7",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout)
+            .matches("DEGRADED")
+            .count(),
+        6
+    );
+    assert!(
+        stderr.contains("3 artifact(s) degraded under this run: fig11, exposure, whatif"),
+        "{stderr}"
+    );
+    let report = std::fs::read_to_string(dir.join("chaos_report.json")).expect("chaos report");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        report.contains(r#""degraded_artifacts":["fig11","exposure","whatif"]"#),
+        "{report}"
+    );
 }
 
 #[test]

@@ -6,7 +6,12 @@
 //! * [`session`] — [`RunSession`], the one driver of Stage I (corpus +
 //!   optional simulated OCR), Stage II (parse/filter/normalize) and
 //!   Stage III (NLP tagging); [`pipeline`] holds its outcome type.
-//! * [`metrics`] — DPM, APM, DPA, APMi, and per-car rate attribution.
+//! * [`analyze`] — Stage IV as one list of artifacts: each table,
+//!   figure, question and section rendered as `repro` prints it, the
+//!   `stage_iv_*` spans, and the degradation ledger. `repro`,
+//!   `disengage summary` and `disengage export` all go through it.
+//! * [`metrics`] — disengagements per mile, aggregate and per car, and
+//!   the monthly and cumulative series behind Figs. 5 and 9.
 //! * [`questions`] — the paper's five research questions as typed
 //!   analyses (Q1 technology assessment … Q5 human comparison).
 //! * [`tables`] — Tables I–VIII as dataframes.
@@ -14,7 +19,8 @@
 //! * [`constants`] — the literature baselines the paper cites (human
 //!   APM, airline/surgical-robot rates, trip length, human reaction
 //!   time).
-//! * [`report`] — plain-text rendering of tables for the `repro` harness.
+//! * [`report`] — plain-text renderers of tables, figures and questions,
+//!   which [`analyze`] prints.
 //! * [`telemetry`] — Stage IV span helper, the cross-stage counter
 //!   reconciliation check the `repro` harness enforces, and the
 //!   Chrome-trace and flight-dump views of the pool's task timeline.
@@ -35,6 +41,7 @@
 //! # }
 //! ```
 
+pub mod analyze;
 pub mod args;
 pub mod artifact;
 pub mod constants;

@@ -1,7 +1,7 @@
-//! The paper's rate metrics: DPM, APM, DPA, APMi, and per-car
-//! attribution.
+//! Disengagements per mile (DPM): aggregate, per car (with redacted
+//! records attributed by mileage), per year, and the monthly and
+//! cumulative series behind Figs. 5 and 9.
 
-use crate::constants::MEDIAN_TRIP_MILES;
 use crate::{CoreError, Result};
 use disengage_reports::record::CarId;
 use disengage_reports::{Date, FailureDatabase, Manufacturer};
@@ -18,35 +18,6 @@ pub fn dpm(db: &FailureDatabase, m: Manufacturer) -> Result<f64> {
         return Err(CoreError::NoData("miles for manufacturer"));
     }
     Ok(db.disengagements_for(m).len() as f64 / miles)
-}
-
-/// Disengagements per accident (Table VI); `None` when no accidents.
-pub fn dpa(db: &FailureDatabase, m: Manufacturer) -> Option<f64> {
-    db.dpa(m)
-}
-
-/// Accidents per mile via the paper's `APM = DPM / DPA` identity
-/// (§V-B1; used because accident reports are VIN-redacted).
-///
-/// Returns `None` when the manufacturer reported no accidents.
-///
-/// # Errors
-///
-/// Returns [`CoreError::NoData`] when the manufacturer drove no miles.
-pub fn apm(db: &FailureDatabase, m: Manufacturer) -> Result<Option<f64>> {
-    match dpa(db, m) {
-        None => Ok(None),
-        Some(d) => Ok(Some(dpm(db, m)? / d)),
-    }
-}
-
-/// Accidents per mission: `APM × median trip length` (Table VIII).
-///
-/// # Errors
-///
-/// Same as [`apm`].
-pub fn apmi(db: &FailureDatabase, m: Manufacturer) -> Result<Option<f64>> {
-    Ok(apm(db, m)?.map(|a| a * MEDIAN_TRIP_MILES))
 }
 
 /// Per-car disengagement counts for a manufacturer.
@@ -165,45 +136,6 @@ pub fn cumulative_trajectory(db: &FailureDatabase, m: Manufacturer) -> Vec<(f64,
     out
 }
 
-/// Miles between disengagements for one manufacturer — the alternative
-/// reliability metric the paper proposes in §V-C2 ("miles driven to
-/// disengagement/accident", comparable across transportation systems).
-///
-/// # Errors
-///
-/// Returns [`CoreError::NoData`] when the manufacturer has no
-/// disengagements or drove no miles.
-pub fn miles_between_disengagements(db: &FailureDatabase, m: Manufacturer) -> Result<f64> {
-    let dis = db.disengagements_for(m).len();
-    if dis == 0 {
-        return Err(CoreError::NoData("disengagements for manufacturer"));
-    }
-    let miles = db.miles_for(m);
-    if miles <= 0.0 {
-        return Err(CoreError::NoData("miles for manufacturer"));
-    }
-    Ok(miles / dis as f64)
-}
-
-/// Miles between accidents for one manufacturer (`None` when no
-/// accidents were reported).
-///
-/// # Errors
-///
-/// Returns [`CoreError::NoData`] when the manufacturer drove no miles.
-pub fn miles_between_accidents(db: &FailureDatabase, m: Manufacturer) -> Result<Option<f64>> {
-    let miles = db.miles_for(m);
-    if miles <= 0.0 {
-        return Err(CoreError::NoData("miles for manufacturer"));
-    }
-    let acc = db.accidents_for(m).len();
-    Ok(if acc == 0 {
-        None
-    } else {
-        Some(miles / acc as f64)
-    })
-}
-
 fn largest_remainder(total: u64, weights: &[f64]) -> Vec<u64> {
     if weights.is_empty() || total == 0 {
         return vec![0; weights.len()];
@@ -300,24 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn dpa_and_apm_identity() {
-        let d = db();
-        assert_eq!(dpa(&d, Manufacturer::Waymo), Some(2.0));
-        let a = apm(&d, Manufacturer::Waymo).unwrap().unwrap();
-        assert!((a - (4.0 / 800.0) / 2.0).abs() < 1e-15);
-        // APMi = APM × 10.
-        let ai = apmi(&d, Manufacturer::Waymo).unwrap().unwrap();
-        assert!((ai - a * 10.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn apm_none_without_accidents() {
-        let mut d = db();
-        d.push_mileage(mil(Manufacturer::Bosch, 0, 2016, 1, 50.0));
-        assert_eq!(apm(&d, Manufacturer::Bosch).unwrap(), None);
-    }
-
-    #[test]
     fn per_car_attribution_spreads_redacted() {
         let d = db();
         let counts = per_car_disengagements(&d, Manufacturer::Waymo);
@@ -357,25 +271,6 @@ mod tests {
         assert!((s[2].1 - 800.0).abs() < 1e-12);
         // Month 2 had 2 disengagements over 400 miles.
         assert!((s[1].2 - 2.0 / 400.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn miles_between_events() {
-        let d = db();
-        // 800 miles / 4 disengagements.
-        assert!((miles_between_disengagements(&d, Manufacturer::Waymo).unwrap() - 200.0).abs() < 1e-9);
-        // 800 miles / 2 accidents.
-        assert_eq!(
-            miles_between_accidents(&d, Manufacturer::Waymo).unwrap(),
-            Some(400.0)
-        );
-        assert!(miles_between_disengagements(&d, Manufacturer::Bosch).is_err());
-        let mut with_bosch = db();
-        with_bosch.push_mileage(mil(Manufacturer::Bosch, 0, 2016, 1, 50.0));
-        assert_eq!(
-            miles_between_accidents(&with_bosch, Manufacturer::Bosch).unwrap(),
-            None
-        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Plain-text rendering of analyses for the `repro` harness.
+//! Plain-text rendering of analyses. [`crate::analyze`] prints every
+//! artifact through these renderers.
 
 use crate::figures::{Fig4, Fig8, Fig10, Fig11Panel, Fig12Panel};
 use crate::questions::{Q1Assessment, Q2Causes, Q3Dynamics, Q4Alertness, Q5Comparison};

@@ -95,8 +95,9 @@ pub enum Stage {
     Normalize,
     /// Stage III: keyword-vote tagging.
     Tag,
-    /// Stage IV: statistical analyses (runs outside the session, on
-    /// the session's outcome; listed for the graph's completeness).
+    /// Stage IV: statistical analyses ([`crate::analyze`], run outside
+    /// the session on the session's outcome; listed for the graph's
+    /// completeness).
     Analyze,
 }
 

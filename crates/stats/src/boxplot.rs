@@ -43,14 +43,6 @@ impl BoxStats {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
-
-    /// Whether this box's notch overlaps another's.
-    ///
-    /// Non-overlapping notches are the usual visual test for a significant
-    /// difference in medians (at roughly the 95% level).
-    pub fn notch_overlaps(&self, other: &BoxStats) -> bool {
-        self.notch_lo <= other.notch_hi && other.notch_lo <= self.notch_hi
-    }
 }
 
 /// Computes box-plot statistics for one sample (Tukey 1.5·IQR whiskers).
@@ -113,46 +105,6 @@ pub fn box_stats(xs: &[f64]) -> Result<BoxStats> {
     })
 }
 
-/// A labelled group of box statistics — one figure's worth of boxes
-/// (e.g. one box per manufacturer, as in Fig. 4).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedBoxes {
-    /// Label and statistics for each box, in presentation order.
-    pub boxes: Vec<(String, BoxStats)>,
-}
-
-impl GroupedBoxes {
-    /// Builds grouped box statistics from labelled samples, skipping groups
-    /// whose sample is empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StatsError::NonFinite`](crate::StatsError::NonFinite)
-    /// from any group.
-    pub fn from_samples<L: Into<String>>(
-        samples: impl IntoIterator<Item = (L, Vec<f64>)>,
-    ) -> Result<GroupedBoxes> {
-        let mut boxes = Vec::new();
-        for (label, xs) in samples {
-            if xs.is_empty() {
-                continue;
-            }
-            boxes.push((label.into(), box_stats(&xs)?));
-        }
-        Ok(GroupedBoxes { boxes })
-    }
-
-    /// Returns the box for a given label, if present.
-    pub fn get(&self, label: &str) -> Option<&BoxStats> {
-        self.boxes.iter().find(|(l, _)| l == label).map(|(_, b)| b)
-    }
-
-    /// Labels in presentation order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.boxes.iter().map(|(l, _)| l.as_str())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,36 +145,12 @@ mod tests {
     }
 
     #[test]
-    fn notch_overlap_detects_similar_medians() {
-        let a = box_stats(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        let b = box_stats(&[1.5, 2.5, 3.5, 4.5, 5.5]).unwrap();
-        assert!(a.notch_overlaps(&b));
-        let far: Vec<f64> = (100..105).map(|i| i as f64).collect();
-        let c = box_stats(&far).unwrap();
-        assert!(!a.notch_overlaps(&c));
-    }
-
-    #[test]
     fn single_observation_box() {
         let b = box_stats(&[7.0]).unwrap();
         assert_eq!(b.q1, 7.0);
         assert_eq!(b.median, 7.0);
         assert_eq!(b.q3, 7.0);
         assert!(b.fliers.is_empty());
-    }
-
-    #[test]
-    fn grouped_boxes_skip_empty() {
-        let g = GroupedBoxes::from_samples(vec![
-            ("waymo", vec![1.0, 2.0, 3.0]),
-            ("empty", vec![]),
-            ("bosch", vec![5.0]),
-        ])
-        .unwrap();
-        assert_eq!(g.boxes.len(), 2);
-        assert!(g.get("waymo").is_some());
-        assert!(g.get("empty").is_none());
-        assert_eq!(g.labels().collect::<Vec<_>>(), vec!["waymo", "bosch"]);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Chi-square tests: independence in contingency tables and goodness of
-//! fit.
+//! Chi-square tests of independence in contingency tables.
 //!
 //! Used to formalize questions the paper answers descriptively: is
 //! disengagement *modality* independent of manufacturer (Table V clearly
@@ -104,59 +103,6 @@ pub fn chi_square_independence(table: &[Vec<u64>]) -> Result<ChiSquare> {
     })
 }
 
-/// Chi-square goodness-of-fit test of observed counts against expected
-/// proportions.
-///
-/// # Errors
-///
-/// * [`StatsError::LengthMismatch`] if the slices differ in length.
-/// * [`StatsError::InsufficientData`] for fewer than 2 categories.
-/// * [`StatsError::InvalidParameter`] if the expected proportions do not
-///   sum to ~1 or any is non-positive.
-pub fn chi_square_goodness_of_fit(
-    observed: &[u64],
-    expected_proportions: &[f64],
-) -> Result<ChiSquare> {
-    if observed.len() != expected_proportions.len() {
-        return Err(StatsError::LengthMismatch {
-            left: observed.len(),
-            right: expected_proportions.len(),
-        });
-    }
-    if observed.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            required: 2,
-            actual: observed.len(),
-        });
-    }
-    let prop_sum: f64 = expected_proportions.iter().sum();
-    if (prop_sum - 1.0).abs() > 1e-6 {
-        return Err(StatsError::InvalidParameter {
-            name: "expected_proportions sum",
-            value: prop_sum,
-        });
-    }
-    let total: f64 = observed.iter().map(|&c| c as f64).sum();
-    let mut statistic = 0.0;
-    for (&obs, &p) in observed.iter().zip(expected_proportions) {
-        if p <= 0.0 {
-            return Err(StatsError::InvalidParameter {
-                name: "expected proportion",
-                value: p,
-            });
-        }
-        let expected = total * p;
-        let d = obs as f64 - expected;
-        statistic += d * d / expected;
-    }
-    let df = observed.len() - 1;
-    Ok(ChiSquare {
-        statistic,
-        df,
-        p_value: chi_square_sf(statistic, df)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,22 +153,5 @@ mod tests {
         assert!(chi_square_independence(&[vec![0, 0], vec![1, 2]]).is_err());
         assert!(chi_square_independence(&[vec![1, 0], vec![2, 0]]).is_err());
         assert!(chi_square_independence(&[vec![1, 2], vec![3]]).is_err());
-    }
-
-    #[test]
-    fn goodness_of_fit_uniform() {
-        let t = chi_square_goodness_of_fit(&[25, 25, 25, 25], &[0.25; 4]).unwrap();
-        assert!(t.statistic < 1e-9);
-        assert!(!t.rejects(0.05));
-        let t = chi_square_goodness_of_fit(&[97, 1, 1, 1], &[0.25; 4]).unwrap();
-        assert!(t.rejects(1e-6));
-    }
-
-    #[test]
-    fn goodness_of_fit_validates() {
-        assert!(chi_square_goodness_of_fit(&[1, 2], &[0.5]).is_err());
-        assert!(chi_square_goodness_of_fit(&[1], &[1.0]).is_err());
-        assert!(chi_square_goodness_of_fit(&[1, 2], &[0.7, 0.7]).is_err());
-        assert!(chi_square_goodness_of_fit(&[1, 2], &[1.0, 0.0]).is_err());
     }
 }

@@ -106,53 +106,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<Correlation> {
     })
 }
 
-/// Spearman rank correlation with a two-sided p-value (t approximation).
-///
-/// Ties receive average (fractional) ranks.
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`].
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Result<Correlation> {
-    validate_pairs(xs, ys)?;
-    let rx = average_ranks(xs);
-    let ry = average_ranks(ys);
-    pearson(&rx, &ry)
-}
-
-/// Assigns average ranks (1-based) to a sample, averaging over ties.
-///
-/// # Examples
-///
-/// ```
-/// # use disengage_stats::correlation::average_ranks;
-/// assert_eq!(average_ranks(&[10.0, 20.0, 20.0]), vec![1.0, 2.5, 2.5]);
-/// ```
-pub fn average_ranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        xs[a]
-            .partial_cmp(&xs[b])
-            .expect("ranks require comparable values")
-    });
-    let mut ranks = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        // Average rank for the tie block [i, j].
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
 /// Pearson correlation of the element-wise natural logs of two positive
 /// samples — the statistic behind Fig. 8 of the paper.
 ///
@@ -236,34 +189,6 @@ mod tests {
         assert!((c.r - 1.0).abs() < 1e-12);
         assert!(c.p_value.is_nan());
         assert!(!c.is_significant(0.05));
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        // y = x^3 is monotone: Spearman = 1 even though the relation is
-        // nonlinear.
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|&v: &f64| v.powi(3)).collect();
-        let s = spearman(&x, &y).unwrap();
-        assert!((s.r - 1.0).abs() < 1e-12);
-        let p = pearson(&x, &y).unwrap();
-        assert!(p.r < 1.0);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [1.0, 2.0, 2.0, 3.0];
-        let s = spearman(&x, &y).unwrap();
-        assert!((s.r - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_ranks_ties() {
-        assert_eq!(
-            average_ranks(&[5.0, 1.0, 5.0, 3.0]),
-            vec![3.5, 1.0, 3.5, 2.0]
-        );
     }
 
     #[test]

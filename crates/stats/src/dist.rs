@@ -2,11 +2,10 @@
 //!
 //! The paper fits an Exponentiated Weibull to driver reaction times
 //! (Fig. 11) and Exponentials to accident speeds (Fig. 12). This module
-//! provides those distributions (plus the plain Weibull and Normal used for
-//! intermediate computations), each with PDF, CDF, quantile function,
-//! moments, and inverse-transform sampling.
+//! provides those distributions (plus the plain Weibull), each with PDF,
+//! CDF, quantile function, moments, and inverse-transform sampling.
 
-use crate::special::{gamma, std_normal_cdf, std_normal_quantile};
+use crate::special::gamma;
 use crate::{Result, StatsError};
 use rand::Rng;
 
@@ -335,63 +334,6 @@ impl Continuous for ExponentiatedWeibull {
     }
 }
 
-/// Normal (Gaussian) distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a Normal with the given mean and standard deviation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `std_dev <= 0`.
-    pub fn new(mean: f64, std_dev: f64) -> Result<Normal> {
-        if !mean.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "mean",
-                value: mean,
-            });
-        }
-        check_positive("std_dev", std_dev)?;
-        Ok(Normal { mean, std_dev })
-    }
-
-    /// The standard normal N(0, 1).
-    pub fn standard() -> Normal {
-        Normal {
-            mean: 0.0,
-            std_dev: 1.0,
-        }
-    }
-
-    /// The standard deviation σ.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-}
-
-impl Continuous for Normal {
-    fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.std_dev;
-        (-(z * z) / 2.0).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        std_normal_cdf((x - self.mean) / self.std_dev)
-    }
-
-    fn quantile(&self, p: f64) -> Result<f64> {
-        Ok(self.mean + self.std_dev * std_normal_quantile(p)?)
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,21 +460,6 @@ mod tests {
         let ew = ExponentiatedWeibull::new(2.0, 1.0, 1.0).unwrap();
         let w = Weibull::new(2.0, 1.0).unwrap();
         assert!((ew.mean() - w.mean()).abs() < 1e-3);
-    }
-
-    #[test]
-    fn normal_basics() {
-        let n = Normal::new(10.0, 2.0).unwrap();
-        assert_eq!(n.mean(), 10.0);
-        assert!((n.cdf(10.0) - 0.5).abs() < 1e-12);
-        check_quantile_roundtrip(&n, 1e-8);
-        check_pdf_integrates_cdf(&n, 0.0, 20.0, 1e-6);
-    }
-
-    #[test]
-    fn normal_rejects_bad_params() {
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::new(0.0, 0.0).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Histograms and empirical density estimates.
+//! Equal-width histograms.
 //!
-//! The PDF panels of Figs. 11 and 12 are normalized histograms with fitted
-//! curves overlaid; this module produces the histogram series.
+//! The PDF panels of Figs. 11 and 12 are histograms with fitted curves
+//! overlaid; this module bins those samples.
 
 use crate::{Result, StatsError};
 
@@ -95,33 +95,6 @@ impl Histogram {
     pub fn n(&self) -> usize {
         self.n
     }
-
-    /// Bin centers.
-    pub fn centers(&self) -> Vec<f64> {
-        self.edges
-            .windows(2)
-            .map(|w| (w[0] + w[1]) / 2.0)
-            .collect()
-    }
-
-    /// Density estimate per bin: `count / (n · bin_width)`, which
-    /// integrates to 1 — the normalization matplotlib's `density=True`
-    /// applies in the paper's figures.
-    pub fn density(&self) -> Vec<f64> {
-        self.edges
-            .windows(2)
-            .zip(&self.counts)
-            .map(|(w, &c)| c as f64 / (self.n as f64 * (w[1] - w[0])))
-            .collect()
-    }
-
-    /// Fraction of observations per bin (sums to 1).
-    pub fn proportions(&self) -> Vec<f64> {
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.n as f64)
-            .collect()
-    }
 }
 
 /// Suggests a bin count via the Freedman–Diaconis rule, falling back to
@@ -159,23 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn density_integrates_to_one() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64) * 0.01).collect();
-        let h = Histogram::from_data(&xs, 20).unwrap();
-        let width = h.edges()[1] - h.edges()[0];
-        let total: f64 = h.density().iter().map(|d| d * width).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn proportions_sum_to_one() {
-        let xs = [1.0, 2.0, 2.0, 3.0];
-        let h = Histogram::from_data(&xs, 3).unwrap();
-        let total: f64 = h.proportions().iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn upper_edge_included() {
         let h = Histogram::from_data(&[0.0, 10.0], 5).unwrap();
         assert_eq!(h.counts()[4], 1); // the 10.0 lands in the last bin
@@ -192,12 +148,6 @@ mod tests {
     fn with_range_clamps() {
         let h = Histogram::with_range(&[-5.0, 0.5, 20.0], 2, 0.0, 1.0).unwrap();
         assert_eq!(h.counts(), &[1, 2]); // -5 clamps low; 0.5 and 20 land high
-    }
-
-    #[test]
-    fn centers_midway() {
-        let h = Histogram::with_range(&[0.5], 2, 0.0, 2.0).unwrap();
-        assert_eq!(h.centers(), vec![0.5, 1.5]);
     }
 
     #[test]

@@ -191,14 +191,6 @@ pub struct RateComparison {
     pub p_value: f64,
 }
 
-impl RateComparison {
-    /// Whether the observed rate significantly exceeds the benchmark at
-    /// level `alpha`.
-    pub fn significantly_worse(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Tests whether `failures` over `miles` is consistent with a benchmark
 /// failure rate (exact Poisson test).
 ///
@@ -243,28 +235,6 @@ pub fn compare_to_benchmark(
         ratio: observed_rate / benchmark_rate,
         p_value,
     })
-}
-
-/// Probability of observing zero failures over `miles` miles at a given
-/// per-mile failure rate: `exp(−r·m)`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] for negative inputs.
-pub fn zero_failure_probability(rate_per_mile: f64, miles: f64) -> Result<f64> {
-    if rate_per_mile < 0.0 || !rate_per_mile.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            name: "rate_per_mile",
-            value: rate_per_mile,
-        });
-    }
-    if miles < 0.0 || !miles.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            name: "miles",
-            value: miles,
-        });
-    }
-    Ok((-rate_per_mile * miles).exp())
 }
 
 #[cfg(test)]
@@ -334,8 +304,7 @@ mod tests {
         let miles = 25.0 / 4.14e-5;
         let c = compare_to_benchmark(25, miles, 2e-6).unwrap();
         assert!(c.ratio > 15.0 && c.ratio < 25.0, "ratio = {}", c.ratio);
-        assert!(c.significantly_worse(0.1), "p = {}", c.p_value);
-        assert!(c.significantly_worse(0.01));
+        assert!(c.p_value < 0.01, "p = {}", c.p_value);
     }
 
     #[test]
@@ -343,7 +312,7 @@ mod tests {
         // 2 failures over 1M miles at a benchmark of 2e-6/mile: expected
         // exactly 2 — no significance.
         let c = compare_to_benchmark(2, 1_000_000.0, 2e-6).unwrap();
-        assert!(!c.significantly_worse(0.1), "p = {}", c.p_value);
+        assert!(c.p_value >= 0.1, "p = {}", c.p_value);
         assert!((c.ratio - 1.0).abs() < 1e-9);
     }
 
@@ -351,15 +320,6 @@ mod tests {
     fn zero_failures_p_value_one() {
         let c = compare_to_benchmark(0, 1_000_000.0, 2e-6).unwrap();
         assert_eq!(c.p_value, 1.0);
-        assert!(!c.significantly_worse(0.5));
-    }
-
-    #[test]
-    fn zero_failure_probability_decays() {
-        let p1 = zero_failure_probability(1e-6, 100_000.0).unwrap();
-        let p2 = zero_failure_probability(1e-6, 1_000_000.0).unwrap();
-        assert!(p1 > p2);
-        assert!((p2 - (-1.0f64).exp()).abs() < 1e-12);
     }
 
     #[test]
@@ -368,6 +328,5 @@ mod tests {
         assert!(failure_free_miles(1e-6, 1.0).is_err());
         assert!(rate_confidence_interval(1, 0.0, 0.95).is_err());
         assert!(compare_to_benchmark(1, -5.0, 1e-6).is_err());
-        assert!(zero_failure_probability(-1.0, 10.0).is_err());
     }
 }

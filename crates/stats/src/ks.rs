@@ -1,4 +1,4 @@
-//! Kolmogorov–Smirnov goodness-of-fit tests.
+//! The one-sample Kolmogorov–Smirnov goodness-of-fit test.
 //!
 //! Used to validate the distribution fits of Figs. 11 and 12 (does the
 //! Exponentiated Weibull actually describe the reaction times?).
@@ -69,44 +69,6 @@ pub fn ks_test<D: Continuous + ?Sized>(xs: &[f64], dist: &D) -> Result<KsTest> {
     })
 }
 
-/// Two-sample KS test: are `xs` and `ys` drawn from the same distribution?
-///
-/// # Errors
-///
-/// Returns [`crate::StatsError::EmptyInput`] if either sample is empty.
-pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> Result<KsTest> {
-    crate::error::ensure_nonempty_finite(xs)?;
-    crate::error::ensure_nonempty_finite(ys)?;
-    let mut a = xs.to_vec();
-    let mut b = ys.to_vec();
-    a.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-    b.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-    let (n1, n2) = (a.len() as f64, b.len() as f64);
-    let mut i = 0;
-    let mut j = 0;
-    let mut d_stat: f64 = 0.0;
-    while i < a.len() && j < b.len() {
-        let d1 = a[i];
-        let d2 = b[j];
-        if d1 <= d2 {
-            i += 1;
-        }
-        if d2 <= d1 {
-            j += 1;
-        }
-        let f1 = i as f64 / n1;
-        let f2 = j as f64 / n2;
-        d_stat = d_stat.max((f1 - f2).abs());
-    }
-    let en = (n1 * n2 / (n1 + n2)).sqrt();
-    let lambda = (en + 0.12 + 0.11 / en) * d_stat;
-    Ok(KsTest {
-        statistic: d_stat,
-        p_value: kolmogorov_sf(lambda),
-        n: xs.len() + ys.len(),
-    })
-}
-
 /// Kolmogorov survival function `Q(λ) = 2 Σ (−1)^{k−1} exp(−2k²λ²)`.
 fn kolmogorov_sf(lambda: f64) -> f64 {
     if lambda <= 0.0 {
@@ -128,7 +90,7 @@ fn kolmogorov_sf(lambda: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Continuous, Exponential, Normal, Weibull};
+    use crate::dist::{Continuous, Exponential, Weibull};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -153,27 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn two_sample_same_distribution() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let d = Normal::new(0.0, 1.0).unwrap();
-        let xs = d.sample_n(&mut rng, 800);
-        let ys = d.sample_n(&mut rng, 800);
-        let t = ks_two_sample(&xs, &ys).unwrap();
-        assert!(!t.rejects(0.01), "p = {}", t.p_value);
-    }
-
-    #[test]
-    fn two_sample_shifted_rejected() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let a = Normal::new(0.0, 1.0).unwrap();
-        let b = Normal::new(1.0, 1.0).unwrap();
-        let xs = a.sample_n(&mut rng, 500);
-        let ys = b.sample_n(&mut rng, 500);
-        let t = ks_two_sample(&xs, &ys).unwrap();
-        assert!(t.rejects(0.001), "p = {}", t.p_value);
-    }
-
-    #[test]
     fn statistic_bounded() {
         let d = Exponential::new(1.0).unwrap();
         let t = ks_test(&[100.0, 200.0], &d).unwrap();
@@ -185,7 +126,6 @@ mod tests {
     fn empty_rejected() {
         let d = Exponential::new(1.0).unwrap();
         assert!(ks_test(&[], &d).is_err());
-        assert!(ks_two_sample(&[], &[1.0]).is_err());
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! * five-number box-plot summaries with notches (Figs. 4, 7, 10) ([`boxplot`]),
 //! * ordinary least-squares linear regression with inference (Figs. 5, 9)
 //!   ([`regression`]),
-//! * Pearson / Spearman correlation with p-values (Fig. 8, §V-A4)
-//!   ([`correlation`]),
-//! * parametric distributions — Exponential, Weibull, Exponentiated Weibull,
-//!   Normal — with maximum-likelihood fitting (Figs. 11, 12) ([`dist`],
+//! * Pearson correlation with p-values (Fig. 8, §V-A4) ([`correlation`]),
+//! * parametric distributions — Exponential, Weibull, Exponentiated
+//!   Weibull — with maximum-likelihood fitting (Figs. 11, 12) ([`dist`],
 //!   [`fit`]),
-//! * Kolmogorov–Smirnov goodness-of-fit tests ([`ks`]),
+//! * the one-sample Kolmogorov–Smirnov goodness-of-fit test ([`ks`]),
+//! * chi-square tests of independence ([`chi_square`]),
 //! * the Kalra–Paddock "driving to safety" reliability-demonstration model
 //!   used by the paper for significance of accident rates ([`kalra_paddock`]),
-//! * histograms / empirical PDFs for figure series ([`histogram`]).
+//! * histograms for figure series ([`histogram`]).
 //!
 //! # Examples
 //!

@@ -42,11 +42,6 @@ impl LinearFit {
     pub fn predict(&self, x: f64) -> f64 {
         self.intercept + self.slope * x
     }
-
-    /// Predicted values for a slice of `x`s.
-    pub fn predict_all(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.predict(x)).collect()
-    }
 }
 
 /// Fits `y = a + b·x` by ordinary least squares.
@@ -238,12 +233,6 @@ mod tests {
             fit_linear(&[1.0, 2.0], &[1.0]),
             Err(StatsError::LengthMismatch { left: 2, right: 1 })
         ));
-    }
-
-    #[test]
-    fn predict_all_matches_predict() {
-        let f = fit_linear(&[0.0, 1.0, 2.0], &[0.0, 2.0, 4.0]).unwrap();
-        assert_eq!(f.predict_all(&[3.0, 4.0]), vec![f.predict(3.0), f.predict(4.0)]);
     }
 
     #[test]

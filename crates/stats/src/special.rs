@@ -1,10 +1,10 @@
 //! Special mathematical functions.
 //!
 //! Implements the transcendental functions needed for statistical inference:
-//! the log-gamma function, regularized incomplete gamma and beta functions,
-//! and the error function. All implementations are self-contained (no
-//! external math crates) and accurate to roughly 1e-10 over the parameter
-//! ranges used by this toolkit.
+//! the log-gamma function, the regularized incomplete gamma and beta
+//! functions, and Student's t p-value. All implementations are
+//! self-contained (no external math crates) and accurate to roughly 1e-10
+//! over the parameter ranges used by this toolkit.
 
 use crate::StatsError;
 
@@ -63,42 +63,6 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// ```
 pub fn gamma(x: f64) -> f64 {
     ln_gamma(x).exp()
-}
-
-/// The error function `erf(x)`.
-///
-/// Computed via the regularized incomplete gamma function:
-/// `erf(x) = sign(x) · P(1/2, x²)`.
-///
-/// # Examples
-///
-/// ```
-/// use disengage_stats::special::erf;
-/// assert!((erf(0.0)).abs() < 1e-15);
-/// assert!((erf(1.0) - 0.8427007929497149).abs() < 1e-10);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let p = reg_inc_gamma_p(0.5, x * x).unwrap_or(1.0);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
-/// The complementary error function `erfc(x) = 1 − erf(x)`.
-///
-/// For positive `x` this is computed directly from the upper incomplete
-/// gamma function, which avoids catastrophic cancellation for large `x`.
-pub fn erfc(x: f64) -> f64 {
-    if x > 0.0 {
-        reg_inc_gamma_q(0.5, x * x).unwrap_or(0.0)
-    } else {
-        1.0 + erf(-x)
-    }
 }
 
 /// Regularized lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`.
@@ -326,83 +290,6 @@ pub fn student_t_two_sided_p(t: f64, df: f64) -> crate::Result<f64> {
     reg_inc_beta(df / 2.0, 0.5, x)
 }
 
-/// Standard normal CDF `Φ(x)`.
-///
-/// # Examples
-///
-/// ```
-/// use disengage_stats::special::std_normal_cdf;
-/// assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-12);
-/// assert!((std_normal_cdf(1.96) - 0.975).abs() < 1e-3);
-/// ```
-pub fn std_normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Inverse of the standard normal CDF (the probit function).
-///
-/// Uses the Acklam rational approximation refined by one Halley step,
-/// accurate to about 1e-9.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] unless `0 < p < 1`.
-pub fn std_normal_quantile(p: f64) -> crate::Result<f64> {
-    if !(p > 0.0 && p < 1.0) {
-        return Err(StatsError::InvalidParameter { name: "p", value: p });
-    }
-    // Acklam's coefficients.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    // One Halley refinement step.
-    let e = std_normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    Ok(x - u / (1.0 + x * u / 2.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,27 +325,6 @@ mod tests {
     #[should_panic(expected = "ln_gamma requires x > 0")]
     fn ln_gamma_panics_on_nonpositive() {
         ln_gamma(0.0);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        // Reference values from Abramowitz & Stegun.
-        let cases = [
-            (0.5, 0.5204998778),
-            (1.0, 0.8427007929),
-            (2.0, 0.9953222650),
-            (-1.0, -0.8427007929),
-        ];
-        for (x, want) in cases {
-            assert!((erf(x) - want).abs() < 1e-8, "erf({x}) = {}", erf(x));
-        }
-    }
-
-    #[test]
-    fn erfc_complements_erf() {
-        for &x in &[0.1, 0.5, 1.0, 2.0, 3.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-10);
-        }
     }
 
     #[test]
@@ -510,20 +376,5 @@ mod tests {
         assert!((p - 0.05).abs() < 1e-3, "p = {p}");
         // t = 0 gives p = 1.
         assert!((student_t_two_sided_p(0.0, 5.0).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normal_quantile_round_trips_cdf() {
-        for &p in &[0.001, 0.01, 0.1, 0.5, 0.9, 0.975, 0.999] {
-            let x = std_normal_quantile(p).unwrap();
-            assert!((std_normal_cdf(x) - p).abs() < 1e-8, "p = {p}, x = {x}");
-        }
-    }
-
-    #[test]
-    fn normal_quantile_rejects_boundaries() {
-        assert!(std_normal_quantile(0.0).is_err());
-        assert!(std_normal_quantile(1.0).is_err());
-        assert!(std_normal_quantile(f64::NAN).is_err());
     }
 }

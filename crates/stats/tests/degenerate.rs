@@ -3,9 +3,9 @@
 //! never a panic, never a silently wrong number. These are the shapes
 //! the chaos campaign feeds Stage IV.
 
-use disengage_stats::dist::{Exponential, ExponentiatedWeibull, Normal, Weibull};
+use disengage_stats::dist::{Exponential, ExponentiatedWeibull, Weibull};
 use disengage_stats::fit::{fit_exponential, fit_exponentiated_weibull, fit_weibull};
-use disengage_stats::ks::{ks_test, ks_two_sample};
+use disengage_stats::ks::ks_test;
 use disengage_stats::StatsError;
 
 /// The degenerate shapes, hand-rolled so this crate needs no test deps.
@@ -71,14 +71,6 @@ fn ks_rejects_degenerate_samples() {
         let must_reject = xs.is_empty() || xs.iter().any(|x| !x.is_finite());
         if must_reject {
             assert!(ks_test(&xs, &dist).is_err(), "ks_test accepted {name}");
-            assert!(
-                ks_two_sample(&xs, &[1.0, 2.0, 3.0]).is_err(),
-                "ks_two_sample accepted {name} on the left"
-            );
-            assert!(
-                ks_two_sample(&[1.0, 2.0, 3.0], &xs).is_err(),
-                "ks_two_sample accepted {name} on the right"
-            );
         } else {
             assert!(ks_test(&xs, &dist).is_ok(), "ks_test refused {name}");
         }
@@ -95,9 +87,7 @@ fn distribution_constructors_reject_bad_parameters() {
             ExponentiatedWeibull::new(1.0, 1.0, bad).is_err(),
             "ExponentiatedWeibull alpha {bad}"
         );
-        assert!(Normal::new(0.0, bad).is_err(), "Normal std_dev {bad}");
     }
-    assert!(Normal::new(f64::NAN, 1.0).is_err());
     assert!(Exponential::with_mean(0.0).is_err());
 }
 

@@ -12,8 +12,9 @@
 # reference fitters (release), the repro harness's telemetry self-check
 # (nonzero exit if the pipeline's counters fail to reconcile), a
 # seeded chaos smoke campaign (nonzero exit on any panic, unreconciled
-# fault ledger, or rate-0 divergence from the clean run), the
-# parallel-determinism byte-diffs (repro output, metrics, and the
+# fault ledger, a DEGRADED line on stdout that chaos_report.json's
+# degradation ledger misses, or rate-0 divergence from the clean
+# run), the parallel-determinism byte-diffs (repro output, metrics, and the
 # provenance lineage log at --jobs=1 vs the default worker pool, clean
 # and chaos), an artifact-cache smoke (cold run stores, warm run must
 # hit every stage and byte-match; a corrupted artifact must recompute
@@ -97,11 +98,20 @@ rm -f metrics.prom
 
 echo "== chaos smoke: seeded fault-injection campaign =="
 cargo run --release --offline -p disengage-bench --bin repro -- \
-    --chaos=0.05,7 >/dev/null
+    --chaos=0.05,7 > chaos_output.txt
 test -s chaos_report.json || {
     echo "verify: chaos campaign wrote no chaos_report.json" >&2
     exit 1
 }
+# An artifact that prints DEGRADED (a whole block or one inline line)
+# must be listed in the report's degradation ledger.
+if grep -q DEGRADED chaos_output.txt &&
+    grep -q '"degraded_artifacts":\[\]' chaos_report.json; then
+    echo "verify: chaos_output.txt prints DEGRADED but chaos_report.json" \
+        "lists no degraded artifact" >&2
+    exit 1
+fi
+rm -f chaos_output.txt
 
 echo "== chaos smoke: rate 0 must match the clean run =="
 cargo run --release --offline -p disengage-bench --bin repro -- \

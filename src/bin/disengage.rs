@@ -33,10 +33,11 @@
 //! content-addressed stage artifact cache — a warm re-run replays
 //! Stages I–II instead of regenerating and re-OCRing the corpus).
 
+use disengage::core::analyze::{self, Inputs};
 use disengage::core::args::{ArgError, CommonArgs, ProfileMode, TelemetryMode};
 use disengage::core::pipeline::OcrMode;
 use disengage::core::telemetry::{execution_trace_json, timed};
-use disengage::core::{exposure, questions, report, tables, whatif, RunConfig, RunSession};
+use disengage::core::{export, exposure, whatif, CoreError, RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::dataframe::csv;
 use disengage::nlp::Classifier;
@@ -150,14 +151,10 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
                 o.database.accidents().len(),
                 o.database.total_miles()
             );
-            let (q2, q5, coverage) =
-                timed(&obs, "stage_iv_summary", || -> Result<_, String> {
-                    let q2 = questions::q2_causes(&o.tagged);
-                    let q5 = questions::q5_comparison(&o.database).map_err(|e| e.to_string())?;
-                    Ok((q2, q5, exposure::field_coverage(&o.database)))
-                })?;
-            println!("{}", report::render_q2(&q2));
-            println!("{}", report::render_q5(&q5));
+            let classifier = Classifier::with_default_dictionary();
+            let (text, _) = analyze::run(&["q2", "q5"], &Inputs::of(&o, &classifier), &obs);
+            print!("{text}");
+            let coverage = exposure::field_coverage(&o.database);
             println!(
                 "field coverage: road {:.0}%, weather {:.0}%, reaction time {:.0}% of {} records",
                 coverage.road_type * 100.0,
@@ -174,50 +171,30 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
                 .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
             let classifier = Classifier::with_default_dictionary();
-            let artifacts: Vec<(&str, disengage::dataframe::DataFrame)> =
-                timed(&obs, "stage_iv_tables", || -> Result<_, String> {
-                    Ok(vec![
-                        ("table1.csv", tables::table1(&o.database).map_err(|e| e.to_string())?),
-                        ("table2.csv", tables::table2(&classifier).map_err(|e| e.to_string())?),
-                        ("table3.csv", tables::table3().map_err(|e| e.to_string())?),
-                        ("table4.csv", tables::table4(&o.tagged).map_err(|e| e.to_string())?),
-                        ("table5.csv", tables::table5(&o.database).map_err(|e| e.to_string())?),
-                        ("table6.csv", tables::table6(&o.database).map_err(|e| e.to_string())?),
-                        ("table7.csv", tables::table7(&o.database).map_err(|e| e.to_string())?),
-                        ("table8.csv", tables::table8(&o.database).map_err(|e| e.to_string())?),
-                    ])
-                })?;
-            for (name, frame) in &artifacts {
-                let path = std::path::Path::new(dir).join(name);
-                csv::write_file(frame, &path).map_err(|e| e.to_string())?;
-                println!("wrote {}", path.display());
+            let inputs = Inputs::of(&o, &classifier);
+            let mut frames = Vec::new();
+            for (name, _) in analyze::TABLES {
+                let frame = timed(&obs, &format!("stage_iv_{name}"), || {
+                    analyze::table(name, &inputs)
+                });
+                frames.push((name, frame.map_err(|e| e.to_string())?));
             }
             // Record-level exports (the consolidated failure database).
-            let records: Vec<(&str, disengage::dataframe::DataFrame)> =
-                timed(&obs, "stage_iv_records", || -> Result<_, String> {
-                    Ok(vec![
-                        (
-                            "disengagements.csv",
-                            disengage::core::export::disengagements_frame(
-                                &o.database,
-                                Some(&o.tagged),
-                            )
-                            .map_err(|e| e.to_string())?,
-                        ),
-                        (
-                            "accidents.csv",
-                            disengage::core::export::accidents_frame(&o.database)
-                                .map_err(|e| e.to_string())?,
-                        ),
-                        (
-                            "mileage.csv",
-                            disengage::core::export::mileage_frame(&o.database)
-                                .map_err(|e| e.to_string())?,
-                        ),
-                    ])
-                })?;
-            for (name, frame) in &records {
-                let path = std::path::Path::new(dir).join(name);
+            let db = &o.database;
+            let records = timed(&obs, "stage_iv_records", || {
+                Ok::<_, CoreError>([
+                    (
+                        "disengagements",
+                        export::disengagements_frame(db, Some(&o.tagged))?,
+                    ),
+                    ("accidents", export::accidents_frame(db)?),
+                    ("mileage", export::mileage_frame(db)?),
+                ])
+            })
+            .map_err(|e| e.to_string())?;
+            frames.extend(records);
+            for (name, frame) in &frames {
+                let path = std::path::Path::new(dir).join(format!("{name}.csv"));
                 csv::write_file(frame, &path).map_err(|e| e.to_string())?;
                 println!("wrote {}", path.display());
             }
