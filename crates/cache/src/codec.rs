@@ -4,13 +4,18 @@
 //! integers, length-prefixed strings and sequences, one tag byte per
 //! enum/option. There is no schema negotiation — the frame carries a
 //! format version, and any mismatch (or any truncation or bit flip,
-//! caught by the FNV checksum) makes decoding fail cleanly so the
-//! caller recomputes instead of trusting a stale or damaged artifact.
+//! caught by the frame's length and checksum) makes decoding fail
+//! cleanly so the caller recomputes instead of trusting a stale or
+//! damaged artifact.
 
-use crate::fp::checksum;
+/// Magic prefix of every artifact file: "DAR2", the second frame
+/// layout of the disengage artifact. The first, "DART", summed the
+/// payload with byte-serial FNV-1a; its frames fail [`header_matches`]
+/// and recompute.
+const MAGIC: [u8; 4] = *b"DAR2";
 
-/// Magic prefix of every artifact file: "DART" (disengage artifact).
-const MAGIC: [u8; 4] = *b"DART";
+/// Bytes before the payload: magic, version, payload length, checksum.
+pub(crate) const HEADER_LEN: usize = 24;
 
 /// Append-only byte encoder.
 #[derive(Debug, Default)]
@@ -208,9 +213,9 @@ impl<'a> Dec<'a> {
 }
 
 /// Wraps an encoded payload in the on-disk frame:
-/// `MAGIC ∥ version ∥ payload_len ∥ fnv64(payload) ∥ payload`.
+/// `MAGIC ∥ version ∥ payload_len ∥ checksum(payload) ∥ payload`.
 pub fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
+    let mut out = Vec::with_capacity(payload.len() + HEADER_LEN);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -219,27 +224,88 @@ pub fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Checks a frame's header without reading its payload: the magic, the
+/// version, and a declared payload length that leaves the frame exactly
+/// `frame_len` bytes long. A frame that passes can still fail
+/// [`unframe`]'s checksum.
+pub(crate) fn header_matches(version: u32, header: &[u8; HEADER_LEN], frame_len: u64) -> bool {
+    let mut dec = Dec::new(header);
+    dec.take(4) == Some(&MAGIC[..])
+        && dec.u32() == Some(version)
+        && dec.u64().and_then(|len| len.checked_add(HEADER_LEN as u64)) == Some(frame_len)
+}
+
 /// Validates a frame and returns the payload slice. `None` on any
 /// mismatch: wrong magic, wrong version, truncated or over-long body,
 /// or checksum failure.
 pub fn unframe(version: u32, bytes: &[u8]) -> Option<&[u8]> {
-    let mut dec = Dec::new(bytes);
-    if dec.take(4)? != MAGIC {
+    let (header, payload) = bytes.split_first_chunk::<HEADER_LEN>()?;
+    if !header_matches(version, header, bytes.len() as u64) {
         return None;
     }
-    if dec.u32()? != version {
-        return None;
+    let sum = u64::from_le_bytes(*header.last_chunk::<8>()?);
+    (checksum(payload) == sum).then_some(payload)
+}
+
+/// Multipliers of the checksum's lane round and final mix (odd, so
+/// multiplying by one is a bijection of `u64`).
+const K1: u64 = 0x9e37_79b1_85eb_ca87;
+const K2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// The four lanes' starting states.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// Absorbs one 8-byte word into a lane. For a fixed word the step is a
+/// bijection of the lane state, and for a fixed state a bijection of
+/// the word (add, rotate and odd multiply all are).
+fn round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(K2))
+        .rotate_left(31)
+        .wrapping_mul(K1)
+}
+
+/// The frame checksum: little-endian 8-byte words dealt round-robin to
+/// four independent lanes (so the lanes' multiplies overlap), the last
+/// 1–7 bytes zero-padded into one more word, then the lanes and the
+/// payload length folded into one digest.
+///
+/// Every step is a bijection of the state it updates, so a change
+/// confined to one word — in particular any single-byte corruption —
+/// changes exactly one lane's final state and therefore the digest.
+/// Wider damage is caught with the odds of a 64-bit collision.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let (words, tail) = payload.as_chunks::<8>();
+    let (stripes, rest) = words.as_chunks::<4>();
+    for stripe in stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe) {
+            *lane = round(*lane, u64::from_le_bytes(*word));
+        }
     }
-    let len = dec.usize()?;
-    let sum = dec.u64()?;
-    let payload = dec.take(len)?;
-    if !dec.at_end() {
-        return None;
+    for (lane, word) in lanes.iter_mut().zip(rest) {
+        *lane = round(*lane, u64::from_le_bytes(*word));
     }
-    if checksum(payload) != sum {
-        return None;
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        lanes[rest.len()] = round(lanes[rest.len()], u64::from_le_bytes(padded));
     }
-    Some(payload)
+    let [a, b, c, d] = lanes;
+    let mut h = a
+        .rotate_left(1)
+        .wrapping_add(b.rotate_left(7))
+        .wrapping_add(c.rotate_left(12))
+        .wrapping_add(d.rotate_left(18));
+    // The length tells apart payloads whose zero-padded tails agree.
+    h = (h ^ payload.len() as u64).wrapping_mul(K1);
+    h ^= h >> 29;
+    h = h.wrapping_mul(K2);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
@@ -319,5 +385,45 @@ mod tests {
         let mut long = framed.clone();
         long.push(0);
         assert_eq!(unframe(3, &long), None);
+    }
+
+    /// A payload of `n` bytes that differ from their neighbours.
+    fn sample(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_digests_are_pinned() {
+        // Empty, a lone tail byte, three words and a 7-byte tail, one
+        // full four-lane stripe, a stripe plus a tail byte, and three
+        // stripes plus a word and a 4-byte tail.
+        let pinned = [
+            (0, 0x5417_2cb1_9908_27e8),
+            (1, 0x0c92_2a11_57b5_c443),
+            (31, 0x43e4_2ae2_628c_974d),
+            (32, 0x3a20_27b9_3bda_d4a4),
+            (33, 0xa7eb_e413_2f2f_2aa4),
+            (100, 0x778f_dc59_60ef_b730),
+        ];
+        for (n, digest) in pinned {
+            assert_eq!(checksum(&sample(n)), digest, "{n}-byte payload");
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_cut_of_a_four_lane_frame_is_rejected() {
+        let payload = sample(100);
+        let framed = frame(3, &payload);
+        assert_eq!(unframe(3, &framed), Some(payload.as_slice()));
+        for i in 0..framed.len() {
+            for bit in 0..8 {
+                let mut bad = framed.clone();
+                bad[i] ^= 1 << bit;
+                assert_eq!(unframe(3, &bad), None, "bit {bit} of byte {i} flipped");
+            }
+        }
+        for cut in 0..framed.len() {
+            assert_eq!(unframe(3, &framed[..cut]), None, "cut at {cut} undetected");
+        }
     }
 }

@@ -59,7 +59,8 @@ impl Fp {
     }
 
     /// Hashes raw bytes without a length prefix. Prefer the typed
-    /// writers; this exists for checksumming whole payloads.
+    /// writers, which delimit themselves; this is for digesting one
+    /// whole byte string (a golden output) and for the writers' own use.
     pub fn write_raw(&mut self, bytes: &[u8]) -> &mut Fp {
         for &b in bytes {
             self.byte(b);
@@ -120,13 +121,6 @@ impl Default for Fp {
     }
 }
 
-/// One-shot checksum of a byte payload (used by the artifact framing).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut fp = Fp::new();
-    fp.write_raw(bytes);
-    fp.finish().0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,9 +128,10 @@ mod tests {
     #[test]
     fn matches_published_fnv1a_vectors() {
         // Reference digests for the frozen FNV-1a 64 parameters.
-        assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(checksum(b"foobar"), 0x85944171f73967e8);
+        let raw = |bytes: &[u8]| Fp::new().write_raw(bytes).finish().0;
+        assert_eq!(raw(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(raw(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(raw(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

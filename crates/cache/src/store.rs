@@ -17,7 +17,10 @@
 //! file, which [`ArtifactStore::reclaim`] (run at session start) and
 //! the per-save sweep remove once its owner is provably dead or aged
 //! out. Torn frames that do reach disk (e.g. planted by a fault
-//! campaign) are caught by the frame checksum and recomputed.
+//! campaign) are removed and recomputed: at startup when the 24-byte
+//! header already disagrees with the file, otherwise at the first
+//! [`ArtifactStore::load`], the one place the payload checksum is
+//! verified.
 //!
 //! # Concurrency
 //!
@@ -43,13 +46,13 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::codec::{frame, unframe};
+use crate::codec::{frame, header_matches, unframe, HEADER_LEN};
 use crate::faults::{IoFault, IoFaults, IoOp};
 use crate::fp::Fingerprint;
 use crate::lock::{self, LockGuard};
@@ -77,7 +80,9 @@ pub enum Lookup {
     Miss,
     /// An entry exists but is truncated, bit-flipped, or from another
     /// format version. The caller recomputes; the bad file has been
-    /// removed so the recomputed artifact can take its place.
+    /// removed so the recomputed artifact can take its place — unless
+    /// the damage was a bit flip the fault surface injected into the
+    /// read, which leaves the file on disk as it was.
     Corrupt,
 }
 
@@ -199,8 +204,8 @@ impl ArtifactStore {
     /// Drains the counter ledger accumulated since the last drain:
     /// `cache.io.fault.*` (faults fired, by site), `cache.io.retried` /
     /// `cache.io.absorbed` (how each resolved), `cache.tmp.reclaimed`,
-    /// `lock.acquired` / `lock.contended` / `lock.wait_hit` /
-    /// `lock.timeout` / `lock.reclaimed`. Callers feed these into
+    /// `cache.torn.reclaimed`, `lock.acquired` / `lock.contended` /
+    /// `lock.wait_hit` / `lock.timeout` / `lock.reclaimed`. Callers feed these into
     /// their own telemetry; all land under prefixes the canonical
     /// report strips, so byte-identity contracts are untouched.
     pub fn take_counters(&self) -> Vec<(&'static str, u64)> {
@@ -271,8 +276,10 @@ impl ArtifactStore {
     }
 
     /// Reads an artifact file through the fault surface with bounded
-    /// retry. `None` means "treat as absent".
-    fn read_artifact(&self, path: &Path) -> Option<Vec<u8>> {
+    /// retry. `None` means "treat as absent"; the flag beside the bytes
+    /// says the fault surface flipped a bit of this copy, not of the
+    /// file.
+    fn read_artifact(&self, path: &Path) -> Option<(Vec<u8>, bool)> {
         for attempt in 0..IO_ATTEMPTS {
             let bytes = match fs::read(path) {
                 Ok(b) => b,
@@ -285,7 +292,7 @@ impl ArtifactStore {
                 Err(_) => return None,
             };
             match self.inject(IoOp::ReadArtifact, attempt + 1 < IO_ATTEMPTS) {
-                None => return Some(bytes),
+                None => return Some((bytes, false)),
                 Some(IoFault::Error) if attempt + 1 < IO_ATTEMPTS => {
                     backoff(attempt);
                     continue;
@@ -299,28 +306,34 @@ impl ArtifactStore {
                         let mid = bad.len() / 2;
                         bad[mid] ^= 0x10;
                     }
-                    return Some(bad);
+                    return Some((bad, true));
                 }
             }
         }
         None
     }
 
-    /// Probes the store for `<stage>/<key>`.
+    /// Probes the store for `<stage>/<key>`, verifying the whole frame
+    /// and its payload checksum. A frame that fails is removed and
+    /// counted like the frames [`ArtifactStore::reclaim`] removes at
+    /// startup for a torn header, so each torn artifact counts once.
     pub fn load(&self, stage: &str, key: Fingerprint) -> Lookup {
         let Some(path) = self.entry_path(stage, key) else {
             return Lookup::Miss;
         };
-        let Some(bytes) = self.read_artifact(&path) else {
+        let Some((bytes, flipped)) = self.read_artifact(&path) else {
             return Lookup::Miss;
         };
         match unframe(self.version, &bytes) {
             Some(payload) => Lookup::Hit(payload.to_vec()),
+            // The fault surface damaged this copy, not the file: an
+            // injected read fault must never delete a good artifact.
+            None if flipped => Lookup::Corrupt,
             None => {
                 // Drop the damaged entry so the recompute can replace
-                // it; ignore failures (read-only cache is still a
-                // cache).
-                let _ = fs::remove_file(&path);
+                // it; a failed removal is fine (a read-only cache is
+                // still a cache).
+                self.remove_torn(&path);
                 Lookup::Corrupt
             }
         }
@@ -476,10 +489,10 @@ impl ArtifactStore {
     }
 
     /// Reclaims stale litter (crashed peers' `*.tmp` intermediates,
-    /// expired `*.lock` files, and torn `.art` frames) across every
-    /// stage directory. Run at session start; the per-save sweep keeps
-    /// the tmp/lock part incremental afterwards. Returns how many
-    /// files were removed.
+    /// expired `*.lock` files, and `.art` files whose header is torn)
+    /// across every stage directory. Run at session start; the
+    /// per-save sweep keeps the tmp/lock part incremental afterwards.
+    /// Returns how many files were removed.
     pub fn reclaim(&self) -> u64 {
         let Some(root) = self.root.as_ref() else {
             return 0;
@@ -498,12 +511,14 @@ impl ArtifactStore {
         removed
     }
 
-    /// Removes `.art` entries whose frame fails to validate — garbage
-    /// from external corruption or a foreign format version; the
-    /// atomic commit protocol never publishes one itself. Startup-only
-    /// (frame-validating every entry is too heavy for the per-save
-    /// sweep) and deliberately outside the fault surface: an injected
-    /// read fault must never delete a good artifact.
+    /// Removes `.art` entries whose header fails [`header_matches`] —
+    /// truncated or over-long files, garbage, and frames of another
+    /// layout or format version; the atomic commit protocol never
+    /// publishes one itself. Reads only each header, never a payload:
+    /// damage inside a payload is left to the checksum in
+    /// [`ArtifactStore::load`], so a warm run reads every artifact
+    /// once. Deliberately outside the fault surface: an injected read
+    /// fault must never delete a good artifact.
     fn reclaim_torn(&self, dir: &Path) -> u64 {
         let Ok(entries) = fs::read_dir(dir) else {
             return 0;
@@ -514,17 +529,35 @@ impl ArtifactStore {
             if !has_ext(&path, "art") {
                 continue;
             }
-            let valid = fs::read(&path)
-                .ok()
-                .and_then(|b| unframe(self.version, &b).map(|_| ()))
-                .is_some();
-            if !valid && fs::remove_file(&path).is_ok() {
-                self.bump("cache.torn.reclaimed", 1);
-                self.note("cache.reclaim.torn", &path);
+            if !self.header_ok(&path) && self.remove_torn(&path) {
                 removed += 1;
             }
         }
         removed
+    }
+
+    /// Removes a torn `.art` file and, if it was removed, counts it under
+    /// `cache.torn.reclaimed` with its `cache.reclaim.torn` event.
+    fn remove_torn(&self, path: &Path) -> bool {
+        let removed = fs::remove_file(path).is_ok();
+        if removed {
+            self.bump("cache.torn.reclaimed", 1);
+            self.note("cache.reclaim.torn", path);
+        }
+        removed
+    }
+
+    /// Whether the file at `path` opens with this store's frame header
+    /// and is exactly as long as that header declares.
+    fn header_ok(&self, path: &Path) -> bool {
+        let Ok(mut file) = File::open(path) else {
+            return false;
+        };
+        let mut header = [0u8; HEADER_LEN];
+        match (file.metadata(), file.read_exact(&mut header)) {
+            (Ok(meta), Ok(())) => header_matches(self.version, &header, meta.len()),
+            _ => false,
+        }
     }
 
     /// Removes stale tmp/lock files in one stage directory.
@@ -726,9 +759,19 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
+        // Header and length are intact, so startup recovery keeps it ...
+        assert_eq!(store.reclaim(), 0);
+        assert!(path.exists());
+        // ... and the checksum at load catches, removes and counts it.
         assert_eq!(store.load("tag", key), Lookup::Corrupt);
         // The damaged file was removed, so the next probe is a miss.
         assert_eq!(store.load("tag", key), Lookup::Miss);
+        let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
+        assert_eq!(counters.get("cache.torn.reclaimed"), Some(&1));
+        assert_eq!(
+            store.take_events(),
+            vec![("cache.reclaim.torn", format!("{}.art", key.to_hex()))]
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -841,20 +884,63 @@ mod tests {
         let root = scratch("reclaim-torn");
         let store = ArtifactStore::at(&root, 1);
         store.save("corpus", Fingerprint(1), b"good");
-        let torn = root.join("corpus").join("aaaaaaaaaaaaaaaa.art");
-        fs::write(&torn, b"DART").unwrap();
-        assert_eq!(store.reclaim(), 1);
-        assert!(!torn.exists());
+        let good = root.join("corpus").join(format!("{}.art", Fingerprint(1).to_hex()));
+        let good = fs::read(good).unwrap();
+        // Three headers that disagree with their files: a bare magic,
+        // a frame cut after an intact header (the declared length no
+        // longer fits), and a whole frame under the old "DART" magic.
+        let mut old_magic = good.clone();
+        old_magic[..4].copy_from_slice(b"DART");
+        let torn = [
+            ("aaaaaaaaaaaaaaaa.art", b"DART".to_vec()),
+            ("bbbbbbbbbbbbbbbb.art", good[..HEADER_LEN + 2].to_vec()),
+            ("cccccccccccccccc.art", old_magic),
+        ];
+        for (name, bytes) in &torn {
+            fs::write(root.join("corpus").join(name), bytes).unwrap();
+        }
+        assert_eq!(store.reclaim(), 3);
+        for (name, _) in &torn {
+            assert!(!root.join("corpus").join(name).exists(), "{name} survived");
+        }
         // The frame-valid entry survives.
         assert!(matches!(store.load("corpus", Fingerprint(1)), Lookup::Hit(_)));
         let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
-        assert_eq!(counters.get("cache.torn.reclaimed"), Some(&1));
-        let events = store.take_events();
+        assert_eq!(counters.get("cache.torn.reclaimed"), Some(&3));
+        let mut events = store.take_events();
+        events.sort();
         assert_eq!(
             events,
-            vec![("cache.reclaim.torn", "aaaaaaaaaaaaaaaa.art".to_owned())]
+            torn.iter()
+                .map(|(name, _)| ("cache.reclaim.torn", (*name).to_owned()))
+                .collect::<Vec<_>>()
         );
         assert!(store.take_events().is_empty(), "take_events drains");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Flips a bit of every artifact read; every other operation runs.
+    struct FlipEveryRead;
+
+    impl IoFaults for FlipEveryRead {
+        fn inject(&self, op: IoOp) -> Option<IoFault> {
+            (op == IoOp::ReadArtifact).then_some(IoFault::BitFlip)
+        }
+    }
+
+    #[test]
+    fn injected_read_flip_never_deletes_a_good_artifact() {
+        let root = scratch("flip-read");
+        let store = ArtifactStore::at(&root, 1).with_faults(Arc::new(FlipEveryRead));
+        let key = Fingerprint(5);
+        store.save("normalize", key, b"a good artifact");
+        let path = root.join("normalize").join(format!("{}.art", key.to_hex()));
+        let on_disk = fs::read(&path).unwrap();
+        assert_eq!(store.load("normalize", key), Lookup::Corrupt);
+        assert_eq!(fs::read(&path).unwrap(), on_disk, "the good file was touched");
+        let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
+        assert_eq!(counters.get("cache.torn.reclaimed").copied().unwrap_or(0), 0);
+        assert!(store.take_events().is_empty());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -44,9 +44,11 @@
 //! keeps warm output byte-identical to cold — the only telemetry
 //! difference is the `cache.hit.*` / `cache.miss.*` counters, which
 //! `TelemetryReport::canonical` excludes as environment facts. A
-//! corrupted or truncated artifact is detected (FNV-checksummed
-//! frame, strict decode), counted as `cache.corrupt`, and silently
-//! recomputed — never a panic, never wrong output.
+//! corrupted or truncated artifact is detected (framed length and
+//! payload checksum, strict decode) and silently recomputed — never a
+//! panic, never wrong output. Startup recovery removes artifacts whose
+//! frame header is torn; one that fails only its checksum is counted
+//! as `cache.corrupt` when its stage probes it.
 
 use crate::artifact::{self, NormalizeArtifact, FORMAT_VERSION};
 use crate::error::{CoreError, Quarantined};
@@ -502,7 +504,7 @@ impl RunSession {
     /// See [`RunSession::run`].
     pub fn run_traced(&self, obs: &Collector, timeline: &TaskTimeline) -> Result<PipelineOutcome> {
         let config = &self.config;
-        let (generator, specs, store) = self.plan_shards()?;
+        let (generator, specs, store) = self.plan_shards(obs)?;
         let run_start = Instant::now();
         let outcome = {
             let mut root = obs.span("pipeline");
@@ -684,7 +686,7 @@ impl RunSession {
     /// [`CoreError::UnknownShard`] for a filter naming a shard the
     /// enumeration lacks.
     pub fn run_reduced(&self, obs: &Collector) -> Result<RunDigest> {
-        let (generator, specs, store) = self.plan_shards()?;
+        let (generator, specs, store) = self.plan_shards(obs)?;
         let digests = self.map_shards(
             &generator,
             &specs,
@@ -717,12 +719,15 @@ impl RunSession {
     /// The run's shard plan: the corpus generator, the shards the
     /// `--shards` filter keeps (erroring on an unknown label before any
     /// stage runs), and the artifact store, opened and reclaimed.
-    fn plan_shards(&self) -> Result<(CorpusGenerator, Vec<ShardSpec>, ArtifactStore)> {
+    fn plan_shards(
+        &self,
+        obs: &Collector,
+    ) -> Result<(CorpusGenerator, Vec<ShardSpec>, ArtifactStore)> {
         let generator = CorpusGenerator::new(self.config.corpus);
         let all_shards = generator.shards();
         let total_shards = all_shards.len();
         let specs = filter_shards(all_shards, self.config.shards.as_deref())?;
-        let store = self.open_store(total_shards);
+        let store = self.open_store(total_shards, obs);
         Ok((generator, specs, store))
     }
 
@@ -806,8 +811,11 @@ impl RunSession {
     /// Opens the configured artifact store. The default per-stage cap
     /// must hold one full generation of per-shard artifacts (plus
     /// headroom for a few config variants), or a single cold run would
-    /// evict its own artifacts while writing them.
-    fn open_store(&self, total_shards: usize) -> ArtifactStore {
+    /// evict its own artifacts while writing them. With a cache
+    /// directory, the open and its startup recovery are timed as the
+    /// `store_open` profile phase: serial work before any shard starts.
+    fn open_store(&self, total_shards: usize, obs: &Collector) -> ArtifactStore {
+        let start = Instant::now();
         let mut store = match &self.config.cache_dir {
             Some(dir) => ArtifactStore::at(dir.clone(), FORMAT_VERSION),
             None => ArtifactStore::disabled(),
@@ -824,6 +832,9 @@ impl RunSession {
         // before the first probe, so even a fully-warm run (which
         // never saves) leaves a clean directory.
         store.reclaim();
+        if store.is_enabled() {
+            profile::record_phase_at(obs, &["store_open"], start.elapsed());
+        }
         store
     }
 }

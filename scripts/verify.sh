@@ -17,7 +17,8 @@
 # run), the parallel-determinism byte-diffs (repro output, metrics, and the
 # provenance lineage log at --jobs=1 vs the default worker pool, clean
 # and chaos), an artifact-cache smoke (cold run stores, warm run must
-# hit every stage and byte-match; a corrupted artifact must recompute
+# hit every stage and byte-match; a truncated artifact must be reclaimed
+# at startup and a payload-flipped one at load, both recomputing
 # silently), a seeded crash-recovery campaign (kill-and-restart trials
 # with I/O faults and crashed-peer litter must converge byte-identically
 # and audit clean), a two-process shared-cache-dir race (single-flight
@@ -235,9 +236,10 @@ grep -q '"cache.miss.normalize":1' repro_metrics.json || {
 rm -rf .disengage-shard-cache
 
 echo "== artifact cache: corrupted artifact recomputes, never crashes =="
-# Startup recovery frame-validates every committed artifact and removes
-# torn ones before any probe, so the truncated file surfaces as
-# cache.torn.reclaimed (not cache.corrupt) and the stage recomputes.
+# Startup recovery checks every committed artifact's header against its
+# file size and removes torn ones before any probe, so the truncated
+# file surfaces as cache.torn.reclaimed (not cache.corrupt) and the
+# stage recomputes.
 artifact=$(find .disengage-cache/corpus -name '*.art' | head -n 1)
 test -n "$artifact" || {
     echo "verify: cache smoke left no corpus artifact" >&2
@@ -249,6 +251,33 @@ cargo run --release --offline -p disengage-bench --bin repro -- \
     --telemetry=json --lineage=lineage.jsonl > cache_corrupt.txt
 grep -q '"cache.torn.reclaimed":1' repro_metrics.json || {
     echo "verify: torn artifact was not reclaimed at startup" >&2
+    exit 1
+}
+diff cache_cold.txt cache_corrupt.txt
+
+echo "== artifact cache: a flipped payload byte is caught at load =="
+# A second corpus artifact keeps its header and length, so startup
+# recovery leaves it; its stage's load verifies the payload checksum,
+# counts cache.corrupt, removes the file (cache.torn.reclaimed) and the
+# stage recomputes the same bytes.
+flipped=$(find .disengage-cache/corpus -name '*.art' ! -path "$artifact" | head -n 1)
+test -n "$flipped" || {
+    echo "verify: cache smoke left no second corpus artifact" >&2
+    exit 1
+}
+offset=40 # payload byte 16: past the 24-byte header
+byte=$(od -An -tu1 -j "$offset" -N 1 "$flipped" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" |
+    dd of="$flipped" bs=1 seek="$offset" conv=notrunc status=none
+cargo run --release --offline -p disengage-bench --bin repro -- \
+    table1 --scale=0.2 --cache-dir=.disengage-cache \
+    --telemetry=json --lineage=lineage.jsonl > cache_corrupt.txt
+grep -q '"cache.torn.reclaimed":1[,}]' repro_metrics.json || {
+    echo "verify: payload-flipped artifact was not reclaimed at load" >&2
+    exit 1
+}
+grep -q '"cache.corrupt":1[,}]' repro_metrics.json || {
+    echo "verify: payload-flipped artifact was not counted corrupt" >&2
     exit 1
 }
 diff cache_cold.txt cache_corrupt.txt

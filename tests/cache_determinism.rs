@@ -199,9 +199,10 @@ fn corrupted_artifacts_recompute_silently_and_identically() {
     std::fs::write(&files[2], b"not an artifact").expect("garbage");
 
     // The damaged run must not panic, must detect every corruption
-    // (startup recovery frame-validates the directory and reclaims
-    // torn artifacts before the first probe), and must still produce
-    // the cold run's exact bytes.
+    // (startup recovery reclaims the two whose header no longer fits
+    // the file before the first probe; the bit flip inside a payload
+    // fails its checksum at load, which reclaims it too), and must
+    // still produce the cold run's exact bytes.
     let (_, damaged) = run_with_lineage(&config);
     assert_eq!(damaged.torn_reclaimed, 3, "every vandalized artifact reclaimed");
     assert_eq!((damaged.hits, damaged.misses), (3 * 18 - 3, 3));
