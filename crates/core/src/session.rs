@@ -658,10 +658,13 @@ impl RunSession {
         // Snapshot after the root span guard has dropped so the
         // `pipeline` span (and all children) carry final durations.
         drain_store(&store, obs);
-        // Recorder self-accounting: fraction of the run's wall clock
-        // spent inside flight-recording ops. Wall-clock by nature, so
-        // `canonical()` strips it; the benchmark reports it as the
-        // per-layer `obs.overhead_frac`, which nothing gates.
+        // Recorder self-accounting: the time spent inside recording
+        // calls (every call that takes a collector lock to record,
+        // summed over the absorbed shards, so at `--jobs` > 1 it can
+        // count parallel time twice) over the run's wall clock.
+        // Wall-clock by nature, so `canonical()` strips it; the
+        // benchmark reports it as the per-layer `obs.overhead_frac`,
+        // which nothing gates.
         let wall = run_start.elapsed().as_secs_f64();
         if wall > 0.0 {
             obs.gauge("obs.overhead.frac", obs.overhead_seconds() / wall);

@@ -177,15 +177,24 @@ impl Collector {
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Total wall time spent on flight-recorder work — ring pushes for
-    /// spans, watched counters, logs, named events, and ring absorbs
-    /// (this collector only; absorbed shards contribute theirs on
-    /// absorb). Deliberately *not* the whole recording path: counter,
-    /// histogram and lineage bookkeeping stay untimed, so the
-    /// `obs.overhead.frac` gauge (reported, not gated) isolates what
-    /// the always-on recorder adds. Unwatched counters pay only a
-    /// prefix check — timing them would itself be the dominant cost on
-    /// hot paths.
+    /// Runs one recording operation under the lock and adds its wall
+    /// time, lock wait included, to the overhead ledger.
+    fn recording<R>(&self, op: impl FnOnce(&mut Inner) -> R) -> R {
+        let t0 = Instant::now();
+        let out = op(&mut self.lock());
+        self.note_overhead(t0);
+        out
+    }
+
+    /// Total wall time spent inside recording calls: every call that
+    /// takes the lock to record (counters, gauges, samples, batches,
+    /// logs, events, lineage, span opens, fields and closes, absorbs),
+    /// lock wait and flight-ring pushes included. Absorbed shards add
+    /// their own ledger. Snapshots ([`Collector::report`],
+    /// [`Collector::state`], [`Collector::provenance`],
+    /// [`Collector::flight_snapshot`]) stay untimed: they read what
+    /// was recorded rather than record. Each timed call costs two clock
+    /// reads. This is the numerator of the `obs.overhead.frac` gauge.
     pub fn overhead_seconds(&self) -> f64 {
         self.overhead_ns.load(Ordering::Relaxed) as f64 / 1e9
     }
@@ -203,26 +212,25 @@ impl Collector {
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
         let start = self.epoch.elapsed();
         let thread = std::thread::current().id();
-        let mut inner = self.lock();
-        let parent = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
-        let index = inner.spans.len();
-        inner.spans.push(SpanData {
-            name: name.to_owned(),
-            parent,
-            start,
-            end: None,
-            fields: Vec::new(),
-        });
-        inner.stacks.entry(thread).or_default().push(index);
-        let t0 = Instant::now();
-        inner.flight.push(FlightEvent {
-            t_s: start.as_secs_f64(),
-            kind: FlightKind::SpanOpen {
+        let index = self.recording(|inner| {
+            let parent = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
+            let index = inner.spans.len();
+            inner.spans.push(SpanData {
                 name: name.to_owned(),
-            },
+                parent,
+                start,
+                end: None,
+                fields: Vec::new(),
+            });
+            inner.stacks.entry(thread).or_default().push(index);
+            inner.flight.push(FlightEvent {
+                t_s: start.as_secs_f64(),
+                kind: FlightKind::SpanOpen {
+                    name: name.to_owned(),
+                },
+            });
+            index
         });
-        self.note_overhead(t0);
-        drop(inner);
         SpanGuard {
             collector: self,
             index,
@@ -233,27 +241,19 @@ impl Collector {
     /// Adds to a counter (creating it at zero). Deltas on watched
     /// prefixes ([`flight::watched`]) also land in the flight ring.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.lock();
-        // Look up before inserting: hot paths update existing counters,
-        // and only an insert needs an owned name.
-        match inner.counters.get_mut(name) {
-            Some(count) => *count += delta,
-            None => {
-                inner.counters.insert(name.to_owned(), delta);
+        self.recording(|inner| {
+            add_counter(&mut inner.counters, name, delta);
+            if flight::watched(name) {
+                let t_s = self.epoch.elapsed().as_secs_f64();
+                inner.flight.push(FlightEvent {
+                    t_s,
+                    kind: FlightKind::Counter {
+                        name: name.to_owned(),
+                        delta,
+                    },
+                });
             }
-        }
-        if flight::watched(name) {
-            let t0 = Instant::now();
-            let t_s = self.epoch.elapsed().as_secs_f64();
-            inner.flight.push(FlightEvent {
-                t_s,
-                kind: FlightKind::Counter {
-                    name: name.to_owned(),
-                    delta,
-                },
-            });
-            self.note_overhead(t0);
-        }
+        });
     }
 
     /// Increments a counter by one.
@@ -263,20 +263,19 @@ impl Collector {
 
     /// Sets a gauge (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        self.lock().gauges.insert(name.to_owned(), value);
+        self.recording(|inner| inner.gauges.insert(name.to_owned(), value));
     }
 
     /// Records a sample into a histogram (creating it empty).
     pub fn record(&self, name: &str, sample: f64) {
-        let mut inner = self.lock();
-        match inner.histograms.get_mut(name) {
+        self.recording(|inner| match inner.histograms.get_mut(name) {
             Some(hist) => hist.record(sample),
             None => {
                 let mut hist = Histogram::new();
                 hist.record(sample);
                 inner.histograms.insert(name.to_owned(), hist);
             }
-        }
+        });
     }
 
     /// Records an info-level log event (echoed to stderr when the
@@ -314,37 +313,36 @@ impl Collector {
                 LogLevel::Debug => eprintln!("[{t_s:9.3}s] debug: {message}"),
             }
         }
-        let mut inner = self.lock();
-        inner.logs.push(LogEvent {
-            t_s,
-            level,
-            message: message.to_owned(),
-        });
-        let t0 = Instant::now();
-        inner.flight.push(FlightEvent {
-            t_s,
-            kind: FlightKind::Log {
+        self.recording(|inner| {
+            inner.logs.push(LogEvent {
+                t_s,
                 level,
                 message: message.to_owned(),
-            },
+            });
+            inner.flight.push(FlightEvent {
+                t_s,
+                kind: FlightKind::Log {
+                    level,
+                    message: message.to_owned(),
+                },
+            });
         });
-        self.note_overhead(t0);
     }
 
     /// Records an explicit named flight event (quarantine, degrade,
     /// injected fault, cache reclaim, interrupt): ring-only, not a
     /// metric.
     pub fn event(&self, name: &str, detail: &str) {
-        let t0 = Instant::now();
         let t_s = self.epoch.elapsed().as_secs_f64();
-        self.lock().flight.push(FlightEvent {
-            t_s,
-            kind: FlightKind::Event {
-                name: name.to_owned(),
-                detail: detail.to_owned(),
-            },
+        self.recording(|inner| {
+            inner.flight.push(FlightEvent {
+                t_s,
+                kind: FlightKind::Event {
+                    name: name.to_owned(),
+                    detail: detail.to_owned(),
+                },
+            })
         });
-        self.note_overhead(t0);
     }
 
     /// Whether this collector records lineage (see
@@ -360,7 +358,7 @@ impl Collector {
     /// same at any worker count.
     pub fn lineage(&self, subject: Subject, event: ProvenanceEvent) {
         if self.lineage {
-            self.lock().lineage.push(ProvenanceEntry { subject, event });
+            self.recording(|inner| inner.lineage.push(ProvenanceEntry { subject, event }));
         }
     }
 
@@ -369,7 +367,7 @@ impl Collector {
     /// (a no-op unless the collector records lineage).
     pub fn absorb_lineage(&self, entries: Vec<ProvenanceEntry>) {
         if self.lineage {
-            self.lock().lineage.extend(entries);
+            self.recording(|inner| inner.lineage.extend(entries));
         }
     }
 
@@ -434,32 +432,31 @@ impl Collector {
         );
         let shard = shard.inner.into_inner().unwrap_or_else(|e| e.into_inner());
         let thread = std::thread::current().id();
-        let mut inner = self.lock();
-        let base = inner.spans.len();
-        let attach = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
-        for mut span in shard.spans {
-            span.parent = match span.parent {
-                Some(p) => Some(base + p),
-                None => attach,
-            };
-            inner.spans.push(span);
-        }
-        for (name, delta) in shard.counters {
-            *inner.counters.entry(name).or_insert(0) += delta;
-        }
-        for (name, value) in shard.gauges {
-            inner.gauges.insert(name, value);
-        }
-        for (name, hist) in shard.histograms {
-            inner.histograms.entry(name).or_default().merge(&hist);
-        }
-        inner.logs.extend(shard.logs);
-        if self.lineage {
-            inner.lineage.extend(shard.lineage);
-        }
-        let t0 = Instant::now();
-        inner.flight.absorb(shard.flight);
-        self.note_overhead(t0);
+        self.recording(|inner| {
+            let base = inner.spans.len();
+            let attach = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
+            for mut span in shard.spans {
+                span.parent = match span.parent {
+                    Some(p) => Some(base + p),
+                    None => attach,
+                };
+                inner.spans.push(span);
+            }
+            for (name, delta) in shard.counters {
+                *inner.counters.entry(name).or_insert(0) += delta;
+            }
+            for (name, value) in shard.gauges {
+                inner.gauges.insert(name, value);
+            }
+            for (name, hist) in shard.histograms {
+                inner.histograms.entry(name).or_default().merge(&hist);
+            }
+            inner.logs.extend(shard.logs);
+            if self.lineage {
+                inner.lineage.extend(shard.lineage);
+            }
+            inner.flight.absorb(shard.flight);
+        });
     }
 
     /// Snapshots the raw accumulated state (typically of a shard, for
@@ -504,35 +501,36 @@ impl Collector {
     /// by `TelemetryReport::canonical` the same way.
     pub fn absorb_state(&self, state: CollectorState) {
         let thread = std::thread::current().id();
-        let mut inner = self.lock();
-        let base = inner.spans.len();
-        let attach = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
-        for span in state.spans {
-            inner.spans.push(SpanData {
-                name: span.name,
-                parent: match span.parent {
-                    Some(p) => Some(base + p),
-                    None => attach,
-                },
-                start: Duration::from_nanos(span.start_ns),
-                end: span.end_ns.map(Duration::from_nanos),
-                fields: span.fields,
-            });
-        }
-        for (name, delta) in state.counters {
-            *inner.counters.entry(name).or_insert(0) += delta;
-        }
-        for (name, value) in state.gauges {
-            inner.gauges.insert(name, value);
-        }
-        for (name, hist) in state.histograms {
-            inner
-                .histograms
-                .entry(name)
-                .or_default()
-                .merge(&Histogram::from_state(&hist));
-        }
-        inner.logs.extend(state.logs);
+        self.recording(|inner| {
+            let base = inner.spans.len();
+            let attach = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
+            for span in state.spans {
+                inner.spans.push(SpanData {
+                    name: span.name,
+                    parent: match span.parent {
+                        Some(p) => Some(base + p),
+                        None => attach,
+                    },
+                    start: Duration::from_nanos(span.start_ns),
+                    end: span.end_ns.map(Duration::from_nanos),
+                    fields: span.fields,
+                });
+            }
+            for (name, delta) in state.counters {
+                *inner.counters.entry(name).or_insert(0) += delta;
+            }
+            for (name, value) in state.gauges {
+                inner.gauges.insert(name, value);
+            }
+            for (name, hist) in state.histograms {
+                inner
+                    .histograms
+                    .entry(name)
+                    .or_default()
+                    .merge(&Histogram::from_state(&hist));
+            }
+            inner.logs.extend(state.logs);
+        });
     }
 
     /// Snapshots everything accumulated so far. Spans still open are
@@ -594,40 +592,52 @@ impl Collector {
     fn close_span(&self, index: usize) {
         let end = self.epoch.elapsed();
         let thread = std::thread::current().id();
-        let mut inner = self.lock();
-        if inner.spans[index].end.is_none() {
-            inner.spans[index].end = Some(end);
-            let name = inner.spans[index].name.clone();
-            let t0 = Instant::now();
-            inner.flight.push(FlightEvent {
-                t_s: end.as_secs_f64(),
-                kind: FlightKind::SpanClose { name },
-            });
-            self.note_overhead(t0);
-        }
-        // Normally `index` is the calling thread's innermost open span;
-        // guards dropped out of order (or moved across threads) just
-        // remove the span from whichever stack it sits on.
-        let mut removed = false;
-        if let Some(stack) = inner.stacks.get_mut(&thread) {
-            if let Some(at) = stack.iter().rposition(|&i| i == index) {
-                stack.remove(at);
-                removed = true;
+        self.recording(|inner| {
+            if inner.spans[index].end.is_none() {
+                inner.spans[index].end = Some(end);
+                let name = inner.spans[index].name.clone();
+                inner.flight.push(FlightEvent {
+                    t_s: end.as_secs_f64(),
+                    kind: FlightKind::SpanClose { name },
+                });
             }
-        }
-        if !removed {
-            for stack in inner.stacks.values_mut() {
+            // Normally `index` is the calling thread's innermost open
+            // span; guards dropped out of order (or moved across
+            // threads) just remove the span from whichever stack it
+            // sits on.
+            let mut removed = false;
+            if let Some(stack) = inner.stacks.get_mut(&thread) {
                 if let Some(at) = stack.iter().rposition(|&i| i == index) {
                     stack.remove(at);
-                    break;
+                    removed = true;
                 }
             }
-        }
-        inner.stacks.retain(|_, stack| !stack.is_empty());
+            if !removed {
+                for stack in inner.stacks.values_mut() {
+                    if let Some(at) = stack.iter().rposition(|&i| i == index) {
+                        stack.remove(at);
+                        break;
+                    }
+                }
+            }
+            inner.stacks.retain(|_, stack| !stack.is_empty());
+        });
     }
 
     fn span_field(&self, index: usize, key: &str, value: FieldValue) {
-        self.lock().spans[index].fields.push((key.to_owned(), value));
+        self.recording(|inner| inner.spans[index].fields.push((key.to_owned(), value)));
+    }
+}
+
+/// Adds `delta` to a counter, creating it. Looks up before inserting:
+/// hot paths update existing counters, and only an insert needs an
+/// owned name.
+fn add_counter(counters: &mut BTreeMap<String, u64>, name: &str, delta: u64) {
+    match counters.get_mut(name) {
+        Some(count) => *count += delta,
+        None => {
+            counters.insert(name.to_owned(), delta);
+        }
     }
 }
 
@@ -1037,23 +1047,50 @@ mod tests {
     }
 
     #[test]
-    fn recording_overhead_counts_ring_work_only() {
-        // Unwatched counters never touch the ring: their overhead
-        // ledger stays at exactly zero (hot paths pay a prefix check,
-        // not a clock read).
-        let c = Collector::new();
-        for _ in 0..100 {
-            c.incr("x");
+    fn recording_overhead_counts_every_recording_call() {
+        assert_eq!(Collector::new().overhead_seconds(), 0.0);
+        // Every kind of call that takes the lock to record is timed.
+        // Ten calls each, so a coarse clock cannot read all of them as
+        // zero.
+        let calls: [(&str, fn(&Collector)); 11] = [
+            ("unwatched counter", |c| c.incr("x")),
+            ("watched counter", |c| c.incr("quarantine.records")),
+            ("gauge", |c| c.gauge("g", 1.0)),
+            ("sample", |c| c.record("h", 1.0)),
+            ("log", |c| c.log("l")),
+            ("event", |c| c.event("e", "d")),
+            ("lineage", |c| c.lineage(Subject::Run, quarantine("r"))),
+            ("lineage replay", |c| {
+                c.absorb_lineage(vec![ProvenanceEntry {
+                    subject: Subject::Run,
+                    event: quarantine("r"),
+                }])
+            }),
+            ("span", |c| c.span("s").field("k", 1u64)),
+            ("absorb", |c| c.absorb(c.shard())),
+            ("state replay", |c| c.absorb_state(CollectorState::default())),
+        ];
+        for (what, call) in calls {
+            let c = Collector::new().with_lineage(true);
+            for _ in 0..10 {
+                call(&c);
+            }
+            assert!(c.overhead_seconds() > 0.0, "{what} must be timed");
         }
+        // Snapshots read what was recorded and stay untimed.
+        let c = Collector::new().with_lineage(true);
+        let _ = (c.report(), c.state(), c.provenance(), c.flight_snapshot());
         assert_eq!(c.overhead_seconds(), 0.0);
-        // Watched counters, spans, and shard ring-absorbs are timed.
-        for _ in 0..100 {
-            c.incr("quarantine.records");
-        }
+        // A shard's ledger is added on absorb, on top of the absorb's
+        // own time.
         let shard = c.shard();
-        shard.incr("quarantine.records");
+        for _ in 0..100 {
+            shard.incr("x");
+        }
+        let shard_s = shard.overhead_seconds();
+        assert!(shard_s > 0.0);
         c.absorb(shard);
-        assert!(c.overhead_seconds() > 0.0);
+        assert!(c.overhead_seconds() > shard_s);
     }
 
     #[test]
