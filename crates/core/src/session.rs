@@ -773,7 +773,7 @@ impl RunSession {
         let results = par::par_map_coarse_catch(
             config.jobs,
             specs,
-            |_, spec| {
+            |i, spec| {
                 let wobs = obs.shard();
                 let keys = shard_keys(&keys, spec);
                 let yielded = run_shard(
@@ -784,6 +784,7 @@ impl RunSession {
                     spec,
                     &keys,
                     inner_jobs,
+                    i + 1 == specs.len(),
                     store,
                     &wobs,
                     timeline,
@@ -1078,6 +1079,12 @@ fn record_stage_memory(obs: &Collector, name: &str) {
 /// cache under the shard's own fingerprints. Runs entirely inside one
 /// coarse-map worker: `obs` is that worker's collector shard, absorbed
 /// by the main thread in enumeration order after the map joins.
+///
+/// Only the `last` planned shard reads the `profile.mem.stage_*`
+/// gauges. Gauges overwrite on absorb, and the in-order absorb keeps
+/// the last shard's readings, so reading them in every shard would
+/// cost a `/proc/self/status` read per stage and shard for values
+/// that are then overwritten.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     config: &RunConfig,
@@ -1087,10 +1094,16 @@ fn run_shard(
     spec: &ShardSpec,
     keys: &ShardStageKeys,
     inner_jobs: usize,
+    last: bool,
     store: &ArtifactStore,
     obs: &Collector,
     timeline: &TaskTimeline,
 ) -> ShardYield {
+    let stage_memory = |stage: Stage| {
+        if last {
+            record_stage_memory(obs, stage.name());
+        }
+    };
     let mut throughput = [StageSample::default(); 4];
     let mut shard_span = obs.span("shard");
     shard_span.field("label", spec.label());
@@ -1118,7 +1131,7 @@ fn run_shard(
         bytes: corpus.documents.iter().map(|d| d.text.len() as u64).sum(),
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Corpus.name());
+    stage_memory(Stage::Corpus);
     if config.abort_after == Some(Stage::Corpus) {
         return ShardYield {
             corpus,
@@ -1179,7 +1192,7 @@ fn run_shard(
         bytes: documents.iter().map(|d| d.text.len() as u64).sum(),
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Digitize.name());
+    stage_memory(Stage::Digitize);
     if config.abort_after == Some(Stage::Digitize) {
         return ShardYield {
             corpus,
@@ -1209,7 +1222,7 @@ fn run_shard(
         bytes: 0,
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Normalize.name());
+    stage_memory(Stage::Normalize);
     if config.abort_after == Some(Stage::Normalize) {
         return ShardYield {
             corpus,
@@ -1256,7 +1269,7 @@ fn run_shard(
         bytes: 0,
         elapsed: stage_start.elapsed(),
     };
-    record_stage_memory(obs, Stage::Tag.name());
+    stage_memory(Stage::Tag);
     ShardYield {
         corpus,
         ocr: ocr_stats,

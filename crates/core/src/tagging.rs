@@ -2,6 +2,7 @@
 //! results.
 
 use disengage_nlp::{Classifier, FailureCategory, FaultTag, TagAssignment};
+use disengage_obs::Histogram;
 use disengage_reports::{DisengagementRecord, Manufacturer};
 use std::collections::BTreeMap;
 
@@ -19,6 +20,13 @@ pub struct TaggedDisengagement {
 /// verdict counter (`nlp.tag.<tag>`), Unknown-T and ambiguous-tie
 /// counts, vote-margin and dictionary-hit samples, and the overall
 /// Unknown-T rate gauge. Returns one verdict per record, in order.
+///
+/// The counts and samples are tallied locally, the samples in record
+/// order, and recorded in one batch
+/// ([`disengage_obs::Collector::record_batch`]). `obs` must hold no
+/// `nlp.vote_margin` or `nlp.dictionary_hits` samples yet — the
+/// session passes the stage's fresh collector shard — so the batch
+/// carries the same bits as recording each sample here.
 ///
 /// Lineage and execution tracing ride along: when `obs` records
 /// lineage, each record's full ballot is logged against `ids[i]`
@@ -55,7 +63,9 @@ pub fn tag_records(
         .map(|t| format!("nlp.tag.{}", disengage_obs::key_segment(t.name())))
         .collect();
     let mut assignments = Vec::with_capacity(verdicts.len());
-    let mut unknown = 0usize;
+    let mut per_tag = [0u64; FaultTag::ALL.len()];
+    let (mut unknown, mut ambiguous) = (0u64, 0u64);
+    let (mut margins, mut hits) = (Histogram::new(), Histogram::new());
     for (i, (assignment, votes)) in verdicts.into_iter().enumerate() {
         if let Some(id) = ids.get(i).filter(|_| lineage) {
             let subject = disengage_obs::Subject::Record(id.clone());
@@ -81,26 +91,32 @@ pub fn tag_records(
                 },
             );
         }
-        obs.incr("nlp.tagged");
         let tag = FaultTag::ALL
             .iter()
             .position(|&t| t == assignment.tag)
             .expect("FaultTag::ALL lists every tag");
-        obs.incr(&tag_counters[tag]);
+        per_tag[tag] += 1;
         if assignment.tag == FaultTag::UnknownT {
             unknown += 1;
-            obs.incr("nlp.unknown_t");
         }
         if assignment.ambiguous {
-            obs.incr("nlp.ambiguous");
+            ambiguous += 1;
         }
-        obs.record("nlp.vote_margin", assignment.margin);
-        obs.record(
-            "nlp.dictionary_hits",
-            assignment.matched_keywords.len() as f64,
-        );
+        margins.record(assignment.margin);
+        hits.record(assignment.matched_keywords.len() as f64);
         assignments.push(assignment);
     }
+    let tagged = assignments.len() as u64;
+    obs.record_batch(
+        [
+            ("nlp.tagged", tagged),
+            ("nlp.unknown_t", unknown),
+            ("nlp.ambiguous", ambiguous),
+        ]
+        .into_iter()
+        .chain(tag_counters.iter().map(String::as_str).zip(per_tag)),
+        [("nlp.vote_margin", margins), ("nlp.dictionary_hits", hits)],
+    );
     if !assignments.is_empty() {
         obs.gauge(
             "nlp.unknown_t_rate",

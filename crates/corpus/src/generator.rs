@@ -14,6 +14,7 @@ use disengage_reports::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Configuration for corpus generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,9 +218,10 @@ impl CorpusGenerator {
     /// [`CorpusGenerator::generate_shard`], recording the shard's slice
     /// of the Stage I telemetry into `obs`: total and per-manufacturer
     /// record counters and document counts, which sum across shards to
-    /// the corpus-wide values. The `corpus.total_miles` gauge is *not*
-    /// recorded here — gauges overwrite on absorb, so the corpus-wide
-    /// value is the merge stage's job.
+    /// the corpus-wide values. The per-manufacturer counts are tallied
+    /// locally and recorded in one batch. The `corpus.total_miles`
+    /// gauge is *not* recorded here — gauges overwrite on absorb, so
+    /// the corpus-wide value is the merge stage's job.
     pub fn generate_shard_with(
         &self,
         spec: &ShardSpec,
@@ -232,12 +234,18 @@ impl CorpusGenerator {
         );
         obs.add("corpus.accidents", corpus.truth.accidents().len() as u64);
         obs.add("corpus.documents", corpus.documents.len() as u64);
+        let mut per_manufacturer: BTreeMap<Manufacturer, u64> = BTreeMap::new();
         for r in corpus.truth.disengagements() {
-            obs.incr(&format!(
-                "corpus.dis.{}",
-                disengage_obs::key_segment(r.manufacturer.name())
-            ));
+            *per_manufacturer.entry(r.manufacturer).or_insert(0) += 1;
         }
+        let counts: Vec<(String, u64)> = per_manufacturer
+            .into_iter()
+            .map(|(m, n)| {
+                let name = format!("corpus.dis.{}", disengage_obs::key_segment(m.name()));
+                (name, n)
+            })
+            .collect();
+        obs.record_batch(counts.iter().map(|(name, n)| (name.as_str(), *n)), []);
         corpus
     }
 

@@ -4,9 +4,12 @@
 //!
 //! No global state is required — the pipeline threads a `&Collector`
 //! through its stages. Interior mutability (a `Mutex` around the whole
-//! state) keeps the API `&self` so a collector can be shared freely;
-//! contention is irrelevant at the pipeline's instrumentation
-//! granularity (thousands of updates per run, not millions per second).
+//! state) keeps the API `&self` so a collector can be shared freely.
+//! Every recording call takes that lock, so per-record facts never
+//! reach it one by one: a stage tallies them locally and records the
+//! batch once per shard or document ([`Collector::record_batch`]),
+//! about 1.2k recording calls in a full-scale run. Flight-watched
+//! counters are the exception and still record per event.
 //! Parallel tasks record into [`Collector::shard`]s that the caller
 //! folds back with [`Collector::absorb`] in task-index order, which
 //! keeps every channel (lineage included) independent of the worker
@@ -274,6 +277,47 @@ impl Collector {
                 let mut hist = Histogram::new();
                 hist.record(sample);
                 inner.histograms.insert(name.to_owned(), hist);
+            }
+        });
+    }
+
+    /// Records a batch a stage tallied locally — counter deltas, and
+    /// samples gathered in record order in a local [`Histogram`] —
+    /// under one lock, as if each had been recorded here one event at
+    /// a time. Zero deltas and empty histograms are skipped, so the
+    /// counter and histogram key sets match per-event recording.
+    ///
+    /// That equivalence is bit-exact only where this collector's
+    /// histogram of the same name is still empty: its sum starts at
+    /// `0.0`, and `0.0 + s` is exact, while a fold into a histogram
+    /// that already holds samples would reassociate the float sum. So
+    /// a stage flushes into its own fresh collector shard. Counters on
+    /// flight-watched prefixes ([`flight::watched`]) do not belong
+    /// here: each of their deltas is a flight event, and the ring's
+    /// drop count is a canonical counter, so they record per event
+    /// through [`Collector::add`].
+    pub fn record_batch<'a>(
+        &self,
+        counts: impl IntoIterator<Item = (&'a str, u64)>,
+        samples: impl IntoIterator<Item = (&'a str, Histogram)>,
+    ) {
+        self.recording(|inner| {
+            for (name, delta) in counts {
+                debug_assert!(!flight::watched(name), "{name} must record per event");
+                if delta > 0 {
+                    add_counter(&mut inner.counters, name, delta);
+                }
+            }
+            for (name, hist) in samples.into_iter().filter(|(_, h)| h.count() > 0) {
+                match inner.histograms.get_mut(name) {
+                    Some(mine) => {
+                        debug_assert_eq!(mine.count(), 0, "{name} already holds samples");
+                        mine.merge(&hist);
+                    }
+                    None => {
+                        inner.histograms.insert(name.to_owned(), hist);
+                    }
+                }
             }
         });
     }
@@ -796,6 +840,38 @@ mod tests {
         let dh = d.histogram("stage.score").unwrap();
         let sh = s.histogram("stage.score").unwrap();
         assert_eq!(dh.sum.to_bits(), sh.sum.to_bits());
+    }
+
+    #[test]
+    fn batch_into_an_empty_histogram_matches_recording_one_by_one() {
+        // Samples whose float sum depends on the order of addition,
+        // plus zero, a negative and an overflow-bucket sample.
+        let samples: Vec<f64> = (0..500)
+            .map(|i| 0.1 * i as f64 + 1e-7 * (i % 7) as f64)
+            .chain([0.0, -2.5, 1e300, 3.0])
+            .collect();
+        let direct = Collector::new();
+        direct.add("stage.items", 0);
+        for &x in &samples {
+            direct.incr("stage.items");
+            direct.record("stage.score", x);
+        }
+        let batched = Collector::new();
+        batched.add("stage.items", 0);
+        let mut local = Histogram::new();
+        for &x in &samples {
+            local.record(x);
+        }
+        batched.record_batch(
+            [("stage.items", samples.len() as u64), ("stage.none", 0)],
+            [("stage.score", local), ("stage.empty", Histogram::new())],
+        );
+        let (d, b) = (direct.state(), batched.state());
+        assert_eq!(d, b, "zero counts and empty histograms add no keys");
+        assert_eq!(
+            d.histograms[0].1.sum.to_bits(),
+            b.histograms[0].1.sum.to_bits()
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! through ~10⁹-scale mile counts in 58 fixed buckets, so recording is
 //! allocation-free after construction.
 
+use std::sync::OnceLock;
+
 /// Smallest decade exponent covered by the fixed buckets.
 const MIN_EXP: i32 = -9;
 /// Largest decade exponent covered by the fixed buckets.
@@ -26,17 +28,22 @@ fn bucket_bound(i: usize) -> f64 {
     STEPS[i % STEPS.len()] * 10f64.powi(exp)
 }
 
-/// Index of the first bucket whose upper bound is ≥ `x`.
+/// The finite bucket bounds, ascending: filled once from
+/// [`bucket_bound`], so the bounds a sample is sorted by are the very
+/// values every histogram summary prints.
+fn bounds() -> &'static [f64; N_BUCKETS - 1] {
+    static BOUNDS: OnceLock<[f64; N_BUCKETS - 1]> = OnceLock::new();
+    BOUNDS.get_or_init(|| std::array::from_fn(bucket_bound))
+}
+
+/// Index of the first bucket whose upper bound is ≥ `x`: a binary
+/// search of the bound table (the overflow bucket for `x` above every
+/// finite bound, for `±∞` and for NaN).
 fn bucket_index(x: f64) -> usize {
     if !x.is_finite() {
         return N_BUCKETS - 1;
     }
-    for i in 0..N_BUCKETS - 1 {
-        if x <= bucket_bound(i) {
-            return i;
-        }
-    }
-    N_BUCKETS - 1
+    bounds().partition_point(|&bound| bound < x)
 }
 
 /// An accumulating log-bucketed histogram over non-negative-ish `f64`
@@ -429,6 +436,46 @@ mod tests {
         right.merge(&right_tail);
         assert_eq!(left.state().counts, right.state().counts);
         assert_eq!(left.count(), right.count());
+    }
+
+    /// The reference lookup: a linear scan for the first bound ≥ `x`,
+    /// recomputing each bound.
+    fn reference_index(x: f64) -> usize {
+        if !x.is_finite() {
+            return N_BUCKETS - 1;
+        }
+        (0..N_BUCKETS - 1)
+            .find(|&i| x <= bucket_bound(i))
+            .unwrap_or(N_BUCKETS - 1)
+    }
+
+    #[test]
+    fn table_lookup_matches_the_reference_scan() {
+        let mut grid = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -1e-300,
+            -f64::MAX,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for i in 0..N_BUCKETS - 1 {
+            let bound = bucket_bound(i);
+            assert_eq!(bounds()[i].to_bits(), bound.to_bits());
+            // The bound and the next f64 below and above it (every
+            // bound is positive, so its bits step in value order).
+            let bits = bound.to_bits();
+            grid.extend([f64::from_bits(bits - 1), bound, f64::from_bits(bits + 1)]);
+        }
+        // 10,000 log-spaced values over 1e-12..1e12.
+        grid.extend((0..10_000).map(|i| 10f64.powf(-12.0 + 24.0 * i as f64 / 9_999.0)));
+        for x in grid {
+            assert_eq!(bucket_index(x), reference_index(x), "x = {x:e}");
+        }
     }
 
     #[test]

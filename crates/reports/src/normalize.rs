@@ -68,6 +68,9 @@ pub fn normalize_document(doc: &RawDocument) -> Normalized {
 /// total and per-manufacturer (the within-stage identity
 /// `parse.dis.lines == parse.dis.parsed + parse.dis.failed` holds by
 /// construction — each attempted line lands in exactly one bucket).
+/// Attempted and parsed lines are tallied locally and recorded in one
+/// batch per document; each failed line records as it happens, since
+/// `parse.dis.failed*` deltas are flight-recorder events.
 /// It also assigns every recovered disengagement a stable
 /// [`disengage_obs::RecordId`] (manufacturer, filing year, car, per-car
 /// ordinal within this document) and, when `obs` records lineage,
@@ -91,15 +94,6 @@ pub fn normalize_document_traced(
     let count = |name: &str| {
         if let Some(obs) = obs {
             obs.incr(name);
-        }
-    };
-    let count_m = |stem: &str| {
-        if let Some(obs) = obs {
-            obs.incr(stem);
-            obs.incr(&format!(
-                "{stem}.{}",
-                disengage_obs::key_segment(doc.manufacturer.name())
-            ));
         }
     };
     let quarantine = |subject: Subject, reason: &dyn std::fmt::Display| {
@@ -136,6 +130,21 @@ pub fn normalize_document_traced(
         DocumentKind::Disengagements => {
             let format = format_for(doc.manufacturer);
             let (log_text, mileage_text) = doc.sections();
+            // Per-manufacturer counter names, built once per document.
+            let names = obs.map(|_| {
+                let m = disengage_obs::key_segment(doc.manufacturer.name());
+                [
+                    format!("parse.dis.parsed.{m}"),
+                    format!("parse.dis.failed.{m}"),
+                ]
+            });
+            let failed = || {
+                if let (Some(obs), Some([_, failed_m])) = (obs, &names) {
+                    obs.incr("parse.dis.failed");
+                    obs.incr(failed_m);
+                }
+            };
+            let (mut lines, mut parsed) = (0u64, 0u64);
             // Per-car ordinal within this document: the corpus emits one
             // disengagement document per (manufacturer, filing year), so
             // (manufacturer, year, car, ordinal) identifies the record.
@@ -146,7 +155,7 @@ pub fn normalize_document_traced(
                 if line.is_empty() {
                     continue;
                 }
-                count("parse.dis.lines");
+                lines += 1;
                 match format.parse_line(line, i + 1) {
                     Ok(mut record) => {
                         record.manufacturer = doc.manufacturer;
@@ -176,7 +185,7 @@ pub fn normalize_document_traced(
                                 }
                                 ids.push(id);
                                 out.disengagements.push(record);
-                                count_m("parse.dis.parsed");
+                                parsed += 1;
                             }
                             Err(e) => {
                                 quarantine(
@@ -187,7 +196,7 @@ pub fn normalize_document_traced(
                                     &e,
                                 );
                                 out.failures.push(e);
-                                count_m("parse.dis.failed");
+                                failed();
                             }
                         }
                     }
@@ -200,9 +209,19 @@ pub fn normalize_document_traced(
                             &e,
                         );
                         out.failures.push(e);
-                        count_m("parse.dis.failed");
+                        failed();
                     }
                 }
+            }
+            if let (Some(obs), Some([parsed_m, _])) = (obs, &names) {
+                obs.record_batch(
+                    [
+                        ("parse.dis.lines", lines),
+                        ("parse.dis.parsed", parsed),
+                        (parsed_m.as_str(), parsed),
+                    ],
+                    [],
+                );
             }
             if !mileage_text.is_empty() {
                 match parse_mileage_table(doc.manufacturer, mileage_text) {
