@@ -474,6 +474,75 @@ mod tests {
         }
     }
 
+    /// Uneven busy work: every seventh item spins 100x longer.
+    fn spin(x: usize) -> u64 {
+        let spins = if x % 7 == 0 { 20_000 } else { 200 };
+        (0..spins).fold(0u64, |acc, k| acc.wrapping_add(k).rotate_left(5))
+    }
+
+    /// The nested-call guard: with maps running inside another map's
+    /// tasks, every worker's busy time stays within the outermost
+    /// call's wall, and busy + idle reconciles with it.
+    fn assert_nested_accounting(timeline: &TaskTimeline, workers: usize) {
+        let calls = timeline.calls();
+        let outer = &calls[0];
+        assert_eq!(outer.label, "outer");
+        assert!(calls.len() > 1, "the inner maps recorded their calls");
+        let wall = outer.end_s - outer.start_s;
+        assert!(wall > 0.0);
+        let stats = timeline.worker_stats();
+        assert_eq!(stats.len(), workers);
+        for w in &stats {
+            assert!(
+                w.busy_s <= wall + 1e-6,
+                "worker {}: busy {} > wall {wall}",
+                w.worker,
+                w.busy_s
+            );
+            let gap = (w.busy_s + w.idle_s - wall).abs();
+            assert!(
+                gap <= (wall * 0.05).max(0.002),
+                "worker {}: busy {} + idle {} vs wall {wall}",
+                w.worker,
+                w.busy_s,
+                w.idle_s
+            );
+        }
+    }
+
+    #[test]
+    fn nested_inline_maps_count_each_instant_once() {
+        // The sharded shape at one job: an outer coarse map whose tasks
+        // run their inner maps inline, all on worker 0.
+        let timeline = TaskTimeline::new();
+        let shards: Vec<usize> = (0..6).collect();
+        let items: Vec<usize> = (0..64).collect();
+        par_map_coarse_catch(
+            1,
+            &shards,
+            |_, _| par_map_indexed(1, &items, |_, &x| spin(x), &timeline, "inner"),
+            &timeline,
+            "outer",
+        );
+        assert_nested_accounting(&timeline, 1);
+    }
+
+    #[test]
+    fn one_outer_task_with_a_parallel_inner_map_counts_each_instant_once() {
+        // The single-shard shape: the outer map runs one task, which
+        // hands both jobs to its inner map.
+        let timeline = TaskTimeline::new();
+        let items: Vec<usize> = (0..512).collect();
+        par_map_coarse_catch(
+            2,
+            &[0usize],
+            |_, _| par_map_indexed(2, &items, |_, &x| spin(x), &timeline, "inner"),
+            &timeline,
+            "outer",
+        );
+        assert_nested_accounting(&timeline, 2);
+    }
+
     #[test]
     fn coarse_map_runs_one_item_per_chunk() {
         let items: Vec<u64> = (0..23).collect();

@@ -261,13 +261,20 @@ impl TaskTimeline {
         self.len() == 0
     }
 
-    /// Per-worker accounting folded over every recorded call: busy is
-    /// the sum of a worker's task durations; idle is, per call, the
-    /// call's wall window minus that worker's busy share (clamped at
-    /// zero, and only for workers the call actually spawned), so for
-    /// every worker `busy + idle == Σ call walls` it participated in —
-    /// the invariant the idle-time guard test pins. A steal is a chunk
-    /// run by a worker other than its round-robin owner
+    /// Per-worker accounting folded over every recorded call, counting
+    /// each instant once per worker. Calls nest: a shard task runs the
+    /// per-document and per-record maps inside it, and their tasks
+    /// cover the same instants as the shard's. So busy is the length of
+    /// the union of a worker's task intervals, and idle is taken within
+    /// the outermost call windows (the union of every call's window):
+    /// per window, the window's wall minus the worker's busy time in
+    /// it, clamped at zero, for each worker some call in the window
+    /// spawned. For every worker `busy + idle == Σ window walls` it
+    /// participated in — the invariant the idle-time guard tests pin —
+    /// and busy never exceeds that wall. An inner map run inline at one
+    /// job records on worker 0 whichever thread runs it; the union
+    /// still counts each of worker 0's instants once. A steal is a
+    /// chunk run by a worker other than its round-robin owner
     /// (`chunk % jobs`); each stolen chunk is counted once, on the
     /// thief, so steal time is a subset of busy time, never an
     /// addition to it.
@@ -285,9 +292,7 @@ impl TaskTimeline {
                 items: 0,
             })
             .collect();
-        // Busy per (call, worker) so each call's idle can be derived
-        // from its own wall window.
-        let mut busy = vec![vec![0.0f64; workers]; calls.len()];
+        let mut intervals = vec![Vec::new(); workers];
         for t in &tasks {
             let Some(call) = calls.get(t.call) else {
                 continue;
@@ -295,19 +300,38 @@ impl TaskTimeline {
             let Some(w) = stats.get_mut(t.worker) else {
                 continue;
             };
-            let dur = (t.end_s - t.start_s).max(0.0);
-            w.busy_s += dur;
             w.chunks += 1;
             w.items += t.len as u64;
             if call.jobs > 0 && t.chunk % call.jobs != t.worker {
                 w.steals += 1;
             }
-            busy[t.call][t.worker] += dur;
+            intervals[t.worker].push((t.start_s, t.end_s));
         }
-        for (c, call) in calls.iter().enumerate() {
-            let wall = (call.end_s - call.start_s).max(0.0);
-            for w in 0..call.jobs.min(workers) {
-                stats[w].idle_s += (wall - busy[c][w]).max(0.0);
+        // The outermost windows, each with the widest worker count of
+        // the calls it merges.
+        let mut windows: Vec<(f64, f64, usize)> = Vec::new();
+        let mut by_start: Vec<&PoolCall> = calls.iter().collect();
+        by_start.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+        for c in by_start {
+            match windows.last_mut() {
+                Some(w) if c.start_s <= w.1 => {
+                    w.1 = w.1.max(c.end_s);
+                    w.2 = w.2.max(c.jobs);
+                }
+                _ => windows.push((c.start_s, c.end_s.max(c.start_s), c.jobs)),
+            }
+        }
+        for (w, spans) in stats.iter_mut().zip(intervals) {
+            let busy = union(spans);
+            for &(start, end, jobs) in &windows {
+                let busy_in: f64 = busy
+                    .iter()
+                    .map(|&(s, e)| (e.min(end) - s.max(start)).max(0.0))
+                    .sum();
+                w.busy_s += busy_in;
+                if w.worker < jobs {
+                    w.idle_s += (end - start - busy_in).max(0.0);
+                }
             }
         }
         stats
@@ -322,6 +346,19 @@ impl TaskTimeline {
         }
         map.into_iter().collect()
     }
+}
+
+/// The union of `spans` as disjoint intervals, ascending.
+fn union(mut spans: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+    spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut out: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
+    for (start, end) in spans {
+        match out.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            _ => out.push((start, end.max(start))),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
