@@ -184,6 +184,11 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
+    if let Err(e) = args.reject_profile() {
+        eprintln!("error: {e}");
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    }
     if args.cache_dir.is_some() {
         eprintln!(
             "error: parbench measures the streaming pipeline; --cache-dir would measure the cache"

@@ -134,6 +134,12 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
+    if let Err(e) = args.reject_profile() {
+        eprintln!("error: {e}");
+        eprintln!();
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
+    }
     if let Some(name) = args
         .positional
         .iter()

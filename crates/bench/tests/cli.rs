@@ -58,6 +58,32 @@ fn repro_help_lists_every_artifact_and_rejects_unknown_ones() {
 }
 
 #[test]
+fn repro_rejects_profile_and_names_the_profile_command() {
+    // repro renders no self-profile, so --profile fails before any
+    // pipeline work instead of being parsed and ignored.
+    let exe = env!("CARGO_BIN_EXE_repro");
+    for args in [
+        &["table3", "--profile=json"][..],
+        &["--profile"],
+        &["fig11", "--profile=folded"],
+    ] {
+        let out = run(exe, args);
+        assert!(!out.status.success(), "repro {args:?} must exit nonzero");
+        assert!(out.stdout.is_empty(), "repro {args:?} printed output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--profile")
+                && stderr.contains("disengage profile")
+                && stderr.contains("usage:"),
+            "repro {args:?}: {stderr}"
+        );
+    }
+    assert!(run(exe, &["table3", "--profile=off", "--scale=0.05"])
+        .status
+        .success());
+}
+
+#[test]
 fn repro_prints_a_selection_in_artifact_order() {
     let exe = env!("CARGO_BIN_EXE_repro");
     let print = |args: &[&str]| {
@@ -131,6 +157,10 @@ fn parbench_help_exits_zero_and_unknown_flags_fail() {
     }
     // The cache would corrupt the measurement; parbench refuses it.
     assert!(!run(exe, &["--cache-dir=/tmp/x"]).status.success());
+    // It renders no self-profile either.
+    let out = run(exe, &["--profile=json"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("disengage profile"));
 }
 
 /// `args` fail before any pipeline work: their first flag is rejected

@@ -312,6 +312,23 @@ impl CommonArgs {
         Ok(out)
     }
 
+    /// Rejects `--profile` with any mode but `off`, for every command
+    /// but `disengage profile`: no other command renders a
+    /// self-profile, so accepting the flag would ignore it.
+    ///
+    /// # Errors
+    ///
+    /// The usage error naming `disengage profile`.
+    pub fn reject_profile(&self) -> Result<(), ArgError> {
+        if self.profile == ProfileMode::Off {
+            return Ok(());
+        }
+        Err(ArgError::new(
+            "--profile",
+            "only `disengage profile` renders a self-profile",
+        ))
+    }
+
     /// The effective cache directory: `--no-cache` beats `--cache-dir`.
     pub fn effective_cache_dir(&self) -> Option<&str> {
         if self.no_cache {
@@ -331,7 +348,8 @@ impl CommonArgs {
          \x20 --chaos=RATE[,SEED[,ATTEMPTS]]  arm fault injection\n\
          \x20 --lineage[=PATH]    record provenance; optionally export JSONL\n\
          \x20 --trace=PATH        export a Chrome execution trace\n\
-         \x20 --profile[=MODE]    off|table|json|folded self-profile view (bare = table)\n\
+         \x20 --profile[=MODE]    off|table|json|folded self-profile view (bare = table;\n\
+         \x20                     `disengage profile` only)\n\
          \x20 --cache-dir=PATH    content-addressed stage artifact cache\n\
          \x20 --cache-cap=N       per-stage cached-artifact cap; 0 = unbounded\n\
          \x20                     (default scales with the shard count)\n\
@@ -507,6 +525,17 @@ mod tests {
             parse(&["--telemetry=stable-json"]).unwrap().telemetry,
             TelemetryMode::StableJson
         );
+    }
+
+    #[test]
+    fn only_profile_off_passes_the_profile_rejection() {
+        assert_eq!(parse(&[]).unwrap().reject_profile(), Ok(()));
+        assert_eq!(parse(&["--profile=off"]).unwrap().reject_profile(), Ok(()));
+        for flag in ["--profile", "--profile=json", "--profile=folded"] {
+            let err = parse(&[flag]).unwrap().reject_profile().unwrap_err();
+            assert_eq!(err.flag, "--profile");
+            assert!(err.to_string().contains("disengage profile"), "{err}");
+        }
     }
 
     #[test]

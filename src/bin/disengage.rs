@@ -108,6 +108,9 @@ flags (shared with the `repro` harness; both --flag VALUE and
 
 fn run(args: &CommonArgs) -> Result<ExitCode, String> {
     let command = args.positional.first().map(String::as_str).unwrap_or("");
+    if command != "profile" {
+        args.reject_profile().map_err(|e| e.to_string())?;
+    }
     let seed = args.seed.unwrap_or(0x5EED);
     let mut config = RunConfig::new()
         .with_corpus(CorpusConfig {

@@ -167,6 +167,53 @@ fn profile_json_parses_with_expected_sections() {
     assert_each_stage_once(&stages);
 }
 
+/// `--profile` belongs to `disengage profile`: every other subcommand
+/// rejects it before doing any work, naming the command that renders a
+/// profile, instead of parsing it and printing nothing. `off`, the
+/// default, passes everywhere.
+#[test]
+fn profile_flag_is_rejected_outside_the_profile_command() {
+    for command in [
+        &["summary", "--scale=0.01"][..],
+        &["export", "unwritten-dir"],
+        &["classify", "planner error"],
+        &["stpa-dot"],
+        &["demo-miles", "0.001", "0.95"],
+        &["project", "waymo", "0.001"],
+        &["sweep-ocr"],
+        &["explain"],
+        &["check-trace", "trace.json"],
+        &["check-folded", "profile.folded"],
+        &["doctor", "flight.json"],
+        &["health"],
+        &["check-prom", "metrics.prom"],
+    ] {
+        for mode in ["--profile", "--profile=json", "--profile=folded"] {
+            let out = disengage(&[command, &[mode]].concat());
+            assert!(
+                !out.status.success(),
+                "{command:?} {mode} must exit nonzero"
+            );
+            assert!(out.stdout.is_empty(), "{command:?} {mode} printed output");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("--profile")
+                    && stderr.contains("disengage profile")
+                    && stderr.contains("usage:"),
+                "{command:?} {mode}: {stderr}"
+            );
+        }
+    }
+    assert!(disengage(&["stpa-dot", "--profile=off"]).status.success());
+    let out = disengage(&["profile", "--scale=0.01", "--profile=json"]);
+    assert!(out.status.success(), "profile --profile=json must exit 0");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        disengage::obs::json::Value::parse(text.trim()).is_ok(),
+        "{text}"
+    );
+}
+
 /// A sharded run opens every stage span once per shard; the profile
 /// folds them, so each stage name must appear exactly once.
 fn assert_each_stage_once(names: &[&str]) {
