@@ -55,6 +55,9 @@ echo "== docs: rustdoc builds with warnings denied =="
 # no compiler or test step checks.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+echo "== scripts: the benchmark pair runner parses =="
+bash -n scripts/bench_pairs.sh
+
 echo "== reachability: every library module is reached by a binary =="
 # Exits nonzero naming each module under crates/*/src that no binary,
 # example or the benchmark links a function from (dev build, so no
