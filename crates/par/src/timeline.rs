@@ -305,28 +305,17 @@ impl TaskTimeline {
             if call.jobs > 0 && t.chunk % call.jobs != t.worker {
                 w.steals += 1;
             }
-            intervals[t.worker].push((t.start_s, t.end_s));
+            intervals[t.worker].push((t.start_s, t.end_s, 0));
         }
         // The outermost windows, each with the widest worker count of
         // the calls it merges.
-        let mut windows: Vec<(f64, f64, usize)> = Vec::new();
-        let mut by_start: Vec<&PoolCall> = calls.iter().collect();
-        by_start.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
-        for c in by_start {
-            match windows.last_mut() {
-                Some(w) if c.start_s <= w.1 => {
-                    w.1 = w.1.max(c.end_s);
-                    w.2 = w.2.max(c.jobs);
-                }
-                _ => windows.push((c.start_s, c.end_s.max(c.start_s), c.jobs)),
-            }
-        }
+        let windows = union(calls.iter().map(|c| (c.start_s, c.end_s, c.jobs)).collect());
         for (w, spans) in stats.iter_mut().zip(intervals) {
             let busy = union(spans);
             for &(start, end, jobs) in &windows {
                 let busy_in: f64 = busy
                     .iter()
-                    .map(|&(s, e)| (e.min(end) - s.max(start)).max(0.0))
+                    .map(|&(s, e, _)| (e.min(end) - s.max(start)).max(0.0))
                     .sum();
                 w.busy_s += busy_in;
                 if w.worker < jobs {
@@ -348,14 +337,18 @@ impl TaskTimeline {
     }
 }
 
-/// The union of `spans` as disjoint intervals, ascending.
-fn union(mut spans: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+/// The union of `(start, end, tag)` spans as disjoint intervals,
+/// ascending, each carrying the largest tag of the spans it merges.
+fn union(mut spans: Vec<(f64, f64, usize)>) -> Vec<(f64, f64, usize)> {
     spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
-    for (start, end) in spans {
+    let mut out: Vec<(f64, f64, usize)> = Vec::with_capacity(spans.len());
+    for (start, end, tag) in spans {
         match out.last_mut() {
-            Some(last) if start <= last.1 => last.1 = last.1.max(end),
-            _ => out.push((start, end.max(start))),
+            Some(last) if start <= last.1 => {
+                last.1 = last.1.max(end);
+                last.2 = last.2.max(tag);
+            }
+            _ => out.push((start, end.max(start), tag)),
         }
     }
     out
