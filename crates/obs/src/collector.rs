@@ -7,9 +7,10 @@
 //! state) keeps the API `&self` so a collector can be shared freely.
 //! Every recording call takes that lock, so per-record facts never
 //! reach it one by one: a stage tallies them locally and records the
-//! batch once per shard or document ([`Collector::record_batch`]),
-//! about 1.2k recording calls in a full-scale run. Flight-watched
-//! counters are the exception and still record per event.
+//! batch once per shard or document ([`Collector::record_batch`]), for
+//! fewer than a thousand lock acquisitions in a full-scale run.
+//! Flight-watched counters are the exception and still record per
+//! event.
 //! Parallel tasks record into [`Collector::shard`]s that the caller
 //! folds back with [`Collector::absorb`] in task-index order, which
 //! keeps every channel (lineage included) independent of the worker
@@ -1144,7 +1145,9 @@ mod tests {
             }),
             ("span", |c| c.span("s").field("k", 1u64)),
             ("absorb", |c| c.absorb(c.shard())),
-            ("state replay", |c| c.absorb_state(CollectorState::default())),
+            ("state replay", |c| {
+                c.absorb_state(CollectorState::default())
+            }),
         ];
         for (what, call) in calls {
             let c = Collector::new().with_lineage(true);
