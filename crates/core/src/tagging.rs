@@ -106,10 +106,9 @@ pub fn tag_records(
         hits.record(assignment.matched_keywords.len() as f64);
         assignments.push(assignment);
     }
-    let tagged = assignments.len() as u64;
     obs.record_batch(
         [
-            ("nlp.tagged", tagged),
+            ("nlp.tagged", assignments.len() as u64),
             ("nlp.unknown_t", unknown),
             ("nlp.ambiguous", ambiguous),
         ]

@@ -1129,7 +1129,8 @@ mod tests {
         // Every kind of call that takes the lock to record is timed.
         // Ten calls each, so a coarse clock cannot read all of them as
         // zero.
-        let calls: [(&str, fn(&Collector)); 11] = [
+        type Call = (&'static str, fn(&Collector));
+        let calls: [Call; 11] = [
             ("unwatched counter", |c| c.incr("x")),
             ("watched counter", |c| c.incr("quarantine.records")),
             ("gauge", |c| c.gauge("g", 1.0)),

@@ -476,7 +476,7 @@ mod tests {
 
     /// Uneven busy work: every seventh item spins 100x longer.
     fn spin(x: usize) -> u64 {
-        let spins = if x % 7 == 0 { 20_000 } else { 200 };
+        let spins = if x.is_multiple_of(7) { 20_000 } else { 200 };
         (0..spins).fold(0u64, |acc, k| acc.wrapping_add(k).rotate_left(5))
     }
 
