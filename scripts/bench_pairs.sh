@@ -10,9 +10,11 @@
 # pairs (default 10) of WORKLOAD at BENCHMARK.json's run_seconds,
 # alternating which side goes first, each side in its own working
 # directory, with `--seed SEED` when SEED is given. Each run's stdout is
-# appended to target/bench_pairs/<workload>/A.json or B.json, and its
-# stderr to A.log or B.log, so repeated invocations add runs; delete
-# that directory to start over. Finally it prints side B's
+# appended to target/bench_pairs/<workload>-<sha12>/A.json or B.json,
+# and its stderr to A.log or B.log, where <sha12> is the first 12 hex
+# digits of REV's commit. So repeated invocations against one parent
+# add runs, and pairs against another parent never mix with them;
+# delete that directory to start over. Finally it prints side B's
 # `--compare A.json B.json` and exits with its status. It edits nothing
 # under benchmark/.
 set -euo pipefail
@@ -52,7 +54,7 @@ if [ -z "$seconds" ]; then
     echo "bench_pairs: no run_seconds in BENCHMARK.json" >&2
     exit 1
 fi
-results=$out/$workload
+results=$out/$workload-${sha:0:12}
 mkdir -p "$results" "$out/work-A" "$out/work-B"
 
 # run SIDE: one benchmark run, from the side's own working directory so
