@@ -29,16 +29,6 @@ impl Enc {
         Enc { buf: Vec::new() }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the encoder, returning the raw payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -26,18 +26,6 @@ pub enum IoOp {
     RemoveEvict,
 }
 
-impl IoOp {
-    /// Stable snake_case name (a telemetry key segment).
-    pub fn name(self) -> &'static str {
-        match self {
-            IoOp::ReadArtifact => "read",
-            IoOp::WriteTmp => "write",
-            IoOp::RenameCommit => "rename",
-            IoOp::RemoveEvict => "evict",
-        }
-    }
-}
-
 /// The fault an injector asks the store to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoFault {
@@ -51,17 +39,6 @@ pub enum IoFault {
     BitFlip,
 }
 
-impl IoFault {
-    /// Stable snake_case name (a telemetry key segment).
-    pub fn name(self) -> &'static str {
-        match self {
-            IoFault::Error => "error",
-            IoFault::ShortWrite => "short_write",
-            IoFault::BitFlip => "bit_flip",
-        }
-    }
-}
-
 /// A deterministic source of injected I/O faults. Implementations must
 /// be `Send + Sync`: one injector is shared across every clone of the
 /// store, including clones running on worker threads.
@@ -69,20 +46,4 @@ pub trait IoFaults: Send + Sync {
     /// Consulted immediately before the store performs `op`; `Some`
     /// makes the store simulate that fault for this one invocation.
     fn inject(&self, op: IoOp) -> Option<IoFault>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(IoOp::ReadArtifact.name(), "read");
-        assert_eq!(IoOp::WriteTmp.name(), "write");
-        assert_eq!(IoOp::RenameCommit.name(), "rename");
-        assert_eq!(IoOp::RemoveEvict.name(), "evict");
-        assert_eq!(IoFault::Error.name(), "error");
-        assert_eq!(IoFault::ShortWrite.name(), "short_write");
-        assert_eq!(IoFault::BitFlip.name(), "bit_flip");
-    }
 }

@@ -94,13 +94,6 @@ pub struct LockGuard {
     path: PathBuf,
 }
 
-impl LockGuard {
-    /// The lock file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
 impl Drop for LockGuard {
     fn drop(&mut self) {
         // NotFound is fine — a peer may have reclaimed an expired

@@ -191,16 +191,6 @@ impl ArtifactStore {
         self.root.is_some()
     }
 
-    /// The root directory, when enabled.
-    pub fn root(&self) -> Option<&Path> {
-        self.root.as_deref()
-    }
-
-    /// The per-stage entry cap (0 = unbounded).
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Drains the counter ledger accumulated since the last drain:
     /// `cache.io.fault.*` (faults fired, by site), `cache.io.retried` /
     /// `cache.io.absorbed` (how each resolved), `cache.tmp.reclaimed`,

@@ -172,18 +172,13 @@ fn record_multiset(doc: &RawDocument) -> (BTreeMap<String, i64>, usize) {
 }
 
 /// Classifies every fault in `log` by comparing each faulted document
-/// against its clean twin. `clean` and `faulted` must be the same batch
-/// the log was produced from (same order).
-pub fn audit(plan: &FaultPlan, log: &FaultLog, clean: &[RawDocument], faulted: &[RawDocument]) -> ChaosAudit {
-    audit_at(plan, log, clean, faulted, 0)
-}
-
-/// Like [`audit`], but for a log whose document indices are global
-/// while `clean`/`faulted` hold only the slice starting at corpus index
-/// `base` — the sharded-execution pairing of
-/// [`crate::inject::inject_documents_at`]. Per-shard audits fold into
-/// the corpus-wide ledger via [`ChaosAudit::absorb`].
-pub fn audit_at(
+/// against its clean twin. `clean` and `faulted` must be the batch the
+/// log was produced from (same order), starting at corpus index `base`:
+/// the log's document indices are global, as
+/// [`crate::inject::inject_documents`] records them. Per-shard audits
+/// fold into the corpus-wide ledger via [`ChaosAudit::absorb`]; a whole
+/// corpus is the batch at `base` 0.
+pub fn audit(
     plan: &FaultPlan,
     log: &FaultLog,
     clean: &[RawDocument],
@@ -299,8 +294,8 @@ mod tests {
     fn no_faults_audits_empty() {
         let docs = vec![sample_doc(3)];
         let plan = FaultPlan::new(0.0, 1);
-        let (faulted, log) = inject_documents(&plan, &docs);
-        let a = audit(&plan, &log, &docs, &faulted);
+        let (faulted, log) = inject_documents(&plan, &docs, 0);
+        let a = audit(&plan, &log, &docs, &faulted, 0);
         assert_eq!(a.totals, KindOutcomes::default());
         assert!(a.totals.reconciles());
     }
@@ -310,8 +305,8 @@ mod tests {
         for seed in 0..24u64 {
             let docs = vec![sample_doc(6), sample_doc(4), sample_doc(1)];
             let plan = FaultPlan::new(0.4, seed);
-            let (faulted, log) = inject_documents(&plan, &docs);
-            let a = audit(&plan, &log, &docs, &faulted);
+            let (faulted, log) = inject_documents(&plan, &docs, 0);
+            let a = audit(&plan, &log, &docs, &faulted, 0);
             assert_eq!(a.totals.injected, log.total(), "seed {seed}");
             assert!(a.totals.reconciles(), "seed {seed}: {a:?}");
             let kind_sum: u64 = a.per_kind.values().map(|o| o.injected).sum();
@@ -349,7 +344,7 @@ mod tests {
             }],
         };
         let plan = FaultPlan::new(0.1, 0);
-        let a = audit(&plan, &log, &[clean], &[faulted]);
+        let a = audit(&plan, &log, &[clean], &[faulted], 0);
         assert_eq!(a.totals.absorbed, 1);
         assert_eq!(a.totals.quarantined, 0);
         assert_eq!(a.totals.corrected, 0);
@@ -374,7 +369,7 @@ mod tests {
             }],
         };
         let plan = FaultPlan::new(0.1, 0);
-        let a = audit(&plan, &log, &[clean], &[faulted]);
+        let a = audit(&plan, &log, &[clean], &[faulted], 0);
         assert_eq!(a.totals.quarantined, 1);
         assert_eq!(a.totals.absorbed, 0);
     }
@@ -398,24 +393,24 @@ mod tests {
             }],
         };
         let plan = FaultPlan::new(0.1, 0);
-        let a = audit(&plan, &log, &[clean], &[faulted]);
+        let a = audit(&plan, &log, &[clean], &[faulted], 0);
         assert_eq!(a.totals.corrected, 1, "{a:?}");
     }
 
     #[test]
     fn sharded_audit_folds_to_the_monolithic_ledger() {
-        use crate::inject::inject_documents_at;
+        use crate::inject::inject_documents;
         let docs = vec![sample_doc(6), sample_doc(4), sample_doc(3), sample_doc(5)];
         let plan = FaultPlan::new(0.5, 0x5EED);
-        let (faulted, log) = inject_documents(&plan, &docs);
-        let whole = audit(&plan, &log, &docs, &faulted);
+        let (faulted, log) = inject_documents(&plan, &docs, 0);
+        let whole = audit(&plan, &log, &docs, &faulted, 0);
         assert!(whole.totals.injected > 0, "plan too quiet for the test");
 
         // Re-run as two shards at their global bases and fold.
         let mut folded = ChaosAudit::default();
         for (lo, hi) in [(0usize, 2usize), (2, 4)] {
-            let (shard_faulted, shard_log) = inject_documents_at(&plan, &docs[lo..hi], lo);
-            let shard = audit_at(&plan, &shard_log, &docs[lo..hi], &shard_faulted, lo);
+            let (shard_faulted, shard_log) = inject_documents(&plan, &docs[lo..hi], lo);
+            let shard = audit(&plan, &shard_log, &docs[lo..hi], &shard_faulted, lo);
             folded.absorb(&shard);
         }
         assert_eq!(folded, whole);
@@ -429,8 +424,8 @@ mod tests {
         let parts: Vec<ChaosAudit> = (0..3)
             .map(|i| {
                 let slice = &docs[i..=i];
-                let (faulted, log) = crate::inject::inject_documents_at(&plan, slice, i);
-                audit_at(&plan, &log, slice, &faulted, i)
+                let (faulted, log) = crate::inject::inject_documents(&plan, slice, i);
+                audit(&plan, &log, slice, &faulted, i)
             })
             .collect();
         let mut fwd = ChaosAudit::default();
@@ -451,8 +446,8 @@ mod tests {
     fn json_shape() {
         let plan = FaultPlan::new(0.05, 7);
         let docs = vec![sample_doc(4)];
-        let (faulted, log) = inject_documents(&plan, &docs);
-        let a = audit(&plan, &log, &docs, &faulted);
+        let (faulted, log) = inject_documents(&plan, &docs, 0);
+        let a = audit(&plan, &log, &docs, &faulted, 0);
         let json = a.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"totals\""));

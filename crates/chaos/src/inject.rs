@@ -63,20 +63,15 @@ impl FaultLog {
 /// OCR-confusable junk used by [`FaultKind::CharNoise`].
 const NOISE_CHARS: [char; 10] = ['#', '@', '~', '^', '0', 'O', 'l', '|', '5', 'S'];
 
-/// Applies the plan to a batch of documents, returning the perturbed
-/// batch and the fault ledger. Rate 0 returns a byte-identical copy and
-/// an empty log.
-pub fn inject_documents(plan: &FaultPlan, docs: &[RawDocument]) -> (Vec<RawDocument>, FaultLog) {
-    inject_documents_at(plan, docs, 0)
-}
-
-/// Like [`inject_documents`], but for a batch that starts at global
-/// corpus index `base`: document `d` of the slice is perturbed exactly
+/// Applies the plan to a batch of documents that starts at global corpus
+/// index `base` (0 for a whole corpus), returning the perturbed batch
+/// and the fault ledger. Document `d` of the batch is perturbed exactly
 /// as document `base + d` of the full corpus would be, and the fault
 /// log records global indices. This is what keeps sharded execution
 /// byte-identical to a monolithic run — each shard injects its own
-/// slice under the corpus-wide plan.
-pub fn inject_documents_at(
+/// slice under the corpus-wide plan. Rate 0 returns a byte-identical
+/// copy and an empty log.
+pub fn inject_documents(
     plan: &FaultPlan,
     docs: &[RawDocument],
     base: usize,
@@ -253,7 +248,7 @@ mod tests {
     #[test]
     fn rate_zero_is_identity() {
         let docs = vec![doc("line one\nline two\n")];
-        let (out, log) = inject_documents(&FaultPlan::new(0.0, 9), &docs);
+        let (out, log) = inject_documents(&FaultPlan::new(0.0, 9), &docs, 0);
         assert_eq!(out, docs);
         assert_eq!(log.total(), 0);
     }
@@ -262,18 +257,18 @@ mod tests {
     fn injection_is_deterministic_per_seed() {
         let docs = vec![doc("a 1 x\nb 2 y\nc 3 z\n"); 20];
         let plan = FaultPlan::new(0.5, 1234);
-        let (out1, log1) = inject_documents(&plan, &docs);
-        let (out2, log2) = inject_documents(&plan, &docs);
+        let (out1, log1) = inject_documents(&plan, &docs, 0);
+        let (out2, log2) = inject_documents(&plan, &docs, 0);
         assert_eq!(out1, out2);
         assert_eq!(log1, log2);
-        let (out3, _) = inject_documents(&FaultPlan::new(0.5, 99), &docs);
+        let (out3, _) = inject_documents(&FaultPlan::new(0.5, 99), &docs, 0);
         assert_ne!(out1, out3, "different seeds, same perturbation");
     }
 
     #[test]
     fn rate_one_faults_every_nonempty_line() {
         let docs = vec![doc("one 1\ntwo 2\nthree 3\n")];
-        let (_, log) = inject_documents(&FaultPlan::new(1.0, 7), &docs);
+        let (_, log) = inject_documents(&FaultPlan::new(1.0, 7), &docs, 0);
         // RowSwap may consume its successor's decision, so the count is
         // between ceil(n/2) and n.
         assert!(log.total() >= 2 && log.total() <= 3, "{log:?}");
@@ -282,7 +277,7 @@ mod tests {
     #[test]
     fn empty_lines_never_faulted() {
         let docs = vec![doc("\n\n\n")];
-        let (out, log) = inject_documents(&FaultPlan::new(1.0, 7), &docs);
+        let (out, log) = inject_documents(&FaultPlan::new(1.0, 7), &docs, 0);
         assert_eq!(log.total(), 0);
         assert_eq!(out[0].text, docs[0].text);
     }
@@ -304,7 +299,7 @@ mod tests {
     #[test]
     fn log_groups_by_document() {
         let docs = vec![doc("a 1\nb 2\n"), doc("c 3\nd 4\n")];
-        let (_, log) = inject_documents(&FaultPlan::new(1.0, 5), &docs);
+        let (_, log) = inject_documents(&FaultPlan::new(1.0, 5), &docs, 0);
         let by_doc = log.by_document();
         assert!(by_doc.len() <= 2);
         for (d, faults) in by_doc {
@@ -322,10 +317,10 @@ mod tests {
             .map(|i| doc(&format!("alpha {i} x\nbeta {i} y\ngamma {i} z\n")))
             .collect();
         let plan = FaultPlan::new(0.6, 0x5EED);
-        let (full, full_log) = inject_documents(&plan, &docs);
+        let (full, full_log) = inject_documents(&plan, &docs, 0);
         // Inject the same batch as two shards at their global bases.
-        let (lo, lo_log) = inject_documents_at(&plan, &docs[..2], 0);
-        let (hi, hi_log) = inject_documents_at(&plan, &docs[2..], 2);
+        let (lo, lo_log) = inject_documents(&plan, &docs[..2], 0);
+        let (hi, hi_log) = inject_documents(&plan, &docs[2..], 2);
         let stitched: Vec<RawDocument> = lo.into_iter().chain(hi).collect();
         assert_eq!(stitched, full);
         let mut stitched_log = lo_log;
@@ -338,7 +333,7 @@ mod tests {
     #[test]
     fn trailing_newline_preserved() {
         let docs = vec![doc("a 1\nb 2\n")];
-        let (out, _) = inject_documents(&FaultPlan::new(1.0, 3), &docs);
+        let (out, _) = inject_documents(&FaultPlan::new(1.0, 3), &docs, 0);
         if !out[0].text.is_empty() {
             assert!(out[0].text.ends_with('\n'));
         }

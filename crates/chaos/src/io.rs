@@ -51,40 +51,6 @@ impl IoFaultPlan {
     pub fn active(&self) -> bool {
         self.rate > 0.0
     }
-
-    /// Parses the CLI form `<rate>[,<seed>]` (e.g. `0.1` or `0.1,7`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for a malformed rate/seed or a
-    /// rate outside `[0, 1]`.
-    pub fn parse(s: &str) -> Result<IoFaultPlan, String> {
-        let (rate_s, seed_s) = match s.split_once(',') {
-            Some((r, sd)) => (r, Some(sd)),
-            None => (s, None),
-        };
-        let rate: f64 = rate_s
-            .trim()
-            .parse()
-            .map_err(|_| format!("invalid io-fault rate `{rate_s}`"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("io-fault rate {rate} outside [0, 1]"));
-        }
-        let seed: u64 = match seed_s {
-            Some(sd) => sd
-                .trim()
-                .parse()
-                .map_err(|_| format!("invalid io-fault seed `{sd}`"))?,
-            None => 0x10FA,
-        };
-        Ok(IoFaultPlan::new(rate, seed))
-    }
-
-    /// An armed injector for this plan, or `None` at rate 0 (the store
-    /// then skips injection entirely).
-    pub fn injector(&self) -> Option<SeededIoFaults> {
-        self.active().then(|| SeededIoFaults::new(*self))
-    }
 }
 
 /// The seeded [`IoFaults`] implementation: consultation `n` draws
@@ -108,11 +74,6 @@ impl SeededIoFaults {
             plan,
             consultations: AtomicU64::new(0),
         }
-    }
-
-    /// How many times the store has consulted this injector.
-    pub fn consultations(&self) -> u64 {
-        self.consultations.load(Ordering::Relaxed)
     }
 }
 
@@ -176,30 +137,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_rate_only() {
-        let p = IoFaultPlan::parse("0.1").unwrap();
-        assert!((p.rate - 0.1).abs() < 1e-12);
-        assert_eq!(p.seed, 0x10FA);
-    }
-
-    #[test]
-    fn parse_rate_and_seed() {
-        let p = IoFaultPlan::parse("0.25,42").unwrap();
-        assert!((p.rate - 0.25).abs() < 1e-12);
-        assert_eq!(p.seed, 42);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(IoFaultPlan::parse("lots").is_err());
-        assert!(IoFaultPlan::parse("1.5").is_err());
-        assert!(IoFaultPlan::parse("-0.1").is_err());
-        assert!(IoFaultPlan::parse("0.1,x").is_err());
-    }
-
-    #[test]
     fn rate_zero_injects_nothing() {
-        assert!(IoFaultPlan::new(0.0, 7).injector().is_none());
         let armed = SeededIoFaults::new(IoFaultPlan::new(0.0, 7));
         for _ in 0..100 {
             assert_eq!(armed.inject(IoOp::WriteTmp), None);

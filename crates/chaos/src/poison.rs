@@ -39,20 +39,25 @@ mod tests {
     use super::*;
     use disengage_nlp::Classifier;
 
+    /// Phrases across every tag.
+    fn size(d: &FailureDictionary) -> usize {
+        FaultTag::ALL.iter().map(|&t| d.phrases(t).len()).sum()
+    }
+
     #[test]
     fn rate_zero_keeps_everything() {
         let dict = FailureDictionary::default_bank();
         let (poisoned, dropped) = poison_dictionary(&FaultPlan::new(0.0, 3), &dict);
         assert_eq!(dropped, 0);
-        assert_eq!(poisoned.len(), dict.len());
+        assert_eq!(poisoned, dict);
     }
 
     #[test]
     fn rate_one_empties_the_bank() {
         let dict = FailureDictionary::default_bank();
         let (poisoned, dropped) = poison_dictionary(&FaultPlan::new(1.0, 3), &dict);
-        assert_eq!(dropped as usize, dict.len());
-        assert!(poisoned.is_empty());
+        assert_eq!(dropped as usize, size(&dict));
+        assert_eq!(size(&poisoned), 0);
         // The classifier over an empty dictionary must still answer.
         let c = Classifier::new(poisoned);
         let a = c.classify("software module froze");
@@ -68,8 +73,8 @@ mod tests {
         let (p1, d1) = poison_dictionary(&plan, &dict);
         let (p2, d2) = poison_dictionary(&plan, &dict);
         assert_eq!(d1, d2);
-        assert_eq!(p1.len(), p2.len());
-        assert_eq!(p1.len() + d1 as usize, dict.len());
-        assert!(d1 > 0, "rate 0.3 over {} phrases dropped none", dict.len());
+        assert_eq!(p1, p2);
+        assert_eq!(size(&p1) + d1 as usize, size(&dict));
+        assert!(d1 > 0, "rate 0.3 over {} phrases dropped none", size(&dict));
     }
 }

@@ -919,8 +919,8 @@ mod tests {
         use disengage_corpus::CorpusConfig;
         let corpus = CorpusGenerator::new(CorpusConfig { seed: 5, scale: 0.02 }).generate();
         let plan = FaultPlan::new(0.2, 9);
-        let (faulted, log) = disengage_chaos::inject_documents(&plan, &corpus.documents);
-        let audited = disengage_chaos::audit(&plan, &log, &corpus.documents, &faulted);
+        let (faulted, log) = disengage_chaos::inject_documents(&plan, &corpus.documents, 0);
+        let audited = disengage_chaos::audit(&plan, &log, &corpus.documents, &faulted, 0);
         assert!(audited.totals.injected > 0);
         let back = round_trip(&audited, enc_chaos_audit, dec_chaos_audit);
         assert_eq!(back, audited);

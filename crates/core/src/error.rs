@@ -147,7 +147,7 @@ mod tests {
         let e: CoreError = disengage_stats::StatsError::EmptyInput.into();
         assert!(e.to_string().contains("statistics"));
         assert!(e.source().is_some());
-        let e: CoreError = disengage_dataframe::FrameError::UnknownColumn("x".into()).into();
+        let e: CoreError = disengage_dataframe::FrameError::DuplicateColumn("x".into()).into();
         assert!(e.to_string().contains("dataframe"));
         let e = CoreError::NoData("fig 4");
         assert!(e.source().is_none());

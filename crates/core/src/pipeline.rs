@@ -22,7 +22,7 @@ use disengage_obs::{Collector, ProvenanceEvent, RecordId, Subject, TelemetryRepo
 use disengage_ocr::correct::Corrector;
 use disengage_ocr::engine::OcrEngine;
 use disengage_ocr::metrics::cer;
-use disengage_ocr::stream::{digitize_streamed_timed, StreamScratch, StreamTimings};
+use disengage_ocr::stream::{digitize_streamed, StreamScratch, StreamTimings};
 use disengage_ocr::NoiseModel;
 use disengage_par as par;
 use disengage_par::TaskTimeline;
@@ -191,7 +191,7 @@ pub(crate) fn digitize_simulated_parts(
                 // are recorded from the totals — same phase tree as the
                 // old whole-page guards, same RNG stream, same bytes.
                 let mut timings = StreamTimings::default();
-                let out = digitize_streamed_timed(
+                let out = digitize_streamed(
                     &doc.text,
                     &config.noise,
                     &engine,
@@ -585,9 +585,8 @@ mod tests {
     }
 
     #[test]
-    fn corrector_vocabulary_nonempty() {
+    fn corrector_vocabulary_covers_report_words() {
         let c = default_corrector();
-        assert!(c.len() > 100);
         assert!(c.knows("watchdog"));
         assert!(c.knows("MILEAGE"));
     }

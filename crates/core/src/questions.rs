@@ -375,7 +375,7 @@ mod tests {
             "r = {}",
             q3.log_log_correlation.r
         );
-        assert!(q3.log_log_correlation.is_significant(0.01));
+        assert!(q3.log_log_correlation.p_value < 0.01);
         // Improvement factors are predominantly > 1 (DPM falls).
         let improving = q3.improvement.values().filter(|&&f| f > 1.0).count();
         assert!(

@@ -61,7 +61,7 @@ use crate::telemetry::task_stamps;
 use crate::Result;
 use disengage_cache::{ArtifactStore, Dec, Enc, Fingerprint, Flight, Fp, Lookup};
 use disengage_chaos::{
-    audit_at, inject_documents_at, poison_dictionary, ChaosAudit, FaultFate, FaultKind, FaultPlan,
+    audit, inject_documents, poison_dictionary, ChaosAudit, FaultFate, FaultKind, FaultPlan,
     IoFaultPlan, SeededIoFaults,
 };
 use disengage_corpus::{Corpus, CorpusConfig, CorpusGenerator, ShardSpec};
@@ -121,17 +121,6 @@ impl Stage {
             Stage::Normalize => "normalize",
             Stage::Tag => "tag",
             Stage::Analyze => "analyze",
-        }
-    }
-
-    /// The stages whose outputs this stage consumes.
-    pub fn inputs(self) -> &'static [Stage] {
-        match self {
-            Stage::Corpus => &[],
-            Stage::Digitize => &[Stage::Corpus],
-            Stage::Normalize => &[Stage::Digitize],
-            Stage::Tag => &[Stage::Normalize],
-            Stage::Analyze => &[Stage::Tag],
         }
     }
 }
@@ -368,11 +357,6 @@ impl RunSession {
     /// A session with a custom classifier (dictionary ablations).
     pub fn with_classifier(config: RunConfig, classifier: Classifier) -> RunSession {
         RunSession { config, classifier }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RunConfig {
-        &self.config
     }
 
     /// The Stage IV unit tests' fixture: a default-configured run over a
@@ -1320,7 +1304,7 @@ fn normalize_stage(
             span.field("rate_pct", (plan.rate * 100.0) as u64);
             span.field("seed", plan.seed);
             sobs.gauge("chaos.rate", plan.rate);
-            let (faulted, log) = inject_documents_at(&plan, &documents, doc_base);
+            let (faulted, log) = inject_documents(&plan, &documents, doc_base);
             sobs.add("chaos.injected.total", log.total());
             for kind in FaultKind::ALL {
                 sobs.add(&format!("chaos.injected.{}", kind.name()), log.count(kind));
@@ -1383,7 +1367,7 @@ fn normalize_stage(
                 })
                 .collect();
             sobs.event("chaos.inject", &format!("{} faults injected", log.total()));
-            let audited = audit_at(&plan, &log, &documents, &repaired, doc_base);
+            let audited = audit(&plan, &log, &documents, &repaired, doc_base);
             sobs.add("chaos.outcome.corrected", audited.totals.corrected);
             sobs.add("chaos.outcome.quarantined", audited.totals.quarantined);
             sobs.add("chaos.outcome.absorbed", audited.totals.absorbed);
@@ -1633,11 +1617,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_graph_is_a_chain() {
-        assert_eq!(Stage::Corpus.inputs(), &[] as &[Stage]);
-        for pair in Stage::ALL.windows(2) {
-            assert_eq!(pair[1].inputs(), &[pair[0]]);
-        }
+    fn stage_names_are_unique() {
         let names: std::collections::BTreeSet<_> =
             Stage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), Stage::ALL.len(), "stage names must be unique");

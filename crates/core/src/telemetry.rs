@@ -24,7 +24,7 @@ use disengage_par::TaskTimeline;
 /// let obs = disengage_obs::Collector::new();
 /// let four = timed(&obs, "stage_iv_example", || 2 + 2);
 /// assert_eq!(four, 4);
-/// assert!(obs.report().find_span("stage_iv_example").is_some());
+/// assert!(obs.report().spans.iter().any(|s| s.name == "stage_iv_example"));
 /// ```
 pub fn timed<T>(obs: &Collector, name: &str, f: impl FnOnce() -> T) -> T {
     let _span = obs.span(name);
@@ -279,7 +279,8 @@ mod tests {
         let obs = Collector::new();
         let n = timed(&obs, "work", || 41 + 1);
         assert_eq!(n, 42);
-        let span = obs.report().find_span("work").unwrap().clone();
+        let report = obs.report();
+        let span = report.spans.iter().find(|s| s.name == "work").unwrap();
         assert!(span.closed);
     }
 }

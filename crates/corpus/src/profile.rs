@@ -18,13 +18,6 @@ pub struct CategoryMix {
     pub unknown: f64,
 }
 
-impl CategoryMix {
-    /// Validates that the mix sums to ~1.
-    pub fn is_normalized(&self) -> bool {
-        (self.perception + self.planner + self.system + self.unknown - 1.0).abs() < 1e-6
-    }
-}
-
 /// Mix of disengagement modalities (fractions; Table V).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModalityMix {
@@ -34,13 +27,6 @@ pub struct ModalityMix {
     pub manual: f64,
     /// Planned test campaigns.
     pub planned: f64,
-}
-
-impl ModalityMix {
-    /// Validates that the mix sums to ~1.
-    pub fn is_normalized(&self) -> bool {
-        (self.automatic + self.manual + self.planned - 1.0).abs() < 1e-6
-    }
 }
 
 /// Weibull parameters for a manufacturer's driver reaction times
@@ -89,23 +75,6 @@ pub struct ManufacturerProfile {
     /// (1.0 = proportional; below 1 = burn-in behavior where low-mileage
     /// cars disengage relatively more).
     pub dis_miles_exponent: f64,
-}
-
-impl ManufacturerProfile {
-    /// Total disengagements across both releases.
-    pub fn total_disengagements(&self) -> u64 {
-        self.years.iter().map(|y| y.disengagements).sum()
-    }
-
-    /// Total miles across both releases.
-    pub fn total_miles(&self) -> f64 {
-        self.years.iter().map(|y| y.miles).sum()
-    }
-
-    /// Total accidents across both releases.
-    pub fn total_accidents(&self) -> u64 {
-        self.years.iter().map(|y| y.accidents).sum()
-    }
 }
 
 /// The complete calibration: one profile per manufacturer, matching
@@ -381,43 +350,21 @@ pub fn standard_profiles() -> Vec<ManufacturerProfile> {
     ]
 }
 
-/// Paper-wide totals implied by the profiles, for calibration checks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorpusTotals {
-    /// Total autonomous miles.
-    pub miles: f64,
-    /// Total disengagements.
-    pub disengagements: u64,
-    /// Total accidents.
-    pub accidents: u64,
-}
-
-/// Sums the profiles into corpus totals.
-pub fn totals(profiles: &[ManufacturerProfile]) -> CorpusTotals {
-    CorpusTotals {
-        miles: profiles.iter().map(ManufacturerProfile::total_miles).sum(),
-        disengagements: profiles
-            .iter()
-            .map(ManufacturerProfile::total_disengagements)
-            .sum(),
-        accidents: profiles
-            .iter()
-            .map(ManufacturerProfile::total_accidents)
-            .sum(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_headline_totals() {
-        let t = totals(&standard_profiles());
+        let years: Vec<YearProfile> = standard_profiles()
+            .into_iter()
+            .flat_map(|p| p.years)
+            .collect();
+        let miles: f64 = years.iter().map(|y| y.miles).sum();
         // 1,116,605 autonomous miles; 5,328 disengagements; 42 accidents.
-        assert!((t.miles - 1_116_605.0).abs() < 1_000.0, "miles = {}", t.miles);
-        assert_eq!(t.disengagements, 5328);
-        assert_eq!(t.accidents, 42);
+        assert!((miles - 1_116_605.0).abs() < 1_000.0, "miles = {miles}");
+        assert_eq!(years.iter().map(|y| y.disengagements).sum::<u64>(), 5328);
+        assert_eq!(years.iter().map(|y| y.accidents).sum::<u64>(), 42);
     }
 
     #[test]
@@ -440,13 +387,16 @@ mod tests {
     #[test]
     fn all_mixes_normalized() {
         for p in standard_profiles() {
+            let c = p.categories;
+            let categories = c.perception + c.planner + c.system + c.unknown;
             assert!(
-                p.categories.is_normalized(),
+                (categories - 1.0).abs() < 1e-6,
                 "{}: category mix not normalized",
                 p.manufacturer
             );
+            let m = p.modalities;
             assert!(
-                p.modalities.is_normalized(),
+                (m.automatic + m.manual + m.planned - 1.0).abs() < 1e-6,
                 "{}: modality mix not normalized",
                 p.manufacturer
             );
@@ -466,10 +416,8 @@ mod tests {
     fn accident_attribution_matches_table_six() {
         let p = standard_profiles();
         let acc = |m: Manufacturer| {
-            p.iter()
-                .find(|x| x.manufacturer == m)
-                .unwrap()
-                .total_accidents()
+            let years = &p.iter().find(|x| x.manufacturer == m).unwrap().years;
+            years.iter().map(|y| y.accidents).sum::<u64>()
         };
         assert_eq!(acc(Manufacturer::Waymo), 25);
         assert_eq!(acc(Manufacturer::GmCruise), 14);
@@ -486,7 +434,7 @@ mod tests {
         let mut ml = 0.0;
         let mut total = 0.0;
         for m in &p {
-            let n = m.total_disengagements() as f64;
+            let n = m.years.iter().map(|y| y.disengagements).sum::<u64>() as f64;
             ml += n * (m.categories.perception + m.categories.planner);
             total += n;
         }

@@ -49,11 +49,6 @@ impl ShardSpec {
     pub fn label(&self) -> String {
         shard_label(self.manufacturer, self.year)
     }
-
-    /// The shard's stable identity (see [`stable_shard_id`]).
-    pub fn stable_id(&self) -> u64 {
-        stable_shard_id(self.manufacturer, self.year)
-    }
 }
 
 /// The canonical label for a (manufacturer, filing-year) cell.

@@ -5,8 +5,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FrameError {
-    /// A referenced column does not exist.
-    UnknownColumn(String),
     /// A column name appears more than once.
     DuplicateColumn(String),
     /// Columns within a frame have different lengths.
@@ -39,32 +37,13 @@ pub enum FrameError {
         /// Number of rows.
         len: usize,
     },
-    /// CSV parsing failed.
-    CsvParse {
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
-    /// A CSV cell could not be converted to its column's type.
-    CsvCell {
-        /// 1-based line number (header is line 1).
-        line: usize,
-        /// Name of the column the cell belongs to.
-        column: String,
-        /// Description of the problem.
-        message: String,
-    },
-    /// An operation that requires rows was applied to an empty frame.
-    Empty(&'static str),
-    /// An I/O error occurred (CSV file read/write).
+    /// An I/O error occurred (CSV file write).
     Io(String),
 }
 
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::UnknownColumn(name) => write!(f, "unknown column `{name}`"),
             FrameError::DuplicateColumn(name) => write!(f, "duplicate column `{name}`"),
             FrameError::ColumnLengthMismatch {
                 column,
@@ -83,15 +62,6 @@ impl fmt::Display for FrameError {
             FrameError::RowOutOfBounds { index, len } => {
                 write!(f, "row index {index} out of bounds for {len} rows")
             }
-            FrameError::CsvParse { line, message } => {
-                write!(f, "csv parse error at line {line}: {message}")
-            }
-            FrameError::CsvCell {
-                line,
-                column,
-                message,
-            } => write!(f, "csv cell error at line {line}, column `{column}`: {message}"),
-            FrameError::Empty(op) => write!(f, "operation `{op}` requires a non-empty frame"),
             FrameError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
@@ -112,8 +82,8 @@ mod tests {
     #[test]
     fn display_messages() {
         assert_eq!(
-            FrameError::UnknownColumn("x".into()).to_string(),
-            "unknown column `x`"
+            FrameError::DuplicateColumn("x".into()).to_string(),
+            "duplicate column `x`"
         );
         assert!(FrameError::RowOutOfBounds { index: 5, len: 2 }
             .to_string()

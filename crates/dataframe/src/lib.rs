@@ -8,22 +8,22 @@
 //!
 //! * typed, null-aware columns ([`Column`], [`Value`], [`DType`]),
 //! * a schema-checked frame ([`DataFrame`]) with row and column append,
-//!   cell access, and a plain-text rendering,
-//! * CSV read/write ([`csv`]) with quoting and type inference.
+//!   row access, and a plain-text rendering,
+//! * a CSV writer ([`csv`]) with RFC-4180-style quoting.
 //!
 //! # Examples
 //!
 //! ```
-//! use disengage_dataframe::{csv, Column, DataFrame, Value};
+//! use disengage_dataframe::{csv, Column, DType, DataFrame, Value};
 //!
 //! # fn main() -> Result<(), disengage_dataframe::FrameError> {
-//! let df = DataFrame::new(vec![
-//!     ("maker", Column::from_strs(&["waymo", "bosch", "waymo"])),
-//!     ("miles", Column::from_f64s(&[100.0, 20.5, 300.0])),
+//! let mut df = DataFrame::new(vec![
+//!     ("maker", Column::empty(DType::Str)),
+//!     ("miles", Column::empty(DType::Float)),
 //! ])?;
-//! let back = csv::read_str(&csv::write_str(&df))?;
-//! assert_eq!(back, df);
-//! assert_eq!(back.get(1, "miles")?, Value::Float(20.5));
+//! df.push_row(vec![Value::from("waymo"), Value::Float(100.0)])?;
+//! df.push_row(vec![Value::from("bosch, inc"), Value::Null])?;
+//! assert_eq!(csv::write_str(&df), "maker,miles\nwaymo,100.0\n\"bosch, inc\",\n");
 //! # Ok(())
 //! # }
 //! ```

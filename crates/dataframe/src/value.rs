@@ -63,44 +63,6 @@ impl Value {
             Value::Bool(_) => Some(DType::Bool),
         }
     }
-
-    /// Whether this is the missing marker.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    /// The value as an `f64` if it is numeric (`Int` or `Float`).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64` if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The value as a `&str` if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a `bool` if it is boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -170,17 +132,6 @@ mod tests {
     fn value_dtypes() {
         assert_eq!(Value::Int(1).dtype(), Some(DType::Int));
         assert_eq!(Value::Null.dtype(), None);
-        assert!(Value::Null.is_null());
-        assert!(!Value::Int(0).is_null());
-    }
-
-    #[test]
-    fn numeric_coercion() {
-        assert_eq!(Value::Int(3).as_f64(), Some(3.0));
-        assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
-        assert_eq!(Value::Str("x".into()).as_f64(), None);
-        assert_eq!(Value::Int(3).as_i64(), Some(3));
-        assert_eq!(Value::Float(3.0).as_i64(), None);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! * [`ontology`] — the fault tags and categories of Table III,
 //! * [`dictionary`] — the failure dictionary (shipped with the
 //!   paper-derived phrase bank; extensible),
-//! * [`vote`] — the keyword-voting classifier with `Unknown-T` fallback,
-//! * [`ngram`] / [`tfidf`] — the dictionary-construction tooling (mine
-//!   candidate phrases from a corpus and rank them).
+//! * [`vote`] — the keyword-voting classifier with `Unknown-T` fallback.
+//!
+//! The dictionary-construction tooling (n-gram mining, TF-IDF ranking
+//! and the dictionary learner) is test support in `tests/learn/`: it
+//! produces the EXPERIMENTS.md ablation, and no binary runs it.
 //!
 //! # Examples
 //!
@@ -34,11 +36,8 @@
 //! ```
 
 pub mod dictionary;
-pub mod learn;
-pub mod ngram;
 pub mod normalize;
 pub mod ontology;
-pub mod tfidf;
 pub mod token;
 pub mod vote;
 

@@ -32,15 +32,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
-/// Consecutive token pairs ("bigrams") from a token stream, joined with a
-/// space — used by phrase matching and n-gram mining.
-pub fn bigrams(tokens: &[String]) -> Vec<String> {
-    tokens
-        .windows(2)
-        .map(|w| format!("{} {}", w[0], w[1]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,12 +63,5 @@ mod tests {
     #[test]
     fn unicode_dashes_split() {
         assert_eq!(tokenize("takeover—request"), vec!["takeover", "request"]);
-    }
-
-    #[test]
-    fn bigram_pairs() {
-        let t = tokenize("software module froze");
-        assert_eq!(bigrams(&t), vec!["software module", "module froze"]);
-        assert!(bigrams(&tokenize("one")).is_empty());
     }
 }

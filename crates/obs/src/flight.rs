@@ -185,24 +185,9 @@ impl FlightRing {
         self.events.iter()
     }
 
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded (or everything evicted).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events evicted oldest-first so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -671,7 +656,7 @@ mod tests {
         for i in 0..5 {
             ring.push(counter_event(&format!("c{i}"), 1));
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.events().count(), 3);
         assert_eq!(ring.dropped(), 2);
         let names: Vec<String> = ring
             .events()
@@ -695,11 +680,11 @@ mod tests {
                 for i in 0..n {
                     ring.push(counter_event(&format!("e{i}"), 1));
                 }
-                assert_eq!(ring.len(), n.min(cap));
-                assert_eq!(ring.dropped(), (n - ring.len()) as u64);
+                assert_eq!(ring.events().count(), n.min(cap));
+                assert_eq!(ring.dropped(), (n - ring.events().count()) as u64);
                 let first = ring.events().next().cloned();
                 if let Some(first) = first {
-                    let expect = format!("e{}", n - ring.len());
+                    let expect = format!("e{}", n - ring.events().count());
                     match &first.kind {
                         FlightKind::Counter { name, .. } => assert_eq!(*name, expect),
                         _ => unreachable!(),

@@ -108,11 +108,6 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Mean of recorded samples (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -267,7 +262,7 @@ mod tests {
             h.record(x);
         }
         assert_eq!(h.count(), 4);
-        assert!((h.sum() - 104.5).abs() < 1e-12);
+        assert!((h.sum - 104.5).abs() < 1e-12);
         let s = h.summary();
         assert_eq!(s.min, 0.5);
         assert_eq!(s.max, 100.0);
@@ -321,7 +316,7 @@ mod tests {
             merged.merge(&shard);
         }
         assert_eq!(merged, sequential);
-        assert_eq!(merged.sum().to_bits(), sequential.sum().to_bits());
+        assert_eq!(merged.sum.to_bits(), sequential.sum.to_bits());
     }
 
     #[test]
@@ -414,10 +409,10 @@ mod tests {
             assert_eq!(m.summary().min, reference.summary().min, "{order:?}");
             assert_eq!(m.summary().max, reference.summary().max, "{order:?}");
             assert!(
-                (m.sum() - reference.sum()).abs() <= 1e-9 * reference.sum().abs(),
+                (m.sum - reference.sum).abs() <= 1e-9 * reference.sum.abs(),
                 "{order:?}: {} vs {}",
-                m.sum(),
-                reference.sum()
+                m.sum,
+                reference.sum
             );
             // Quantiles depend only on bucket counts, so they are
             // exactly order-independent.

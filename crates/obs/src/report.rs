@@ -196,22 +196,6 @@ impl TelemetryReport {
         self.histograms.retain(|k, _| keep(k));
         self
     }
-
-    /// Depth-first search for a span by name anywhere in the forest.
-    pub fn find_span(&self, name: &str) -> Option<&SpanNode> {
-        fn walk<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
-            for n in nodes {
-                if n.name == name {
-                    return Some(n);
-                }
-                if let Some(hit) = walk(&n.children, name) {
-                    return Some(hit);
-                }
-            }
-            None
-        }
-        walk(&self.spans, name)
-    }
 }
 
 #[cfg(test)]
@@ -243,18 +227,6 @@ mod tests {
         r.counters.insert("nlp.tag.software".to_owned(), 2);
         r.counters.insert("nlp.tagged".to_owned(), 5);
         assert_eq!(r.counter_prefix_sum("nlp.tag."), 5);
-    }
-
-    #[test]
-    fn find_span_recurses() {
-        let mut root = leaf("pipeline");
-        root.children.push(leaf("stage_ii_parse"));
-        let r = TelemetryReport {
-            spans: vec![root],
-            ..Default::default()
-        };
-        assert!(r.find_span("stage_ii_parse").is_some());
-        assert!(r.find_span("missing").is_none());
     }
 
     #[test]

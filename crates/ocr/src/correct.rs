@@ -216,30 +216,9 @@ impl Corrector {
         Corrector { vocabulary, by_len }
     }
 
-    /// Number of vocabulary words.
-    pub fn len(&self) -> usize {
-        self.vocabulary.len()
-    }
-
-    /// Whether the vocabulary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vocabulary.is_empty()
-    }
-
     /// Whether a word is in the vocabulary.
     pub fn knows(&self, word: &str) -> bool {
         self.vocabulary.contains(word)
-    }
-
-    /// Corrects one word: surrounding punctuation is preserved and the
-    /// alphanumeric core is repaired. The core is returned unchanged if
-    /// known, free of alphabetic characters, or ambiguous; otherwise it
-    /// snaps to the unique vocabulary word at edit distance 1.
-    pub fn correct_word(&self, word: &str) -> String {
-        // Split into (leading punctuation, core, trailing punctuation) so
-        // "vehicle," repairs "vehicle" and keeps the comma.
-        self.correct_word_within(word, 1)
-            .unwrap_or_else(|| word.to_owned())
     }
 
     /// Repairs `core` against the vocabulary at exactly edit distance
@@ -278,10 +257,11 @@ impl Corrector {
         candidate
     }
 
-    /// Corrects one word at a given repair distance (see
-    /// [`Corrector::correct_word`], which is the distance-1 form).
-    /// `None` means the word is unchanged — the hot path, which
-    /// allocates nothing.
+    /// Corrects one word at a given repair distance: surrounding
+    /// punctuation is preserved (so "vehicle," repairs "vehicle" and
+    /// keeps the comma) and the alphanumeric core is repaired. `None`
+    /// means the word is unchanged — the hot path, which allocates
+    /// nothing.
     fn correct_word_within(&self, word: &str, distance: usize) -> Option<String> {
         let start = word
             .find(|c: char| c.is_ascii_alphanumeric())
@@ -293,12 +273,6 @@ impl Corrector {
         let (core, suffix) = rest.split_at(end.saturating_sub(start));
         let fixed = self.correct_core_within(core, distance)?;
         Some(format!("{prefix}{fixed}{suffix}"))
-    }
-
-    /// Corrects every whitespace-delimited word of a text, preserving the
-    /// original spacing structure (single spaces between words per line).
-    pub fn correct_text(&self, text: &str) -> String {
-        self.correct_text_observed(text, 1, &mut |_, _| {}).0
     }
 
     /// Bounded-retry correction: attempt `k` repairs words still
@@ -390,41 +364,41 @@ mod tests {
 
     #[test]
     fn known_words_unchanged() {
-        assert_eq!(corrector().correct_word("watchdog"), "watchdog");
+        assert_eq!(ladder(&corrector(), "watchdog", 1).0, "watchdog");
     }
 
     #[test]
     fn single_error_repaired() {
         let c = corrector();
-        assert_eq!(c.correct_word("watchd0g"), "watchdog");
-        assert_eq!(c.correct_word("erro"), "error");
-        assert_eq!(c.correct_word("softwaree"), "software");
+        assert_eq!(ladder(&c, "watchd0g", 1).0, "watchdog");
+        assert_eq!(ladder(&c, "erro", 1).0, "error");
+        assert_eq!(ladder(&c, "softwaree", 1).0, "software");
     }
 
     #[test]
     fn distance_two_left_alone() {
-        assert_eq!(corrector().correct_word("w4tchd0g"), "w4tchd0g");
+        assert_eq!(ladder(&corrector(), "w4tchd0g", 1).0, "w4tchd0g");
     }
 
     #[test]
     fn ambiguity_left_alone() {
         // "fro" is distance 1 from nothing here; construct a real tie.
         let c = Corrector::new(["cat", "bat"]);
-        assert_eq!(c.correct_word("rat"), "rat"); // ties cat/bat
-        assert_eq!(c.correct_word("caat"), "cat"); // unique
+        assert_eq!(ladder(&c, "rat", 1).0, "rat"); // ties cat/bat
+        assert_eq!(ladder(&c, "caat", 1).0, "cat"); // unique
     }
 
     #[test]
     fn numbers_never_corrected() {
         let c = Corrector::new(["2016"]);
-        assert_eq!(c.correct_word("2015"), "2015");
-        assert_eq!(c.correct_word("10.5"), "10.5");
+        assert_eq!(ladder(&c, "2015", 1).0, "2015");
+        assert_eq!(ladder(&c, "10.5", 1).0, "10.5");
     }
 
     #[test]
     fn text_correction_preserves_lines() {
         let c = corrector();
-        let fixed = c.correct_text("s0ftware module froz\nwatchdog err0r");
+        let fixed = ladder(&c, "s0ftware module froz\nwatchdog err0r", 1).0;
         assert_eq!(fixed, "software module froze\nwatchdog error");
     }
 
@@ -685,10 +659,8 @@ mod tests {
     }
 
     #[test]
-    fn len_and_knows() {
+    fn knows_its_vocabulary() {
         let c = corrector();
-        assert_eq!(c.len(), 6);
-        assert!(!c.is_empty());
         assert!(c.knows("driver"));
         assert!(!c.knows("pilot"));
     }

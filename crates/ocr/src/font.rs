@@ -31,7 +31,7 @@ impl Glyph {
 
     /// The glyph bit-packed into a single `u64`: bit `r·GLYPH_W + c`
     /// carries pixel `(r, c)`, row-major — the same layout
-    /// [`crate::raster::cell_packed`] extracts, so `cell & packed`
+    /// [`crate::raster::pack_cell_row`] extracts, so `cell & packed`
     /// counts exactly the cell∩glyph overlap. 5×7 = 35 bits, so the
     /// whole template fits one word and matching is a single
     /// AND + popcount.

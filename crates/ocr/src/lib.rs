@@ -5,17 +5,22 @@
 //! This crate reproduces that stage end-to-end on synthetic documents:
 //!
 //! * [`font`] — a 5×7 bitmap font covering the report character set,
-//! * [`raster`] — render document text onto a monochrome bitmap on a
-//!   fixed character grid (a "printed page"),
+//! * [`raster`] — render one line of document text onto a monochrome
+//!   bitmap strip on a fixed character grid (a line of a "printed
+//!   page"),
 //! * [`noise`] — a scanner-noise model (salt-and-pepper speckle, ink
-//!   erosion) with configurable severity,
-//! * [`engine`] — a template-matching recognizer: segment the fixed grid,
-//!   correlate each cell against every glyph, emit the best match with a
-//!   confidence score. The hot path is bit-packed (one `u64` per 5×7
-//!   glyph, AND + popcount scoring) and pinned bit-for-bit to a scalar
-//!   per-pixel reference kept in the `packed_equivalence` test suite,
-//! * [`correct`] — dictionary post-correction (edit-distance-1 repair
-//!   against a vocabulary),
+//!   erosion, toner smear) with configurable severity,
+//! * [`engine`] — a template-matching recognizer: segment a strip's
+//!   fixed grid, correlate each cell against every glyph, emit the best
+//!   match with a confidence score. The hot path is bit-packed (one
+//!   `u64` per 5×7 glyph, AND + popcount scoring),
+//! * [`stream`] — the digitizer: rasterize → degrade → recognize a
+//!   document one strip (text line) at a time, never holding the whole
+//!   page. It is the only page path, and it is pinned bit for bit to a
+//!   scalar whole-page reference kept in the `packed_equivalence` test
+//!   suite,
+//! * [`correct`] — dictionary post-correction (bounded edit-distance
+//!   repair against a vocabulary),
 //! * [`metrics`] — the character error rate, for measuring the
 //!   noise → accuracy relationship.
 //!
@@ -27,11 +32,19 @@
 //! # Examples
 //!
 //! ```
-//! use disengage_ocr::{raster::rasterize, engine::OcrEngine};
+//! use disengage_ocr::stream::StreamTimings;
+//! use disengage_ocr::{digitize_streamed, NoiseModel, OcrEngine, StreamScratch};
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
 //!
-//! let page = rasterize("WATCHDOG ERROR 42");
-//! let engine = OcrEngine::new();
-//! let out = engine.recognize(&page);
+//! let out = digitize_streamed(
+//!     "WATCHDOG ERROR 42",
+//!     &NoiseModel::clean(),
+//!     &OcrEngine::new(),
+//!     &mut StreamScratch::default(),
+//!     &mut StdRng::seed_from_u64(7),
+//!     &mut StreamTimings::default(),
+//! );
 //! assert_eq!(out.text, "WATCHDOG ERROR 42");
 //! ```
 
@@ -44,7 +57,7 @@ pub mod raster;
 pub mod stream;
 
 pub use correct::{Corrector, TokenRepair};
-pub use engine::{LeanOcrOutput, OcrEngine, OcrOutput, OcrScratch};
+pub use engine::{LeanOcrOutput, OcrEngine, OcrScratch};
 pub use noise::NoiseModel;
-pub use raster::{rasterize, rasterize_into, Bitmap};
+pub use raster::Bitmap;
 pub use stream::{digitize_streamed, StreamScratch};

@@ -2,12 +2,12 @@
 //!
 //! Real DMV filings are scans of printed (sometimes handwritten) pages;
 //! the paper notes Tesseract failed outright on low-resolution scans.
-//! This model reproduces the two dominant degradations of binarized
-//! scans: salt (background speckle) and ink erosion (dropped dots), each
-//! with an independent per-pixel probability.
-
-use crate::raster::Bitmap;
-use rand::Rng;
+//! This model reproduces the dominant degradations of binarized scans:
+//! salt (background speckle), ink erosion (dropped dots) and toner
+//! smear, each with an independent per-pixel probability. The
+//! strip-streamed digitizer ([`crate::stream`]) applies it; the
+//! whole-page noise pass it reproduces is the scalar reference in the
+//! crate's test support.
 
 /// Per-pixel degradation probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,135 +75,16 @@ impl NoiseModel {
         );
         NoiseModel { salt, erosion, smear }
     }
-
-    /// Applies the noise to a bitmap in place.
-    pub fn apply<R: Rng + ?Sized>(&self, bmp: &mut Bitmap, rng: &mut R) {
-        if self.salt == 0.0 && self.erosion == 0.0 && self.smear == 0.0 {
-            return;
-        }
-        // Smear first (reads the pristine ink), then flip pixels.
-        if self.smear > 0.0 {
-            let mut bleed = Vec::new();
-            for y in 0..bmp.height() {
-                for x in 0..bmp.width() {
-                    if bmp.get(x, y) && !bmp.get(x + 1, y) && rng.gen_bool(self.smear) {
-                        bleed.push((x + 1, y));
-                    }
-                }
-            }
-            for (x, y) in bleed {
-                bmp.set(x, y, true);
-            }
-        }
-        for y in 0..bmp.height() {
-            for x in 0..bmp.width() {
-                let ink = bmp.get(x, y);
-                if ink {
-                    if self.erosion > 0.0 && rng.gen_bool(self.erosion) {
-                        bmp.set(x, y, false);
-                    }
-                } else if self.salt > 0.0 && rng.gen_bool(self.salt) {
-                    bmp.set(x, y, true);
-                }
-            }
-        }
-    }
-
-    /// Applies the noise to a copy of the bitmap.
-    pub fn degrade<R: Rng + ?Sized>(&self, bmp: &Bitmap, rng: &mut R) -> Bitmap {
-        let mut out = bmp.clone();
-        self.apply(&mut out, rng);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raster::rasterize;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn clean_is_identity() {
-        let page = rasterize("HELLO WORLD");
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = NoiseModel::clean().degrade(&page, &mut rng);
-        assert_eq!(out, page);
-    }
-
-    #[test]
-    fn erosion_removes_ink() {
-        let page = rasterize("MMMMMMMMMM");
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = NoiseModel::new(0.0, 0.5).degrade(&page, &mut rng);
-        assert!(out.ink() < page.ink());
-        assert!(out.ink() > 0); // not everything vanishes at 50%
-    }
-
-    #[test]
-    fn salt_adds_ink() {
-        let page = rasterize("          "); // blank page
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = NoiseModel::new(0.1, 0.0).degrade(&page, &mut rng);
-        assert!(out.ink() > 0);
-        let expected = (page.width() * page.height()) as f64 * 0.1;
-        let got = out.ink() as f64;
-        assert!((got - expected).abs() < expected * 0.5, "got {got}, expected ~{expected}");
-    }
-
-    #[test]
-    fn heavier_noise_flips_more() {
-        let page = rasterize("CALIBRATION TARGET 0123456789");
-        let mut r1 = StdRng::seed_from_u64(4);
-        let mut r2 = StdRng::seed_from_u64(4);
-        let light = NoiseModel::light().degrade(&page, &mut r1);
-        let heavy = NoiseModel::heavy().degrade(&page, &mut r2);
-        let diff = |a: &Bitmap, b: &Bitmap| {
-            let mut d = 0;
-            for y in 0..a.height() {
-                for x in 0..a.width() {
-                    if a.get(x, y) != b.get(x, y) {
-                        d += 1;
-                    }
-                }
-            }
-            d
-        };
-        assert!(diff(&page, &heavy) > diff(&page, &light));
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let page = rasterize("SEEDED");
-        let mut r1 = StdRng::seed_from_u64(9);
-        let mut r2 = StdRng::seed_from_u64(9);
-        let a = NoiseModel::heavy().degrade(&page, &mut r1);
-        let b = NoiseModel::heavy().degrade(&page, &mut r2);
-        assert_eq!(a, b);
-    }
 
     #[test]
     #[should_panic(expected = "noise probabilities must be in")]
     fn invalid_probability_panics() {
         NoiseModel::new(1.5, 0.0);
-    }
-
-    #[test]
-    fn smear_adds_ink_rightward() {
-        let page = rasterize("IIIII");
-        let mut rng = StdRng::seed_from_u64(5);
-        let out = NoiseModel::with_smear(0.0, 0.0, 1.0).degrade(&page, &mut rng);
-        // Full smear: every ink pixel bleeds one to the right once.
-        assert!(out.ink() > page.ink());
-        // The original ink is untouched.
-        for y in 0..page.height() {
-            for x in 0..page.width() {
-                if page.get(x, y) {
-                    assert!(out.get(x, y));
-                }
-            }
-        }
     }
 
     #[test]

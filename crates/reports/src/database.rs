@@ -120,29 +120,6 @@ impl FailureDatabase {
             .collect()
     }
 
-    /// Distinct (non-redacted) cars seen for a manufacturer, from both
-    /// mileage and disengagement rows.
-    pub fn fleet_size(&self, m: Manufacturer) -> usize {
-        let mut cars: Vec<u32> = Vec::new();
-        let ids = self
-            .mileage
-            .iter()
-            .filter(|r| r.manufacturer == m)
-            .filter_map(|r| r.car.index())
-            .chain(
-                self.disengagements
-                    .iter()
-                    .filter(|r| r.manufacturer == m)
-                    .filter_map(|r| r.car.index()),
-            );
-        for id in ids {
-            if !cars.contains(&id) {
-                cars.push(id);
-            }
-        }
-        cars.len()
-    }
-
     /// Per-car cumulative miles for a manufacturer, keyed by fleet index.
     pub fn miles_per_car(&self, m: Manufacturer) -> BTreeMap<u32, f64> {
         let mut map = BTreeMap::new();
@@ -284,14 +261,6 @@ mod tests {
             d.miles_for_year(Manufacturer::Waymo, ReportYear::R2016),
             300.0
         );
-    }
-
-    #[test]
-    fn fleet_size_counts_distinct_cars() {
-        let d = db();
-        assert_eq!(d.fleet_size(Manufacturer::Waymo), 2);
-        assert_eq!(d.fleet_size(Manufacturer::Bosch), 1);
-        assert_eq!(d.fleet_size(Manufacturer::Tesla), 0);
     }
 
     #[test]

@@ -91,23 +91,6 @@ impl Date {
         self.day
     }
 
-    /// Days since 1900-01-01 (a serial number for ordering/diffs).
-    pub fn serial(&self) -> i64 {
-        let mut days: i64 = 0;
-        for y in 1900..self.year {
-            days += if is_leap(y) { 366 } else { 365 };
-        }
-        for m in 1..self.month {
-            days += days_in_month(self.year, m) as i64;
-        }
-        days + self.day as i64 - 1
-    }
-
-    /// Whole days from `self` to `other` (positive when `other` is later).
-    pub fn days_until(&self, other: &Date) -> i64 {
-        other.serial() - self.serial()
-    }
-
     /// Months since January 2014 — the month index used for the paper's
     /// monthly mileage series.
     pub fn month_index(&self) -> i64 {
@@ -219,18 +202,6 @@ mod tests {
         let a = Date::new(2015, 12, 31).unwrap();
         let b = Date::new(2016, 1, 1).unwrap();
         assert!(a < b);
-        assert_eq!(a.days_until(&b), 1);
-        assert_eq!(b.days_until(&a), -1);
-    }
-
-    #[test]
-    fn serial_across_leap_day() {
-        let a = Date::new(2016, 2, 28).unwrap();
-        let b = Date::new(2016, 3, 1).unwrap();
-        assert_eq!(a.days_until(&b), 2); // via Feb 29
-        let a = Date::new(2015, 2, 28).unwrap();
-        let b = Date::new(2015, 3, 1).unwrap();
-        assert_eq!(a.days_until(&b), 1);
     }
 
     #[test]

@@ -32,17 +32,6 @@ impl Normalized {
         self.disengagements.len() + self.accidents.len() + self.mileage.len()
     }
 
-    /// Fraction of parse attempts that succeeded (1.0 when nothing
-    /// failed; counts failures against recovered records).
-    pub fn yield_rate(&self) -> f64 {
-        let total = self.record_count() + self.failures.len();
-        if total == 0 {
-            1.0
-        } else {
-            self.record_count() as f64 / total as f64
-        }
-    }
-
     /// Merges another normalization outcome into this one.
     pub fn merge(&mut self, other: Normalized) {
         self.disengagements.extend(other.disengagements);
@@ -243,15 +232,6 @@ pub fn normalize_document_traced(
     (out, ids)
 }
 
-/// Normalizes a batch of documents, merging all outcomes.
-pub fn normalize_all<'a>(docs: impl IntoIterator<Item = &'a RawDocument>) -> Normalized {
-    let mut out = Normalized::default();
-    for doc in docs {
-        out.merge(normalize_document(doc));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,7 +271,6 @@ mod tests {
         let n = normalize_document(&doc);
         assert_eq!(n.disengagements.len(), 2);
         assert!(n.failures.is_empty());
-        assert_eq!(n.yield_rate(), 1.0);
     }
 
     #[test]
@@ -311,7 +290,6 @@ mod tests {
         let n = normalize_document(&doc);
         assert_eq!(n.disengagements.len(), 2);
         assert_eq!(n.failures.len(), 1);
-        assert!((n.yield_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -428,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn normalize_all_merges() {
+    fn merge_concatenates_documents() {
         let f = crate::formats::disengagement::NissanFormat;
         let d1 = RawDocument::new(
             Manufacturer::Nissan,
@@ -437,7 +415,8 @@ mod tests {
             f.render(&sample_record()),
         );
         let d2 = d1.clone();
-        let n = normalize_all([&d1, &d2]);
+        let mut n = normalize_document(&d1);
+        n.merge(normalize_document(&d2));
         assert_eq!(n.disengagements.len(), 2);
         assert_eq!(n.record_count(), 2);
     }

@@ -27,27 +27,6 @@ impl CarId {
     }
 }
 
-impl CarId {
-    /// Parses the display form (`car-N` / `[redacted]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::InvalidField`] for anything else.
-    pub fn parse(text: &str) -> Result<CarId> {
-        let t = text.trim();
-        if t == "[redacted]" {
-            return Ok(CarId::Redacted);
-        }
-        t.strip_prefix("car-")
-            .and_then(|n| n.parse::<u32>().ok())
-            .map(CarId::Known)
-            .ok_or_else(|| ReportError::InvalidField {
-                field: "car",
-                value: text.to_owned(),
-            })
-    }
-}
-
 impl std::fmt::Display for CarId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -131,27 +110,6 @@ impl Severity {
     }
 }
 
-impl Severity {
-    /// Parses a severity name as rendered by [`Severity::name`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::InvalidField`] for unknown names.
-    pub fn parse(text: &str) -> Result<Severity> {
-        Ok(match text.trim() {
-            "minor" => Severity::Minor,
-            "moderate" => Severity::Moderate,
-            "major" => Severity::Major,
-            _ => {
-                return Err(ReportError::InvalidField {
-                    field: "severity",
-                    value: text.to_owned(),
-                })
-            }
-        })
-    }
-}
-
 impl std::fmt::Display for Severity {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -180,29 +138,6 @@ impl CollisionKind {
             CollisionKind::Frontal => "frontal",
             CollisionKind::Object => "object",
         }
-    }
-}
-
-impl CollisionKind {
-    /// Parses a collision-kind name as rendered by
-    /// [`CollisionKind::name`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::InvalidField`] for unknown names.
-    pub fn parse(text: &str) -> Result<CollisionKind> {
-        Ok(match text.trim() {
-            "rear-end" => CollisionKind::RearEnd,
-            "side-swipe" => CollisionKind::SideSwipe,
-            "frontal" => CollisionKind::Frontal,
-            "object" => CollisionKind::Object,
-            _ => {
-                return Err(ReportError::InvalidField {
-                    field: "collision kind",
-                    value: text.to_owned(),
-                })
-            }
-        })
     }
 }
 
@@ -245,29 +180,6 @@ impl AccidentRecord {
             (Some(a), Some(b)) => Some((a - b).abs()),
             _ => None,
         }
-    }
-
-    /// Validates speed ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::InvalidField`] for negative or absurd
-    /// (> 120 mph) speeds.
-    pub fn validate(&self) -> Result<()> {
-        for (name, v) in [
-            ("av_speed_mph", self.av_speed_mph),
-            ("other_speed_mph", self.other_speed_mph),
-        ] {
-            if let Some(s) = v {
-                if !s.is_finite() || !(0.0..=120.0).contains(&s) {
-                    return Err(ReportError::InvalidField {
-                        field: name,
-                        value: s.to_string(),
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The DMV release this record was filed in.
@@ -370,17 +282,6 @@ mod tests {
         let mut a = accident();
         a.other_speed_mph = None;
         assert_eq!(a.relative_speed_mph(), None);
-    }
-
-    #[test]
-    fn accident_speed_validation() {
-        assert!(accident().validate().is_ok());
-        let mut bad = accident();
-        bad.av_speed_mph = Some(500.0);
-        assert!(bad.validate().is_err());
-        let mut neg = accident();
-        neg.other_speed_mph = Some(-2.0);
-        assert!(neg.validate().is_err());
     }
 
     #[test]

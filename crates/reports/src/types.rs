@@ -316,14 +316,6 @@ impl ReportYear {
     /// Both report years.
     pub const ALL: [ReportYear; 2] = [ReportYear::R2015, ReportYear::R2016];
 
-    /// Display label matching the paper's Table I headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReportYear::R2015 => "2015-2016 Report",
-            ReportYear::R2016 => "2016-2017 Report",
-        }
-    }
-
     /// The numeric year the reporting window closes in (the year the
     /// release is named after) — the `year` segment of a provenance
     /// record id.
@@ -347,9 +339,13 @@ impl ReportYear {
     }
 }
 
+/// The label of the paper's Table I headers.
 impl fmt::Display for ReportYear {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        f.write_str(match self {
+            ReportYear::R2015 => "2015-2016 Report",
+            ReportYear::R2016 => "2016-2017 Report",
+        })
     }
 }
 

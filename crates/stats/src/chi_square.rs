@@ -18,13 +18,6 @@ pub struct ChiSquare {
     pub p_value: f64,
 }
 
-impl ChiSquare {
-    /// Whether the null hypothesis is rejected at level `alpha`.
-    pub fn rejects(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Right-tail p-value of the chi-square distribution: `Q(df/2, x/2)`.
 ///
 /// # Errors
@@ -59,7 +52,7 @@ pub fn chi_square_sf(x: f64, df: usize) -> Result<f64> {
 /// # use disengage_stats::chi_square::chi_square_independence;
 /// // Strong association: each group uses one modality exclusively.
 /// let t = chi_square_independence(&[vec![50, 0], vec![0, 50]]).unwrap();
-/// assert!(t.rejects(0.001));
+/// assert!(t.p_value < 0.001);
 /// ```
 pub fn chi_square_independence(table: &[Vec<u64>]) -> Result<ChiSquare> {
     let rows = table.len();
@@ -121,14 +114,14 @@ mod tests {
         // Proportional rows → no association.
         let t = chi_square_independence(&[vec![20, 40], vec![10, 20]]).unwrap();
         assert!(t.statistic < 1e-9);
-        assert!(!t.rejects(0.05));
+        assert!(t.p_value >= 0.05);
         assert_eq!(t.df, 1);
     }
 
     #[test]
     fn associated_table_rejected() {
         let t = chi_square_independence(&[vec![90, 10], vec![10, 90]]).unwrap();
-        assert!(t.rejects(1e-6), "p = {}", t.p_value);
+        assert!(t.p_value < 1e-6, "p = {}", t.p_value);
     }
 
     #[test]
@@ -142,7 +135,7 @@ mod tests {
         ]);
         // A zero column? Col sums: 280, 95, 200 — fine.
         let t = t.unwrap();
-        assert!(t.rejects(1e-10));
+        assert!(t.p_value < 1e-10);
         assert_eq!(t.df, 4);
     }
 

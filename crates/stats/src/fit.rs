@@ -253,6 +253,7 @@ pub fn prefer_by_aic<A, B>(a: &Fitted<A>, b: &Fitted<B>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::tests::sample_n;
     use crate::dist::Continuous;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -261,7 +262,7 @@ mod tests {
     fn exponential_recovers_rate() {
         let mut rng = StdRng::seed_from_u64(1);
         let truth = Exponential::new(0.4).unwrap();
-        let xs = truth.sample_n(&mut rng, 10_000);
+        let xs = sample_n(&truth, &mut rng, 10_000);
         let f = fit_exponential(&xs).unwrap();
         assert!((f.dist.rate() - 0.4).abs() < 0.02, "rate {}", f.dist.rate());
         assert_eq!(f.n, 10_000);
@@ -280,7 +281,7 @@ mod tests {
     fn weibull_recovers_parameters() {
         let mut rng = StdRng::seed_from_u64(2);
         let truth = Weibull::new(1.8, 3.0).unwrap();
-        let xs = truth.sample_n(&mut rng, 10_000);
+        let xs = sample_n(&truth, &mut rng, 10_000);
         let f = fit_weibull(&xs).unwrap();
         assert!(
             (f.dist.shape() - 1.8).abs() < 0.1,
@@ -299,7 +300,7 @@ mod tests {
         // Long-tailed regime (like the reaction-time data).
         let mut rng = StdRng::seed_from_u64(3);
         let truth = Weibull::new(0.6, 1.0).unwrap();
-        let xs = truth.sample_n(&mut rng, 8_000);
+        let xs = sample_n(&truth, &mut rng, 8_000);
         let f = fit_weibull(&xs).unwrap();
         assert!(
             (f.dist.shape() - 0.6).abs() < 0.05,
@@ -320,7 +321,7 @@ mod tests {
     fn weibull_exponential_data_gives_shape_one() {
         let mut rng = StdRng::seed_from_u64(4);
         let truth = Exponential::new(1.0).unwrap();
-        let xs = truth.sample_n(&mut rng, 10_000);
+        let xs = sample_n(&truth, &mut rng, 10_000);
         let f = fit_weibull(&xs).unwrap();
         assert!(
             (f.dist.shape() - 1.0).abs() < 0.05,
@@ -333,7 +334,7 @@ mod tests {
     fn exp_weibull_recovers_weibull_subfamily() {
         let mut rng = StdRng::seed_from_u64(5);
         let truth = Weibull::new(1.5, 2.0).unwrap();
-        let xs = truth.sample_n(&mut rng, 4_000);
+        let xs = sample_n(&truth, &mut rng, 4_000);
         let f = fit_exponentiated_weibull(&xs).unwrap();
         // The fitted EW should reproduce the CDF of the truth closely
         // (parameters themselves are weakly identified when α ≈ 1).
@@ -353,7 +354,7 @@ mod tests {
         // (materially) lower.
         let mut rng = StdRng::seed_from_u64(6);
         let truth = Weibull::new(0.9, 1.2).unwrap();
-        let xs = truth.sample_n(&mut rng, 2_000);
+        let xs = sample_n(&truth, &mut rng, 2_000);
         let w = fit_weibull(&xs).unwrap();
         let ew = fit_exponentiated_weibull(&xs).unwrap();
         assert!(
@@ -370,14 +371,14 @@ mod tests {
         // must win by AIC despite its extra parameter.
         let mut rng = StdRng::seed_from_u64(7);
         let truth = Weibull::new(2.0, 1.0).unwrap();
-        let xs = truth.sample_n(&mut rng, 3_000);
+        let xs = sample_n(&truth, &mut rng, 3_000);
         let e = fit_exponential(&xs).unwrap();
         let w = fit_weibull(&xs).unwrap();
         assert!(prefer_by_aic(&w, &e), "AIC w={} e={}", w.aic, e.aic);
         // And on exponential data the two AICs stay within the 2-point
         // parameter penalty plus sampling noise of each other.
         let truth = Exponential::new(1.0).unwrap();
-        let xs = truth.sample_n(&mut rng, 3_000);
+        let xs = sample_n(&truth, &mut rng, 3_000);
         let e = fit_exponential(&xs).unwrap();
         let w = fit_weibull(&xs).unwrap();
         assert!((e.aic - w.aic).abs() < 6.0, "AIC e={} w={}", e.aic, w.aic);

@@ -30,7 +30,7 @@ impl Histogram {
     /// ```
     /// # use disengage_stats::histogram::Histogram;
     /// let h = Histogram::from_data(&[0.0, 1.0, 2.0, 3.0, 4.0], 2).unwrap();
-    /// assert_eq!(h.counts(), &[2, 3]);
+    /// assert_eq!(h.edges(), &[0.0, 2.0, 4.0]);
     /// ```
     pub fn from_data(xs: &[f64], bins: usize) -> Result<Histogram> {
         crate::error::ensure_nonempty_finite(xs)?;
@@ -85,16 +85,6 @@ impl Histogram {
     pub fn edges(&self) -> &[f64] {
         &self.edges
     }
-
-    /// Raw counts per bin.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// Number of observations binned.
-    pub fn n(&self) -> usize {
-        self.n
-    }
 }
 
 /// Suggests a bin count via the Freedman–Diaconis rule, falling back to
@@ -127,27 +117,27 @@ mod tests {
     fn counts_sum_to_n() {
         let xs: Vec<f64> = (0..97).map(|i| (i % 13) as f64).collect();
         let h = Histogram::from_data(&xs, 7).unwrap();
-        assert_eq!(h.counts().iter().sum::<usize>(), 97);
-        assert_eq!(h.n(), 97);
+        assert_eq!(h.counts.iter().sum::<usize>(), 97);
+        assert_eq!(h.n, 97);
     }
 
     #[test]
     fn upper_edge_included() {
         let h = Histogram::from_data(&[0.0, 10.0], 5).unwrap();
-        assert_eq!(h.counts()[4], 1); // the 10.0 lands in the last bin
-        assert_eq!(h.counts()[0], 1);
+        assert_eq!(h.counts[4], 1); // the 10.0 lands in the last bin
+        assert_eq!(h.counts[0], 1);
     }
 
     #[test]
     fn constant_sample_is_handled() {
         let h = Histogram::from_data(&[5.0, 5.0, 5.0], 4).unwrap();
-        assert_eq!(h.counts().iter().sum::<usize>(), 3);
+        assert_eq!(h.counts.iter().sum::<usize>(), 3);
     }
 
     #[test]
     fn with_range_clamps() {
         let h = Histogram::with_range(&[-5.0, 0.5, 20.0], 2, 0.0, 1.0).unwrap();
-        assert_eq!(h.counts(), &[1, 2]); // -5 clamps low; 0.5 and 20 land high
+        assert_eq!(h.counts, &[1, 2]); // -5 clamps low; 0.5 and 20 land high
     }
 
     #[test]

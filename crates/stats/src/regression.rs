@@ -29,21 +29,6 @@ pub struct LinearFit {
     pub residual_std_err: f64,
 }
 
-impl LinearFit {
-    /// Predicted value at `x`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use disengage_stats::regression::fit_linear;
-    /// let f = fit_linear(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0]).unwrap();
-    /// assert!((f.predict(3.0) - 7.0).abs() < 1e-9);
-    /// ```
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
 /// Fits `y = a + b·x` by ordinary least squares.
 ///
 /// # Errors

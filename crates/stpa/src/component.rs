@@ -1,29 +1,7 @@
-//! Components and layers of the AV hierarchical control structure
-//! (Fig. 3 of the paper).
+//! Components of the AV hierarchical control structure (Fig. 3 of the
+//! paper).
 
 use std::fmt;
-
-/// The layer of the hierarchy a component belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Layer {
-    /// Human drivers: the AV safety driver and drivers of other vehicles.
-    HumanDrivers,
-    /// The autonomous control stack (sensors → recognition → planner →
-    /// follower).
-    AutonomousControl,
-    /// The mechanical system (actuators and vehicle hardware).
-    MechanicalSystem,
-}
-
-impl fmt::Display for Layer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Layer::HumanDrivers => "Human Drivers",
-            Layer::AutonomousControl => "Autonomous Control",
-            Layer::MechanicalSystem => "Mechanical System",
-        })
-    }
-}
 
 /// A component of the AV control structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -61,19 +39,6 @@ impl Component {
         Component::Actuators,
         Component::Mechanical,
     ];
-
-    /// The layer this component belongs to.
-    pub fn layer(self) -> Layer {
-        match self {
-            Component::Driver | Component::NonAvDriver => Layer::HumanDrivers,
-            Component::Sensors
-            | Component::Recognition
-            | Component::PlannerController
-            | Component::Follower
-            | Component::Network => Layer::AutonomousControl,
-            Component::Actuators | Component::Mechanical => Layer::MechanicalSystem,
-        }
-    }
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -138,21 +103,6 @@ impl fmt::Display for SensorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn layers_partition_components() {
-        let mut human = 0;
-        let mut auto = 0;
-        let mut mech = 0;
-        for c in Component::ALL {
-            match c.layer() {
-                Layer::HumanDrivers => human += 1,
-                Layer::AutonomousControl => auto += 1,
-                Layer::MechanicalSystem => mech += 1,
-            }
-        }
-        assert_eq!((human, auto, mech), (2, 5, 2));
-    }
 
     #[test]
     fn names_unique() {

@@ -34,7 +34,7 @@ pub mod loops;
 pub mod overlay;
 pub mod structure;
 
-pub use component::{Component, Layer};
+pub use component::Component;
 pub use loops::{ControlLoop, LoopId};
 pub use overlay::{overlay_for, Overlay};
 pub use structure::{CausalFactor, ControlStructure, Edge, EdgeKind};

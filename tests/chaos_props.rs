@@ -11,7 +11,10 @@
 //! 3. the pipeline and the stats substrate *never panic*, no matter
 //!    what the injectors produce (guarded by `catch_unwind`).
 
-use disengage::chaos::{inject_documents, poison_dictionary, DegenerateKind, FaultPlan};
+mod degenerate;
+
+use degenerate::DegenerateKind;
+use disengage::chaos::{inject_documents, poison_dictionary, FaultPlan};
 use disengage::core::telemetry::reconcile;
 use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::CorpusConfig;
@@ -92,7 +95,7 @@ fn injection_only_touches_documents_it_logs() {
         let corpus = disengage::corpus::CorpusGenerator::new(CorpusConfig { seed, scale: 0.02 })
             .generate();
         let plan = FaultPlan::new(0.1, seed * 31 + 7);
-        let (faulted, log) = inject_documents(&plan, &corpus.documents);
+        let (faulted, log) = inject_documents(&plan, &corpus.documents, 0);
         assert_eq!(faulted.len(), corpus.documents.len());
         let touched: std::collections::BTreeSet<usize> =
             log.faults.iter().map(|f| f.doc).collect();
@@ -129,7 +132,10 @@ fn poisoned_classifier_always_answers() {
     for case in 0..50u64 {
         let rate = rng.gen_range(0.2..=1.0);
         let (poisoned, dropped) = poison_dictionary(&FaultPlan::new(rate, case), &dict);
-        assert_eq!(poisoned.len() + dropped as usize, dict.len());
+        let phrases = |d: &FailureDictionary| -> usize {
+            FaultTag::ALL.iter().map(|&t| d.phrases(t).len()).sum()
+        };
+        assert_eq!(phrases(&poisoned) + dropped as usize, phrases(&dict));
         let classifier = Classifier::new(poisoned);
         // Arbitrary junk text, including empty and digit-only lines.
         let text: String = match case % 4 {

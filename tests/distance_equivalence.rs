@@ -22,6 +22,7 @@ use disengage::core::pipeline::default_corrector;
 use disengage::core::RunConfig;
 use disengage::corpus::{CorpusConfig, CorpusGenerator};
 use disengage::ocr::correct::edit_distance;
+use disengage::ocr::stream::StreamTimings;
 use disengage::ocr::{digitize_streamed, NoiseModel, OcrEngine, StreamScratch};
 use disengage::reports::formats::RawDocument;
 use rand::rngs::StdRng;
@@ -56,8 +57,17 @@ fn check_filings(scale: f64, noise: NoiseModel, label: &str) {
     let mut edits = 0;
     for (i, doc) in filings(scale).iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(rand::derive_seed(ocr_seed, i as u64));
-        let recognized = digitize_streamed(&doc.text, &noise, &engine, &mut scratch, &mut rng);
-        let corrected = default_corrector().correct_text(&recognized.text);
+        let recognized = digitize_streamed(
+            &doc.text,
+            &noise,
+            &engine,
+            &mut scratch,
+            &mut rng,
+            &mut StreamTimings::default(),
+        );
+        let corrected = default_corrector()
+            .correct_text_observed(&recognized.text, 1, &mut |_, _| {})
+            .0;
         edits += assert_agrees(
             doc.text.trim_end(),
             &corrected,
@@ -73,7 +83,7 @@ fn check_filings(scale: f64, noise: NoiseModel, label: &str) {
 /// Checks every filing at `scale` against its copy perturbed by `plan`.
 fn check_chaos(scale: f64, plan: FaultPlan) {
     let docs = filings(scale);
-    let (faulted, log) = inject_documents(&plan, &docs);
+    let (faulted, log) = inject_documents(&plan, &docs, 0);
     assert!(log.total() > 0, "plan injected nothing");
     for (i, (doc, bad)) in docs.iter().zip(&faulted).enumerate() {
         assert_agrees(
