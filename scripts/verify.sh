@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 build + tests with warnings denied,
 # rustdoc with warnings denied (broken intra-doc links fail), the
-# module reachability gate (scripts/reach.sh: every library module
-# must own a function in a shipped binary, or sit on its allowlist),
+# function reachability gate (scripts/reach.sh: every inherent or free
+# library function, generic or not, must be called by a shipped
+# binary, and every library module must own such a function, or sit on
+# the script's allowlists),
 # the benchmark package's tests and smoke run, the full workspace test
 # suite, the compiled Stage III classifier's full equivalence grid
 # against the reference classifier (release), the diagonal-transition
@@ -58,10 +60,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== scripts: the benchmark pair runner parses =="
 bash -n scripts/bench_pairs.sh
 
-echo "== reachability: every library module is reached by a binary =="
-# Exits nonzero naming each module under crates/*/src that no binary,
-# example or the benchmark links a function from (dev build, so no
-# inlining hides one); kept-on-purpose modules are allowlisted there.
+echo "== function reachability gate: every library function is called by a binary =="
+# Exits nonzero naming each inherent or free library function (generic
+# or not) that no binary, example or the benchmark calls, and each
+# crates/*/src module that owns no such function (dev build, so no
+# inlining hides one); functions and modules kept on purpose are
+# allowlisted there, each with its reason. On success it prints how
+# many it checked and allowlisted.
 scripts/reach.sh
 
 echo "== benchmark: builds, tests and smoke-runs against the workspace =="
