@@ -475,4 +475,51 @@ mod tests {
             .count();
         assert_eq!(events, parts.len());
     }
+
+    #[test]
+    fn a_non_finite_fig12_speed_degrades_its_panels() {
+        use disengage_reports::record::{CarId, CollisionKind, Severity};
+        use disengage_reports::{AccidentRecord, Date};
+        let accident = |av: f64, other: f64| AccidentRecord {
+            manufacturer: Manufacturer::Waymo,
+            car: CarId::Redacted,
+            date: Date::new(2016, 5, 1).expect("valid date"),
+            location: "x".to_owned(),
+            av_speed_mph: Some(av),
+            other_speed_mph: Some(other),
+            autonomous_at_impact: true,
+            kind: CollisionKind::RearEnd,
+            severity: Severity::Minor,
+            description: "bump".to_owned(),
+        };
+        let database = FailureDatabase::from_records(
+            Vec::new(),
+            vec![
+                accident(4.0, 9.0),
+                accident(f64::INFINITY, 12.0),
+                accident(6.0, 15.0),
+            ],
+            Vec::new(),
+        );
+        let classifier = Classifier::with_default_dictionary();
+        let x = Inputs {
+            database: &database,
+            tagged: &[],
+            intended_tags: &[],
+            classifier: &classifier,
+        };
+        // The AV and relative samples hold +∞; the manual one is finite.
+        let (text, errors) = render("fig12", &x);
+        assert_eq!(
+            text,
+            "== fig12: DEGRADED ==\n\
+             degraded fig12: statistics error: input contains NaN or infinite values\n\
+             == Figure 12 (Manual speed) ==\n\
+             exponential fit: mean = 12.00 mph (rate 0.0833)\n\
+             share below 10 mph: 33.3%\n\n\
+             == fig12: DEGRADED ==\n\
+             degraded fig12: statistics error: input contains NaN or infinite values\n"
+        );
+        assert_eq!(errors.len(), 2);
+    }
 }

@@ -92,8 +92,9 @@ pub fn field_coverage(db: &FailureDatabase) -> FieldCoverage {
 pub fn modality_association(db: &FailureDatabase) -> Result<ChiSquare> {
     let manufacturers: Vec<Manufacturer> = db
         .manufacturers()
-        .into_iter()
-        .filter(|&m| !db.disengagements_for(m).is_empty())
+        .iter()
+        .copied()
+        .filter(|&m| db.disengagements_for(m).len() > 0)
         .collect();
     if manufacturers.len() < 2 {
         return Err(CoreError::NoData("manufacturers for modality test"));
@@ -103,7 +104,7 @@ pub fn modality_association(db: &FailureDatabase) -> Result<ChiSquare> {
         let records = db.disengagements_for(*m);
         let row: Vec<u64> = Modality::ALL
             .iter()
-            .map(|&mo| records.iter().filter(|r| r.modality == mo).count() as u64)
+            .map(|&mo| records.clone().filter(|r| r.modality == mo).count() as u64)
             .collect();
         table.push(row);
     }

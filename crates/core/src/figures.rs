@@ -1,8 +1,8 @@
 //! The data series behind Figs. 4–12.
 //!
 //! Each function returns the numbers a plotting front-end would render:
-//! box statistics, scatter/fit series, stacked fractions, or histogram +
-//! fitted-PDF overlays.
+//! box statistics, scatter/fit series, stacked fractions, or fitted
+//! distributions.
 
 use crate::constants::REACTION_OUTLIER_CUTOFF_S;
 use crate::metrics::{cumulative_trajectory, monthly_dpm_series, per_car_dpm, per_car_dpm_in_year};
@@ -12,9 +12,8 @@ use disengage_nlp::FaultTag;
 use disengage_reports::{FailureDatabase, Manufacturer};
 use disengage_stats::boxplot::{box_stats, BoxStats};
 use disengage_stats::correlation::{log_log_pearson, Correlation};
-use disengage_stats::dist::{Continuous, Exponential, ExponentiatedWeibull};
+use disengage_stats::dist::{Exponential, ExponentiatedWeibull};
 use disengage_stats::fit::{fit_exponential, fit_exponentiated_weibull, Fitted};
-use disengage_stats::histogram::{suggest_bins, Histogram};
 use disengage_stats::regression::{fit_power_law, PowerLawFit};
 
 /// Fig. 4 — per-car DPM box statistics by manufacturer.
@@ -238,18 +237,14 @@ pub fn fig10(db: &FailureDatabase) -> Result<Fig10> {
     Ok(Fig10 { boxes })
 }
 
-/// One panel of Fig. 11 — a reaction-time histogram with its
-/// Exponentiated-Weibull fit.
+/// One panel of Fig. 11 — the Exponentiated-Weibull fit of one
+/// manufacturer's reaction times.
 #[derive(Debug, Clone)]
 pub struct Fig11Panel {
     /// The manufacturer.
     pub manufacturer: Manufacturer,
-    /// Density histogram of (outlier-trimmed) reaction times.
-    pub histogram: Histogram,
-    /// The MLE Exponentiated-Weibull fit.
+    /// The MLE Exponentiated-Weibull fit of the outlier-trimmed times.
     pub fit: Fitted<ExponentiatedWeibull>,
-    /// `(x, fitted pdf(x))` curve sampled over the histogram range.
-    pub pdf_curve: Vec<(f64, f64)>,
 }
 
 /// Computes Fig. 11 for the paper's two panels (Mercedes-Benz, Waymo) or
@@ -268,22 +263,10 @@ pub fn fig11(db: &FailureDatabase, m: Manufacturer) -> Result<Fig11Panel> {
     if times.len() < 10 {
         return Err(CoreError::NoData("fig 11 reaction times"));
     }
-    let bins = suggest_bins(&times)?.clamp(10, 60);
-    let histogram = Histogram::from_data(&times, bins)?;
     let fit = fit_exponentiated_weibull(&times)?;
-    let lo = histogram.edges()[0];
-    let hi = *histogram.edges().last().expect("non-empty edges");
-    let pdf_curve = (0..=200)
-        .map(|i| {
-            let x = lo + (hi - lo) * i as f64 / 200.0;
-            (x, fit.dist.pdf(x))
-        })
-        .collect();
     Ok(Fig11Panel {
         manufacturer: m,
-        histogram,
         fit,
-        pdf_curve,
     })
 }
 
@@ -298,18 +281,14 @@ pub enum SpeedKind {
     Relative,
 }
 
-/// One panel of Fig. 12 — an accident-speed histogram with its
-/// Exponential fit.
+/// One panel of Fig. 12 — the Exponential fit of one accident-speed
+/// sample.
 #[derive(Debug, Clone)]
 pub struct Fig12Panel {
     /// Which speed this panel shows.
     pub kind: SpeedKind,
-    /// Density histogram of the speeds.
-    pub histogram: Histogram,
     /// MLE Exponential fit.
     pub fit: Fitted<Exponential>,
-    /// `(x, fitted pdf(x))` curve.
-    pub pdf_curve: Vec<(f64, f64)>,
     /// Fraction of accidents with speed below 10 mph (the paper's "more
     /// than 80% under 10 mph relative" observation).
     pub below_10mph: f64,
@@ -320,7 +299,8 @@ pub struct Fig12Panel {
 /// # Errors
 ///
 /// Returns [`CoreError::NoData`] when no speeds of the requested kind
-/// exist; propagates fitting errors.
+/// exist; propagates fitting errors (a non-finite speed is
+/// [`disengage_stats::StatsError::NonFinite`]).
 pub fn fig12(db: &FailureDatabase, kind: SpeedKind) -> Result<Fig12Panel> {
     let speeds: Vec<f64> = db
         .accidents()
@@ -335,22 +315,11 @@ pub fn fig12(db: &FailureDatabase, kind: SpeedKind) -> Result<Fig12Panel> {
     if speeds.is_empty() {
         return Err(CoreError::NoData("fig 12 speeds"));
     }
-    let bins = suggest_bins(&speeds)?.clamp(6, 30);
-    let histogram = Histogram::from_data(&speeds, bins)?;
     let fit = fit_exponential(&speeds)?;
-    let hi = *histogram.edges().last().expect("non-empty edges");
-    let pdf_curve = (0..=200)
-        .map(|i| {
-            let x = hi * i as f64 / 200.0;
-            (x, fit.dist.pdf(x))
-        })
-        .collect();
     let below_10mph = speeds.iter().filter(|&&s| s < 10.0).count() as f64 / speeds.len() as f64;
     Ok(Fig12Panel {
         kind,
-        histogram,
         fit,
-        pdf_curve,
         below_10mph,
     })
 }
@@ -358,6 +327,7 @@ pub fn fig12(db: &FailureDatabase, kind: SpeedKind) -> Result<Fig12Panel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disengage_stats::dist::Continuous;
 
     fn outcome() -> crate::PipelineOutcome {
         crate::RunSession::test_outcome(15, 0.15)
@@ -500,7 +470,6 @@ mod tests {
             (fit_mean - sample_mean).abs() / sample_mean < 0.25,
             "fit mean {fit_mean} vs sample {sample_mean}"
         );
-        assert!(!panel.pdf_curve.is_empty());
     }
 
     #[test]
@@ -510,7 +479,6 @@ mod tests {
             let p = fig12(&o.database, kind).unwrap();
             assert!(p.fit.dist.mean() < 20.0, "{kind:?} mean too high");
             assert!(p.below_10mph > 0.3, "{kind:?} below-10 = {}", p.below_10mph);
-            assert!(!p.pdf_curve.is_empty());
         }
         // AV speeds are lower than manual-vehicle speeds on average.
         let av = fig12(&o.database, SpeedKind::Av).unwrap();

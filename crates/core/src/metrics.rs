@@ -64,9 +64,7 @@ pub fn per_car_dpm(db: &FailureDatabase, m: Manufacturer) -> Vec<f64> {
 pub fn per_car_dpm_in_year(db: &FailureDatabase, m: Manufacturer, year: u16) -> Vec<f64> {
     // Miles per car within the year.
     let mut miles: BTreeMap<u32, f64> = BTreeMap::new();
-    for row in db.mileage().iter().filter(|r| {
-        r.manufacturer == m && r.month.year() == year
-    }) {
+    for row in db.mileage_for(m).filter(|r| r.month.year() == year) {
         if let CarId::Known(i) = row.car {
             *miles.entry(i).or_insert(0.0) += row.miles;
         }
@@ -77,11 +75,7 @@ pub fn per_car_dpm_in_year(db: &FailureDatabase, m: Manufacturer, year: u16) -> 
     // Disengagements per car within the year (attributed + spread).
     let mut counts: BTreeMap<u32, u64> = miles.keys().map(|&c| (c, 0)).collect();
     let mut unattributed = 0u64;
-    for r in db
-        .disengagements_for(m)
-        .iter()
-        .filter(|r| r.date.year() == year)
-    {
+    for r in db.disengagements_for(m).filter(|r| r.date.year() == year) {
         match r.car {
             CarId::Known(i) if counts.contains_key(&i) => *counts.get_mut(&i).expect("key") += 1,
             _ => unattributed += 1,
@@ -104,17 +98,15 @@ pub fn per_car_dpm_in_year(db: &FailureDatabase, m: Manufacturer, year: u16) -> 
 /// Monthly (cumulative-miles, monthly-DPM) points for one manufacturer —
 /// the series behind Figs. 8 and 9. Months with zero miles are skipped.
 pub fn monthly_dpm_series(db: &FailureDatabase, m: Manufacturer) -> Vec<(Date, f64, f64)> {
-    let miles = db.monthly_miles(m);
     let dis = db.monthly_disengagements(m);
-    let dis_map: BTreeMap<Date, usize> = dis.into_iter().collect();
     let mut out = Vec::new();
     let mut cum = 0.0;
-    for (month, mi) in miles {
+    for &(month, mi) in db.monthly_miles(m) {
         cum += mi;
         if mi <= 0.0 {
             continue;
         }
-        let d = dis_map.get(&month).copied().unwrap_or(0) as f64;
+        let d = count_in(dis, month) as f64;
         out.push((month, cum, d / mi));
     }
     out
@@ -123,17 +115,23 @@ pub fn monthly_dpm_series(db: &FailureDatabase, m: Manufacturer) -> Vec<(Date, f
 /// Cumulative (miles, disengagements) trajectory for one manufacturer —
 /// Fig. 5's series.
 pub fn cumulative_trajectory(db: &FailureDatabase, m: Manufacturer) -> Vec<(f64, f64)> {
-    let miles = db.monthly_miles(m);
-    let dis: BTreeMap<Date, usize> = db.monthly_disengagements(m).into_iter().collect();
+    let dis = db.monthly_disengagements(m);
     let mut out = Vec::new();
     let mut cum_miles = 0.0;
     let mut cum_dis = 0.0;
-    for (month, mi) in miles {
+    for &(month, mi) in db.monthly_miles(m) {
         cum_miles += mi;
-        cum_dis += dis.get(&month).copied().unwrap_or(0) as f64;
+        cum_dis += count_in(dis, month) as f64;
         out.push((cum_miles, cum_dis));
     }
     out
+}
+
+/// The count `monthly` (sorted by month) holds for `month`, or 0.
+fn count_in(monthly: &[(Date, usize)], month: Date) -> usize {
+    monthly
+        .binary_search_by_key(&month, |&(d, _)| d)
+        .map_or(0, |i| monthly[i].1)
 }
 
 fn largest_remainder(total: u64, weights: &[f64]) -> Vec<u64> {

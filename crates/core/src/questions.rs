@@ -204,8 +204,8 @@ pub fn q4_alertness(db: &FailureDatabase) -> Result<Q4Alertness> {
         let cum_by_month: BTreeMap<Date, f64> = {
             let mut acc = 0.0;
             db.monthly_miles(m)
-                .into_iter()
-                .map(|(month, miles)| {
+                .iter()
+                .map(|&(month, miles)| {
                     acc += miles;
                     (month, acc)
                 })

@@ -37,25 +37,24 @@ pub fn table1(db: &FailureDatabase) -> Result<DataFrame> {
         ("disengagements_2016", Column::empty(disengage_dataframe::DType::Int)),
         ("accidents_2016", Column::empty(disengage_dataframe::DType::Int)),
     ])?;
-    for m in db.manufacturers() {
+    for &m in db.manufacturers() {
         let mut row: Vec<Value> = vec![Value::from(m.name())];
         for year in ReportYear::ALL {
             let miles = db.miles_for_year(m, year);
             let dis = db
                 .disengagements_for(m)
-                .iter()
                 .filter(|r| r.report_year() == year)
                 .count() as i64;
             let acc = db
                 .accidents_for(m)
-                .iter()
                 .filter(|r| r.report_year() == year)
                 .count() as i64;
             let cars = {
                 let mut set: Vec<u32> = Vec::new();
-                for r in db.mileage().iter().filter(|r| {
-                    r.manufacturer == m && r.report_year() == year && r.miles > 0.0
-                }) {
+                for r in db
+                    .mileage_for(m)
+                    .filter(|r| r.report_year() == year && r.miles > 0.0)
+                {
                     if let Some(i) = r.car.index() {
                         if !set.contains(&i) {
                             set.push(i);
@@ -220,15 +219,14 @@ pub fn table5(db: &FailureDatabase) -> Result<DataFrame> {
         ("planned_pct", Column::empty(disengage_dataframe::DType::Float)),
         ("n", Column::empty(disengage_dataframe::DType::Int)),
     ])?;
-    for m in db.manufacturers() {
+    for &m in db.manufacturers() {
         let records = db.disengagements_for(m);
-        if records.is_empty() {
+        if records.len() == 0 {
             continue;
         }
         let n = records.len() as f64;
-        let count = |mo: Modality| {
-            records.iter().filter(|r| r.modality == mo).count() as f64 / n * 100.0
-        };
+        let count =
+            |mo: Modality| records.clone().filter(|r| r.modality == mo).count() as f64 / n * 100.0;
         df.push_row(vec![
             Value::from(m.name()),
             Value::Float(count(Modality::Automatic)),
@@ -255,7 +253,7 @@ pub fn table6(db: &FailureDatabase) -> Result<DataFrame> {
         ("fraction_pct", Column::empty(disengage_dataframe::DType::Float)),
         ("dpa", Column::empty(disengage_dataframe::DType::Float)),
     ])?;
-    for m in db.manufacturers() {
+    for &m in db.manufacturers() {
         let acc = db.accidents_for(m).len();
         if acc == 0 {
             continue;

@@ -1,17 +1,133 @@
 //! The consolidated failure database (the pipeline's step 4 artifact).
+//!
+//! Stage IV slices the database by manufacturer in most tables, figures
+//! and questions. The first per-manufacturer query builds an index: each
+//! manufacturer's row positions in every table, in table order, the
+//! sorted manufacturer list, and its monthly and per-car series. Every
+//! query after it reads the index instead of scanning the tables. The
+//! index visits the same rows in the same order a scan would, so every
+//! sum keeps its addends and its fold order. Any mutation drops it.
 
 use crate::date::Date;
 use crate::record::{AccidentRecord, CarId, DisengagementRecord, MonthlyMileage};
 use crate::types::{Manufacturer, ReportYear};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// The consolidated AV failure database: every disengagement, accident,
 /// and mileage row, queryable by manufacturer, car, and time.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Equality, [`Clone`] and [`Debug`] see the three tables only, never the
+/// index: a clone starts without one.
+#[derive(Default)]
 pub struct FailureDatabase {
     disengagements: Vec<DisengagementRecord>,
     accidents: Vec<AccidentRecord>,
     mileage: Vec<MonthlyMileage>,
+    /// Built by the first per-manufacturer query, dropped by every
+    /// mutation. Boxed, so a database that is never queried stays small.
+    index: OnceLock<Box<Index>>,
+}
+
+/// Every manufacturer's slice of the database.
+struct Index {
+    /// Manufacturers with a row in any table, in slot order, which is
+    /// sorted order.
+    manufacturers: Vec<Manufacturer>,
+    /// One slot per manufacturer, at [`slot`].
+    slots: [Slot; Manufacturer::ALL.len()],
+}
+
+/// One manufacturer's rows and the series folded from them.
+#[derive(Default)]
+struct Slot {
+    // Positions of its rows in each table, in table order.
+    disengagements: Vec<usize>,
+    accidents: Vec<usize>,
+    mileage: Vec<usize>,
+    miles_per_car: BTreeMap<u32, f64>,
+    monthly_miles: Vec<(Date, f64)>,
+    monthly_disengagements: Vec<(Date, usize)>,
+}
+
+/// `m`'s slot in the index: its declaration order, which is also its
+/// position in [`Manufacturer::ALL`] and its rank in `Ord`.
+fn slot(m: Manufacturer) -> usize {
+    m as usize
+}
+
+impl Index {
+    fn build(db: &FailureDatabase) -> Index {
+        let mut slots: [Slot; Manufacturer::ALL.len()] = std::array::from_fn(|_| Slot::default());
+        for (i, r) in db.disengagements.iter().enumerate() {
+            slots[slot(r.manufacturer)].disengagements.push(i);
+        }
+        for (i, r) in db.accidents.iter().enumerate() {
+            slots[slot(r.manufacturer)].accidents.push(i);
+        }
+        for (i, r) in db.mileage.iter().enumerate() {
+            slots[slot(r.manufacturer)].mileage.push(i);
+        }
+        let mut manufacturers = Vec::new();
+        for (m, s) in Manufacturer::ALL.into_iter().zip(&mut slots) {
+            if s.disengagements.is_empty() && s.accidents.is_empty() && s.mileage.is_empty() {
+                continue;
+            }
+            manufacturers.push(m);
+            // Each series adds its rows in table order, as a scan would.
+            let mut monthly: BTreeMap<Date, f64> = BTreeMap::new();
+            for r in s.mileage.iter().map(|&i| &db.mileage[i]) {
+                if let CarId::Known(c) = r.car {
+                    *s.miles_per_car.entry(c).or_insert(0.0) += r.miles;
+                }
+                *monthly.entry(r.month).or_insert(0.0) += r.miles;
+            }
+            s.monthly_miles = monthly.into_iter().collect();
+            let mut monthly: BTreeMap<Date, usize> = BTreeMap::new();
+            for r in s.disengagements.iter().map(|&i| &db.disengagements[i]) {
+                let month = Date::month_start(r.date.year(), r.date.month())
+                    .expect("valid record date implies valid month");
+                *monthly.entry(month).or_insert(0) += 1;
+            }
+            s.monthly_disengagements = monthly.into_iter().collect();
+        }
+        Index {
+            manufacturers,
+            slots,
+        }
+    }
+}
+
+/// One manufacturer's rows of one table, in table order: an iterator
+/// over the table through the index's positions. It knows its length
+/// ([`ExactSizeIterator::len`]), and a clone iterates the rows again.
+pub struct Rows<'a, T> {
+    table: &'a [T],
+    positions: std::slice::Iter<'a, usize>,
+}
+
+impl<'a, T> Iterator for Rows<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        self.positions.next().map(|&i| &self.table[i])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.positions.size_hint()
+    }
+}
+
+impl<T> ExactSizeIterator for Rows<'_, T> {}
+
+impl<T> Clone for Rows<'_, T> {
+    fn clone(&self) -> Self {
+        Rows {
+            table: self.table,
+            positions: self.positions.clone(),
+        }
+    }
 }
 
 impl FailureDatabase {
@@ -30,6 +146,7 @@ impl FailureDatabase {
             disengagements,
             accidents,
             mileage,
+            index: OnceLock::new(),
         }
     }
 
@@ -50,35 +167,33 @@ impl FailureDatabase {
 
     /// Adds a disengagement.
     pub fn push_disengagement(&mut self, r: DisengagementRecord) {
+        self.index.take();
         self.disengagements.push(r);
     }
 
     /// Adds an accident.
     pub fn push_accident(&mut self, r: AccidentRecord) {
+        self.index.take();
         self.accidents.push(r);
     }
 
     /// Adds a mileage row.
     pub fn push_mileage(&mut self, r: MonthlyMileage) {
+        self.index.take();
         self.mileage.push(r);
     }
 
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| Box::new(Index::build(self)))
+    }
+
+    fn slot(&self, m: Manufacturer) -> &Slot {
+        &self.index().slots[slot(m)]
+    }
+
     /// Manufacturers present anywhere in the database, sorted.
-    pub fn manufacturers(&self) -> Vec<Manufacturer> {
-        let mut set: Vec<Manufacturer> = Vec::new();
-        for m in self
-            .disengagements
-            .iter()
-            .map(|r| r.manufacturer)
-            .chain(self.accidents.iter().map(|r| r.manufacturer))
-            .chain(self.mileage.iter().map(|r| r.manufacturer))
-        {
-            if !set.contains(&m) {
-                set.push(m);
-            }
-        }
-        set.sort();
-        set
+    pub fn manufacturers(&self) -> &[Manufacturer] {
+        &self.index().manufacturers
     }
 
     /// Total autonomous miles across the whole database.
@@ -88,76 +203,61 @@ impl FailureDatabase {
 
     /// Total autonomous miles for one manufacturer.
     pub fn miles_for(&self, m: Manufacturer) -> f64 {
-        self.mileage
-            .iter()
-            .filter(|r| r.manufacturer == m)
-            .map(|r| r.miles)
-            .sum()
+        self.mileage_for(m).map(|r| r.miles).sum()
     }
 
     /// Miles for one manufacturer within one report year.
     pub fn miles_for_year(&self, m: Manufacturer, year: ReportYear) -> f64 {
-        self.mileage
-            .iter()
-            .filter(|r| r.manufacturer == m && r.report_year() == year)
+        self.mileage_for(m)
+            .filter(|r| r.report_year() == year)
             .map(|r| r.miles)
             .sum()
     }
 
-    /// Disengagements for one manufacturer.
-    pub fn disengagements_for(&self, m: Manufacturer) -> Vec<&DisengagementRecord> {
-        self.disengagements
-            .iter()
-            .filter(|r| r.manufacturer == m)
-            .collect()
+    /// Disengagements for one manufacturer, in table order.
+    pub fn disengagements_for(&self, m: Manufacturer) -> Rows<'_, DisengagementRecord> {
+        Rows {
+            table: &self.disengagements,
+            positions: self.slot(m).disengagements.iter(),
+        }
     }
 
-    /// Accidents for one manufacturer.
-    pub fn accidents_for(&self, m: Manufacturer) -> Vec<&AccidentRecord> {
-        self.accidents
-            .iter()
-            .filter(|r| r.manufacturer == m)
-            .collect()
+    /// Accidents for one manufacturer, in table order.
+    pub fn accidents_for(&self, m: Manufacturer) -> Rows<'_, AccidentRecord> {
+        Rows {
+            table: &self.accidents,
+            positions: self.slot(m).accidents.iter(),
+        }
+    }
+
+    /// Monthly mileage rows for one manufacturer, in table order.
+    pub fn mileage_for(&self, m: Manufacturer) -> Rows<'_, MonthlyMileage> {
+        Rows {
+            table: &self.mileage,
+            positions: self.slot(m).mileage.iter(),
+        }
     }
 
     /// Per-car cumulative miles for a manufacturer, keyed by fleet index.
-    pub fn miles_per_car(&self, m: Manufacturer) -> BTreeMap<u32, f64> {
-        let mut map = BTreeMap::new();
-        for r in self.mileage.iter().filter(|r| r.manufacturer == m) {
-            if let CarId::Known(i) = r.car {
-                *map.entry(i).or_insert(0.0) += r.miles;
-            }
-        }
-        map
+    pub fn miles_per_car(&self, m: Manufacturer) -> &BTreeMap<u32, f64> {
+        &self.slot(m).miles_per_car
     }
 
     /// Monthly (month-start date, miles) series for a manufacturer,
     /// summed over cars, sorted by month.
-    pub fn monthly_miles(&self, m: Manufacturer) -> Vec<(Date, f64)> {
-        let mut map: BTreeMap<Date, f64> = BTreeMap::new();
-        for r in self.mileage.iter().filter(|r| r.manufacturer == m) {
-            *map.entry(r.month).or_insert(0.0) += r.miles;
-        }
-        map.into_iter().collect()
+    pub fn monthly_miles(&self, m: Manufacturer) -> &[(Date, f64)] {
+        &self.slot(m).monthly_miles
     }
 
     /// Monthly disengagement counts for a manufacturer (keyed by month
     /// start), sorted by month.
-    pub fn monthly_disengagements(&self, m: Manufacturer) -> Vec<(Date, usize)> {
-        let mut map: BTreeMap<Date, usize> = BTreeMap::new();
-        for r in self.disengagements.iter().filter(|r| r.manufacturer == m) {
-            let month = Date::month_start(r.date.year(), r.date.month())
-                .expect("valid record date implies valid month");
-            *map.entry(month).or_insert(0) += 1;
-        }
-        map.into_iter().collect()
+    pub fn monthly_disengagements(&self, m: Manufacturer) -> &[(Date, usize)] {
+        &self.slot(m).monthly_disengagements
     }
 
     /// Driver reaction times for one manufacturer (where reported).
     pub fn reaction_times(&self, m: Manufacturer) -> Vec<f64> {
-        self.disengagements
-            .iter()
-            .filter(|r| r.manufacturer == m)
+        self.disengagements_for(m)
             .filter_map(|r| r.reaction_time_s)
             .collect()
     }
@@ -175,9 +275,38 @@ impl FailureDatabase {
 
     /// Merges another database into this one.
     pub fn merge(&mut self, other: FailureDatabase) {
+        self.index.take();
         self.disengagements.extend(other.disengagements);
         self.accidents.extend(other.accidents);
         self.mileage.extend(other.mileage);
+    }
+}
+
+impl Clone for FailureDatabase {
+    fn clone(&self) -> FailureDatabase {
+        FailureDatabase::from_records(
+            self.disengagements.clone(),
+            self.accidents.clone(),
+            self.mileage.clone(),
+        )
+    }
+}
+
+impl PartialEq for FailureDatabase {
+    fn eq(&self, other: &FailureDatabase) -> bool {
+        self.disengagements == other.disengagements
+            && self.accidents == other.accidents
+            && self.mileage == other.mileage
+    }
+}
+
+impl fmt::Debug for FailureDatabase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FailureDatabase")
+            .field("disengagements", &self.disengagements)
+            .field("accidents", &self.accidents)
+            .field("mileage", &self.mileage)
+            .finish()
     }
 }
 

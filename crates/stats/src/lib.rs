@@ -15,8 +15,7 @@
 //! * the one-sample Kolmogorov–Smirnov goodness-of-fit test ([`ks`]),
 //! * chi-square tests of independence ([`chi_square`]),
 //! * the Kalra–Paddock "driving to safety" reliability-demonstration model
-//!   used by the paper for significance of accident rates ([`kalra_paddock`]),
-//! * histograms for figure series ([`histogram`]).
+//!   used by the paper for significance of accident rates ([`kalra_paddock`]).
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@ pub mod correlation;
 pub mod dist;
 mod error;
 pub mod fit;
-pub mod histogram;
 pub mod kalra_paddock;
 pub mod ks;
 pub mod optimize;

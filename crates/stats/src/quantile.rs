@@ -61,28 +61,6 @@ pub fn quantile_sorted(xs: &[f64], q: f64) -> Result<f64> {
     })
 }
 
-/// Computes several quantiles in one pass (one sort).
-///
-/// # Errors
-///
-/// Same conditions as [`quantile`] for each requested `q`.
-pub fn quantiles(xs: &[f64], qs: &[f64]) -> Result<Vec<f64>> {
-    ensure_nonempty_finite(xs)?;
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values are comparable"));
-    qs.iter().map(|&q| quantile_sorted(&sorted, q)).collect()
-}
-
-/// Interquartile range (Q3 − Q1).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] for an empty sample.
-pub fn iqr(xs: &[f64]) -> Result<f64> {
-    let qs = quantiles(xs, &[0.25, 0.75])?;
-    Ok(qs[1] - qs[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,21 +93,6 @@ mod tests {
             Err(StatsError::InvalidParameter { name: "q", .. })
         ));
         assert!(quantile(&[1.0], -0.1).is_err());
-    }
-
-    #[test]
-    fn quantiles_batch_matches_individual() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let batch = quantiles(&xs, &[0.25, 0.5, 0.75]).unwrap();
-        for (i, &q) in [0.25, 0.5, 0.75].iter().enumerate() {
-            assert_eq!(batch[i], quantile(&xs, q).unwrap());
-        }
-    }
-
-    #[test]
-    fn iqr_known() {
-        let xs: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        assert!((iqr(&xs).unwrap() - 4.0).abs() < 1e-12);
     }
 
     #[test]

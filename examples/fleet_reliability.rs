@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = &outcome.database;
 
     println!("== per-manufacturer disengagement rates ==");
-    for m in db.manufacturers() {
+    for &m in db.manufacturers() {
         let Ok(dpm) = metrics::dpm(db, m) else {
             continue;
         };

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n== exact confidence intervals on accident rates ==");
-    for m in db.manufacturers() {
+    for &m in db.manufacturers() {
         let accidents = db.accidents_for(m).len() as u64;
         let miles = db.miles_for(m);
         if accidents == 0 || miles <= 0.0 {

@@ -11,7 +11,9 @@
 # CER edit distance's full equivalence grid against the banded
 # reference (release), the distinct-value Weibull and
 # Exponentiated-Weibull fitters' full equivalence grid against the
-# reference fitters (release), the repro harness's telemetry self-check
+# reference fitters (release), the failure database's per-manufacturer
+# index's full equivalence grid against the reference scans (release),
+# the repro harness's telemetry self-check
 # (nonzero exit if the pipeline's counters fail to reconcile), a
 # seeded chaos smoke campaign (nonzero exit on any panic, unreconciled
 # fault ledger, a DEGRADED line on stdout that chaos_report.json's
@@ -96,6 +98,13 @@ echo "== Stage IV: distinct-value fitters vs reference fitters, full grid =="
 # scale), scales 0.25 and 0.5, a chaos-recovered database and light
 # simulated OCR at scale 0.25; tier-1 runs the default seed only.
 cargo test --release --offline --test fit_equivalence -- --ignored
+
+echo "== Stage IV: per-manufacturer index vs reference scans, full grid =="
+# Every query for every manufacturer at seeds 1-20 (full scale), scales
+# 0.25 and 0.5 and light simulated OCR at scale 0.25; tier-1 runs the
+# default seed at full scale and 0.05, a chaos-recovered database and a
+# hand-built one.
+cargo test --release --offline --test index_equivalence -- --ignored
 
 echo "== repro telemetry self-check (counter reconciliation) =="
 cargo run --release --offline -p disengage-bench --bin repro -- \

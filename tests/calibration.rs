@@ -115,7 +115,7 @@ fn table5_modality_mix_matches_paper_rows() {
     for (m, auto, manual, planned) in expected {
         let records = db.disengagements_for(m);
         let n = records.len() as f64;
-        let pct = |mo: Modality| records.iter().filter(|r| r.modality == mo).count() as f64 / n * 100.0;
+        let pct = |mo: Modality| records.clone().filter(|r| r.modality == mo).count() as f64 / n * 100.0;
         let tol = 6.0;
         assert!((pct(Modality::Automatic) - auto).abs() < tol, "{m} auto");
         assert!((pct(Modality::Manual) - manual).abs() < tol, "{m} manual");
