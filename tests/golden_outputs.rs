@@ -4,7 +4,9 @@
 //! under a seeded fault plan, and through simulated OCR at light and
 //! heavy noise (which pins the `ocr.cer` histogram, `ocr.mean_cer` and
 //! every `OcrRepair` lineage event) — plus the bits of both Fig. 11
-//! reaction-time fits at full scale, as `repro` prints them.
+//! reaction-time fits at full scale, as `repro` prints them, and every
+//! byte of the rendered corpus (Stage I's filings, before OCR) at full
+//! scale and at scale 0.1.
 //!
 //! The other byte-identity suites compare two runs of the *same* build
 //! (`--jobs`, warm/cold, sharded/monolithic), so a rewrite that changes
@@ -17,9 +19,10 @@ use disengage::chaos::FaultPlan;
 use disengage::core::figures::fig11;
 use disengage::core::pipeline::{OcrMode, PipelineOutcome};
 use disengage::core::{RunConfig, RunSession};
-use disengage::corpus::CorpusConfig;
+use disengage::corpus::{CorpusConfig, CorpusGenerator};
 use disengage::obs::Collector;
 use disengage::ocr::NoiseModel;
+use disengage::reports::formats::DocumentKind;
 use disengage::reports::Manufacturer;
 
 /// The four digests of one run, as 16-digit hex.
@@ -192,4 +195,42 @@ fn fig11_fits_are_pinned() {
         ),
     ];
     assert_eq!(got, want, "Fig. 11 fits moved: {got:#x?}");
+}
+
+/// `(documents, total text bytes, digest)` of every filing the generator
+/// renders at `seed` and `scale`, in enumeration order: each document's
+/// manufacturer, filing year, kind and text.
+fn corpus_digest(seed: u64, scale: f64) -> (usize, usize, String) {
+    let corpus = CorpusGenerator::new(CorpusConfig { seed, scale }).generate();
+    let mut fp = Fp::new();
+    let mut bytes = 0;
+    for doc in &corpus.documents {
+        let kind = match doc.kind {
+            DocumentKind::Disengagements => "disengagements",
+            DocumentKind::Accident => "accident",
+        };
+        fp.write_str(doc.manufacturer.name())
+            .write_u32(u32::from(doc.report_year.filing_year()))
+            .write_str(kind)
+            .write_str(&doc.text);
+        bytes += doc.text.len();
+    }
+    (corpus.documents.len(), bytes, fp.finish().to_hex())
+}
+
+/// The rendered filings themselves. The run pins above see only what
+/// parsing recovers, so a field no parser reads (Nissan's `11:20 AM`,
+/// Volkswagen's `18:24:03`) could change under them unseen.
+#[test]
+fn rendered_corpus_is_pinned() {
+    assert_eq!(
+        corpus_digest(0x5EED, 1.0),
+        (58, 715_535, "3e910980b26d4e3f".to_owned()),
+        "full-scale corpus moved"
+    );
+    assert_eq!(
+        corpus_digest(42, 0.1),
+        (23, 75_085, "f8a1af8ce6fae0eb".to_owned()),
+        "scale-0.1 corpus moved"
+    );
 }
