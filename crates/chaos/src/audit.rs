@@ -279,7 +279,7 @@ mod tests {
                 reaction_time_s: Some(0.8),
                 description: "software module froze, driver safely disengaged".to_owned(),
             };
-            text.push_str(&f.render(&record));
+            f.render(&record, &mut text);
             text.push('\n');
         }
         RawDocument::new(

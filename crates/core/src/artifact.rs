@@ -946,7 +946,9 @@ mod tests {
                 },
             },
             ProvenanceEntry {
-                subject: Subject::Record(RecordId::new("Waymo", 2016, "car-1", 0)),
+                subject: Subject::Record(
+                    RecordId::parse("waymo/2016/car-1/0").expect("a record id"),
+                ),
                 event: ProvenanceEvent::Tagged {
                     tag: "planner".to_owned(),
                     category: "ml_design".to_owned(),

@@ -151,16 +151,7 @@ impl CorpusGenerator {
         }
         let accidents = self.generate_accidents(profile, &scaled, &mut rng);
 
-        let mut truth = FailureDatabase::new();
-        for r in &records {
-            truth.push_disengagement(r.clone());
-        }
-        for m in &mileage {
-            truth.push_mileage(m.clone());
-        }
-        for a in &accidents {
-            truth.push_accident(a.clone());
-        }
+        // Render from the records, then move them into the ground truth.
         let mut documents = Vec::with_capacity(doc_count_for(&scaled));
         if !records.is_empty() || !mileage.is_empty() {
             documents.push(crate::rawdoc::render_disengagement_document(
@@ -178,7 +169,7 @@ impl CorpusGenerator {
             spec.label()
         );
         Corpus {
-            truth,
+            truth: FailureDatabase::from_records(records, accidents, mileage),
             intended_tags: tags,
             documents,
         }

@@ -1,4 +1,5 @@
-//! Rendering ground-truth records into raw filings.
+//! Rendering ground-truth records into raw filings: each filing is one
+//! `String` that every line and table row is appended to.
 
 use disengage_reports::formats::disengagement::format_for;
 use disengage_reports::formats::document::{DocumentKind, RawDocument};
@@ -17,22 +18,27 @@ pub fn render_disengagement_document(
     let format = format_for(manufacturer);
     let mut text = String::new();
     for r in records {
-        text.push_str(&format.render(r));
+        format.render(r, &mut text);
         text.push('\n');
     }
     if !mileage.is_empty() {
-        text.push_str(&render_mileage_table(mileage));
+        render_mileage_table(mileage, &mut text);
     }
+    // The filing outlives the run's other text: keep no growth slack.
+    text.shrink_to_fit();
     RawDocument::new(manufacturer, year, DocumentKind::Disengagements, text)
 }
 
 /// Renders one accident record as an OL 316-style filing.
 pub fn render_accident_document(record: &AccidentRecord) -> RawDocument {
+    let mut text = String::new();
+    render_accident_form(record, &mut text);
+    text.shrink_to_fit();
     RawDocument::new(
         record.manufacturer,
         record.report_year(),
         DocumentKind::Accident,
-        render_accident_form(record),
+        text,
     )
 }
 

@@ -27,7 +27,6 @@
 //! from a position in some intermediate vector.
 
 use crate::json::Value;
-use crate::key_segment;
 use std::fmt;
 
 /// Stable, content-derived identity of one disengagement record.
@@ -39,34 +38,19 @@ use std::fmt;
 /// referencing any positional index that could shift under resharding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId {
-    /// Manufacturer key segment (`"Mercedes-Benz"` → `"mercedes_benz"`).
+    /// Manufacturer key segment, the [`crate::key_segment`] of its name
+    /// (`"Mercedes-Benz"` → `"mercedes_benz"`).
     pub manufacturer: String,
     /// Report year of the filing (the paper's 2016/2017 releases).
     pub year: u16,
-    /// Vehicle identity as reported (`car-3`, or `redacted`).
+    /// Vehicle identity as reported, kept to `[a-z0-9-]` (`car-3`, or
+    /// `redacted`).
     pub car: String,
     /// Ordinal of this record among the car's records in the document.
     pub seq: u32,
 }
 
 impl RecordId {
-    /// Builds an id, normalizing the manufacturer via [`key_segment`]
-    /// and the car label to `[a-z0-9-]` (so `"[redacted]"` becomes
-    /// `"redacted"`).
-    pub fn new(manufacturer: &str, year: u16, car: &str, seq: u32) -> RecordId {
-        let car: String = car
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric() || *c == '-')
-            .map(|c| c.to_ascii_lowercase())
-            .collect();
-        RecordId {
-            manufacturer: key_segment(manufacturer),
-            year,
-            car,
-            seq,
-        }
-    }
-
     /// Parses the `manufacturer/year/car/seq` rendering back.
     pub fn parse(text: &str) -> Option<RecordId> {
         let parts: Vec<&str> = text.split('/').collect();
@@ -568,8 +552,18 @@ impl ProvenanceLog {
 mod tests {
     use super::*;
 
+    /// The id `manufacturer/year/car/seq` names.
+    fn record(manufacturer: &str, year: u16, car: &str, seq: u32) -> RecordId {
+        RecordId {
+            manufacturer: manufacturer.to_owned(),
+            year,
+            car: car.to_owned(),
+            seq,
+        }
+    }
+
     fn id() -> RecordId {
-        RecordId::new("Mercedes-Benz", 2016, "car-3", 7)
+        record("mercedes_benz", 2016, "car-3", 7)
     }
 
     #[test]
@@ -577,10 +571,9 @@ mod tests {
         let id = id();
         assert_eq!(id.to_string(), "mercedes_benz/2016/car-3/7");
         assert_eq!(RecordId::parse(&id.to_string()), Some(id));
-        assert_eq!(
-            RecordId::new("Nissan", 2015, "[redacted]", 0).to_string(),
-            "nissan/2015/redacted/0"
-        );
+        let redacted = record("nissan", 2015, "redacted", 0);
+        assert_eq!(redacted.to_string(), "nissan/2015/redacted/0");
+        assert_eq!(RecordId::parse("nissan/2015/redacted/0"), Some(redacted));
         assert_eq!(RecordId::parse("no-slashes"), None);
     }
 
@@ -708,8 +701,8 @@ mod tests {
 
     #[test]
     fn exemplars_cover_corrected_quarantined_clean() {
-        let fixed = RecordId::new("Nissan", 2015, "car-0", 0);
-        let clean = RecordId::new("Waymo", 2015, "car-1", 0);
+        let fixed = record("nissan", 2015, "car-0", 0);
+        let clean = record("waymo", 2015, "car-1", 0);
         let log = log(vec![
             (
                 Subject::Line { doc: 0, line: 3 },

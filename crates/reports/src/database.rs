@@ -165,24 +165,6 @@ impl FailureDatabase {
         &self.mileage
     }
 
-    /// Adds a disengagement.
-    pub fn push_disengagement(&mut self, r: DisengagementRecord) {
-        self.index.take();
-        self.disengagements.push(r);
-    }
-
-    /// Adds an accident.
-    pub fn push_accident(&mut self, r: AccidentRecord) {
-        self.index.take();
-        self.accidents.push(r);
-    }
-
-    /// Adds a mileage row.
-    pub fn push_mileage(&mut self, r: MonthlyMileage) {
-        self.index.take();
-        self.mileage.push(r);
-    }
-
     fn index(&self) -> &Index {
         self.index.get_or_init(|| Box::new(Index::build(self)))
     }

@@ -6,6 +6,7 @@
 //! and provides ordering, day arithmetic, and month indexing for the
 //! time-series analyses (Figs. 5, 7, 9).
 
+use crate::scan::fields;
 use crate::{ReportError, Result};
 use std::fmt;
 
@@ -121,6 +122,7 @@ impl Date {
     /// invalid component values.
     pub fn parse(text: &str) -> Result<Date> {
         let t = text.trim();
+        let invalid = || ReportError::InvalidDate(t.to_owned());
         if let Some((mon, yy)) = t.split_once('-') {
             // Mon-YY (e.g. May-16) or ISO YYYY-MM-DD.
             if let Some(m) = MONTH_ABBREV
@@ -130,34 +132,24 @@ impl Date {
                 let year = parse_year(yy)?;
                 return Date::month_start(year, (m + 1) as u8);
             }
-            let parts: Vec<&str> = t.split('-').collect();
-            if parts.len() == 3 {
-                let year: u16 = parts[0]
-                    .parse()
-                    .map_err(|_| ReportError::InvalidDate(t.to_owned()))?;
-                let month: u8 = parts[1]
-                    .parse()
-                    .map_err(|_| ReportError::InvalidDate(t.to_owned()))?;
-                let day: u8 = parts[2]
-                    .parse()
-                    .map_err(|_| ReportError::InvalidDate(t.to_owned()))?;
+            let ([year, month, day], n) = fields(t.split('-'));
+            if n == 3 {
+                let year: u16 = year.parse().map_err(|_| invalid())?;
+                let month: u8 = month.parse().map_err(|_| invalid())?;
+                let day: u8 = day.parse().map_err(|_| invalid())?;
                 return Date::new(year, month, day);
             }
-            return Err(ReportError::InvalidDate(t.to_owned()));
+            return Err(invalid());
         }
         // M/D/YY layouts.
-        let parts: Vec<&str> = t.split('/').collect();
-        if parts.len() == 3 {
-            let month: u8 = parts[0]
-                .parse()
-                .map_err(|_| ReportError::InvalidDate(t.to_owned()))?;
-            let day: u8 = parts[1]
-                .parse()
-                .map_err(|_| ReportError::InvalidDate(t.to_owned()))?;
-            let year = parse_year(parts[2])?;
+        let ([month, day, year], n) = fields(t.split('/'));
+        if n == 3 {
+            let month: u8 = month.parse().map_err(|_| invalid())?;
+            let day: u8 = day.parse().map_err(|_| invalid())?;
+            let year = parse_year(year)?;
             return Date::new(year, month, day);
         }
-        Err(ReportError::InvalidDate(t.to_owned()))
+        Err(invalid())
     }
 }
 

@@ -3,10 +3,12 @@
 
 use crate::date::Date;
 use crate::record::{AccidentRecord, CarId, CollisionKind, Severity};
+use crate::scan::Sep;
 use crate::types::Manufacturer;
 use crate::{ReportError, Result};
+use std::fmt::Write;
 
-/// Renders an accident record as a multi-line OL 316-style form.
+/// Appends an accident record to `out` as a multi-line OL 316-style form.
 ///
 /// # Examples
 ///
@@ -26,46 +28,46 @@ use crate::{ReportError, Result};
 ///     severity: Severity::Minor,
 ///     description: "rear collision while yielding".into(),
 /// };
-/// let form = render_accident_form(&record);
+/// let mut form = String::new();
+/// render_accident_form(&record, &mut form);
 /// assert_eq!(parse_accident_form(&form).unwrap(), record);
 /// ```
-pub fn render_accident_form(record: &AccidentRecord) -> String {
-    let mut out = String::new();
+pub fn render_accident_form(record: &AccidentRecord, out: &mut String) {
     out.push_str("REPORT OF TRAFFIC ACCIDENT INVOLVING AN AUTONOMOUS VEHICLE\n");
-    out.push_str(&format!("Manufacturer: {}\n", record.manufacturer));
-    out.push_str(&format!(
-        "Vehicle: {}\n",
-        match &record.car {
-            CarId::Known(i) => format!("fleet vehicle {i}"),
-            CarId::Redacted => "[REDACTED]".to_owned(),
+    let _ = writeln!(out, "Manufacturer: {}", record.manufacturer.name());
+    match record.car {
+        CarId::Known(i) => {
+            let _ = writeln!(out, "Vehicle: fleet vehicle {i}");
         }
-    ));
-    out.push_str(&format!("Date: {}\n", record.date));
-    out.push_str(&format!("Location: {}\n", record.location));
-    out.push_str(&format!(
-        "AV Speed (mph): {}\n",
-        record
-            .av_speed_mph
-            .map_or("unknown".to_owned(), |s| format!("{s:.1}"))
-    ));
-    out.push_str(&format!(
-        "Other Vehicle Speed (mph): {}\n",
-        record
-            .other_speed_mph
-            .map_or("unknown".to_owned(), |s| format!("{s:.1}"))
-    ));
-    out.push_str(&format!(
-        "Autonomous Mode at Impact: {}\n",
+        CarId::Redacted => out.push_str("Vehicle: [REDACTED]\n"),
+    }
+    let _ = writeln!(out, "Date: {}", record.date);
+    let _ = writeln!(out, "Location: {}", record.location);
+    push_speed(out, "AV Speed (mph): ", record.av_speed_mph);
+    push_speed(out, "Other Vehicle Speed (mph): ", record.other_speed_mph);
+    let _ = writeln!(
+        out,
+        "Autonomous Mode at Impact: {}",
         if record.autonomous_at_impact {
             "yes"
         } else {
             "no"
         }
-    ));
-    out.push_str(&format!("Collision Type: {}\n", record.kind));
-    out.push_str(&format!("Damage Severity: {}\n", record.severity));
-    out.push_str(&format!("Narrative: {}\n", record.description));
-    out
+    );
+    let _ = writeln!(out, "Collision Type: {}", record.kind.name());
+    let _ = writeln!(out, "Damage Severity: {}", record.severity.name());
+    let _ = writeln!(out, "Narrative: {}", record.description);
+}
+
+/// Appends a `label` line with a speed to one decimal, or `unknown`.
+fn push_speed(out: &mut String, label: &str, speed: Option<f64>) {
+    out.push_str(label);
+    match speed {
+        Some(s) => {
+            let _ = writeln!(out, "{s:.1}");
+        }
+        None => out.push_str("unknown\n"),
+    }
 }
 
 /// Parses an OL 316-style form back into an [`AccidentRecord`].
@@ -86,9 +88,10 @@ pub fn parse_accident_form(text: &str) -> Result<AccidentRecord> {
     let mut severity = None;
     let mut description = None;
 
+    const KEY: Sep = Sep::new(": ");
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
-        let Some((key, value)) = line.split_once(": ") else {
+        let Some((key, value)) = KEY.split_once(line) else {
             continue; // headers and blank lines
         };
         let value = value.trim();
@@ -179,6 +182,12 @@ fn missing(field: &'static str) -> ReportError {
 mod tests {
     use super::*;
 
+    fn rendered(r: &AccidentRecord) -> String {
+        let mut text = String::new();
+        render_accident_form(r, &mut text);
+        text
+    }
+
     fn record() -> AccidentRecord {
         AccidentRecord {
             manufacturer: Manufacturer::GmCruise,
@@ -197,7 +206,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let r = record();
-        let form = render_accident_form(&r);
+        let form = rendered(&r);
         assert!(form.contains("fleet vehicle 4"));
         assert!(form.contains("Other Vehicle Speed (mph): unknown"));
         assert_eq!(parse_accident_form(&form).unwrap(), r);
@@ -207,7 +216,7 @@ mod tests {
     fn redacted_round_trip() {
         let mut r = record();
         r.car = CarId::Redacted;
-        let form = render_accident_form(&r);
+        let form = rendered(&r);
         assert!(form.contains("[REDACTED]"));
         assert_eq!(parse_accident_form(&form).unwrap().car, CarId::Redacted);
     }
@@ -215,7 +224,7 @@ mod tests {
     #[test]
     fn missing_field_rejected() {
         let r = record();
-        let form = render_accident_form(&r);
+        let form = rendered(&r);
         let without_date: String = form
             .lines()
             .filter(|l| !l.starts_with("Date:"))
@@ -229,7 +238,7 @@ mod tests {
 
     #[test]
     fn bad_values_rejected() {
-        let form = render_accident_form(&record());
+        let form = rendered(&record());
         let bad = form.replace("Autonomous Mode at Impact: no", "Autonomous Mode at Impact: maybe");
         assert!(parse_accident_form(&bad).is_err());
         let bad = form.replace("Collision Type: side-swipe", "Collision Type: meteor");
@@ -240,7 +249,7 @@ mod tests {
 
     #[test]
     fn extra_fields_tolerated() {
-        let mut form = render_accident_form(&record());
+        let mut form = rendered(&record());
         form.push_str("Officer: J. Doe\n");
         assert!(parse_accident_form(&form).is_ok());
     }

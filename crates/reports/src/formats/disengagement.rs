@@ -12,14 +12,24 @@
 //! Cruise). Every format can round-trip: `parse(render(r))` recovers the
 //! fields `r` carries in that format (formats that omit a field — e.g.
 //! Waymo reports month precision only — lose exactly that field).
+//!
+//! Rendering appends to the caller's buffer, so a whole filing is one
+//! growing `String`; parsing borrows every field from the line and
+//! allocates only the description it keeps.
 
 use crate::date::Date;
 use crate::record::{CarId, DisengagementRecord};
+use crate::scan::{fields, Sep};
 use crate::types::{Manufacturer, Modality, RoadType, Weather};
 use crate::{ReportError, Result};
+use std::fmt::Write;
 
 /// The em-dash field separator used in several manufacturers' reports.
 pub const DASH_SEP: &str = " — ";
+
+const DASH: Sep = Sep::new(DASH_SEP);
+const PIPE: Sep = Sep::new(" | ");
+const REACTION: Sep = Sep::new(" [reaction: ");
 
 /// A disengagement-log format: renders uniform records into the
 /// manufacturer's layout and parses lines of that layout back.
@@ -30,8 +40,8 @@ pub trait ReportFormat {
     /// The manufacturer whose filings use this layout.
     fn manufacturer(&self) -> Manufacturer;
 
-    /// Renders one record as one log line (no trailing newline).
-    fn render(&self, record: &DisengagementRecord) -> String;
+    /// Appends one record to `out` as one log line (no trailing newline).
+    fn render(&self, record: &DisengagementRecord, out: &mut String);
 
     /// Parses one log line back into a uniform record.
     ///
@@ -54,14 +64,17 @@ pub fn format_for(manufacturer: Manufacturer) -> Box<dyn ReportFormat + Send + S
         Manufacturer::GmCruise => Box::new(GmCruiseFormat),
         Manufacturer::Tesla => Box::new(TeslaFormat),
         // The four sparse reporters file in the pipe layout too.
-        Manufacturer::Uber
-        | Manufacturer::Honda
-        | Manufacturer::Ford
-        | Manufacturer::Bmw => Box::new(BenzFormat),
+        Manufacturer::Uber | Manufacturer::Honda | Manufacturer::Ford | Manufacturer::Bmw => {
+            Box::new(BenzFormat)
+        }
     }
 }
 
-fn malformed(manufacturer: &'static str, line_no: usize, message: impl Into<String>) -> ReportError {
+fn malformed(
+    manufacturer: &'static str,
+    line_no: usize,
+    message: impl Into<String>,
+) -> ReportError {
     ReportError::MalformedLine {
         manufacturer,
         line: line_no,
@@ -69,32 +82,54 @@ fn malformed(manufacturer: &'static str, line_no: usize, message: impl Into<Stri
     }
 }
 
-fn render_reaction(rt: Option<f64>) -> String {
-    match rt {
-        Some(s) => format!(" [reaction: {s:.2}s]"),
-        None => String::new(),
+/// Appends the ` [reaction: X.XXs]` annotation, when there is a time.
+fn push_reaction(out: &mut String, rt: Option<f64>) {
+    if let Some(s) = rt {
+        let _ = write!(out, " [reaction: {s:.2}s]");
     }
 }
 
 /// Splits a trailing ` [reaction: X.XXs]` annotation off a description.
-fn split_reaction(desc: &str) -> (String, Option<f64>) {
-    if let Some(start) = desc.rfind(" [reaction: ") {
-        if let Some(rest) = desc[start..].strip_prefix(" [reaction: ") {
-            if let Some(num) = rest.strip_suffix("s]") {
-                if let Ok(v) = num.parse::<f64>() {
-                    return (desc[..start].to_owned(), Some(v));
-                }
+fn split_reaction(desc: &str) -> (&str, Option<f64>) {
+    if let Some(start) = REACTION.rfind(desc) {
+        if let Some(num) = desc[start + REACTION.len()..].strip_suffix("s]") {
+            if let Ok(v) = num.parse::<f64>() {
+                return (&desc[..start], Some(v));
             }
         }
     }
-    (desc.to_owned(), None)
+    (desc, None)
 }
 
-fn render_car(car: &CarId) -> String {
+/// Appends `car N`, or `car ?` for a redacted car.
+fn push_car(out: &mut String, car: &CarId) {
     match car {
-        CarId::Known(i) => format!("car {i}"),
-        CarId::Redacted => "car ?".to_owned(),
+        CarId::Known(i) => {
+            let _ = write!(out, "car {i}");
+        }
+        CarId::Redacted => out.push_str("car ?"),
     }
+}
+
+/// Appends a car's fleet index, or `?` for a redacted car.
+fn push_index(out: &mut String, car: &CarId) {
+    match car.index() {
+        Some(i) => {
+            let _ = write!(out, "{i}");
+        }
+        None => out.push('?'),
+    }
+}
+
+/// Appends a date as `M/D/YY`.
+fn push_short_date(out: &mut String, date: Date) {
+    let _ = write!(
+        out,
+        "{}/{}/{:02}",
+        date.month(),
+        date.day(),
+        date.year() % 100
+    );
 }
 
 fn parse_car(text: &str) -> Option<CarId> {
@@ -104,6 +139,13 @@ fn parse_car(text: &str) -> Option<CarId> {
         return Some(CarId::Redacted);
     }
     rest.trim().parse::<u32>().ok().map(CarId::Known)
+}
+
+/// Whether `text`, ASCII-lowercased, contains `needle` (lowercase ASCII).
+fn contains_folded(text: &str, needle: &str) -> bool {
+    text.as_bytes()
+        .windows(needle.len())
+        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// Nissan: `M/D/YY — H:MM AM/PM — Leaf #N (name) — <desc>[ [reaction: X.XXs]] — <road> — <weather>`.
@@ -119,73 +161,67 @@ impl ReportFormat for NissanFormat {
         Manufacturer::Nissan
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
         let idx = r.car.index().unwrap_or(0);
         let name = NATO[(idx as usize) % NATO.len()];
-        let road = r.road_type.map_or("-".to_owned(), |rt| rt.to_string());
-        let weather = r.weather.map_or("-".to_owned(), |w| w.to_string());
-        let date = format!(
-            "{}/{}/{:02}",
-            r.date.month(),
-            r.date.day(),
-            r.date.year() % 100
-        );
-        let vehicle = format!("Leaf #{} ({})", idx + 1, name);
         // Nissan's logs narrate who initiated the disengagement.
         let initiator = match r.modality {
             Modality::Manual => "driver initiated",
             _ => "system initiated",
         };
-        let desc = format!(
-            "{} ({initiator}){}",
-            r.description,
-            render_reaction(r.reaction_time_s)
+        push_short_date(out, r.date);
+        let _ = write!(
+            out,
+            " — 11:20 AM — Leaf #{} ({name}) — {} ({initiator})",
+            idx + 1,
+            r.description
         );
-        [date.as_str(), "11:20 AM", &vehicle, &desc, &road, &weather].join(DASH_SEP)
+        push_reaction(out, r.reaction_time_s);
+        out.push_str(DASH_SEP);
+        out.push_str(r.road_type.map_or("-", RoadType::name));
+        out.push_str(DASH_SEP);
+        out.push_str(r.weather.map_or("-", Weather::name));
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(DASH_SEP).collect();
-        if parts.len() != 6 {
+        let ([date, _, vehicle, narrative, road, weather], n) = fields(DASH.split(line));
+        if n != 6 {
             return Err(malformed(
                 "Nissan",
                 line_no,
-                format!("expected 6 dash-separated fields, found {}", parts.len()),
+                format!("expected 6 dash-separated fields, found {n}"),
             ));
         }
-        let date = Date::parse(parts[0])
-            .map_err(|e| malformed("Nissan", line_no, e.to_string()))?;
-        let car = parts[2]
+        let date = Date::parse(date).map_err(|e| malformed("Nissan", line_no, e.to_string()))?;
+        let car = vehicle
             .trim()
             .strip_prefix("Leaf #")
             .and_then(|rest| rest.split_whitespace().next())
             .and_then(|n| n.parse::<u32>().ok())
             .map(|n| CarId::Known(n.saturating_sub(1)))
             .ok_or_else(|| malformed("Nissan", line_no, "bad vehicle field"))?;
-        let (with_mode, reaction_time_s) = split_reaction(parts[3]);
+        let (with_mode, reaction_time_s) = split_reaction(narrative);
         // Strip the initiator clause Nissan appends to the narrative.
         let (description, modality) = if let Some(d) = with_mode.strip_suffix(" (driver initiated)")
         {
-            (d.to_owned(), Modality::Manual)
+            (d, Modality::Manual)
         } else if let Some(d) = with_mode.strip_suffix(" (system initiated)") {
-            (d.to_owned(), Modality::Automatic)
-        } else if with_mode.to_ascii_lowercase().contains("driver safely disengaged") {
+            (d, Modality::Automatic)
+        } else if contains_folded(with_mode, "driver safely disengaged") {
             // Legacy narrations (Table II's verbatim samples).
-            (with_mode.clone(), Modality::Manual)
+            (with_mode, Modality::Manual)
         } else {
-            (with_mode.clone(), Modality::Automatic)
+            (with_mode, Modality::Automatic)
         };
-        let road_type = RoadType::parse(parts[4]).ok();
-        let weather = Weather::parse(parts[5]).ok();
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Nissan,
             car,
             date,
             modality,
-            road_type,
-            weather,
+            road_type: RoadType::parse(road),
+            weather: Weather::parse(weather),
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
 }
@@ -202,62 +238,58 @@ impl ReportFormat for WaymoFormat {
         Manufacturer::Waymo
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
         const MONTHS: [&str; 12] = [
             "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
         ];
-        let road = r.road_type.map_or("-".to_owned(), |rt| {
-            let mut s = rt.to_string();
-            if let Some(first) = s.get_mut(0..1) {
-                first.make_ascii_uppercase();
-            }
-            s
-        });
-        let mode = match r.modality {
-            Modality::Manual => "Safe Operation",
-            _ => "Auto",
-        };
-        format!(
-            "{}-{:02}{}{}{}{}{}{}{}",
+        let _ = write!(
+            out,
+            "{}-{:02} — ",
             MONTHS[(r.date.month() - 1) as usize],
-            r.date.year() % 100,
-            DASH_SEP,
-            road,
-            DASH_SEP,
-            mode,
-            DASH_SEP,
-            r.description,
-            render_reaction(r.reaction_time_s)
-        )
+            r.date.year() % 100
+        );
+        // The road type, capitalized.
+        match r.road_type.map(RoadType::name) {
+            Some(road) => {
+                let (first, rest) = road.split_at(1);
+                out.extend(first.chars().map(|c| c.to_ascii_uppercase()));
+                out.push_str(rest);
+            }
+            None => out.push('-'),
+        }
+        out.push_str(match r.modality {
+            Modality::Manual => " — Safe Operation — ",
+            _ => " — Auto — ",
+        });
+        out.push_str(&r.description);
+        push_reaction(out, r.reaction_time_s);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(DASH_SEP).collect();
-        if parts.len() != 4 {
+        let ([date, road, mode, narrative], n) = fields(DASH.split(line));
+        if n != 4 {
             return Err(malformed(
                 "Waymo",
                 line_no,
-                format!("expected 4 dash-separated fields, found {}", parts.len()),
+                format!("expected 4 dash-separated fields, found {n}"),
             ));
         }
-        let date =
-            Date::parse(parts[0]).map_err(|e| malformed("Waymo", line_no, e.to_string()))?;
-        let road_type = RoadType::parse(parts[1]).ok();
-        let modality = if parts[2].trim() == "Safe Operation" {
+        let date = Date::parse(date).map_err(|e| malformed("Waymo", line_no, e.to_string()))?;
+        let modality = if mode.trim() == "Safe Operation" {
             Modality::Manual
         } else {
             Modality::Automatic
         };
-        let (description, reaction_time_s) = split_reaction(parts[3]);
+        let (description, reaction_time_s) = split_reaction(narrative);
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Waymo,
             car: CarId::Redacted, // Waymo does not identify vehicles per line
             date,
             modality,
-            road_type,
+            road_type: RoadType::parse(road),
             weather: None,
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
 }
@@ -274,28 +306,30 @@ impl ReportFormat for VolkswagenFormat {
         Manufacturer::Volkswagen
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        format!(
-            "{:02}/{:02}/{:02}{}18:24:03{}Takeover-Request{}{}{}",
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
+        let _ = write!(
+            out,
+            "{:02}/{:02}/{:02} — 18:24:03 — Takeover-Request — {}",
             r.date.month(),
             r.date.day(),
             r.date.year() % 100,
-            DASH_SEP,
-            DASH_SEP,
-            DASH_SEP,
-            r.description,
-            render_reaction(r.reaction_time_s)
-        )
+            r.description
+        );
+        push_reaction(out, r.reaction_time_s);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(DASH_SEP).collect();
-        if parts.len() != 4 || parts[2].trim() != "Takeover-Request" {
-            return Err(malformed("Volkswagen", line_no, "not a takeover-request row"));
+        let ([date, _, kind, narrative], n) = fields(DASH.split(line));
+        if n != 4 || kind.trim() != "Takeover-Request" {
+            return Err(malformed(
+                "Volkswagen",
+                line_no,
+                "not a takeover-request row",
+            ));
         }
-        let date = Date::parse(parts[0])
-            .map_err(|e| malformed("Volkswagen", line_no, e.to_string()))?;
-        let (description, reaction_time_s) = split_reaction(parts[3]);
+        let date =
+            Date::parse(date).map_err(|e| malformed("Volkswagen", line_no, e.to_string()))?;
+        let (description, reaction_time_s) = split_reaction(narrative);
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Volkswagen,
             car: CarId::Redacted,
@@ -304,9 +338,15 @@ impl ReportFormat for VolkswagenFormat {
             road_type: None,
             weather: None,
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
+}
+
+/// A table cell, trimmed, or `None` for `-`, which marks an absent field.
+fn present(cell: &str) -> Option<&str> {
+    let t = cell.trim();
+    (t != "-").then_some(t)
 }
 
 /// Mercedes-Benz (also used by the sparse reporters): a full
@@ -316,75 +356,57 @@ impl ReportFormat for VolkswagenFormat {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BenzFormat;
 
-impl BenzFormat {
-    fn parse_as(
-        line: &str,
-        line_no: usize,
-        manufacturer: Manufacturer,
-    ) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(" | ").collect();
-        if parts.len() != 7 {
-            return Err(malformed(
-                "Mercedes-Benz",
-                line_no,
-                format!("expected 7 pipe-separated fields, found {}", parts.len()),
-            ));
-        }
-        let date = Date::parse(parts[0])
-            .map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
-        let car = parse_car(parts[1])
-            .ok_or_else(|| malformed("Mercedes-Benz", line_no, "bad car field"))?;
-        let modality = Modality::parse(parts[2])
-            .map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
-        let opt = |s: &str| {
-            let t = s.trim();
-            if t == "-" {
-                None
-            } else {
-                Some(t.to_owned())
-            }
-        };
-        let road_type = opt(parts[3]).and_then(|s| RoadType::parse(&s).ok());
-        let weather = opt(parts[4]).and_then(|s| Weather::parse(&s).ok());
-        let reaction_time_s = opt(parts[5]).and_then(|s| s.trim_end_matches('s').parse().ok());
-        Ok(DisengagementRecord {
-            manufacturer,
-            car,
-            date,
-            modality,
-            road_type,
-            weather,
-            reaction_time_s,
-            description: parts[6].trim().to_owned(),
-        })
-    }
-}
-
 impl ReportFormat for BenzFormat {
     fn manufacturer(&self) -> Manufacturer {
         Manufacturer::MercedesBenz
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        let road = r.road_type.map_or("-".to_owned(), |x| x.to_string());
-        let weather = r.weather.map_or("-".to_owned(), |x| x.to_string());
-        let reaction = r
-            .reaction_time_s
-            .map_or("-".to_owned(), |x| format!("{x:.2}s"));
-        format!(
-            "{} | {} | {} | {} | {} | {} | {}",
-            r.date,
-            render_car(&r.car),
-            r.modality,
-            road,
-            weather,
-            reaction,
-            r.description
-        )
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
+        let _ = write!(out, "{} | ", r.date);
+        push_car(out, &r.car);
+        let _ = write!(
+            out,
+            " | {} | {} | {} | ",
+            r.modality.name(),
+            r.road_type.map_or("-", RoadType::name),
+            r.weather.map_or("-", Weather::name)
+        );
+        match r.reaction_time_s {
+            Some(x) => {
+                let _ = write!(out, "{x:.2}s");
+            }
+            None => out.push('-'),
+        }
+        out.push_str(" | ");
+        out.push_str(&r.description);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        Self::parse_as(line, line_no, Manufacturer::MercedesBenz)
+        let ([date, car, modality, road, weather, reaction, description], n) =
+            fields(PIPE.split(line));
+        if n != 7 {
+            return Err(malformed(
+                "Mercedes-Benz",
+                line_no,
+                format!("expected 7 pipe-separated fields, found {n}"),
+            ));
+        }
+        let date =
+            Date::parse(date).map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
+        let car =
+            parse_car(car).ok_or_else(|| malformed("Mercedes-Benz", line_no, "bad car field"))?;
+        let modality = Modality::parse(modality)
+            .map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
+        Ok(DisengagementRecord {
+            manufacturer: Manufacturer::MercedesBenz,
+            car,
+            date,
+            modality,
+            road_type: present(road).and_then(RoadType::parse),
+            weather: present(weather).and_then(Weather::parse),
+            reaction_time_s: present(reaction).and_then(|s| s.trim_end_matches('s').parse().ok()),
+            description: description.trim().to_owned(),
+        })
     }
 }
 
@@ -400,51 +422,54 @@ impl ReportFormat for BoschFormat {
         Manufacturer::Bosch
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        let road = r.road_type.map_or("-".to_owned(), |x| x.to_string());
-        let weather = r.weather.map_or("-".to_owned(), |x| x.to_string());
-        format!(
-            "Planned test on {}/{}/{:02} ({}): {} [road={}; weather={}]",
-            r.date.month(),
-            r.date.day(),
-            r.date.year() % 100,
-            render_car(&r.car),
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
+        out.push_str("Planned test on ");
+        push_short_date(out, r.date);
+        out.push_str(" (");
+        push_car(out, &r.car);
+        let _ = write!(
+            out,
+            "): {} [road={}; weather={}]",
             r.description,
-            road,
-            weather
-        )
+            r.road_type.map_or("-", RoadType::name),
+            r.weather.map_or("-", Weather::name)
+        );
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
+        const CAR_OPEN: Sep = Sep::new(" (");
+        const CAR_CLOSE: Sep = Sep::new("): ");
+        const ROAD: Sep = Sep::new(" [road=");
+        const WEATHER: Sep = Sep::new("; weather=");
         let rest = line
             .strip_prefix("Planned test on ")
             .ok_or_else(|| malformed("Bosch", line_no, "missing planned-test prefix"))?;
-        let (date_text, rest) = rest
-            .split_once(" (")
+        let (date_text, rest) = CAR_OPEN
+            .split_once(rest)
             .ok_or_else(|| malformed("Bosch", line_no, "missing car field"))?;
         let date =
             Date::parse(date_text).map_err(|e| malformed("Bosch", line_no, e.to_string()))?;
-        let (car_text, rest) = rest
-            .split_once("): ")
+        let (car_text, rest) = CAR_CLOSE
+            .split_once(rest)
             .ok_or_else(|| malformed("Bosch", line_no, "missing description"))?;
         let car =
             parse_car(car_text).ok_or_else(|| malformed("Bosch", line_no, "bad car field"))?;
-        let (description, meta) = rest
-            .rsplit_once(" [road=")
+        let (description, meta) = ROAD
+            .rsplit_once(rest)
             .ok_or_else(|| malformed("Bosch", line_no, "missing metadata suffix"))?;
         let meta = meta
             .strip_suffix(']')
             .ok_or_else(|| malformed("Bosch", line_no, "unterminated metadata"))?;
-        let (road_text, weather_text) = meta
-            .split_once("; weather=")
+        let (road_text, weather_text) = WEATHER
+            .split_once(meta)
             .ok_or_else(|| malformed("Bosch", line_no, "missing weather"))?;
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Bosch,
             car,
             date,
             modality: Modality::Planned,
-            road_type: RoadType::parse(road_text).ok(),
-            weather: Weather::parse(weather_text).ok(),
+            road_type: RoadType::parse(road_text),
+            weather: Weather::parse(weather_text),
             reaction_time_s: None,
             description: description.to_owned(),
         })
@@ -460,69 +485,74 @@ impl ReportFormat for DelphiFormat {
         Manufacturer::Delphi
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        let road = r.road_type.map_or(String::new(), |x| x.to_string());
-        let reaction = r
-            .reaction_time_s
-            .map_or(String::new(), |x| format!("{x:.2}"));
-        format!(
-            "{},{},{},{},{},\"{}\"",
-            r.date,
-            r.car.index().map_or("?".to_owned(), |i| i.to_string()),
-            r.modality,
-            road,
-            reaction,
-            r.description.replace('"', "\"\"")
-        )
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
+        let _ = write!(out, "{},", r.date);
+        push_index(out, &r.car);
+        let _ = write!(
+            out,
+            ",{},{},",
+            r.modality.name(),
+            r.road_type.map_or("", RoadType::name)
+        );
+        if let Some(x) = r.reaction_time_s {
+            let _ = write!(out, "{x:.2}");
+        }
+        // The description, quoted, with every `"` doubled.
+        out.push_str(",\"");
+        for (i, piece) in r.description.split('"').enumerate() {
+            if i > 0 {
+                out.push_str("\"\"");
+            }
+            out.push_str(piece);
+        }
+        out.push('"');
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
+        const QUOTE: Sep = Sep::new(",\"");
         // The description is the final quoted field; split it off first so
         // embedded commas survive.
-        let (head, desc) = line
-            .split_once(",\"")
+        let (head, desc) = QUOTE
+            .split_once(line)
             .ok_or_else(|| malformed("Delphi", line_no, "missing quoted description"))?;
-        let description = desc
+        let desc = desc
             .strip_suffix('"')
-            .ok_or_else(|| malformed("Delphi", line_no, "unterminated description"))?
-            .replace("\"\"", "\"");
-        let fields: Vec<&str> = head.split(',').collect();
-        if fields.len() != 5 {
+            .ok_or_else(|| malformed("Delphi", line_no, "unterminated description"))?;
+        let description = if desc.contains('"') {
+            desc.replace("\"\"", "\"")
+        } else {
+            desc.to_owned()
+        };
+        let ([date, car, modality, road, reaction], n) = fields(head.split(','));
+        if n != 5 {
             return Err(malformed(
                 "Delphi",
                 line_no,
-                format!("expected 5 leading fields, found {}", fields.len()),
+                format!("expected 5 leading fields, found {n}"),
             ));
         }
-        let date =
-            Date::parse(fields[0]).map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
-        let car = if fields[1].trim() == "?" {
+        let date = Date::parse(date).map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
+        let car = if car.trim() == "?" {
             CarId::Redacted
         } else {
-            fields[1]
-                .trim()
+            car.trim()
                 .parse::<u32>()
                 .map(CarId::Known)
                 .map_err(|_| malformed("Delphi", line_no, "bad car index"))?
         };
-        let modality = Modality::parse(fields[2])
-            .map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
-        let road_type = if fields[3].is_empty() {
+        let modality =
+            Modality::parse(modality).map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
+        let reaction_time_s = if reaction.is_empty() {
             None
         } else {
-            RoadType::parse(fields[3]).ok()
-        };
-        let reaction_time_s = if fields[4].is_empty() {
-            None
-        } else {
-            fields[4].parse().ok()
+            reaction.parse().ok()
         };
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Delphi,
             car,
             date,
             modality,
-            road_type,
+            road_type: RoadType::parse(road),
             weather: None,
             reaction_time_s,
             description,
@@ -541,37 +571,31 @@ impl ReportFormat for GmCruiseFormat {
         Manufacturer::GmCruise
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        format!(
-            "#{} {} planned{}{}",
-            r.car.index().map_or("?".to_owned(), |i| i.to_string()),
-            r.date,
-            DASH_SEP,
-            r.description
-        )
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
+        out.push('#');
+        push_index(out, &r.car);
+        let _ = write!(out, " {} planned — {}", r.date, r.description);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
         let rest = line
             .strip_prefix('#')
             .ok_or_else(|| malformed("GMCruise", line_no, "missing # prefix"))?;
-        let (head, description) = rest
-            .split_once(DASH_SEP)
+        let (head, description) = DASH
+            .split_once(rest)
             .ok_or_else(|| malformed("GMCruise", line_no, "missing description"))?;
-        let tokens: Vec<&str> = head.split_whitespace().collect();
-        if tokens.len() != 3 || tokens[2] != "planned" {
+        let ([car, date, planned], n) = fields(head.split_whitespace());
+        if n != 3 || planned != "planned" {
             return Err(malformed("GMCruise", line_no, "bad header tokens"));
         }
-        let car = if tokens[0] == "?" {
+        let car = if car == "?" {
             CarId::Redacted
         } else {
-            tokens[0]
-                .parse::<u32>()
+            car.parse::<u32>()
                 .map(CarId::Known)
                 .map_err(|_| malformed("GMCruise", line_no, "bad car index"))?
         };
-        let date =
-            Date::parse(tokens[1]).map_err(|e| malformed("GMCruise", line_no, e.to_string()))?;
+        let date = Date::parse(date).map_err(|e| malformed("GMCruise", line_no, e.to_string()))?;
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::GmCruise,
             car,
@@ -597,39 +621,32 @@ impl ReportFormat for TeslaFormat {
         Manufacturer::Tesla
     }
 
-    fn render(&self, r: &DisengagementRecord) -> String {
-        let mode = match r.modality {
-            Modality::Manual => "manual",
-            _ => "auto",
-        };
-        format!(
-            "{} | {}/{}/{:02} | {} | {}{}",
-            render_car(&r.car),
-            r.date.month(),
-            r.date.day(),
-            r.date.year() % 100,
-            mode,
-            r.description,
-            render_reaction(r.reaction_time_s)
-        )
+    fn render(&self, r: &DisengagementRecord, out: &mut String) {
+        push_car(out, &r.car);
+        out.push_str(" | ");
+        push_short_date(out, r.date);
+        out.push_str(match r.modality {
+            Modality::Manual => " | manual | ",
+            _ => " | auto | ",
+        });
+        out.push_str(&r.description);
+        push_reaction(out, r.reaction_time_s);
     }
 
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
-        let parts: Vec<&str> = line.split(" | ").collect();
-        if parts.len() != 4 {
+        let ([car, date, modality, narrative], n) = fields(PIPE.split(line));
+        if n != 4 {
             return Err(malformed(
                 "Tesla",
                 line_no,
-                format!("expected 4 pipe-separated fields, found {}", parts.len()),
+                format!("expected 4 pipe-separated fields, found {n}"),
             ));
         }
-        let car =
-            parse_car(parts[0]).ok_or_else(|| malformed("Tesla", line_no, "bad car field"))?;
-        let date =
-            Date::parse(parts[1]).map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
-        let modality = Modality::parse(parts[2])
-            .map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
-        let (description, reaction_time_s) = split_reaction(parts[3]);
+        let car = parse_car(car).ok_or_else(|| malformed("Tesla", line_no, "bad car field"))?;
+        let date = Date::parse(date).map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
+        let modality =
+            Modality::parse(modality).map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
+        let (description, reaction_time_s) = split_reaction(narrative);
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Tesla,
             car,
@@ -638,7 +655,7 @@ impl ReportFormat for TeslaFormat {
             road_type: None,
             weather: None,
             reaction_time_s,
-            description,
+            description: description.to_owned(),
         })
     }
 }
@@ -646,6 +663,13 @@ impl ReportFormat for TeslaFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One record rendered by itself.
+    fn render(f: &impl ReportFormat, r: &DisengagementRecord) -> String {
+        let mut line = String::new();
+        f.render(r, &mut line);
+        line
+    }
 
     fn base_record(m: Manufacturer) -> DisengagementRecord {
         DisengagementRecord {
@@ -656,8 +680,7 @@ mod tests {
             road_type: Some(RoadType::Highway),
             weather: Some(Weather::Clear),
             reaction_time_s: Some(0.85),
-            description: "the AV didn't see the lead vehicle, driver safely disengaged"
-                .to_owned(),
+            description: "the AV didn't see the lead vehicle, driver safely disengaged".to_owned(),
         }
     }
 
@@ -665,7 +688,7 @@ mod tests {
     fn nissan_round_trip() {
         let f = NissanFormat;
         let r = base_record(Manufacturer::Nissan);
-        let line = f.render(&r);
+        let line = render(&f, &r);
         assert!(line.contains("Leaf #2 (Bravo)"), "{line}");
         let parsed = f.parse_line(&line, 1).unwrap();
         assert_eq!(parsed.date, r.date);
@@ -693,7 +716,7 @@ mod tests {
     fn waymo_round_trip_month_precision() {
         let f = WaymoFormat;
         let r = base_record(Manufacturer::Waymo);
-        let line = f.render(&r);
+        let line = render(&f, &r);
         assert!(line.starts_with("May-16"), "{line}");
         let parsed = f.parse_line(&line, 1).unwrap();
         // Waymo loses day precision: month start.
@@ -704,7 +727,8 @@ mod tests {
 
     #[test]
     fn waymo_paper_sample_parses() {
-        let line = "May-16 — Highway — Safe Operation — Disengage for a recklessly behaving road user";
+        let line =
+            "May-16 — Highway — Safe Operation — Disengage for a recklessly behaving road user";
         let r = WaymoFormat.parse_line(line, 1).unwrap();
         assert_eq!(r.road_type, Some(RoadType::Highway));
         assert_eq!(r.modality, Modality::Manual);
@@ -724,7 +748,7 @@ mod tests {
     fn benz_round_trip_full_schema() {
         let f = BenzFormat;
         let r = base_record(Manufacturer::MercedesBenz);
-        let parsed = f.parse_line(&f.render(&r), 1).unwrap();
+        let parsed = f.parse_line(&render(&f, &r), 1).unwrap();
         assert_eq!(parsed, r);
     }
 
@@ -735,7 +759,7 @@ mod tests {
         r.road_type = None;
         r.weather = None;
         r.reaction_time_s = None;
-        let line = f.render(&r);
+        let line = render(&f, &r);
         assert!(line.contains(" | - | - | - | "), "{line}");
         let parsed = f.parse_line(&line, 1).unwrap();
         assert_eq!(parsed, r);
@@ -747,7 +771,7 @@ mod tests {
         let mut r = base_record(Manufacturer::Bosch);
         r.modality = Modality::Planned;
         r.reaction_time_s = None; // Bosch format carries no reaction field
-        let parsed = f.parse_line(&f.render(&r), 1).unwrap();
+        let parsed = f.parse_line(&render(&f, &r), 1).unwrap();
         assert_eq!(parsed, r);
     }
 
@@ -757,7 +781,7 @@ mod tests {
         let mut r = base_record(Manufacturer::Delphi);
         r.weather = None; // Delphi format carries no weather field
         r.description = "driver said \"take over\" and braked, hard".to_owned();
-        let parsed = f.parse_line(&f.render(&r), 1).unwrap();
+        let parsed = f.parse_line(&render(&f, &r), 1).unwrap();
         assert_eq!(parsed, r);
     }
 
@@ -769,7 +793,7 @@ mod tests {
         r.road_type = None;
         r.weather = None;
         r.reaction_time_s = None;
-        let parsed = f.parse_line(&f.render(&r), 1).unwrap();
+        let parsed = f.parse_line(&render(&f, &r), 1).unwrap();
         assert_eq!(parsed, r);
     }
 
@@ -780,7 +804,7 @@ mod tests {
         r.modality = Modality::Automatic;
         r.road_type = None;
         r.weather = None;
-        let parsed = f.parse_line(&f.render(&r), 1).unwrap();
+        let parsed = f.parse_line(&render(&f, &r), 1).unwrap();
         assert_eq!(parsed, r);
     }
 
@@ -823,7 +847,7 @@ mod tests {
         let f = BenzFormat;
         let mut r = base_record(Manufacturer::MercedesBenz);
         r.car = CarId::Redacted;
-        let parsed = f.parse_line(&f.render(&r), 1).unwrap();
+        let parsed = f.parse_line(&render(&f, &r), 1).unwrap();
         assert_eq!(parsed.car, CarId::Redacted);
     }
 }

@@ -3,23 +3,25 @@
 
 use crate::date::Date;
 use crate::record::{CarId, MonthlyMileage};
+use crate::scan::fields;
 use crate::types::Manufacturer;
 use crate::{ReportError, Result};
+use std::fmt::Write;
 
-/// Renders a mileage table: one `car-N YYYY-MM miles` row per entry,
-/// under a `MILEAGE` header.
-pub fn render_mileage_table(rows: &[MonthlyMileage]) -> String {
-    let mut out = String::from("MILEAGE\n");
+/// Appends a mileage table to `out`: one `car-N YYYY-MM miles` row per
+/// entry, under a `MILEAGE` header.
+pub fn render_mileage_table(rows: &[MonthlyMileage], out: &mut String) {
+    out.push_str("MILEAGE\n");
     for r in rows {
-        out.push_str(&format!(
-            "{} {:04}-{:02} {:.1}\n",
+        let _ = writeln!(
+            out,
+            "{} {:04}-{:02} {:.1}",
             r.car,
             r.month.year(),
             r.month.month(),
             r.miles
-        ));
+        );
     }
-    out
 }
 
 /// Parses a mileage table rendered by [`render_mileage_table`].
@@ -39,19 +41,18 @@ pub fn parse_mileage_table(
         if line.is_empty() || line == "MILEAGE" {
             continue;
         }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.len() != 3 {
+        let ([car, month_text, miles_text], n) = fields(line.split_whitespace());
+        if n != 3 {
             return Err(ReportError::MalformedLine {
                 manufacturer: "mileage table",
                 line: line_no,
-                message: format!("expected 3 tokens, found {}", tokens.len()),
+                message: format!("expected 3 tokens, found {n}"),
             });
         }
-        let car = if tokens[0] == "[redacted]" {
+        let car = if car == "[redacted]" {
             CarId::Redacted
         } else {
-            tokens[0]
-                .strip_prefix("car-")
+            car.strip_prefix("car-")
                 .and_then(|n| n.parse::<u32>().ok())
                 .map(CarId::Known)
                 .ok_or_else(|| ReportError::MalformedLine {
@@ -60,18 +61,22 @@ pub fn parse_mileage_table(
                     message: "bad car token".to_owned(),
                 })?
         };
-        let (y, m) = tokens[1].split_once('-').ok_or_else(|| {
-            ReportError::MalformedLine {
+        let (y, m) = month_text
+            .split_once('-')
+            .ok_or_else(|| ReportError::MalformedLine {
                 manufacturer: "mileage table",
                 line: line_no,
                 message: "bad month token".to_owned(),
-            }
-        })?;
-        let year: u16 = y.parse().map_err(|_| ReportError::InvalidDate(tokens[1].to_owned()))?;
-        let month: u8 = m.parse().map_err(|_| ReportError::InvalidDate(tokens[1].to_owned()))?;
-        let miles: f64 = tokens[2].parse().map_err(|_| ReportError::InvalidField {
+            })?;
+        let year: u16 = y
+            .parse()
+            .map_err(|_| ReportError::InvalidDate(month_text.to_owned()))?;
+        let month: u8 = m
+            .parse()
+            .map_err(|_| ReportError::InvalidDate(month_text.to_owned()))?;
+        let miles: f64 = miles_text.parse().map_err(|_| ReportError::InvalidField {
             field: "miles",
-            value: tokens[2].to_owned(),
+            value: miles_text.to_owned(),
         })?;
         let row = MonthlyMileage {
             manufacturer,
@@ -108,7 +113,8 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let text = render_mileage_table(&rows());
+        let mut text = String::new();
+        render_mileage_table(&rows(), &mut text);
         let parsed = parse_mileage_table(Manufacturer::Waymo, &text).unwrap();
         assert_eq!(parsed, rows());
     }

@@ -25,6 +25,7 @@ mod error;
 pub mod formats;
 pub mod normalize;
 pub mod record;
+mod scan;
 pub mod types;
 
 pub use database::FailureDatabase;

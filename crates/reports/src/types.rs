@@ -1,6 +1,7 @@
 //! Domain vocabulary: manufacturers, road types, weather, disengagement
 //! modality, and report years.
 
+use crate::scan::lowercase;
 use crate::{ReportError, Result};
 use std::fmt;
 
@@ -88,24 +89,23 @@ impl Manufacturer {
     ///
     /// Returns [`ReportError::UnknownManufacturer`] for unknown names.
     pub fn parse(text: &str) -> Result<Manufacturer> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "mercedes-benz" | "mercedes benz" | "mercedes" | "benz" | "daimler" => {
+        Ok(match lowercase(text, &mut [0; 24]) {
+            Some(b"mercedes-benz" | b"mercedes benz" | b"mercedes" | b"benz" | b"daimler") => {
                 Manufacturer::MercedesBenz
             }
-            "bosch" | "robert bosch" => Manufacturer::Bosch,
-            "delphi" | "delphi automotive" | "aptiv" => Manufacturer::Delphi,
-            "gmcruise" | "gm cruise" | "cruise" | "gm" | "general motors" => {
+            Some(b"bosch" | b"robert bosch") => Manufacturer::Bosch,
+            Some(b"delphi" | b"delphi automotive" | b"aptiv") => Manufacturer::Delphi,
+            Some(b"gmcruise" | b"gm cruise" | b"cruise" | b"gm" | b"general motors") => {
                 Manufacturer::GmCruise
             }
-            "nissan" => Manufacturer::Nissan,
-            "tesla" | "tesla motors" => Manufacturer::Tesla,
-            "volkswagen" | "vw" => Manufacturer::Volkswagen,
-            "waymo" | "google" | "waymo (google)" => Manufacturer::Waymo,
-            "uber" | "uber atc" => Manufacturer::Uber,
-            "honda" => Manufacturer::Honda,
-            "ford" => Manufacturer::Ford,
-            "bmw" => Manufacturer::Bmw,
+            Some(b"nissan") => Manufacturer::Nissan,
+            Some(b"tesla" | b"tesla motors") => Manufacturer::Tesla,
+            Some(b"volkswagen" | b"vw") => Manufacturer::Volkswagen,
+            Some(b"waymo" | b"google" | b"waymo (google)") => Manufacturer::Waymo,
+            Some(b"uber" | b"uber atc") => Manufacturer::Uber,
+            Some(b"honda") => Manufacturer::Honda,
+            Some(b"ford") => Manufacturer::Ford,
+            Some(b"bmw") => Manufacturer::Bmw,
             _ => return Err(ReportError::UnknownManufacturer(text.to_owned())),
         })
     }
@@ -162,27 +162,21 @@ impl RoadType {
         }
     }
 
-    /// Parses a road-type token (tolerant of the variants in the logs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::InvalidField`] for unknown tokens.
-    pub fn parse(text: &str) -> Result<RoadType> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "street" | "city" | "urban" | "city street" | "city and highway" => RoadType::Street,
-            "highway" => RoadType::Highway,
-            "interstate" => RoadType::Interstate,
-            "freeway" => RoadType::Freeway,
-            "parking lot" | "parking" => RoadType::ParkingLot,
-            "suburban" => RoadType::Suburban,
-            "rural" => RoadType::Rural,
-            _ => {
-                return Err(ReportError::InvalidField {
-                    field: "road_type",
-                    value: text.to_owned(),
-                })
+    /// Parses a road-type token (tolerant of the variants in the logs),
+    /// or `None` for an unknown one: every layout treats an unreadable
+    /// road type as an unreported one.
+    pub fn parse(text: &str) -> Option<RoadType> {
+        Some(match lowercase(text, &mut [0; 24])? {
+            b"street" | b"city" | b"urban" | b"city street" | b"city and highway" => {
+                RoadType::Street
             }
+            b"highway" => RoadType::Highway,
+            b"interstate" => RoadType::Interstate,
+            b"freeway" => RoadType::Freeway,
+            b"parking lot" | b"parking" => RoadType::ParkingLot,
+            b"suburban" => RoadType::Suburban,
+            b"rural" => RoadType::Rural,
+            _ => return None,
         })
     }
 }
@@ -220,24 +214,15 @@ impl Weather {
         }
     }
 
-    /// Parses a weather token.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::InvalidField`] for unknown tokens.
-    pub fn parse(text: &str) -> Result<Weather> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "clear" | "sunny" | "dry" | "sunny/dry" | "clear/dry" => Weather::Clear,
-            "rain" | "raining" | "wet" | "raining/wet" => Weather::Rain,
-            "overcast" | "cloudy" => Weather::Overcast,
-            "fog" | "foggy" => Weather::Fog,
-            _ => {
-                return Err(ReportError::InvalidField {
-                    field: "weather",
-                    value: text.to_owned(),
-                })
-            }
+    /// Parses a weather token, or `None` for an unknown one: every
+    /// layout treats unreadable weather as unreported.
+    pub fn parse(text: &str) -> Option<Weather> {
+        Some(match lowercase(text, &mut [0; 24])? {
+            b"clear" | b"sunny" | b"dry" | b"sunny/dry" | b"clear/dry" => Weather::Clear,
+            b"rain" | b"raining" | b"wet" | b"raining/wet" => Weather::Rain,
+            b"overcast" | b"cloudy" => Weather::Overcast,
+            b"fog" | b"foggy" => Weather::Fog,
+            _ => return None,
         })
     }
 }
@@ -279,11 +264,14 @@ impl Modality {
     ///
     /// Returns [`ReportError::InvalidField`] for unknown tokens.
     pub fn parse(text: &str) -> Result<Modality> {
-        let t = text.trim().to_ascii_lowercase();
-        Ok(match t.as_str() {
-            "automatic" | "auto" | "av initiated" | "takeover-request" => Modality::Automatic,
-            "manual" | "driver" | "driver initiated" | "safe operation" => Modality::Manual,
-            "planned" | "planned test" | "test" => Modality::Planned,
+        Ok(match lowercase(text, &mut [0; 24]) {
+            Some(b"automatic" | b"auto" | b"av initiated" | b"takeover-request") => {
+                Modality::Automatic
+            }
+            Some(b"manual" | b"driver" | b"driver initiated" | b"safe operation") => {
+                Modality::Manual
+            }
+            Some(b"planned" | b"planned test" | b"test") => Modality::Planned,
             _ => {
                 return Err(ReportError::InvalidField {
                     field: "modality",
@@ -384,20 +372,18 @@ mod tests {
 
     #[test]
     fn road_type_parsing() {
-        assert_eq!(RoadType::parse("Urban").unwrap(), RoadType::Street);
-        assert_eq!(
-            RoadType::parse("city and highway").unwrap(),
-            RoadType::Street
-        );
-        assert_eq!(RoadType::parse("FREEWAY").unwrap(), RoadType::Freeway);
-        assert!(RoadType::parse("moon").is_err());
+        assert_eq!(RoadType::parse("Urban"), Some(RoadType::Street));
+        assert_eq!(RoadType::parse("city and highway"), Some(RoadType::Street));
+        assert_eq!(RoadType::parse(" FREEWAY "), Some(RoadType::Freeway));
+        assert_eq!(RoadType::parse("moon"), None);
+        assert_eq!(RoadType::parse("-"), None);
     }
 
     #[test]
     fn weather_parsing() {
-        assert_eq!(Weather::parse("Sunny/Dry").unwrap(), Weather::Clear);
-        assert_eq!(Weather::parse("raining").unwrap(), Weather::Rain);
-        assert!(Weather::parse("hail").is_err());
+        assert_eq!(Weather::parse("Sunny/Dry"), Some(Weather::Clear));
+        assert_eq!(Weather::parse("raining"), Some(Weather::Rain));
+        assert_eq!(Weather::parse("hail"), None);
     }
 
     #[test]

@@ -10,20 +10,36 @@
 //!    or absorbed, with the ledger reconciling exactly;
 //! 3. the pipeline and the stats substrate *never panic*, no matter
 //!    what the injectors produce (guarded by `catch_unwind`).
+//!
+//! Stage II is also fed text no injector writes (see [`hostile`]): it
+//! must quarantine every bad line with a typed reason, never panic, and
+//! parse exactly as the reference parsers do.
 
 mod degenerate;
+mod hostile;
+
+// The parsers and `normalize_document_traced` only: the renderers are
+// `format_equivalence`'s.
+#[path = "../crates/reports/tests/reference/formats.rs"]
+#[allow(dead_code)]
+mod reference;
 
 use degenerate::DegenerateKind;
 use disengage::chaos::{inject_documents, poison_dictionary, FaultPlan};
 use disengage::core::telemetry::reconcile;
 use disengage::core::{RunConfig, RunSession};
-use disengage::corpus::CorpusConfig;
+use disengage::corpus::{CorpusConfig, CorpusGenerator};
 use disengage::nlp::{Classifier, FailureDictionary, FaultTag};
+use disengage::obs::{Collector, ProvenanceEvent, Subject};
+use disengage::reports::formats::{DocumentKind, RawDocument};
+use disengage::reports::normalize::normalize_document_traced;
+use disengage::reports::{Manufacturer, ReportError};
 use disengage::stats::dist::Exponential;
 use disengage::stats::fit::{fit_exponential, fit_exponentiated_weibull, fit_weibull};
 use disengage::stats::ks::ks_test;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn config(seed: u64) -> RunConfig {
@@ -158,5 +174,118 @@ fn poisoned_classifier_always_answers() {
             FaultTag::ALL.contains(&verdict.tag),
             "case {case}: verdict outside the tag set"
         );
+    }
+}
+
+/// Normalizes one hostile document and checks Stage II's contract on it;
+/// returns how many lines or sections it failed.
+fn check_hostile(doc: &RawDocument, index: usize, what: &str) -> usize {
+    let obs = Collector::new().with_lineage(true);
+    let (normalized, ids) = catch_unwind(AssertUnwindSafe(|| {
+        normalize_document_traced(doc, index, Some(&obs))
+    }))
+    .unwrap_or_else(|_| panic!("{what}: Stage II panicked"));
+    assert_eq!(ids.len(), normalized.disengagements.len(), "{what}");
+
+    // Every attempted line is parsed or failed.
+    let counters: BTreeMap<String, u64> = obs.state().counters.into_iter().collect();
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        count("parse.dis.lines"),
+        count("parse.dis.parsed") + count("parse.dis.failed"),
+        "{what}: parse.dis.lines != parsed + failed"
+    );
+
+    // Every failure is quarantined once, in order, with its own text as
+    // the reason: a line's on that line, a mileage table's or an accident
+    // form's on the document.
+    let provenance = obs.provenance();
+    let quarantined: Vec<(&Subject, &str)> = provenance
+        .entries()
+        .iter()
+        .filter_map(|e| match &e.event {
+            ProvenanceEvent::Quarantined { reason, .. } => Some((&e.subject, reason.as_str())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(quarantined.len(), normalized.failures.len(), "{what}");
+    let (log, mileage) = doc.sections();
+    let log: Vec<&str> = log.lines().collect();
+    let mut line_failures = 0;
+    for (failure, &(subject, reason)) in normalized.failures.iter().zip(&quarantined) {
+        assert_eq!(reason, failure.to_string(), "{what}");
+        match subject {
+            Subject::Line { doc: d, line } => {
+                assert_eq!(*d, index, "{what}");
+                assert!(
+                    log.get(line - 1).is_some_and(|l| !l.trim().is_empty()),
+                    "{what}: {failure} quarantined on line {line}, not an attempted line"
+                );
+                match failure {
+                    ReportError::MalformedLine { line: at, .. } => assert_eq!(at, line, "{what}"),
+                    ReportError::InvalidField { .. } => {}
+                    other => panic!("{what}: line {line} failed untyped: {other:?}"),
+                }
+                line_failures += 1;
+            }
+            Subject::Document(d) => {
+                assert_eq!(*d, index, "{what}");
+                assert!(
+                    doc.kind == DocumentKind::Accident || !mileage.is_empty(),
+                    "{what}: {failure} quarantined on a document with no table or form"
+                );
+            }
+            other => panic!("{what}: {failure} quarantined on {other:?}"),
+        }
+    }
+    assert_eq!(line_failures, count("parse.dis.failed"), "{what}");
+
+    // Exactly what the reference parsers return.
+    let want_obs = Collector::new().with_lineage(true);
+    let (want, want_ids) = reference::normalize_document_traced(doc, index, Some(&want_obs));
+    assert_eq!(format!("{normalized:?}"), format!("{want:?}"), "{what}");
+    assert_eq!(ids, want_ids, "{what}");
+    assert_eq!(obs.state().counters, want_obs.state().counters, "{what}");
+    assert_eq!(
+        obs.provenance().to_jsonl(),
+        want_obs.provenance().to_jsonl(),
+        "{what}"
+    );
+    normalized.failures.len()
+}
+
+#[test]
+fn hostile_stage_ii_input_is_quarantined_with_its_line_never_a_panic() {
+    let documents = CorpusGenerator::new(CorpusConfig {
+        seed: 0x5EED,
+        scale: 0.05,
+    })
+    .generate()
+    .documents;
+    // Every manufacturer that files (Honda reported no testing), so
+    // every layout, a mileage table and an accident form.
+    let filers: BTreeSet<Manufacturer> = documents.iter().map(|d| d.manufacturer).collect();
+    let all: BTreeSet<Manufacturer> = Manufacturer::ALL.into_iter().collect();
+    assert_eq!(
+        all.difference(&filers).collect::<Vec<_>>(),
+        [&Manufacturer::Honda]
+    );
+    assert!(documents.iter().any(|d| d.kind == DocumentKind::Accident));
+    assert!(documents.iter().any(|d| !d.sections().1.is_empty()));
+    let mut failed = BTreeMap::new();
+    for seed in 0..2 {
+        for (index, doc) in documents.iter().enumerate() {
+            for (name, mutated) in hostile::mutations(doc, seed) {
+                let what = format!(
+                    "doc {index} ({} {:?}), {name}, seed {seed}",
+                    doc.manufacturer, doc.kind
+                );
+                *failed.entry(name).or_insert(0) += check_hostile(&mutated, index, &what);
+            }
+        }
+    }
+    // Each mutation reaches the quarantine lane somewhere.
+    for (name, n) in &failed {
+        assert!(*n > 0, "{name}: no line or section failed");
     }
 }

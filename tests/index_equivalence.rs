@@ -11,7 +11,7 @@
 //! The databases are full scale, scale 0.05, chaos-recovered
 //! (`--chaos=0.05,7`) and a hand-built one whose manufacturers
 //! interleave row by row, with miles whose sums round differently in
-//! another order. A push or merge after a query must drop the index, and
+//! another order. A merge after a query must drop the index, and
 //! equality, `Clone` and `Debug` must not see it.
 //!
 //! The full grid (seeds 1–20 at full scale, scales 0.25 and 0.5, and
@@ -263,19 +263,32 @@ fn manufacturer_all_maps_to_index_slots_in_order() {
 fn pushes_and_merges_after_a_query_drop_the_index() {
     let mut db = interleaved();
     assert_agrees(&db, "before");
-    db.push_disengagement(disengagement(
-        Manufacturer::Bmw,
-        CarId::Known(2),
-        3,
-        Some(0.4),
+    // One row at a time, into each table in turn.
+    db.merge(FailureDatabase::from_records(
+        vec![disengagement(
+            Manufacturer::Bmw,
+            CarId::Known(2),
+            3,
+            Some(0.4),
+        )],
+        Vec::new(),
+        Vec::new(),
     ));
-    assert_agrees(&db, "after push_disengagement");
+    assert_agrees(&db, "after a disengagement");
     assert_eq!(db.disengagements_for(Manufacturer::Bmw).len(), 1);
-    db.push_accident(accident(Manufacturer::Bmw));
-    assert_agrees(&db, "after push_accident");
+    db.merge(FailureDatabase::from_records(
+        Vec::new(),
+        vec![accident(Manufacturer::Bmw)],
+        Vec::new(),
+    ));
+    assert_agrees(&db, "after an accident");
     assert_eq!(db.dpa(Manufacturer::Bmw), Some(1.0));
-    db.push_mileage(mileage(Manufacturer::Waymo, 9, 2016, 6, 0.7));
-    assert_agrees(&db, "after push_mileage");
+    db.merge(FailureDatabase::from_records(
+        Vec::new(),
+        Vec::new(),
+        vec![mileage(Manufacturer::Waymo, 9, 2016, 6, 0.7)],
+    ));
+    assert_agrees(&db, "after a mileage row");
     assert!(db.miles_per_car(Manufacturer::Waymo).contains_key(&9));
 
     let mut a = FailureDatabase::from_records(
@@ -303,7 +316,11 @@ fn equality_clone_and_debug_ignore_the_index() {
     assert_eq!(clone, fresh);
     assert_agrees(&clone, "clone of a queried database");
     let mut grown = queried.clone();
-    grown.push_accident(accident(Manufacturer::Waymo));
+    grown.merge(FailureDatabase::from_records(
+        Vec::new(),
+        vec![accident(Manufacturer::Waymo)],
+        Vec::new(),
+    ));
     assert_ne!(grown, queried);
     assert_agrees(&queried, "queried, after its clone grew");
 }

@@ -102,7 +102,8 @@ fn benz_format_round_trips() {
     let format = format_for(Manufacturer::MercedesBenz);
     for _ in 0..256 {
         let record = gen_record(&mut rng);
-        let line = format.render(&record);
+        let mut line = String::new();
+        format.render(&record, &mut line);
         let parsed = format.parse_line(&line, 1).expect("round trip parses");
         assert_eq!(parsed, record);
     }
