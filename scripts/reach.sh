@@ -64,13 +64,16 @@ text_syms() {
 }
 
 # Workspace functions among symbol lines: drops trait impls (`<T as
-# Trait>::f`), other crates and closure suffixes, and writes an impl
-# block placed outside its type's module (`m::<impl a::T>::f`) as
-# `m::T::f`, the path the source scan gives it.
+# Trait>::f`), other crates and closure suffixes, drops a path
+# segment's generic arguments (`m::Rows<T>::len` is `m::Rows::len`,
+# innermost first, so nested ones go too), and writes an impl block
+# placed outside its type's module (`m::<impl a::T>::f`) as `m::T::f`:
+# the paths the source scan gives them.
 workspace_fns() {
     grep -E '^disengage(_[a-z]+)?::' |
         sed -E -e 's/::\{\{[a-z-]+\}\}.*$//' \
-            -e 's/::<impl ([A-Za-z0-9_]+::)*([A-Za-z0-9_]+)(<[^>]*>)?>::/::\2::/' |
+            -e ':args' -e 's/([A-Za-z0-9_])<[^<>]*>/\1/' -e 't args' \
+            -e 's/::<impl ([A-Za-z0-9_]+::)*([A-Za-z0-9_]+)>::/::\2::/' |
         sort -u
 }
 
@@ -195,7 +198,11 @@ scan() {
             if (t ~ /\{[ \t]*$/) {
                 open_block(t)
                 pend_test = 0
-            } else if (t !~ /;[ \t]*$/) {
+            } else if (t ~ /[;}][ \t]*$/) {
+                # A whole item on one line (`impl Error for E {}`): it
+                # holds no function, and must not swallow the next one.
+                pend_test = 0
+            } else {
                 hdr = t
             }
             next
