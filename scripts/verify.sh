@@ -13,6 +13,8 @@
 # Exponentiated-Weibull fitters' full equivalence grid against the
 # reference fitters (release), the failure database's per-manufacturer
 # index's full equivalence grid against the reference scans (release),
+# the Stage I renderers' and Stage II parsers' full equivalence grid
+# against the reference text-format layer (release),
 # the repro harness's telemetry self-check
 # (nonzero exit if the pipeline's counters fail to reconcile), a
 # seeded chaos smoke campaign (nonzero exit on any panic, unreconciled
@@ -105,6 +107,13 @@ echo "== Stage IV: per-manufacturer index vs reference scans, full grid =="
 # default seed at full scale and 0.05, a chaos-recovered database and a
 # hand-built one.
 cargo test --release --offline --test index_equivalence -- --ignored
+
+echo "== Stages I-II: renderers and parsers vs reference text formats, full grid =="
+# Every record, document and line at seeds 1-6 (full scale), scales
+# 0.25 and 0.5 with chaos and hostile mutations, and simulated OCR at
+# light and heavy noise at full scale and 0.25; tier-1 runs seeds
+# 0x5EED and 42 at full scale and 0.05, OCR at 0.05.
+cargo test --release --offline --test format_equivalence -- --ignored
 
 echo "== repro telemetry self-check (counter reconciliation) =="
 cargo run --release --offline -p disengage-bench --bin repro -- \
