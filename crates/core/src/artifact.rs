@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 /// whenever any encoding below, any stage's semantics, or the
 /// histogram bucketing changes — old cache entries then read as
 /// corrupt and recompute instead of resurrecting stale data.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // Enum helpers: stable-index encoding against the `ALL` arrays.
@@ -398,12 +398,16 @@ fn dec_chaos_audit(d: &mut Dec) -> Option<ChaosAudit> {
 // ---------------------------------------------------------------------------
 // NLP codecs.
 
+/// A verdict's matched keywords are stem ids into the table of the
+/// classifier that tagged it. The tag key folds every dictionary phrase
+/// and the chaos plan that poisons the dictionary, so a replayed verdict
+/// always meets the table that wrote it.
 fn enc_assignment(e: &mut Enc, a: &TagAssignment) {
     enc_idx(e, &FaultTag::ALL, a.tag);
     enc_idx(e, &FailureCategory::ALL, a.category);
     e.f64(a.score);
     e.f64(a.margin);
-    e.seq(&a.matched_keywords, |e, k| e.str(k));
+    e.seq(&a.matched_keywords, |e, &id| e.u32(id));
     e.bool(a.ambiguous);
 }
 
@@ -413,7 +417,7 @@ fn dec_assignment(d: &mut Dec) -> Option<TagAssignment> {
         category: dec_idx(d, &FailureCategory::ALL)?,
         score: d.f64()?,
         margin: d.f64()?,
-        matched_keywords: d.seq(|d| d.str())?,
+        matched_keywords: d.seq(|d| d.u32())?,
         ambiguous: d.bool()?,
     })
 }

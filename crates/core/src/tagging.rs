@@ -4,7 +4,7 @@
 use disengage_nlp::{Classifier, FailureCategory, FaultTag, TagAssignment};
 use disengage_obs::Histogram;
 use disengage_reports::{DisengagementRecord, Manufacturer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A disengagement record together with its Stage III verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,6 +20,14 @@ pub struct TaggedDisengagement {
 /// verdict counter (`nlp.tag.<tag>`), Unknown-T and ambiguous-tie
 /// counts, vote-margin and dictionary-hit samples, and the overall
 /// Unknown-T rate gauge. Returns one verdict per record, in order.
+///
+/// Descriptions repeat (a full-scale corpus holds ~2.5 records per
+/// distinct description), so each record is mapped to the first record
+/// with its description, only those first occurrences are classified,
+/// and their verdicts (and ballots) are copied back out in record
+/// order. A verdict depends on nothing but the description and the
+/// classifier, so the copy is the verdict the record's own call would
+/// have returned.
 ///
 /// The counts and samples are tallied locally, the samples in record
 /// order, and recorded in one batch
@@ -45,14 +53,25 @@ pub fn tag_records(
     timeline: &disengage_par::TaskTimeline,
 ) -> Vec<TagAssignment> {
     let lineage = obs.lineage_enabled();
+    let mut first: HashMap<&str, usize> = HashMap::with_capacity(records.len());
+    let mut distinct: Vec<&str> = Vec::new();
+    let slots: Vec<usize> = records
+        .iter()
+        .map(|r| {
+            *first.entry(&r.description).or_insert_with(|| {
+                distinct.push(&r.description);
+                distinct.len() - 1
+            })
+        })
+        .collect();
     let verdicts = disengage_par::par_map_indexed(
         jobs,
-        records,
-        |_, r| {
+        &distinct,
+        |_, description| {
             if lineage {
-                classifier.classify_detailed(&r.description)
+                classifier.classify_detailed(description)
             } else {
-                (classifier.classify(&r.description), Vec::new())
+                (classifier.classify(description), Vec::new())
             }
         },
         timeline,
@@ -62,11 +81,12 @@ pub fn tag_records(
         .iter()
         .map(|t| format!("nlp.tag.{}", disengage_obs::key_segment(t.name())))
         .collect();
-    let mut assignments = Vec::with_capacity(verdicts.len());
+    let mut assignments = Vec::with_capacity(records.len());
     let mut per_tag = [0u64; FaultTag::ALL.len()];
     let (mut unknown, mut ambiguous) = (0u64, 0u64);
     let (mut margins, mut hits) = (Histogram::new(), Histogram::new());
-    for (i, (assignment, votes)) in verdicts.into_iter().enumerate() {
+    for (i, &slot) in slots.iter().enumerate() {
+        let (assignment, votes) = &verdicts[slot];
         if let Some(id) = ids.get(i).filter(|_| lineage) {
             let subject = disengage_obs::Subject::Record(id.clone());
             for v in votes {
@@ -76,7 +96,7 @@ pub fn tag_records(
                         tag: v.tag.name().to_owned(),
                         category: v.tag.category().name().to_owned(),
                         score: v.score,
-                        keywords: v.matched_keywords,
+                        keywords: v.matched_keywords.clone(),
                     },
                 );
             }
@@ -104,7 +124,7 @@ pub fn tag_records(
         }
         margins.record(assignment.margin);
         hits.record(assignment.matched_keywords.len() as f64);
-        assignments.push(assignment);
+        assignments.push(assignment.clone());
     }
     obs.record_batch(
         [

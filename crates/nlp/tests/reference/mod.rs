@@ -3,15 +3,59 @@
 //! This is the original `Classifier::classify_detailed` — a `String` per
 //! token, a `BTreeSet` of normalized description tokens, per-tag keyword
 //! sets cloned on every hit, and a window scan per phrase — kept as an
-//! executable specification. The root `classifier_equivalence` suite
-//! asserts that [`disengage_nlp::Classifier`] returns the identical
-//! `(TagAssignment, Vec<TagVote>)`, score and margin bits included. It
-//! lives in test code because no production path runs it.
+//! executable specification, together with the verdict shape it
+//! returned, [`ReferenceAssignment`], whose matched keywords are
+//! strings. The root `classifier_equivalence` suite asserts that
+//! [`disengage_nlp::Classifier`] returns the same verdict, its
+//! matched-keyword ids resolving through `Classifier::stem` to the
+//! reference's strings in order, and the identical `Vec<TagVote>`,
+//! score and margin bits included; `tag_equivalence` runs the reference
+//! per-record tagging loop on it. It lives in test code because no
+//! production path runs it.
 
 use disengage_nlp::normalize::{normalize, stem};
 use disengage_nlp::token::tokenize;
-use disengage_nlp::{FailureCategory, FailureDictionary, FaultTag, TagAssignment, TagVote};
+use disengage_nlp::{
+    Classifier, FailureCategory, FailureDictionary, FaultTag, TagAssignment, TagVote,
+};
 use std::collections::BTreeSet;
+
+/// The verdict as the original classifier returned it: the matched
+/// keywords as normalized strings, in lexicographic order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReferenceAssignment {
+    /// Winning fault tag (`Unknown-T` when nothing matched).
+    pub tag: FaultTag,
+    /// Root category implied by the tag.
+    pub category: FailureCategory,
+    /// The winning score.
+    pub score: f64,
+    /// Winning score minus the best losing score.
+    pub margin: f64,
+    /// Normalized keywords that matched the winning tag.
+    pub matched_keywords: Vec<String>,
+    /// Whether another tag tied the winning score.
+    pub ambiguous: bool,
+}
+
+impl ReferenceAssignment {
+    /// `got`, a verdict of `classifier`, in this shape: each
+    /// matched-keyword id resolved through `Classifier::stem`.
+    pub fn resolved(got: &TagAssignment, classifier: &Classifier) -> ReferenceAssignment {
+        ReferenceAssignment {
+            tag: got.tag,
+            category: got.category,
+            score: got.score,
+            margin: got.margin,
+            matched_keywords: got
+                .matched_keywords
+                .iter()
+                .map(|&id| classifier.stem(id).to_owned())
+                .collect(),
+            ambiguous: got.ambiguous,
+        }
+    }
+}
 
 /// The pre-compilation classifier: per-tag normalized keyword sets and
 /// stemmed phrase token sequences.
@@ -41,7 +85,7 @@ impl ReferenceClassifier {
     }
 
     /// Reference [`disengage_nlp::Classifier::classify_detailed`].
-    pub fn classify_detailed(&self, description: &str) -> (TagAssignment, Vec<TagVote>) {
+    pub fn classify_detailed(&self, description: &str) -> (ReferenceAssignment, Vec<TagVote>) {
         let raw_tokens = tokenize(description);
         let desc_tokens = normalize(&raw_tokens);
         let desc_set: BTreeSet<&str> = desc_tokens.iter().map(String::as_str).collect();
@@ -92,7 +136,7 @@ impl ReferenceClassifier {
         }
 
         let assignment = match best {
-            Some((tag, score, matched_keywords)) => TagAssignment {
+            Some((tag, score, matched_keywords)) => ReferenceAssignment {
                 tag,
                 category: tag.category(),
                 score,
@@ -100,7 +144,7 @@ impl ReferenceClassifier {
                 matched_keywords,
                 ambiguous,
             },
-            None => TagAssignment {
+            None => ReferenceAssignment {
                 tag: FaultTag::UnknownT,
                 category: FailureCategory::UnknownC,
                 score: 0.0,

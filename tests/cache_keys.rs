@@ -160,10 +160,10 @@ fn lineage_recording_is_part_of_every_key() {
 fn golden_fingerprints_are_pinned() {
     let passthrough = keys(base());
     let golden_passthrough = [
-        (Stage::Corpus, "37f4214efaa298bc"),
-        (Stage::Digitize, "540eef2b11c2c9db"),
-        (Stage::Normalize, "3ba7523f3ccf2c4b"),
-        (Stage::Tag, "d7278b032e90e16c"),
+        (Stage::Corpus, "c5c04355dcb39361"),
+        (Stage::Digitize, "7bd906e78d70ed14"),
+        (Stage::Normalize, "354d93a945810f92"),
+        (Stage::Tag, "291aae52340ff417"),
     ];
     for (stage, hex) in golden_passthrough {
         assert_eq!(
@@ -183,10 +183,10 @@ fn golden_fingerprints_are_pinned() {
             .with_chaos(FaultPlan::new(0.05, 7)),
     );
     let golden_chaos = [
-        (Stage::Corpus, "37f4214efaa298bc"),
-        (Stage::Digitize, "29f545f648d60fbe"),
-        (Stage::Normalize, "b5046a5f536a9d69"),
-        (Stage::Tag, "2334a082bbabdadb"),
+        (Stage::Corpus, "c5c04355dcb39361"),
+        (Stage::Digitize, "045cc834803e0c7f"),
+        (Stage::Normalize, "8f189501bf2e1275"),
+        (Stage::Tag, "dcbf85d86718e5e4"),
     ];
     for (stage, hex) in golden_chaos {
         assert_eq!(

@@ -5,8 +5,10 @@
 //! and dictionary here, `classify_detailed` must return exactly what the
 //! reference (the original implementation, kept in the test-support
 //! module [`reference`]) returns — verdict, category, `ambiguous`,
-//! matched-keyword order and the full ballot — with `score` and `margin`
-//! equal bit for bit, and `classify` must equal the detailed verdict.
+//! matched keywords (ids that resolve through [`Classifier::stem`] to
+//! the reference's strings, in order) and the full ballot — with
+//! `score` and `margin` equal bit for bit, and `classify` must equal the
+//! detailed verdict.
 //! Any divergence would ripple into tables, telemetry, lineage and every
 //! tag-artifact consumer.
 //!
@@ -26,14 +28,18 @@ use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::{CorpusConfig, CorpusGenerator};
 use disengage::nlp::{Classifier, FailureDictionary, FaultTag};
 use learn::{learn_dictionary, phrase_count, LearnOptions};
-use reference::ReferenceClassifier;
+use reference::{ReferenceAssignment, ReferenceClassifier};
 use std::collections::BTreeSet;
 
 /// Asserts the compiled classifier agrees with the reference on `text`.
 fn assert_agrees(compiled: &Classifier, reference: &ReferenceClassifier, text: &str, dict: &str) {
     let (want, want_votes) = reference.classify_detailed(text);
     let (got, got_votes) = compiled.classify_detailed(text);
-    assert_eq!(got, want, "verdict diverged ({dict}) on {text:?}");
+    assert_eq!(
+        ReferenceAssignment::resolved(&got, compiled),
+        want,
+        "verdict diverged ({dict}) on {text:?}"
+    );
     assert_eq!(
         got.score.to_bits(),
         want.score.to_bits(),
@@ -260,7 +266,10 @@ fn hand_built_edge_cases_vote_as_the_reference_does() {
     // Planner: keywords `fail` + `plann`, and both two-token phrases.
     assert_eq!(verdict.tag, FaultTag::Planner);
     assert_eq!(verdict.score, 6.0);
-    assert_eq!(verdict.matched_keywords, ["fail", "plann"]);
+    assert_eq!(
+        ReferenceAssignment::resolved(&verdict, &compiled).matched_keywords,
+        ["fail", "plann"]
+    );
     // Software shares `planner failed`: its keywords plus that phrase.
     let software = votes
         .iter()

@@ -15,11 +15,12 @@
 //! output change.
 
 use disengage::cache::Fp;
-use disengage::chaos::FaultPlan;
+use disengage::chaos::{poison_dictionary, FaultPlan};
 use disengage::core::figures::fig11;
 use disengage::core::pipeline::{OcrMode, PipelineOutcome};
 use disengage::core::{RunConfig, RunSession};
 use disengage::corpus::{CorpusConfig, CorpusGenerator};
+use disengage::nlp::{Classifier, FailureDictionary};
 use disengage::obs::Collector;
 use disengage::ocr::NoiseModel;
 use disengage::reports::formats::DocumentKind;
@@ -36,6 +37,14 @@ struct Digests {
 }
 
 fn digests(ocr: OcrMode, chaos: Option<FaultPlan>) -> Digests {
+    // Verdicts name their keywords by stem id; hash the stems, resolved
+    // through the classifier the session tagged with (under chaos, the
+    // default bank poisoned by the plan).
+    let bank = FailureDictionary::default_bank();
+    let classifier = match &chaos {
+        Some(plan) => Classifier::new(poison_dictionary(plan, &bank).0),
+        None => Classifier::new(bank),
+    };
     let mut config = RunConfig::new()
         .with_corpus(CorpusConfig {
             seed: 42,
@@ -58,8 +67,8 @@ fn digests(ocr: OcrMode, chaos: Option<FaultPlan>) -> Digests {
             .write_f64(a.margin)
             .write_bool(a.ambiguous)
             .write_u64(a.matched_keywords.len() as u64);
-        for k in &a.matched_keywords {
-            fp.write_str(k);
+        for &id in &a.matched_keywords {
+            fp.write_str(classifier.stem(id));
         }
     }
     let text = |s: &str| Fp::new().write_str(s).finish().to_hex();
