@@ -7,7 +7,9 @@
 # the script's allowlists),
 # the benchmark package's tests and smoke run, the full workspace test
 # suite, the compiled Stage III classifier's full equivalence grid
-# against the reference classifier (release), the diagonal-transition
+# against the reference classifier (release), the Stage III tagging
+# loop's full equivalence grid against the per-record reference loop
+# (release), the diagonal-transition
 # CER edit distance's full equivalence grid against the banded
 # reference (release), the distinct-value Weibull and
 # Exponentiated-Weibull fitters' full equivalence grid against the
@@ -88,6 +90,14 @@ echo "== Stage III: compiled classifier vs reference, full grid =="
 # Every full-scale and chaos-recovered description and their variants,
 # under every test dictionary; tier-1 runs only a sample of the grid.
 cargo test --release --offline --test classifier_equivalence -- --ignored
+
+echo "== Stage III: per-shard dedup tagging loop vs per-record reference, full grid =="
+# Seeds 1-6 at full scale, scales 0.25 and 0.5, simulated OCR at light
+# and heavy noise at 0.25, chaos at 0.05 and 0.3, under the default,
+# sweep and poisoned banks, lineage on and off, one and two workers;
+# tier-1 runs seeds 0x5EED and 42 at full scale and 0.05, OCR and chaos
+# at 0.05.
+cargo test --release --offline --test tag_equivalence -- --ignored
 
 echo "== Stage I: CER edit distance vs banded reference, full grid =="
 # Every filing digitized at scales 0.25 and 1, light and heavy noise,
