@@ -392,14 +392,7 @@ fn main() -> ExitCode {
     // across --jobs) and the Prometheus/OpenMetrics exposition.
     if let Some(path) = &args.flight {
         let suspects = flight::suspects(&obs.provenance(), 8);
-        match flight::write_dump(
-            Path::new(path),
-            obs,
-            None,
-            "run complete",
-            &suspects,
-            true,
-        ) {
+        match flight::write_dump(Path::new(path), obs, None, "run complete", &suspects, true) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("error: could not write {path}: {e}");

@@ -262,7 +262,10 @@ impl ArtifactStore {
     }
 
     fn lock_path(&self, stage: &str, key: Fingerprint) -> Option<PathBuf> {
-        Some(self.stage_dir(stage)?.join(format!("{}.lock", key.to_hex())))
+        Some(
+            self.stage_dir(stage)?
+                .join(format!("{}.lock", key.to_hex())),
+        )
     }
 
     /// Reads an artifact file through the fault surface with bounded
@@ -770,7 +773,10 @@ mod tests {
         let root = scratch("version");
         let key = Fingerprint(7);
         ArtifactStore::at(&root, 1).save("norm", key, b"old format");
-        assert_eq!(ArtifactStore::at(&root, 2).load("norm", key), Lookup::Corrupt);
+        assert_eq!(
+            ArtifactStore::at(&root, 2).load("norm", key),
+            Lookup::Corrupt
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -835,7 +841,13 @@ mod tests {
         assert!(matches!(store.load("tag", Fingerprint(1)), Lookup::Hit(_)));
         drop(guard);
         let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
-        assert!(counters.get("cache.evict.skipped_locked").copied().unwrap_or(0) >= 1);
+        assert!(
+            counters
+                .get("cache.evict.skipped_locked")
+                .copied()
+                .unwrap_or(0)
+                >= 1
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -874,7 +886,9 @@ mod tests {
         let root = scratch("reclaim-torn");
         let store = ArtifactStore::at(&root, 1);
         store.save("corpus", Fingerprint(1), b"good");
-        let good = root.join("corpus").join(format!("{}.art", Fingerprint(1).to_hex()));
+        let good = root
+            .join("corpus")
+            .join(format!("{}.art", Fingerprint(1).to_hex()));
         let good = fs::read(good).unwrap();
         // Three headers that disagree with their files: a bare magic,
         // a frame cut after an intact header (the declared length no
@@ -894,7 +908,10 @@ mod tests {
             assert!(!root.join("corpus").join(name).exists(), "{name} survived");
         }
         // The frame-valid entry survives.
-        assert!(matches!(store.load("corpus", Fingerprint(1)), Lookup::Hit(_)));
+        assert!(matches!(
+            store.load("corpus", Fingerprint(1)),
+            Lookup::Hit(_)
+        ));
         let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
         assert_eq!(counters.get("cache.torn.reclaimed"), Some(&3));
         let mut events = store.take_events();
@@ -927,9 +944,16 @@ mod tests {
         let path = root.join("normalize").join(format!("{}.art", key.to_hex()));
         let on_disk = fs::read(&path).unwrap();
         assert_eq!(store.load("normalize", key), Lookup::Corrupt);
-        assert_eq!(fs::read(&path).unwrap(), on_disk, "the good file was touched");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            on_disk,
+            "the good file was touched"
+        );
         let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
-        assert_eq!(counters.get("cache.torn.reclaimed").copied().unwrap_or(0), 0);
+        assert_eq!(
+            counters.get("cache.torn.reclaimed").copied().unwrap_or(0),
+            0
+        );
         assert!(store.take_events().is_empty());
         let _ = fs::remove_dir_all(&root);
     }

@@ -3,7 +3,9 @@
 //! and injected I/O faults — each artifact computed once, every reader
 //! seeing identical bytes, never a torn frame, never a deadlock.
 
-use disengage_cache::{lock, ArtifactStore, Fingerprint, Flight, Fp, IoFault, IoFaults, IoOp, Lookup};
+use disengage_cache::{
+    lock, ArtifactStore, Fingerprint, Flight, Fp, IoFault, IoFaults, IoOp, Lookup,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -214,9 +216,9 @@ fn failed_commits_never_leave_tmp_files_or_torn_frames() {
     // Exactly one save's retry budget of rename failures: the save
     // gives up (the run degrades to recompute-next-time), but the
     // directory stays clean and the next save commits normally.
-    let store = tmp
-        .store()
-        .with_faults(Arc::new(RenameStorm { left: AtomicU64::new(3) }));
+    let store = tmp.store().with_faults(Arc::new(RenameStorm {
+        left: AtomicU64::new(3),
+    }));
     store.save("stage", key(7), &payload(7));
     assert!(
         matches!(store.load("stage", key(7)), Lookup::Miss),
@@ -230,8 +232,7 @@ fn failed_commits_never_leave_tmp_files_or_torn_frames() {
     // now commits, and the counters account for every fired fault.
     store.save("stage", key(7), &payload(7));
     assert!(matches!(store.load("stage", key(7)), Lookup::Hit(b) if b == payload(7)));
-    let counters: std::collections::BTreeMap<_, _> =
-        store.take_counters().into_iter().collect();
+    let counters: std::collections::BTreeMap<_, _> = store.take_counters().into_iter().collect();
     let fired = counters.get("cache.io.fault.total").copied().unwrap_or(0);
     let retried = counters.get("cache.io.retried").copied().unwrap_or(0);
     let absorbed = counters.get("cache.io.absorbed").copied().unwrap_or(0);

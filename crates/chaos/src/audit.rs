@@ -316,9 +316,8 @@ mod tests {
             }
             // The per-fault ledger partitions exactly like the totals.
             assert_eq!(a.faults.len() as u64, a.totals.injected, "seed {seed}");
-            let count = |fate: FaultFate| {
-                a.faults.iter().filter(|f| f.outcome == fate).count() as u64
-            };
+            let count =
+                |fate: FaultFate| a.faults.iter().filter(|f| f.outcome == fate).count() as u64;
             assert_eq!(count(FaultFate::Corrected), a.totals.corrected);
             assert_eq!(count(FaultFate::Quarantined), a.totals.quarantined);
             assert_eq!(count(FaultFate::Absorbed), a.totals.absorbed);

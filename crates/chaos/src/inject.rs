@@ -286,7 +286,10 @@ mod tests {
     fn row_drop_removes_and_dup_duplicates() {
         let mut rng = StdRng::seed_from_u64(0);
         // Exercise the primitives directly for exactness.
-        assert_eq!(blank_cause("car-0 2016-01-04 software froze"), Some("car-0 2016-01-04".to_owned()));
+        assert_eq!(
+            blank_cause("car-0 2016-01-04 software froze"),
+            Some("car-0 2016-01-04".to_owned())
+        );
         assert_eq!(blank_cause("no digits at all"), None);
         let drifted = field_drift(&mut rng, "miles 120.5 end");
         assert!(!drifted.contains("120.5"), "{drifted}");

@@ -182,15 +182,16 @@ mod tests {
         assert_eq!(sa, sb, "same seed, same schedule");
         assert_ne!(sa, sc, "different seed, different schedule");
         let fired = sa.iter().flatten().count();
-        assert!((20..=100).contains(&fired), "rate 0.3 → ~60/200, got {fired}");
+        assert!(
+            (20..=100).contains(&fired),
+            "rate 0.3 → ~60/200, got {fired}"
+        );
     }
 
     #[test]
     fn litter_lands_in_every_stage_dir() {
-        let root = std::env::temp_dir().join(format!(
-            "disengage-chaos-litter-{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("disengage-chaos-litter-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("corpus")).unwrap();
         fs::create_dir_all(root.join("digitize")).unwrap();

@@ -191,10 +191,9 @@ impl CommonArgs {
                 }
                 "--jobs" => {
                     let v = take_value(flag)?;
-                    out.jobs = Some(
-                        v.parse()
-                            .map_err(|_| ArgError::new(flag, format!("`{v}` is not a worker count")))?,
-                    );
+                    out.jobs = Some(v.parse().map_err(|_| {
+                        ArgError::new(flag, format!("`{v}` is not a worker count"))
+                    })?);
                 }
                 "--telemetry" => {
                     // Value optional: bare `--telemetry` means the
@@ -251,10 +250,7 @@ impl CommonArgs {
                 "--cache-cap" => {
                     let v = take_value(flag)?;
                     out.cache_cap = Some(v.parse().map_err(|_| {
-                        ArgError::new(
-                            flag,
-                            format!("`{v}` is not an entry count (0 = unbounded)"),
-                        )
+                        ArgError::new(flag, format!("`{v}` is not an entry count (0 = unbounded)"))
                     })?);
                 }
                 "--shards" => {
@@ -470,7 +466,12 @@ mod tests {
         // --cache-dir needs a non-empty path.
         assert!(parse(&["--cache-dir="]).is_err());
         // --cache-cap needs a non-negative integer.
-        for bad in ["--cache-cap", "--cache-cap=", "--cache-cap=lots", "--cache-cap=-1"] {
+        for bad in [
+            "--cache-cap",
+            "--cache-cap=",
+            "--cache-cap=lots",
+            "--cache-cap=-1",
+        ] {
             assert!(parse(&[bad]).is_err(), "{bad} must fail");
         }
         // --shards needs a non-empty label list.
@@ -545,7 +546,10 @@ mod tests {
         let a = parse(&["--profile", "profile"]).unwrap();
         assert_eq!(a.profile, ProfileMode::Table);
         assert_eq!(a.positional, ["profile"]);
-        assert_eq!(parse(&["--profile=json"]).unwrap().profile, ProfileMode::Json);
+        assert_eq!(
+            parse(&["--profile=json"]).unwrap().profile,
+            ProfileMode::Json
+        );
         assert_eq!(
             parse(&["--profile=folded"]).unwrap().profile,
             ProfileMode::Folded

@@ -32,14 +32,23 @@ pub fn disengagements_frame(
 ) -> Result<DataFrame> {
     let records = db.disengagements();
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
         ("car", Column::empty(disengage_dataframe::DType::Str)),
         ("date", Column::empty(disengage_dataframe::DType::Str)),
         ("modality", Column::empty(disengage_dataframe::DType::Str)),
         ("road_type", Column::empty(disengage_dataframe::DType::Str)),
         ("weather", Column::empty(disengage_dataframe::DType::Str)),
-        ("reaction_time_s", Column::empty(disengage_dataframe::DType::Float)),
-        ("description", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "reaction_time_s",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "description",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
     ])?;
     for r in records {
         df.push_row(vec![
@@ -81,17 +90,35 @@ pub fn disengagements_frame(
 /// Returns a dataframe error only on internal schema violations.
 pub fn accidents_frame(db: &FailureDatabase) -> Result<DataFrame> {
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
         ("car", Column::empty(disengage_dataframe::DType::Str)),
         ("date", Column::empty(disengage_dataframe::DType::Str)),
         ("location", Column::empty(disengage_dataframe::DType::Str)),
-        ("av_speed_mph", Column::empty(disengage_dataframe::DType::Float)),
-        ("other_speed_mph", Column::empty(disengage_dataframe::DType::Float)),
-        ("relative_speed_mph", Column::empty(disengage_dataframe::DType::Float)),
-        ("autonomous_at_impact", Column::empty(disengage_dataframe::DType::Bool)),
+        (
+            "av_speed_mph",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "other_speed_mph",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "relative_speed_mph",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "autonomous_at_impact",
+            Column::empty(disengage_dataframe::DType::Bool),
+        ),
         ("kind", Column::empty(disengage_dataframe::DType::Str)),
         ("severity", Column::empty(disengage_dataframe::DType::Str)),
-        ("description", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "description",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
     ])?;
     for a in db.accidents() {
         df.push_row(vec![
@@ -120,7 +147,10 @@ pub fn accidents_frame(db: &FailureDatabase) -> Result<DataFrame> {
 /// Returns a dataframe error only on internal schema violations.
 pub fn mileage_frame(db: &FailureDatabase) -> Result<DataFrame> {
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
         ("car", Column::empty(disengage_dataframe::DType::Str)),
         ("month", Column::empty(disengage_dataframe::DType::Str)),
         ("miles", Column::empty(disengage_dataframe::DType::Float)),

@@ -76,7 +76,12 @@ pub fn field_coverage(db: &FailureDatabase) -> FieldCoverage {
     FieldCoverage {
         road_type: frac(records.iter().filter(|r| r.road_type.is_some()).count()),
         weather: frac(records.iter().filter(|r| r.weather.is_some()).count()),
-        reaction_time: frac(records.iter().filter(|r| r.reaction_time_s.is_some()).count()),
+        reaction_time: frac(
+            records
+                .iter()
+                .filter(|r| r.reaction_time_s.is_some())
+                .count(),
+        ),
         n,
     }
 }
@@ -141,9 +146,7 @@ pub fn category_association(tagged: &[TaggedDisengagement]) -> Result<ChiSquare>
         return Err(CoreError::NoData("manufacturers for category test"));
     }
     let rows: Vec<Vec<u64>> = per_m.values().map(|r| r.to_vec()).collect();
-    let used: Vec<usize> = (0..3)
-        .filter(|&j| rows.iter().any(|r| r[j] > 0))
-        .collect();
+    let used: Vec<usize> = (0..3).filter(|&j| rows.iter().any(|r| r[j] > 0)).collect();
     let table: Vec<Vec<u64>> = rows
         .into_iter()
         .map(|row| used.iter().map(|&j| row[j]).collect())
@@ -190,7 +193,11 @@ mod tests {
         assert!(c.n > 300);
         // Road is reported ~2/3 of the time in the corpus; some formats
         // drop it entirely, so recovered coverage is lower but nonzero.
-        assert!(c.road_type > 0.2 && c.road_type < 0.9, "road = {}", c.road_type);
+        assert!(
+            c.road_type > 0.2 && c.road_type < 0.9,
+            "road = {}",
+            c.road_type
+        );
         assert!(c.weather > 0.1 && c.weather < 0.9);
         assert!(c.reaction_time > 0.2 && c.reaction_time < 0.9);
     }

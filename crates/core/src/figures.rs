@@ -345,10 +345,7 @@ mod tests {
             .unwrap();
         for (m, b) in &f.boxes {
             if *m != Manufacturer::Waymo {
-                assert!(
-                    waymo.1.median <= b.median,
-                    "{m} median below Waymo's"
-                );
+                assert!(waymo.1.median <= b.median, "{m} median below Waymo's");
             }
         }
     }
@@ -391,9 +388,7 @@ mod tests {
         let system_share: f64 = waymo
             .1
             .iter()
-            .filter(|(t, _)| {
-                t.category() == disengage_nlp::FailureCategory::System
-            })
+            .filter(|(t, _)| t.category() == disengage_nlp::FailureCategory::System)
             .map(|(_, frac)| frac)
             .sum();
         assert!(system_share > 0.2, "waymo system share = {system_share}");
@@ -437,7 +432,11 @@ mod tests {
             .filter(|f| f.exponent < 0.0)
             .count();
         // DPM falls with miles for the clear majority of manufacturers.
-        assert!(negative * 3 >= series.len() * 2, "{negative}/{}", series.len());
+        assert!(
+            negative * 3 >= series.len() * 2,
+            "{negative}/{}",
+            series.len()
+        );
     }
 
     #[test]

@@ -163,9 +163,7 @@ fn largest_remainder(total: u64, weights: &[f64]) -> Vec<u64> {
 mod tests {
     use super::*;
     use disengage_reports::record::{CarId, CollisionKind, Severity};
-    use disengage_reports::{
-        AccidentRecord, DisengagementRecord, Modality, MonthlyMileage,
-    };
+    use disengage_reports::{AccidentRecord, DisengagementRecord, Modality, MonthlyMileage};
 
     fn dis(m: Manufacturer, car: Option<u32>, y: u16, mo: u8) -> DisengagementRecord {
         DisengagementRecord {

@@ -1,11 +1,13 @@
 //! The paper's five research questions (Section V) as typed analyses.
 
 use crate::constants::{
-    AIRLINE_APM, HUMAN_APM, HUMAN_REACTION_OWNED_S, MEDIAN_TRIP_MILES,
-    REACTION_OUTLIER_CUTOFF_S, SURGICAL_ROBOT_APM,
+    AIRLINE_APM, HUMAN_APM, HUMAN_REACTION_OWNED_S, MEDIAN_TRIP_MILES, REACTION_OUTLIER_CUTOFF_S,
+    SURGICAL_ROBOT_APM,
 };
 use crate::metrics::{monthly_dpm_series, per_car_dpm};
-use crate::tagging::{category_shares, category_shares_by_manufacturer, CategoryShares, TaggedDisengagement};
+use crate::tagging::{
+    category_shares, category_shares_by_manufacturer, CategoryShares, TaggedDisengagement,
+};
 use crate::{CoreError, Result};
 use disengage_reports::{Date, FailureDatabase, Manufacturer};
 use disengage_stats::correlation::{log_log_pearson, pearson, Correlation};
@@ -52,15 +54,17 @@ pub fn q1_assessment(db: &FailureDatabase) -> Result<Q1Assessment> {
         .collect();
     let max = positive_medians.iter().copied().fold(f64::MIN, f64::max);
     let min = positive_medians.iter().copied().fold(f64::MAX, f64::min);
-    let waymo_advantage = dpm_by_manufacturer.get(&Manufacturer::Waymo).map(|&(w, _)| {
-        let best_other = dpm_by_manufacturer
-            .iter()
-            .filter(|(&m, _)| m != Manufacturer::Waymo)
-            .map(|(_, &(median, _))| median)
-            .filter(|&x| x > 0.0)
-            .fold(f64::MAX, f64::min);
-        best_other / w
-    });
+    let waymo_advantage = dpm_by_manufacturer
+        .get(&Manufacturer::Waymo)
+        .map(|&(w, _)| {
+            let best_other = dpm_by_manufacturer
+                .iter()
+                .filter(|(&m, _)| m != Manufacturer::Waymo)
+                .map(|(_, &(median, _))| median)
+                .filter(|&x| x > 0.0)
+                .fold(f64::MAX, f64::min);
+            best_other / w
+        });
     Ok(Q1Assessment {
         dpm_by_manufacturer,
         median_spread: max / min,
@@ -214,7 +218,9 @@ pub fn q4_alertness(db: &FailureDatabase) -> Result<Q4Alertness> {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for r in db.disengagements_for(m) {
-            let Some(rt) = r.reaction_time_s else { continue };
+            let Some(rt) = r.reaction_time_s else {
+                continue;
+            };
             if rt > REACTION_OUTLIER_CUTOFF_S {
                 continue;
             }

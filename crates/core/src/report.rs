@@ -1,7 +1,7 @@
 //! Plain-text rendering of analyses. [`crate::analyze`] prints every
 //! artifact through these renderers.
 
-use crate::figures::{Fig4, Fig8, Fig10, Fig11Panel, Fig12Panel};
+use crate::figures::{Fig10, Fig11Panel, Fig12Panel, Fig4, Fig8};
 use crate::questions::{Q1Assessment, Q2Causes, Q3Dynamics, Q4Alertness, Q5Comparison};
 use disengage_dataframe::DataFrame;
 
@@ -93,9 +93,14 @@ pub fn render_q1(q: &Q1Assessment) -> String {
             p99
         ));
     }
-    out.push_str(&format!("median DPM spread across manufacturers: {:.0}x\n", q.median_spread));
+    out.push_str(&format!(
+        "median DPM spread across manufacturers: {:.0}x\n",
+        q.median_spread
+    ));
     if let Some(adv) = q.waymo_advantage {
-        out.push_str(&format!("waymo advantage over best competitor: {adv:.0}x\n"));
+        out.push_str(&format!(
+            "waymo advantage over best competitor: {adv:.0}x\n"
+        ));
     }
     out
 }
@@ -123,7 +128,11 @@ pub fn render_q3(q: &Q3Dynamics) -> String {
         q.log_log_correlation.r, q.log_log_correlation.p_value
     ));
     for (m, f) in &q.improvement {
-        out.push_str(&format!("{:<16} median DPM improvement {:.1}x\n", m.name(), f));
+        out.push_str(&format!(
+            "{:<16} median DPM improvement {:.1}x\n",
+            m.name(),
+            f
+        ));
     }
     out
 }

@@ -27,15 +27,36 @@ fn opt_f64(v: Option<f64>) -> Value {
 /// Returns a dataframe error only on internal schema violations.
 pub fn table1(db: &FailureDatabase) -> Result<DataFrame> {
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
         ("cars_2015", Column::empty(disengage_dataframe::DType::Int)),
-        ("miles_2015", Column::empty(disengage_dataframe::DType::Float)),
-        ("disengagements_2015", Column::empty(disengage_dataframe::DType::Int)),
-        ("accidents_2015", Column::empty(disengage_dataframe::DType::Int)),
+        (
+            "miles_2015",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "disengagements_2015",
+            Column::empty(disengage_dataframe::DType::Int),
+        ),
+        (
+            "accidents_2015",
+            Column::empty(disengage_dataframe::DType::Int),
+        ),
         ("cars_2016", Column::empty(disengage_dataframe::DType::Int)),
-        ("miles_2016", Column::empty(disengage_dataframe::DType::Float)),
-        ("disengagements_2016", Column::empty(disengage_dataframe::DType::Int)),
-        ("accidents_2016", Column::empty(disengage_dataframe::DType::Int)),
+        (
+            "miles_2016",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "disengagements_2016",
+            Column::empty(disengage_dataframe::DType::Int),
+        ),
+        (
+            "accidents_2016",
+            Column::empty(disengage_dataframe::DType::Int),
+        ),
     ])?;
     for &m in db.manufacturers() {
         let mut row: Vec<Value> = vec![Value::from(m.name())];
@@ -184,11 +205,26 @@ pub fn table3() -> Result<DataFrame> {
 pub fn table4(tagged: &[TaggedDisengagement]) -> Result<DataFrame> {
     let shares = category_shares_by_manufacturer(tagged);
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
-        ("planner_pct", Column::empty(disengage_dataframe::DType::Float)),
-        ("perception_pct", Column::empty(disengage_dataframe::DType::Float)),
-        ("system_pct", Column::empty(disengage_dataframe::DType::Float)),
-        ("unknown_pct", Column::empty(disengage_dataframe::DType::Float)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
+        (
+            "planner_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "perception_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "system_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "unknown_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
         ("n", Column::empty(disengage_dataframe::DType::Int)),
     ])?;
     for (m, s) in shares {
@@ -213,10 +249,22 @@ pub fn table4(tagged: &[TaggedDisengagement]) -> Result<DataFrame> {
 /// Returns a dataframe error only on internal schema violations.
 pub fn table5(db: &FailureDatabase) -> Result<DataFrame> {
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
-        ("automatic_pct", Column::empty(disengage_dataframe::DType::Float)),
-        ("manual_pct", Column::empty(disengage_dataframe::DType::Float)),
-        ("planned_pct", Column::empty(disengage_dataframe::DType::Float)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
+        (
+            "automatic_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "manual_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "planned_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
         ("n", Column::empty(disengage_dataframe::DType::Int)),
     ])?;
     for &m in db.manufacturers() {
@@ -248,9 +296,15 @@ pub fn table5(db: &FailureDatabase) -> Result<DataFrame> {
 pub fn table6(db: &FailureDatabase) -> Result<DataFrame> {
     let total: usize = db.accidents().len();
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
         ("accidents", Column::empty(disengage_dataframe::DType::Int)),
-        ("fraction_pct", Column::empty(disengage_dataframe::DType::Float)),
+        (
+            "fraction_pct",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
         ("dpa", Column::empty(disengage_dataframe::DType::Float)),
     ])?;
     for &m in db.manufacturers() {
@@ -280,9 +334,18 @@ pub fn table6(db: &FailureDatabase) -> Result<DataFrame> {
 /// Propagates quantile errors for degenerate inputs.
 pub fn table7(db: &FailureDatabase) -> Result<DataFrame> {
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
-        ("median_dpm", Column::empty(disengage_dataframe::DType::Float)),
-        ("median_apm", Column::empty(disengage_dataframe::DType::Float)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
+        (
+            "median_dpm",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "median_apm",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
         ("vs_human", Column::empty(disengage_dataframe::DType::Float)),
     ])?;
     for &m in &Manufacturer::ANALYZED {
@@ -311,10 +374,19 @@ pub fn table7(db: &FailureDatabase) -> Result<DataFrame> {
 /// Propagates quantile errors for degenerate inputs.
 pub fn table8(db: &FailureDatabase) -> Result<DataFrame> {
     let mut df = DataFrame::new(vec![
-        ("manufacturer", Column::empty(disengage_dataframe::DType::Str)),
+        (
+            "manufacturer",
+            Column::empty(disengage_dataframe::DType::Str),
+        ),
         ("apmi", Column::empty(disengage_dataframe::DType::Float)),
-        ("vs_airline", Column::empty(disengage_dataframe::DType::Float)),
-        ("vs_surgical_robot", Column::empty(disengage_dataframe::DType::Float)),
+        (
+            "vs_airline",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
+        (
+            "vs_surgical_robot",
+            Column::empty(disengage_dataframe::DType::Float),
+        ),
     ])?;
     for &m in &Manufacturer::ANALYZED {
         let dpms = per_car_dpm(db, m);

@@ -191,14 +191,10 @@ pub fn category_shares<'a>(
     for t in tagged {
         shares.n += 1;
         match t.assignment.category {
-            FailureCategory::MlDesign => {
-                match t.assignment.tag.ml_subsystem() {
-                    Some(disengage_nlp::ontology::MlSubsystem::Perception) => {
-                        shares.perception += 1.0
-                    }
-                    _ => shares.planner += 1.0,
-                }
-            }
+            FailureCategory::MlDesign => match t.assignment.tag.ml_subsystem() {
+                Some(disengage_nlp::ontology::MlSubsystem::Perception) => shares.perception += 1.0,
+                _ => shares.planner += 1.0,
+            },
             FailureCategory::System => shares.system += 1.0,
             FailureCategory::UnknownC => shares.unknown += 1.0,
         }
@@ -244,10 +240,7 @@ pub struct TaggingAccuracy {
 ///
 /// Extra or missing entries are ignored beyond the common prefix length;
 /// callers should align inputs (the pipeline keeps them aligned).
-pub fn tagging_accuracy(
-    tagged: &[TaggedDisengagement],
-    intended: &[FaultTag],
-) -> TaggingAccuracy {
+pub fn tagging_accuracy(tagged: &[TaggedDisengagement], intended: &[FaultTag]) -> TaggingAccuracy {
     let n = tagged.len().min(intended.len());
     if n == 0 {
         return TaggingAccuracy {

@@ -171,7 +171,10 @@ pub fn reconcile(report: &TelemetryReport) -> Vec<String> {
     if report.gauge("pipeline.passthrough") == Some(1.0) && injected == 0 {
         check(
             "passthrough disengagement recovery",
-            ("corpus.disengagements", report.counter("corpus.disengagements")),
+            (
+                "corpus.disengagements",
+                report.counter("corpus.disengagements"),
+            ),
             ("parse.dis.lines", lines),
         );
         check(
@@ -228,7 +231,10 @@ mod tests {
         assert!(reconcile(&r).is_empty(), "not flagged as passthrough");
         r.gauges.insert("pipeline.passthrough".into(), 1.0);
         let v = reconcile(&r);
-        assert!(v.iter().any(|m| m.contains("disengagement recovery")), "{v:?}");
+        assert!(
+            v.iter().any(|m| m.contains("disengagement recovery")),
+            "{v:?}"
+        );
     }
 
     #[test]

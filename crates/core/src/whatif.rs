@@ -12,7 +12,9 @@
 //!    and how many years of testing is that at the current pace?
 //!    ([`demonstration_gap`])
 
-use crate::constants::{AIRLINE_APM, ANNUAL_AIRLINE_DEPARTURES, ANNUAL_AV_TRIPS, HUMAN_APM, MEDIAN_TRIP_MILES};
+use crate::constants::{
+    AIRLINE_APM, ANNUAL_AIRLINE_DEPARTURES, ANNUAL_AV_TRIPS, HUMAN_APM, MEDIAN_TRIP_MILES,
+};
 use crate::metrics::monthly_dpm_series;
 use crate::{CoreError, Result};
 use disengage_reports::{FailureDatabase, Manufacturer};
@@ -123,7 +125,10 @@ pub struct FleetScaleProjection {
 pub fn fleet_scale_projection(apm: f64) -> Result<FleetScaleProjection> {
     if apm <= 0.0 || !apm.is_finite() {
         return Err(CoreError::Stats(
-            disengage_stats::StatsError::InvalidParameter { name: "apm", value: apm },
+            disengage_stats::StatsError::InvalidParameter {
+                name: "apm",
+                value: apm,
+            },
         ));
     }
     let apmi = apm * MEDIAN_TRIP_MILES;

@@ -49,7 +49,10 @@ pub fn split_largest_remainder(total: u64, weights: &[f64]) -> Vec<u64> {
     if total == 0 {
         return vec![0; weights.len()];
     }
-    assert!(!weights.is_empty(), "cannot split a positive total over no buckets");
+    assert!(
+        !weights.is_empty(),
+        "cannot split a positive total over no buckets"
+    );
     assert!(
         weights.iter().all(|&w| w >= 0.0),
         "weights must be non-negative"

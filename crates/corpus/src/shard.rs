@@ -108,6 +108,9 @@ mod tests {
             shard_label(Manufacturer::MercedesBenz, ReportYear::R2015),
             "mercedes_benz_2015"
         );
-        assert_eq!(shard_label(Manufacturer::Waymo, ReportYear::R2016), "waymo_2016");
+        assert_eq!(
+            shard_label(Manufacturer::Waymo, ReportYear::R2016),
+            "waymo_2016"
+        );
     }
 }

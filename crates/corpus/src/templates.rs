@@ -213,7 +213,12 @@ mod tests {
         let cl = Classifier::with_default_dictionary();
         for t in vague_templates() {
             let a = cl.classify(t);
-            assert_eq!(a.tag, FaultTag::UnknownT, "vague template {t:?} matched {}", a.tag);
+            assert_eq!(
+                a.tag,
+                FaultTag::UnknownT,
+                "vague template {t:?} matched {}",
+                a.tag
+            );
             assert_eq!(a.category, FailureCategory::UnknownC);
         }
     }

@@ -125,10 +125,7 @@ impl FromIterator<Value> for Column {
     /// construction, build with [`Column::empty`] + [`Column::push`].
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Column {
         let values: Vec<Value> = iter.into_iter().collect();
-        let dtype = values
-            .iter()
-            .find_map(Value::dtype)
-            .unwrap_or(DType::Str);
+        let dtype = values.iter().find_map(Value::dtype).unwrap_or(DType::Str);
         let mut col = Column::empty(dtype);
         for v in values {
             col.push(v).expect("consistent types in FromIterator");

@@ -57,7 +57,10 @@ impl fmt::Display for FrameError {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }
             FrameError::RowLengthMismatch { expected, actual } => {
-                write!(f, "row has {actual} fields but the frame has {expected} columns")
+                write!(
+                    f,
+                    "row has {actual} fields but the frame has {expected} columns"
+                )
             }
             FrameError::RowOutOfBounds { index, len } => {
                 write!(f, "row index {index} out of bounds for {len} rows")

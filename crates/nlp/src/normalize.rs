@@ -2,10 +2,10 @@
 
 /// English stop words that carry no signal in disengagement logs.
 const STOP_WORDS: &[&str] = &[
-    "a", "an", "the", "and", "or", "of", "to", "in", "on", "at", "for", "as", "is", "was",
-    "were", "be", "been", "by", "with", "from", "that", "this", "it", "its", "had", "has",
-    "have", "did", "do", "does", "not", "no", "so", "then", "than", "but", "into", "onto",
-    "out", "up", "down", "over", "under", "result", "resumed", "safely",
+    "a", "an", "the", "and", "or", "of", "to", "in", "on", "at", "for", "as", "is", "was", "were",
+    "be", "been", "by", "with", "from", "that", "this", "it", "its", "had", "has", "have", "did",
+    "do", "does", "not", "no", "so", "then", "than", "but", "into", "onto", "out", "up", "down",
+    "over", "under", "result", "resumed", "safely",
 ];
 
 /// Whether a token is a stop word.
@@ -75,10 +75,7 @@ pub(crate) fn stem_slice(token: &str) -> &str {
 
 /// Full normalization: stop-word removal then stemming.
 pub fn normalize(tokens: &[String]) -> Vec<String> {
-    remove_stop_words(tokens)
-        .iter()
-        .map(|t| stem(t))
-        .collect()
+    remove_stop_words(tokens).iter().map(|t| stem(t)).collect()
 }
 
 #[cfg(test)]

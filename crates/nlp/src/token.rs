@@ -51,7 +51,10 @@ mod tests {
 
     #[test]
     fn numbers_kept() {
-        assert_eq!(tokenize("error 42 at 1:25pm"), vec!["error", "42", "at", "1", "25pm"]);
+        assert_eq!(
+            tokenize("error 42 at 1:25pm"),
+            vec!["error", "42", "at", "1", "25pm"]
+        );
     }
 
     #[test]

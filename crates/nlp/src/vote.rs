@@ -497,9 +497,12 @@ mod tests {
         let (assignment, votes) = cl.classify_detailed(
             "perception missed the pedestrian; planner was fine, recognition failure confirmed",
         );
-        assert_eq!(assignment, cl.classify(
-            "perception missed the pedestrian; planner was fine, recognition failure confirmed",
-        ));
+        assert_eq!(
+            assignment,
+            cl.classify(
+                "perception missed the pedestrian; planner was fine, recognition failure confirmed",
+            )
+        );
         assert!(!votes.is_empty());
         let winner = votes
             .iter()

@@ -71,10 +71,7 @@ pub fn learn_dictionary(
         per_tag.entry(*tag).or_default().push(text.as_str());
     }
     let tags: Vec<FaultTag> = per_tag.keys().copied().collect();
-    let class_docs: Vec<String> = tags
-        .iter()
-        .map(|t| per_tag[t].join(" "))
-        .collect();
+    let class_docs: Vec<String> = tags.iter().map(|t| per_tag[t].join(" ")).collect();
     let model = TfIdf::fit(class_docs.iter().map(String::as_str));
 
     // Cross-class document frequency of terms and bigrams, to drop

@@ -465,10 +465,8 @@ impl Collector {
     /// makes canonical `flight.json` dumps and lineage JSONL
     /// byte-identical at any `--jobs`.
     pub fn absorb(&self, shard: Collector) {
-        self.overhead_ns.fetch_add(
-            shard.overhead_ns.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+        self.overhead_ns
+            .fetch_add(shard.overhead_ns.load(Ordering::Relaxed), Ordering::Relaxed);
         let shard = shard.inner.into_inner().unwrap_or_else(|e| e.into_inner());
         let thread = std::thread::current().id();
         self.recording(|inner| {
@@ -520,7 +518,11 @@ impl Collector {
                     fields: s.fields.clone(),
                 })
                 .collect(),
-            counters: inner.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            counters: inner
+                .counters
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
             gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             histograms: inner
                 .histograms
@@ -747,9 +749,7 @@ mod tests {
         assert!(outer.duration_s >= inner.duration_s);
         assert!(inner.start_s >= outer.start_s);
         assert!(inner.duration_s > 0.0);
-        assert!(
-            inner.start_s + inner.duration_s <= outer.start_s + outer.duration_s + 1e-9
-        );
+        assert!(inner.start_s + inner.duration_s <= outer.start_s + outer.duration_s + 1e-9);
     }
 
     #[test]

@@ -211,8 +211,8 @@ fn render_span(span: &SpanNode, depth: usize, out: &mut String) {
 
 #[cfg(test)]
 mod tests {
-    use crate::Collector;
     use crate::json::Value;
+    use crate::Collector;
 
     fn sample_report() -> crate::TelemetryReport {
         let c = Collector::new();

@@ -466,8 +466,7 @@ fn parse_event(value: &Value, index: usize) -> Result<FlightEvent, String> {
             delta: num_field(value, "delta").map_err(fail)? as u64,
         },
         "log" => FlightKind::Log {
-            level: parse_level(&str_field(value, "level").map_err(fail)?)
-                .map_err(fail)?,
+            level: parse_level(&str_field(value, "level").map_err(fail)?).map_err(fail)?,
             message: str_field(value, "message").map_err(fail)?,
         },
         "event" => FlightKind::Event {
@@ -593,10 +592,7 @@ pub fn render_postmortem(dump: &FlightDump, last_n: usize) -> String {
         ));
     }
     let start = dump.events.len().saturating_sub(last_n);
-    out.push_str(&format!(
-        "last {} events:\n",
-        dump.events.len() - start
-    ));
+    out.push_str(&format!("last {} events:\n", dump.events.len() - start));
     for event in &dump.events[start..] {
         out.push_str(&format!(
             "  [{:9.3}s] {}\n",
@@ -786,11 +782,10 @@ mod tests {
         tasks.dropped = 3;
         let text = render_dump(&obs, Some(&tasks), "end-of-run", &[], false);
         let dump = validate_dump(&text).expect("validates");
-        assert!(dump
-            .events
-            .iter()
-            .any(|e| matches!(&e.kind, FlightKind::Task { label, worker: 2, chunk: 5, items: 16 }
-                if label == "digitize")));
+        assert!(dump.events.iter().any(
+            |e| matches!(&e.kind, FlightKind::Task { label, worker: 2, chunk: 5, items: 16 }
+                if label == "digitize")
+        ));
         assert_eq!(dump.dropped, 3, "task drops add to the ring's");
     }
 

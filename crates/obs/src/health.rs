@@ -276,17 +276,15 @@ pub fn parse_rules(text: &str) -> Result<Vec<HealthRule>, String> {
                 parts.len()
             )));
         }
-        let op = Op::parse(parts[2])
-            .ok_or_else(|| fail(format!("unknown operator `{}`", parts[2])))?;
+        let op =
+            Op::parse(parts[2]).ok_or_else(|| fail(format!("unknown operator `{}`", parts[2])))?;
         let threshold: f64 = parts[3]
             .parse()
             .map_err(|_| fail(format!("bad threshold `{}`", parts[3])))?;
         let severity = match parts.get(4) {
             None | Some(&"fail") => Severity::Fail,
             Some(&"warn") => Severity::Warn,
-            Some(other) => {
-                return Err(fail(format!("unknown severity `{other}` (warn|fail)")))
-            }
+            Some(other) => return Err(fail(format!("unknown severity `{other}` (warn|fail)"))),
         };
         rules.push(HealthRule {
             name: parts[0].to_owned(),
@@ -552,15 +550,17 @@ mod tests {
 
     #[test]
     fn nested_ratio_and_hist_selectors_parse() {
-        let expr =
-            Expr::parse("ratio(sum(nlp.tag.),ratio(counter(a),counter(b)))").unwrap();
+        let expr = Expr::parse("ratio(sum(nlp.tag.),ratio(counter(a),counter(b)))").unwrap();
         assert_eq!(
             expr.to_string(),
             "ratio(sum(nlp.tag.),ratio(counter(a),counter(b)))"
         );
         // Histogram names may contain the profiler's `;` separator.
         let expr = Expr::parse("p99(profile.wall;stage_tag)").unwrap();
-        assert_eq!(expr, Expr::Hist(HistStat::P99, "profile.wall;stage_tag".into()));
+        assert_eq!(
+            expr,
+            Expr::Hist(HistStat::P99, "profile.wall;stage_tag".into())
+        );
         let mut r = TelemetryReport::default();
         assert!(expr.eval(&r).is_err()); // absent histogram → skip
         let mut h = crate::hist::Histogram::new();
@@ -572,7 +572,9 @@ mod tests {
 
     #[test]
     fn parse_errors_name_the_line() {
-        assert!(parse_rules("x counter(a) <").unwrap_err().contains("line 1"));
+        assert!(parse_rules("x counter(a) <")
+            .unwrap_err()
+            .contains("line 1"));
         assert!(parse_rules("\nx mystery(a) < 1")
             .unwrap_err()
             .contains("line 2"));

@@ -206,8 +206,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !p.is_null() {
             ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            let live =
-                ALLOC_LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed) + layout.size() as i64;
+            let live = ALLOC_LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed)
+                + layout.size() as i64;
             raise_peak_live(live);
         }
         p
@@ -453,8 +453,18 @@ impl ProfileReport {
             out.push_str("stages:\n");
             let total: f64 = self.stages.iter().map(|s| s.wall_s).sum();
             for s in &self.stages {
-                let pct = if total > 0.0 { 100.0 * s.wall_s / total } else { 0.0 };
-                let _ = writeln!(out, "  {:<28} {:>10.3} ms {:>6.1}%", s.name, s.wall_s * 1e3, pct);
+                let pct = if total > 0.0 {
+                    100.0 * s.wall_s / total
+                } else {
+                    0.0
+                };
+                let _ = writeln!(
+                    out,
+                    "  {:<28} {:>10.3} ms {:>6.1}%",
+                    s.name,
+                    s.wall_s * 1e3,
+                    pct
+                );
             }
         }
         if !self.phases.is_empty() {
@@ -467,7 +477,11 @@ impl ProfileReport {
             for r in &self.phases {
                 let indent = "  ".repeat(r.depth());
                 let label = format!("{indent}{}", r.leaf());
-                let self_pct = if r.total_s > 0.0 { 100.0 * r.self_s / r.total_s } else { 100.0 };
+                let self_pct = if r.total_s > 0.0 {
+                    100.0 * r.self_s / r.total_s
+                } else {
+                    100.0
+                };
                 let _ = writeln!(
                     out,
                     "  {:<34} {:>8} {:>12.3} {:>12.3} {:>5.1}% {:>10.4} {:>10.4} {:>10.4}",
@@ -498,7 +512,11 @@ impl ProfileReport {
             );
             for w in &self.pool {
                 let span = w.busy_s + w.idle_s;
-                let pct = if span > 0.0 { 100.0 * w.busy_s / span } else { 0.0 };
+                let pct = if span > 0.0 {
+                    100.0 * w.busy_s / span
+                } else {
+                    0.0
+                };
                 let _ = writeln!(
                     out,
                     "  {:<8} {:>10.3} {:>10.3} {:>6.1}% {:>8} {:>8} {:>8}",
@@ -711,7 +729,10 @@ mod tests {
             record_phase(&obs, "attempt_1", Duration::from_millis(50));
         }
         let r = obs.report();
-        assert_eq!(r.histogram("profile.wall;repair;attempt_1").unwrap().count, 1);
+        assert_eq!(
+            r.histogram("profile.wall;repair;attempt_1").unwrap().count,
+            1
+        );
         // The 50 ms were credited to the parent's children, so the
         // parent's self time is (near) zero, not 50 ms.
         assert!(r.histogram("profile.self;repair").unwrap().sum < 0.040);
@@ -721,9 +742,15 @@ mod tests {
     fn record_phase_at_ignores_stack() {
         let obs = Collector::new();
         let _open = phase(&obs, "open");
-        record_phase_at(&obs, &["stage", "corpus", "cache_lookup"], Duration::from_millis(1));
+        record_phase_at(
+            &obs,
+            &["stage", "corpus", "cache_lookup"],
+            Duration::from_millis(1),
+        );
         let r = obs.report();
-        assert!(r.histogram("profile.wall;stage;corpus;cache_lookup").is_some());
+        assert!(r
+            .histogram("profile.wall;stage;corpus;cache_lookup")
+            .is_some());
     }
 
     #[test]

@@ -144,7 +144,10 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             let mut it = rest.split_whitespace();
             let name = it.next().ok_or_else(|| fail("TYPE needs a name".into()))?;
             let kind = it.next().ok_or_else(|| fail("TYPE needs a kind".into()))?;
-            if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+            if !matches!(
+                kind,
+                "counter" | "gauge" | "histogram" | "summary" | "untyped"
+            ) {
                 return Err(fail(format!("unknown TYPE kind `{kind}`")));
             }
             if !valid_name(name) {
@@ -188,8 +191,7 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
         }
         let is_histogram = types.get(family).map(String::as_str) == Some("histogram");
         if is_histogram && name.ends_with("_bucket") {
-            let labels =
-                labels.ok_or_else(|| fail("histogram bucket needs le label".into()))?;
+            let labels = labels.ok_or_else(|| fail("histogram bucket needs le label".into()))?;
             let le = parse_le(labels).map_err(fail)?;
             let cumulative = value as u64;
             let entry = buckets
@@ -260,7 +262,10 @@ mod tests {
 
     #[test]
     fn escaping_follows_the_documented_table() {
-        assert_eq!(metric_name("parse.dis.parsed"), "disengage_parse_dis_parsed");
+        assert_eq!(
+            metric_name("parse.dis.parsed"),
+            "disengage_parse_dis_parsed"
+        );
         assert_eq!(
             metric_name("profile.wall;stage_tag"),
             "disengage_profile_wall:stage_tag"
@@ -302,16 +307,12 @@ mod tests {
     fn validator_rejects_malformed_expositions() {
         assert!(validate_prometheus("disengage_x 1").is_err()); // no TYPE
         assert!(validate_prometheus("# TYPE 9bad counter\n9bad_total 1").is_err());
-        assert!(
-            validate_prometheus("# TYPE disengage_x counter\ndisengage_x_total many")
-                .is_err()
-        );
+        assert!(validate_prometheus("# TYPE disengage_x counter\ndisengage_x_total many").is_err());
         let non_monotone = "# TYPE h histogram\n\
             h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\n\
             h_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n";
         assert!(validate_prometheus(non_monotone).is_err());
-        let missing_inf =
-            "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n";
+        let missing_inf = "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n";
         assert!(validate_prometheus(missing_inf).is_err());
         let inf_mismatch = "# TYPE h histogram\n\
             h_bucket{le=\"1\"} 4\nh_bucket{le=\"+Inf\"} 4\nh_sum 1\nh_count 5\n";

@@ -68,7 +68,11 @@ impl RecordId {
 
 impl fmt::Display for RecordId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}/{}/{}", self.manufacturer, self.year, self.car, self.seq)
+        write!(
+            f,
+            "{}/{}/{}/{}",
+            self.manufacturer, self.year, self.car, self.seq
+        )
     }
 }
 
@@ -218,9 +222,7 @@ impl ProvenanceEvent {
     pub fn stage(&self) -> &str {
         match self {
             ProvenanceEvent::OcrRepair { .. } => "stage_i_ocr",
-            ProvenanceEvent::FaultInjected { .. } | ProvenanceEvent::FaultOutcome { .. } => {
-                "chaos"
-            }
+            ProvenanceEvent::FaultInjected { .. } | ProvenanceEvent::FaultOutcome { .. } => "chaos",
             ProvenanceEvent::Normalized { .. } => "stage_ii_parse",
             ProvenanceEvent::Quarantined { stage, .. } => stage,
             ProvenanceEvent::DictVote { .. } | ProvenanceEvent::Tagged { .. } => "stage_iii_tag",
@@ -256,7 +258,10 @@ impl ProvenanceEvent {
                 category,
                 score,
                 keywords,
-            } => format!("vote {tag} ({category}) score {score}: {}", keywords.join(", ")),
+            } => format!(
+                "vote {tag} ({category}) score {score}: {}",
+                keywords.join(", ")
+            ),
             ProvenanceEvent::Tagged {
                 tag,
                 category,
@@ -359,7 +364,10 @@ impl ProvenanceEntry {
     pub fn to_value(&self) -> Value {
         let mut obj = vec![
             ("subject".to_owned(), Value::Str(self.subject.to_string())),
-            ("stage".to_owned(), Value::Str(self.event.stage().to_owned())),
+            (
+                "stage".to_owned(),
+                Value::Str(self.event.stage().to_owned()),
+            ),
             ("event".to_owned(), Value::Str(self.event.kind().to_owned())),
         ];
         self.event.push_fields(&mut obj);

@@ -269,7 +269,8 @@ mod tests {
         let mut r = TelemetryReport::default();
         r.counters.insert("profile.anything".to_owned(), 1);
         r.counters.insert("ocr.documents".to_owned(), 4);
-        r.gauges.insert("profile.mem.peak_rss_bytes".to_owned(), 1e6);
+        r.gauges
+            .insert("profile.mem.peak_rss_bytes".to_owned(), 1e6);
         r.gauges.insert("obs.overhead.frac".to_owned(), 0.003);
         r.gauges.insert("ocr.mean_cer".to_owned(), 0.01);
         let mut h = Histogram::new();

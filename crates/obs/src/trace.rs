@@ -152,7 +152,9 @@ mod tests {
             panic!("array")
         };
         for event in &events {
-            let Value::Obj(fields) = event else { panic!("object") };
+            let Value::Obj(fields) = event else {
+                panic!("object")
+            };
             let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
             assert_eq!(keys, ["name", "ph", "ts", "dur", "pid", "tid"]);
         }
@@ -167,7 +169,9 @@ mod tests {
         let tid_ts: Vec<(f64, f64)> = events
             .iter()
             .map(|e| {
-                let Value::Obj(fields) = e else { panic!("object") };
+                let Value::Obj(fields) = e else {
+                    panic!("object")
+                };
                 let num = |key: &str| match fields.iter().find(|(k, _)| k == key) {
                     Some((_, Value::Num(n))) => *n,
                     _ => panic!("missing {key}"),

@@ -226,10 +226,7 @@ impl Corrector {
     /// (`Some`); ambiguity or no candidate leaves the word alone
     /// (`None` — a wrong repair is worse than a missing one).
     fn correct_core_within(&self, core: &str, distance: usize) -> Option<&str> {
-        if core.is_empty()
-            || self.knows(core)
-            || !core.chars().any(|c| c.is_ascii_alphabetic())
-        {
+        if core.is_empty() || self.knows(core) || !core.chars().any(|c| c.is_ascii_alphabetic()) {
             return None;
         }
         // Beyond distance 1, digit-bearing cores are off limits: an OCR
@@ -268,7 +265,9 @@ impl Corrector {
             .unwrap_or(word.len());
         let end = word
             .rfind(|c: char| c.is_ascii_alphanumeric())
-            .map_or(start, |i| i + word[i..].chars().next().map_or(1, char::len_utf8));
+            .map_or(start, |i| {
+                i + word[i..].chars().next().map_or(1, char::len_utf8)
+            });
         let (prefix, rest) = word.split_at(start);
         let (core, suffix) = rest.split_at(end.saturating_sub(start));
         let fixed = self.correct_core_within(core, distance)?;

@@ -150,7 +150,11 @@ impl OcrEngine {
                 row
             })
             .collect();
-        OcrEngine { glyphs, caps, config }
+        OcrEngine {
+            glyphs,
+            caps,
+            config,
+        }
     }
 
     /// Recognizes text row `row` of `page` into `scratch.line` /

@@ -22,11 +22,7 @@ pub struct Glyph {
 impl Glyph {
     /// Number of inked pixels.
     pub fn ink(&self) -> usize {
-        self.pixels
-            .iter()
-            .flatten()
-            .filter(|&&p| p)
-            .count()
+        self.pixels.iter().flatten().filter(|&&p| p).count()
     }
 
     /// The glyph bit-packed into a single `u64`: bit `r·GLYPH_W + c`
@@ -70,78 +66,198 @@ fn small_caps(ch: char, upper: &Glyph) -> Glyph {
 
 fn uppercase_rows(ch: char) -> Option<[&'static str; GLYPH_H]> {
     Some(match ch {
-        'A' => [" ### ", "#   #", "#   #", "#####", "#   #", "#   #", "#   #"],
-        'B' => ["#### ", "#   #", "#   #", "#### ", "#   #", "#   #", "#### "],
-        'C' => [" ### ", "#   #", "#    ", "#    ", "#    ", "#   #", " ### "],
-        'D' => ["#### ", "#   #", "#   #", "#   #", "#   #", "#   #", "#### "],
-        'E' => ["#####", "#    ", "#    ", "#### ", "#    ", "#    ", "#####"],
-        'F' => ["#####", "#    ", "#    ", "#### ", "#    ", "#    ", "#    "],
-        'G' => [" ### ", "#   #", "#    ", "# ###", "#   #", "#   #", " ### "],
-        'H' => ["#   #", "#   #", "#   #", "#####", "#   #", "#   #", "#   #"],
-        'I' => [" ### ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", " ### "],
-        'J' => ["  ###", "   # ", "   # ", "   # ", "   # ", "#  # ", " ##  "],
-        'K' => ["#   #", "#  # ", "# #  ", "##   ", "# #  ", "#  # ", "#   #"],
-        'L' => ["#    ", "#    ", "#    ", "#    ", "#    ", "#    ", "#####"],
-        'M' => ["#   #", "## ##", "# # #", "# # #", "#   #", "#   #", "#   #"],
-        'N' => ["#   #", "##  #", "# # #", "#  ##", "#   #", "#   #", "#   #"],
-        'O' => [" ### ", "#   #", "#   #", "#   #", "#   #", "#   #", " ### "],
-        'P' => ["#### ", "#   #", "#   #", "#### ", "#    ", "#    ", "#    "],
-        'Q' => [" ### ", "#   #", "#   #", "#   #", "# # #", "#  # ", " ## #"],
-        'R' => ["#### ", "#   #", "#   #", "#### ", "# #  ", "#  # ", "#   #"],
-        'S' => [" ####", "#    ", "#    ", " ### ", "    #", "    #", "#### "],
-        'T' => ["#####", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  "],
-        'U' => ["#   #", "#   #", "#   #", "#   #", "#   #", "#   #", " ### "],
-        'V' => ["#   #", "#   #", "#   #", "#   #", "#   #", " # # ", "  #  "],
-        'W' => ["#   #", "#   #", "#   #", "# # #", "# # #", "## ##", "#   #"],
-        'X' => ["#   #", "#   #", " # # ", "  #  ", " # # ", "#   #", "#   #"],
-        'Y' => ["#   #", "#   #", " # # ", "  #  ", "  #  ", "  #  ", "  #  "],
-        'Z' => ["#####", "    #", "   # ", "  #  ", " #   ", "#    ", "#####"],
+        'A' => [
+            " ### ", "#   #", "#   #", "#####", "#   #", "#   #", "#   #",
+        ],
+        'B' => [
+            "#### ", "#   #", "#   #", "#### ", "#   #", "#   #", "#### ",
+        ],
+        'C' => [
+            " ### ", "#   #", "#    ", "#    ", "#    ", "#   #", " ### ",
+        ],
+        'D' => [
+            "#### ", "#   #", "#   #", "#   #", "#   #", "#   #", "#### ",
+        ],
+        'E' => [
+            "#####", "#    ", "#    ", "#### ", "#    ", "#    ", "#####",
+        ],
+        'F' => [
+            "#####", "#    ", "#    ", "#### ", "#    ", "#    ", "#    ",
+        ],
+        'G' => [
+            " ### ", "#   #", "#    ", "# ###", "#   #", "#   #", " ### ",
+        ],
+        'H' => [
+            "#   #", "#   #", "#   #", "#####", "#   #", "#   #", "#   #",
+        ],
+        'I' => [
+            " ### ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", " ### ",
+        ],
+        'J' => [
+            "  ###", "   # ", "   # ", "   # ", "   # ", "#  # ", " ##  ",
+        ],
+        'K' => [
+            "#   #", "#  # ", "# #  ", "##   ", "# #  ", "#  # ", "#   #",
+        ],
+        'L' => [
+            "#    ", "#    ", "#    ", "#    ", "#    ", "#    ", "#####",
+        ],
+        'M' => [
+            "#   #", "## ##", "# # #", "# # #", "#   #", "#   #", "#   #",
+        ],
+        'N' => [
+            "#   #", "##  #", "# # #", "#  ##", "#   #", "#   #", "#   #",
+        ],
+        'O' => [
+            " ### ", "#   #", "#   #", "#   #", "#   #", "#   #", " ### ",
+        ],
+        'P' => [
+            "#### ", "#   #", "#   #", "#### ", "#    ", "#    ", "#    ",
+        ],
+        'Q' => [
+            " ### ", "#   #", "#   #", "#   #", "# # #", "#  # ", " ## #",
+        ],
+        'R' => [
+            "#### ", "#   #", "#   #", "#### ", "# #  ", "#  # ", "#   #",
+        ],
+        'S' => [
+            " ####", "#    ", "#    ", " ### ", "    #", "    #", "#### ",
+        ],
+        'T' => [
+            "#####", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ",
+        ],
+        'U' => [
+            "#   #", "#   #", "#   #", "#   #", "#   #", "#   #", " ### ",
+        ],
+        'V' => [
+            "#   #", "#   #", "#   #", "#   #", "#   #", " # # ", "  #  ",
+        ],
+        'W' => [
+            "#   #", "#   #", "#   #", "# # #", "# # #", "## ##", "#   #",
+        ],
+        'X' => [
+            "#   #", "#   #", " # # ", "  #  ", " # # ", "#   #", "#   #",
+        ],
+        'Y' => [
+            "#   #", "#   #", " # # ", "  #  ", "  #  ", "  #  ", "  #  ",
+        ],
+        'Z' => [
+            "#####", "    #", "   # ", "  #  ", " #   ", "#    ", "#####",
+        ],
         _ => return None,
     })
 }
 
 fn digit_rows(ch: char) -> Option<[&'static str; GLYPH_H]> {
     Some(match ch {
-        '0' => [" ### ", "#   #", "#  ##", "# # #", "##  #", "#   #", " ### "],
-        '1' => ["  #  ", " ##  ", "  #  ", "  #  ", "  #  ", "  #  ", " ### "],
-        '2' => [" ### ", "#   #", "    #", "   # ", "  #  ", " #   ", "#####"],
-        '3' => [" ### ", "#   #", "    #", "  ## ", "    #", "#   #", " ### "],
-        '4' => ["   # ", "  ## ", " # # ", "#  # ", "#####", "   # ", "   # "],
-        '5' => ["#####", "#    ", "#### ", "    #", "    #", "#   #", " ### "],
-        '6' => ["  ## ", " #   ", "#    ", "#### ", "#   #", "#   #", " ### "],
-        '7' => ["#####", "    #", "   # ", "  #  ", " #   ", " #   ", " #   "],
-        '8' => [" ### ", "#   #", "#   #", " ### ", "#   #", "#   #", " ### "],
-        '9' => [" ### ", "#   #", "#   #", " ####", "    #", "   # ", " ##  "],
+        '0' => [
+            " ### ", "#   #", "#  ##", "# # #", "##  #", "#   #", " ### ",
+        ],
+        '1' => [
+            "  #  ", " ##  ", "  #  ", "  #  ", "  #  ", "  #  ", " ### ",
+        ],
+        '2' => [
+            " ### ", "#   #", "    #", "   # ", "  #  ", " #   ", "#####",
+        ],
+        '3' => [
+            " ### ", "#   #", "    #", "  ## ", "    #", "#   #", " ### ",
+        ],
+        '4' => [
+            "   # ", "  ## ", " # # ", "#  # ", "#####", "   # ", "   # ",
+        ],
+        '5' => [
+            "#####", "#    ", "#### ", "    #", "    #", "#   #", " ### ",
+        ],
+        '6' => [
+            "  ## ", " #   ", "#    ", "#### ", "#   #", "#   #", " ### ",
+        ],
+        '7' => [
+            "#####", "    #", "   # ", "  #  ", " #   ", " #   ", " #   ",
+        ],
+        '8' => [
+            " ### ", "#   #", "#   #", " ### ", "#   #", "#   #", " ### ",
+        ],
+        '9' => [
+            " ### ", "#   #", "#   #", " ####", "    #", "   # ", " ##  ",
+        ],
         _ => return None,
     })
 }
 
 fn punct_rows(ch: char) -> Option<[&'static str; GLYPH_H]> {
     Some(match ch {
-        '.' => ["     ", "     ", "     ", "     ", "     ", " ##  ", " ##  "],
-        ',' => ["     ", "     ", "     ", "     ", " ##  ", "  #  ", " #   "],
-        '/' => ["    #", "    #", "   # ", "  #  ", " #   ", "#    ", "#    "],
-        '-' => ["     ", "     ", "     ", " ### ", "     ", "     ", "     "],
-        '—' => ["     ", "     ", "     ", "#####", "     ", "     ", "     "],
-        ':' => ["     ", " ##  ", " ##  ", "     ", " ##  ", " ##  ", "     "],
-        ';' => ["     ", " ##  ", " ##  ", "     ", " ##  ", "  #  ", " #   "],
-        '#' => [" # # ", " # # ", "#####", " # # ", "#####", " # # ", " # # "],
-        '(' => ["   # ", "  #  ", " #   ", " #   ", " #   ", "  #  ", "   # "],
-        ')' => [" #   ", "  #  ", "   # ", "   # ", "   # ", "  #  ", " #   "],
-        '[' => [" ### ", " #   ", " #   ", " #   ", " #   ", " #   ", " ### "],
-        ']' => [" ### ", "   # ", "   # ", "   # ", "   # ", "   # ", " ### "],
-        '|' => ["  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  "],
-        '"' => [" # # ", " # # ", " # # ", "     ", "     ", "     ", "     "],
-        '\'' => ["  #  ", "  #  ", "  #  ", "     ", "     ", "     ", "     "],
-        '?' => [" ### ", "#   #", "    #", "   # ", "  #  ", "     ", "  #  "],
-        '!' => ["  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "     ", "  #  "],
-        '&' => [" ##  ", "#  # ", "#  # ", " ##  ", "# # #", "#  # ", " ## #"],
-        '=' => ["     ", "     ", "#####", "     ", "#####", "     ", "     "],
-        '%' => ["##  #", "##  #", "   # ", "  #  ", " #   ", "#  ##", "#  ##"],
-        '+' => ["     ", "  #  ", "  #  ", "#####", "  #  ", "  #  ", "     "],
-        '@' => [" ### ", "#   #", "# ###", "# # #", "# ###", "#    ", " ### "],
-        '*' => ["     ", "# # #", " ### ", "#####", " ### ", "# # #", "     "],
-        '_' => ["     ", "     ", "     ", "     ", "     ", "     ", "#####"],
+        '.' => [
+            "     ", "     ", "     ", "     ", "     ", " ##  ", " ##  ",
+        ],
+        ',' => [
+            "     ", "     ", "     ", "     ", " ##  ", "  #  ", " #   ",
+        ],
+        '/' => [
+            "    #", "    #", "   # ", "  #  ", " #   ", "#    ", "#    ",
+        ],
+        '-' => [
+            "     ", "     ", "     ", " ### ", "     ", "     ", "     ",
+        ],
+        '—' => [
+            "     ", "     ", "     ", "#####", "     ", "     ", "     ",
+        ],
+        ':' => [
+            "     ", " ##  ", " ##  ", "     ", " ##  ", " ##  ", "     ",
+        ],
+        ';' => [
+            "     ", " ##  ", " ##  ", "     ", " ##  ", "  #  ", " #   ",
+        ],
+        '#' => [
+            " # # ", " # # ", "#####", " # # ", "#####", " # # ", " # # ",
+        ],
+        '(' => [
+            "   # ", "  #  ", " #   ", " #   ", " #   ", "  #  ", "   # ",
+        ],
+        ')' => [
+            " #   ", "  #  ", "   # ", "   # ", "   # ", "  #  ", " #   ",
+        ],
+        '[' => [
+            " ### ", " #   ", " #   ", " #   ", " #   ", " #   ", " ### ",
+        ],
+        ']' => [
+            " ### ", "   # ", "   # ", "   # ", "   # ", "   # ", " ### ",
+        ],
+        '|' => [
+            "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "  #  ",
+        ],
+        '"' => [
+            " # # ", " # # ", " # # ", "     ", "     ", "     ", "     ",
+        ],
+        '\'' => [
+            "  #  ", "  #  ", "  #  ", "     ", "     ", "     ", "     ",
+        ],
+        '?' => [
+            " ### ", "#   #", "    #", "   # ", "  #  ", "     ", "  #  ",
+        ],
+        '!' => [
+            "  #  ", "  #  ", "  #  ", "  #  ", "  #  ", "     ", "  #  ",
+        ],
+        '&' => [
+            " ##  ", "#  # ", "#  # ", " ##  ", "# # #", "#  # ", " ## #",
+        ],
+        '=' => [
+            "     ", "     ", "#####", "     ", "#####", "     ", "     ",
+        ],
+        '%' => [
+            "##  #", "##  #", "   # ", "  #  ", " #   ", "#  ##", "#  ##",
+        ],
+        '+' => [
+            "     ", "  #  ", "  #  ", "#####", "  #  ", "  #  ", "     ",
+        ],
+        '@' => [
+            " ### ", "#   #", "# ###", "# # #", "# ###", "#    ", " ### ",
+        ],
+        '*' => [
+            "     ", "# # #", " ### ", "#####", " ### ", "# # #", "     ",
+        ],
+        '_' => [
+            "     ", "     ", "     ", "     ", "     ", "     ", "#####",
+        ],
         _ => return None,
     })
 }

@@ -73,7 +73,11 @@ impl NoiseModel {
                 && (0.0..=1.0).contains(&smear),
             "noise probabilities must be in [0, 1]"
         );
-        NoiseModel { salt, erosion, smear }
+        NoiseModel {
+            salt,
+            erosion,
+            smear,
+        }
     }
 }
 

@@ -79,7 +79,11 @@ fn chunk_len(n: usize) -> usize {
 
 /// Runs one item under [`catch_unwind`], quarantining a panic into the
 /// item's own result.
-fn run_one<T, R>(index: usize, item: &T, f: &(impl Fn(usize, &T) -> R + Sync)) -> Result<R, TaskPanic> {
+fn run_one<T, R>(
+    index: usize,
+    item: &T,
+    f: &(impl Fn(usize, &T) -> R + Sync),
+) -> Result<R, TaskPanic> {
     catch_unwind(AssertUnwindSafe(|| f(index, item))).map_err(|payload| TaskPanic {
         index,
         message: panic_text(payload.as_ref()),
@@ -209,9 +213,8 @@ where
                     let stamp = timeline.stamp();
                     let start = c * chunk;
                     let end = (start + chunk).min(n);
-                    let out: Vec<Result<R, TaskPanic>> = (start..end)
-                        .map(|i| run_one(i, &items[i], f))
-                        .collect();
+                    let out: Vec<Result<R, TaskPanic>> =
+                        (start..end).map(|i| run_one(i, &items[i], f)).collect();
                     timeline.record(label, w, c, start, end - start, stamp, call);
                     if let Ok(mut slot) = slots[c].lock() {
                         *slot = Some(out);

@@ -404,13 +404,22 @@ mod tests {
         assert_eq!(tasks.len(), 1);
         let task = &tasks[0];
         assert_eq!(
-            (task.worker, task.chunk, task.first_index, task.len, task.call),
+            (
+                task.worker,
+                task.chunk,
+                task.first_index,
+                task.len,
+                task.call
+            ),
             (2, 5, 1280, 256, 0)
         );
         assert!(task.start_s >= 0.0 && task.end_s >= task.start_s);
         let calls = t.calls();
         assert_eq!(calls.len(), 1);
-        assert_eq!((calls[0].jobs, calls[0].chunks, calls[0].items), (4, 6, 1536));
+        assert_eq!(
+            (calls[0].jobs, calls[0].chunks, calls[0].items),
+            (4, 6, 1536)
+        );
         assert!(calls[0].end_s >= calls[0].start_s);
     }
 

@@ -214,7 +214,10 @@ mod tests {
 
     #[test]
     fn parse_slash_formats() {
-        assert_eq!(Date::parse("1/4/16").unwrap(), Date::new(2016, 1, 4).unwrap());
+        assert_eq!(
+            Date::parse("1/4/16").unwrap(),
+            Date::new(2016, 1, 4).unwrap()
+        );
         assert_eq!(
             Date::parse("11/12/14").unwrap(),
             Date::new(2014, 11, 12).unwrap()

@@ -37,10 +37,7 @@ impl fmt::Display for ReportError {
                 manufacturer,
                 line,
                 message,
-            } => write!(
-                f,
-                "malformed {manufacturer} report line {line}: {message}"
-            ),
+            } => write!(f, "malformed {manufacturer} report line {line}: {message}"),
             ReportError::UnknownManufacturer(s) => write!(f, "unknown manufacturer `{s}`"),
             ReportError::InvalidField { field, value } => {
                 write!(f, "invalid value `{value}` for field `{field}`")

@@ -101,9 +101,11 @@ pub fn parse_accident_form(text: &str) -> Result<AccidentRecord> {
                 car = Some(if value == "[REDACTED]" {
                     CarId::Redacted
                 } else if let Some(idx) = value.strip_prefix("fleet vehicle ") {
-                    CarId::Known(idx.trim().parse().map_err(|_| {
-                        malformed(line_no, "bad fleet vehicle index")
-                    })?)
+                    CarId::Known(
+                        idx.trim()
+                            .parse()
+                            .map_err(|_| malformed(line_no, "bad fleet vehicle index"))?,
+                    )
                 } else {
                     return Err(malformed(line_no, "unrecognized vehicle field"));
                 });
@@ -239,7 +241,10 @@ mod tests {
     #[test]
     fn bad_values_rejected() {
         let form = rendered(&record());
-        let bad = form.replace("Autonomous Mode at Impact: no", "Autonomous Mode at Impact: maybe");
+        let bad = form.replace(
+            "Autonomous Mode at Impact: no",
+            "Autonomous Mode at Impact: maybe",
+        );
         assert!(parse_accident_form(&bad).is_err());
         let bad = form.replace("Collision Type: side-swipe", "Collision Type: meteor");
         assert!(parse_accident_form(&bad).is_err());

@@ -30,10 +30,7 @@ pub fn render_mileage_table(rows: &[MonthlyMileage], out: &mut String) {
 ///
 /// Returns [`ReportError::MalformedLine`] for rows that do not match,
 /// and [`ReportError::InvalidField`] for negative mileage.
-pub fn parse_mileage_table(
-    manufacturer: Manufacturer,
-    text: &str,
-) -> Result<Vec<MonthlyMileage>> {
+pub fn parse_mileage_table(manufacturer: Manufacturer, text: &str) -> Result<Vec<MonthlyMileage>> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -138,8 +135,7 @@ mod tests {
 
     #[test]
     fn redacted_car_parses() {
-        let parsed =
-            parse_mileage_table(Manufacturer::Waymo, "[redacted] 2016-05 12.0").unwrap();
+        let parsed = parse_mileage_table(Manufacturer::Waymo, "[redacted] 2016-05 12.0").unwrap();
         assert_eq!(parsed[0].car, CarId::Redacted);
     }
 }

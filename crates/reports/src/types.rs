@@ -202,7 +202,12 @@ pub enum Weather {
 
 impl Weather {
     /// All weather conditions.
-    pub const ALL: [Weather; 4] = [Weather::Clear, Weather::Rain, Weather::Overcast, Weather::Fog];
+    pub const ALL: [Weather; 4] = [
+        Weather::Clear,
+        Weather::Rain,
+        Weather::Overcast,
+        Weather::Fog,
+    ];
 
     /// Display name.
     pub fn name(self) -> &'static str {

@@ -5,8 +5,8 @@
 //! PRNG so the suite runs with zero external dependencies.
 
 use disengage_reports::formats::disengagement::{
-    BenzFormat, BoschFormat, DelphiFormat, GmCruiseFormat, NissanFormat, ReportFormat,
-    TeslaFormat, VolkswagenFormat, WaymoFormat,
+    BenzFormat, BoschFormat, DelphiFormat, GmCruiseFormat, NissanFormat, ReportFormat, TeslaFormat,
+    VolkswagenFormat, WaymoFormat,
 };
 use disengage_reports::record::CarId;
 use disengage_reports::{Date, DisengagementRecord, Manufacturer, Modality, RoadType, Weather};

@@ -69,14 +69,17 @@ pub fn format_for(manufacturer: Manufacturer) -> Box<dyn ReportFormat + Send + S
         Manufacturer::GmCruise => Box::new(GmCruiseFormat),
         Manufacturer::Tesla => Box::new(TeslaFormat),
         // The four sparse reporters file in the pipe layout too.
-        Manufacturer::Uber
-        | Manufacturer::Honda
-        | Manufacturer::Ford
-        | Manufacturer::Bmw => Box::new(BenzFormat),
+        Manufacturer::Uber | Manufacturer::Honda | Manufacturer::Ford | Manufacturer::Bmw => {
+            Box::new(BenzFormat)
+        }
     }
 }
 
-fn malformed(manufacturer: &'static str, line_no: usize, message: impl Into<String>) -> ReportError {
+fn malformed(
+    manufacturer: &'static str,
+    line_no: usize,
+    message: impl Into<String>,
+) -> ReportError {
     ReportError::MalformedLine {
         manufacturer,
         line: line_no,
@@ -168,8 +171,7 @@ impl ReportFormat for NissanFormat {
                 format!("expected 6 dash-separated fields, found {}", parts.len()),
             ));
         }
-        let date = parse_date(parts[0])
-            .map_err(|e| malformed("Nissan", line_no, e.to_string()))?;
+        let date = parse_date(parts[0]).map_err(|e| malformed("Nissan", line_no, e.to_string()))?;
         let car = parts[2]
             .trim()
             .strip_prefix("Leaf #")
@@ -184,7 +186,10 @@ impl ReportFormat for NissanFormat {
             (d.to_owned(), Modality::Manual)
         } else if let Some(d) = with_mode.strip_suffix(" (system initiated)") {
             (d.to_owned(), Modality::Automatic)
-        } else if with_mode.to_ascii_lowercase().contains("driver safely disengaged") {
+        } else if with_mode
+            .to_ascii_lowercase()
+            .contains("driver safely disengaged")
+        {
             // Legacy narrations (Table II's verbatim samples).
             (with_mode.clone(), Modality::Manual)
         } else {
@@ -255,8 +260,7 @@ impl ReportFormat for WaymoFormat {
                 format!("expected 4 dash-separated fields, found {}", parts.len()),
             ));
         }
-        let date =
-            parse_date(parts[0]).map_err(|e| malformed("Waymo", line_no, e.to_string()))?;
+        let date = parse_date(parts[0]).map_err(|e| malformed("Waymo", line_no, e.to_string()))?;
         let road_type = parse_road_type(parts[1]).ok();
         let modality = if parts[2].trim() == "Safe Operation" {
             Modality::Manual
@@ -306,10 +310,14 @@ impl ReportFormat for VolkswagenFormat {
     fn parse_line(&self, line: &str, line_no: usize) -> Result<DisengagementRecord> {
         let parts: Vec<&str> = line.split(DASH_SEP).collect();
         if parts.len() != 4 || parts[2].trim() != "Takeover-Request" {
-            return Err(malformed("Volkswagen", line_no, "not a takeover-request row"));
+            return Err(malformed(
+                "Volkswagen",
+                line_no,
+                "not a takeover-request row",
+            ));
         }
-        let date = parse_date(parts[0])
-            .map_err(|e| malformed("Volkswagen", line_no, e.to_string()))?;
+        let date =
+            parse_date(parts[0]).map_err(|e| malformed("Volkswagen", line_no, e.to_string()))?;
         let (description, reaction_time_s) = split_reaction(parts[3]);
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Volkswagen,
@@ -345,8 +353,8 @@ impl BenzFormat {
                 format!("expected 7 pipe-separated fields, found {}", parts.len()),
             ));
         }
-        let date = parse_date(parts[0])
-            .map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
+        let date =
+            parse_date(parts[0]).map_err(|e| malformed("Mercedes-Benz", line_no, e.to_string()))?;
         let car = parse_car(parts[1])
             .ok_or_else(|| malformed("Mercedes-Benz", line_no, "bad car field"))?;
         let modality = parse_modality(parts[2])
@@ -437,8 +445,7 @@ impl ReportFormat for BoschFormat {
         let (date_text, rest) = rest
             .split_once(" (")
             .ok_or_else(|| malformed("Bosch", line_no, "missing car field"))?;
-        let date =
-            parse_date(date_text).map_err(|e| malformed("Bosch", line_no, e.to_string()))?;
+        let date = parse_date(date_text).map_err(|e| malformed("Bosch", line_no, e.to_string()))?;
         let (car_text, rest) = rest
             .split_once("): ")
             .ok_or_else(|| malformed("Bosch", line_no, "missing description"))?;
@@ -520,8 +527,8 @@ impl ReportFormat for DelphiFormat {
                 .map(CarId::Known)
                 .map_err(|_| malformed("Delphi", line_no, "bad car index"))?
         };
-        let modality = parse_modality(fields[2])
-            .map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
+        let modality =
+            parse_modality(fields[2]).map_err(|e| malformed("Delphi", line_no, e.to_string()))?;
         let road_type = if fields[3].is_empty() {
             None
         } else {
@@ -640,10 +647,9 @@ impl ReportFormat for TeslaFormat {
         }
         let car =
             parse_car(parts[0]).ok_or_else(|| malformed("Tesla", line_no, "bad car field"))?;
-        let date =
-            parse_date(parts[1]).map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
-        let modality = parse_modality(parts[2])
-            .map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
+        let date = parse_date(parts[1]).map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
+        let modality =
+            parse_modality(parts[2]).map_err(|e| malformed("Tesla", line_no, e.to_string()))?;
         let (description, reaction_time_s) = split_reaction(parts[3]);
         Ok(DisengagementRecord {
             manufacturer: Manufacturer::Tesla,
@@ -682,10 +688,7 @@ pub fn render_mileage_table(rows: &[MonthlyMileage]) -> String {
 ///
 /// Returns [`ReportError::MalformedLine`] for rows that do not match,
 /// and [`ReportError::InvalidField`] for negative mileage.
-pub fn parse_mileage_table(
-    manufacturer: Manufacturer,
-    text: &str,
-) -> Result<Vec<MonthlyMileage>> {
+pub fn parse_mileage_table(manufacturer: Manufacturer, text: &str) -> Result<Vec<MonthlyMileage>> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -714,15 +717,19 @@ pub fn parse_mileage_table(
                     message: "bad car token".to_owned(),
                 })?
         };
-        let (y, m) = tokens[1].split_once('-').ok_or_else(|| {
-            ReportError::MalformedLine {
+        let (y, m) = tokens[1]
+            .split_once('-')
+            .ok_or_else(|| ReportError::MalformedLine {
                 manufacturer: "mileage table",
                 line: line_no,
                 message: "bad month token".to_owned(),
-            }
-        })?;
-        let year: u16 = y.parse().map_err(|_| ReportError::InvalidDate(tokens[1].to_owned()))?;
-        let month: u8 = m.parse().map_err(|_| ReportError::InvalidDate(tokens[1].to_owned()))?;
+            })?;
+        let year: u16 = y
+            .parse()
+            .map_err(|_| ReportError::InvalidDate(tokens[1].to_owned()))?;
+        let month: u8 = m
+            .parse()
+            .map_err(|_| ReportError::InvalidDate(tokens[1].to_owned()))?;
         let miles: f64 = tokens[2].parse().map_err(|_| ReportError::InvalidField {
             field: "miles",
             value: tokens[2].to_owned(),
@@ -811,9 +818,11 @@ pub fn parse_accident_form(text: &str) -> Result<AccidentRecord> {
                 car = Some(if value == "[REDACTED]" {
                     CarId::Redacted
                 } else if let Some(idx) = value.strip_prefix("fleet vehicle ") {
-                    CarId::Known(idx.trim().parse().map_err(|_| {
-                        form_malformed(line_no, "bad fleet vehicle index")
-                    })?)
+                    CarId::Known(
+                        idx.trim()
+                            .parse()
+                            .map_err(|_| form_malformed(line_no, "bad fleet vehicle index"))?,
+                    )
                 } else {
                     return Err(form_malformed(line_no, "unrecognized vehicle field"));
                 });
@@ -944,11 +953,11 @@ pub fn parse_date(text: &str) -> Result<Date> {
 }
 
 fn parse_year(text: &str) -> Result<u16> {
-let y: u16 = text
-    .trim()
-    .parse()
-    .map_err(|_| ReportError::InvalidDate(text.to_owned()))?;
-Ok(if y < 100 { 2000 + y } else { y })
+    let y: u16 = text
+        .trim()
+        .parse()
+        .map_err(|_| ReportError::InvalidDate(text.to_owned()))?;
+    Ok(if y < 100 { 2000 + y } else { y })
 }
 
 /// Parses a manufacturer from a report header; tolerant of the
@@ -965,9 +974,7 @@ pub fn parse_manufacturer(text: &str) -> Result<Manufacturer> {
         }
         "bosch" | "robert bosch" => Manufacturer::Bosch,
         "delphi" | "delphi automotive" | "aptiv" => Manufacturer::Delphi,
-        "gmcruise" | "gm cruise" | "cruise" | "gm" | "general motors" => {
-            Manufacturer::GmCruise
-        }
+        "gmcruise" | "gm cruise" | "cruise" | "gm" | "general motors" => Manufacturer::GmCruise,
         "nissan" => Manufacturer::Nissan,
         "tesla" | "tesla motors" => Manufacturer::Tesla,
         "volkswagen" | "vw" => Manufacturer::Volkswagen,

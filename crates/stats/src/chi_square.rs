@@ -31,7 +31,10 @@ pub fn chi_square_sf(x: f64, df: usize) -> Result<f64> {
         });
     }
     if x < 0.0 || !x.is_finite() {
-        return Err(StatsError::InvalidParameter { name: "x", value: x });
+        return Err(StatsError::InvalidParameter {
+            name: "x",
+            value: x,
+        });
     }
     reg_inc_gamma_q(df as f64 / 2.0, x / 2.0)
 }
@@ -128,11 +131,7 @@ mod tests {
     fn modality_style_table() {
         // Three manufacturers with disjoint modality usage — the Table V
         // situation.
-        let t = chi_square_independence(&[
-            vec![100, 95, 0],
-            vec![0, 0, 200],
-            vec![180, 0, 0],
-        ]);
+        let t = chi_square_independence(&[vec![100, 95, 0], vec![0, 0, 200], vec![180, 0, 0]]);
         // A zero column? Col sums: 280, 95, 200 — fine.
         let t = t.unwrap();
         assert!(t.p_value < 1e-10);

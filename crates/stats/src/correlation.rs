@@ -143,7 +143,9 @@ mod tests {
     fn independent_is_weak() {
         // Alternating pattern orthogonal to a linear trend.
         let x: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let y: Vec<f64> = (0..40).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let y: Vec<f64> = (0..40)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let c = pearson(&x, &y).unwrap();
         assert!(c.r.abs() < 0.1);
         assert!(c.p_value >= 0.05);

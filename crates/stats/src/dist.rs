@@ -37,7 +37,10 @@ fn check_p(p: f64) -> Result<()> {
     if p > 0.0 && p < 1.0 {
         Ok(())
     } else {
-        Err(StatsError::InvalidParameter { name: "p", value: p })
+        Err(StatsError::InvalidParameter {
+            name: "p",
+            value: p,
+        })
     }
 }
 
@@ -277,7 +280,9 @@ impl Continuous for ExponentiatedWeibull {
         let z = x / self.scale;
         let zk = z.powf(self.shape);
         let base = 1.0 - (-zk).exp();
-        self.alpha * (self.shape / self.scale) * z.powf(self.shape - 1.0)
+        self.alpha
+            * (self.shape / self.scale)
+            * z.powf(self.shape - 1.0)
             * base.powf(self.alpha - 1.0)
             * (-zk).exp()
     }

@@ -77,7 +77,10 @@ impl fmt::Display for StatsError {
             StatsError::NoConvergence {
                 algorithm,
                 iterations,
-            } => write!(f, "{algorithm} failed to converge after {iterations} iterations"),
+            } => write!(
+                f,
+                "{algorithm} failed to converge after {iterations} iterations"
+            ),
             StatsError::DegenerateSample(what) => {
                 write!(f, "degenerate sample: {what}")
             }

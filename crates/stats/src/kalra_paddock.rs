@@ -63,11 +63,7 @@ pub fn failure_free_miles(rate_per_mile: f64, confidence: f64) -> Result<f64> {
 /// # Errors
 ///
 /// Same conditions as [`failure_free_miles`].
-pub fn demonstration_miles(
-    rate_per_mile: f64,
-    confidence: f64,
-    max_failures: u64,
-) -> Result<f64> {
+pub fn demonstration_miles(rate_per_mile: f64, confidence: f64, max_failures: u64) -> Result<f64> {
     check_prob("confidence", confidence)?;
     if rate_per_mile <= 0.0 || !rate_per_mile.is_finite() {
         return Err(StatsError::InvalidParameter {

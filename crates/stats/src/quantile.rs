@@ -45,7 +45,10 @@ pub fn quantile_sorted(xs: &[f64], q: f64) -> Result<f64> {
         return Err(StatsError::EmptyInput);
     }
     if !(0.0..=1.0).contains(&q) {
-        return Err(StatsError::InvalidParameter { name: "q", value: q });
+        return Err(StatsError::InvalidParameter {
+            name: "q",
+            value: q,
+        });
     }
     debug_assert!(
         xs.windows(2).all(|w| w[0] <= w[1]),

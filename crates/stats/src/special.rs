@@ -105,10 +105,16 @@ pub fn reg_inc_gamma_q(a: f64, x: f64) -> crate::Result<f64> {
 
 fn validate_gamma_args(a: f64, x: f64) -> crate::Result<()> {
     if a <= 0.0 || !a.is_finite() {
-        return Err(StatsError::InvalidParameter { name: "a", value: a });
+        return Err(StatsError::InvalidParameter {
+            name: "a",
+            value: a,
+        });
     }
     if x < 0.0 || !x.is_finite() {
-        return Err(StatsError::InvalidParameter { name: "x", value: x });
+        return Err(StatsError::InvalidParameter {
+            name: "x",
+            value: x,
+        });
     }
     Ok(())
 }
@@ -189,13 +195,22 @@ fn gamma_cf(a: f64, x: f64) -> crate::Result<f64> {
 /// ```
 pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> crate::Result<f64> {
     if a <= 0.0 || !a.is_finite() {
-        return Err(StatsError::InvalidParameter { name: "a", value: a });
+        return Err(StatsError::InvalidParameter {
+            name: "a",
+            value: a,
+        });
     }
     if b <= 0.0 || !b.is_finite() {
-        return Err(StatsError::InvalidParameter { name: "b", value: b });
+        return Err(StatsError::InvalidParameter {
+            name: "b",
+            value: b,
+        });
     }
     if !(0.0..=1.0).contains(&x) {
-        return Err(StatsError::InvalidParameter { name: "x", value: x });
+        return Err(StatsError::InvalidParameter {
+            name: "x",
+            value: x,
+        });
     }
     if x == 0.0 {
         return Ok(0.0);

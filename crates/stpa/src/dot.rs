@@ -23,7 +23,11 @@ pub fn to_dot(structure: &ControlStructure) -> String {
     out.push_str("    rankdir=TB;\n    node [shape=box, fontname=\"Helvetica\"];\n");
     // Layer clusters.
     let layers = [
-        ("human_drivers", "Human Drivers", vec![Component::Driver, Component::NonAvDriver]),
+        (
+            "human_drivers",
+            "Human Drivers",
+            vec![Component::Driver, Component::NonAvDriver],
+        ),
         (
             "autonomous_control",
             "Autonomous Control",
@@ -42,9 +46,15 @@ pub fn to_dot(structure: &ControlStructure) -> String {
         ),
     ];
     for (id, label, components) in layers {
-        out.push_str(&format!("    subgraph cluster_{id} {{\n        label=\"{label}\";\n"));
+        out.push_str(&format!(
+            "    subgraph cluster_{id} {{\n        label=\"{label}\";\n"
+        ));
         for c in components {
-            out.push_str(&format!("        {} [label=\"{}\"];\n", node_id(c), c.name()));
+            out.push_str(&format!(
+                "        {} [label=\"{}\"];\n",
+                node_id(c),
+                c.name()
+            ));
         }
         out.push_str("    }\n");
     }
@@ -53,11 +63,7 @@ pub fn to_dot(structure: &ControlStructure) -> String {
             EdgeKind::Control => "solid",
             EdgeKind::Feedback => "dashed",
         };
-        let factors: Vec<String> = edge
-            .causal_factors
-            .iter()
-            .map(|f| f.to_string())
-            .collect();
+        let factors: Vec<String> = edge.causal_factors.iter().map(|f| f.to_string()).collect();
         out.push_str(&format!(
             "    {} -> {} [style={style}, label=\"{}\\n[{}]\"];\n",
             node_id(edge.from),

@@ -27,7 +27,11 @@ pub struct Overlay {
 /// Localizes a fault tag onto the standard control structure.
 pub fn overlay_for(tag: FaultTag) -> Overlay {
     let components: Vec<Component> = match tag {
-        FaultTag::Environment => vec![Component::Sensors, Component::Recognition, Component::NonAvDriver],
+        FaultTag::Environment => vec![
+            Component::Sensors,
+            Component::Recognition,
+            Component::NonAvDriver,
+        ],
         FaultTag::RecognitionSystem => vec![Component::Recognition],
         FaultTag::Planner | FaultTag::IncorrectBehaviorPrediction => {
             vec![Component::PlannerController]
@@ -35,7 +39,11 @@ pub fn overlay_for(tag: FaultTag) -> Overlay {
         FaultTag::Sensor => vec![Component::Sensors],
         FaultTag::Network => vec![Component::Network],
         FaultTag::ComputerSystem | FaultTag::Software | FaultTag::HangCrash => {
-            vec![Component::PlannerController, Component::Recognition, Component::Follower]
+            vec![
+                Component::PlannerController,
+                Component::Recognition,
+                Component::Follower,
+            ]
         }
         FaultTag::DesignBug => vec![Component::PlannerController, Component::Recognition],
         FaultTag::AvControllerUnresponsive | FaultTag::AvControllerDecision => {

@@ -85,22 +85,100 @@ impl ControlStructure {
             edges: vec![
                 // Sensing path (sensor streams traverse the onboard
                 // network before reaching recognition).
-                e(Sensors, Network, Feedback, "raw sensor streams", &[SensorMalfunction, NetworkFailure]),
-                e(Network, Recognition, Feedback, "delivered sensor data", &[NetworkFailure]),
-                e(Sensors, Recognition, Feedback, "sensor data", &[SensorMalfunction, NetworkFailure]),
-                e(Recognition, PlannerController, Feedback, "perceived environment", &[IncorrectUntimelyInference]),
+                e(
+                    Sensors,
+                    Network,
+                    Feedback,
+                    "raw sensor streams",
+                    &[SensorMalfunction, NetworkFailure],
+                ),
+                e(
+                    Network,
+                    Recognition,
+                    Feedback,
+                    "delivered sensor data",
+                    &[NetworkFailure],
+                ),
+                e(
+                    Sensors,
+                    Recognition,
+                    Feedback,
+                    "sensor data",
+                    &[SensorMalfunction, NetworkFailure],
+                ),
+                e(
+                    Recognition,
+                    PlannerController,
+                    Feedback,
+                    "perceived environment",
+                    &[IncorrectUntimelyInference],
+                ),
                 // Planning and actuation path.
-                e(PlannerController, Follower, Control, "motion plan", &[IncorrectUntimelyInference, ControlSoftwareMalfunction]),
-                e(Follower, Actuators, Control, "actuator signals", &[ControlSoftwareMalfunction, NetworkFailure]),
-                e(Actuators, Mechanical, Control, "mechanical actuation", &[MechanicalFailure]),
-                e(Mechanical, Sensors, Feedback, "vehicle state", &[MechanicalFailure, SensorMalfunction]),
+                e(
+                    PlannerController,
+                    Follower,
+                    Control,
+                    "motion plan",
+                    &[IncorrectUntimelyInference, ControlSoftwareMalfunction],
+                ),
+                e(
+                    Follower,
+                    Actuators,
+                    Control,
+                    "actuator signals",
+                    &[ControlSoftwareMalfunction, NetworkFailure],
+                ),
+                e(
+                    Actuators,
+                    Mechanical,
+                    Control,
+                    "mechanical actuation",
+                    &[MechanicalFailure],
+                ),
+                e(
+                    Mechanical,
+                    Sensors,
+                    Feedback,
+                    "vehicle state",
+                    &[MechanicalFailure, SensorMalfunction],
+                ),
                 // Driver supervision loop.
-                e(PlannerController, Driver, Feedback, "disengagement alert", &[InsufficientReactionTime]),
-                e(Driver, PlannerController, Control, "manual takeover", &[InsufficientReactionTime, UnexpectedDriverAction]),
-                e(Driver, Mechanical, Control, "manual driving", &[MechanicalFailure]),
+                e(
+                    PlannerController,
+                    Driver,
+                    Feedback,
+                    "disengagement alert",
+                    &[InsufficientReactionTime],
+                ),
+                e(
+                    Driver,
+                    PlannerController,
+                    Control,
+                    "manual takeover",
+                    &[InsufficientReactionTime, UnexpectedDriverAction],
+                ),
+                e(
+                    Driver,
+                    Mechanical,
+                    Control,
+                    "manual driving",
+                    &[MechanicalFailure],
+                ),
                 // Interaction with other road users.
-                e(NonAvDriver, Sensors, Feedback, "observed non-AV behavior", &[UnexpectedDriverAction, SensorMalfunction]),
-                e(PlannerController, NonAvDriver, Control, "signals to other drivers", &[UnexpectedDriverAction, IncorrectUntimelyInference]),
+                e(
+                    NonAvDriver,
+                    Sensors,
+                    Feedback,
+                    "observed non-AV behavior",
+                    &[UnexpectedDriverAction, SensorMalfunction],
+                ),
+                e(
+                    PlannerController,
+                    NonAvDriver,
+                    Control,
+                    "signals to other drivers",
+                    &[UnexpectedDriverAction, IncorrectUntimelyInference],
+                ),
             ],
         }
     }

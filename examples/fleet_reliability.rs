@@ -38,7 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== improvement with testing (Fig. 9 fits) ==");
     for series in figures::fig9(db) {
         if let Some(fit) = &series.fit {
-            let direction = if fit.exponent < 0.0 { "improving" } else { "regressing" };
+            let direction = if fit.exponent < 0.0 {
+                "improving"
+            } else {
+                "regressing"
+            };
             println!(
                 "{:<16} DPM ~ miles^{:.2}  ({direction} over {} active months)",
                 series.manufacturer.name(),
@@ -79,7 +83,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dis_miles_exponent: 1.0,
     };
     let corpus = CorpusGenerator::with_profiles(
-        CorpusConfig { seed: 77, scale: 1.0 },
+        CorpusConfig {
+            seed: 77,
+            scale: 1.0,
+        },
         vec![entrant],
     )
     .generate();

@@ -15,7 +15,10 @@ use disengage::ocr::NoiseModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("noise sweep over a 2% corpus (erosion = 6x salt, like a fading scan):\n");
-    println!("{:>8}  {:>8}  {:>10}  {:>10}  {:>8}  {:>12}", "salt", "erosion", "CER", "confidence", "recovery", "manual queue");
+    println!(
+        "{:>8}  {:>8}  {:>10}  {:>10}  {:>8}  {:>12}",
+        "salt", "erosion", "CER", "confidence", "recovery", "manual queue"
+    );
     for step in 0..=6 {
         let salt = step as f64 * 0.004;
         let erosion = salt * 6.0;
@@ -42,7 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 stats.mean_confidence,
                 outcome.recovery_rate() * 100.0,
                 outcome.parse_failures.len(),
-                if correct { "  (with dictionary correction)" } else { "" }
+                if correct {
+                    "  (with dictionary correction)"
+                } else {
+                    ""
+                }
             );
         }
     }

@@ -9,7 +9,9 @@
 use disengage::core::constants::{HUMAN_REACTION_OWNED_S, REACTION_OUTLIER_CUTOFF_S};
 use disengage::core::{questions, RunConfig, RunSession};
 use disengage::reports::Manufacturer;
-use disengage::stats::fit::{fit_exponential, fit_exponentiated_weibull, fit_weibull, prefer_by_aic};
+use disengage::stats::fit::{
+    fit_exponential, fit_exponentiated_weibull, fit_weibull, prefer_by_aic,
+};
 use disengage::stats::ks::ks_test;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -223,8 +223,7 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
             }
             let overlay = disengage::stpa::overlay_for(a.tag);
             if !overlay.components.is_empty() {
-                let components: Vec<&str> =
-                    overlay.components.iter().map(|c| c.name()).collect();
+                let components: Vec<&str> = overlay.components.iter().map(|c| c.name()).collect();
                 println!("stpa:     implicates {}", components.join(", "));
             }
             Ok(())
@@ -255,7 +254,9 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
         }
         "project" => {
             let m = Manufacturer::parse(
-                args.positional.get(1).ok_or("project needs a manufacturer")?,
+                args.positional
+                    .get(1)
+                    .ok_or("project needs a manufacturer")?,
             )
             .map_err(|e| e.to_string())?;
             let target: f64 = args
@@ -267,23 +268,26 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
             let o = session
                 .run_traced(&obs, &timeline)
                 .map_err(|e| e.to_string())?;
-            let p = whatif::miles_to_target_dpm(&o.database, m, target)
-                .map_err(|e| e.to_string())?;
+            let p =
+                whatif::miles_to_target_dpm(&o.database, m, target).map_err(|e| e.to_string())?;
             println!(
                 "{m}: DPM ~ {:.3e} · miles^{:.2}; current ({:.0} mi) ≈ {:.2e} DPM",
                 p.fit.prefactor, p.fit.exponent, p.current_miles, p.current_dpm
             );
             match p.additional_miles() {
                 Some(0.0) => println!("target {target:e} already met"),
-                Some(extra) => println!(
-                    "target {target:e} reached after ~{extra:.0} more autonomous miles"
-                ),
+                Some(extra) => {
+                    println!("target {target:e} reached after ~{extra:.0} more autonomous miles")
+                }
                 None => println!("trend is not improving; target {target:e} is never reached"),
             }
             Ok(())
         }
         "sweep-ocr" => {
-            println!("{:>8} {:>8} {:>10} {:>9}", "salt", "erosion", "CER", "recovery");
+            println!(
+                "{:>8} {:>8} {:>10} {:>9}",
+                "salt", "erosion", "CER", "recovery"
+            );
             for step in 0..=5 {
                 let salt = step as f64 * 0.004;
                 let noise = if step == 0 {
@@ -402,16 +406,15 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
         "check-folded" => {
             let path = args.positional.get(1).ok_or("check-folded needs a file")?;
             let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            let n = disengage::obs::validate_folded(&text)
-                .map_err(|e| format!("{path}: {e}"))?;
+            let n = disengage::obs::validate_folded(&text).map_err(|e| format!("{path}: {e}"))?;
             println!("{path}: valid folded stacks ({n} stacks)");
             Ok(())
         }
         "check-trace" => {
             let path = args.positional.get(1).ok_or("check-trace needs a file")?;
             let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            let n = disengage::obs::validate_chrome_trace(&text)
-                .map_err(|e| format!("{path}: {e}"))?;
+            let n =
+                disengage::obs::validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
             println!("{path}: valid Chrome trace ({n} events)");
             Ok(())
         }
@@ -423,16 +426,16 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
                 .unwrap_or(disengage::obs::flight::DEFAULT_DUMP_PATH);
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("{path}: {e} (an interrupted run writes one)"))?;
-            let dump = disengage::obs::flight::validate_dump(&text)
-                .map_err(|e| format!("{path}: {e}"))?;
+            let dump =
+                disengage::obs::flight::validate_dump(&text).map_err(|e| format!("{path}: {e}"))?;
             print!("{}", disengage::obs::flight::render_postmortem(&dump, 20));
             Ok(())
         }
         "check-prom" => {
             let path = args.positional.get(1).ok_or("check-prom needs a file")?;
             let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            let n = disengage::obs::validate_prometheus(&text)
-                .map_err(|e| format!("{path}: {e}"))?;
+            let n =
+                disengage::obs::validate_prometheus(&text).map_err(|e| format!("{path}: {e}"))?;
             println!("{path}: valid Prometheus exposition ({n} samples)");
             Ok(())
         }

@@ -46,8 +46,8 @@
 
 pub use disengage_cache as cache;
 pub use disengage_chaos as chaos;
-pub use disengage_corpus as corpus;
 pub use disengage_core as core;
+pub use disengage_corpus as corpus;
 pub use disengage_dataframe as dataframe;
 pub use disengage_nlp as nlp;
 pub use disengage_obs as obs;

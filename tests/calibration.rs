@@ -115,11 +115,15 @@ fn table5_modality_mix_matches_paper_rows() {
     for (m, auto, manual, planned) in expected {
         let records = db.disengagements_for(m);
         let n = records.len() as f64;
-        let pct = |mo: Modality| records.clone().filter(|r| r.modality == mo).count() as f64 / n * 100.0;
+        let pct =
+            |mo: Modality| records.clone().filter(|r| r.modality == mo).count() as f64 / n * 100.0;
         let tol = 6.0;
         assert!((pct(Modality::Automatic) - auto).abs() < tol, "{m} auto");
         assert!((pct(Modality::Manual) - manual).abs() < tol, "{m} manual");
-        assert!((pct(Modality::Planned) - planned).abs() < tol, "{m} planned");
+        assert!(
+            (pct(Modality::Planned) - planned).abs() < tol,
+            "{m} planned"
+        );
     }
 }
 
@@ -136,10 +140,7 @@ fn table6_dpa_matches_paper() {
     ];
     for (m, dpa, tol) in expected {
         let got = db.dpa(m).expect("accidents reported");
-        assert!(
-            (got - dpa).abs() <= tol,
-            "{m} DPA {got} vs paper {dpa}"
-        );
+        assert!((got - dpa).abs() <= tol, "{m} DPA {got} vs paper {dpa}");
     }
 }
 
@@ -153,7 +154,11 @@ fn fig8_correlation_matches_paper_shape() {
         "r = {}",
         f.correlation.r
     );
-    assert!(f.correlation.p_value < 1e-20, "p = {}", f.correlation.p_value);
+    assert!(
+        f.correlation.p_value < 1e-20,
+        "p = {}",
+        f.correlation.p_value
+    );
 }
 
 #[test]
@@ -224,8 +229,7 @@ fn waymo_and_gm_significant_at_90_percent() {
 #[test]
 fn stage_three_recovers_generator_intent() {
     let o = outcome();
-    let acc =
-        disengage::core::tagging::tagging_accuracy(&o.tagged, &o.corpus.intended_tags);
+    let acc = disengage::core::tagging::tagging_accuracy(&o.tagged, &o.corpus.intended_tags);
     assert_eq!(acc.n, 5328);
     assert!(acc.tag_accuracy > 0.99, "tag accuracy {}", acc.tag_accuracy);
     assert!(acc.category_accuracy > 0.99);

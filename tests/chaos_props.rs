@@ -108,16 +108,18 @@ fn chaos_runs_are_deterministic() {
 fn injection_only_touches_documents_it_logs() {
     // Documents with no logged fault come through byte-identical.
     for seed in 0..12u64 {
-        let corpus = disengage::corpus::CorpusGenerator::new(CorpusConfig { seed, scale: 0.02 })
-            .generate();
+        let corpus =
+            disengage::corpus::CorpusGenerator::new(CorpusConfig { seed, scale: 0.02 }).generate();
         let plan = FaultPlan::new(0.1, seed * 31 + 7);
         let (faulted, log) = inject_documents(&plan, &corpus.documents, 0);
         assert_eq!(faulted.len(), corpus.documents.len());
-        let touched: std::collections::BTreeSet<usize> =
-            log.faults.iter().map(|f| f.doc).collect();
+        let touched: std::collections::BTreeSet<usize> = log.faults.iter().map(|f| f.doc).collect();
         for (d, (clean, chaos)) in corpus.documents.iter().zip(&faulted).enumerate() {
             if !touched.contains(&d) {
-                assert_eq!(clean.text, chaos.text, "seed {seed} doc {d} silently changed");
+                assert_eq!(
+                    clean.text, chaos.text,
+                    "seed {seed} doc {d} silently changed"
+                );
             }
         }
     }
@@ -136,7 +138,10 @@ fn stats_substrate_never_panics_on_degenerate_series() {
                     let _ = ks_test(&xs, &d);
                 }
             }));
-            assert!(outcome.is_ok(), "{kind:?} seed {seed} panicked the stats layer");
+            assert!(
+                outcome.is_ok(),
+                "{kind:?} seed {seed} panicked the stats layer"
+            );
         }
     }
 }

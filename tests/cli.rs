@@ -122,8 +122,17 @@ fn profile_command_renders_and_folded_round_trips() {
     let out = disengage(&["profile", "--scale=0.01"]);
     assert!(out.status.success(), "profile must exit 0");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["== profile ==", "stage_i_ocr", "digitize", "rasterize", "throughput"] {
-        assert!(stdout.contains(needle), "table must mention {needle}:\n{stdout}");
+    for needle in [
+        "== profile ==",
+        "stage_i_ocr",
+        "digitize",
+        "rasterize",
+        "throughput",
+    ] {
+        assert!(
+            stdout.contains(needle),
+            "table must mention {needle}:\n{stdout}"
+        );
     }
     let stage_rows: Vec<&str> = stdout
         .lines()
@@ -141,7 +150,10 @@ fn profile_command_renders_and_folded_round_trips() {
     let path = dir.join("profile.folded");
     std::fs::write(&path, &folded.stdout).expect("write folded");
     let check = disengage(&["check-folded", path.to_str().expect("utf-8 path")]);
-    assert!(check.status.success(), "check-folded must accept our own export");
+    assert!(
+        check.status.success(),
+        "check-folded must accept our own export"
+    );
     assert!(String::from_utf8_lossy(&check.stdout).contains("valid folded stacks"));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -278,12 +290,22 @@ fn flight_and_prom_exports_round_trip_through_their_validators() {
     let doctor = disengage(&["doctor", flight.to_str().expect("utf-8 path")]);
     assert!(doctor.status.success(), "doctor must accept our own dump");
     let post = String::from_utf8_lossy(&doctor.stdout);
-    for needle in ["flight recorder postmortem", "reason: run complete", "pipeline"] {
-        assert!(post.contains(needle), "postmortem must mention {needle}:\n{post}");
+    for needle in [
+        "flight recorder postmortem",
+        "reason: run complete",
+        "pipeline",
+    ] {
+        assert!(
+            post.contains(needle),
+            "postmortem must mention {needle}:\n{post}"
+        );
     }
 
     let check = disengage(&["check-prom", prom.to_str().expect("utf-8 path")]);
-    assert!(check.status.success(), "check-prom must accept our own exposition");
+    assert!(
+        check.status.success(),
+        "check-prom must accept our own exposition"
+    );
     assert!(String::from_utf8_lossy(&check.stdout).contains("valid Prometheus exposition"));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -346,11 +368,19 @@ fn doctor_and_check_prom_reject_garbage() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{\"schema\":\"other\"}").expect("write");
-    assert!(!disengage(&["doctor", bad.to_str().expect("utf-8")]).status.success());
-    assert!(!disengage(&["doctor", "/nonexistent/flight.json"]).status.success());
+    assert!(!disengage(&["doctor", bad.to_str().expect("utf-8")])
+        .status
+        .success());
+    assert!(!disengage(&["doctor", "/nonexistent/flight.json"])
+        .status
+        .success());
     let badprom = dir.join("bad.prom");
     std::fs::write(&badprom, "metric with spaces 1\n").expect("write");
-    assert!(!disengage(&["check-prom", badprom.to_str().expect("utf-8")]).status.success());
+    assert!(
+        !disengage(&["check-prom", badprom.to_str().expect("utf-8")])
+            .status
+            .success()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -388,8 +418,11 @@ fn health_rule_files_are_loaded_and_validated() {
     let dir = std::env::temp_dir().join(format!("disengage-cli-health-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let rules = dir.join("rules.txt");
-    std::fs::write(&rules, "# impossible bar\nno_records counter(parse.dis.parsed) == 0 fail\n")
-        .expect("write");
+    std::fs::write(
+        &rules,
+        "# impossible bar\nno_records counter(parse.dis.parsed) == 0 fail\n",
+    )
+    .expect("write");
     let out = disengage(&[
         "health",
         "--scale=0.01",
@@ -408,7 +441,10 @@ fn health_rule_files_are_loaded_and_validated() {
         "--scale=0.01",
         &format!("--health={}", bad.display()),
     ]);
-    assert!(!out.status.success(), "malformed rule files must be rejected");
+    assert!(
+        !out.status.success(),
+        "malformed rule files must be rejected"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
     let _ = std::fs::remove_dir_all(&dir);
 }

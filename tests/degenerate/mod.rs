@@ -94,9 +94,18 @@ mod tests {
         assert_eq!(DegenerateKind::Single.series(1, 8).len(), 1);
         let c = DegenerateKind::Constant.series(1, 8);
         assert!(c.windows(2).all(|w| w[0] == w[1]) && c.len() == 8);
-        assert!(DegenerateKind::NanLaced.series(1, 8).iter().any(|x| x.is_nan()));
-        assert!(DegenerateKind::InfLaced.series(1, 8).iter().any(|x| x.is_infinite()));
-        assert!(DegenerateKind::Negative.series(1, 8).iter().all(|&x| x < 0.0));
+        assert!(DegenerateKind::NanLaced
+            .series(1, 8)
+            .iter()
+            .any(|x| x.is_nan()));
+        assert!(DegenerateKind::InfLaced
+            .series(1, 8)
+            .iter()
+            .any(|x| x.is_infinite()));
+        assert!(DegenerateKind::Negative
+            .series(1, 8)
+            .iter()
+            .all(|&x| x < 0.0));
         assert!(DegenerateKind::Zeros.series(1, 8).iter().all(|&x| x == 0.0));
     }
 

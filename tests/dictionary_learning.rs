@@ -45,8 +45,16 @@ fn train_and_evaluate(
     }
     let n = eval.len();
     LearnEvaluation {
-        tag_accuracy: if n == 0 { 0.0 } else { tag_hits as f64 / n as f64 },
-        category_accuracy: if n == 0 { 0.0 } else { cat_hits as f64 / n as f64 },
+        tag_accuracy: if n == 0 {
+            0.0
+        } else {
+            tag_hits as f64 / n as f64
+        },
+        category_accuracy: if n == 0 {
+            0.0
+        } else {
+            cat_hits as f64 / n as f64
+        },
         n,
     }
 }
@@ -122,7 +130,10 @@ fn shipped_dictionary_beats_learned_on_tags() {
         "shipped {shipped_accuracy} < learned {}",
         learned.tag_accuracy
     );
-    assert!(shipped_accuracy > 0.95, "shipped accuracy {shipped_accuracy}");
+    assert!(
+        shipped_accuracy > 0.95,
+        "shipped accuracy {shipped_accuracy}"
+    );
 }
 
 #[test]
@@ -164,21 +175,33 @@ fn toy_corpus() -> Vec<(FaultTag, String)> {
             out.push((tag, (*t).to_owned()));
         }
     };
-    add(&mut out, FaultTag::Software, &[
-        "software module froze during operation",
-        "software crash took down the stack",
-        "software bug corrupted the plan",
-    ]);
-    add(&mut out, FaultTag::HangCrash, &[
-        "watchdog error raised",
-        "watchdog timer expired and rebooted",
-        "system hang with watchdog reset",
-    ]);
-    add(&mut out, FaultTag::Sensor, &[
-        "gps signal lost near the tunnel",
-        "lidar dropout on the highway",
-        "sensor malfunction on the array",
-    ]);
+    add(
+        &mut out,
+        FaultTag::Software,
+        &[
+            "software module froze during operation",
+            "software crash took down the stack",
+            "software bug corrupted the plan",
+        ],
+    );
+    add(
+        &mut out,
+        FaultTag::HangCrash,
+        &[
+            "watchdog error raised",
+            "watchdog timer expired and rebooted",
+            "system hang with watchdog reset",
+        ],
+    );
+    add(
+        &mut out,
+        FaultTag::Sensor,
+        &[
+            "gps signal lost near the tunnel",
+            "lidar dropout on the highway",
+            "sensor malfunction on the array",
+        ],
+    );
     add(&mut out, FaultTag::UnknownT, &["event recorded"]);
     out
 }
@@ -189,7 +212,10 @@ fn toy_learned_dictionary_classifies_training_classes() {
     assert!(!dict.phrases(FaultTag::Software).is_empty());
     assert!(dict.phrases(FaultTag::UnknownT).is_empty());
     let cl = Classifier::new(dict);
-    assert_eq!(cl.classify("the software froze again").tag, FaultTag::Software);
+    assert_eq!(
+        cl.classify("the software froze again").tag,
+        FaultTag::Software
+    );
     assert_eq!(cl.classify("watchdog timer error").tag, FaultTag::HangCrash);
     assert_eq!(cl.classify("gps dropout").tag, FaultTag::Sensor);
 }
@@ -200,7 +226,8 @@ fn toy_unseen_tags_have_no_phrases() {
     assert!(dict.phrases(FaultTag::Network).is_empty());
     let cl = Classifier::new(dict);
     assert_eq!(
-        cl.classify("data rate too high for the onboard network").tag,
+        cl.classify("data rate too high for the onboard network")
+            .tag,
         FaultTag::UnknownT
     );
 }

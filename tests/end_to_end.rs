@@ -12,7 +12,9 @@ fn config(seed: u64, scale: f64) -> RunConfig {
 
 #[test]
 fn passthrough_pipeline_is_lossless_and_exact() {
-    let outcome = RunSession::new(config(314, 0.08)).run().expect("pipeline runs");
+    let outcome = RunSession::new(config(314, 0.08))
+        .run()
+        .expect("pipeline runs");
     assert!(outcome.parse_failures.is_empty());
     assert_eq!(
         outcome.database.disengagements().len(),
@@ -67,7 +69,9 @@ fn simulated_ocr_pipeline_survives_light_noise() {
 
 #[test]
 fn every_table_and_figure_computes_from_one_run() {
-    let outcome = RunSession::new(config(314, 0.1)).run().expect("pipeline runs");
+    let outcome = RunSession::new(config(314, 0.1))
+        .run()
+        .expect("pipeline runs");
     let db = &outcome.database;
     let classifier = disengage::nlp::Classifier::with_default_dictionary();
 
@@ -111,8 +115,14 @@ fn pipeline_is_deterministic() {
     assert_eq!(a.database.disengagements(), b.database.disengagements());
     assert_eq!(a.database.accidents(), b.database.accidents());
     assert_eq!(
-        a.tagged.iter().map(|t| t.assignment.tag).collect::<Vec<_>>(),
-        b.tagged.iter().map(|t| t.assignment.tag).collect::<Vec<_>>()
+        a.tagged
+            .iter()
+            .map(|t| t.assignment.tag)
+            .collect::<Vec<_>>(),
+        b.tagged
+            .iter()
+            .map(|t| t.assignment.tag)
+            .collect::<Vec<_>>()
     );
 }
 

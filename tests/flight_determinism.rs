@@ -152,10 +152,10 @@ fn interrupted_run_leaves_a_doctorable_postmortem() {
         dump.open_spans
     );
     assert!(
-        dump.events
-            .iter()
-            .any(|e| matches!(&e.kind, disengage::obs::FlightKind::Event { name, detail }
-                if name == "interrupt" && detail == "normalize")),
+        dump.events.iter().any(
+            |e| matches!(&e.kind, disengage::obs::FlightKind::Event { name, detail }
+                if name == "interrupt" && detail == "normalize")
+        ),
         "the interrupt event must be on the ring"
     );
 

@@ -37,7 +37,10 @@ fn recovery_monotone_in_noise() {
     let heavy = run(NoiseModel::heavy(), false);
     assert!((clean.recovery_rate() - 1.0).abs() < 1e-9);
     assert!(light.recovery_rate() >= heavy.recovery_rate());
-    assert!(heavy.recovery_rate() > 0.1, "heavy noise destroyed everything");
+    assert!(
+        heavy.recovery_rate() > 0.1,
+        "heavy noise destroyed everything"
+    );
     // The manual-review queue grows with noise.
     assert!(heavy.parse_failures.len() > light.parse_failures.len());
 }

@@ -64,7 +64,10 @@ fn chaos_run_identical_at_every_worker_count() {
     let reference = run(1, Some(plan));
     let want = fingerprint(&reference);
     assert!(
-        reference.chaos.as_ref().is_some_and(|a| a.totals.injected > 0),
+        reference
+            .chaos
+            .as_ref()
+            .is_some_and(|a| a.totals.injected > 0),
         "chaos plan injected nothing; the test is vacuous"
     );
     assert!(reconcile(&reference.telemetry).is_empty());

@@ -137,7 +137,8 @@ fn tfidf_separates_fault_classes() {
         .expect("hang/crash present");
     let top = model.top_terms(idx, 5);
     assert!(
-        top.iter().any(|t| t.term == "watchdog" || t.term == "reboot" || t.term == "rebooted"),
+        top.iter()
+            .any(|t| t.term == "watchdog" || t.term == "reboot" || t.term == "rebooted"),
         "hang/crash top terms: {top:?}"
     );
 }
@@ -160,7 +161,11 @@ fn analysis_tables_survive_csv_interchange() {
         assert_eq!(lines.len(), table.rows().count() + 1, "{name} rows");
         assert_eq!(lines[0], table.names().join(","), "{name} header");
         for line in &lines {
-            assert_eq!(line.split(',').count(), table.names().len(), "{name}: {line}");
+            assert_eq!(
+                line.split(',').count(),
+                table.names().len(),
+                "{name}: {line}"
+            );
         }
     }
 }
