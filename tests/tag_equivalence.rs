@@ -49,13 +49,18 @@ struct Shard {
 /// The records a run of `config` recovers, split into its shards. A
 /// shard is one (manufacturer, filing year) cell, every record id
 /// names its cell, and the merge keeps shard order, so each shard is a
-/// run of ids with one cell.
+/// run of ids with one cell. Record ids exist only for lineage, so the
+/// run records it and the ids come from its log, in record order.
 fn recovered(config: RunConfig) -> Vec<Shard> {
-    let outcome = RunSession::new(config).run().expect("run completes");
+    let obs = Collector::new().with_lineage(true);
+    let outcome = RunSession::new(config)
+        .run_with(&obs)
+        .expect("run completes");
+    let ids = obs.provenance().record_ids();
     let mut shards: Vec<Shard> = Vec::new();
     let records = outcome.database.disengagements();
-    assert_eq!(records.len(), outcome.record_ids.len());
-    for (r, id) in records.iter().zip(outcome.record_ids) {
+    assert_eq!(records.len(), ids.len());
+    for (r, id) in records.iter().zip(ids) {
         match shards.last_mut() {
             Some(s) if s.ids[0].manufacturer == id.manufacturer && s.ids[0].year == id.year => {
                 s.records.push(r.clone());
