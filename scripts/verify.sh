@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Offline verification: tier-1 build + tests with warnings denied,
-# rustdoc with warnings denied (broken intra-doc links fail), the
-# function reachability gate (scripts/reach.sh: every inherent or free
-# library function, generic or not, must be called by a shipped
-# binary, and every library module must own such a function, or sit on
-# the script's allowlists),
+# Offline verification: the workspace's formatting (cargo fmt
+# --check; benchmark/ is its own workspace), tier-1 build + tests with
+# warnings denied, rustdoc with warnings denied (broken intra-doc
+# links fail), the function reachability gate (scripts/reach.sh:
+# every inherent or free library function, generic or not, must be
+# called by a shipped binary, and every library module must own such a
+# function, or sit on the script's allowlists),
 # the benchmark package's tests and smoke run, the full workspace test
 # suite, the compiled Stage III classifier's full equivalence grid
 # against the reference classifier (release), the Stage III tagging
@@ -51,6 +52,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 export RUSTFLAGS="-D warnings"
+
+echo "== format: cargo fmt --all -- --check =="
+# Fails naming each file whose formatting rustfmt would change.
+cargo fmt --all -- --check
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
