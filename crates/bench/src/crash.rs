@@ -4,8 +4,10 @@
 //! store must survive:
 //!
 //! 1. a fresh per-trial cache directory is (optionally) strewn with
-//!    crashed-peer litter — a torn `.art` frame *at the fingerprint the
-//!    run will actually probe*, plus dead-pid `*.tmp`/`*.lock` debris;
+//!    crashed-peer litter — dead-pid `*.tmp` debris and a torn header
+//!    in every stage directory, plus, on fault-free trials, a frame
+//!    whose payload fails its checksum *at the key the run will probe*
+//!    for its first shard, for every stage the run caches;
 //! 2. an **interrupted run** executes with a seeded abort point after
 //!    one stage's commit ([`disengage_core::RunConfig::with_abort_after`])
 //!    and, on most trials, a seeded I/O fault plan shaking every store
@@ -16,19 +18,22 @@
 //!    parse failures, and canonical telemetry all byte-identical to a
 //!    cold run that never crashed, the telemetry fault-accounting
 //!    identity must reconcile, and the cache directory must audit
-//!    clean (zero torn/tmp/lock files).
+//!    clean (zero torn/tmp files). A fault-free littered trial must
+//!    also have caught every planted frame at its probe.
 //!
 //! Everything derives from the campaign seed via the workspace
-//! SplitMix64 scheme, so a failing trial replays exactly. The outcome
-//! ledger ([`CrashReport`]) is what `repro` writes to
+//! SplitMix64 scheme, and each I/O fault from its artifact and
+//! attempt, so a failing trial replays exactly at any `--jobs`. The
+//! outcome ledger ([`CrashReport`]) is what `repro` writes to
 //! `crash_report.json`.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use disengage_cache::ArtifactStore;
 use disengage_chaos::IoFaultPlan;
 use disengage_core::artifact::FORMAT_VERSION;
+use disengage_core::pipeline::OcrMode;
 use disengage_core::telemetry::reconcile;
 use disengage_core::{CoreError, PipelineOutcome, RunConfig, RunSession, Stage};
 use disengage_obs::Collector;
@@ -63,7 +68,11 @@ pub struct CrashTrial {
     /// Injected I/O faults absorbed by a degraded path
     /// (`cache.io.absorbed`).
     pub absorbed: u64,
-    /// Stale tmp/lock/torn files reclaimed across both halves.
+    /// Frames a load found damaged (`cache.corrupt`) across both
+    /// halves; a fault-free littered trial counts each planted frame
+    /// here exactly once.
+    pub corrupt: u64,
+    /// Stale tmp and torn files reclaimed across both halves.
     pub reclaimed: u64,
     /// Violations: reconciliation failures, unclean audits, divergent
     /// output. Empty on a passing trial.
@@ -139,7 +148,7 @@ impl CrashReport {
                 "{{\"index\":{},\"abort_after\":\"{}\",\"fault_rate\":{},\
                  \"littered\":{},\"converged\":{},\"replayed\":{},\
                  \"recomputed\":{},\"retried\":{},\"absorbed\":{},\
-                 \"reclaimed\":{},\"violations\":[{}]}}",
+                 \"corrupt\":{},\"reclaimed\":{},\"violations\":[{}]}}",
                 t.index,
                 t.abort_after,
                 t.fault_rate,
@@ -149,6 +158,7 @@ impl CrashReport {
                 t.recomputed,
                 t.retried,
                 t.absorbed,
+                t.corrupt,
                 t.reclaimed,
                 violations.join(",")
             );
@@ -160,7 +170,7 @@ impl CrashReport {
 
 /// The byte-comparable digest of one run's outcome: everything the
 /// convergence contract covers. Telemetry is canonicalized (wall clock
-/// zeroed, `cache.*`/`lock.*`/`profile.*` dropped), so crash/fault
+/// zeroed, `cache.*`/`profile.*` dropped), so crash/fault
 /// traffic is invisible and any *workload* divergence is not.
 fn digest(outcome: PipelineOutcome) -> String {
     format!(
@@ -220,16 +230,21 @@ pub fn run_crash_campaign(
             config = config.with_io_faults(IoFaultPlan::new(fault_rate, rand::derive_seed(t, 1)));
         }
 
+        let mut planted = 0;
         if littered {
             // Crashed-peer debris the first half must recover through:
-            // a torn frame at the exact fingerprint the run will
-            // probe, plus dead-pid tmp/lock litter in every stage dir.
-            let keys = RunSession::new(config.clone()).stage_keys(false);
+            // dead-pid tmp litter and torn headers in every stage dir,
+            // which startup recovery removes outside the fault surface,
+            // and damaged frames at the exact keys the run will probe,
+            // which only a load can catch. Those go only where no fault
+            // is armed: a damaged frame whose every read and every
+            // rewrite faults outlives the run, as it should, and the
+            // audit below would rightly find it.
             for stage in Stage::ALL {
-                let dir = trial_dir.join(stage.name());
-                let _ = std::fs::create_dir_all(&dir);
-                let key = keys.for_stage(stage).to_hex();
-                let _ = std::fs::write(dir.join(format!("{key}.art")), b"DARTtorn");
+                let _ = std::fs::create_dir_all(trial_dir.join(stage.name()));
+            }
+            if fault_rate == 0.0 {
+                planted = plant_damaged_frames(&config, &trial_dir);
             }
             disengage_chaos::plant_litter(&trial_dir, rand::derive_seed(t, 2));
         }
@@ -293,19 +308,27 @@ pub fn run_crash_campaign(
         }
 
         // The directory must end the trial clean: no torn frames, no
-        // tmp/lock litter — whatever the crash, faults, and planted
-        // debris did.
+        // tmp litter — whatever the crash, faults, and planted debris
+        // did.
         let audit = ArtifactStore::at(&trial_dir, FORMAT_VERSION).audit_files();
         if !audit.is_clean() {
             violations.push(format!(
-                "cache dir not clean after recovery: {} torn, {} tmp, {} lock",
+                "cache dir not clean after recovery: {} torn, {} tmp",
                 audit.torn.len(),
-                audit.tmp.len(),
-                audit.locks.len()
+                audit.tmp.len()
             ));
         }
 
         let sum = |name: &str| interrupted.counter(name) + resumed.counter(name);
+        // Without faults every planted frame reaches exactly one probe,
+        // whose checksum catches it and removes the file.
+        let (corrupt, torn) = (sum("cache.corrupt"), sum("cache.torn.reclaimed"));
+        if fault_rate == 0.0 && (corrupt != planted || torn < planted) {
+            violations.push(format!(
+                "{planted} planted frame(s), but {corrupt} counted corrupt \
+                 and {torn} reclaimed torn"
+            ));
+        }
         let trial = CrashTrial {
             index: i,
             abort_after: abort_after.name(),
@@ -316,9 +339,8 @@ pub fn run_crash_campaign(
             recomputed: resumed.counter("cache.miss"),
             retried: sum("cache.io.retried"),
             absorbed: sum("cache.io.absorbed"),
-            reclaimed: sum("cache.tmp.reclaimed")
-                + sum("cache.torn.reclaimed")
-                + sum("lock.reclaimed"),
+            corrupt,
+            reclaimed: sum("cache.tmp.reclaimed") + torn,
             violations,
         };
         log(&format!(
@@ -344,21 +366,69 @@ pub fn run_crash_campaign(
     Ok(report)
 }
 
+/// Plants, for every stage the run caches, a frame at the key the run
+/// probes for its first planned shard: a valid header over a payload
+/// that fails its checksum, so startup recovery keeps it and only the
+/// load-time check can catch it. (A passthrough run never caches
+/// `digitize`, so a frame there would never be probed.) Returns how
+/// many frames were planted.
+fn plant_damaged_frames(config: &RunConfig, dir: &Path) -> u64 {
+    let session = RunSession::new(config.clone());
+    let Some(spec) = session
+        .planned_shards()
+        .ok()
+        .and_then(|s| s.into_iter().next())
+    else {
+        return 0;
+    };
+    let keys = session.stage_keys(false).for_shard(&spec);
+    let store = ArtifactStore::at(dir, FORMAT_VERSION);
+    let mut planted = 0;
+    for stage in Stage::ALL {
+        if stage == Stage::Digitize && config.ocr == OcrMode::Passthrough {
+            continue;
+        }
+        let key = keys.for_stage(stage);
+        store.save(stage.name(), key, b"planted");
+        let path = dir.join(stage.name()).join(format!("{}.art", key.to_hex()));
+        if let Ok(mut frame) = std::fs::read(&path) {
+            // The last byte is the payload's, past the 24-byte header.
+            let last = frame.len() - 1;
+            frame[last] ^= 0x01;
+            planted += u64::from(std::fs::write(&path, frame).is_ok());
+        }
+    }
+    planted
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use disengage_corpus::CorpusConfig;
 
-    #[test]
-    fn tiny_campaign_recovers() {
-        let base = RunConfig::new().with_corpus(CorpusConfig {
-            seed: 0x5EED,
-            scale: 0.05,
-        });
-        let root =
-            std::env::temp_dir().join(format!("disengage-crash-campaign-{}", std::process::id()));
+    /// Runs the four-trial campaign of seed `0xC4A54` on a 0.05-scale
+    /// corpus at `jobs` workers.
+    fn tiny_campaign(jobs: usize) -> CrashReport {
+        let base = RunConfig::new()
+            .with_corpus(CorpusConfig {
+                seed: 0x5EED,
+                scale: 0.05,
+            })
+            .with_jobs(jobs)
+            .without_flight_dump();
+        let root = std::env::temp_dir().join(format!(
+            "disengage-crash-campaign-{}-jobs{jobs}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&root);
         let report = run_crash_campaign(&base, 4, 0xC4A54, &root, |_| {}).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        report
+    }
+
+    #[test]
+    fn tiny_campaign_recovers() {
+        let report = tiny_campaign(0);
         assert_eq!(report.trials.len(), 4);
         assert!(
             report.all_passed(),
@@ -378,8 +448,27 @@ mod tests {
             .filter(|t| t.fault_rate == 0.0)
             .all(|t| t.replayed > 0));
         assert!(report.trials.iter().any(|t| t.replayed > 0));
+        // Every fault-free littered trial caught each planted frame
+        // (corpus, normalize, tag) at its probe: counted corrupt here,
+        // and reclaimed torn, or the trial would carry a violation.
+        let caught: Vec<_> = report
+            .trials
+            .iter()
+            .filter(|t| t.fault_rate == 0.0 && t.littered)
+            .collect();
+        assert!(!caught.is_empty(), "no fault-free littered trial");
+        assert!(caught.iter().all(|t| t.corrupt == 3), "{caught:?}");
         let json = report.to_json();
         assert!(json.contains("\"passed\":4"), "{json}");
-        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn campaign_report_is_identical_at_any_worker_count() {
+        let serial = tiny_campaign(1);
+        assert!(
+            serial.trials.iter().any(|t| t.retried + t.absorbed > 0),
+            "no trial fired an I/O fault"
+        );
+        assert_eq!(serial.to_json(), tiny_campaign(2).to_json());
     }
 }

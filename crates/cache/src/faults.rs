@@ -43,7 +43,16 @@ pub enum IoFault {
 /// be `Send + Sync`: one injector is shared across every clone of the
 /// store, including clones running on worker threads.
 pub trait IoFaults: Send + Sync {
-    /// Consulted immediately before the store performs `op`; `Some`
-    /// makes the store simulate that fault for this one invocation.
-    fn inject(&self, op: IoOp) -> Option<IoFault>;
+    /// Consulted immediately before the store performs `op` on the
+    /// entry `artifact` (its `<stage>/<fingerprint>` name, never the
+    /// tmp path, which carries a pid and a sequence number) for the
+    /// `attempt`-th time (0-based; the store retries a failed read,
+    /// write or rename). `Some` makes the store simulate that fault for
+    /// this one invocation. A run reads, writes and renames each
+    /// artifact at most once per attempt, so an injector that draws
+    /// from these arguments alone gives those operations a schedule that
+    /// depends only on the run's work, never on thread interleaving.
+    /// (Which entries an eviction sweep meets can still depend on the
+    /// order in which concurrent saves land.)
+    fn inject(&self, op: IoOp, artifact: &str, attempt: u32) -> Option<IoFault>;
 }

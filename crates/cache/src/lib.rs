@@ -1,6 +1,6 @@
 //! Content-addressed artifact store for incremental pipeline re-runs.
 //!
-//! Three pieces, all dependency-free:
+//! Four pieces, all dependency-free:
 //!
 //! * [`fp`] — a streaming FNV-1a 64-bit hasher with a stable,
 //!   documented output. Stage fingerprints must survive process
@@ -14,10 +14,9 @@
 //! * [`store`] — [`store::ArtifactStore`], the on-disk layout
 //!   `<root>/<stage>/<fingerprint>.art` with crash-safe atomic commits
 //!   (unique tmp + fsync + rename), corruption detection, stale-litter
-//!   reclamation, and per-stage LRU eviction.
-//! * [`lock`] — advisory per-fingerprint lease locks giving
-//!   single-flight across sessions sharing one cache directory, with
-//!   stale-lock reclamation so crashed peers never wedge the cache.
+//!   reclamation, and per-stage LRU eviction. Sessions sharing one
+//!   directory need no coordination: two that compute one key commit
+//!   identical frames, and the later rename wins.
 //! * [`faults`] — the [`faults::IoFaults`] injection surface every
 //!   store filesystem operation consults; the seeded implementation
 //!   lives in `disengage-chaos::io` so this crate stays dependency-free.
@@ -29,11 +28,9 @@
 pub mod codec;
 pub mod faults;
 pub mod fp;
-pub mod lock;
 pub mod store;
 
 pub use codec::{Dec, Enc};
 pub use faults::{IoFault, IoFaults, IoOp};
 pub use fp::{Fingerprint, Fp};
-pub use lock::LockGuard;
-pub use store::{ArtifactStore, Flight, Lookup, StoreAudit, DEFAULT_PER_STAGE_CAP};
+pub use store::{ArtifactStore, Lookup, StoreAudit, DEFAULT_PER_STAGE_CAP};

@@ -24,15 +24,15 @@
 //!
 //! # Concurrency
 //!
-//! Multiple sessions — threads or processes — may share one root.
-//! Per-fingerprint advisory lock files ([`crate::lock`]) give
-//! single-flight: [`ArtifactStore::join_flight`] elects one leader to
-//! compute while the rest back off exponentially, re-probing until the
-//! artifact appears, a stale lock is reclaimed, or a watchdog timeout
-//! fires — at which point the waiter falls back to computing locally.
-//! Locks are an optimization, never a correctness dependency: commits
-//! are atomic and deterministic, so duplicated work writes identical
-//! bytes.
+//! Multiple sessions — threads or processes — may share one root with
+//! no coordination beyond the commit protocol. Two sessions that miss
+//! the same key both compute it and both rename a complete frame into
+//! place; stage computations are deterministic, so the frames are
+//! byte-identical and whichever rename lands last is the same
+//! artifact. The cost is duplicated work, never different bytes. A
+//! racing eviction that finds its victim already gone is not an error.
+//! (A `*.lock` file an older build left behind is a file this store
+//! never writes, and every pass ignores it.)
 //!
 //! # Fault injection
 //!
@@ -40,9 +40,9 @@
 //! surface. Transient faults are
 //! absorbed by bounded retry with backoff; persistent ones degrade to
 //! recompute. Every degraded path is counted (see
-//! [`ArtifactStore::take_counters`]) under `cache.io.*` / `cache.tmp.*` /
-//! `lock.*`, with the invariant that every injected fault resolves as
-//! exactly one of `cache.io.retried` or `cache.io.absorbed`.
+//! [`ArtifactStore::take_counters`]) under `cache.io.*` / `cache.tmp.*`,
+//! with the invariant that every injected fault resolves as exactly one
+//! of `cache.io.retried` or `cache.io.absorbed`.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -50,12 +50,11 @@ use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::codec::{frame, header_matches, unframe, HEADER_LEN};
 use crate::faults::{IoFault, IoFaults, IoOp};
 use crate::fp::Fingerprint;
-use crate::lock::{self, LockGuard};
 
 /// Default artifacts kept per stage directory before the least-recently
 /// modified entries are evicted. Each stage has a handful of live
@@ -66,6 +65,11 @@ pub const DEFAULT_PER_STAGE_CAP: usize = 8;
 /// Total write/rename/read attempts before a fault stops being
 /// "transient" and the operation degrades.
 const IO_ATTEMPTS: u32 = 3;
+
+/// Age past which a `*.tmp` intermediate is litter even when its
+/// writer's pid is still running: a live writer renames within
+/// milliseconds, and a minute covers any fsync stall.
+const TMP_TTL: Duration = Duration::from_secs(60);
 
 /// Process-wide tmp-name uniquifier (pid alone is not enough: threads
 /// of one session may save concurrently).
@@ -86,19 +90,6 @@ pub enum Lookup {
     Corrupt,
 }
 
-/// The role a session plays for one in-flight fingerprint.
-#[derive(Debug)]
-pub enum Flight {
-    /// This session holds the lock and must compute (then save, then
-    /// drop the guard).
-    Leader(LockGuard),
-    /// Another session computed it first; here are the bytes.
-    Ready(Vec<u8>),
-    /// The watchdog fired before the artifact appeared — compute
-    /// locally, without the lock (correct, merely duplicated work).
-    TimedOut,
-}
-
 /// What [`ArtifactStore::audit_files`] found on disk.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct StoreAudit {
@@ -106,16 +97,14 @@ pub struct StoreAudit {
     pub torn: Vec<PathBuf>,
     /// Leftover `*.tmp` write intermediates.
     pub tmp: Vec<PathBuf>,
-    /// Leftover `*.lock` files.
-    pub locks: Vec<PathBuf>,
     /// Frame-valid `.art` entries.
     pub intact: usize,
 }
 
 impl StoreAudit {
-    /// Whether the store is clean: no torn frames, no tmp/lock litter.
+    /// Whether the store is clean: no torn frames, no tmp litter.
     pub fn is_clean(&self) -> bool {
-        self.torn.is_empty() && self.tmp.is_empty() && self.locks.is_empty()
+        self.torn.is_empty() && self.tmp.is_empty()
     }
 }
 
@@ -194,9 +183,8 @@ impl ArtifactStore {
     /// Drains the counter ledger accumulated since the last drain:
     /// `cache.io.fault.*` (faults fired, by site), `cache.io.retried` /
     /// `cache.io.absorbed` (how each resolved), `cache.tmp.reclaimed`,
-    /// `cache.torn.reclaimed`, `lock.acquired` / `lock.contended` /
-    /// `lock.wait_hit` / `lock.timeout` / `lock.reclaimed`. Callers feed these into
-    /// their own telemetry; all land under prefixes the canonical
+    /// `cache.torn.reclaimed`. Callers feed these into their own
+    /// telemetry; all land under the `cache.` prefix the canonical
     /// report strips, so byte-identity contracts are untouched.
     pub fn take_counters(&self) -> Vec<(&'static str, u64)> {
         let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
@@ -211,7 +199,7 @@ impl ArtifactStore {
     }
 
     /// Drains the named-event ledger: one `(event, file)` entry per
-    /// reclaimed torn frame, reclaimed tmp/lock litter file, and
+    /// reclaimed torn frame, reclaimed tmp litter file, and
     /// evicted entry, in occurrence order. Like the counters, these
     /// are environment facts (a warm store reclaims, a cold one
     /// doesn't), so consumers must keep them out of canonical output.
@@ -229,11 +217,14 @@ impl ArtifactStore {
         ledger.push((name, file));
     }
 
-    /// Consults the fault surface; counts a fired fault and how it
-    /// will resolve (`retries_left` ⇒ retried, otherwise absorbed —
-    /// except reads of flipped bytes, which always degrade).
-    fn inject(&self, op: IoOp, retries_left: bool) -> Option<IoFault> {
-        let fault = self.faults.as_ref()?.inject(op)?;
+    /// Consults the fault surface for the `attempt`-th `op` on the
+    /// entry at `path`; counts a fired fault and how it will resolve
+    /// (retried while a read, write or rename has attempts left,
+    /// otherwise absorbed — reads of flipped bytes and evictions never
+    /// retry).
+    fn inject(&self, op: IoOp, path: &Path, attempt: u32) -> Option<IoFault> {
+        let faults = self.faults.as_ref()?;
+        let fault = faults.inject(op, &artifact_name(path), attempt)?;
         self.bump("cache.io.fault.total", 1);
         self.bump(
             match op {
@@ -245,7 +236,7 @@ impl ArtifactStore {
             1,
         );
         let retryable = fault == IoFault::Error || fault == IoFault::ShortWrite;
-        if retryable && retries_left {
+        if retryable && op != IoOp::RemoveEvict && attempt + 1 < IO_ATTEMPTS {
             self.bump("cache.io.retried", 1);
         } else {
             self.bump("cache.io.absorbed", 1);
@@ -259,13 +250,6 @@ impl ArtifactStore {
 
     fn entry_path(&self, stage: &str, key: Fingerprint) -> Option<PathBuf> {
         Some(self.stage_dir(stage)?.join(format!("{}.art", key.to_hex())))
-    }
-
-    fn lock_path(&self, stage: &str, key: Fingerprint) -> Option<PathBuf> {
-        Some(
-            self.stage_dir(stage)?
-                .join(format!("{}.lock", key.to_hex())),
-        )
     }
 
     /// Reads an artifact file through the fault surface with bounded
@@ -284,7 +268,7 @@ impl ArtifactStore {
                 }
                 Err(_) => return None,
             };
-            match self.inject(IoOp::ReadArtifact, attempt + 1 < IO_ATTEMPTS) {
+            match self.inject(IoOp::ReadArtifact, path, attempt) {
                 None => return Some((bytes, false)),
                 Some(IoFault::Error) if attempt + 1 < IO_ATTEMPTS => {
                     backoff(attempt);
@@ -332,9 +316,10 @@ impl ArtifactStore {
         }
     }
 
-    /// Writes `bytes` to `tmp` and fsyncs, through the fault surface.
-    fn write_tmp(&self, tmp: &Path, bytes: &[u8], retries_left: bool) -> bool {
-        match self.inject(IoOp::WriteTmp, retries_left) {
+    /// Writes `bytes` to `tmp`, the intermediate of the entry at
+    /// `path`, and fsyncs, through the fault surface.
+    fn write_tmp(&self, tmp: &Path, path: &Path, bytes: &[u8], attempt: u32) -> bool {
+        match self.inject(IoOp::WriteTmp, path, attempt) {
             Some(IoFault::Error) => return false,
             Some(IoFault::ShortWrite) => {
                 // A torn write: persist a prefix, then report failure
@@ -357,9 +342,9 @@ impl ArtifactStore {
     }
 
     /// Renames `tmp` into `path`, through the fault surface.
-    fn rename_commit(&self, tmp: &Path, path: &Path, retries_left: bool) -> bool {
+    fn rename_commit(&self, tmp: &Path, path: &Path, attempt: u32) -> bool {
         if let Some(IoFault::Error | IoFault::ShortWrite | IoFault::BitFlip) =
-            self.inject(IoOp::RenameCommit, retries_left)
+            self.inject(IoOp::RenameCommit, path, attempt)
         {
             return false;
         }
@@ -391,15 +376,14 @@ impl ArtifactStore {
         ));
         let mut committed = false;
         for attempt in 0..IO_ATTEMPTS {
-            let retries_left = attempt + 1 < IO_ATTEMPTS;
             if attempt > 0 {
                 backoff(attempt - 1);
             }
-            if !self.write_tmp(&tmp, &framed, retries_left) {
+            if !self.write_tmp(&tmp, &path, &framed, attempt) {
                 let _ = fs::remove_file(&tmp);
                 continue;
             }
-            if self.rename_commit(&tmp, &path, retries_left) {
+            if self.rename_commit(&tmp, &path, attempt) {
                 committed = true;
                 break;
             }
@@ -418,74 +402,10 @@ impl ArtifactStore {
         self.sweep(&dir, &path)
     }
 
-    /// Takes the per-fingerprint advisory lock without waiting,
-    /// breaking a stale holder if needed.
-    pub fn try_lock(&self, stage: &str, key: Fingerprint) -> Option<LockGuard> {
-        let path = self.lock_path(stage, key)?;
-        let dir = path.parent()?;
-        if fs::create_dir_all(dir).is_err() {
-            return None;
-        }
-        let acquired = lock::try_acquire(&path, lock::LOCK_TTL);
-        if acquired.reclaimed > 0 {
-            self.bump("lock.reclaimed", acquired.reclaimed);
-        }
-        if acquired.guard.is_some() {
-            self.bump("lock.acquired", 1);
-        }
-        acquired.guard
-    }
-
-    /// Joins the single-flight for `<stage>/<key>` after a missed
-    /// probe: returns [`Flight::Leader`] holding the lock (compute,
-    /// save, then drop the guard), [`Flight::Ready`] when a peer's
-    /// artifact appeared while waiting, or [`Flight::TimedOut`] when
-    /// the watchdog fired — the caller then recomputes locally so a
-    /// wedged peer can never deadlock the pipeline.
-    pub fn join_flight(&self, stage: &str, key: Fingerprint, watchdog: Duration) -> Flight {
-        if !self.is_enabled() {
-            return Flight::TimedOut;
-        }
-        let deadline = Instant::now() + watchdog;
-        let mut wait = Duration::from_millis(1);
-        let mut contended = false;
-        loop {
-            if let Some(guard) = self.try_lock(stage, key) {
-                // Double-check under the lock: the previous holder may
-                // have committed between our probe and this acquire.
-                return match self.load(stage, key) {
-                    Lookup::Hit(bytes) => {
-                        self.bump("lock.wait_hit", 1);
-                        Flight::Ready(bytes)
-                    }
-                    _ => Flight::Leader(guard),
-                };
-            }
-            if !contended {
-                contended = true;
-                self.bump("lock.contended", 1);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.bump("lock.timeout", 1);
-                return Flight::TimedOut;
-            }
-            // Bounded exponential backoff, capped so reclaim of a
-            // crashed leader is noticed promptly.
-            std::thread::sleep(wait.min(deadline - now));
-            wait = (wait * 2).min(Duration::from_millis(50));
-            if let Lookup::Hit(bytes) = self.load(stage, key) {
-                self.bump("lock.wait_hit", 1);
-                return Flight::Ready(bytes);
-            }
-        }
-    }
-
-    /// Reclaims stale litter (crashed peers' `*.tmp` intermediates,
-    /// expired `*.lock` files, and `.art` files whose header is torn)
-    /// across every stage directory. Run at session start; the
-    /// per-save sweep keeps the tmp/lock part incremental afterwards.
-    /// Returns how many files were removed.
+    /// Reclaims stale litter (crashed peers' `*.tmp` intermediates and
+    /// `.art` files whose header is torn) across every stage directory.
+    /// Run at session start; the per-save sweep keeps the tmp part
+    /// incremental afterwards. Returns how many files were removed.
     pub fn reclaim(&self) -> u64 {
         let Some(root) = self.root.as_ref() else {
             return 0;
@@ -553,7 +473,7 @@ impl ArtifactStore {
         }
     }
 
-    /// Removes stale tmp/lock files in one stage directory.
+    /// Removes stale tmp files in one stage directory.
     fn reclaim_litter(&self, dir: &Path) -> u64 {
         let Ok(entries) = fs::read_dir(dir) else {
             return 0;
@@ -561,18 +481,9 @@ impl ArtifactStore {
         let mut removed = 0;
         for entry in entries.flatten() {
             let path = entry.path();
-            if is_tmp(&path) {
-                if tmp_is_stale(&path, lock::LOCK_TTL) && fs::remove_file(&path).is_ok() {
-                    self.bump("cache.tmp.reclaimed", 1);
-                    self.note("cache.reclaim.tmp", &path);
-                    removed += 1;
-                }
-            } else if has_ext(&path, "lock")
-                && lock::is_stale(&path, lock::LOCK_TTL)
-                && fs::remove_file(&path).is_ok()
-            {
-                self.bump("lock.reclaimed", 1);
-                self.note("lock.reclaim", &path);
+            if is_tmp(&path) && tmp_is_stale(&path) && fs::remove_file(&path).is_ok() {
+                self.bump("cache.tmp.reclaimed", 1);
+                self.note("cache.reclaim.tmp", &path);
                 removed += 1;
             }
         }
@@ -581,11 +492,9 @@ impl ArtifactStore {
 
     /// Post-commit sweep of one stage directory: reclaim stale litter,
     /// then evict the least-recently-modified `.art` entries beyond
-    /// the cap — never `keep` (the entry just committed) and never an
-    /// entry whose fingerprint holds a live lock (a peer is reading or
-    /// just committed it). A racing `remove_file` losing to a peer
-    /// (NotFound) is not an error and not counted. Returns how many
-    /// entries this call evicted.
+    /// the cap — never `keep` (the entry just committed). A racing
+    /// `remove_file` losing to a peer (NotFound) is not an error and
+    /// not counted. Returns how many entries this call evicted.
     fn sweep(&self, dir: &Path, keep: &Path) -> usize {
         self.reclaim_litter(dir);
         if self.cap == 0 {
@@ -614,14 +523,8 @@ impl ArtifactStore {
         let excess = arts.len() + 1 - self.cap;
         let mut evicted = 0;
         for (_, path) in arts.into_iter().take(excess) {
-            let lock_sibling = path.with_extension("lock");
-            if lock_sibling.exists() && !lock::is_stale(&lock_sibling, lock::LOCK_TTL) {
-                // In flight for a concurrent session — not evictable.
-                self.bump("cache.evict.skipped_locked", 1);
-                continue;
-            }
             if let Some(IoFault::Error | IoFault::ShortWrite | IoFault::BitFlip) =
-                self.inject(IoOp::RemoveEvict, false)
+                self.inject(IoOp::RemoveEvict, &path, 0)
             {
                 continue; // absorbed: the entry outlives its welcome
             }
@@ -639,7 +542,7 @@ impl ArtifactStore {
     }
 
     /// Audits every file under the root: frame-validates each `.art`
-    /// and lists tmp/lock litter. Campaign runners assert
+    /// and lists tmp litter. Campaign runners assert
     /// [`StoreAudit::is_clean`] after recovery.
     pub fn audit_files(&self) -> StoreAudit {
         let mut audit = StoreAudit::default();
@@ -658,8 +561,6 @@ impl ArtifactStore {
                 let path = entry.path();
                 if is_tmp(&path) {
                     audit.tmp.push(path);
-                } else if has_ext(&path, "lock") {
-                    audit.locks.push(path);
                 } else if has_ext(&path, "art") {
                     let valid = fs::read(&path)
                         .ok()
@@ -695,10 +596,17 @@ fn is_tmp(path: &Path) -> bool {
             .is_some_and(|n| n.starts_with('.'))
 }
 
+/// The `<stage>/<fingerprint>` name of the entry at
+/// `<root>/<stage>/<fingerprint>.art`, the key a fault injector draws on.
+fn artifact_name(path: &Path) -> String {
+    let stage = path.parent().and_then(Path::file_name).unwrap_or_default();
+    let key = path.file_stem().unwrap_or_default();
+    format!("{}/{}", stage.to_string_lossy(), key.to_string_lossy())
+}
+
 /// A tmp file is stale when its writer is provably dead (the pid baked
-/// into its name has no `/proc` entry) or it has aged past `ttl` (a
-/// live writer renames within milliseconds).
-fn tmp_is_stale(path: &Path, ttl: Duration) -> bool {
+/// into its name has no `/proc` entry) or it has aged past [`TMP_TTL`].
+fn tmp_is_stale(path: &Path) -> bool {
     let pid: Option<u32> = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -713,7 +621,7 @@ fn tmp_is_stale(path: &Path, ttl: Duration) -> bool {
         .and_then(|m| m.modified())
         .ok()
         .and_then(|m| std::time::SystemTime::now().duration_since(m).ok())
-        .is_some_and(|age| age > ttl)
+        .is_some_and(|age| age > TMP_TTL)
 }
 
 #[cfg(test)]
@@ -786,10 +694,6 @@ mod tests {
         assert!(!store.is_enabled());
         assert_eq!(store.save("corpus", Fingerprint(1), b"x"), 0);
         assert_eq!(store.load("corpus", Fingerprint(1)), Lookup::Miss);
-        assert!(matches!(
-            store.join_flight("corpus", Fingerprint(1), Duration::from_millis(1)),
-            Flight::TimedOut
-        ));
     }
 
     #[test]
@@ -812,6 +716,19 @@ mod tests {
             store.load("digitize", Fingerprint(DEFAULT_PER_STAGE_CAP as u64 + 2)),
             Lookup::Hit(_)
         ));
+        // Even when every other entry looks newer (mtimes an hour
+        // ahead), the sweep after a commit never evicts that commit.
+        let ahead = std::time::SystemTime::now() + Duration::from_secs(3600);
+        for entry in fs::read_dir(root.join("digitize")).unwrap().flatten() {
+            let file = File::options().write(true).open(entry.path()).unwrap();
+            file.set_modified(ahead).unwrap();
+        }
+        let just_committed = Fingerprint(1_000);
+        assert_eq!(store.save("digitize", just_committed, b"x"), 1);
+        assert!(matches!(
+            store.load("digitize", just_committed),
+            Lookup::Hit(_)
+        ));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -824,30 +741,6 @@ mod tests {
         }
         let live = fs::read_dir(root.join("digitize")).unwrap().count();
         assert_eq!(live, 40);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn eviction_skips_locked_entries() {
-        let root = scratch("evict-locked");
-        let store = ArtifactStore::at(&root, 1).with_cap(2);
-        store.save("tag", Fingerprint(1), b"oldest");
-        // A live peer holds fingerprint 1 (fresh lease, our pid).
-        let guard = store.try_lock("tag", Fingerprint(1)).expect("lock");
-        store.save("tag", Fingerprint(2), b"mid");
-        store.save("tag", Fingerprint(3), b"new");
-        // Cap 2 with three entries: the oldest would go, but it is
-        // locked — the unlocked middle entry goes instead.
-        assert!(matches!(store.load("tag", Fingerprint(1)), Lookup::Hit(_)));
-        drop(guard);
-        let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
-        assert!(
-            counters
-                .get("cache.evict.skipped_locked")
-                .copied()
-                .unwrap_or(0)
-                >= 1
-        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -930,7 +823,7 @@ mod tests {
     struct FlipEveryRead;
 
     impl IoFaults for FlipEveryRead {
-        fn inject(&self, op: IoOp) -> Option<IoFault> {
+        fn inject(&self, op: IoOp, _artifact: &str, _attempt: u32) -> Option<IoFault> {
             (op == IoOp::ReadArtifact).then_some(IoFault::BitFlip)
         }
     }
@@ -955,6 +848,38 @@ mod tests {
             0
         );
         assert!(store.take_events().is_empty());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Records every consultation and never faults.
+    #[derive(Default)]
+    struct RecordOps(Mutex<Vec<(IoOp, String, u32)>>);
+
+    impl IoFaults for RecordOps {
+        fn inject(&self, op: IoOp, artifact: &str, attempt: u32) -> Option<IoFault> {
+            let mut seen = self.0.lock().unwrap();
+            seen.push((op, artifact.to_owned(), attempt));
+            None
+        }
+    }
+
+    #[test]
+    fn faults_are_keyed_by_artifact_name_not_tmp_path() {
+        let root = scratch("fault-names");
+        let record = Arc::new(RecordOps::default());
+        let store = ArtifactStore::at(&root, 1).with_faults(record.clone());
+        let key = Fingerprint(9);
+        store.save("tag", key, b"x");
+        assert!(matches!(store.load("tag", key), Lookup::Hit(_)));
+        let name = format!("tag/{}", key.to_hex());
+        assert_eq!(
+            *record.0.lock().unwrap(),
+            vec![
+                (IoOp::WriteTmp, name.clone(), 0),
+                (IoOp::RenameCommit, name.clone(), 0),
+                (IoOp::ReadArtifact, name, 0),
+            ]
+        );
         let _ = fs::remove_dir_all(&root);
     }
 

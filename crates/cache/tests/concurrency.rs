@@ -1,15 +1,14 @@
 //! Concurrency contracts of the artifact store: many workers on one
-//! cache directory, with single-flight leases, crashed-peer litter,
-//! and injected I/O faults — each artifact computed once, every reader
-//! seeing identical bytes, never a torn frame, never a deadlock.
+//! cache directory, coordinated by nothing but the atomic commit, with
+//! and without injected I/O faults — every worker ends with identical
+//! bytes, never a torn frame, never tmp litter, and every injected
+//! fault is accounted for.
 
-use disengage_cache::{
-    lock, ArtifactStore, Fingerprint, Flight, Fp, IoFault, IoFaults, IoOp, Lookup,
-};
+use disengage_cache::{ArtifactStore, Fingerprint, Fp, IoFault, IoFaults, IoOp, Lookup};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 /// A unique, self-cleaning store directory per test.
 struct TempStore(PathBuf);
@@ -47,66 +46,71 @@ fn payload(i: u64) -> Vec<u8> {
     (0..4096u64).flat_map(|j| (i ^ j).to_le_bytes()).collect()
 }
 
-/// One session's probe-or-compute cycle for a key, through the same
-/// load → single-flight → compute → commit discipline the pipeline's
-/// `cached_stage` uses. Returns the bytes this worker ended up with.
-fn probe_or_compute(store: &ArtifactStore, i: u64, computes: &AtomicUsize) -> Vec<u8> {
-    loop {
-        match store.load("stage", key(i)) {
-            Lookup::Hit(bytes) => return bytes,
-            Lookup::Miss | Lookup::Corrupt => {}
+/// One session's probe-or-compute cycle for a key, the discipline the
+/// pipeline's `cached_stage` follows: replay a hit, otherwise compute
+/// and commit. Returns the bytes this worker ended up with.
+fn probe_or_compute(store: &ArtifactStore, i: u64) -> Vec<u8> {
+    if let Lookup::Hit(bytes) = store.load("stage", key(i)) {
+        return bytes;
+    }
+    let bytes = payload(i);
+    store.save("stage", key(i), &bytes);
+    bytes
+}
+
+/// A seeded fault schedule drawn from `(seed, op, artifact, attempt)`
+/// alone, like `disengage-chaos`'s injector: the same operation on the
+/// same artifact faults alike in every worker, whatever the
+/// interleaving.
+struct SeededFaults {
+    seed: u64,
+    rate: f64,
+}
+
+impl IoFaults for SeededFaults {
+    fn inject(&self, op: IoOp, artifact: &str, attempt: u32) -> Option<IoFault> {
+        let mut f = Fp::new();
+        f.write_u64(self.seed)
+            .write_str(&format!("{op:?}"))
+            .write_str(artifact)
+            .write_u32(attempt);
+        let r = f.finish().0;
+        if (r >> 11) as f64 / (1u64 << 53) as f64 >= self.rate {
+            return None;
         }
-        match store.join_flight("stage", key(i), Duration::from_secs(30)) {
-            Flight::Ready(bytes) => return bytes,
-            Flight::Leader(guard) => {
-                // Double-check under the lock: a peer may have
-                // committed between our probe and the acquisition.
-                if let Lookup::Hit(bytes) = store.load("stage", key(i)) {
-                    drop(guard);
-                    return bytes;
-                }
-                computes.fetch_add(1, Ordering::SeqCst);
-                let bytes = payload(i);
-                store.save("stage", key(i), &bytes);
-                drop(guard);
-                return bytes;
-            }
-            Flight::TimedOut => {}
-        }
+        Some(match op {
+            IoOp::ReadArtifact if r & 1 == 1 => IoFault::BitFlip,
+            IoOp::WriteTmp if r & 1 == 1 => IoFault::ShortWrite,
+            _ => IoFault::Error,
+        })
     }
 }
 
-#[test]
-fn eight_workers_compute_each_artifact_exactly_once() {
+/// Eight workers race over four shared keys on `store`. Mixed traffic:
+/// key 0 starts as a torn frame on disk (the first prober takes the
+/// Corrupt path), key 1 is pre-committed (pure warm hits), keys 2–3
+/// are cold. Returns how many faults fired and how many frames the
+/// directory ends with.
+fn eight_workers_on_shared_keys(tmp: &TempStore, store: &ArtifactStore) -> (u64, usize) {
     const WORKERS: usize = 8;
     const KEYS: u64 = 4;
-    let tmp = TempStore::new("stress");
-    // Unbounded: 4 keys would fit the default cap, but the point here
-    // is single-flight, not eviction.
-    let store = tmp.store().with_cap(0);
-
-    // Mixed traffic: key 0 starts as a torn frame on disk (the first
-    // prober takes the Corrupt path), key 1 is pre-committed (pure
-    // warm hits), keys 2–3 are cold.
     let dir = tmp.0.join("stage");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join(format!("{}.art", key(0).to_hex())), b"not a frame").unwrap();
-    store.save("stage", key(1), &payload(1));
+    tmp.store().save("stage", key(1), &payload(1));
 
-    let computes = Arc::new(AtomicUsize::new(0));
     let barrier = Arc::new(Barrier::new(WORKERS));
     let results: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WORKERS)
             .map(|w| {
                 let store = store.clone();
-                let computes = Arc::clone(&computes);
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
                     barrier.wait();
                     // Each worker walks the keys in a different
-                    // rotation, so leaders and waiters interleave.
+                    // rotation, so computes and commits interleave.
                     (0..KEYS)
-                        .map(|k| probe_or_compute(&store, (k + w as u64) % KEYS, &computes))
+                        .map(|k| probe_or_compute(&store, (k + w as u64) % KEYS))
                         .collect::<Vec<_>>()
                 })
             })
@@ -121,73 +125,50 @@ fn eight_workers_compute_each_artifact_exactly_once() {
             assert_eq!(bytes, &payload(i), "worker {w} got wrong bytes for key {i}");
         }
     }
-    // Key 1 was pre-committed; the other three were computed by
-    // exactly one worker each, however the race went.
-    assert_eq!(computes.load(Ordering::SeqCst), KEYS as usize - 1);
     // The directory holds only intact committed frames — no torn
-    // files, no tmp, no locks.
+    // files, no tmp — and each is the one deterministic artifact,
+    // however many workers renamed it into place.
     let audit = store.audit_files();
     assert!(
         audit.is_clean(),
-        "torn {:?} tmp {:?} locks {:?}",
+        "torn {:?} tmp {:?}",
         audit.torn,
-        audit.tmp,
-        audit.locks
+        audit.tmp
     );
-    assert_eq!(audit.intact, KEYS as usize);
-}
-
-#[test]
-fn wedged_peer_times_out_instead_of_deadlocking() {
-    let tmp = TempStore::new("wedged");
-    let store = tmp.store();
-    // A live peer (our own pid, fresh lease) holds the lock and never
-    // finishes. The watchdog must hand the flight back, not hang.
-    let dir = tmp.0.join("stage");
-    std::fs::create_dir_all(&dir).unwrap();
-    let lock_path = dir.join(format!("{}.lock", key(9).to_hex()));
-    std::fs::write(
-        &lock_path,
-        lock::compose(std::process::id(), lock::now_millis()),
-    )
-    .unwrap();
-
-    let started = std::time::Instant::now();
-    match store.join_flight("stage", key(9), Duration::from_millis(200)) {
-        Flight::TimedOut => {}
-        other => panic!("expected a watchdog timeout, got {other:?}"),
-    }
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "watchdog failed to bound the wait"
-    );
-    // The caller recovers by computing locally; the wedged peer's lock
-    // never blocks the commit (the rename is atomic regardless).
-    store.save("stage", key(9), &payload(9));
-    assert!(matches!(store.load("stage", key(9)), Lookup::Hit(b) if b == payload(9)));
-}
-
-#[test]
-fn dead_peers_stale_lock_is_reclaimed() {
-    let tmp = TempStore::new("stale-lock");
-    let store = tmp.store();
-    // A provably-dead pid far beyond Linux's pid_max: the lease is
-    // unexpired but the holder cannot be alive.
-    let dir = tmp.0.join("stage");
-    std::fs::create_dir_all(&dir).unwrap();
-    let lock_path = dir.join(format!("{}.lock", key(5).to_hex()));
-    std::fs::write(&lock_path, lock::compose(3_999_999_999, lock::now_millis())).unwrap();
-
-    // The flight breaks the stale lock and leads immediately.
-    match store.join_flight("stage", key(5), Duration::from_secs(5)) {
-        Flight::Leader(guard) => {
-            store.save("stage", key(5), &payload(5));
-            drop(guard);
+    for i in 0..KEYS {
+        match tmp.store().load("stage", key(i)) {
+            Lookup::Hit(bytes) => assert_eq!(bytes, payload(i), "key {i} committed wrong bytes"),
+            Lookup::Miss => {}
+            Lookup::Corrupt => panic!("key {i} left a corrupt frame"),
         }
-        other => panic!("expected leadership after stale-lock reclaim, got {other:?}"),
     }
-    assert!(!lock_path.exists(), "stale lock must be gone");
-    assert!(matches!(store.load("stage", key(5)), Lookup::Hit(b) if b == payload(5)));
+    let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
+    let fired = counters.get("cache.io.fault.total").copied().unwrap_or(0);
+    let retried = counters.get("cache.io.retried").copied().unwrap_or(0);
+    let absorbed = counters.get("cache.io.absorbed").copied().unwrap_or(0);
+    assert_eq!(fired, retried + absorbed, "a fired fault went unaccounted");
+    (fired, audit.intact)
+}
+
+#[test]
+fn eight_workers_on_shared_keys_end_identical_and_clean() {
+    // Unbounded: 4 keys would fit the default cap, but the point here
+    // is racing commits, not eviction.
+    let tmp = TempStore::new("shared");
+    let (fired, intact) = eight_workers_on_shared_keys(&tmp, &tmp.store().with_cap(0));
+    assert_eq!(fired, 0);
+    assert_eq!(intact, 4, "every key committed");
+
+    // Under a seeded fault plan a key whose every commit faults stays
+    // uncached (the next session recomputes it); nothing else changes.
+    let tmp = TempStore::new("shared-faults");
+    let faults = Arc::new(SeededFaults {
+        seed: 7,
+        rate: 0.25,
+    });
+    let (fired, _) =
+        eight_workers_on_shared_keys(&tmp, &tmp.store().with_cap(0).with_faults(faults));
+    assert!(fired > 0, "the fault plan never fired");
 }
 
 /// Fails every rename for the first `n` consultations — the commit
@@ -197,7 +178,7 @@ struct RenameStorm {
 }
 
 impl IoFaults for RenameStorm {
-    fn inject(&self, op: IoOp) -> Option<IoFault> {
+    fn inject(&self, op: IoOp, _artifact: &str, _attempt: u32) -> Option<IoFault> {
         if op == IoOp::RenameCommit
             && self
                 .left

@@ -58,7 +58,7 @@ use crate::pipeline::{
 use crate::tagging::{tag_records, TaggedDisengagement};
 use crate::telemetry::task_stamps;
 use crate::Result;
-use disengage_cache::{ArtifactStore, Dec, Enc, Fingerprint, Flight, Fp, Lookup};
+use disengage_cache::{ArtifactStore, Dec, Enc, Fingerprint, Fp, Lookup};
 use disengage_chaos::{
     audit, inject_documents, poison_dictionary, ChaosAudit, FaultFate, FaultKind, FaultPlan,
     IoFaultPlan, SeededIoFaults,
@@ -77,12 +77,6 @@ use disengage_reports::{
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long a session waits on a peer's in-flight stage computation
-/// before giving up on the lock and recomputing locally. Generous
-/// enough for any stage at full scale; bounded so a wedged peer can
-/// never deadlock the pipeline.
-const STAGE_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// One stage of the pipeline graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -387,6 +381,17 @@ impl RunSession {
         RunSession::new(RunConfig::new().with_corpus(CorpusConfig { seed, scale }))
             .run()
             .expect("test pipeline runs")
+    }
+
+    /// The shards this run executes, in enumeration order: the
+    /// corpus's shard enumeration under the `--shards` filter.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownShard`] when the filter names no real shard.
+    pub fn planned_shards(&self) -> Result<Vec<ShardSpec>> {
+        let all = CorpusGenerator::new(self.config.corpus).shards();
+        filter_shards(all, self.config.shards.as_deref())
     }
 
     /// Derives every stage's cache key for this configuration.
@@ -830,9 +835,9 @@ impl RunSession {
         if let Some(plan) = self.config.active_io_faults() {
             store = store.with_faults(Arc::new(SeededIoFaults::new(plan)));
         }
-        // Startup recovery: clear any crashed peer's tmp/lock litter
-        // before the first probe, so even a fully-warm run (which
-        // never saves) leaves a clean directory.
+        // Startup recovery: clear any crashed peer's tmp litter and
+        // torn frames before the first probe, so even a fully-warm run
+        // (which never saves) leaves a clean directory.
         store.reclaim();
         if store.is_enabled() {
             profile::record_phase_at(obs, &["store_open"], start.elapsed());
@@ -1257,7 +1262,7 @@ fn run_shard(
 }
 
 /// Feeds the store's internal degraded-path ledgers (`cache.io.*`,
-/// `cache.tmp.*`, `lock.*` — all stripped from `canonical()`) into the
+/// `cache.tmp.*`, `cache.torn.*` — all stripped from `canonical()`) into the
 /// run collector so `telemetry::reconcile` can check the fault
 /// accounting identity, and its named reclaim/evict events into the
 /// flight ring (environment facts, stripped from canonical dumps).
@@ -1493,13 +1498,11 @@ fn record_throughput(obs: &Collector, stage: &str, records: u64, bytes: u64, ela
 /// per-item phase paths depend on `--jobs` (see `obs::profile`). The
 /// phases land outside the stage shard, so cache artifacts carry no
 /// profiler wall time and warm replays re-measure their own.
-/// On a miss the stage joins the per-fingerprint single-flight: one
-/// session (thread or process) takes the advisory lease lock and
-/// computes while the rest back off and re-probe, replaying the
-/// leader's committed artifact the moment it appears. A watchdog
-/// timeout (or an unreadable lock directory) falls back to local
-/// recompute — a wedged peer costs duplicated work, never a deadlock
-/// and never different bytes.
+///
+/// A miss computes and commits with no coordination: a concurrent
+/// session (thread or process) missing the same key computes it too
+/// and commits the identical frame, so a race costs duplicated work,
+/// never different bytes.
 #[allow(clippy::too_many_arguments)]
 fn cached_stage<T>(
     store: &ArtifactStore,
@@ -1508,7 +1511,7 @@ fn cached_stage<T>(
     cacheable: bool,
     obs: &Collector,
     encode: impl FnOnce(&mut Enc, &T),
-    decode: impl Fn(&mut Dec) -> Option<T>,
+    decode: impl FnOnce(&mut Dec) -> Option<T>,
     compute: impl FnOnce(&Collector) -> T,
 ) -> T {
     let stage_start = Instant::now();
@@ -1519,7 +1522,7 @@ fn cached_stage<T>(
     if caching {
         let lookup_start = Instant::now();
         let decoded = match store.load(stage.name(), key) {
-            Lookup::Hit(bytes) => match artifact::decode_stage(&bytes, &decode) {
+            Lookup::Hit(bytes) => match artifact::decode_stage(&bytes, decode) {
                 Some(hit) => Some(hit),
                 // Framed and checksummed but structurally wrong — an
                 // artifact from a buggy or foreign writer. Recompute.
@@ -1553,25 +1556,6 @@ fn cached_stage<T>(
             }
         }
     }
-    let mut flight_lock = None;
-    if caching && replayed.is_none() {
-        match store.join_flight(stage.name(), key, STAGE_WATCHDOG) {
-            Flight::Leader(guard) => flight_lock = Some(guard),
-            Flight::Ready(bytes) => match artifact::decode_stage(&bytes, &decode) {
-                Some((state, entries, value)) => {
-                    obs.add("cache.hit", 1);
-                    obs.add(&format!("cache.hit.{}", stage.name()), 1);
-                    obs.absorb_state(state);
-                    obs.absorb_lineage(entries);
-                    replayed = Some(value);
-                }
-                None => {
-                    obs.add("cache.corrupt", 1);
-                }
-            },
-            Flight::TimedOut => {}
-        }
-    }
     let value = match replayed {
         Some(value) => value,
         None => {
@@ -1593,9 +1577,6 @@ fn cached_stage<T>(
             value
         }
     };
-    // Release the single-flight lock only after the commit (or the
-    // replay) so waiters wake to a readable artifact.
-    drop(flight_lock);
     let wall = stage_start.elapsed().as_secs_f64();
     profile::record_phase_parts(obs, &[&phase_root], wall, (wall - lookup_s).max(0.0));
     value

@@ -23,8 +23,8 @@
 //! handed in as a [`FlightSnapshot`] of `task` events (this crate
 //! cannot name the pool's types). A [canonical dump](dump_value)
 //! zeroes timestamps, omits the task stamps, and drops counter events
-//! in the environment-fact namespaces (`cache.*` / `lock.*` /
-//! `profile.*`, mirroring [`crate::TelemetryReport::canonical`]), and
+//! in the environment-fact namespaces (`cache.*` / `profile.*`,
+//! mirroring [`crate::TelemetryReport::canonical`]), and
 //! is byte-identical at any worker count, clean or chaos.
 
 use crate::collector::Collector;
@@ -52,13 +52,12 @@ pub const DEFAULT_DUMP_PATH: &str = "flight.json";
 /// The full counter set is far too chatty for a postmortem ring
 /// (per-record `nlp.tag.*` deltas would evict everything else);
 /// these prefixes cover the reliability lanes the paper cares
-/// about — quarantine, injected chaos, cache/lock traffic, parser
+/// about — quarantine, injected chaos, cache traffic, parser
 /// panics and failures, and the recorder's own drop ledger.
 pub const WATCH_PREFIXES: &[&str] = &[
     "quarantine.",
     "chaos.",
     "cache.",
-    "lock.",
     "degrade.",
     "parse.docs.",
     "parse.dis.failed",
@@ -68,7 +67,7 @@ pub const WATCH_PREFIXES: &[&str] = &[
 /// environment-fact namespaces [`crate::TelemetryReport::canonical`]
 /// strips (a warm run sees `cache.hit` events where a cold run saw
 /// `cache.miss`, for identical results).
-const VOLATILE_PREFIXES: &[&str] = &["cache.", "lock.", "profile."];
+const VOLATILE_PREFIXES: &[&str] = &["cache.", "profile."];
 
 /// Returns true when counter deltas on `name` should be recorded as
 /// flight events.

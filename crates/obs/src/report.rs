@@ -151,7 +151,7 @@ impl TelemetryReport {
 
     /// The canonical form for byte-for-byte comparison: every
     /// wall-clock field (span start/duration) zeroed, log events
-    /// dropped, every `cache.*` and `lock.*` counter dropped, and the
+    /// dropped, every `cache.*` counter dropped, and the
     /// `profile.*` and `obs.overhead.*` namespaces (counters, gauges,
     /// histograms) dropped, all other structure and metrics kept.
     ///
@@ -164,13 +164,11 @@ impl TelemetryReport {
     /// warm, cold, and any `--jobs` all serialize identically. The
     /// self-profiler's `profile.*` metrics (phase timers, throughput,
     /// memory gauges — see [`crate::profile`]) are wall-clock-derived
-    /// by construction, so the whole namespace goes the same way. The
-    /// store's `lock.*` contention/reclaim ledger depends on which
-    /// peers happened to be racing — the textbook environment fact —
-    /// and is dropped with `cache.*`. Log events go entirely: their
-    /// timestamps are wall clock and their *presence* can be
-    /// environment-dependent (a warm run logs different progress than
-    /// a cold one), so the canonical report keeps none. The
+    /// by construction, so the whole namespace goes the same way. Log
+    /// events go entirely: their timestamps are wall clock and their
+    /// *presence* can be environment-dependent (a warm run logs
+    /// different progress than a cold one), so the canonical report
+    /// keeps none. The
     /// `obs.overhead.*` gauges measure recording time itself —
     /// wall-clock-derived by definition — and are dropped with
     /// `profile.*`.
@@ -191,7 +189,7 @@ impl TelemetryReport {
             !k.starts_with(crate::profile::PROFILE_PREFIX) && !k.starts_with("obs.overhead.")
         };
         self.counters
-            .retain(|k, _| !k.starts_with("cache.") && !k.starts_with("lock.") && keep(k));
+            .retain(|k, _| !k.starts_with("cache.") && keep(k));
         self.gauges.retain(|k, _| keep(k));
         self.histograms.retain(|k, _| keep(k));
         self
@@ -240,17 +238,14 @@ mod tests {
         };
         r.counters.insert("parse.dis.parsed".to_owned(), 9);
         r.counters.insert("cache.hit.corpus".to_owned(), 1);
-        r.counters.insert("lock.contended".to_owned(), 2);
         r.logs.push(LogEvent {
             t_s: 1.25,
             level: LogLevel::Info,
             message: "done".to_owned(),
         });
         let c = r.clone().canonical();
-        // Cache and lock traffic are environment facts, not workload
-        // facts.
+        // Cache traffic is an environment fact, not a workload fact.
         assert_eq!(c.counter("cache.hit.corpus"), 0);
-        assert_eq!(c.counter("lock.contended"), 0);
         assert_eq!(c.spans[0].start_s, 0.0);
         assert_eq!(c.spans[0].duration_s, 0.0);
         assert_eq!(c.spans[0].children[0].duration_s, 0.0);

@@ -297,15 +297,52 @@ fn interrupted_faulted_run_resumes_byte_identically() {
     assert_identical(&cold, &warm);
 
     // And the directory ends clean: litter reclaimed, nothing torn,
-    // no lock or tmp left behind.
+    // no tmp left behind.
     let audit = ArtifactStore::at(cache.path(), FORMAT_VERSION).audit_files();
     assert!(
         audit.is_clean(),
-        "torn {:?} tmp {:?} locks {:?}",
+        "torn {:?} tmp {:?}",
         audit.torn,
-        audit.tmp,
-        audit.locks
+        audit.tmp
     );
+}
+
+/// Two sessions race on one cold cache directory with nothing between
+/// them but the store's atomic commit: both may compute and commit any
+/// stage, which costs duplicated work, never different bytes.
+#[test]
+fn concurrent_sessions_on_one_cold_cache_agree_and_leave_it_clean() {
+    use disengage::cache::ArtifactStore;
+    use disengage::core::artifact::FORMAT_VERSION;
+
+    let (_, reference) = run_with_lineage(&small());
+    let cache = TempCache::new("concurrent");
+    let config = small().with_cache_dir(cache.path());
+    let barrier = std::sync::Barrier::new(2);
+    let race = || {
+        barrier.wait();
+        run_with_lineage(&config).1
+    };
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(race);
+        let b = scope.spawn(race);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_identical(&a, &b);
+    assert_identical(&reference, &a);
+    let audit = ArtifactStore::at(cache.path(), FORMAT_VERSION).audit_files();
+    assert!(
+        audit.is_clean(),
+        "torn {:?} tmp {:?}",
+        audit.torn,
+        audit.tmp
+    );
+
+    // Every racing commit is a valid artifact: a third run replays
+    // every store-cached stage of every shard.
+    let (_, warm) = run_with_lineage(&config);
+    assert_eq!((warm.hits, warm.misses), (3 * 18, 0));
+    assert_identical(&reference, &warm);
 }
 
 /// End-to-end stdout byte-identity through the `disengage` binary —
