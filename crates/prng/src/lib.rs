@@ -97,15 +97,34 @@ pub trait Rng {
         range.sample_from(self)
     }
 
-    /// `true` with probability `p`.
+    /// `true` with probability `p`: one draw, `true` exactly when
+    /// `gen::<f64>() < p` would be (see [`bernoulli_threshold`]).
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "p = {p} outside [0, 1]");
-        self.gen::<f64>() < p
+        let threshold = bernoulli_threshold(p);
+        (self.next_u64() >> 11) < threshold
     }
+}
+
+/// The integer form of a Bernoulli(`p`) draw: for every `u`,
+/// `(u >> 11) < bernoulli_threshold(p)` holds exactly when the `f64`
+/// draw `(u >> 11) · 2⁻⁵³` is below `p`.
+///
+/// That `f64` is exact, so it is below `p` exactly when the integer
+/// `u >> 11` is below the real `p · 2⁵³` (itself an exact `f64`, a
+/// power-of-two scaling), and an integer is below a real exactly when
+/// it is below the real's ceiling. [`Rng::gen_bool`] draws through it,
+/// and a hot loop that makes many draws at one `p` computes it once.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]`.
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "p = {p} outside [0, 1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 impl<R: Rng + ?Sized> Rng for &mut R {
@@ -325,6 +344,62 @@ mod tests {
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         let rate = hits as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "rate = {rate}");
+    }
+
+    /// A generator that returns one fixed word.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn gen_bool_integer_form_equals_the_float_form() {
+        use super::bernoulli_threshold;
+        const TOP: u64 = 1 << 53;
+        let ps = [
+            0.0,
+            f64::from_bits(1), // 2^-1074, the least positive f64
+            1.0 / TOP as f64,  // 2^-53, one draw step
+            0.002,
+            0.01,
+            0.06,
+            0.5,
+            1.0 - 1.0 / TOP as f64,
+            1.0,
+        ];
+        for p in ps {
+            let t = bernoulli_threshold(p);
+            assert!(t <= TOP, "p = {p}: threshold {t}");
+            // Draws whose top 53 bits sit just below, at and just above
+            // the threshold, with the 11 discarded low bits clear and set.
+            for m in [t.wrapping_sub(1), t, t + 1] {
+                if m >= TOP {
+                    continue;
+                }
+                for low in [0, 0x7FF] {
+                    let u = m << 11 | low;
+                    let float: f64 = Fixed(u).gen();
+                    assert_eq!(
+                        Fixed(u).gen_bool(p),
+                        float < p,
+                        "p = {p:e}, top bits {m}, low bits {low:#x}"
+                    );
+                }
+            }
+        }
+        // The edges: p = 0 never fires, p = 1 always does.
+        assert_eq!(bernoulli_threshold(0.0), 0);
+        assert_eq!(bernoulli_threshold(1.0), TOP);
+        assert_eq!(bernoulli_threshold(f64::from_bits(1)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn gen_bool_rejects_out_of_range_p() {
+        Fixed(0).gen_bool(1.5);
     }
 
     #[test]
