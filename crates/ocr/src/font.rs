@@ -285,6 +285,41 @@ pub fn glyph_for(ch: char) -> Option<Glyph> {
     None
 }
 
+/// The glyph of `ch` as seven 5-bit pixel rows, packed one row per
+/// byte: bit `8·r + c` carries pixel `(r, c)`. Zero for a char the font
+/// lacks (space included), which renders as a blank cell.
+///
+/// The rasterizer ORs these rows into a strip's words for every char of
+/// every line, so they are built from [`glyph_for`] once per process,
+/// for every ASCII char and `—` (the only glyph outside ASCII).
+pub(crate) fn glyph_rows(ch: char) -> u64 {
+    const EM_DASH: usize = 128;
+    static ROWS: std::sync::OnceLock<[u64; EM_DASH + 1]> = std::sync::OnceLock::new();
+    let rows = ROWS.get_or_init(|| {
+        let mut rows = [0; EM_DASH + 1];
+        for (i, packed) in rows.iter_mut().enumerate() {
+            let ch = if i == EM_DASH {
+                '—'
+            } else {
+                char::from(i as u8)
+            };
+            if let Some(g) = glyph_for(ch) {
+                for (r, row) in g.pixels.iter().enumerate() {
+                    for (c, &ink) in row.iter().enumerate() {
+                        *packed |= u64::from(ink) << (8 * r + c);
+                    }
+                }
+            }
+        }
+        rows
+    });
+    match ch {
+        '\0'..='\x7f' => rows[ch as usize],
+        '—' => rows[EM_DASH],
+        _ => 0,
+    }
+}
+
 /// Every character the font covers (excluding space), in a stable order.
 pub fn charset() -> Vec<char> {
     let mut set: Vec<char> = Vec::new();
@@ -358,6 +393,27 @@ mod tests {
             }
             // Nothing above the 35 payload bits.
             assert_eq!(bits >> (GLYPH_W * GLYPH_H), 0, "glyph {:?}", g.ch);
+        }
+    }
+
+    #[test]
+    fn glyph_rows_hold_every_glyph_and_nothing_else() {
+        for i in 0..=0x2100u32 {
+            let Some(ch) = char::from_u32(i) else {
+                continue;
+            };
+            let rows = glyph_rows(ch);
+            match glyph_for(ch) {
+                Some(g) => {
+                    for r in 0..GLYPH_H {
+                        for c in 0..GLYPH_W {
+                            let bit = rows >> (8 * r + c) & 1 == 1;
+                            assert_eq!(bit, g.pixels[r][c], "glyph {ch:?} at ({r},{c})");
+                        }
+                    }
+                }
+                None => assert_eq!(rows, 0, "{ch:?} has no glyph"),
+            }
         }
     }
 
