@@ -111,6 +111,35 @@ fn byte_code(a: &str, b: &str) -> Option<(Vec<u8>, Vec<u8>)> {
     Some((code(a)?, code(b)?))
 }
 
+/// Rows live in `isize` so that unreached diagonals can sit far below
+/// zero; slice lengths never exceed `isize::MAX`.
+const UNREACHED: isize = isize::MIN / 2;
+
+/// The largest cap whose kernel rows live on the stack. The
+/// corrector's token queries cap at distance 1 or 2, and a row of cap
+/// `e` has `2e + 5` entries.
+const STACK_CAP: usize = 4;
+
+/// One row of [`distance_at_most`]'s kernel: on the stack for a
+/// bounded query, a growing heap row for an unbounded one.
+trait Row: std::ops::IndexMut<usize, Output = isize> {
+    /// Makes entries `0..len` unreached.
+    fn reset(&mut self, len: usize);
+}
+
+impl Row for [isize; 2 * STACK_CAP + 5] {
+    fn reset(&mut self, len: usize) {
+        self[..len].fill(UNREACHED);
+    }
+}
+
+impl Row for Vec<isize> {
+    fn reset(&mut self, len: usize) {
+        self.clear();
+        self.resize(len, UNREACHED);
+    }
+}
+
 /// The exact Levenshtein distance between `a` and `b` when it is at
 /// most `cap`, else `None`: the one kernel behind both the
 /// whole-document query ([`edit_distance`], which caps at the longer
@@ -129,16 +158,33 @@ fn byte_code(a: &str, b: &str) -> Option<(Vec<u8>, Vec<u8>)> {
 /// Cost: O(n + d²) when off-path diagonals stop sliding soon after they
 /// leave the optimal alignment, as on OCR text; O(n·d) at worst, on
 /// periodic text, where every diagonal a period apart slides as far as
-/// the optimal one. Memory: two rows of `2e + 5` entries.
+/// the optimal one. Memory: two rows of `2e + 5` entries, on the stack
+/// when `cap` is at most [`STACK_CAP`] (every corrector query), else on
+/// the heap, grown with `e` (the whole-document query's cap is the text
+/// length, far above the distance it finds).
 fn distance_at_most<T: PartialEq>(a: &[T], b: &[T], cap: usize) -> Option<usize> {
-    // Rows live in `isize` so that unreached diagonals can sit far
-    // below zero; slice lengths never exceed `isize::MAX`.
-    const UNREACHED: isize = isize::MIN / 2;
-    let (la, lb) = (a.len() as isize, b.len() as isize);
-    let goal = lb - la;
-    if goal.unsigned_abs() > cap {
+    if b.len().abs_diff(a.len()) > cap {
         return None;
     }
+    if cap <= STACK_CAP {
+        let mut rows = [[UNREACHED; 2 * STACK_CAP + 5]; 2];
+        let [prev, curr] = &mut rows;
+        transition(a, b, cap, prev, curr)
+    } else {
+        transition(a, b, cap, &mut Vec::new(), &mut Vec::new())
+    }
+}
+
+/// [`distance_at_most`]'s kernel, on the rows it is handed.
+fn transition<'r, T: PartialEq, R: Row>(
+    a: &[T],
+    b: &[T],
+    cap: usize,
+    mut prev: &'r mut R,
+    mut curr: &'r mut R,
+) -> Option<usize> {
+    let (la, lb) = (a.len() as isize, b.len() as isize);
+    let goal = lb - la;
     // The furthest row on diagonal `k` from row `i`, along matches.
     let slide = |k: isize, i: isize| -> isize {
         let (ai, bi) = (i as usize, (i + k) as usize);
@@ -151,14 +197,12 @@ fn distance_at_most<T: PartialEq>(a: &[T], b: &[T], cap: usize) -> Option<usize>
     // Row `e` keeps diagonal `k` at index `k + e + 2`; the two
     // permanently unreached slots past each flank let the next row read
     // its `k ± 1` neighbours unguarded.
-    let mut prev = vec![UNREACHED; 5];
+    prev.reset(5);
     prev[2] = slide(0, 0);
-    let mut curr = Vec::new();
     for e in 0..=cap {
         let ei = e as isize;
         if e > 0 {
-            curr.clear();
-            curr.resize(2 * e + 5, UNREACHED);
+            curr.reset(2 * e + 5);
             for k in (-ei).max(-la)..=ei.min(lb) {
                 // Diagonal `k` of row `e − 1` sits at `k + e + 1`.
                 let p = (k + ei + 1) as usize;
@@ -646,7 +690,8 @@ mod tests {
             let ac: Vec<char> = a.chars().collect();
             let bc: Vec<char> = b.chars().collect();
             let truth = full_dp_distance(a, b);
-            for band in 0..=4usize {
+            // Bands past STACK_CAP run the kernel on heap rows.
+            for band in 0..=STACK_CAP + 2 {
                 let got = distance_at_most(&ac, &bc, band);
                 if truth <= band {
                     assert_eq!(got, Some(truth), "{a:?} vs {b:?} band {band}");
