@@ -163,7 +163,12 @@ pub(crate) fn digitize_simulated_parts(
     obs: &Collector,
     timeline: &TaskTimeline,
 ) -> (Vec<RawDocument>, OcrStats) {
-    let engine = OcrEngine::new();
+    // The engine is immutable and a pure function of the built-in
+    // font, so it is built once per process (its cap table alone is 86
+    // glyphs × 36 `f64`s, ~26 KB) and shared by every shard, as the
+    // corrector is.
+    static ENGINE: std::sync::OnceLock<OcrEngine> = std::sync::OnceLock::new();
+    let engine = ENGINE.get_or_init(OcrEngine::new);
     let corrector = config.correct.then(default_corrector);
     // Each pool worker keeps one strip-streaming scratch alive across
     // every document it processes, so the hot loop stops paying an
@@ -203,7 +208,7 @@ pub(crate) fn digitize_simulated_parts(
                 let out = digitize_streamed(
                     &doc.text,
                     &config.noise,
-                    &engine,
+                    engine,
                     scratch,
                     &mut rng,
                     &mut timings,
