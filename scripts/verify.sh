@@ -12,7 +12,9 @@
 # loop's full equivalence grid against the per-record reference loop
 # (release), the diagonal-transition
 # CER edit distance's full equivalence grid against the banded
-# reference (release), the distinct-value Weibull and
+# reference (release), the streamed digitizer's full-corpus
+# equivalence grid against the scalar whole-page reference (release,
+# ~5 s), the distinct-value Weibull and
 # Exponentiated-Weibull fitters' full equivalence grid against the
 # reference fitters (release), the failure database's per-manufacturer
 # index's full equivalence grid against the reference scans (release),
@@ -111,6 +113,13 @@ echo "== Stage I: CER edit distance vs banded reference, full grid =="
 # and chaos-perturbed documents; tier-1 runs scale 0.05 only. Most of
 # the ~70 s is the O(n·d) reference on heavy noise at full scale.
 cargo test --release --offline --test distance_equivalence -- --ignored
+
+echo "== Stage I: streamed digitizer vs scalar whole-page reference, full grid =="
+# Every filing at scale 0.25, corpus seeds 0x5EED and 42, under clean,
+# light, heavy, erosion-only and salt-only noise: same text, confidence-
+# sum bits and char count (~5 s in release); tier-1 runs scale 0.05 at
+# light noise.
+cargo test --release --offline --test digitize_equivalence -- --ignored
 
 echo "== Stage IV: distinct-value fitters vs reference fitters, full grid =="
 # Every analyzed manufacturer's Fig. 11 sample at seeds 1-20 (full
