@@ -52,7 +52,7 @@ pub trait IoFaults: Send + Sync {
     /// artifact at most once per attempt, so an injector that draws
     /// from these arguments alone gives those operations a schedule that
     /// depends only on the run's work, never on thread interleaving.
-    /// (Which entries an eviction sweep meets can still depend on the
+    /// (Which entries a save finds past the cap can still depend on the
     /// order in which concurrent saves land.)
     fn inject(&self, op: IoOp, artifact: &str, attempt: u32) -> Option<IoFault>;
 }

@@ -14,7 +14,10 @@
 //! * [`store`] — [`store::ArtifactStore`], the on-disk layout
 //!   `<root>/<stage>/<fingerprint>.art` with crash-safe atomic commits
 //!   (unique tmp + fsync + rename), corruption detection, stale-litter
-//!   reclamation, and per-stage LRU eviction. Sessions sharing one
+//!   reclamation, and per-stage eviction of the oldest entries. A store
+//!   lists a stage directory once, at its first save there, and then
+//!   evicts from that list, so a save makes only its own file's
+//!   syscalls and its victims' unlinks. Sessions sharing one
 //!   directory need no coordination: two that compute one key commit
 //!   identical frames, and the later rename wins.
 //! * [`faults`] — the [`faults::IoFaults`] injection surface every

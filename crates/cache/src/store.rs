@@ -15,12 +15,12 @@
 //! best-effort). Readers therefore only ever observe either no entry
 //! or a complete frame — a crash at any instant leaves at worst a tmp
 //! file, which [`ArtifactStore::reclaim`] (run at session start) and
-//! the per-save sweep remove once its owner is provably dead or aged
-//! out. Torn frames that do reach disk (e.g. planted by a fault
-//! campaign) are removed and recomputed: at startup when the 24-byte
-//! header already disagrees with the file, otherwise at the first
-//! [`ArtifactStore::load`], the one place the payload checksum is
-//! verified.
+//! the first save into its stage remove once its owner is provably
+//! dead or aged out. Torn frames that do reach disk (e.g. planted by a
+//! fault campaign) are removed and recomputed: at startup when the
+//! 24-byte header already disagrees with the file, otherwise at the
+//! first [`ArtifactStore::load`], the one place the payload checksum
+//! is verified.
 //!
 //! # Concurrency
 //!
@@ -31,6 +31,9 @@
 //! byte-identical and whichever rename lands last is the same
 //! artifact. The cost is duplicated work, never different bytes. A
 //! racing eviction that finds its victim already gone is not an error.
+//! A store evicts from the list of its stage's entries it took at its
+//! first save there, so entries another session commits afterwards are
+//! left to the next session's listing.
 //! (A `*.lock` file an older build left behind is a file this store
 //! never writes, and every pass ignores it.)
 //!
@@ -44,7 +47,8 @@
 //! with the invariant that every injected fault resolves as exactly one
 //! of `cache.io.retried` or `cache.io.absorbed`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::ffi::OsString;
 use std::fs::{self, File};
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
@@ -56,8 +60,8 @@ use crate::codec::{frame, header_matches, unframe, HEADER_LEN};
 use crate::faults::{IoFault, IoFaults, IoOp};
 use crate::fp::Fingerprint;
 
-/// Default artifacts kept per stage directory before the least-recently
-/// modified entries are evicted. Each stage has a handful of live
+/// Default artifacts kept per stage directory before the least recently
+/// written entries are evicted. Each stage has a handful of live
 /// configurations in practice; the cap bounds disk usage for sweeps.
 /// Override per store with [`ArtifactStore::with_cap`] (0 = unbounded).
 pub const DEFAULT_PER_STAGE_CAP: usize = 8;
@@ -110,7 +114,7 @@ impl StoreAudit {
 
 /// A content-addressed artifact store rooted at one directory, or a
 /// disabled store that never hits and never writes. Clones share the
-/// fault surface and the counter ledger.
+/// fault surface, the counter ledger and the eviction lists.
 #[derive(Clone)]
 pub struct ArtifactStore {
     root: Option<PathBuf>,
@@ -119,6 +123,10 @@ pub struct ArtifactStore {
     faults: Option<Arc<dyn IoFaults>>,
     counters: Arc<Mutex<BTreeMap<&'static str, u64>>>,
     events: Arc<Mutex<Vec<(&'static str, String)>>>,
+    /// Per stage: the `.art` file names in its directory, oldest first,
+    /// listed at the first save into that stage and kept in step with
+    /// this store's commits and evictions since.
+    listed: Arc<Mutex<BTreeMap<String, VecDeque<OsString>>>>,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -144,6 +152,7 @@ impl ArtifactStore {
             faults: None,
             counters: Arc::new(Mutex::new(BTreeMap::new())),
             events: Arc::new(Mutex::new(Vec::new())),
+            listed: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
 
@@ -157,6 +166,7 @@ impl ArtifactStore {
             faults: None,
             counters: Arc::new(Mutex::new(BTreeMap::new())),
             events: Arc::new(Mutex::new(Vec::new())),
+            listed: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
 
@@ -357,6 +367,15 @@ impl ArtifactStore {
     /// with backoff; a persistent failure degrades to "not cached"
     /// (the next run recomputes) and leaves no tmp litter. Returns the
     /// number of older entries evicted to stay under the per-stage cap.
+    ///
+    /// Eviction works from the store's list of the stage's entries,
+    /// oldest first. The first save into a stage lists its directory
+    /// once: it removes stale tmp litter and orders the `.art` entries
+    /// by modification time, then name. Every commit then moves its
+    /// own entry to the newest end, so a later save makes only its own
+    /// file's syscalls and its victims' unlinks. Entries another
+    /// session commits after that listing are not this store's to
+    /// evict; the next session's listing sees them.
     pub fn save(&self, stage: &str, key: Fingerprint, payload: &[u8]) -> usize {
         let Some(path) = self.entry_path(stage, key) else {
             return 0;
@@ -399,13 +418,13 @@ impl ArtifactStore {
         if let Ok(d) = File::open(&dir) {
             let _ = d.sync_all();
         }
-        self.sweep(&dir, &path)
+        self.evict_past_cap(stage, &dir, &path)
     }
 
     /// Reclaims stale litter (crashed peers' `*.tmp` intermediates and
     /// `.art` files whose header is torn) across every stage directory.
-    /// Run at session start; the per-save sweep keeps the tmp part
-    /// incremental afterwards. Returns how many files were removed.
+    /// Run at session start; the first save into each stage reclaims
+    /// its tmp litter once more. Returns how many files were removed.
     pub fn reclaim(&self) -> u64 {
         let Some(root) = self.root.as_ref() else {
             return 0;
@@ -480,65 +499,99 @@ impl ArtifactStore {
         };
         let mut removed = 0;
         for entry in entries.flatten() {
-            let path = entry.path();
-            if is_tmp(&path) && tmp_is_stale(&path) && fs::remove_file(&path).is_ok() {
-                self.bump("cache.tmp.reclaimed", 1);
-                self.note("cache.reclaim.tmp", &path);
+            if self.reclaim_tmp(&entry.path()) {
                 removed += 1;
             }
         }
         removed
     }
 
-    /// Post-commit sweep of one stage directory: reclaim stale litter,
-    /// then evict the least-recently-modified `.art` entries beyond
-    /// the cap — never `keep` (the entry just committed). A racing
-    /// `remove_file` losing to a peer (NotFound) is not an error and
-    /// not counted. Returns how many entries this call evicted.
-    fn sweep(&self, dir: &Path, keep: &Path) -> usize {
-        self.reclaim_litter(dir);
+    /// Removes `path` if it is stale tmp litter, counting it under
+    /// `cache.tmp.reclaimed` with its `cache.reclaim.tmp` event.
+    fn reclaim_tmp(&self, path: &Path) -> bool {
+        let removed = is_tmp(path) && tmp_is_stale(path) && fs::remove_file(path).is_ok();
+        if removed {
+            self.bump("cache.tmp.reclaimed", 1);
+            self.note("cache.reclaim.tmp", path);
+        }
+        removed
+    }
+
+    /// Lists `committed` (the entry just renamed into `dir`) as its
+    /// stage's newest entry, then tries to unlink the oldest entries
+    /// past the cap, never `committed` itself. A victim already gone (a
+    /// peer or a torn-frame removal got there first) is dropped and not
+    /// counted; one whose unlink faulted or failed stays listed at the
+    /// oldest end, so the next save retries it. Returns how many
+    /// entries this call evicted.
+    fn evict_past_cap(&self, stage: &str, dir: &Path, committed: &Path) -> usize {
         if self.cap == 0 {
             return 0;
         }
-        let Ok(entries) = fs::read_dir(dir) else {
+        let Some(name) = committed.file_name() else {
             return 0;
         };
-        let mut arts: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-        for entry in entries.flatten() {
+        let mut listed = self.listed.lock().unwrap_or_else(|e| e.into_inner());
+        if !listed.contains_key(stage) {
+            let Some(list) = self.list_stage(dir) else {
+                return 0;
+            };
+            listed.insert(stage.to_owned(), list);
+        }
+        let list = listed.get_mut(stage).expect("the stage was listed above");
+        // An entry already listed (the first listing saw the commit, or
+        // the key was committed again: a recompute over a corrupt frame,
+        // a peer's identical commit) is listed once, as the newest.
+        if let Some(at) = list.iter().position(|n| n == name) {
+            list.remove(at);
+        }
+        list.push_back(name.to_owned());
+        // With `cap >= 1` the `excess` oldest never reach `committed`,
+        // the last entry.
+        let excess = list.len().saturating_sub(self.cap);
+        let (mut at, mut evicted) = (0, 0);
+        for _ in 0..excess {
+            let victim = dir.join(&list[at]);
+            // An injected fault is absorbed: the victim stays listed, as
+            // does one whose unlink fails, for the next save to retry.
+            let gone = self.inject(IoOp::RemoveEvict, &victim, 0).is_none()
+                && match fs::remove_file(&victim) {
+                    Ok(()) => {
+                        self.note("cache.evict", &victim);
+                        evicted += 1;
+                        true
+                    }
+                    // A peer evicted (or recomputed over) it first.
+                    Err(e) => e.kind() == ErrorKind::NotFound,
+                };
+            if gone {
+                list.remove(at);
+            } else {
+                at += 1;
+            }
+        }
+        evicted
+    }
+
+    /// The one listing of a stage directory a store makes, at its first
+    /// save there: removes stale tmp litter and returns the `.art`
+    /// names, oldest first by (modification time, name). `None` when
+    /// the directory cannot be read.
+    fn list_stage(&self, dir: &Path) -> Option<VecDeque<OsString>> {
+        let mut arts = Vec::new();
+        for entry in fs::read_dir(dir).ok()?.flatten() {
             let path = entry.path();
-            if !has_ext(&path, "art") || path == *keep {
+            if self.reclaim_tmp(&path) || !has_ext(&path, "art") {
                 continue;
             }
             let modified = entry
                 .metadata()
                 .and_then(|m| m.modified())
                 .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            arts.push((modified, path));
-        }
-        // +1 for `keep`, which always survives.
-        if arts.len() + 1 <= self.cap {
-            return 0;
+            arts.push((modified, entry.file_name()));
         }
         arts.sort();
-        let excess = arts.len() + 1 - self.cap;
-        let mut evicted = 0;
-        for (_, path) in arts.into_iter().take(excess) {
-            if let Some(IoFault::Error | IoFault::ShortWrite | IoFault::BitFlip) =
-                self.inject(IoOp::RemoveEvict, &path, 0)
-            {
-                continue; // absorbed: the entry outlives its welcome
-            }
-            match fs::remove_file(&path) {
-                Ok(()) => {
-                    self.note("cache.evict", &path);
-                    evicted += 1;
-                }
-                // A peer evicted (or recomputed over) it first.
-                Err(e) if e.kind() == ErrorKind::NotFound => {}
-                Err(_) => {}
-            }
-        }
-        evicted
+        Some(arts.into_iter().map(|(_, name)| name).collect())
     }
 
     /// Audits every file under the root: frame-validates each `.art`
@@ -729,6 +782,145 @@ mod tests {
             store.load("digitize", just_committed),
             Lookup::Hit(_)
         ));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    fn art(root: &Path, stage: &str, i: u64) -> PathBuf {
+        root.join(stage)
+            .join(format!("{}.art", Fingerprint(i).to_hex()))
+    }
+
+    fn evicted(events: &[(&'static str, String)]) -> Vec<String> {
+        events
+            .iter()
+            .filter(|(name, _)| *name == "cache.evict")
+            .map(|(_, file)| file.clone())
+            .collect()
+    }
+
+    #[test]
+    fn a_later_store_lists_the_disk_and_evicts_oldest_first() {
+        let root = scratch("later-store");
+        let first = ArtifactStore::at(&root, 1).with_cap(3);
+        for i in 0..3u64 {
+            assert_eq!(first.save("tag", Fingerprint(i), b"x"), 0);
+        }
+        // Ages that follow neither the keys nor the commit order: 2 is
+        // the oldest, then 0, then 1.
+        let now = std::time::SystemTime::now();
+        for (i, age) in [(2u64, 300), (0, 200), (1, 100)] {
+            let file = File::options()
+                .write(true)
+                .open(art(&root, "tag", i))
+                .unwrap();
+            file.set_modified(now - Duration::from_secs(age)).unwrap();
+        }
+        // A later session's store knows nothing of the first's commits
+        // but what its one listing of the directory finds.
+        let later = ArtifactStore::at(&root, 1).with_cap(3);
+        for i in 10..13u64 {
+            assert_eq!(later.save("tag", Fingerprint(i), b"x"), 1);
+        }
+        let name = |i: u64| format!("{}.art", Fingerprint(i).to_hex());
+        assert_eq!(
+            evicted(&later.take_events()),
+            vec![name(2), name(0), name(1)]
+        );
+        for i in 10..13u64 {
+            assert!(art(&root, "tag", i).exists(), "entry {i} was evicted");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_recommitted_key_is_listed_once() {
+        let root = scratch("recommit");
+        let store = ArtifactStore::at(&root, 1).with_cap(3);
+        for i in 0..3u64 {
+            store.save("tag", Fingerprint(i), b"x");
+        }
+        // Committing 1 again (a recompute over a corrupt frame) takes no
+        // second slot against the cap, and makes 1 the newest entry.
+        assert_eq!(store.save("tag", Fingerprint(1), b"x"), 0);
+        assert_eq!(store.save("tag", Fingerprint(3), b"x"), 1);
+        assert!(!art(&root, "tag", 0).exists());
+        assert_eq!(store.save("tag", Fingerprint(4), b"x"), 1);
+        assert!(!art(&root, "tag", 2).exists(), "2 outlived the newer 1");
+        assert!(art(&root, "tag", 1).exists());
+        // A later store's first save of a key its listing finds on disk
+        // lists that key once too.
+        let later = ArtifactStore::at(&root, 1).with_cap(3);
+        assert_eq!(later.save("tag", Fingerprint(3), b"x"), 0);
+        for i in [1, 3, 4] {
+            assert!(art(&root, "tag", i).exists(), "entry {i} was evicted");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Fails the first eviction unlink it is consulted on; every other
+    /// operation runs.
+    #[derive(Default)]
+    struct FailFirstEvict(std::sync::atomic::AtomicBool);
+
+    impl IoFaults for FailFirstEvict {
+        fn inject(&self, op: IoOp, _artifact: &str, _attempt: u32) -> Option<IoFault> {
+            (op == IoOp::RemoveEvict && !self.0.swap(true, Ordering::SeqCst))
+                .then_some(IoFault::Error)
+        }
+    }
+
+    #[test]
+    fn a_faulted_eviction_stays_listed_and_the_next_save_evicts_it() {
+        let root = scratch("evict-fault");
+        let store = ArtifactStore::at(&root, 1)
+            .with_cap(2)
+            .with_faults(Arc::new(FailFirstEvict::default()));
+        store.save("tag", Fingerprint(0), b"x");
+        store.save("tag", Fingerprint(1), b"x");
+        assert_eq!(store.save("tag", Fingerprint(2), b"x"), 0);
+        assert!(art(&root, "tag", 0).exists(), "the faulted victim went");
+        // Still the oldest listed entry: the next save evicts it along
+        // with the entry now past the cap.
+        assert_eq!(store.save("tag", Fingerprint(3), b"x"), 2);
+        assert!(!art(&root, "tag", 0).exists());
+        assert!(!art(&root, "tag", 1).exists());
+        let counters: BTreeMap<_, _> = store.take_counters().into_iter().collect();
+        let count = |name| counters.get(name).copied().unwrap_or(0);
+        assert_eq!(count("cache.io.fault.evict"), 1);
+        assert_eq!(count("cache.io.fault.total"), 1);
+        assert_eq!(
+            count("cache.io.fault.total"),
+            count("cache.io.retried") + count("cache.io.absorbed")
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_victim_removed_behind_the_stores_back_is_dropped_uncounted() {
+        let root = scratch("evict-gone");
+        let record = Arc::new(RecordOps::default());
+        let store = ArtifactStore::at(&root, 1)
+            .with_cap(2)
+            .with_faults(record.clone());
+        store.save("tag", Fingerprint(0), b"x");
+        store.save("tag", Fingerprint(1), b"x");
+        fs::remove_file(art(&root, "tag", 0)).unwrap();
+        assert_eq!(store.save("tag", Fingerprint(2), b"x"), 0);
+        assert!(evicted(&store.take_events()).is_empty());
+        assert_eq!(store.save("tag", Fingerprint(3), b"x"), 1);
+        assert!(!art(&root, "tag", 1).exists());
+        // The vanished victim was dropped from the list: no later save
+        // tries it again.
+        let tried: Vec<String> = record
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(op, _, _)| *op == IoOp::RemoveEvict)
+            .map(|(_, name, _)| name.clone())
+            .collect();
+        let name = |i: u64| format!("tag/{}", Fingerprint(i).to_hex());
+        assert_eq!(tried, vec![name(0), name(1)]);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -12,7 +12,7 @@
 //! Beyond live faults, crashed peers leave *litter*: torn `*.tmp`
 //! write intermediates and truncated `.art` frames. [`plant_litter`]
 //! fabricates exactly that debris (owned by a provably dead pid) so
-//! recovery paths — reclamation sweeps and frame checks — are
+//! recovery paths — litter reclamation and frame checks — are
 //! exercised without an actual crash.
 
 use std::fs;
@@ -57,7 +57,7 @@ impl IoFaultPlan {
 /// each artifact at most once per attempt, so those faults are a pure
 /// function of the run's work: the same at `--jobs=1` and on any number
 /// of free-running worker threads. Only evictions can differ, since
-/// which entries a sweep finds over the cap depends on the order in
+/// which entries a save finds past the cap depends on the order in
 /// which concurrent saves land; a run that evicts nothing (the crash
 /// campaign's fresh trial directories) has no such faults.
 #[derive(Debug)]
