@@ -1490,12 +1490,14 @@ fn record_throughput(obs: &Collector, stage: &str, records: u64, bytes: u64, ela
 /// the shard. Every path is deterministic and byte-identical to every
 /// other; only the `cache.*` counters differ.
 ///
-/// The self-profiler sees each run as two phases on the run-global
+/// The self-profiler sees each run as phases on the run-global
 /// collector: `stage_<name>` covering the whole call (self time
-/// excludes the probe) and `stage_<name>;cache_lookup` covering the
-/// probe + decode. Both are explicit-path records, never open guards —
-/// a guard held here across the stage's parallel map would make the
-/// per-item phase paths depend on `--jobs` (see `obs::profile`). The
+/// excludes the probe and the save), `stage_<name>;cache_lookup`
+/// covering the probe + decode, and, on a miss,
+/// `stage_<name>;cache_save` covering the commit and its evictions.
+/// All are explicit-path records, never open guards — a guard held
+/// here across the stage's parallel map would make the per-item
+/// phase paths depend on `--jobs` (see `obs::profile`). The
 /// phases land outside the stage shard, so cache artifacts carry no
 /// profiler wall time and warm replays re-measure their own.
 ///
@@ -1516,7 +1518,7 @@ fn cached_stage<T>(
 ) -> T {
     let stage_start = Instant::now();
     let phase_root = format!("stage_{}", stage.name());
-    let mut lookup_s = 0.0f64;
+    let (mut lookup_s, mut save_s) = (0.0f64, 0.0f64);
     let caching = cacheable && store.is_enabled();
     let mut replayed: Option<T> = None;
     if caching {
@@ -1568,7 +1570,11 @@ fn cached_stage<T>(
                     &value,
                     encode,
                 );
+                let save_start = Instant::now();
                 let evicted = store.save(stage.name(), key, &bytes);
+                let save = save_start.elapsed();
+                save_s = save.as_secs_f64();
+                profile::record_phase_at(obs, &[&phase_root, "cache_save"], save);
                 if evicted > 0 {
                     obs.add("cache.evict", evicted as u64);
                 }
@@ -1578,7 +1584,8 @@ fn cached_stage<T>(
         }
     };
     let wall = stage_start.elapsed().as_secs_f64();
-    profile::record_phase_parts(obs, &[&phase_root], wall, (wall - lookup_s).max(0.0));
+    let self_s = (wall - lookup_s - save_s).max(0.0);
+    profile::record_phase_parts(obs, &[&phase_root], wall, self_s);
     value
 }
 

@@ -119,6 +119,31 @@ fn cache_fingerprints_and_warm_replays_ignore_profiling() {
     );
 }
 
+/// A cold cached run times every commit as its stage's `cache_save`
+/// phase, once per computed shard; a warm run replays and saves
+/// nothing, so it records no such phase.
+#[test]
+fn cold_runs_time_each_save_and_warm_runs_record_none() {
+    let cache = TempCache::new("save-phase");
+    let config = simulated().with_cache_dir(cache.path());
+    let count = |obs: &Collector, path: &str| {
+        obs.report()
+            .histogram(&format!("{}{path}", profile::WALL_PREFIX))
+            .map_or(0, |h| h.count)
+    };
+
+    let cold = run_collecting(&config);
+    let shards = cold.report().counter("cache.miss.tag");
+    assert!(shards > 1, "expected a cold miss per shard, got {shards}");
+    assert_eq!(count(&cold, "stage_tag"), shards);
+    assert_eq!(count(&cold, "stage_tag;cache_save"), shards);
+
+    let warm = run_collecting(&config);
+    assert_eq!(warm.report().counter("cache.hit.tag"), shards);
+    assert_eq!(count(&warm, "stage_tag;cache_lookup"), shards);
+    assert_eq!(count(&warm, "stage_tag;cache_save"), 0);
+}
+
 /// The set of phase paths must not depend on the worker count: phases
 /// opened inside pool closures root at their own thread's stack, so
 /// `jobs=1` and `jobs=4` record the same tree (only the wall-clock
