@@ -349,6 +349,87 @@ mod tests {
         assert_eq!(first.conf_sum.to_bits(), again.conf_sum.to_bits());
     }
 
+    /// Counts its draws. At probability 1 every draw fires, whatever
+    /// it returns.
+    struct CountDraws(usize);
+
+    impl Rng for CountDraws {
+        fn next_u64(&mut self) -> u64 {
+            self.0 += 1;
+            0
+        }
+    }
+
+    /// A row's last word has no next word, and a bleed past the width
+    /// falls off the page. No page reaches either branch (its last
+    /// pixel column is glyph-gap white), so hand-built strips pin both
+    /// to the per-pixel rule, with every smear candidate firing: one
+    /// draw per ink pixel whose right neighbour is white (the pixel at
+    /// `width − 1` reads white), and a bleed into that neighbour when
+    /// it lies on the page, in the same row.
+    #[test]
+    fn smear_at_a_rows_end_reads_white_and_never_bleeds_off_the_row() {
+        let strips: [(usize, &[(usize, usize)]); 2] = [
+            // Rows 0 and 1 end in ink at x = 127, the top bit of their
+            // last word, and the rows after them start with ink.
+            (
+                128,
+                &[
+                    (62, 0),
+                    (63, 0),
+                    (127, 0),
+                    (0, 1),
+                    (5, 1),
+                    (6, 1),
+                    (63, 1),
+                    (64, 1),
+                    (127, 1),
+                    (0, 2),
+                    (1, 2),
+                ],
+            ),
+            // The ink at x = 99 sits inside its row's last word.
+            (100, &[(98, 0), (99, 0), (0, 1), (63, 1), (99, 1), (0, 2)]),
+        ];
+        for (width, ink) in strips {
+            let mut strip = Bitmap::blank(width, 3);
+            for &(x, y) in ink {
+                strip.set(x, y, true);
+            }
+            let mut candidates = 0;
+            let mut want = Vec::new();
+            for y in 0..3 {
+                for x in 0..width {
+                    if strip.get(x, y) && !strip.get(x + 1, y) {
+                        candidates += 1;
+                        if x + 1 < width {
+                            want.push((x + 1, y));
+                        }
+                    }
+                }
+            }
+            let (mut rng, mut bleed) = (CountDraws(0), Vec::new());
+            smear_strip(
+                &strip,
+                7,
+                width,
+                &mut Bernoulli::new(1.0),
+                &mut rng,
+                &mut bleed,
+            );
+            let wpr = strip.words_per_row();
+            let mut got = Vec::new();
+            for &(k, at, bits) in &bleed {
+                assert_eq!(k, 7);
+                for b in (0..64).filter(|b| bits >> b & 1 == 1) {
+                    got.push((64 * (at % wpr) + b, at / wpr));
+                }
+            }
+            assert_eq!(rng.0, candidates, "smear draws at width {width}");
+            assert_eq!(got, want, "bleeds at width {width}");
+        }
+    }
+
     /// Timings are added to, not reset, so one `StreamTimings` can span
     /// a batch.
     #[test]
