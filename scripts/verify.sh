@@ -47,6 +47,10 @@
 # abort stage), a sharded-cache incremental smoke (a run excluding one
 # shard cold-populates the other 17; the following full run must
 # replay those 17 from cache and compute exactly the one new shard),
+# a cross-session eviction smoke (two cold runs at different seeds
+# into one directory capped at 20 entries per stage: the second must
+# evict 48, leave exactly 20 artifacts per store-cached stage, and a
+# warm rerun must replay all 54 and print the same bytes),
 # and the parbench peak-RSS stress ladder (memory must stay within
 # 1.25x across 8x corpus growth). Performance is measured by the
 # benchmark/ package (see BENCHMARK.json), not gated here.
@@ -286,6 +290,45 @@ grep -q '"cache.miss.normalize":1' repro_metrics.json || {
     exit 1
 }
 rm -rf .disengage-shard-cache
+
+echo "== artifact cache: a later session evicts down to the cap =="
+# Two cold runs at different seeds share one directory capped at 20
+# entries per stage. The second session lists each stage directory at
+# its first save there and evicts from that list: 16 of the first
+# run's 18 entries in each of corpus, normalize and tag (passthrough
+# digitize is not store-cached), leaving exactly 20 per stage. A warm
+# rerun at the second seed must replay all 54 and print the same bytes.
+rm -rf .disengage-evict-cache
+cargo run --release --offline -p disengage-bench --bin repro -- \
+    table1 --scale=0.05 --seed=1 --cache-dir=.disengage-evict-cache \
+    --cache-cap=20 --telemetry=json > /dev/null
+cargo run --release --offline -p disengage-bench --bin repro -- \
+    table1 --scale=0.05 --seed=2 --cache-dir=.disengage-evict-cache \
+    --cache-cap=20 --telemetry=json > cache_evict_cold.txt
+grep -q '"cache.evict":48[,}]' repro_metrics.json || {
+    echo "verify: the second session did not evict 48 artifacts" >&2
+    exit 1
+}
+for stage in corpus normalize tag; do
+    kept=$(find ".disengage-evict-cache/$stage" -name '*.art' | wc -l)
+    test "$kept" -eq 20 || {
+        echo "verify: $stage holds $kept artifacts, not its cap of 20" >&2
+        exit 1
+    }
+done
+cargo run --release --offline -p disengage-bench --bin repro -- \
+    table1 --scale=0.05 --seed=2 --cache-dir=.disengage-evict-cache \
+    --cache-cap=20 --telemetry=json > cache_evict_warm.txt
+grep -q '"cache.hit":54[,}]' repro_metrics.json || {
+    echo "verify: the warm rerun did not replay all 54 survivors" >&2
+    exit 1
+}
+if grep -q '"cache.miss' repro_metrics.json; then
+    echo "verify: the warm rerun after evictions still missed the cache" >&2
+    exit 1
+fi
+diff cache_evict_cold.txt cache_evict_warm.txt
+rm -rf .disengage-evict-cache cache_evict_cold.txt cache_evict_warm.txt
 
 echo "== artifact cache: corrupted artifact recomputes, never crashes =="
 # Startup recovery checks every committed artifact's header against its
