@@ -36,7 +36,8 @@
 //! exits nonzero. `--scale`, `--seed`, `--jobs`, and `--cache-cap`
 //! shape the workload under test.
 //!
-//! Flag parsing is shared with the `disengage` front-end
+//! Flag parsing, and what the flags do before and after the run, are
+//! shared with the `disengage` front-end
 //! ([`disengage_core::args`]): unknown `--` flags, like artifact names
 //! outside [`disengage_core::analyze::ARTIFACTS`], are rejected with
 //! usage text, `--help`/`-h` exits 0, and every value-taking flag
@@ -67,13 +68,12 @@
 //! [`disengage_core::analyze::run`], which lists each degraded one once
 //! for the stderr summary and `chaos_report.json`.
 
-use disengage_bench::full_scale_config;
 use disengage_core::analyze::{self, Inputs, ARTIFACTS};
 use disengage_core::args::{ArgError, CommonArgs, TelemetryMode};
-use disengage_core::telemetry::{execution_trace_json, reconcile, task_stamps};
+use disengage_core::telemetry::{reconcile, task_stamps};
 use disengage_core::RunSession;
 use disengage_nlp::Classifier;
-use disengage_obs::{flight, health, Collector};
+use disengage_obs::{flight, Collector};
 use disengage_par::TaskTimeline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -153,39 +153,13 @@ fn main() -> ExitCode {
 
     // The full-scale paper corpus by default; --scale/--seed shrink or
     // reseed it (the cache-smoke tests run at a fraction of full scale).
-    let mut config = full_scale_config().with_jobs(args.jobs.unwrap_or(0));
-    if let Some(scale) = args.scale {
-        config.corpus.scale = scale;
-    }
-    if let Some(seed) = args.seed {
-        config.corpus.seed = seed;
-    }
-    if let Some(plan) = args.chaos {
-        // An inert (rate-0) plan is armed but filtered out by
-        // `RunConfig::active_chaos`, keeping it byte- and key-identical
-        // to a clean run — which the diff below then proves.
-        config = config.with_chaos(plan);
-    }
-    if let Some(dir) = args.effective_cache_dir() {
-        config = config.with_cache_dir(dir);
-    }
-    if let Some(cap) = args.cache_cap {
-        config = config.with_cache_cap(cap);
-    }
-    if let Some(shards) = &args.shards {
-        config = config.with_shards(shards.clone());
-    }
+    let config = args.run_config();
 
     // The crash-recovery campaign replaces the reproduction flow
     // entirely: N interrupted-then-resumed sessions, each required to
     // recover byte-identically and leave a clean cache directory.
     if let Some((trials, seed)) = crash_campaign {
-        return run_crash_campaign(
-            &config,
-            trials,
-            seed,
-            args.effective_cache_dir().map(PathBuf::from),
-        );
+        return run_crash_campaign(&config, trials, seed);
     }
 
     // Only --lineage records lineage (it moves every stage cache key);
@@ -304,25 +278,16 @@ fn main() -> ExitCode {
     // Health gate: evaluate the declarative rules (--health=FILE or the
     // built-in defaults) against the run's telemetry; a Fail-severity
     // breach fails the process and is recorded in chaos_report.json.
+    let verdict = match args.health(&snapshot, false) {
+        Ok(verdict) => verdict,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut health_ok = true;
-    let mut health_value: Option<String> = None;
-    if let Some(rule_file) = &args.health {
-        let rules = match rule_file {
-            Some(path) => match std::fs::read_to_string(path)
-                .map_err(|e| format!("{e}"))
-                .and_then(|text| health::parse_rules(&text))
-            {
-                Ok(rules) => rules,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => health::default_rules(),
-        };
-        let verdict = health::evaluate(&rules, &snapshot);
+    if let Some(verdict) = &verdict {
         print!("{}", verdict.render());
-        health_value = Some(verdict.to_value().render());
         if verdict.failed() {
             eprintln!("health gate FAILED");
             health_ok = false;
@@ -350,7 +315,9 @@ fn main() -> ExitCode {
             snapshot.counter("chaos.dict.dropped"),
             snapshot.counter("quarantine.records"),
             degraded.join(","),
-            health_value.as_deref().unwrap_or("null")
+            verdict
+                .as_ref()
+                .map_or_else(|| "null".to_owned(), |v| v.to_value().render())
         );
         let path = "chaos_report.json";
         match std::fs::write(path, body) {
@@ -362,52 +329,14 @@ fn main() -> ExitCode {
         }
     }
 
-    // Provenance and execution-trace exports. The lineage log is
-    // wall-clock-free and entry-ordered, so the file is byte-identical
-    // across worker counts; the Chrome trace is wall-clock by nature
-    // and only format-checked.
-    if let Some(Some(path)) = &args.lineage {
-        let prov = obs.provenance();
-        match std::fs::write(path, prov.to_jsonl()) {
-            Ok(()) => eprintln!("wrote {path} ({} events)", prov.entries().len()),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &args.trace {
-        let body = execution_trace_json(&snapshot, &timeline);
-        match std::fs::write(path, body) {
-            Ok(()) => eprintln!("wrote {path} ({} tasks)", timeline.len()),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Observability exports: the canonical flight-recorder dump
-    // (wall-clock-free, worker-count-independent — verify.sh diffs it
-    // across --jobs) and the Prometheus/OpenMetrics exposition.
-    if let Some(path) = &args.flight {
-        let suspects = flight::suspects(&obs.provenance(), 8);
-        match flight::write_dump(Path::new(path), obs, None, "run complete", &suspects, true) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &args.prom {
-        match std::fs::write(path, disengage_obs::render_prometheus(&snapshot)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    // Provenance, execution-trace and observability exports. The
+    // lineage log and the canonical flight-recorder dump are
+    // wall-clock-free and worker-count-independent (verify.sh diffs
+    // them across --jobs); the Chrome trace is wall-clock by nature and
+    // only format-checked.
+    if let Err(e) = args.write_exports(obs, &timeline) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
 
     match args.telemetry {
@@ -499,13 +428,11 @@ fn parse_crash_campaign(v: &str) -> Result<(usize, u64), String> {
 /// `--cache-dir` when given, else `.disengage-crash-cache`; passing
 /// trials clean up after themselves, a failing trial's directory stays
 /// behind for inspection.
-fn run_crash_campaign(
-    config: &disengage_core::RunConfig,
-    trials: usize,
-    seed: u64,
-    cache_dir: Option<PathBuf>,
-) -> ExitCode {
-    let root = cache_dir.unwrap_or_else(|| PathBuf::from(".disengage-crash-cache"));
+fn run_crash_campaign(config: &disengage_core::RunConfig, trials: usize, seed: u64) -> ExitCode {
+    let root = config
+        .cache_dir
+        .clone()
+        .unwrap_or_else(|| PathBuf::from(".disengage-crash-cache"));
     eprintln!(
         "crash campaign: {trials} trial(s), seed {seed:#x}, cache root {}",
         root.display()

@@ -1,17 +1,26 @@
-//! Shared command-line parsing for the `disengage` and `repro`
-//! binaries (and anything else that drives a [`crate::RunSession`]).
+//! The command-line front end shared by the `disengage` and `repro`
+//! binaries: how the shared flags parse ([`CommonArgs::parse`]), the
+//! run they describe ([`CommonArgs::run_config`]), and what they ask
+//! of the finished run: the `--lineage`, `--trace`, `--flight` and
+//! `--prom` files ([`CommonArgs::write_exports`]) and the `--health`
+//! verdict ([`CommonArgs::health`]). Each binary keeps its own
+//! recorders, commands and telemetry rendering, and calls these steps
+//! in its own order.
 //!
-//! Both binaries accept the same execution flags — `--jobs=`,
-//! `--chaos=`, `--lineage=`, `--trace=`, `--telemetry=`,
-//! `--cache-dir=`, `--no-cache` — in both `--flag value` and
-//! `--flag=value` spellings (optional-value flags, `--telemetry` and
-//! `--lineage`, take their value inline only, so a bare flag never
-//! swallows the next argument). Unknown `--` flags are an error (with
-//! usage text), not silently ignored; `--help` / `-h` short-circuit
-//! to the usage text with exit 0.
+//! Every value-taking flag accepts both the `--flag value` and
+//! `--flag=value` spellings (optional-value flags, such as
+//! `--telemetry` and `--lineage`, take their value inline only, so a
+//! bare flag never swallows the next argument). Unknown `--` flags are
+//! an error (with usage text), not silently ignored; `--help` / `-h`
+//! short-circuit to the usage text with exit 0.
 
+use crate::telemetry::execution_trace_json;
+use crate::RunConfig;
 use disengage_chaos::FaultPlan;
+use disengage_obs::{flight, health, Collector, HealthReport, TelemetryReport};
+use disengage_par::TaskTimeline;
 use std::fmt;
+use std::path::Path;
 
 /// How the run's telemetry is rendered on stdout/export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,8 +111,6 @@ pub struct CommonArgs {
     /// are `<manufacturer>_<filing-year>` (e.g. `waymo_2016`); an
     /// all-`-`-prefixed list excludes instead.
     pub shards: Option<Vec<String>>,
-    /// `--no-cache`: force caching off (wins over `--cache-dir`).
-    pub no_cache: bool,
     /// `--flight=PATH`: export the canonical flight-recorder dump to
     /// `path` after the run (the crash dump is always-on regardless).
     pub flight: Option<String>,
@@ -269,12 +276,6 @@ impl CommonArgs {
                     }
                     out.shards = Some(list);
                 }
-                "--no-cache" => {
-                    if inline.is_some() {
-                        return Err(ArgError::new(flag, "takes no value"));
-                    }
-                    out.no_cache = true;
-                }
                 "--flight" => {
                     let v = take_value(flag)?;
                     if v.is_empty() {
@@ -325,13 +326,87 @@ impl CommonArgs {
         ))
     }
 
-    /// The effective cache directory: `--no-cache` beats `--cache-dir`.
-    pub fn effective_cache_dir(&self) -> Option<&str> {
-        if self.no_cache {
-            None
-        } else {
-            self.cache_dir.as_deref()
+    /// The run the flags describe: [`RunConfig::new`] (the paper
+    /// corpus at seed `0x5EED`, scale 1.0, on all cores) with each
+    /// corpus, worker, chaos, cache and shard flag that was given.
+    pub fn run_config(&self) -> RunConfig {
+        let mut config = RunConfig::new().with_jobs(self.jobs.unwrap_or(0));
+        if let Some(seed) = self.seed {
+            config.corpus.seed = seed;
         }
+        if let Some(scale) = self.scale {
+            config.corpus.scale = scale;
+        }
+        if let Some(plan) = self.chaos {
+            config = config.with_chaos(plan);
+        }
+        if let Some(dir) = &self.cache_dir {
+            config = config.with_cache_dir(dir);
+        }
+        if let Some(cap) = self.cache_cap {
+            config = config.with_cache_cap(cap);
+        }
+        if let Some(shards) = &self.shards {
+            config = config.with_shards(shards.clone());
+        }
+        config
+    }
+
+    /// Writes the `--lineage` JSONL, the `--trace` Chrome trace of
+    /// `timeline`, the canonical `--flight` dump and the `--prom`
+    /// exposition that the flags ask for, each followed by a `wrote`
+    /// line on stderr.
+    ///
+    /// # Errors
+    ///
+    /// `could not write PATH: e` for the first file that fails.
+    pub fn write_exports(&self, obs: &Collector, timeline: &TaskTimeline) -> Result<(), String> {
+        let failed = |path: &str, e: std::io::Error| format!("could not write {path}: {e}");
+        if let Some(Some(path)) = &self.lineage {
+            let prov = obs.provenance();
+            std::fs::write(path, prov.to_jsonl()).map_err(|e| failed(path, e))?;
+            eprintln!("wrote {path} ({} events)", prov.entries().len());
+        }
+        if let Some(path) = &self.trace {
+            let body = execution_trace_json(&obs.report(), timeline);
+            std::fs::write(path, body).map_err(|e| failed(path, e))?;
+            eprintln!("wrote {path} ({} tasks)", timeline.len());
+        }
+        if let Some(path) = &self.flight {
+            let suspects = flight::suspects(&obs.provenance(), 8);
+            flight::write_dump(Path::new(path), obs, None, "run complete", &suspects, true)
+                .map_err(|e| failed(path, e))?;
+            eprintln!("wrote {path}");
+        }
+        if let Some(path) = &self.prom {
+            let body = disengage_obs::render_prometheus(&obs.report());
+            std::fs::write(path, body).map_err(|e| failed(path, e))?;
+            eprintln!("wrote {path}");
+        }
+        Ok(())
+    }
+
+    /// Evaluates the rules `--health=FILE` names against `report`, or
+    /// the built-in rules for a bare `--health` or a `required`
+    /// verdict; `None` when neither asks for one.
+    ///
+    /// # Errors
+    ///
+    /// `PATH: e` when the rule file cannot be read or parsed.
+    pub fn health(
+        &self,
+        report: &TelemetryReport,
+        required: bool,
+    ) -> Result<Option<HealthReport>, String> {
+        let rules = match &self.health {
+            None if !required => return Ok(None),
+            Some(Some(path)) => {
+                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                health::parse_rules(&text).map_err(|e| format!("{path}: {e}"))?
+            }
+            _ => health::default_rules(),
+        };
+        Ok(Some(health::evaluate(&rules, report)))
     }
 
     /// The usage lines for the shared flags, for embedding in each
@@ -351,7 +426,6 @@ impl CommonArgs {
          \x20                     (default scales with the shard count)\n\
          \x20 --shards=LIST       run only these corpus shards (labels like\n\
          \x20                     waymo_2016; prefix every label with - to exclude)\n\
-         \x20 --no-cache          disable the artifact cache\n\
          \x20 --flight=PATH       export the canonical flight-recorder dump\n\
          \x20 --health[=FILE]     evaluate health rules after the run (bare = built-ins)\n\
          \x20 --prom=PATH         export the Prometheus text exposition\n\
@@ -461,8 +535,6 @@ mod tests {
         for bad in ["--scale", "--seed", "--jobs", "--chaos", "--trace"] {
             assert!(parse(&[bad]).is_err(), "{bad} without value must fail");
         }
-        // --no-cache takes no value.
-        assert!(parse(&["--no-cache=yes"]).is_err());
         // --cache-dir needs a non-empty path.
         assert!(parse(&["--cache-dir="]).is_err());
         // --cache-cap needs a non-negative integer.
@@ -588,12 +660,43 @@ mod tests {
     }
 
     #[test]
-    fn no_cache_wins_over_cache_dir() {
-        let a = parse(&["--cache-dir=.cache", "--no-cache"]).unwrap();
-        assert_eq!(a.cache_dir.as_deref(), Some(".cache"));
-        assert_eq!(a.effective_cache_dir(), None);
-        let b = parse(&["--cache-dir=.cache"]).unwrap();
-        assert_eq!(b.effective_cache_dir(), Some(".cache"));
+    fn run_config_is_the_paper_run_with_each_flag_in_its_field() {
+        assert_eq!(parse(&[]).unwrap().run_config(), RunConfig::new());
+        let config = parse(&[
+            "--seed=7",
+            "--scale=0.5",
+            "--jobs=3",
+            "--chaos=0.05,9",
+            "--cache-dir=.cache",
+            "--cache-cap=4",
+            "--shards=waymo_2016",
+        ])
+        .unwrap()
+        .run_config();
+        let expected = RunConfig::new()
+            .with_corpus(disengage_corpus::CorpusConfig {
+                seed: 7,
+                scale: 0.5,
+            })
+            .with_jobs(3)
+            .with_chaos(FaultPlan::parse("0.05,9").unwrap())
+            .with_cache_dir(".cache")
+            .with_cache_cap(4)
+            .with_shards(vec!["waymo_2016".to_owned()]);
+        assert_eq!(config, expected);
+    }
+
+    #[test]
+    fn health_is_evaluated_only_when_asked_for() {
+        let report = TelemetryReport::default();
+        let plain = parse(&[]).unwrap();
+        assert_eq!(plain.health(&report, false), Ok(None));
+        assert!(plain.health(&report, true).unwrap().is_some());
+        let bare = parse(&["--health"]).unwrap();
+        assert!(bare.health(&report, false).unwrap().is_some());
+        let missing = parse(&["--health=no/such/rules.txt"]).unwrap();
+        let err = missing.health(&report, false).unwrap_err();
+        assert!(err.starts_with("no/such/rules.txt: "), "{err}");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! disengage check-prom <file>            # validate Prometheus exposition
 //! ```
 //!
-//! Flag parsing is shared with the `repro` harness
+//! Flag parsing, and what the flags do before and after the run, are
+//! shared with the `repro` harness
 //! ([`disengage::core::args`]): every value-taking flag accepts both
 //! the `--flag value` and `--flag=value` spellings (`--telemetry` and
 //! `--lineage` have optional values, so theirs must be inline),
@@ -29,19 +30,19 @@
 //! provenance — it moves the stage cache keys — and optionally export
 //! it), `--trace` (Chrome-trace export; never a cache key),
 //! `--telemetry=MODE` (off|tree|json|stable-json, rendered after the
-//! command's own output), and `--cache-dir=`/`--no-cache` (the
-//! content-addressed stage artifact cache — a warm re-run replays
-//! Stages I–II instead of regenerating and re-OCRing the corpus).
+//! command's own output), and `--cache-dir=` (the content-addressed
+//! stage artifact cache — a warm re-run replays Stages I–II instead of
+//! regenerating and re-OCRing the corpus).
 
 use disengage::core::analyze::{self, Inputs};
 use disengage::core::args::{ArgError, CommonArgs, ProfileMode, TelemetryMode};
 use disengage::core::pipeline::OcrMode;
-use disengage::core::telemetry::{execution_trace_json, timed};
-use disengage::core::{export, exposure, whatif, CoreError, RunConfig, RunSession};
+use disengage::core::telemetry::timed;
+use disengage::core::{export, exposure, whatif, CoreError, RunSession};
 use disengage::corpus::CorpusConfig;
 use disengage::dataframe::csv;
 use disengage::nlp::Classifier;
-use disengage::obs::{flight, health, Collector};
+use disengage::obs::Collector;
 use disengage::ocr::NoiseModel;
 use disengage::par::TaskTimeline;
 use disengage::reports::Manufacturer;
@@ -111,25 +112,8 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
     if command != "profile" {
         args.reject_profile().map_err(|e| e.to_string())?;
     }
-    let seed = args.seed.unwrap_or(0x5EED);
-    let mut config = RunConfig::new()
-        .with_corpus(CorpusConfig {
-            seed,
-            scale: args.scale.unwrap_or(1.0),
-        })
-        .with_jobs(args.jobs.unwrap_or(0));
-    if let Some(plan) = args.chaos {
-        config = config.with_chaos(plan);
-    }
-    if let Some(dir) = args.effective_cache_dir() {
-        config = config.with_cache_dir(dir);
-    }
-    if let Some(cap) = args.cache_cap {
-        config = config.with_cache_cap(cap);
-    }
-    if let Some(shards) = &args.shards {
-        config = config.with_shards(shards.clone());
-    }
+    let config = args.run_config();
+    let seed = config.corpus.seed;
     // Lineage is recorded only for `--lineage` and for `explain` (which
     // has nothing to show otherwise): it moves every stage cache key, so
     // no other flag may turn it on. The timeline is timed only for a
@@ -458,55 +442,13 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
         other => Err(format!("unknown command `{other}`")),
     };
     result?;
+    args.write_exports(&obs, &timeline)?;
+    let report = obs.report();
     let mut exit = ExitCode::SUCCESS;
-    if let Some(Some(path)) = &args.lineage {
-        let prov = obs.provenance();
-        std::fs::write(path, prov.to_jsonl())
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("wrote {path} ({} events)", prov.entries().len());
-    }
-    if let Some(path) = &args.trace {
-        let body = execution_trace_json(&obs.report(), &timeline);
-        std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("wrote {path} ({} tasks)", timeline.len());
-    }
-    if let Some(path) = &args.flight {
-        // The canonical (byte-identity) form: wall clock zeroed,
-        // environment-fact events stripped, no task stamps.
-        let suspects = flight::suspects(&obs.provenance(), 8);
-        flight::write_dump(
-            std::path::Path::new(path),
-            &obs,
-            None,
-            "run complete",
-            &suspects,
-            true,
-        )
-        .map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &args.prom {
-        let body = disengage::obs::render_prometheus(&obs.report());
-        std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    // Health gate: the `health` command always evaluates (defaults
-    // unless --health=FILE names a rule file); any other command
-    // evaluates only when --health was given.
-    let health_request = if command == "health" {
-        Some(args.health.clone().flatten())
-    } else {
-        args.health.clone()
-    };
-    if let Some(rule_file) = health_request {
-        let rules = match &rule_file {
-            Some(path) => {
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                health::parse_rules(&text).map_err(|e| format!("{path}: {e}"))?
-            }
-            None => health::default_rules(),
-        };
-        let verdict = health::evaluate(&rules, &obs.report());
+    // The `health` command always evaluates (the built-in rules unless
+    // --health=FILE names a rule file); any other command evaluates
+    // only when --health was given.
+    if let Some(verdict) = args.health(&report, command == "health")? {
         print!("{}", verdict.render());
         if verdict.failed() {
             exit = ExitCode::FAILURE;
@@ -514,9 +456,9 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
     }
     match args.telemetry {
         TelemetryMode::Off => {}
-        TelemetryMode::Tree => print!("{}", obs.report().render_tree()),
-        TelemetryMode::Json => println!("{}", obs.report().to_json()),
-        TelemetryMode::StableJson => println!("{}", obs.report().canonical().to_json()),
+        TelemetryMode::Tree => print!("{}", report.render_tree()),
+        TelemetryMode::Json => println!("{}", report.to_json()),
+        TelemetryMode::StableJson => println!("{}", report.canonical().to_json()),
     }
     Ok(exit)
 }
