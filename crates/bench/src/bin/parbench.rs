@@ -21,10 +21,12 @@
 //! ```
 //!
 //! Exits nonzero when a child fails or the ratio exceeds the budget.
-//! Flag parsing rides on the shared [`disengage_core::args`] module;
-//! the artifact cache is refused, because a cached replay would
-//! measure disk reads, not the streaming pipeline. Timing lives in the
-//! standalone `benchmark/` package.
+//! Flag parsing rides on the shared [`disengage_core::args`] module,
+//! but only `--scale`, `--jobs` and `--shards` shape the ladder: every
+//! other shared flag is refused rather than ignored. The artifact
+//! cache would measure disk reads, and chaos, another seed or a
+//! recorder would measure something other than the clean streaming
+//! pipeline. Timing lives in the standalone `benchmark/` package.
 
 use disengage_core::args::{ArgError, CommonArgs};
 use disengage_core::pipeline::OcrMode;
@@ -189,10 +191,15 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
-    if args.cache_dir.is_some() {
-        eprintln!(
-            "error: parbench measures the streaming pipeline; --cache-dir would measure the cache"
-        );
+    // Every other shared flag would go unread, so it is refused.
+    let read = ["--scale", "--jobs", "--shards", "--stress-child"];
+    if let Some(flag) = raw
+        .iter()
+        .filter_map(|a| a.split('=').next())
+        .find(|f| f.starts_with("--") && !read.contains(f))
+    {
+        eprintln!("error: {flag}: parbench reads only --scale, --jobs and --shards");
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
     let shards = args.shards.as_deref();

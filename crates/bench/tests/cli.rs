@@ -155,8 +155,33 @@ fn parbench_help_exits_zero_and_unknown_flags_fail() {
     ] {
         assert_unknown(exe, &[removed]);
     }
-    // The cache would corrupt the measurement; parbench refuses it.
-    assert!(!run(exe, &["--cache-dir=/tmp/x"]).status.success());
+    // It reads only --scale, --jobs and --shards: every other shared
+    // flag (the cache would corrupt the measurement) is refused by name
+    // with the usage text, in either spelling, not ignored.
+    for args in [
+        &["--seed=9"][..],
+        &["--seed", "9"],
+        &["--telemetry=json"],
+        &["--telemetry"],
+        &["--chaos=0.5"],
+        &["--lineage=ignored.jsonl"],
+        &["--lineage"],
+        &["--trace=ignored.json"],
+        &["--cache-dir=/tmp/x"],
+        &["--cache-cap=3"],
+        &["--flight=ignored.json"],
+        &["--health"],
+        &["--prom=ignored.prom"],
+    ] {
+        let out = run(exe, args);
+        assert!(!out.status.success(), "parbench {args:?} must exit nonzero");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let name = args[0].split('=').next().unwrap_or(args[0]);
+        assert!(
+            stderr.contains(&format!("{name}: parbench reads only")) && stderr.contains("usage:"),
+            "parbench {args:?} must be refused by name: {stderr}"
+        );
+    }
     // It renders no self-profile either.
     let out = run(exe, &["--profile=json"]);
     assert!(!out.status.success());
