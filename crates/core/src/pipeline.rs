@@ -219,34 +219,19 @@ pub(crate) fn digitize_simulated_parts(
                 out
             });
             let confidence = recognized.mean_confidence();
-            let text = match &corrector {
+            let text = match corrector {
                 Some(c) => {
                     let _repair = profile::phase(&shard, "repair");
-                    let (fixed, per_attempt, repairs) = c.correct_text_observed(
+                    repair_text(
+                        c,
                         &recognized.text,
-                        config.repair_attempts.max(1),
+                        config.repair_attempts,
+                        config.base_index + i,
+                        &shard,
                         &mut |attempt, elapsed| {
                             profile::record_phase(&shard, &format!("attempt_{attempt}"), elapsed);
                         },
-                    );
-                    record_repair_attempts(&shard, &per_attempt);
-                    if shard.lineage_enabled() {
-                        for r in &repairs {
-                            shard.lineage(
-                                Subject::Line {
-                                    doc: config.base_index + i,
-                                    line: r.line,
-                                },
-                                ProvenanceEvent::OcrRepair {
-                                    line: r.line,
-                                    before: r.before.clone(),
-                                    after: r.after.clone(),
-                                    attempt: r.attempt,
-                                },
-                            );
-                        }
-                    }
-                    fixed
+                    )
                 }
                 // Move rather than clone: the recognizer output is not
                 // needed once its confidence has been read.
@@ -298,13 +283,42 @@ pub(crate) fn digitize_simulated_parts(
     (out, stats)
 }
 
-/// Records the per-attempt hit counts of one bounded repair ladder:
-/// `ocr.correct.attempt<k>` per rung, `ocr.corrections` in total.
-pub(crate) fn record_repair_attempts(obs: &Collector, per_attempt: &[u64]) {
+/// Runs `corrector`'s bounded repair ladder over the text of document
+/// `doc` (its corpus-wide index, as Stage II's subjects use) and
+/// returns the repaired text. Records each rung's hits into `obs`
+/// (`ocr.correct.attempt<k>`, `ocr.corrections` in total) and, under
+/// lineage, one `OcrRepair` event per repaired token.
+// Inlined: compiled on its own, it changed the crate's codegen of
+// `digitize_streamed::<StdRng>`, and `scan_ocr` read 2–3% slower.
+#[inline]
+pub(crate) fn repair_text(
+    corrector: &Corrector,
+    text: &str,
+    max_attempts: u32,
+    doc: usize,
+    obs: &Collector,
+    on_attempt: &mut dyn FnMut(u32, std::time::Duration),
+) -> String {
+    let (fixed, per_attempt, repairs) =
+        corrector.correct_text_observed(text, max_attempts, on_attempt);
     for (k, &hits) in per_attempt.iter().enumerate() {
         obs.add(&format!("ocr.correct.attempt{}", k + 1), hits);
     }
     obs.add("ocr.corrections", per_attempt.iter().sum());
+    if obs.lineage_enabled() {
+        for r in repairs {
+            obs.lineage(
+                Subject::Line { doc, line: r.line },
+                ProvenanceEvent::OcrRepair {
+                    line: r.line,
+                    before: r.before,
+                    after: r.after,
+                    attempt: r.attempt,
+                },
+            );
+        }
+    }
+    fixed
 }
 
 /// The post-correction vocabulary: every word of the failure dictionary

@@ -52,8 +52,8 @@
 use crate::artifact::{self, NormalizeArtifact, FORMAT_VERSION};
 use crate::error::{CoreError, Quarantined};
 use crate::pipeline::{
-    default_corrector, digitize_simulated_parts, record_repair_attempts, DigitizeConfig,
-    GroundTruth, OcrMode, OcrStats, PipelineOutcome,
+    default_corrector, digitize_simulated_parts, repair_text, DigitizeConfig, GroundTruth, OcrMode,
+    OcrStats, PipelineOutcome,
 };
 use crate::tagging::{tag_records, TaggedDisengagement};
 use crate::telemetry::task_stamps;
@@ -531,35 +531,7 @@ impl RunSession {
                 },
             );
             let yields =
-                self.map_shards(&generator, &specs, &store, obs, timeline, |yielded| yielded);
-
-            // The crash campaign's simulated kill point: every shard
-            // stopped right after `stage`'s artifact committed, so stop
-            // the run cold. The flight dump is written *here*, before
-            // the error unwinds past the root span guard — that is what
-            // lets the postmortem show `pipeline` genuinely open at
-            // death.
-            if let Some(stage) = config.abort_after {
-                obs.event("interrupt", stage.name());
-                drain_store(&store, obs);
-                if let Some(path) = &config.flight_path {
-                    let reason = format!("interrupted after stage {}", stage.name());
-                    let suspects = flight::suspects(&obs.provenance(), 8);
-                    // Best-effort: a failing dump must never mask the
-                    // interrupt itself.
-                    let _ = flight::write_dump(
-                        path,
-                        obs,
-                        Some(&task_stamps(timeline)),
-                        &reason,
-                        &suspects,
-                        false,
-                    );
-                }
-                return Err(CoreError::Interrupted {
-                    after: stage.name(),
-                });
-            }
+                self.map_shards(&generator, &specs, &store, obs, timeline, |yielded| yielded)?;
 
             // The reduce stage: fold the per-shard outputs in
             // enumeration order into the corpus-wide outcome.
@@ -692,7 +664,8 @@ impl RunSession {
     /// # Errors
     ///
     /// [`CoreError::UnknownShard`] for a filter naming a shard the
-    /// enumeration lacks.
+    /// enumeration lacks; [`CoreError::Interrupted`] when `abort_after`
+    /// is set.
     pub fn run_reduced(&self, obs: &Collector) -> Result<RunDigest> {
         let (generator, specs, store) = self.plan_shards(obs)?;
         let digests = self.map_shards(
@@ -706,14 +679,11 @@ impl RunSession {
                 // The corpus stage's sample counts the shard's documents
                 // before Stage II takes them.
                 documents: yielded.throughput[0].records as usize,
-                disengagements: yielded
-                    .normalize
-                    .as_ref()
-                    .map_or(0, |n| n.disengagements.len()),
-                tagged: yielded.assignments.as_ref().map_or(0, Vec::len),
+                disengagements: yielded.normalize.disengagements.len(),
+                tagged: yielded.assignments.len(),
                 total_miles: yielded.corpus.truth.total_miles(),
             },
-        );
+        )?;
         let mut out = RunDigest::default();
         for digest in digests {
             out.shards += digest.shards;
@@ -746,6 +716,10 @@ impl RunSession {
     /// `specs` and hands each shard's yield to `fold` inside its worker,
     /// so a reducing caller drops the bulk records before the next shard
     /// starts. Returns the folded values in enumeration order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Interrupted`] when `abort_after` stopped the shards.
     fn map_shards<Y: Send>(
         &self,
         generator: &CorpusGenerator,
@@ -754,7 +728,7 @@ impl RunSession {
         obs: &Collector,
         timeline: &TaskTimeline,
         fold: impl Fn(ShardYield) -> Y + Sync,
-    ) -> Vec<Y> {
+    ) -> Result<Vec<Y>> {
         let config = &self.config;
         let keys = self.stage_keys(obs.lineage_enabled());
 
@@ -796,7 +770,7 @@ impl RunSession {
                     &wobs,
                     timeline,
                 );
-                (fold(yielded), wobs)
+                (yielded.map(&fold), wobs)
             },
             timeline,
             "shard",
@@ -806,7 +780,7 @@ impl RunSession {
         // byte-identical at any worker count. A shard-level panic is a
         // programming error (parser panics are already quarantined
         // in-shard), so it re-raises.
-        specs
+        let folded: Vec<Option<Y>> = specs
             .iter()
             .zip(results)
             .map(|(spec, result)| match result {
@@ -816,7 +790,35 @@ impl RunSession {
                 }
                 Err(p) => panic!("shard {} panicked: {}", spec.label(), p.message),
             })
-            .collect()
+            .collect();
+
+        // The crash campaign's simulated kill point: every shard
+        // stopped right after `stage`'s artifact committed, so stop the
+        // run cold. The flight dump is written *here*, before the error
+        // unwinds past the caller's root span guard — that is what lets
+        // the postmortem show `pipeline` genuinely open at death.
+        if let Some(stage) = config.abort_after {
+            obs.event("interrupt", stage.name());
+            drain_store(store, obs);
+            if let Some(path) = &config.flight_path {
+                let reason = format!("interrupted after stage {}", stage.name());
+                let suspects = flight::suspects(&obs.provenance(), 8);
+                // Best-effort: a failing dump must never mask the
+                // interrupt itself.
+                let _ = flight::write_dump(
+                    path,
+                    obs,
+                    Some(&task_stamps(timeline)),
+                    &reason,
+                    &suspects,
+                    false,
+                );
+            }
+            return Err(CoreError::Interrupted {
+                after: stage.name(),
+            });
+        }
+        Ok(folded.into_iter().flatten().collect())
     }
 
     /// Opens the configured artifact store. The default per-stage cap
@@ -909,13 +911,12 @@ struct StageSample {
     elapsed: Duration,
 }
 
-/// One shard's yield from Stages I–III. Later-stage fields are `None`
-/// when `abort_after` stopped the shard early.
+/// One shard's yield from Stages I–III.
 struct ShardYield {
     corpus: GroundTruth,
     ocr: Option<OcrStats>,
-    normalize: Option<NormalizeArtifact>,
-    assignments: Option<Vec<TagAssignment>>,
+    normalize: NormalizeArtifact,
+    assignments: Vec<TagAssignment>,
     throughput: [StageSample; 4],
 }
 
@@ -986,21 +987,18 @@ impl MergeFold {
         if let Some(stats) = &yielded.ocr {
             self.ocr.absorb(stats);
         }
-        if let Some(n) = yielded.normalize {
-            self.disengagements.extend(n.disengagements);
-            self.accidents.extend(n.accidents);
-            self.mileage.extend(n.mileage);
-            self.failures.extend(n.failures);
-            self.panicked.extend(n.panicked);
-            if let Some(audit) = &n.chaos {
-                self.chaos
-                    .get_or_insert_with(ChaosAudit::default)
-                    .absorb(audit);
-            }
+        let n = yielded.normalize;
+        self.disengagements.extend(n.disengagements);
+        self.accidents.extend(n.accidents);
+        self.mileage.extend(n.mileage);
+        self.failures.extend(n.failures);
+        self.panicked.extend(n.panicked);
+        if let Some(audit) = &n.chaos {
+            self.chaos
+                .get_or_insert_with(ChaosAudit::default)
+                .absorb(audit);
         }
-        if let Some(assignments) = yielded.assignments {
-            self.assignments.extend(assignments);
-        }
+        self.assignments.extend(yielded.assignments);
         for (total, sample) in self.throughput.iter_mut().zip(yielded.throughput) {
             total.records += sample.records;
             total.bytes += sample.bytes;
@@ -1036,9 +1034,10 @@ fn record_stage_memory(obs: &Collector, name: &str) {
 }
 
 /// Runs Stages I–III for one shard, each stage through the artifact
-/// cache under the shard's own fingerprints. Runs entirely inside one
-/// coarse-map worker: `obs` is that worker's collector shard, absorbed
-/// by the main thread in enumeration order after the map joins.
+/// cache under the shard's own fingerprints; `None` when `abort_after`
+/// stops it before Stage III. Runs entirely inside one coarse-map
+/// worker: `obs` is that worker's collector shard, absorbed by the main
+/// thread in enumeration order after the map joins.
 ///
 /// Only the `last` planned shard reads the `profile.mem.stage_*`
 /// gauges. Gauges overwrite on absorb, and the in-order absorb keeps
@@ -1058,7 +1057,7 @@ fn run_shard(
     store: &ArtifactStore,
     obs: &Collector,
     timeline: &TaskTimeline,
-) -> ShardYield {
+) -> Option<ShardYield> {
     let stage_memory = |stage: Stage| {
         if last {
             record_stage_memory(obs, stage.name());
@@ -1115,13 +1114,7 @@ fn run_shard(
     };
     stage_memory(Stage::Corpus);
     if config.abort_after == Some(Stage::Corpus) {
-        return ShardYield {
-            corpus,
-            ocr: None,
-            normalize: None,
-            assignments: None,
-            throughput,
-        };
+        return None;
     }
 
     // Stage `digitize`. Passthrough hands the documents on as they are
@@ -1176,13 +1169,7 @@ fn run_shard(
     };
     stage_memory(Stage::Digitize);
     if config.abort_after == Some(Stage::Digitize) {
-        return ShardYield {
-            corpus,
-            ocr: ocr_stats,
-            normalize: None,
-            assignments: None,
-            throughput,
-        };
+        return None;
     }
 
     // Stage `normalize`: chaos interlude (if armed) + Stage II
@@ -1206,13 +1193,7 @@ fn run_shard(
     };
     stage_memory(Stage::Normalize);
     if config.abort_after == Some(Stage::Normalize) {
-        return ShardYield {
-            corpus,
-            ocr: ocr_stats,
-            normalize: Some(normalize),
-            assignments: None,
-            throughput,
-        };
+        return None;
     }
 
     // Stage `tag`: NLP tagging over this shard's records, through the
@@ -1252,13 +1233,13 @@ fn run_shard(
         elapsed: stage_start.elapsed(),
     };
     stage_memory(Stage::Tag);
-    ShardYield {
+    Some(ShardYield {
         corpus,
         ocr: ocr_stats,
-        normalize: Some(normalize),
-        assignments: Some(assignments),
+        normalize,
+        assignments,
         throughput,
-    }
+    })
 }
 
 /// Feeds the store's internal degraded-path ledgers (`cache.io.*`,
@@ -1327,28 +1308,14 @@ fn normalize_stage(
                 &faulted,
                 |i, doc| {
                     let shard = sobs.shard();
-                    let (fixed, per_attempt, repairs) = corrector.correct_text_observed(
+                    let fixed = repair_text(
+                        corrector,
                         &doc.text,
                         plan.repair_attempts,
+                        doc_base + i,
+                        &shard,
                         &mut |_, _| {},
                     );
-                    record_repair_attempts(&shard, &per_attempt);
-                    if shard.lineage_enabled() {
-                        for r in &repairs {
-                            shard.lineage(
-                                Subject::Line {
-                                    doc: doc_base + i,
-                                    line: r.line,
-                                },
-                                ProvenanceEvent::OcrRepair {
-                                    line: r.line,
-                                    before: r.before.clone(),
-                                    after: r.after.clone(),
-                                    attempt: r.attempt,
-                                },
-                            );
-                        }
-                    }
                     (
                         RawDocument::new(doc.manufacturer, doc.report_year, doc.kind, fixed),
                         shard,
