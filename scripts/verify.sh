@@ -6,7 +6,9 @@
 # every inherent or free library function, generic or not, must be
 # called by a shipped binary, and every library module must own such a
 # function, or sit on the script's allowlists),
-# the benchmark package's tests and smoke run, the full workspace test
+# the benchmark package's tests and smoke run (built --locked, so a
+# workspace change that would rewrite benchmark/Cargo.lock fails
+# instead of editing it), the full workspace test
 # suite, the compiled Stage III classifier's full equivalence grid
 # against the reference classifier (release), the Stage III tagging
 # loop's full equivalence grid against the per-record reference loop
@@ -91,10 +93,12 @@ scripts/reach.sh
 echo "== benchmark: builds, tests and smoke-runs against the workspace =="
 # benchmark/ is a package of its own (see BENCHMARK.json), so no
 # workspace command compiles it; these steps catch a core API change
-# that breaks it. The smoke run checks every workload's output and
-# exits nonzero on any failed check.
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+# that breaks it. --locked fails a change to the workspace's crate
+# graph that would rewrite benchmark/Cargo.lock, a file only a
+# benchmark change may edit. The smoke run checks every workload's
+# output and exits nonzero on any failed check.
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "== workspace: cargo test --workspace -q =="
 cargo test --workspace -q --offline
