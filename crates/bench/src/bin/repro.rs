@@ -73,7 +73,7 @@ use disengage_core::args::{ArgError, CommonArgs, TelemetryMode};
 use disengage_core::telemetry::{reconcile, task_stamps};
 use disengage_core::RunSession;
 use disengage_nlp::Classifier;
-use disengage_obs::{flight, Collector};
+use disengage_obs::{flight, health, Collector};
 use disengage_par::TaskTimeline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -161,6 +161,16 @@ fn main() -> ExitCode {
     if let Some((trials, seed)) = crash_campaign {
         return run_crash_campaign(&config, trials, seed);
     }
+
+    // The health rules load before the run, so a bad rule file fails
+    // before any work.
+    let health_rules = match args.health_rules(false) {
+        Ok(rules) => rules,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Only --lineage records lineage (it moves every stage cache key);
     // only --trace times the pool (it never does).
@@ -278,13 +288,9 @@ fn main() -> ExitCode {
     // Health gate: evaluate the declarative rules (--health=FILE or the
     // built-in defaults) against the run's telemetry; a Fail-severity
     // breach fails the process and is recorded in chaos_report.json.
-    let verdict = match args.health(&snapshot, false) {
-        Ok(verdict) => verdict,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let verdict = health_rules
+        .as_ref()
+        .map(|rules| health::evaluate(rules, &snapshot));
     let mut health_ok = true;
     if let Some(verdict) = &verdict {
         print!("{}", verdict.render());

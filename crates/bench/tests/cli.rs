@@ -83,6 +83,29 @@ fn repro_rejects_profile_and_names_the_profile_command() {
         .success());
 }
 
+/// A `--health` rule file is read before the run: a missing or
+/// malformed file fails with its `PATH: error` line before the
+/// pipeline starts, and prints nothing on stdout.
+#[test]
+fn repro_rejects_a_bad_health_rule_file_before_the_run() {
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let dir = std::env::temp_dir().join(format!("repro-cli-health-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bad = dir.join("bad.txt");
+    std::fs::write(&bad, "just two\n").expect("write");
+    for path in [dir.join("missing.txt"), bad] {
+        let flag = format!("--health={}", path.display());
+        let out = run(exe, &["table1", "--scale=0.02", &flag]);
+        assert!(!out.status.success(), "repro {flag} must fail");
+        assert!(out.stdout.is_empty(), "repro {flag} printed output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = format!("error: {}: ", path.display());
+        assert!(stderr.starts_with(&line), "repro {flag}: {stderr}");
+        assert!(!stderr.contains("running pipeline"), "repro {flag} ran");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn repro_prints_a_selection_in_artifact_order() {
     let exe = env!("CARGO_BIN_EXE_repro");

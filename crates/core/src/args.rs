@@ -3,7 +3,8 @@
 //! run they describe ([`CommonArgs::run_config`]), and what they ask
 //! of the finished run: the `--lineage`, `--trace`, `--flight` and
 //! `--prom` files ([`CommonArgs::write_exports`]) and the `--health`
-//! verdict ([`CommonArgs::health`]). Each binary keeps its own
+//! rules ([`CommonArgs::health_rules`], loaded before the run so a bad
+//! rule file fails before any work). Each binary keeps its own
 //! recorders, commands and telemetry rendering, and calls these steps
 //! in its own order.
 //!
@@ -17,7 +18,7 @@
 use crate::telemetry::execution_trace_json;
 use crate::RunConfig;
 use disengage_chaos::FaultPlan;
-use disengage_obs::{flight, health, Collector, HealthReport, TelemetryReport};
+use disengage_obs::{flight, health, Collector, HealthRule};
 use disengage_par::TaskTimeline;
 use std::fmt;
 use std::path::Path;
@@ -386,27 +387,24 @@ impl CommonArgs {
         Ok(())
     }
 
-    /// Evaluates the rules `--health=FILE` names against `report`, or
-    /// the built-in rules for a bare `--health` or a `required`
-    /// verdict; `None` when neither asks for one.
+    /// Loads the health rules a run is to be judged by, before it
+    /// runs: the rules `--health=FILE` names, or the built-in rules
+    /// for a bare `--health` or a `required` verdict; `None` when
+    /// neither asks for one. A binary evaluates them against the
+    /// finished run with [`health::evaluate`].
     ///
     /// # Errors
     ///
     /// `PATH: e` when the rule file cannot be read or parsed.
-    pub fn health(
-        &self,
-        report: &TelemetryReport,
-        required: bool,
-    ) -> Result<Option<HealthReport>, String> {
-        let rules = match &self.health {
+    pub fn health_rules(&self, required: bool) -> Result<Option<Vec<HealthRule>>, String> {
+        Ok(Some(match &self.health {
             None if !required => return Ok(None),
             Some(Some(path)) => {
                 let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                 health::parse_rules(&text).map_err(|e| format!("{path}: {e}"))?
             }
             _ => health::default_rules(),
-        };
-        Ok(Some(health::evaluate(&rules, report)))
+        }))
     }
 
     /// The usage lines for the shared flags, for embedding in each
@@ -687,15 +685,15 @@ mod tests {
     }
 
     #[test]
-    fn health_is_evaluated_only_when_asked_for() {
-        let report = TelemetryReport::default();
+    fn health_rules_load_only_when_asked_for() {
         let plain = parse(&[]).unwrap();
-        assert_eq!(plain.health(&report, false), Ok(None));
-        assert!(plain.health(&report, true).unwrap().is_some());
+        assert_eq!(plain.health_rules(false), Ok(None));
+        let defaults = Some(health::default_rules());
+        assert_eq!(plain.health_rules(true), Ok(defaults.clone()));
         let bare = parse(&["--health"]).unwrap();
-        assert!(bare.health(&report, false).unwrap().is_some());
+        assert_eq!(bare.health_rules(false), Ok(defaults));
         let missing = parse(&["--health=no/such/rules.txt"]).unwrap();
-        let err = missing.health(&report, false).unwrap_err();
+        let err = missing.health_rules(false).unwrap_err();
         assert!(err.starts_with("no/such/rules.txt: "), "{err}");
     }
 

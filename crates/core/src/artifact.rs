@@ -25,7 +25,7 @@ use disengage_chaos::{
 use disengage_corpus::Corpus;
 use disengage_nlp::{FailureCategory, FaultTag, TagAssignment};
 use disengage_obs::{
-    CollectorState, FieldValue, HistogramState, LogEvent, LogLevel, ProvenanceEntry,
+    CollectorState, FieldValue, Histogram, HistogramState, LogEvent, LogLevel, ProvenanceEntry,
     ProvenanceEvent, RecordId, SpanState, Subject,
 };
 
@@ -467,6 +467,30 @@ fn dec_field_value(d: &mut Dec) -> Option<FieldValue> {
     })
 }
 
+/// Writes a collector-state map in name order: byte for byte the
+/// sequence of its `(name, value)` pairs.
+fn enc_map<T>(e: &mut Enc, map: &BTreeMap<String, T>, mut enc_value: impl FnMut(&mut Enc, &T)) {
+    e.usize(map.len());
+    for (name, value) in map {
+        e.str(name);
+        enc_value(e, value);
+    }
+}
+
+/// Reads a map written by [`enc_map`], only if its names are strictly
+/// ascending, as a collector writes them: a repeated name from a
+/// foreign writer would otherwise replay as one entry, not two.
+fn dec_map<'a, T>(
+    d: &mut Dec<'a>,
+    mut dec_value: impl FnMut(&mut Dec<'a>) -> Option<T>,
+) -> Option<BTreeMap<String, T>> {
+    let pairs = d.seq(|d| Some((d.str()?, dec_value(d)?)))?;
+    if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return None;
+    }
+    Some(pairs.into_iter().collect())
+}
+
 fn enc_collector_state(e: &mut Enc, s: &CollectorState) {
     e.seq(&s.spans, |e, span| {
         e.str(&span.name);
@@ -478,16 +502,10 @@ fn enc_collector_state(e: &mut Enc, s: &CollectorState) {
             enc_field_value(e, v);
         });
     });
-    e.seq(&s.counters, |e, (k, v)| {
-        e.str(k);
-        e.u64(*v);
-    });
-    e.seq(&s.gauges, |e, (k, v)| {
-        e.str(k);
-        e.f64(*v);
-    });
-    e.seq(&s.histograms, |e, (k, h)| {
-        e.str(k);
+    enc_map(e, &s.counters, |e, v| e.u64(*v));
+    enc_map(e, &s.gauges, |e, v| e.f64(*v));
+    enc_map(e, &s.histograms, |e, h| {
+        let h = h.state();
         e.seq(&h.counts, |e, c| e.u64(*c));
         e.u64(h.count);
         e.f64(h.sum);
@@ -520,24 +538,20 @@ fn dec_collector_state(d: &mut Dec) -> Option<CollectorState> {
             }
         }
     }
-    let counters = d.seq(|d| Some((d.str()?, d.u64()?)))?;
-    let gauges = d.seq(|d| Some((d.str()?, d.f64()?)))?;
-    let histograms = d.seq(|d| {
-        let name = d.str()?;
+    let counters = dec_map(d, |d| d.u64())?;
+    let gauges = dec_map(d, |d| d.f64())?;
+    let histograms = dec_map(d, |d| {
         let counts = d.seq(|d| d.u64())?;
         if counts.len() != HistogramState::expected_buckets() {
             return None;
         }
-        Some((
-            name,
-            HistogramState {
-                counts,
-                count: d.u64()?,
-                sum: d.f64()?,
-                min: d.f64()?,
-                max: d.f64()?,
-            },
-        ))
+        Some(Histogram::from_state(HistogramState {
+            counts,
+            count: d.u64()?,
+            sum: d.f64()?,
+            min: d.f64()?,
+            max: d.f64()?,
+        }))
     })?;
     let logs = d.seq(|d| {
         Some(LogEvent {
@@ -992,6 +1006,49 @@ mod tests {
         // Any truncation fails cleanly.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_stage(&bytes[..cut], dec_assignments).is_none());
+        }
+    }
+
+    #[test]
+    fn state_maps_decode_only_with_strictly_ascending_names() {
+        // An envelope with no spans, logs, lineage or verdicts, and the
+        // given counter and gauge names, as a foreign writer might
+        // frame it.
+        let envelope = |counters: &[&str], gauges: &[&str]| {
+            let mut e = Enc::new();
+            e.usize(0);
+            e.seq(counters, |e, name| {
+                e.str(name);
+                e.u64(1);
+            });
+            e.seq(gauges, |e, name| {
+                e.str(name);
+                e.f64(0.5);
+            });
+            for _ in 0..4 {
+                e.usize(0); // histograms, logs, lineage, verdicts
+            }
+            e.into_bytes()
+        };
+        let decode = |bytes: &[u8]| decode_stage(bytes, dec_assignments).map(|(s, _, _)| s);
+        let state = decode(&envelope(&["a", "b"], &["g", "h"])).expect("ascending decodes");
+        assert_eq!(state.counters.values().sum::<u64>(), 2);
+        assert_eq!(
+            encode_stage(&state, &[], &Vec::new(), enc_assignments),
+            envelope(&["a", "b"], &["g", "h"]),
+            "a decoded state re-encodes to the same bytes"
+        );
+        for (counters, gauges) in [
+            (&["a", "a"][..], &["g"][..]),
+            (&["b", "a"], &["g"]),
+            (&["a"], &["g", "g"]),
+            (&["a"], &["h", "g"]),
+        ] {
+            assert_eq!(
+                decode(&envelope(counters, gauges)),
+                None,
+                "{counters:?} {gauges:?}"
+            );
         }
     }
 }

@@ -30,6 +30,7 @@ use disengage_reports::formats::RawDocument;
 use disengage_reports::{FailureDatabase, ReportError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
 
 /// How Stage I digitizes the raw documents.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,60 +189,68 @@ pub(crate) fn digitize_simulated_parts(
         docs,
         |i, doc| {
             let shard = obs.shard();
-            // The per-document phase tree roots here, inside the pool
-            // closure, so the phase paths (`digitize;rasterize`, …) are
-            // identical at every --jobs value — see the no-guard-across-
-            // par_map rule on `obs::profile`.
-            let doc_phase = profile::phase(&shard, "digitize");
+            // Each document times its own steps and records them at
+            // fixed `digitize;…` paths, so the phase tree is the same at
+            // every --jobs value.
+            let doc_start = Instant::now();
             let mut rng = StdRng::seed_from_u64(rand::derive_seed(
                 config.ocr_seed,
                 (config.base_index + i) as u64,
             ));
+            // The streamed digitizer interleaves rasterize → degrade →
+            // correlate per strip and adds up each step's wall-clock.
+            let mut timings = StreamTimings::default();
             let recognized = OCR_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                // The streamed digitizer interleaves the classic
-                // rasterize → degrade → correlate stages per strip, so
-                // it accumulates each stage's wall-clock and the phases
-                // are recorded from the totals — same phase tree as the
-                // old whole-page guards, same RNG stream, same bytes.
-                let mut timings = StreamTimings::default();
-                let out = digitize_streamed(
+                digitize_streamed(
                     &doc.text,
                     &config.noise,
                     engine,
-                    scratch,
+                    &mut cell.borrow_mut(),
                     &mut rng,
                     &mut timings,
-                );
-                profile::record_phase(&shard, "rasterize", timings.rasterize);
-                profile::record_phase(&shard, "degrade", timings.degrade);
-                profile::record_phase(&shard, "correlate", timings.correlate);
-                out
+                )
             });
             let confidence = recognized.mean_confidence();
-            let text = match corrector {
+            let (text, repair_wall) = match corrector {
                 Some(c) => {
-                    let _repair = profile::phase(&shard, "repair");
-                    repair_text(
+                    let start = Instant::now();
+                    let mut attempts = Duration::ZERO;
+                    let text = repair_text(
                         c,
                         &recognized.text,
                         config.repair_attempts,
                         config.base_index + i,
                         &shard,
                         &mut |attempt, elapsed| {
-                            profile::record_phase(&shard, &format!("attempt_{attempt}"), elapsed);
+                            attempts += elapsed;
+                            let path = format!("digitize;repair;attempt_{attempt}");
+                            profile::record_phase(&shard, &path, elapsed, elapsed);
                         },
-                    )
+                    );
+                    let wall = start.elapsed();
+                    let self_time = wall.saturating_sub(attempts);
+                    profile::record_phase(&shard, "digitize;repair", wall, self_time);
+                    (text, wall)
                 }
                 // Move rather than clone: the recognizer output is not
                 // needed once its confidence has been read.
-                None => recognized.text,
+                None => (recognized.text, Duration::ZERO),
             };
-            let doc_cer = {
-                let _p = profile::phase(&shard, "cer");
-                cer(doc.text.trim_end(), &text)
-            };
-            drop(doc_phase);
+            let cer_start = Instant::now();
+            let doc_cer = cer(doc.text.trim_end(), &text);
+            let cer_wall = cer_start.elapsed();
+            let mut children = repair_wall;
+            for (path, t) in [
+                ("digitize;rasterize", timings.rasterize),
+                ("digitize;degrade", timings.degrade),
+                ("digitize;correlate", timings.correlate),
+                ("digitize;cer", cer_wall),
+            ] {
+                profile::record_phase(&shard, path, t, t);
+                children += t;
+            }
+            let wall = doc_start.elapsed();
+            profile::record_phase(&shard, "digitize", wall, wall.saturating_sub(children));
             shard.incr("ocr.documents");
             shard.record("ocr.cer", doc_cer);
             shard.record("ocr.confidence", confidence);
@@ -288,9 +297,6 @@ pub(crate) fn digitize_simulated_parts(
 /// returns the repaired text. Records each rung's hits into `obs`
 /// (`ocr.correct.attempt<k>`, `ocr.corrections` in total) and, under
 /// lineage, one `OcrRepair` event per repaired token.
-// Inlined: compiled on its own, it changed the crate's codegen of
-// `digitize_streamed::<StdRng>`, and `scan_ocr` read 2–3% slower.
-#[inline]
 pub(crate) fn repair_text(
     corrector: &Corrector,
     text: &str,

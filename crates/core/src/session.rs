@@ -476,8 +476,11 @@ impl RunSession {
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice (parse failures are collected,
-    /// not raised); the `Result` guards future fallible stages.
+    /// [`CoreError::UnknownShard`] when the `shards` filter names a
+    /// shard the enumeration lacks, before any stage runs;
+    /// [`CoreError::Interrupted`] when `abort_after` stopped the run
+    /// after that stage committed. Parse failures are collected in the
+    /// outcome, not raised.
     pub fn run(&self) -> Result<PipelineOutcome> {
         self.run_with(&Collector::new())
     }
@@ -487,7 +490,8 @@ impl RunSession {
     ///
     /// # Errors
     ///
-    /// See [`RunSession::run`].
+    /// [`CoreError::UnknownShard`] or [`CoreError::Interrupted`], as
+    /// for [`RunSession::run`].
     pub fn run_with(&self, obs: &Collector) -> Result<PipelineOutcome> {
         self.run_traced(obs, &TaskTimeline::disabled())
     }
@@ -512,7 +516,8 @@ impl RunSession {
     ///
     /// # Errors
     ///
-    /// See [`RunSession::run`].
+    /// [`CoreError::UnknownShard`] or [`CoreError::Interrupted`], as
+    /// for [`RunSession::run`].
     pub fn run_traced(&self, obs: &Collector, timeline: &TaskTimeline) -> Result<PipelineOutcome> {
         let config = &self.config;
         let (generator, specs, store) = self.plan_shards(obs)?;
@@ -842,7 +847,8 @@ impl RunSession {
         // (which never saves) leaves a clean directory.
         store.reclaim();
         if store.is_enabled() {
-            profile::record_phase_at(obs, &["store_open"], start.elapsed());
+            let wall = start.elapsed();
+            profile::record_phase(obs, "store_open", wall, wall);
         }
         store
     }
@@ -1462,11 +1468,8 @@ fn record_throughput(obs: &Collector, stage: &str, records: u64, bytes: u64, ela
 /// excludes the probe and the save), `stage_<name>;cache_lookup`
 /// covering the probe + decode, and, on a miss,
 /// `stage_<name>;cache_save` covering the commit and its evictions.
-/// All are explicit-path records, never open guards — a guard held
-/// here across the stage's parallel map would make the per-item
-/// phase paths depend on `--jobs` (see `obs::profile`). The
-/// phases land outside the stage shard, so cache artifacts carry no
-/// profiler wall time and warm replays re-measure their own.
+/// The phases land outside the stage shard, so cache artifacts carry
+/// no profiler wall time and warm replays re-measure their own.
 ///
 /// A miss computes and commits with no coordination: a concurrent
 /// session (thread or process) missing the same key computes it too
@@ -1485,7 +1488,7 @@ fn cached_stage<T>(
 ) -> T {
     let stage_start = Instant::now();
     let phase_root = format!("stage_{}", stage.name());
-    let (mut lookup_s, mut save_s) = (0.0f64, 0.0f64);
+    let (mut lookup, mut save) = (Duration::ZERO, Duration::ZERO);
     let caching = cacheable && store.is_enabled();
     let mut replayed: Option<T> = None;
     if caching {
@@ -1506,9 +1509,8 @@ fn cached_stage<T>(
             }
             Lookup::Miss => None,
         };
-        let lookup = lookup_start.elapsed();
-        lookup_s = lookup.as_secs_f64();
-        profile::record_phase_at(obs, &[&phase_root, "cache_lookup"], lookup);
+        lookup = lookup_start.elapsed();
+        profile::record_phase(obs, &format!("{phase_root};cache_lookup"), lookup, lookup);
         match decoded {
             Some((state, entries, value)) => {
                 obs.add("cache.hit", 1);
@@ -1539,9 +1541,8 @@ fn cached_stage<T>(
                 );
                 let save_start = Instant::now();
                 let evicted = store.save(stage.name(), key, &bytes);
-                let save = save_start.elapsed();
-                save_s = save.as_secs_f64();
-                profile::record_phase_at(obs, &[&phase_root, "cache_save"], save);
+                save = save_start.elapsed();
+                profile::record_phase(obs, &format!("{phase_root};cache_save"), save, save);
                 if evicted > 0 {
                     obs.add("cache.evict", evicted as u64);
                 }
@@ -1550,9 +1551,8 @@ fn cached_stage<T>(
             value
         }
     };
-    let wall = stage_start.elapsed().as_secs_f64();
-    let self_s = (wall - lookup_s - save_s).max(0.0);
-    profile::record_phase_parts(obs, &[&phase_root], wall, self_s);
+    let wall = stage_start.elapsed();
+    profile::record_phase(obs, &phase_root, wall, wall.saturating_sub(lookup + save));
     value
 }
 

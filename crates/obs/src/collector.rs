@@ -17,7 +17,7 @@
 //! count.
 
 use crate::flight::{self, FlightEvent, FlightKind, FlightRing, FlightSnapshot};
-use crate::hist::{Histogram, HistogramState};
+use crate::hist::Histogram;
 use crate::provenance::{ProvenanceEntry, ProvenanceEvent, ProvenanceLog, Subject};
 use crate::report::{FieldValue, LogEvent, LogLevel, SpanNode, TelemetryReport};
 use std::collections::{BTreeMap, HashMap};
@@ -41,28 +41,17 @@ fn echo_filter() -> Option<LogLevel> {
     })
 }
 
-#[derive(Debug)]
-struct SpanData {
-    name: String,
-    parent: Option<usize>,
-    start: Duration,
-    end: Option<Duration>,
-    fields: Vec<(String, FieldValue)>,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
-    spans: Vec<SpanData>,
+    // The telemetry itself, in the very form `Collector::state`
+    // snapshots and `Collector::absorb_state` replays.
+    state: CollectorState,
     // Per-thread open-span stacks. A single shared stack would parent a
     // span opened on a pool worker under whatever span another thread
     // pushed last; keying by thread id keeps nesting a per-thread
     // property, so worker-opened spans root at the top level instead of
     // mis-parenting under an unrelated sibling.
     stacks: HashMap<ThreadId, Vec<usize>>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    logs: Vec<LogEvent>,
     // Always-on flight recorder ring (see crate::flight). Shares the
     // collector's mutex so event order is exactly recording order.
     flight: FlightRing,
@@ -71,14 +60,44 @@ struct Inner {
     lineage: Vec<ProvenanceEntry>,
 }
 
-/// A replayable snapshot of one span: arena-indexed parentage,
+impl Inner {
+    /// The calling thread's innermost open span.
+    fn open_span(&self, thread: ThreadId) -> Option<usize> {
+        self.stacks.get(&thread).and_then(|s| s.last()).copied()
+    }
+
+    /// Folds `other` in, the one fold behind [`Collector::absorb`] and
+    /// [`Collector::absorb_state`]: counters add, gauges overwrite
+    /// (`other` is the later writer), histograms merge
+    /// ([`Histogram::merge`]), logs append, and `other`'s root spans
+    /// attach under `thread`'s innermost open span.
+    fn fold(&mut self, other: CollectorState, thread: ThreadId) {
+        let attach = self.open_span(thread);
+        let state = &mut self.state;
+        let base = state.spans.len();
+        state.spans.extend(other.spans.into_iter().map(|mut span| {
+            span.parent = span.parent.map_or(attach, |p| Some(base + p));
+            span
+        }));
+        for (name, delta) in other.counters {
+            *state.counters.entry(name).or_insert(0) += delta;
+        }
+        state.gauges.extend(other.gauges);
+        for (name, hist) in other.histograms {
+            state.histograms.entry(name).or_default().merge(&hist);
+        }
+        state.logs.extend(other.logs);
+    }
+}
+
+/// One span as the collector stores it: arena-indexed parentage,
 /// epoch-relative nanosecond timestamps, and fields in record order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanState {
     /// Span name.
     pub name: String,
-    /// Arena index of the parent within the same snapshot (`None` for
-    /// a root).
+    /// Arena index of the parent within the same state (`None` for a
+    /// root).
     pub parent: Option<usize>,
     /// Start, in nanoseconds since the collector's epoch.
     pub start_ns: u64,
@@ -88,12 +107,13 @@ pub struct SpanState {
     pub fields: Vec<(String, FieldValue)>,
 }
 
-/// A raw, replayable snapshot of a collector's telemetry: the exact
-/// mirror of [`Collector::absorb`]'s by-value input (less the flight
-/// ring and the lineage), but as plain data that can be serialized
-/// (the artifact cache persists one per stage, with the stage's
-/// lineage beside it) and folded back later with
-/// [`Collector::absorb_state`].
+/// A collector's telemetry: the store every recording call writes, and
+/// — cloned by [`Collector::state`] — a raw, replayable snapshot that
+/// the artifact cache serializes (one per stage, with the stage's
+/// lineage beside it) and folds back later with
+/// [`Collector::absorb_state`], exactly as [`Collector::absorb`] folds
+/// a shard's. The flight ring and the lineage live beside it, not in
+/// it.
 ///
 /// Unlike [`TelemetryReport`] this is lossless — histograms keep their
 /// raw buckets and exact float sums, spans keep arena parentage — so
@@ -103,12 +123,12 @@ pub struct SpanState {
 pub struct CollectorState {
     /// Spans in arena order (parents precede children).
     pub spans: Vec<SpanState>,
-    /// Counters in name order.
-    pub counters: Vec<(String, u64)>,
-    /// Gauges in name order.
-    pub gauges: Vec<(String, f64)>,
-    /// Histograms in name order, with raw bucket state.
-    pub histograms: Vec<(String, HistogramState)>,
+    /// Counters by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauges by name.
+    pub gauges: BTreeMap<String, f64>,
+    /// Histograms by name, with raw bucket state.
+    pub histograms: BTreeMap<String, Histogram>,
     /// Log events in record order.
     pub logs: Vec<LogEvent>,
 }
@@ -216,13 +236,13 @@ impl Collector {
         let start = self.epoch.elapsed();
         let thread = std::thread::current().id();
         let index = self.recording(|inner| {
-            let parent = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
-            let index = inner.spans.len();
-            inner.spans.push(SpanData {
+            let parent = inner.open_span(thread);
+            let index = inner.state.spans.len();
+            inner.state.spans.push(SpanState {
                 name: name.to_owned(),
                 parent,
-                start,
-                end: None,
+                start_ns: start.as_nanos() as u64,
+                end_ns: None,
                 fields: Vec::new(),
             });
             inner.stacks.entry(thread).or_default().push(index);
@@ -245,7 +265,7 @@ impl Collector {
     /// prefixes ([`flight::watched`]) also land in the flight ring.
     pub fn add(&self, name: &str, delta: u64) {
         self.recording(|inner| {
-            add_counter(&mut inner.counters, name, delta);
+            add_counter(&mut inner.state.counters, name, delta);
             if flight::watched(name) {
                 let t_s = self.epoch.elapsed().as_secs_f64();
                 inner.flight.push(FlightEvent {
@@ -266,17 +286,17 @@ impl Collector {
 
     /// Sets a gauge (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        self.recording(|inner| inner.gauges.insert(name.to_owned(), value));
+        self.recording(|inner| inner.state.gauges.insert(name.to_owned(), value));
     }
 
     /// Records a sample into a histogram (creating it empty).
     pub fn record(&self, name: &str, sample: f64) {
-        self.recording(|inner| match inner.histograms.get_mut(name) {
+        self.recording(|inner| match inner.state.histograms.get_mut(name) {
             Some(hist) => hist.record(sample),
             None => {
                 let mut hist = Histogram::new();
                 hist.record(sample);
-                inner.histograms.insert(name.to_owned(), hist);
+                inner.state.histograms.insert(name.to_owned(), hist);
             }
         });
     }
@@ -302,20 +322,21 @@ impl Collector {
         samples: impl IntoIterator<Item = (&'a str, Histogram)>,
     ) {
         self.recording(|inner| {
+            let state = &mut inner.state;
             for (name, delta) in counts {
                 debug_assert!(!flight::watched(name), "{name} must record per event");
                 if delta > 0 {
-                    add_counter(&mut inner.counters, name, delta);
+                    add_counter(&mut state.counters, name, delta);
                 }
             }
             for (name, hist) in samples.into_iter().filter(|(_, h)| h.count() > 0) {
-                match inner.histograms.get_mut(name) {
+                match state.histograms.get_mut(name) {
                     Some(mine) => {
                         debug_assert_eq!(mine.count(), 0, "{name} already holds samples");
                         mine.merge(&hist);
                     }
                     None => {
-                        inner.histograms.insert(name.to_owned(), hist);
+                        state.histograms.insert(name.to_owned(), hist);
                     }
                 }
             }
@@ -353,7 +374,7 @@ impl Collector {
             }
         }
         self.recording(|inner| {
-            inner.logs.push(LogEvent {
+            inner.state.logs.push(LogEvent {
                 t_s,
                 level,
                 message: message.to_owned(),
@@ -470,25 +491,7 @@ impl Collector {
         let shard = shard.inner.into_inner().unwrap_or_else(|e| e.into_inner());
         let thread = std::thread::current().id();
         self.recording(|inner| {
-            let base = inner.spans.len();
-            let attach = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
-            for mut span in shard.spans {
-                span.parent = match span.parent {
-                    Some(p) => Some(base + p),
-                    None => attach,
-                };
-                inner.spans.push(span);
-            }
-            for (name, delta) in shard.counters {
-                *inner.counters.entry(name).or_insert(0) += delta;
-            }
-            for (name, value) in shard.gauges {
-                inner.gauges.insert(name, value);
-            }
-            for (name, hist) in shard.histograms {
-                inner.histograms.entry(name).or_default().merge(&hist);
-            }
-            inner.logs.extend(shard.logs);
+            inner.fold(shard.state, thread);
             if self.lineage {
                 inner.lineage.extend(shard.lineage);
             }
@@ -496,82 +499,27 @@ impl Collector {
         });
     }
 
-    /// Snapshots the raw accumulated state (typically of a shard, for
-    /// the artifact cache) so it can be serialized and later replayed
-    /// with [`Collector::absorb_state`]. Flight-ring events are
+    /// A copy of the accumulated state (typically of a shard, for the
+    /// artifact cache) to serialize and later replay with
+    /// [`Collector::absorb_state`]. Flight-ring events are
     /// deliberately *not* part of the state: a cache-replayed stage
     /// contributes no flight events beyond its own `cache.hit`
     /// counters, which is exactly what a postmortem should show.
     /// Lineage is not part of it either; the cache envelope carries
     /// [`Collector::provenance`] beside it.
     pub fn state(&self) -> CollectorState {
-        let inner = self.lock();
-        CollectorState {
-            spans: inner
-                .spans
-                .iter()
-                .map(|s| SpanState {
-                    name: s.name.clone(),
-                    parent: s.parent,
-                    start_ns: s.start.as_nanos() as u64,
-                    end_ns: s.end.map(|e| e.as_nanos() as u64),
-                    fields: s.fields.clone(),
-                })
-                .collect(),
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.state()))
-                .collect(),
-            logs: inner.logs.clone(),
-        }
+        self.lock().state.clone()
     }
 
-    /// Replays a snapshot taken with [`Collector::state`], with
-    /// exactly [`Collector::absorb`]'s semantics: counters add, gauges
-    /// overwrite, histograms merge bit-identically, logs append, and
-    /// snapshot root spans attach under the calling thread's innermost
-    /// open span. Replayed span timestamps are the *recording* run's
-    /// wall clock — environment-dependent like all timing, and zeroed
-    /// by `TelemetryReport::canonical` the same way.
+    /// Replays a snapshot taken with [`Collector::state`] through the
+    /// fold [`Collector::absorb`] uses, less the flight ring, the
+    /// lineage and the overhead ledger. Replayed span timestamps are
+    /// the *recording* run's wall clock — environment-dependent like
+    /// all timing, and zeroed by `TelemetryReport::canonical` the same
+    /// way.
     pub fn absorb_state(&self, state: CollectorState) {
         let thread = std::thread::current().id();
-        self.recording(|inner| {
-            let base = inner.spans.len();
-            let attach = inner.stacks.get(&thread).and_then(|s| s.last()).copied();
-            for span in state.spans {
-                inner.spans.push(SpanData {
-                    name: span.name,
-                    parent: match span.parent {
-                        Some(p) => Some(base + p),
-                        None => attach,
-                    },
-                    start: Duration::from_nanos(span.start_ns),
-                    end: span.end_ns.map(Duration::from_nanos),
-                    fields: span.fields,
-                });
-            }
-            for (name, delta) in state.counters {
-                *inner.counters.entry(name).or_insert(0) += delta;
-            }
-            for (name, value) in state.gauges {
-                inner.gauges.insert(name, value);
-            }
-            for (name, hist) in state.histograms {
-                inner
-                    .histograms
-                    .entry(name)
-                    .or_default()
-                    .merge(&Histogram::from_state(&hist));
-            }
-            inner.logs.extend(state.logs);
-        });
+        self.recording(|inner| inner.fold(state, thread));
     }
 
     /// Snapshots everything accumulated so far. Spans still open are
@@ -579,28 +527,31 @@ impl Collector {
     pub fn report(&self) -> TelemetryReport {
         let now = self.epoch.elapsed();
         let inner = self.lock();
+        let state = &inner.state;
         // Build the forest bottom-up: children vectors indexed like the
         // arena, then move each node under its parent (children always
         // follow parents in arena order, so draining back-to-front is
         // safe).
-        let mut nodes: Vec<Option<SpanNode>> = inner
+        let mut nodes: Vec<Option<SpanNode>> = state
             .spans
             .iter()
             .map(|s| {
+                let start = Duration::from_nanos(s.start_ns);
+                let end = s.end_ns.map_or(now, Duration::from_nanos);
                 Some(SpanNode {
                     name: s.name.clone(),
-                    start_s: s.start.as_secs_f64(),
-                    duration_s: s.end.unwrap_or(now).saturating_sub(s.start).as_secs_f64(),
-                    closed: s.end.is_some(),
+                    start_s: start.as_secs_f64(),
+                    duration_s: end.saturating_sub(start).as_secs_f64(),
+                    closed: s.end_ns.is_some(),
                     fields: s.fields.clone(),
                     children: Vec::new(),
                 })
             })
             .collect();
         let mut roots = Vec::new();
-        for i in (0..inner.spans.len()).rev() {
+        for i in (0..state.spans.len()).rev() {
             let node = nodes[i].take().expect("unmoved");
-            match inner.spans[i].parent {
+            match state.spans[i].parent {
                 Some(p) => nodes[p]
                     .as_mut()
                     .expect("parents precede children")
@@ -612,7 +563,7 @@ impl Collector {
         // Surface the ring's eviction ledger as a counter: drops are a
         // deterministic function of the event stream, so this survives
         // canonical() and the byte-identity suites.
-        let mut counters = inner.counters.clone();
+        let mut counters = state.counters.clone();
         let dropped = inner.flight.dropped();
         if dropped > 0 {
             *counters.entry(flight::DROP_COUNTER.to_owned()).or_insert(0) += dropped;
@@ -620,13 +571,13 @@ impl Collector {
         TelemetryReport {
             spans: roots,
             counters,
-            gauges: inner.gauges.clone(),
-            histograms: inner
+            gauges: state.gauges.clone(),
+            histograms: state
                 .histograms
                 .iter()
                 .map(|(k, h)| (k.clone(), h.summary()))
                 .collect(),
-            logs: inner.logs.clone(),
+            logs: state.logs.clone(),
         }
     }
 
@@ -634,9 +585,10 @@ impl Collector {
         let end = self.epoch.elapsed();
         let thread = std::thread::current().id();
         self.recording(|inner| {
-            if inner.spans[index].end.is_none() {
-                inner.spans[index].end = Some(end);
-                let name = inner.spans[index].name.clone();
+            let span = &mut inner.state.spans[index];
+            if span.end_ns.is_none() {
+                span.end_ns = Some(end.as_nanos() as u64);
+                let name = span.name.clone();
                 inner.flight.push(FlightEvent {
                     t_s: end.as_secs_f64(),
                     kind: FlightKind::SpanClose { name },
@@ -666,7 +618,11 @@ impl Collector {
     }
 
     fn span_field(&self, index: usize, key: &str, value: FieldValue) {
-        self.recording(|inner| inner.spans[index].fields.push((key.to_owned(), value)));
+        self.recording(|inner| {
+            inner.state.spans[index]
+                .fields
+                .push((key.to_owned(), value))
+        });
     }
 }
 
@@ -859,56 +815,55 @@ mod tests {
         let (d, b) = (direct.state(), batched.state());
         assert_eq!(d, b, "zero counts and empty histograms add no keys");
         assert_eq!(
-            d.histograms[0].1.sum.to_bits(),
-            b.histograms[0].1.sum.to_bits()
+            d.histograms["stage.score"].state().sum.to_bits(),
+            b.histograms["stage.score"].state().sum.to_bits()
         );
     }
 
     #[test]
-    fn state_replay_matches_direct_absorb() {
-        // Two collectors, identical recording; one absorbs the shard
-        // directly, the other absorbs a serial-ready snapshot of an
-        // identical shard. The final reports must match exactly,
-        // including float bit patterns.
-        let record = |shard: &Collector| {
-            {
-                let mut s = shard.span("stage_ii_parse");
-                s.field("parsed", 41u64);
-                shard.add("parse.dis.parsed", 41);
-                shard.gauge("ocr.mean_cer", 0.125);
-                shard.record("parse.latency", 0.5);
-                shard.record("parse.latency", 0.25);
-            }
-            shard.log("stage done");
-        };
+    fn absorb_and_state_replay_leave_equal_state() {
+        // One shard, folded into one collector directly and into the
+        // other as a snapshot, each under an open span and on top of
+        // telemetry of its own: the two states must match exactly,
+        // float bit patterns and span parentage included.
         let direct = Collector::new();
         let replayed = direct.shard(); // shared epoch, separate state
-        {
-            let root_d = direct.span("pipeline");
-            let shard = direct.shard();
-            record(&shard);
-            direct.absorb(shard);
-            drop(root_d);
+        for c in [&direct, &replayed] {
+            c.add("parse.dis.parsed", 1);
+            c.gauge("ocr.mean_cer", 0.5);
+            c.record("parse.latency", 0.3);
         }
+        let shard = direct.shard();
         {
-            let root_r = replayed.span("pipeline");
-            let shard = replayed.shard();
-            record(&shard);
-            let state = shard.state();
-            replayed.absorb_state(state);
-            drop(root_r);
+            let mut s = shard.span("stage_ii_parse");
+            s.field("parsed", 41u64);
+            drop(shard.span("parse_doc"));
+            shard.add("parse.dis.parsed", 41);
+            shard.gauge("ocr.mean_cer", 0.125);
+            shard.record("parse.latency", 0.1);
+            shard.record("parse.latency", 0.2);
         }
-        let (d, r) = (direct.report(), replayed.report());
-        assert_eq!(d.counters, r.counters);
-        assert_eq!(d.gauges, r.gauges);
-        assert_eq!(d.histograms, r.histograms);
-        let dh = d.histogram("parse.latency").unwrap();
-        let rh = r.histogram("parse.latency").unwrap();
-        assert_eq!(dh.sum.to_bits(), rh.sum.to_bits());
-        assert_eq!(d.spans[0].children[0].name, "stage_ii_parse");
-        assert_eq!(r.spans[0].children[0].name, "stage_ii_parse");
-        assert_eq!(d.spans[0].children[0].fields, r.spans[0].children[0].fields);
-        assert_eq!(d.logs.len(), r.logs.len());
+        shard.log("stage done");
+        let snapshot = shard.state();
+        let open = direct.span("pipeline");
+        direct.absorb(shard);
+        drop(open);
+        let open = replayed.span("pipeline");
+        replayed.absorb_state(snapshot);
+        drop(open);
+        let (mut d, mut r) = (direct.state(), replayed.state());
+        // Only the two `pipeline` spans' own clocks differ.
+        for s in [&mut d, &mut r] {
+            s.spans[0].start_ns = 0;
+            s.spans[0].end_ns = Some(0);
+        }
+        assert_eq!(d, r);
+        let parents: Vec<Option<usize>> = d.spans.iter().map(|s| s.parent).collect();
+        assert_eq!(parents, [None, Some(0), Some(1)], "shard roots attach");
+        assert_eq!(d.counters["parse.dis.parsed"], 42);
+        assert_eq!(d.gauges["ocr.mean_cer"], 0.125);
+        assert_eq!(d.histograms["parse.latency"].count(), 3);
+        assert_eq!(d.logs.len(), 1);
     }
 
     #[test]

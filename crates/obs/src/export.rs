@@ -142,14 +142,6 @@ impl TelemetryReport {
             ),
         ])
     }
-
-    /// Renders the self-profiler's phase histograms as a folded-stack
-    /// document (`frame;frame microseconds` lines) for speedscope or
-    /// inferno — the profiling sibling of the Chrome-trace exporter.
-    /// Empty when no phase was recorded.
-    pub fn to_folded(&self) -> String {
-        crate::profile::folded_stacks(self)
-    }
 }
 
 fn span_value(span: &SpanNode) -> Value {

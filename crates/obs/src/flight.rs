@@ -22,15 +22,16 @@
 //! keeps the last 256 stamps itself, and a full dump appends them,
 //! handed in as a [`FlightSnapshot`] of `task` events (this crate
 //! cannot name the pool's types). A [canonical dump](dump_value)
-//! zeroes timestamps, omits the task stamps, and drops counter events
-//! in the environment-fact namespaces (`cache.*` / `profile.*`,
-//! mirroring [`crate::TelemetryReport::canonical`]), and
-//! is byte-identical at any worker count, clean or chaos.
+//! zeroes timestamps, omits the task stamps, and drops counter and
+//! named events in the environment-fact namespaces
+//! ([`crate::report::ENVIRONMENT_PREFIXES`], the list
+//! [`crate::TelemetryReport::canonical`] strips), and is
+//! byte-identical at any worker count, clean or chaos.
 
 use crate::collector::Collector;
 use crate::json::Value;
 use crate::provenance::ProvenanceLog;
-use crate::report::LogLevel;
+use crate::report::{LogLevel, ENVIRONMENT_PREFIXES};
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -62,12 +63,6 @@ pub const WATCH_PREFIXES: &[&str] = &[
     "parse.docs.",
     "parse.dis.failed",
 ];
-
-/// Counter-event prefixes excluded from canonical dumps — the same
-/// environment-fact namespaces [`crate::TelemetryReport::canonical`]
-/// strips (a warm run sees `cache.hit` events where a cold run saw
-/// `cache.miss`, for identical results).
-const VOLATILE_PREFIXES: &[&str] = &["cache.", "profile."];
 
 /// Returns true when counter deltas on `name` should be recorded as
 /// flight events.
@@ -286,9 +281,9 @@ fn open_span_names(nodes: &[crate::report::SpanNode], out: &mut Vec<String>) {
 /// `canonical: false` is the postmortem form: real timestamps, the
 /// `tasks` stamps after the ring's events, and every counter event. `canonical: true` is the
 /// byte-identity form used by `--flight=` and the determinism tests:
-/// timestamps zeroed, task stamps omitted, counter events in the
-/// volatile namespaces dropped, and the counter snapshot taken from
-/// [`crate::TelemetryReport::canonical`].
+/// timestamps zeroed, task stamps omitted, counter and named events in
+/// the [`ENVIRONMENT_PREFIXES`] dropped, and the counter snapshot taken
+/// from [`crate::TelemetryReport::canonical`].
 pub fn dump_value(
     obs: &Collector,
     tasks: Option<&FlightSnapshot>,
@@ -307,13 +302,13 @@ pub fn dump_value(
             // Counter deltas AND named events in the environment-fact
             // namespaces go: a warm run emits cache.* traffic a cold
             // run does not, for identical results.
-            let volatile_name = match &event.kind {
+            let environment_fact = match &event.kind {
                 FlightKind::Counter { name, .. } | FlightKind::Event { name, .. } => {
-                    VOLATILE_PREFIXES.iter().any(|p| name.starts_with(p))
+                    ENVIRONMENT_PREFIXES.iter().any(|p| name.starts_with(p))
                 }
                 _ => false,
             };
-            if volatile_name {
+            if environment_fact {
                 continue;
             }
             let mut event = event.clone();
@@ -747,11 +742,24 @@ mod tests {
     }
 
     #[test]
-    fn canonical_dump_zeroes_time_and_drops_volatile_counters() {
+    fn canonical_dump_zeroes_time_and_drops_environment_events() {
         let obs = Collector::new();
         obs.add("quarantine.records", 1);
         obs.add("cache.hit.corpus", 1);
+        for prefix in ENVIRONMENT_PREFIXES {
+            obs.event(&format!("{prefix}probe"), "environment");
+        }
+        let in_environment = |e: &FlightEvent| match &e.kind {
+            FlightKind::Counter { name, .. } | FlightKind::Event { name, .. } => {
+                ENVIRONMENT_PREFIXES.iter().any(|p| name.starts_with(p))
+            }
+            _ => false,
+        };
         let tasks = task_stamp("parse", 0, 0, 8);
+        let full = render_dump(&obs, Some(&tasks), "end-of-run", &[], false);
+        let full = validate_dump(&full).expect("full dump validates");
+        let kept = full.events.iter().filter(|e| in_environment(e)).count();
+        assert_eq!(kept, 1 + ENVIRONMENT_PREFIXES.len(), "full dumps keep them");
         let text = render_dump(&obs, Some(&tasks), "end-of-run", &[], true);
         let dump = validate_dump(&text).expect("canonical dump validates");
         assert!(dump.canonical);
@@ -760,11 +768,7 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(&e.kind, FlightKind::Task { .. })));
-        assert!(!dump
-            .events
-            .iter()
-            .any(|e| matches!(&e.kind, FlightKind::Counter { name, .. }
-                if name.starts_with("cache."))));
+        assert!(!dump.events.iter().any(in_environment));
         assert!(dump
             .events
             .iter()

@@ -158,8 +158,8 @@ impl Histogram {
     /// truncating into the overflow bucket-free prefix — callers that
     /// need strict validation should compare `counts.len()` against
     /// [`HistogramState::expected_buckets`] first.
-    pub fn from_state(state: &HistogramState) -> Histogram {
-        let mut counts = state.counts.clone();
+    pub fn from_state(state: HistogramState) -> Histogram {
+        let mut counts = state.counts;
         counts.resize(N_BUCKETS, 0);
         Histogram {
             counts,

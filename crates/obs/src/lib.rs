@@ -20,6 +20,14 @@
 //!   ([`Collector::lineage`]) on a collector built
 //!   [`Collector::with_lineage`], read back as a [`ProvenanceLog`]
 //!   ([`Collector::provenance`]).
+//! * **Phases** — self-profiler timings at explicit `;`-joined paths
+//!   ([`profile::record_phase`]), kept as `profile.wall;<path>` and
+//!   `profile.self;<path>` histograms.
+//!
+//! A collector keeps its spans, metrics and logs in one
+//! [`CollectorState`]: [`Collector::state`] copies it for the artifact
+//! cache, and [`Collector::absorb_state`] folds a copy back through the
+//! same fold [`Collector::absorb`] applies to a shard.
 //!
 //! A [`Collector::report`] snapshot ([`TelemetryReport`]) renders as a
 //! plaintext span tree ([`TelemetryReport::render_tree`]) or as JSON

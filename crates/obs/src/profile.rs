@@ -1,50 +1,42 @@
-//! Self-profiling: hierarchical phase timers, throughput and memory
-//! gauges, and the aggregated stage × phase view behind
-//! `disengage profile`.
+//! Self-profiling: phase timers, throughput and memory gauges, and the
+//! aggregated stage × phase view behind `disengage profile`.
 //!
 //! # Phase model
 //!
-//! A *phase* is a named scope on the current thread. [`phase`] pushes a
-//! frame onto a thread-local stack and returns a guard; when the guard
-//! drops it records two histograms on the collector it was opened
-//! against:
+//! A *phase* is a named piece of work at an explicit *path*: its frame
+//! names joined by `;`, root first (`digitize;repair;attempt_2`). The
+//! code that does the work times it and its child phases itself, and
+//! records each execution with [`record_phase`] as two histogram
+//! samples on a collector:
 //!
-//! * `profile.wall;<path>` — the scope's wall-clock seconds, and
-//! * `profile.self;<path>` — wall minus the time spent in child phases,
+//! * `profile.wall;<path>` — the execution's wall-clock seconds, and
+//! * `profile.self;<path>` — wall minus the time spent in child phases.
 //!
-//! where `<path>` is the `;`-joined stack of open frame names
-//! (`digitize;repair;attempt_2`). The `;` separator makes the
-//! histogram keys themselves a folded-stack corpus: the
-//! [`folded_stacks`] exporter emits `path self-microseconds` lines that
-//! speedscope and inferno's `flamegraph.pl` consume directly.
+//! The `;` separator makes the histogram keys themselves a folded-stack
+//! corpus: the [`folded_stacks`] exporter emits `path self-microseconds`
+//! lines that speedscope and inferno's `flamegraph.pl` consume directly.
 //!
-//! Phases are *always on* — recording two histogram samples per scope
+//! There is no phase stack and no guard: a path names the work, not the
+//! thread that ran it, so the set of recorded paths is the same at any
+//! `--jobs`, whichever pool worker ran a document.
+//!
+//! Phases are *always on* — recording two histogram samples per phase
 //! is noise next to the work the phases wrap — but every
 //! `profile.`-prefixed metric is wall-clock-derived and therefore
 //! stripped by [`TelemetryReport::canonical`], so the byte-identity
 //! contracts (any `--jobs`, warm vs cold cache, clean vs chaos) never
 //! see it.
-//!
-//! One rule keeps phase paths independent of the worker count: **never
-//! hold a phase guard across a parallel map call**. The stack is
-//! thread-local; a frame left open on the caller thread would become
-//! the parent of per-item phases on the sequential path but not on
-//! worker threads, and the histogram *names* would then depend on
-//! `--jobs`. Root the per-item phase inside the per-item closure
-//! instead (every call site in `core` does).
 
 use crate::collector::Collector;
 use crate::json::Value;
 use crate::report::TelemetryReport;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Namespace prefix shared by every profiler metric; the single handle
-/// [`TelemetryReport::canonical`] uses to strip the profiler's
-/// wall-clock-derived output.
+/// Namespace prefix shared by every profiler metric, one of the
+/// environment-fact namespaces [`TelemetryReport::canonical`] strips.
 pub const PROFILE_PREFIX: &str = "profile.";
 
 /// Histogram prefix for per-phase wall seconds.
@@ -53,116 +45,18 @@ pub const WALL_PREFIX: &str = "profile.wall;";
 /// Histogram prefix for per-phase self seconds (wall minus children).
 pub const SELF_PREFIX: &str = "profile.self;";
 
-struct Frame {
-    name: String,
-    /// Seconds already attributed to closed child phases.
-    child_s: f64,
-}
-
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Scope guard returned by [`phase`]; records the phase's wall and
-/// self histograms when dropped.
-#[must_use = "a phase measures the scope that holds the guard"]
-pub struct PhaseGuard<'a> {
-    obs: &'a Collector,
-    start: Instant,
-}
-
-/// Opens a phase named `name` nested under whatever phases are already
-/// open on this thread. Drop the returned guard to close it.
-pub fn phase<'a>(obs: &'a Collector, name: &str) -> PhaseGuard<'a> {
-    STACK.with(|s| {
-        s.borrow_mut().push(Frame {
-            name: name.to_owned(),
-            child_s: 0.0,
-        })
-    });
-    PhaseGuard {
-        obs,
-        start: Instant::now(),
-    }
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        let wall = self.start.elapsed().as_secs_f64();
-        let (path, child_s) = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = join_path(stack.iter().map(|f| f.name.as_str()));
-            let frame = stack.pop().expect("phase stack underflow");
-            if let Some(parent) = stack.last_mut() {
-                parent.child_s += wall;
-            }
-            (path, frame.child_s)
-        });
-        record_parts(self.obs, &path, wall, (wall - child_s).max(0.0));
-    }
-}
-
-/// Opens a phase for the rest of the enclosing scope:
-/// `phase!(obs, "rasterize");`. Use [`phase`] directly when the scope
-/// must be narrower than a block.
-#[macro_export]
-macro_rules! phase {
-    ($obs:expr, $name:expr) => {
-        let _phase_guard = $crate::profile::phase($obs, $name);
-    };
-}
-
-/// Records an already-measured leaf phase named `name` under the
-/// phases currently open on this thread, crediting the innermost open
-/// frame so the parent's self time excludes it. This is the callback
-/// form for code that times its own sub-steps (the OCR repair ladder's
-/// per-attempt durations).
-pub fn record_phase(obs: &Collector, name: &str, elapsed: Duration) {
-    let secs = elapsed.as_secs_f64();
-    let path = STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let path = join_path(stack.iter().map(|f| f.name.as_str()).chain([name]));
-        if let Some(top) = stack.last_mut() {
-            top.child_s += secs;
-        }
-        path
-    });
-    record_parts(obs, &path, secs, secs);
-}
-
-/// Records an already-measured phase at an explicit absolute `path`,
-/// ignoring the thread's open-phase stack. For callers that must not
-/// hold a guard (a stage wrapper around a parallel map) but still know
-/// the path they are attributing.
-pub fn record_phase_at(obs: &Collector, path: &[&str], elapsed: Duration) {
-    let secs = elapsed.as_secs_f64();
-    record_parts(obs, &join_path(path.iter().copied()), secs, secs);
-}
-
-/// [`record_phase_at`] with separate wall and self seconds, for
-/// wrappers whose children are recorded out-of-band.
-pub fn record_phase_parts(obs: &Collector, path: &[&str], wall_s: f64, self_s: f64) {
-    record_parts(obs, &join_path(path.iter().copied()), wall_s, self_s);
-}
-
-fn join_path<'a>(parts: impl IntoIterator<Item = &'a str>) -> String {
-    let mut out = String::new();
-    for p in parts {
-        debug_assert!(
-            !p.is_empty() && !p.contains(';') && !p.contains(char::is_whitespace),
-            "phase names must be non-empty and free of ';' and whitespace: {p:?}"
-        );
-        if !out.is_empty() {
-            out.push(';');
-        }
-        out.push_str(p);
-    }
-    out
-}
-
-fn record_parts(obs: &Collector, path: &str, wall_s: f64, self_s: f64) {
-    obs.record(&format!("{WALL_PREFIX}{path}"), wall_s);
-    obs.record(&format!("{SELF_PREFIX}{path}"), self_s);
+/// Records one execution of the phase at `path` (frame names joined by
+/// `;`, root first): `wall` of wall clock, of which `self_time` was
+/// not spent in its child phases. A leaf phase passes its wall as its
+/// self time.
+pub fn record_phase(obs: &Collector, path: &str, wall: Duration, self_time: Duration) {
+    debug_assert!(
+        path.split(';')
+            .all(|frame| !frame.is_empty() && !frame.contains(char::is_whitespace)),
+        "phase frames must be non-empty and free of whitespace: {path:?}"
+    );
+    obs.record(&format!("{WALL_PREFIX}{path}"), wall.as_secs_f64());
+    obs.record(&format!("{SELF_PREFIX}{path}"), self_time.as_secs_f64());
 }
 
 // ---------------------------------------------------------------------------
@@ -684,7 +578,7 @@ pub fn validate_folded(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use std::time::Instant;
 
     fn spin(ms: u64) {
         let t0 = Instant::now();
@@ -693,93 +587,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nested_phases_split_wall_and_self() {
-        let obs = Collector::new();
-        {
-            let _outer = phase(&obs, "outer");
-            spin(4);
-            {
-                let _inner = phase(&obs, "inner");
-                spin(8);
-            }
-        }
-        let r = obs.report();
-        let outer = r.histogram("profile.wall;outer").unwrap();
-        let outer_self = r.histogram("profile.self;outer").unwrap();
-        let inner = r.histogram("profile.wall;outer;inner").unwrap();
-        assert_eq!(outer.count, 1);
-        assert_eq!(inner.count, 1);
-        // Outer wall covers both; outer self excludes the inner scope.
-        assert!(outer.sum >= inner.sum);
-        assert!(
-            outer_self.sum <= outer.sum - inner.sum + 1e-3,
-            "self {} vs wall {} minus child {}",
-            outer_self.sum,
-            outer.sum,
-            inner.sum
-        );
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
     }
 
     #[test]
-    fn record_phase_credits_open_parent() {
+    fn a_phase_records_its_wall_and_self_time_at_its_path() {
         let obs = Collector::new();
-        {
-            let _outer = phase(&obs, "repair");
-            record_phase(&obs, "attempt_1", Duration::from_millis(50));
-        }
+        record_phase(&obs, "digitize;repair", ms(50), ms(20));
+        record_phase(&obs, "digitize;repair", ms(30), ms(10));
+        record_phase(&obs, "digitize;repair;attempt_1", ms(40), ms(40));
         let r = obs.report();
-        assert_eq!(
-            r.histogram("profile.wall;repair;attempt_1").unwrap().count,
-            1
-        );
-        // The 50 ms were credited to the parent's children, so the
-        // parent's self time is (near) zero, not 50 ms.
-        assert!(r.histogram("profile.self;repair").unwrap().sum < 0.040);
-    }
-
-    #[test]
-    fn record_phase_at_ignores_stack() {
-        let obs = Collector::new();
-        let _open = phase(&obs, "open");
-        record_phase_at(
-            &obs,
-            &["stage", "corpus", "cache_lookup"],
-            Duration::from_millis(1),
-        );
-        let r = obs.report();
-        assert!(r
-            .histogram("profile.wall;stage;corpus;cache_lookup")
-            .is_some());
-    }
-
-    #[test]
-    fn phases_on_worker_threads_root_at_their_own_stack() {
-        let obs = Collector::new();
-        let _caller = phase(&obs, "caller");
-        thread::scope(|s| {
-            s.spawn(|| {
-                let _w = phase(&obs, "work");
-            });
-        });
-        let r = obs.report();
-        // The worker thread's stack is its own: no `caller;work` path.
-        assert!(r.histogram("profile.wall;work").is_some());
-        assert!(r.histogram("profile.wall;caller;work").is_none());
+        let wall = r.histogram("profile.wall;digitize;repair").unwrap();
+        let self_s = r.histogram("profile.self;digitize;repair").unwrap();
+        assert_eq!((wall.count, self_s.count), (2, 2));
+        assert!((wall.sum - 0.080).abs() < 1e-12, "{}", wall.sum);
+        assert!((self_s.sum - 0.030).abs() < 1e-12, "{}", self_s.sum);
+        let leaf = r.histogram("profile.self;digitize;repair;attempt_1");
+        assert_eq!(leaf.map(|h| h.count), Some(1));
+        // The path is all there is: no parent phase is implied.
+        assert!(r.histogram("profile.wall;digitize").is_none());
     }
 
     #[test]
     fn folded_export_round_trips_validation() {
         let obs = Collector::new();
-        {
-            let _a = phase(&obs, "digitize");
-            let _b = phase(&obs, "rasterize");
-            spin(2);
-        }
+        record_phase(&obs, "digitize", ms(3), ms(1));
+        record_phase(&obs, "digitize;rasterize", ms(2), ms(2));
         let folded = folded_stacks(&obs.report());
         let lines = validate_folded(&folded).expect("folded output validates");
         assert_eq!(lines, 2, "one line per recorded path: {folded:?}");
-        assert!(folded.contains("digitize;rasterize "));
+        assert!(folded.contains("digitize;rasterize 2000\n"), "{folded:?}");
     }
 
     #[test]
@@ -797,15 +635,10 @@ mod tests {
     fn report_aggregates_rows_and_coverage() {
         let obs = Collector::new();
         for _ in 0..3 {
-            let _d = phase(&obs, "digitize");
-            {
-                let _r = phase(&obs, "rasterize");
-                spin(3);
-            }
-            {
-                let _c = phase(&obs, "correlate");
-                spin(3);
-            }
+            record_phase(&obs, "digitize;rasterize", ms(3), ms(3));
+            record_phase(&obs, "digitize;correlate", ms(3), ms(3));
+            let overhead = Duration::from_micros(100);
+            record_phase(&obs, "digitize", ms(6) + overhead, overhead);
         }
         let report = obs.report();
         let prof = ProfileReport::from_report(&report);

@@ -107,6 +107,15 @@ pub struct LogEvent {
     pub message: String,
 }
 
+/// The environment-fact namespaces: names that say where a run's
+/// inputs came from (`cache.`), how long its work took (`profile.`) or
+/// what recording it cost (`obs.overhead.`), never what it computed.
+/// [`TelemetryReport::canonical`] drops every counter, gauge and
+/// histogram named in them, and a canonical flight dump
+/// ([`crate::flight::dump_value`]) every counter and named event.
+pub const ENVIRONMENT_PREFIXES: &[&str] =
+    &["cache.", crate::profile::PROFILE_PREFIX, "obs.overhead."];
+
 /// An immutable telemetry snapshot: the span forest plus all
 /// accumulated metrics.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -151,9 +160,9 @@ impl TelemetryReport {
 
     /// The canonical form for byte-for-byte comparison: every
     /// wall-clock field (span start/duration) zeroed, log events
-    /// dropped, every `cache.*` counter dropped, and the
-    /// `profile.*` and `obs.overhead.*` namespaces (counters, gauges,
-    /// histograms) dropped, all other structure and metrics kept.
+    /// dropped, and every counter, gauge and histogram in the
+    /// [`ENVIRONMENT_PREFIXES`] dropped, all other structure and
+    /// metrics kept.
     ///
     /// Two runs of the same deterministic workload differ only in
     /// timing and in where their inputs came from — a cold run counts
@@ -163,15 +172,13 @@ impl TelemetryReport {
     /// --telemetry=stable-json` / `scripts/verify.sh` contract is that
     /// warm, cold, and any `--jobs` all serialize identically. The
     /// self-profiler's `profile.*` metrics (phase timers, throughput,
-    /// memory gauges — see [`crate::profile`]) are wall-clock-derived
-    /// by construction, so the whole namespace goes the same way. Log
-    /// events go entirely: their timestamps are wall clock and their
-    /// *presence* can be environment-dependent (a warm run logs
+    /// memory gauges — see [`crate::profile`]) and the
+    /// `obs.overhead.*` gauges (recording time itself) are
+    /// wall-clock-derived by construction, so they go the same way.
+    /// Log events go entirely: their timestamps are wall clock and
+    /// their *presence* can be environment-dependent (a warm run logs
     /// different progress than a cold one), so the canonical report
-    /// keeps none. The
-    /// `obs.overhead.*` gauges measure recording time itself —
-    /// wall-clock-derived by definition — and are dropped with
-    /// `profile.*`.
+    /// keeps none.
     #[must_use]
     pub fn canonical(mut self) -> TelemetryReport {
         fn strip(node: &mut SpanNode) {
@@ -185,11 +192,8 @@ impl TelemetryReport {
             strip(span);
         }
         self.logs.clear();
-        let keep = |k: &String| {
-            !k.starts_with(crate::profile::PROFILE_PREFIX) && !k.starts_with("obs.overhead.")
-        };
-        self.counters
-            .retain(|k, _| !k.starts_with("cache.") && keep(k));
+        let keep = |k: &String| !ENVIRONMENT_PREFIXES.iter().any(|p| k.starts_with(p));
+        self.counters.retain(|k, _| keep(k));
         self.gauges.retain(|k, _| keep(k));
         self.histograms.retain(|k, _| keep(k));
         self
@@ -259,27 +263,29 @@ mod tests {
     }
 
     #[test]
-    fn canonical_drops_the_profile_namespace() {
+    fn canonical_drops_every_environment_namespace() {
         use crate::hist::Histogram;
-        let mut r = TelemetryReport::default();
-        r.counters.insert("profile.anything".to_owned(), 1);
-        r.counters.insert("ocr.documents".to_owned(), 4);
-        r.gauges
-            .insert("profile.mem.peak_rss_bytes".to_owned(), 1e6);
-        r.gauges.insert("obs.overhead.frac".to_owned(), 0.003);
-        r.gauges.insert("ocr.mean_cer".to_owned(), 0.01);
         let mut h = Histogram::new();
         h.record(0.25);
-        r.histograms
-            .insert("profile.wall;digitize".to_owned(), h.summary());
+        let mut r = TelemetryReport::default();
+        for prefix in ENVIRONMENT_PREFIXES {
+            r.counters.insert(format!("{prefix}probe"), 1);
+            r.gauges.insert(format!("{prefix}probe"), 1e6);
+            r.histograms.insert(format!("{prefix}probe"), h.summary());
+        }
+        r.counters.insert("ocr.documents".to_owned(), 4);
+        r.gauges.insert("ocr.mean_cer".to_owned(), 0.01);
         r.histograms.insert("ocr.cer".to_owned(), h.summary());
+        // The namespaces the profiler and the overhead ledger write.
+        assert!(ENVIRONMENT_PREFIXES.contains(&"profile."));
+        assert!(ENVIRONMENT_PREFIXES.contains(&"obs.overhead."));
         let c = r.canonical();
-        assert!(c.counters.keys().all(|k| !k.starts_with("profile.")));
-        assert!(c.gauges.keys().all(|k| !k.starts_with("profile.")));
-        assert!(c.histograms.keys().all(|k| !k.starts_with("profile.")));
-        // Recording-overhead gauges are wall-clock-derived too.
-        assert_eq!(c.gauge("obs.overhead.frac"), None);
-        // Non-profile metrics survive untouched.
+        for prefix in ENVIRONMENT_PREFIXES {
+            assert!(c.counters.keys().all(|k| !k.starts_with(prefix)));
+            assert!(c.gauges.keys().all(|k| !k.starts_with(prefix)));
+            assert!(c.histograms.keys().all(|k| !k.starts_with(prefix)));
+        }
+        // Workload metrics survive untouched.
         assert_eq!(c.counter("ocr.documents"), 4);
         assert_eq!(c.gauge("ocr.mean_cer"), Some(0.01));
         assert!(c.histogram("ocr.cer").is_some());

@@ -50,6 +50,7 @@
 use crate::engine::{LeanOcrOutput, OcrEngine, OcrScratch};
 use crate::noise::NoiseModel;
 use crate::raster::{rasterize_line_into, Bitmap, CELL_W};
+use rand::rngs::StdRng;
 use rand::{bernoulli_threshold, Rng};
 
 /// Reusable buffers for [`digitize_streamed`] — one strip bitmap, the
@@ -222,12 +223,12 @@ fn flip_strip<R: Rng + ?Sized>(
 /// reference returns for the same `rng` stream, without ever allocating
 /// the full page. Per-phase wall-clock is added to `timings` (not
 /// reset, so one `StreamTimings` can span a batch).
-pub fn digitize_streamed<R: Rng + ?Sized>(
+pub fn digitize_streamed(
     text: &str,
     noise: &NoiseModel,
     engine: &OcrEngine,
     scratch: &mut StreamScratch,
-    rng: &mut R,
+    rng: &mut StdRng,
     timings: &mut StreamTimings,
 ) -> LeanOcrOutput {
     // Page geometry: width from the longest line, one blank strip for
@@ -321,7 +322,6 @@ pub fn digitize_streamed<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Scratch reuse across documents must not leak state between them.

@@ -112,6 +112,11 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
     if command != "profile" {
         args.reject_profile().map_err(|e| e.to_string())?;
     }
+    // The `health` command always evaluates (the built-in rules unless
+    // --health=FILE names a rule file); any other command evaluates
+    // only when --health was given. A bad rule file fails here, before
+    // any command runs.
+    let health_rules = args.health_rules(command == "health")?;
     let config = args.run_config();
     let seed = config.corpus.seed;
     // Lineage is recorded only for `--lineage` and for `explain` (which
@@ -379,7 +384,7 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
                 ProfileMode::Off | ProfileMode::Table => print!("{}", profile.render_table()),
                 ProfileMode::Json => println!("{}", profile.to_json()),
                 ProfileMode::Folded => {
-                    let folded = report.to_folded();
+                    let folded = disengage::obs::folded_stacks(&report);
                     disengage::obs::validate_folded(&folded)
                         .map_err(|e| format!("internal: folded export invalid: {e}"))?;
                     print!("{folded}");
@@ -445,10 +450,8 @@ fn run(args: &CommonArgs) -> Result<ExitCode, String> {
     args.write_exports(&obs, &timeline)?;
     let report = obs.report();
     let mut exit = ExitCode::SUCCESS;
-    // The `health` command always evaluates (the built-in rules unless
-    // --health=FILE names a rule file); any other command evaluates
-    // only when --health was given.
-    if let Some(verdict) = args.health(&report, command == "health")? {
+    if let Some(rules) = &health_rules {
+        let verdict = disengage::obs::health::evaluate(rules, &report);
         print!("{}", verdict.render());
         if verdict.failed() {
             exit = ExitCode::FAILURE;

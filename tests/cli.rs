@@ -449,6 +449,34 @@ fn health_rule_files_are_loaded_and_validated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--health` rule file is read before the run: a missing or
+/// malformed file fails with its `PATH: error` line and prints nothing
+/// on stdout, whatever the command.
+#[test]
+fn bad_health_rule_files_fail_before_the_run() {
+    let dir =
+        std::env::temp_dir().join(format!("disengage-cli-health-early-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bad = dir.join("bad.txt");
+    std::fs::write(&bad, "just two\n").expect("write");
+    for path in [dir.join("missing.txt"), bad] {
+        for command in ["summary", "health"] {
+            let flag = format!("--health={}", path.display());
+            let out = disengage(&[command, "--scale=0.02", &flag]);
+            assert!(!out.status.success(), "{command} {flag} must fail");
+            assert!(
+                out.stdout.is_empty(),
+                "{command} {flag} ran:\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let line = format!("error: {}: ", path.display());
+            assert!(stderr.starts_with(&line), "{command} {flag}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Length and FNV-1a digest of every CSV `disengage export` writes at
 /// `--scale=0.05`, the same at one worker and at the default pool. The
 /// constants were recorded once and must only move with a deliberate,

@@ -76,8 +76,9 @@ fn canonical_telemetry_survives_artificial_wall_clock_skew() {
 
     // Skew run B: a phase tree that never existed in run A, with
     // durations no real run could produce, plus the memory gauges.
-    profile::record_phase_at(&b, &["artificial"], Duration::from_secs(3600));
-    profile::record_phase_at(&b, &["artificial", "skew"], Duration::from_secs(1800));
+    let (hour, half) = (Duration::from_secs(3600), Duration::from_secs(1800));
+    profile::record_phase(&b, "artificial", hour, hour - half);
+    profile::record_phase(&b, "artificial;skew", half, half);
     profile::record_process_gauges(&b);
 
     let (raw_a, raw_b) = (a.report().to_json(), b.report().to_json());
@@ -144,8 +145,8 @@ fn cold_runs_time_each_save_and_warm_runs_record_none() {
     assert_eq!(count(&warm, "stage_tag;cache_save"), 0);
 }
 
-/// The set of phase paths must not depend on the worker count: phases
-/// opened inside pool closures root at their own thread's stack, so
+/// The set of phase paths must not depend on the worker count: every
+/// phase is recorded at an explicit path, whichever worker ran it, so
 /// `jobs=1` and `jobs=4` record the same tree (only the wall-clock
 /// values inside it differ, and those are stripped).
 #[test]
@@ -216,7 +217,7 @@ fn digitize_phases_cover_stage_i_and_fold_cleanly() {
         coverage * 100.0
     );
 
-    let folded = report.to_folded();
+    let folded = disengage::obs::folded_stacks(&report);
     let stacks = disengage::obs::validate_folded(&folded).expect("folded export parses");
     assert!(stacks >= 5, "expected a real phase tree, got:\n{folded}");
     for leaf in ["digitize;rasterize", "digitize;correlate", "digitize;cer"] {
