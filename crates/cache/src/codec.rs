@@ -35,43 +35,51 @@ impl Enc {
     }
 
     /// Writes a `u8`.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a `bool` as one byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Writes a `u16` little-endian.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u32` little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64` little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `usize` as `u64` (the cast is lossless on all
     /// supported targets).
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Writes an `f64` by exact bit pattern — decoding reproduces the
     /// value bit for bit, which the byte-identity contract requires.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Writes a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
@@ -122,6 +130,7 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let slice = self.buf.get(self.pos..end)?;
@@ -130,11 +139,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a `u8`.
+    #[inline]
     pub fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
 
     /// Reads a `bool`, rejecting tags other than 0/1.
+    #[inline]
     pub fn bool(&mut self) -> Option<bool> {
         match self.u8()? {
             0 => Some(false),
@@ -144,22 +155,26 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Option<u16> {
         Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
     /// Reads a `usize`, bounding the value so corrupted lengths cannot
     /// trigger runaway allocations.
+    #[inline]
     pub fn usize(&mut self) -> Option<usize> {
         let v = self.u64()?;
         if v > MAX_LEN {
@@ -169,11 +184,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads an `f64` by exact bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.u64()?))
     }
 
     /// Reads a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self) -> Option<String> {
         let len = self.usize()?;
         let bytes = self.take(len)?;
