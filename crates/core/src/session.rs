@@ -1161,8 +1161,11 @@ fn run_shard(
                         repair_attempts: config.repair_attempts(),
                         jobs: inner_jobs,
                     };
+                    // The per-document phases go to the worker
+                    // collector, as `cached_stage`'s own do: the stage
+                    // shard's state is what the artifact persists.
                     let (out, stats) =
-                        digitize_simulated_parts(digitize, &documents, sobs, timeline);
+                        digitize_simulated_parts(digitize, &documents, sobs, obs, timeline);
                     (out, Some(stats))
                 }
             }

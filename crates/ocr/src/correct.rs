@@ -224,17 +224,41 @@ fn transition<'r, T: PartialEq, R: Row>(
     None
 }
 
+/// The set of `chars` as a 128-bit mask: each ASCII char on the bit of
+/// its code, every other char on bit 0 (shared with NUL).
+///
+/// One edit removes at most one char from a word and adds at most one,
+/// so it changes at most two bits of its mask: two words whose masks
+/// differ in more than `2d` bits are more than `d` edits apart. The map
+/// from chars to bits need not be one-to-one for that to hold.
+fn char_set(chars: &[char]) -> u128 {
+    chars.iter().fold(0, |set, &c| {
+        set | 1 << if c.is_ascii() { c as u32 } else { 0 }
+    })
+}
+
+/// One vocabulary word, prepared for the repair scan.
+#[derive(Debug, Clone)]
+struct Entry {
+    word: String,
+    chars: Vec<char>,
+    /// [`char_set`] of `chars`.
+    set: u128,
+}
+
 /// A vocabulary-backed spelling corrector.
 #[derive(Debug, Clone, Default)]
 pub struct Corrector {
     vocabulary: HashSet<String>,
     /// The vocabulary bucketed by char length (`by_len[l]` = words of
-    /// exactly `l` chars, with their chars pre-split), so a repair at
-    /// distance `d` scans only the `2d + 1` adjacent buckets instead
-    /// of re-counting every word's chars on every query. Candidate
-    /// order within a bucket is insertion order; the repair result is
-    /// order-independent (unique candidate or ambiguity bail-out).
-    by_len: Vec<Vec<(String, Vec<char>)>>,
+    /// exactly `l` chars, with their chars pre-split and their char
+    /// sets), so a repair at distance `d` scans only the `2d + 1`
+    /// adjacent buckets, and skips each word whose char set differs
+    /// from the query's in more than `2d` bits without running the
+    /// distance kernel on it. Candidate order within a bucket is
+    /// insertion order; the repair result is order-independent (unique
+    /// candidate or ambiguity bail-out).
+    by_len: Vec<Vec<Entry>>,
 }
 
 impl Corrector {
@@ -245,7 +269,7 @@ impl Corrector {
         S: Into<String>,
     {
         let mut vocabulary = HashSet::new();
-        let mut by_len: Vec<Vec<(String, Vec<char>)>> = Vec::new();
+        let mut by_len: Vec<Vec<Entry>> = Vec::new();
         for word in words {
             let word: String = word.into();
             if !vocabulary.insert(word.clone()) {
@@ -255,7 +279,8 @@ impl Corrector {
             if by_len.len() <= chars.len() {
                 by_len.resize(chars.len() + 1, Vec::new());
             }
-            by_len[chars.len()].push((word, chars));
+            let set = char_set(&chars);
+            by_len[chars.len()].push(Entry { word, chars, set });
         }
         Corrector { vocabulary, by_len }
     }
@@ -268,9 +293,17 @@ impl Corrector {
     /// Repairs `core` against the vocabulary at exactly edit distance
     /// `distance`: unknown words with a *unique* candidate snap to it
     /// (`Some`); ambiguity or no candidate leaves the word alone
-    /// (`None` — a wrong repair is worse than a missing one).
-    fn correct_core_within(&self, core: &str, distance: usize) -> Option<&str> {
-        if core.is_empty() || self.knows(core) || !core.chars().any(|c| c.is_ascii_alphabetic()) {
+    /// (`None` — a wrong repair is worse than a missing one). `query`
+    /// is scratch for the core's chars.
+    fn correct_core_within(
+        &self,
+        core: &str,
+        distance: usize,
+        query: &mut Vec<char>,
+    ) -> Option<&str> {
+        // The cheap checks run before the vocabulary lookup; each of
+        // them, like a known word, leaves the core alone.
+        if core.is_empty() || !core.chars().any(|c| c.is_ascii_alphabetic()) {
             return None;
         }
         // Beyond distance 1, digit-bearing cores are off limits: an OCR
@@ -280,18 +313,27 @@ impl Corrector {
         if distance > 1 && core.chars().any(|c| c.is_ascii_digit()) {
             return None;
         }
-        let core_chars: Vec<char> = core.chars().collect();
+        if self.knows(core) {
+            return None;
+        }
+        query.clear();
+        query.extend(core.chars());
+        let set = char_set(query);
         let mut candidate: Option<&str> = None;
         // Only buckets within the length prefilter can hold candidates.
-        let lo = core_chars.len().saturating_sub(distance);
-        let hi = core_chars.len() + distance;
+        let lo = query.len().saturating_sub(distance);
+        let hi = query.len() + distance;
         for bucket in (lo..=hi).filter_map(|l| self.by_len.get(l)) {
-            for (word, chars) in bucket {
-                if distance_at_most(&core_chars, chars, distance) == Some(distance) {
+            for entry in bucket {
+                // More than `2d` differing set bits: more than `d` edits.
+                if (set ^ entry.set).count_ones() as usize > 2 * distance {
+                    continue;
+                }
+                if distance_at_most(query, &entry.chars, distance) == Some(distance) {
                     if candidate.is_some() {
                         return None; // ambiguous: leave it
                     }
-                    candidate = Some(word);
+                    candidate = Some(&entry.word);
                 }
             }
         }
@@ -303,7 +345,12 @@ impl Corrector {
     /// keeps the comma) and the alphanumeric core is repaired. `None`
     /// means the word is unchanged — the hot path, which allocates
     /// nothing.
-    fn correct_word_within(&self, word: &str, distance: usize) -> Option<String> {
+    fn correct_word_within(
+        &self,
+        word: &str,
+        distance: usize,
+        query: &mut Vec<char>,
+    ) -> Option<String> {
         let start = word
             .find(|c: char| c.is_ascii_alphanumeric())
             .unwrap_or(word.len());
@@ -314,7 +361,7 @@ impl Corrector {
             });
         let (prefix, rest) = word.split_at(start);
         let (core, suffix) = rest.split_at(end.saturating_sub(start));
-        let fixed = self.correct_core_within(core, distance)?;
+        let fixed = self.correct_core_within(core, distance, query)?;
         Some(format!("{prefix}{fixed}{suffix}"))
     }
 
@@ -346,6 +393,7 @@ impl Corrector {
         let mut current = text.to_owned();
         let mut per_attempt = Vec::new();
         let mut repairs = Vec::new();
+        let mut query = Vec::new();
         for attempt in 1..=max_attempts.max(1) {
             let rung_start = std::time::Instant::now();
             let distance = (attempt as usize).min(2);
@@ -362,7 +410,7 @@ impl Corrector {
                     if word_idx > 0 {
                         out.push(' ');
                     }
-                    match self.correct_word_within(w, distance) {
+                    match self.correct_word_within(w, distance, &mut query) {
                         Some(fixed) => {
                             hits += 1;
                             out.push_str(&fixed);

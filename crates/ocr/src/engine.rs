@@ -11,11 +11,13 @@
 //! bit-packed: every 5×7 glyph is packed into one `u64` at engine
 //! construction, cells are extracted as packed words a text row at a
 //! time, and the F1-style agreement is scored with AND + popcount. The
-//! arithmetic is carried out on exactly the same integers as the scalar
-//! per-pixel reference kept in the crate's test support — same overlap,
-//! same ink counts, same `f64` divisions in the same order — so
-//! recognized text, confidences, and tie-breaks are bit-identical to it
-//! (pinned by the `packed_equivalence` suite).
+//! scores are the scalar per-pixel reference's fractions (kept in the
+//! crate's test support) on exactly the same integers — same overlap,
+//! same ink counts, same glyph order — compared exactly by integer
+//! cross-multiplication, with one `f64` division, the reference's own
+//! expression, for the winning glyph. So recognized text, confidences,
+//! and tie-breaks are bit-identical to it (pinned by the
+//! `packed_equivalence` suite).
 //!
 //! A match is a pure function of the 35-bit cell, so each worker's
 //! [`OcrScratch`] memoizes it in a direct-mapped table keyed by the
@@ -23,11 +25,8 @@
 //! score bits, exactly what [`OcrEngine::match_packed`] returns. Under
 //! light noise most cells are pristine glyphs, so most lookups hit.
 
-use crate::font::{all_glyphs, Glyph, GLYPH_H, GLYPH_W};
+use crate::font::{all_glyphs, Glyph};
 use crate::raster::{pack_cell_row, Bitmap};
-
-/// Bits in one packed cell (or glyph): the 5×7 window.
-const CELL_BITS: usize = GLYPH_W * GLYPH_H;
 
 /// Configuration for the recognizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,13 +116,9 @@ impl OcrScratch {
 /// A template-matching OCR engine over the built-in font.
 #[derive(Debug, Clone)]
 pub struct OcrEngine {
+    /// The font's glyphs in [`all_glyphs`] order. Every glyph has ink,
+    /// so a score's denominator `cell_ink + ink` is never zero.
     glyphs: Vec<PackedGlyph>,
-    /// `caps[g][ci]` = the highest score glyph `g` can reach against a
-    /// cell with `ci` inked pixels: `2·min(ci, ink_g) / (ci + ink_g)`,
-    /// computed with the same `f64` operations as a real score. Scores
-    /// are monotone in the overlap, so a glyph whose cap cannot beat
-    /// the incumbent best is skipped without changing the result.
-    caps: Vec<[f64; CELL_BITS + 1]>,
     config: EngineConfig,
 }
 
@@ -178,21 +173,11 @@ impl OcrEngine {
                 ink: g.ink() as u32,
             })
             .collect();
-        let caps = glyphs
-            .iter()
-            .map(|g| {
-                let mut row = [0.0f64; CELL_BITS + 1];
-                for (ci, cap) in row.iter_mut().enumerate() {
-                    *cap = 2.0 * (ci as u32).min(g.ink) as f64 / (ci as u32 + g.ink) as f64;
-                }
-                row
-            })
-            .collect();
-        OcrEngine {
-            glyphs,
-            caps,
-            config,
-        }
+        assert!(
+            glyphs.iter().all(|g| g.ink > 0),
+            "every glyph of the font has ink"
+        );
+        OcrEngine { glyphs, config }
     }
 
     /// Recognizes text row `row` of `page` into `scratch.line` /
@@ -263,35 +248,54 @@ impl OcrEngine {
 
     /// Best glyph for a bit-packed cell with `cell_ink` inked pixels.
     ///
-    /// The overlap is one AND + popcount per glyph and the score is the
-    /// same `2.0 · overlap / (cell_ink + glyph_ink)` division the
-    /// scalar reference performs on the same integers, in the same
-    /// glyph order with the same strict `>` tie-break — so the result
-    /// (char *and* score bits) is identical. The precomputed cap table
-    /// only skips glyphs that provably cannot beat the incumbent.
+    /// A glyph's score is the F1-style agreement `2·overlap /
+    /// (cell_ink + ink)`, the overlap one AND + popcount. Scores are
+    /// compared as exact fractions, by integer cross-multiplication,
+    /// in the scalar reference's glyph order with its strict `>`
+    /// tie-break, and only the winner's is divided, with the
+    /// reference's `2.0 * overlap as f64 / d as f64`. Numerators and
+    /// denominators are at most 70, so two different fractions are at
+    /// least 1/4900 apart and round to different `f64`s, while equal
+    /// fractions round alike: the `f64` comparisons would pick the same
+    /// glyph, and the score has the reference's bits. A glyph whose
+    /// best possible overlap, `min(cell_ink, ink)`, cannot beat the
+    /// incumbent is skipped without its popcount.
     pub fn match_packed(&self, cell: u64, cell_ink: u32) -> (char, f64) {
-        let mut best = (' ', f64::MIN);
-        for (g, caps) in self.glyphs.iter().zip(&self.caps) {
-            if caps[cell_ink as usize] <= best.1 {
+        // Every denominator is positive, so the first glyph's score,
+        // at least 0, beats the reference's `f64::MIN` start.
+        let Some((first, rest)) = self.glyphs.split_first() else {
+            return (' ', f64::MIN);
+        };
+        let (mut ch, mut overlap, mut d) = (
+            first.ch,
+            (cell & first.bits).count_ones(),
+            cell_ink + first.ink,
+        );
+        for g in rest {
+            let dg = cell_ink + g.ink;
+            if cell_ink.min(g.ink) * d <= overlap * dg {
                 continue;
             }
-            let overlap = (cell & g.bits).count_ones();
-            let score = 2.0 * overlap as f64 / (cell_ink + g.ink) as f64;
-            if score > best.1 {
-                best = (g.ch, score);
+            let og = (cell & g.bits).count_ones();
+            if og * d > overlap * dg {
+                (ch, overlap, d) = (g.ch, og, dg);
             }
         }
-        best
+        (ch, 2.0 * overlap as f64 / d as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::font::{GLYPH_H, GLYPH_W};
     use crate::noise::NoiseModel;
     use crate::stream::{digitize_streamed, StreamScratch, StreamTimings};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Bits in one packed cell (or glyph): the 5×7 window.
+    const CELL_BITS: usize = GLYPH_W * GLYPH_H;
 
     /// Digitizes `text` under `noise` through the production path.
     fn read(text: &str, noise: NoiseModel, seed: u64) -> LeanOcrOutput {

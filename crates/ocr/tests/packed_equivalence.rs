@@ -7,7 +7,9 @@
 //!
 //! * every `(char, score)` the packed matcher emits — tie-breaks and the
 //!   exact `f64` bit pattern of the score included — equals what the
-//!   scalar per-pixel matcher computes;
+//!   scalar per-pixel matcher computes, although the packed matcher
+//!   compares exact fractions in integers and divides only for the
+//!   winner, where the reference divides for every glyph;
 //! * for the same seed, the streamed digitizer returns the reference
 //!   pipeline's text (whole-page rasterize → whole-page noise pass →
 //!   scalar recognition) and the bits of its confidence sum, at clean,
@@ -99,6 +101,45 @@ fn every_glyph_as_cell_matches_identically() {
         let (ch, score) = packed.match_packed(g.packed(), g.ink() as u32);
         assert_eq!(ch, g.ch, "clean glyph {:?} did not match itself", g.ch);
         assert!((score - 1.0).abs() < 1e-12);
+    }
+}
+
+#[test]
+fn every_glyph_with_one_or_two_pixels_flipped_agrees() {
+    // Each glyph's own cell, and that cell with every pixel and every
+    // pair of pixels flipped: the cells a light scan makes most, and
+    // the nearest neighbours of every exact-fraction tie.
+    let packed = OcrEngine::new();
+    let scalar = ScalarEngine::new();
+    for g in all_glyphs() {
+        let cell: Vec<bool> = g.pixels.iter().flatten().copied().collect();
+        assert_cell_agrees(&packed, &scalar, &cell, &format!("glyph {:?}", g.ch));
+        for i in 0..CELL_BITS {
+            let mut one = cell.clone();
+            one[i] = !one[i];
+            assert_cell_agrees(&packed, &scalar, &one, &format!("{:?} ^ {i}", g.ch));
+            for j in i + 1..CELL_BITS {
+                let mut two = one.clone();
+                two[j] = !two[j];
+                assert_cell_agrees(&packed, &scalar, &two, &format!("{:?} ^ {i}, {j}", g.ch));
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_and_single_pixel_cells_agree() {
+    // `cell_ink` 0 and 1, below the default `min_ink` but accepted by
+    // the public matcher: every glyph scores 0 on the empty cell, so
+    // the first glyph wins, as the reference's strict `>` picks it.
+    let packed = OcrEngine::new();
+    let scalar = ScalarEngine::new();
+    let empty = vec![false; CELL_BITS];
+    assert_cell_agrees(&packed, &scalar, &empty, "empty cell");
+    for i in 0..CELL_BITS {
+        let mut cell = empty.clone();
+        cell[i] = true;
+        assert_cell_agrees(&packed, &scalar, &cell, &format!("pixel {i} alone"));
     }
 }
 
@@ -287,7 +328,8 @@ fn chars_the_font_lacks_agree() {
 
 #[test]
 fn non_default_configs_agree_too() {
-    // The cap-table skip must stay exact under any threshold config.
+    // The matcher's skip of glyphs that cannot win must stay exact
+    // under any threshold config.
     let configs = [
         EngineConfig {
             min_ink: 0,

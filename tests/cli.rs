@@ -158,6 +158,47 @@ fn profile_command_renders_and_folded_round_trips() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A warm `profile --cache-dir` replays the digitize stage without
+/// digitizing, so it records no `digitize` phase: the cold run's OCR
+/// times stay out of the cached artifact.
+#[test]
+fn warm_profile_replays_no_digitize_phase() {
+    let dir =
+        std::env::temp_dir().join(format!("disengage-cli-warm-phases-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = format!("--cache-dir={}", dir.display());
+    let folded = || {
+        let out = disengage(&["profile", "--scale=0.02", &cache, "--profile=folded"]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 folded stacks")
+    };
+    let digitize_lines = |stacks: &str| {
+        stacks
+            .lines()
+            .filter(|l| l.split([';', ' ']).next() == Some("digitize"))
+            .count()
+    };
+    let (cold, warm) = (folded(), folded());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        digitize_lines(&cold) > 0,
+        "cold run has no digitize frame:\n{cold}"
+    );
+    assert!(
+        warm.contains("stage_digitize;cache_lookup"),
+        "warm run replayed nothing:\n{warm}"
+    );
+    assert_eq!(
+        digitize_lines(&warm),
+        0,
+        "warm run replayed OCR phases:\n{warm}"
+    );
+}
+
 /// `--profile=json` emits a single JSON object that the in-tree parser
 /// accepts, with the documented top-level sections.
 #[test]
