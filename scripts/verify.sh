@@ -16,7 +16,8 @@
 # CER edit distance's full equivalence grid against the banded
 # reference (release), the streamed digitizer's full-corpus
 # equivalence grid against the scalar whole-page reference (release,
-# ~5 s), the distinct-value Weibull and
+# ~5 s), the dictionary corrector's full equivalence grid against the
+# full bucket scan (release, ~4 s), the distinct-value Weibull and
 # Exponentiated-Weibull fitters' full equivalence grid against the
 # reference fitters (release), the failure database's per-manufacturer
 # index's full equivalence grid against the reference scans (release),
@@ -40,7 +41,8 @@
 # a third warm run must replay every stage), a `disengage explain`
 # smoke over all three exemplar classes, Chrome-trace export
 # validation, a self-profiler smoke
-# (stage x phase table, JSON round-trip, folded-stack validation),
+# (stage x phase table, JSON round-trip, folded-stack validation, and
+# a warm --cache-dir profile that must replay no digitize phase),
 # the observability smoke (Prometheus exposition validated by
 # check-prom, canonical flight-recorder dumps byte-diffed across
 # --jobs clean and under chaos, the clean run gated by the default
@@ -128,6 +130,14 @@ echo "== Stage I: streamed digitizer vs scalar whole-page reference, full grid =
 # sum bits and char count (~5 s in release); tier-1 runs scale 0.05 at
 # light noise.
 cargo test --release --offline --test digitize_equivalence -- --ignored
+
+echo "== Stage I: corrector char-set prefilter vs full bucket scan, full grid =="
+# Every filing digitized at scales 0.25 and 1, light and heavy noise,
+# through one- and three-attempt ladders, and the chaos repair ladder
+# (three attempts, so it reaches distance 2): same text, per-attempt
+# hits and audited repairs (~4 s in release); tier-1 runs scale 0.05
+# and random vocabularies.
+cargo test --release --offline --test correct_equivalence -- --ignored
 
 echo "== Stage IV: distinct-value fitters vs reference fitters, full grid =="
 # Every analyzed manufacturer's Fig. 11 sample at seeds 1-20 (full
@@ -514,6 +524,28 @@ cargo run --release --offline --bin disengage -- \
     profile --scale=0.02 --profile=folded > profile.folded
 cargo run --release --offline --bin disengage -- check-folded profile.folded
 rm -f profile.folded
+# A warm run replays the digitize stage, so it must record no digitize
+# phase: the cold run's OCR times stay out of the cached artifact.
+rm -rf .disengage-profile-cache
+cargo run --release --offline --bin disengage -- \
+    profile --scale=0.02 --cache-dir=.disengage-profile-cache \
+    --profile=folded > profile_cold.folded
+cargo run --release --offline --bin disengage -- \
+    profile --scale=0.02 --cache-dir=.disengage-profile-cache \
+    --profile=folded > profile_warm.folded
+grep -q '^digitize[; ]' profile_cold.folded || {
+    echo "verify: cold profile records no digitize phase" >&2
+    exit 1
+}
+grep -q '^stage_digitize;cache_lookup ' profile_warm.folded || {
+    echo "verify: warm profile replayed no digitize artifact" >&2
+    exit 1
+}
+if grep -q '^digitize[; ]' profile_warm.folded; then
+    echo "verify: warm profile replays cold digitize phases" >&2
+    exit 1
+fi
+rm -rf .disengage-profile-cache profile_cold.folded profile_warm.folded
 
 echo "== scale stress: peak RSS stays flat across 8x corpus growth =="
 # One child process per scale point (VmHWM is monotone within a
