@@ -25,7 +25,7 @@
 //! score bits, exactly what [`OcrEngine::match_packed`] returns. Under
 //! light noise most cells are pristine glyphs, so most lookups hit.
 
-use crate::font::{all_glyphs, Glyph};
+use crate::font::{all_glyphs, Glyph, GLYPH_H, GLYPH_W};
 use crate::raster::{pack_cell_row, Bitmap};
 
 /// Configuration for the recognizer.
@@ -49,12 +49,47 @@ impl Default for EngineConfig {
     }
 }
 
+/// Bits in one packed cell (or glyph): the 5×7 window.
+const CELL_BITS: usize = GLYPH_W * GLYPH_H;
+
 /// One font glyph prepared for packed matching.
 #[derive(Debug, Clone, Copy)]
 struct PackedGlyph {
     ch: char,
     bits: u64,
     ink: u32,
+    /// The glyph's position in [`all_glyphs`] order: the reference's
+    /// scan order, which breaks ties.
+    rank: u32,
+}
+
+/// The best match so far: the exact score `2·overlap / d` as its
+/// fraction, and the glyph's font rank.
+#[derive(Debug, Clone, Copy)]
+struct Incumbent {
+    ch: char,
+    rank: u32,
+    overlap: u32,
+    d: u32,
+}
+
+impl Incumbent {
+    /// Below every glyph: score 0 at the last rank, so any glyph's
+    /// score, at least 0 over a positive denominator, beats it.
+    const NONE: Incumbent = Incumbent {
+        ch: ' ',
+        rank: u32::MAX,
+        overlap: 0,
+        d: 1,
+    };
+
+    /// Whether glyph `g`, with `overlap` over denominator `d`, is the
+    /// better match: a larger fraction, or an equal one at an earlier
+    /// rank.
+    fn beaten_by(&self, g: &PackedGlyph, overlap: u32, d: u32) -> bool {
+        let (new, old) = (overlap * self.d, self.overlap * d);
+        new > old || (new == old && g.rank < self.rank)
+    }
 }
 
 /// Slots of the cell-match memo: a power of two, 24 bytes a slot, so
@@ -116,9 +151,12 @@ impl OcrScratch {
 /// A template-matching OCR engine over the built-in font.
 #[derive(Debug, Clone)]
 pub struct OcrEngine {
-    /// The font's glyphs in [`all_glyphs`] order. Every glyph has ink,
-    /// so a score's denominator `cell_ink + ink` is never zero.
+    /// The font's glyphs ordered by ink, in font order within an ink.
+    /// Every glyph has ink, so a score's denominator `cell_ink + ink`
+    /// is never zero.
     glyphs: Vec<PackedGlyph>,
+    /// `glyphs[by_ink[k]..by_ink[k + 1]]` holds the glyphs of ink `k`.
+    by_ink: [usize; CELL_BITS + 2],
     config: EngineConfig,
 }
 
@@ -165,19 +203,30 @@ impl OcrEngine {
     /// bit-packed here, once, so recognition never touches the pixel
     /// grids again.
     pub fn with_config(config: EngineConfig) -> OcrEngine {
-        let glyphs: Vec<PackedGlyph> = all_glyphs()
+        let mut glyphs: Vec<PackedGlyph> = all_glyphs()
             .into_iter()
-            .map(|g: Glyph| PackedGlyph {
+            .enumerate()
+            .map(|(rank, g): (usize, Glyph)| PackedGlyph {
                 ch: g.ch,
                 bits: g.packed(),
                 ink: g.ink() as u32,
+                rank: rank as u32,
             })
             .collect();
         assert!(
             glyphs.iter().all(|g| g.ink > 0),
             "every glyph of the font has ink"
         );
-        OcrEngine { glyphs, config }
+        glyphs.sort_by_key(|g| g.ink);
+        let mut by_ink = [0; CELL_BITS + 2];
+        for (k, start) in by_ink.iter_mut().enumerate() {
+            *start = glyphs.partition_point(|g| (g.ink as usize) < k);
+        }
+        OcrEngine {
+            glyphs,
+            by_ink,
+            config,
+        }
     }
 
     /// Recognizes text row `row` of `page` into `scratch.line` /
@@ -246,56 +295,84 @@ impl OcrEngine {
         (slot.1, slot.2)
     }
 
-    /// Best glyph for a bit-packed cell with `cell_ink` inked pixels.
+    /// Best glyph for a bit-packed cell with `cell_ink` inked pixels
+    /// (its popcount, at most 35).
     ///
     /// A glyph's score is the F1-style agreement `2·overlap /
-    /// (cell_ink + ink)`, the overlap one AND + popcount. Scores are
-    /// compared as exact fractions, by integer cross-multiplication,
-    /// in the scalar reference's glyph order with its strict `>`
-    /// tie-break, and only the winner's is divided, with the
-    /// reference's `2.0 * overlap as f64 / d as f64`. Numerators and
-    /// denominators are at most 70, so two different fractions are at
-    /// least 1/4900 apart and round to different `f64`s, while equal
-    /// fractions round alike: the `f64` comparisons would pick the same
-    /// glyph, and the score has the reference's bits. A glyph whose
-    /// best possible overlap, `min(cell_ink, ink)`, cannot beat the
-    /// incumbent is skipped without its popcount.
+    /// (cell_ink + ink)`, the overlap one AND + popcount. The result is
+    /// the scalar reference's: the glyph with the highest score, the
+    /// first in font order among equals, and its score with the
+    /// reference's bits.
+    ///
+    /// * **Exact fractions.** Scores are compared as fractions, by
+    ///   integer cross-multiplication, and only the winner's is
+    ///   divided, with the reference's `2.0 * overlap as f64 / d as
+    ///   f64`. Numerators and denominators are at most 70, so two
+    ///   different fractions are at least 1/4900 apart and round to
+    ///   different `f64`s, while equal fractions round alike: the
+    ///   reference's `f64` comparisons order the glyphs the same way.
+    /// * **Glyphs by ink.** A glyph of ink `k` scores at most its cap
+    ///   `2·min(cell_ink, k) / (cell_ink + k)`. The caps peak at `k =
+    ///   cell_ink` and fall on both sides of it, so the glyphs are
+    ///   scanned one ink at a time outwards from `cell_ink`, and a side
+    ///   stops at the first ink whose cap is below the best score so
+    ///   far: no glyph past it can reach that score. Since the scan
+    ///   leaves font order, an equal score wins only at an earlier font
+    ///   rank, and a cap equal to the best score keeps its side going.
     pub fn match_packed(&self, cell: u64, cell_ink: u32) -> (char, f64) {
-        // Every denominator is positive, so the first glyph's score,
-        // at least 0, beats the reference's `f64::MIN` start.
-        let Some((first, rest)) = self.glyphs.split_first() else {
-            return (' ', f64::MIN);
-        };
-        let (mut ch, mut overlap, mut d) = (
-            first.ch,
-            (cell & first.bits).count_ones(),
-            cell_ink + first.ink,
-        );
-        for g in rest {
-            let dg = cell_ink + g.ink;
-            if cell_ink.min(g.ink) * d <= overlap * dg {
-                continue;
+        let mut best = Incumbent::NONE;
+        // Scans the glyphs of ink `k` if their cap reaches `best`;
+        // false once it does not.
+        let scan = |k: usize, best: &mut Incumbent| {
+            let (cap, d) = (cell_ink.min(k as u32), cell_ink + k as u32);
+            if cap * best.d < best.overlap * d {
+                return false;
             }
-            let og = (cell & g.bits).count_ones();
-            if og * d > overlap * dg {
-                (ch, overlap, d) = (g.ch, og, dg);
+            for g in &self.glyphs[self.by_ink[k]..self.by_ink[k + 1]] {
+                let overlap = (cell & g.bits).count_ones();
+                if best.beaten_by(g, overlap, d) {
+                    *best = Incumbent {
+                        ch: g.ch,
+                        rank: g.rank,
+                        overlap,
+                        d,
+                    };
+                }
+            }
+            true
+        };
+        let centre = (cell_ink as usize).min(CELL_BITS);
+        let (mut down, mut up) = (Some(centre), centre + 1);
+        while down.is_some() || up <= CELL_BITS {
+            if let Some(k) = down {
+                down = if scan(k, &mut best) {
+                    k.checked_sub(1)
+                } else {
+                    None
+                };
+            }
+            if up <= CELL_BITS {
+                up = if scan(up, &mut best) {
+                    up + 1
+                } else {
+                    CELL_BITS + 1
+                };
             }
         }
-        (ch, 2.0 * overlap as f64 / d as f64)
+        if best.rank == u32::MAX {
+            return (' ', f64::MIN);
+        }
+        (best.ch, 2.0 * best.overlap as f64 / best.d as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::font::{GLYPH_H, GLYPH_W};
     use crate::noise::NoiseModel;
     use crate::stream::{digitize_streamed, StreamScratch, StreamTimings};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// Bits in one packed cell (or glyph): the 5×7 window.
-    const CELL_BITS: usize = GLYPH_W * GLYPH_H;
 
     /// Digitizes `text` under `noise` through the production path.
     fn read(text: &str, noise: NoiseModel, seed: u64) -> LeanOcrOutput {
