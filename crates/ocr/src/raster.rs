@@ -145,36 +145,41 @@ pub fn rasterize_line_into(line: &str, width: usize, bmp: &mut Bitmap) {
 /// [`crate::font::Glyph::packed`], so `cell & glyph` ANDs overlapping
 /// ink. Out-of-bounds pixels read white.
 ///
-/// The page is walked pixel-row-major — each of the window's
-/// [`GLYPH_H`] pixel rows is read once, left to right, across all
-/// columns — so extraction is sequential in memory (cache-friendly)
-/// instead of striding down the page once per cell.
+/// The page is walked one word column at a time: each of the window's
+/// [`GLYPH_H`] pixel rows loads the word and its successor once, as one
+/// 128-bit pair, and every cell that starts in that word is shifted out
+/// of the pairs in registers and written once.
 pub fn pack_cell_row(bmp: &Bitmap, row: usize, cols: usize, out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(cols, 0);
     let wpr = bmp.words_per_row;
     let oy = row * CELL_H;
-    for gy in 0..GLYPH_H {
+    // The window's pixel rows; rows past the bitmap read white.
+    let rows: [&[u64]; GLYPH_H] = std::array::from_fn(|gy| {
         let y = oy + gy;
-        if y >= bmp.height {
-            break;
-        }
-        let words = &bmp.words[y * wpr..(y + 1) * wpr];
-        let shift = gy * GLYPH_W;
-        for (col, cell) in out.iter_mut().enumerate() {
-            // Padding bits past `width` are zero, so only a window past
-            // the row's last word needs a bounds check.
-            let (wi, off) = ((col * CELL_W) >> 6, (col * CELL_W) & 63);
-            let Some(&lo) = words.get(wi) else {
-                break;
-            };
-            let hi = match words.get(wi + 1) {
-                Some(&next) if off + GLYPH_W > 64 => next << (64 - off),
-                _ => 0,
-            };
-            *cell |= ((lo >> off | hi) & ((1 << GLYPH_W) - 1)) << shift;
+        bmp.words.get(y * wpr..(y + 1) * wpr).unwrap_or(&[])
+    });
+    out.clear();
+    out.reserve(cols);
+    let mut col = 0;
+    for wi in 0..wpr {
+        // Padding bits past `width` are zero, and a row's last word has
+        // no successor, so a window past the row's end reads white.
+        let pairs: [u128; GLYPH_H] = std::array::from_fn(|gy| {
+            let word = |i: usize| u128::from(rows[gy].get(i).copied().unwrap_or(0));
+            word(wi) | word(wi + 1) << 64
+        });
+        while col < cols && (col * CELL_W) >> 6 == wi {
+            let off = (col * CELL_W) & 63;
+            let mut cell = 0;
+            for (gy, pair) in pairs.iter().enumerate() {
+                cell |= ((*pair >> off) as u64 & ((1 << GLYPH_W) - 1)) << (gy * GLYPH_W);
+            }
+            out.push(cell);
+            col += 1;
         }
     }
+    // Cells past the last word (none on a page, whose width covers
+    // every column) read white.
+    out.resize(cols, 0);
 }
 
 #[cfg(test)]
