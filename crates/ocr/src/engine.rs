@@ -105,15 +105,12 @@ fn memo_slot(cell: u64) -> usize {
 }
 
 /// Reusable buffers for [`OcrEngine::recognize_row_into`]: the packed
-/// cells of the current text row, the line being assembled, and a memo
-/// of cell matches. One scratch per worker thread turns per-cell and
-/// per-line allocations into amortized reuse across every document
-/// that worker digitizes.
+/// cells of the current text row and a memo of cell matches. One
+/// scratch per worker thread turns per-row allocations into amortized
+/// reuse across every document that worker digitizes.
 #[derive(Debug, Clone)]
 pub struct OcrScratch {
     cells: Vec<u64>,
-    line: String,
-    line_conf: Vec<f64>,
     /// A direct-mapped memo of [`OcrEngine::match_packed`], keyed by
     /// the whole cell: `(cell, char, score)` per slot. A
     /// match is a pure function of the cell, and every engine matches
@@ -128,23 +125,8 @@ impl Default for OcrScratch {
     fn default() -> Self {
         OcrScratch {
             cells: Vec::new(),
-            line: String::new(),
-            line_conf: Vec::new(),
             memo: vec![MEMO_EMPTY; MEMO_SLOTS],
         }
-    }
-}
-
-impl OcrScratch {
-    /// The row recognized by the last [`OcrEngine::recognize_row_into`]
-    /// (trailing grid padding trimmed).
-    pub fn line(&self) -> &str {
-        &self.line
-    }
-
-    /// Per-character confidences aligned with [`OcrScratch::line`].
-    pub fn line_conf(&self) -> &[f64] {
-        &self.line_conf
     }
 }
 
@@ -229,53 +211,58 @@ impl OcrEngine {
         }
     }
 
-    /// Recognizes text row `row` of `page` into `scratch.line` /
-    /// `scratch.line_conf` (trailing grid-padding spaces trimmed, with
-    /// their confidences). The strip-streamed digitizer
-    /// ([`crate::stream`]) calls it once per strip.
+    /// Recognizes text row `row` of `page` and appends it to `text`,
+    /// trailing grid-padding spaces trimmed. Adds each kept char's
+    /// confidence to `conf_sum`, left to right, and returns how many
+    /// chars it kept. The strip-streamed digitizer ([`crate::stream`])
+    /// calls it once per strip.
+    ///
+    /// Every cell is appended with its confidence added; after each
+    /// char other than a space, the text length, the sum and the char
+    /// count are noted, and the row ends by returning to the last note.
+    /// The kept confidences are thus added onto `conf_sum` in the same
+    /// order as a sum over the trimmed row would add them, so the sum
+    /// has the same bits.
     pub fn recognize_row_into(
         &self,
         page: &Bitmap,
         row: usize,
         cols: usize,
         scratch: &mut OcrScratch,
-    ) {
-        let OcrScratch {
-            cells,
-            line,
-            line_conf,
-            memo,
-        } = scratch;
+        text: &mut String,
+        conf_sum: &mut f64,
+    ) -> usize {
+        let OcrScratch { cells, memo } = scratch;
         pack_cell_row(page, row, cols, cells);
-        line.clear();
-        line_conf.clear();
+        let (mut sum, mut chars) = (*conf_sum, 0);
+        let mut kept = (text.len(), sum, chars);
         for &cell in cells.iter() {
             let ink = cell.count_ones();
-            if (ink as usize) < self.config.min_ink {
-                line.push(' ');
-                line_conf.push(1.0);
-                continue;
-            }
-            let (ch, score) = self.match_memoized(memo, cell, ink);
-            if score < self.config.min_score {
-                // Too weak a match for any glyph: treat as speckle.
-                line.push(' ');
-                line_conf.push(score);
+            let (ch, conf) = if (ink as usize) < self.config.min_ink {
+                (' ', 1.0)
             } else {
-                line.push(ch);
-                line_conf.push(score);
+                let (ch, score) = self.match_memoized(memo, cell, ink);
+                // Too weak a match for any glyph: treat as speckle.
+                (
+                    if score < self.config.min_score {
+                        ' '
+                    } else {
+                        ch
+                    },
+                    score,
+                )
+            };
+            text.push(ch);
+            sum += conf;
+            chars += 1;
+            if ch != ' ' {
+                kept = (text.len(), sum, chars);
             }
         }
-        // Trim trailing spaces (grid padding), along with their
-        // confidences. Confidences align with *characters*, so the
-        // truncation count is chars of the trimmed line — its byte
-        // length over-counts as soon as the line holds a multi-byte
-        // glyph like `—`.
-        let trimmed = line.trim_end();
-        let keep_chars = trimmed.chars().count();
-        let keep_bytes = trimmed.len();
-        line_conf.truncate(keep_chars);
-        line.truncate(keep_bytes);
+        let (len, sum, chars) = kept;
+        text.truncate(len);
+        *conf_sum = sum;
+        chars
     }
 
     /// [`OcrEngine::match_packed`] through `memo` (see

@@ -297,12 +297,14 @@ pub fn digitize_streamed(
         }
         let t2 = std::time::Instant::now();
         timings.degrade += t2 - t1;
-        engine.recognize_row_into(&scratch.strip, 0, cols, &mut scratch.ocr);
-        out.push_str(scratch.ocr.line());
-        for &c in scratch.ocr.line_conf() {
-            conf_sum += c;
-        }
-        chars += scratch.ocr.line_conf().len();
+        chars += engine.recognize_row_into(
+            &scratch.strip,
+            0,
+            cols,
+            &mut scratch.ocr,
+            &mut out,
+            &mut conf_sum,
+        );
         if k + 1 < strips {
             out.push('\n');
         }
