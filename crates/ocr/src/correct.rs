@@ -5,6 +5,15 @@
 //! within edit distance 1 of exactly one known word snaps to it. Numbers
 //! and punctuation are left untouched (repairing `42` to `41` would
 //! corrupt the data).
+//!
+//! A repair at distance `d` looks only at vocabulary words whose
+//! length is within `d` of the query's, and of those it runs the
+//! bounded edit-distance kernel only on words whose char set (a 128-bit
+//! mask) differs from the query's in at most `2d` bits: one edit
+//! changes at most two bits of it, so every word it skips is more than
+//! `d` edits away. The result is the full scan's, word for word (pinned
+//! by the root `correct_equivalence` suite against the original
+//! corrector, kept in the crate's test support).
 
 use std::collections::HashSet;
 

@@ -13,11 +13,14 @@
 //! time, and the F1-style agreement is scored with AND + popcount. The
 //! scores are the scalar per-pixel reference's fractions (kept in the
 //! crate's test support) on exactly the same integers — same overlap,
-//! same ink counts, same glyph order — compared exactly by integer
-//! cross-multiplication, with one `f64` division, the reference's own
-//! expression, for the winning glyph. So recognized text, confidences,
-//! and tie-breaks are bit-identical to it (pinned by the
-//! `packed_equivalence` suite).
+//! same ink counts — compared exactly by integer cross-multiplication,
+//! with ties going to the earlier glyph in font order, the reference's
+//! scan order. Only the winner's score is divided, with the
+//! reference's own expression. Glyphs are scanned by ink, outwards
+//! from the cell's, and the scan stops where no glyph left can reach
+//! the best score. So recognized text, confidences, and tie-breaks are
+//! bit-identical to the reference (pinned by the `packed_equivalence`
+//! suite), which divides once per glyph.
 //!
 //! A match is a pure function of the 35-bit cell, so each worker's
 //! [`OcrScratch`] memoizes it in a direct-mapped table keyed by the
