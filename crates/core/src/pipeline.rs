@@ -152,55 +152,16 @@ pub fn digitize_simulated_with(
     digitize_simulated_parts(config, docs, obs, obs, &TaskTimeline::disabled())
 }
 
-/// The wall-clock of one document's digitize steps, recorded as
-/// profile phases by [`record_digitize_phases`].
-struct DocPhases {
-    rasterize: Duration,
-    degrade: Duration,
-    correlate: Duration,
-    /// The repair ladder's wall and each rung's `(attempt, wall)`, when
-    /// it ran.
-    repair: Option<(Duration, Vec<(u32, Duration)>)>,
-    cer: Duration,
-    wall: Duration,
-}
-
-/// Records one document's [`DocPhases`] into `obs` at the fixed
-/// `digitize;…` paths, so the phase tree is the same at every --jobs
-/// value. Each self time is the step's wall minus its children's.
-fn record_digitize_phases(obs: &Collector, p: &DocPhases) {
-    let mut children = Duration::ZERO;
-    if let Some((wall, rungs)) = &p.repair {
-        for &(attempt, t) in rungs {
-            let path = format!("digitize;repair;attempt_{attempt}");
-            profile::record_phase(obs, &path, t, t);
-        }
-        let rungs: Duration = rungs.iter().map(|&(_, t)| t).sum();
-        profile::record_phase(obs, "digitize;repair", *wall, wall.saturating_sub(rungs));
-        children += *wall;
-    }
-    for (path, t) in [
-        ("digitize;rasterize", p.rasterize),
-        ("digitize;degrade", p.degrade),
-        ("digitize;correlate", p.correlate),
-        ("digitize;cer", p.cer),
-    ] {
-        profile::record_phase(obs, path, t, t);
-        children += t;
-    }
-    profile::record_phase(obs, "digitize", p.wall, p.wall.saturating_sub(children));
-}
-
 /// [`digitize_simulated_with`] on the run's timeline: each pool task
 /// lands on `timeline` under `stage_i_ocr`, and when `obs` records
 /// lineage every dictionary repair is logged as an `OcrRepair` event
 /// against its source line (document index = `base_index + i`,
 /// matching Stage II's subjects). The per-document `digitize;…`
-/// profile phases go to `phases`, in document order. The session
-/// driver aims `obs` at the stage shard, whose state the digitize
-/// artifact persists, and `phases` at the shard's worker collector,
-/// which is never persisted, so a warm replay records no OCR time it
-/// did not spend; the timeline stays run-global.
+/// profile phases go to `phases`, absorbed in document order. The
+/// session driver aims `obs` at the stage shard, whose state the
+/// digitize artifact persists, and `phases` at the shard's worker
+/// collector, which is never persisted, so a warm replay records no
+/// OCR time it did not spend; the timeline stays run-global.
 pub(crate) fn digitize_simulated_parts(
     config: DigitizeConfig,
     docs: &[RawDocument],
@@ -232,8 +193,10 @@ pub(crate) fn digitize_simulated_parts(
         docs,
         |i, doc| {
             let shard = obs.shard();
-            // Each document times its own steps; they are recorded after
-            // the map, in document order.
+            let phase_shard = phases.shard();
+            // Each document times its own steps and records them at
+            // fixed `digitize;…` paths, so the phase tree is the same at
+            // every --jobs value.
             let doc_start = Instant::now();
             let mut rng = StdRng::seed_from_u64(rand::derive_seed(
                 config.ocr_seed,
@@ -253,44 +216,60 @@ pub(crate) fn digitize_simulated_parts(
                 )
             });
             let confidence = recognized.mean_confidence();
-            let (text, repair) = match corrector {
+            let (text, repair_wall) = match corrector {
                 Some(c) => {
                     let start = Instant::now();
-                    let mut rungs = Vec::new();
+                    let mut attempts = Duration::ZERO;
                     let text = repair_text(
                         c,
                         &recognized.text,
                         config.repair_attempts,
                         config.base_index + i,
                         &shard,
-                        &mut |attempt, elapsed| rungs.push((attempt, elapsed)),
+                        &mut |attempt, elapsed| {
+                            attempts += elapsed;
+                            let path = format!("digitize;repair;attempt_{attempt}");
+                            profile::record_phase(&phase_shard, &path, elapsed, elapsed);
+                        },
                     );
-                    (text, Some((start.elapsed(), rungs)))
+                    let wall = start.elapsed();
+                    let self_time = wall.saturating_sub(attempts);
+                    profile::record_phase(&phase_shard, "digitize;repair", wall, self_time);
+                    (text, wall)
                 }
                 // Move rather than clone: the recognizer output is not
                 // needed once its confidence has been read.
-                None => (recognized.text, None),
+                None => (recognized.text, Duration::ZERO),
             };
             let cer_start = Instant::now();
             let doc_cer = cer(doc.text.trim_end(), &text);
             let cer_wall = cer_start.elapsed();
+            let mut children = repair_wall;
+            for (path, t) in [
+                ("digitize;rasterize", timings.rasterize),
+                ("digitize;degrade", timings.degrade),
+                ("digitize;correlate", timings.correlate),
+                ("digitize;cer", cer_wall),
+            ] {
+                profile::record_phase(&phase_shard, path, t, t);
+                children += t;
+            }
+            let wall = doc_start.elapsed();
+            profile::record_phase(
+                &phase_shard,
+                "digitize",
+                wall,
+                wall.saturating_sub(children),
+            );
             shard.incr("ocr.documents");
             shard.record("ocr.cer", doc_cer);
             shard.record("ocr.confidence", confidence);
-            let doc_phases = DocPhases {
-                rasterize: timings.rasterize,
-                degrade: timings.degrade,
-                correlate: timings.correlate,
-                repair,
-                cer: cer_wall,
-                wall: doc_start.elapsed(),
-            };
             (
                 RawDocument::new(doc.manufacturer, doc.report_year, doc.kind, text),
                 doc_cer,
                 confidence,
                 shard,
-                doc_phases,
+                phase_shard,
             )
         },
         timeline,
@@ -298,9 +277,9 @@ pub(crate) fn digitize_simulated_parts(
     );
     let mut out = Vec::with_capacity(docs.len());
     let (mut cer_sum, mut conf_sum) = (0.0f64, 0.0f64);
-    for (doc, doc_cer, confidence, shard, doc_phases) in per_doc {
+    for (doc, doc_cer, confidence, shard, phase_shard) in per_doc {
         obs.absorb(shard);
-        record_digitize_phases(phases, &doc_phases);
+        phases.absorb(phase_shard);
         cer_sum += doc_cer;
         conf_sum += confidence;
         out.push(doc);
