@@ -244,16 +244,11 @@ impl OcrEngine {
             let (ch, conf) = if (ink as usize) < self.config.min_ink {
                 (' ', 1.0)
             } else {
-                let (ch, score) = self.match_memoized(memo, cell, ink);
-                // Too weak a match for any glyph: treat as speckle.
-                (
-                    if score < self.config.min_score {
-                        ' '
-                    } else {
-                        ch
-                    },
-                    score,
-                )
+                match self.match_memoized(memo, cell, ink) {
+                    // Too weak a match for any glyph: treat as speckle.
+                    (_, score) if score < self.config.min_score => (' ', score),
+                    matched => matched,
+                }
             };
             text.push(ch);
             sum += conf;
