@@ -329,20 +329,14 @@ impl OcrEngine {
         let centre = (cell_ink as usize).min(CELL_BITS);
         let (mut down, mut up) = (Some(centre), centre + 1);
         while down.is_some() || up <= CELL_BITS {
-            if let Some(k) = down {
-                down = if scan(k, &mut best) {
-                    k.checked_sub(1)
-                } else {
-                    None
-                };
-            }
-            if up <= CELL_BITS {
-                up = if scan(up, &mut best) {
-                    up + 1
-                } else {
-                    CELL_BITS + 1
-                };
-            }
+            down = down
+                .filter(|&k| scan(k, &mut best))
+                .and_then(|k| k.checked_sub(1));
+            up = if up <= CELL_BITS && scan(up, &mut best) {
+                up + 1
+            } else {
+                CELL_BITS + 1
+            };
         }
         if best.rank == u32::MAX {
             return (' ', f64::MIN);
