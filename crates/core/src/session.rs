@@ -558,7 +558,9 @@ impl RunSession {
                 chaos: chaos_audit,
                 assignments,
                 ocr,
-                throughput,
+                documents,
+                corpus_bytes,
+                digitized_bytes,
             } = fold;
 
             // Corpus-level gauges that per-shard absorption cannot sum
@@ -579,11 +581,18 @@ impl RunSession {
                     unknown as f64 / assignments.len() as f64,
                 );
             }
-            for (stage, sample) in ["corpus", "digitize", "normalize", "tag"]
-                .iter()
-                .zip(throughput)
-            {
-                record_throughput(obs, stage, sample.records, sample.bytes, sample.elapsed);
+            // Each stage's run-wide volume; the profile divides it by
+            // the stage's `stage_<name>` phase wall. Recorded outside
+            // the stage shards, so a cached artifact replays none.
+            for (name, volume) in [
+                ("corpus.records", documents),
+                ("corpus.bytes", corpus_bytes),
+                ("digitize.records", documents),
+                ("digitize.bytes", digitized_bytes),
+                ("normalize.records", disengagements.len() as u64),
+                ("tag.records", assignments.len() as u64),
+            ] {
+                obs.gauge(&format!("{}{name}", profile::VOLUME_PREFIX), volume as f64);
             }
             record_stage_memory(obs, "merge");
 
@@ -681,9 +690,7 @@ impl RunSession {
             &TaskTimeline::disabled(),
             |yielded| RunDigest {
                 shards: 1,
-                // The corpus stage's sample counts the shard's documents
-                // before Stage II takes them.
-                documents: yielded.throughput[0].records as usize,
+                documents: yielded.documents as usize,
                 disengagements: yielded.normalize.disengagements.len(),
                 tagged: yielded.assignments.len(),
                 total_miles: yielded.corpus.truth.total_miles(),
@@ -908,22 +915,17 @@ fn filter_shards(all: Vec<ShardSpec>, filter: Option<&[String]>) -> Result<Vec<S
         .collect())
 }
 
-/// One stage's throughput sample from one shard; the merge stage sums
-/// them before recording the run-level throughput gauges.
-#[derive(Debug, Clone, Copy, Default)]
-struct StageSample {
-    records: u64,
-    bytes: u64,
-    elapsed: Duration,
-}
-
-/// One shard's yield from Stages I–III.
+/// One shard's yield from Stages I–III, with the shard's document
+/// count and its text bytes before and after Stage I digitizes it
+/// (counted before Stage II takes the documents).
 struct ShardYield {
     corpus: GroundTruth,
     ocr: Option<OcrStats>,
     normalize: NormalizeArtifact,
     assignments: Vec<TagAssignment>,
-    throughput: [StageSample; 4],
+    documents: u64,
+    corpus_bytes: u64,
+    digitized_bytes: u64,
 }
 
 /// Weighted fold of per-shard [`OcrStats`] — document-count-weighted
@@ -981,7 +983,9 @@ struct MergeFold {
     chaos: Option<ChaosAudit>,
     assignments: Vec<TagAssignment>,
     ocr: OcrFold,
-    throughput: [StageSample; 4],
+    documents: u64,
+    corpus_bytes: u64,
+    digitized_bytes: u64,
 }
 
 impl MergeFold {
@@ -1005,11 +1009,9 @@ impl MergeFold {
                 .absorb(audit);
         }
         self.assignments.extend(yielded.assignments);
-        for (total, sample) in self.throughput.iter_mut().zip(yielded.throughput) {
-            total.records += sample.records;
-            total.bytes += sample.bytes;
-            total.elapsed += sample.elapsed;
-        }
+        self.documents += yielded.documents;
+        self.corpus_bytes += yielded.corpus_bytes;
+        self.digitized_bytes += yielded.digitized_bytes;
     }
 }
 
@@ -1069,14 +1071,12 @@ fn run_shard(
             record_stage_memory(obs, stage.name());
         }
     };
-    let mut throughput = [StageSample::default(); 4];
     let mut shard_span = obs.span("shard");
     shard_span.field("label", spec.label());
     shard_span.field("docs", spec.doc_count as u64);
 
     // Stage `corpus`: generate this cell's slice of the ground truth and
     // its documents. The documents go on to Stage II, their last reader.
-    let stage_start = Instant::now();
     let Corpus {
         truth,
         intended_tags,
@@ -1113,11 +1113,9 @@ fn run_shard(
         truth,
         intended_tags,
     };
-    throughput[0] = StageSample {
-        records: documents.len() as u64,
-        bytes: documents.iter().map(|d| d.text.len() as u64).sum(),
-        elapsed: stage_start.elapsed(),
-    };
+    let text_bytes = |docs: &[RawDocument]| docs.iter().map(|d| d.text.len() as u64).sum::<u64>();
+    let document_count = documents.len() as u64;
+    let corpus_bytes = text_bytes(&documents);
     stage_memory(Stage::Corpus);
     if config.abort_after == Some(Stage::Corpus) {
         return None;
@@ -1128,7 +1126,6 @@ fn run_shard(
     // persists; its key is still always derived so downstream keys
     // chain through the OCR configuration either way.
     let digitize_cacheable = config.ocr != OcrMode::Passthrough;
-    let stage_start = Instant::now();
     let (documents, ocr_stats) = cached_stage(
         store,
         Stage::Digitize,
@@ -1171,11 +1168,7 @@ fn run_shard(
             }
         },
     );
-    throughput[1] = StageSample {
-        records: documents.len() as u64,
-        bytes: documents.iter().map(|d| d.text.len() as u64).sum(),
-        elapsed: stage_start.elapsed(),
-    };
+    let digitized_bytes = text_bytes(&documents);
     stage_memory(Stage::Digitize);
     if config.abort_after == Some(Stage::Digitize) {
         return None;
@@ -1183,7 +1176,6 @@ fn run_shard(
 
     // Stage `normalize`: chaos interlude (if armed) + Stage II
     // parse/filter/normalize, one task per document.
-    let stage_start = Instant::now();
     let doc_base = spec.doc_base;
     let normalize = cached_stage(
         store,
@@ -1195,11 +1187,6 @@ fn run_shard(
         artifact::dec_normalized,
         move |sobs| normalize_stage(config, documents, doc_base, inner_jobs, sobs, timeline),
     );
-    throughput[2] = StageSample {
-        records: normalize.disengagements.len() as u64,
-        bytes: 0,
-        elapsed: stage_start.elapsed(),
-    };
     stage_memory(Stage::Normalize);
     if config.abort_after == Some(Stage::Normalize) {
         return None;
@@ -1207,7 +1194,6 @@ fn run_shard(
 
     // Stage `tag`: NLP tagging over this shard's records, through the
     // run-wide (possibly chaos-poisoned) classifier.
-    let stage_start = Instant::now();
     let assignments = cached_stage(
         store,
         Stage::Tag,
@@ -1236,18 +1222,15 @@ fn run_shard(
             tagged
         },
     );
-    throughput[3] = StageSample {
-        records: assignments.len() as u64,
-        bytes: 0,
-        elapsed: stage_start.elapsed(),
-    };
     stage_memory(Stage::Tag);
     Some(ShardYield {
         corpus,
         ocr: ocr_stats,
         normalize,
         assignments,
-        throughput,
+        documents: document_count,
+        corpus_bytes,
+        digitized_bytes,
     })
 }
 
@@ -1434,29 +1417,6 @@ fn normalize_stage(
         panicked,
         record_ids,
         chaos: chaos_audit,
-    }
-}
-
-/// Records a stage's throughput gauges
-/// (`profile.throughput.<stage>.records_per_s`, `.bytes_per_s`) on the
-/// run-global collector. Wall-clock-derived, so `profile.`-stripped
-/// from the canonical report; recorded outside stage shards so cached
-/// artifacts never replay a cold run's throughput (a warm replay
-/// reports its own, much higher, rate).
-fn record_throughput(obs: &Collector, stage: &str, records: u64, bytes: u64, elapsed: Duration) {
-    let secs = elapsed.as_secs_f64();
-    if secs <= 0.0 {
-        return;
-    }
-    obs.gauge(
-        &format!("profile.throughput.{stage}.records_per_s"),
-        records as f64 / secs,
-    );
-    if bytes > 0 {
-        obs.gauge(
-            &format!("profile.throughput.{stage}.bytes_per_s"),
-            bytes as f64 / secs,
-        );
     }
 }
 

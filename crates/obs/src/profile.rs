@@ -1,4 +1,4 @@
-//! Self-profiling: phase timers, throughput and memory gauges, and the
+//! Self-profiling: phase timers, stage volume and memory gauges, and the
 //! aggregated stage × phase view behind `disengage profile`.
 //!
 //! # Phase model
@@ -44,6 +44,10 @@ pub const WALL_PREFIX: &str = "profile.wall;";
 
 /// Histogram prefix for per-phase self seconds (wall minus children).
 pub const SELF_PREFIX: &str = "profile.self;";
+
+/// Gauge prefix for a stage's run-wide volume
+/// (`profile.volume.<stage>.records`, `.bytes`).
+pub const VOLUME_PREFIX: &str = "profile.volume.";
 
 /// Records one execution of the phase at `path` (frame names joined by
 /// `;`, root first): `wall` of wall clock, of which `self_time` was
@@ -228,10 +232,10 @@ impl PhaseRow {
     }
 }
 
-/// One pipeline stage's wall time, lifted from the span tree.
+/// One pipeline stage's wall time: its root `stage_<name>` phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageRow {
-    /// Span name (`stage_i_ocr`, …).
+    /// Phase path (`stage_digitize`, …).
     pub name: String,
     /// Wall seconds.
     pub wall_s: f64,
@@ -258,12 +262,13 @@ pub struct PoolRow {
 /// The aggregated profile: what `disengage profile` renders.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileReport {
-    /// Stage wall times from `stage_*` spans, one row per name summed
-    /// over every shard, in first-seen order.
+    /// Stage wall times from the root `stage_*` phases, each summed
+    /// over every shard, in path order.
     pub stages: Vec<StageRow>,
     /// Phase rows sorted by path components (parents before children).
     pub phases: Vec<PhaseRow>,
-    /// `profile.throughput.*` gauges, name → value.
+    /// `profile.throughput.<stage>.<unit>_per_s` rates, name → value:
+    /// each `profile.volume.<stage>.<unit>` gauge over the stage's wall.
     pub throughput: Vec<(String, f64)>,
     /// `profile.mem.*` gauges, name → value.
     pub memory: Vec<(String, f64)>,
@@ -302,38 +307,40 @@ impl ProfileReport {
             ka.cmp(&kb)
         });
 
-        // A sharded run opens each stage span once per shard; fold them
-        // into one row per name so the table reads as stage totals.
-        let mut stages = Vec::new();
-        fn walk(nodes: &[crate::report::SpanNode], out: &mut Vec<StageRow>) {
-            for n in nodes {
-                if n.name.starts_with("stage_") || n.name == "chaos_inject" {
-                    match out.iter_mut().find(|s| s.name == n.name) {
-                        Some(row) => row.wall_s += n.duration_s,
-                        None => out.push(StageRow {
-                            name: n.name.clone(),
-                            wall_s: n.duration_s,
-                        }),
-                    }
-                }
-                walk(&n.children, out);
-            }
-        }
-        walk(&report.spans, &mut stages);
-
-        let section = |prefix: &str| {
-            report
-                .gauges
-                .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
-                .map(|(k, &v)| (k.clone(), v))
-                .collect::<Vec<_>>()
-        };
+        let stages: Vec<StageRow> = phases
+            .iter()
+            .filter(|r| r.depth() == 0 && r.path.starts_with("stage_"))
+            .map(|r| StageRow {
+                name: r.path.clone(),
+                wall_s: r.total_s,
+            })
+            .collect();
+        // A rate divides the merge's volume by the stage's wall, so a
+        // warm replay reports its own rate; a stage with no wall has none.
+        let throughput = report
+            .gauges
+            .iter()
+            .filter_map(|(name, &volume)| {
+                let (stage, unit) = name.strip_prefix(VOLUME_PREFIX)?.split_once('.')?;
+                let wall = stages
+                    .iter()
+                    .find(|s| s.name.strip_prefix("stage_") == Some(stage))?
+                    .wall_s;
+                let rate = format!("profile.throughput.{stage}.{unit}_per_s");
+                (wall > 0.0).then(|| (rate, volume / wall))
+            })
+            .collect();
+        let memory = report
+            .gauges
+            .iter()
+            .filter(|(k, _)| k.starts_with("profile.mem."))
+            .map(|(k, &v)| (k.clone(), v))
+            .collect();
         ProfileReport {
             stages,
             phases,
-            throughput: section("profile.throughput."),
-            memory: section("profile.mem."),
+            throughput,
+            memory,
             pool: Vec::new(),
             chunk_sizes: Vec::new(),
         }
@@ -665,34 +672,39 @@ mod tests {
     }
 
     #[test]
-    fn stage_rows_fold_per_name_in_first_seen_order() {
+    fn stage_rows_and_rates_read_the_stage_phase_not_the_span() {
         let obs = Collector::new();
-        for _ in 0..3 {
-            let _shard = obs.span("shard");
-            for stage in ["stage_i_ocr", "stage_iii_tag"] {
-                let _s = obs.span(stage);
-                spin(1);
-            }
+        {
+            let _span = obs.span("stage_i_ocr");
+            spin(20);
         }
-        let report = obs.report();
-        let prof = ProfileReport::from_report(&report);
-        let names: Vec<&str> = prof.stages.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["stage_i_ocr", "stage_iii_tag"]);
-        let summed: f64 = report
-            .spans
+        for _ in 0..2 {
+            record_phase(&obs, "stage_digitize", ms(1), ms(1));
+        }
+        record_phase(&obs, "stage_digitize;cache_lookup", ms(1), ms(1));
+        obs.gauge("profile.volume.digitize.records", 10.0);
+        // No `stage_tag` phase: no wall, so no rate.
+        obs.gauge("profile.volume.tag.records", 10.0);
+        let prof = ProfileReport::from_report(&obs.report());
+        let phase = prof
+            .phases
             .iter()
-            .flat_map(|shard| &shard.children)
-            .filter(|s| s.name == "stage_i_ocr")
-            .map(|s| s.duration_s)
-            .sum();
-        let row = &prof.stages[0];
-        assert!(
-            (row.wall_s - summed).abs() < 1e-12,
-            "{} vs {summed}",
-            row.wall_s
+            .find(|r| r.path == "stage_digitize")
+            .expect("stage_digitize phase");
+        assert_eq!(
+            prof.stages,
+            [StageRow {
+                name: "stage_digitize".to_owned(),
+                wall_s: phase.total_s,
+            }]
         );
-        assert!(row.wall_s >= 0.003);
-        assert_eq!(prof.stages.len(), 2);
+        assert!((phase.total_s - 0.002).abs() < 1e-12, "{}", phase.total_s);
+        let [(name, rate)] = &prof.throughput[..] else {
+            panic!("one rate expected: {:?}", prof.throughput);
+        };
+        assert_eq!(name, "profile.throughput.digitize.records_per_s");
+        assert!((rate - 10.0 / phase.total_s).abs() < 1e-9, "{rate}");
+        assert!(prof.render_table().contains("digitize.records_per_s"));
     }
 
     #[test]

@@ -171,10 +171,11 @@ impl TelemetryReport {
     /// canonical report excludes them; the `repro
     /// --telemetry=stable-json` / `scripts/verify.sh` contract is that
     /// warm, cold, and any `--jobs` all serialize identically. The
-    /// self-profiler's `profile.*` metrics (phase timers, throughput,
-    /// memory gauges — see [`crate::profile`]) and the
-    /// `obs.overhead.*` gauges (recording time itself) are
-    /// wall-clock-derived by construction, so they go the same way.
+    /// self-profiler's `profile.*` metrics (phase timers, memory
+    /// gauges, and the stage volumes read only as rates over the
+    /// phases — see [`crate::profile`]) and the `obs.overhead.*` gauges
+    /// (recording time itself) are wall-clock-derived by construction,
+    /// so they go the same way.
     /// Log events go entirely: their timestamps are wall clock and
     /// their *presence* can be environment-dependent (a warm run logs
     /// different progress than a cold one), so the canonical report

@@ -42,7 +42,9 @@
 # smoke over all three exemplar classes, Chrome-trace export
 # validation, a self-profiler smoke
 # (stage x phase table, JSON round-trip, folded-stack validation, and
-# a warm --cache-dir profile that must replay no digitize phase),
+# a warm --cache-dir profile that must replay no digitize phase and
+# whose stage_digitize stage row must equal its own stage_digitize
+# phase total),
 # the observability smoke (Prometheus exposition validated by
 # check-prom, canonical flight-recorder dumps byte-diffed across
 # --jobs clean and under chaos, the clean run gated by the default
@@ -508,7 +510,7 @@ grep -q "digitize" profile_table.txt || {
     echo "verify: profile table attributes no digitize phases" >&2
     exit 1
 }
-grep -q "stage_i_ocr" profile_table.txt || {
+grep -Eq '^  stage_digitize +[0-9.]+ ms ' profile_table.txt || {
     echo "verify: profile table lists no stages" >&2
     exit 1
 }
@@ -525,7 +527,10 @@ cargo run --release --offline --bin disengage -- \
 cargo run --release --offline --bin disengage -- check-folded profile.folded
 rm -f profile.folded
 # A warm run replays the digitize stage, so it must record no digitize
-# phase: the cold run's OCR times stay out of the cached artifact.
+# phase: the cold run's OCR times stay out of the cached artifact. Its
+# stage rows are its own `stage_<name>` phases, not the cold run's
+# walls replayed: the table's stage_digitize row must read the same ms
+# as the stage_digitize phase's total.
 rm -rf .disengage-profile-cache
 cargo run --release --offline --bin disengage -- \
     profile --scale=0.02 --cache-dir=.disengage-profile-cache \
@@ -545,7 +550,21 @@ if grep -q '^digitize[; ]' profile_warm.folded; then
     echo "verify: warm profile replays cold digitize phases" >&2
     exit 1
 fi
-rm -rf .disengage-profile-cache profile_cold.folded profile_warm.folded
+cargo run --release --offline --bin disengage -- \
+    profile --scale=0.02 --cache-dir=.disengage-profile-cache > profile_warm.txt
+awk '
+    /^[a-z=]/ { section = $1 }
+    section == "stages:" && $1 == "stage_digitize" { row = $2 }
+    section == "phases:" && $1 == "stage_digitize" { phase = $3 }
+    END {
+        if (row == "" || row != phase) {
+            printf "verify: warm stage_digitize row %s ms is not its phase total %s ms\n",
+                row, phase > "/dev/stderr"
+            exit 1
+        }
+    }
+' profile_warm.txt
+rm -rf .disengage-profile-cache profile_cold.folded profile_warm.folded profile_warm.txt
 
 echo "== scale stress: peak RSS stays flat across 8x corpus growth =="
 # One child process per scale point (VmHWM is monotone within a

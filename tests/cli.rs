@@ -124,7 +124,7 @@ fn profile_command_renders_and_folded_round_trips() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
         "== profile ==",
-        "stage_i_ocr",
+        "stage_digitize",
         "digitize",
         "rasterize",
         "throughput",
@@ -199,6 +199,54 @@ fn warm_profile_replays_no_digitize_phase() {
     );
 }
 
+/// A warm `profile --cache-dir` times its own stages: every stage row
+/// is the summed wall of its `stage_<name>` phase in the same document,
+/// not the cold run's wall replayed from the artifacts.
+#[test]
+fn warm_profile_stage_rows_read_their_own_stage_phases() {
+    use disengage::obs::json::Value;
+    let dir =
+        std::env::temp_dir().join(format!("disengage-cli-warm-stages-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = format!("--cache-dir={}", dir.display());
+    let profile = || {
+        let out = disengage(&["profile", "--scale=0.02", &cache, "--profile=json"]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        Value::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("profile json parses")
+    };
+    let (cold, warm) = (profile(), profile());
+    let _ = std::fs::remove_dir_all(&dir);
+    let section =
+        |doc: &Value, name: &str| doc.get(name).and_then(Value::as_arr).map(<[_]>::to_vec);
+    let rows = |doc: &Value| -> Vec<(String, Option<f64>)> {
+        section(doc, "stages")
+            .expect("stages is an array")
+            .iter()
+            .map(|s| {
+                let name = s.get("name").and_then(Value::as_str).expect("stage name");
+                (name.to_owned(), s.get("wall_s").and_then(Value::as_f64))
+            })
+            .collect()
+    };
+    let warm_rows = rows(&warm);
+    let names: Vec<&str> = warm_rows.iter().map(|(name, _)| name.as_str()).collect();
+    assert_each_stage_once(&names);
+    let phases = section(&warm, "phases").expect("phases is an array");
+    for (name, wall) in &warm_rows {
+        let total = phases
+            .iter()
+            .find(|p| p.get("path").and_then(Value::as_str) == Some(name))
+            .and_then(|p| p.get("total_s"))
+            .and_then(Value::as_f64);
+        assert_eq!(total, *wall, "warm {name} row is not its phase total");
+    }
+    assert_ne!(rows(&cold), warm_rows, "warm run repeats the cold walls");
+}
+
 /// `--profile=json` emits a single JSON object that the in-tree parser
 /// accepts, with the documented top-level sections.
 #[test]
@@ -267,14 +315,14 @@ fn profile_flag_is_rejected_outside_the_profile_command() {
     );
 }
 
-/// A sharded run opens every stage span once per shard; the profile
-/// folds them, so each stage name must appear exactly once.
+/// A sharded run records every `stage_<name>` phase once per shard;
+/// the profile sums them, so each stage name must appear exactly once.
 fn assert_each_stage_once(names: &[&str]) {
     for stage in [
-        "stage_i_corpus",
-        "stage_i_ocr",
-        "stage_ii_parse",
-        "stage_iii_tag",
+        "stage_corpus",
+        "stage_digitize",
+        "stage_normalize",
+        "stage_tag",
     ] {
         let n = names.iter().filter(|&&s| s == stage).count();
         assert_eq!(n, 1, "{stage} listed {n} times in {names:?}");
