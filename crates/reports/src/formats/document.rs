@@ -47,13 +47,21 @@ impl RawDocument {
     /// Splits a disengagement filing into its log-line section and its
     /// mileage-table section (separated by the `MILEAGE` header).
     ///
+    /// The header is the first `MILEAGE` that begins a line, after
+    /// nothing but whitespace: every layout starts a log line with a
+    /// structured field, so a description that mentions the word stays
+    /// in its log line. What follows the word on its line is not
+    /// checked, since simulated OCR leaves speckle there.
+    ///
     /// Returns `(log_lines_text, mileage_text)`; the mileage text is empty
     /// when the document carries no table.
     pub fn sections(&self) -> (&str, &str) {
-        match self.text.find("MILEAGE") {
-            Some(pos) => (&self.text[..pos], &self.text[pos..]),
-            None => (self.text.as_str(), ""),
-        }
+        let text = self.text.as_str();
+        let header = text.match_indices("MILEAGE").find(|&(pos, _)| {
+            let line_start = text[..pos].rfind('\n').map_or(0, |nl| nl + 1);
+            text[line_start..pos].trim().is_empty()
+        });
+        header.map_or((text, ""), |(pos, _)| text.split_at(pos))
     }
 }
 

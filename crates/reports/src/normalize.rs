@@ -327,6 +327,31 @@ mod tests {
     }
 
     #[test]
+    fn mileage_inside_a_description_ends_no_section_in_any_layout() {
+        use disengage_obs::Collector;
+        for m in Manufacturer::ALL {
+            let record = DisengagementRecord {
+                manufacturer: m,
+                description: "trip MILEAGE counter froze".to_owned(),
+                ..sample_record()
+            };
+            let mut text = String::new();
+            for _ in 0..2 {
+                format_for(m).render(&record, &mut text);
+                text.push('\n');
+            }
+            text.push_str("MILEAGE\ncar-0 2016-01 120.5\ncar-1 2016-01 98.0\n");
+            let doc = RawDocument::new(m, ReportYear::R2016, DocumentKind::Disengagements, text);
+            let obs = Collector::new();
+            let (n, _) = normalize_document_traced(&doc, 0, Some(&obs));
+            let lines = obs.state().counters.get("parse.dis.lines").copied();
+            assert_eq!(lines, Some(2), "{m}: {:?}", doc.text);
+            assert_eq!(n.disengagements.len(), 2, "{m}: {:?}", n.failures);
+            assert_eq!(n.mileage.len(), 2, "{m}: {:?}", n.failures);
+        }
+    }
+
+    #[test]
     fn accident_document_normalizes_and_trusts_provenance() {
         let record = AccidentRecord {
             manufacturer: Manufacturer::Waymo,
