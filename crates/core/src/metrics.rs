@@ -3,6 +3,7 @@
 //! cumulative series behind Figs. 5 and 9.
 
 use crate::{CoreError, Result};
+use disengage_corpus::allocation::split_largest_remainder;
 use disengage_reports::record::CarId;
 use disengage_reports::{Date, FailureDatabase, Manufacturer};
 use std::collections::BTreeMap;
@@ -40,7 +41,7 @@ pub fn per_car_disengagements(db: &FailureDatabase, m: Manufacturer) -> BTreeMap
     if unattributed > 0 && !miles.is_empty() {
         let cars: Vec<u32> = miles.keys().copied().collect();
         let weights: Vec<f64> = cars.iter().map(|c| miles[c]).collect();
-        let spread = largest_remainder(unattributed, &weights);
+        let spread = split_largest_remainder(unattributed, &weights);
         for (c, extra) in cars.iter().zip(spread) {
             *counts.get_mut(c).expect("key") += extra;
         }
@@ -84,7 +85,8 @@ pub fn per_car_dpm_in_year(db: &FailureDatabase, m: Manufacturer, year: u16) -> 
     if unattributed > 0 {
         let cars: Vec<u32> = miles.keys().copied().collect();
         let weights: Vec<f64> = cars.iter().map(|c| miles[c]).collect();
-        for (c, extra) in cars.iter().zip(largest_remainder(unattributed, &weights)) {
+        let spread = split_largest_remainder(unattributed, &weights);
+        for (c, extra) in cars.iter().zip(spread) {
             *counts.get_mut(c).expect("key") += extra;
         }
     }
@@ -132,31 +134,6 @@ fn count_in(monthly: &[(Date, usize)], month: Date) -> usize {
     monthly
         .binary_search_by_key(&month, |&(d, _)| d)
         .map_or(0, |i| monthly[i].1)
-}
-
-fn largest_remainder(total: u64, weights: &[f64]) -> Vec<u64> {
-    if weights.is_empty() || total == 0 {
-        return vec![0; weights.len()];
-    }
-    let sum: f64 = weights.iter().sum();
-    let norm: Vec<f64> = if sum <= 0.0 {
-        vec![1.0 / weights.len() as f64; weights.len()]
-    } else {
-        weights.iter().map(|w| w / sum).collect()
-    };
-    let ideal: Vec<f64> = norm.iter().map(|w| w * total as f64).collect();
-    let mut counts: Vec<u64> = ideal.iter().map(|x| x.floor() as u64).collect();
-    let assigned: u64 = counts.iter().sum();
-    let mut rem: Vec<(usize, f64)> = ideal
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (i, x - x.floor()))
-        .collect();
-    rem.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-    for (i, _) in rem.iter().take((total - assigned) as usize) {
-        counts[*i] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
