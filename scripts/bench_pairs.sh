@@ -10,12 +10,16 @@
 # pairs (default 10) of WORKLOAD at BENCHMARK.json's run_seconds,
 # alternating which side goes first, each side in its own working
 # directory, with `--seed SEED` when SEED is given. Each run's stdout is
-# appended to target/bench_pairs/<workload>-<sha12>/A.json or B.json,
-# and its stderr to A.log or B.log, where <sha12> is the first 12 hex
-# digits of REV's commit. So repeated invocations against one parent
-# add runs, and pairs against another parent never mix with them;
-# delete that directory to start over. Finally it prints side B's
-# `--compare A.json B.json`, then the pairs verdict: for each
+# appended to target/bench_pairs/<workload>-<sha12>-<tree12>/A.json or
+# B.json, and its stderr to A.log or B.log, where <sha12> is the first
+# 12 hex digits of REV's commit and <tree12> those of side B's tree:
+# the working tree with every untracked, non-ignored file added, hashed
+# by `git add -A` and `git write-tree` through a throwaway copy of the
+# index (GIT_INDEX_FILE), so the real index is never written. So
+# repeated invocations against one parent from one working tree add
+# runs, while another parent or an edit to the working tree starts a
+# new directory; delete a directory to start over. Finally it prints
+# side B's `--compare A.json B.json`, then the pairs verdict: for each
 # end-to-end metric of BENCHMARK.json, how many pairs B won (pair i is
 # the i-th run of each side in A.json and B.json; a tie counts for
 # neither), the median of each side over those pairs, A's interquartile
@@ -37,6 +41,12 @@ cd "$(git rev-parse --show-toplevel)"
 root=$PWD
 
 sha=$(git rev-parse --verify "$rev^{commit}")
+# Side B's tree, hashed before side B is built from it.
+index_dir=$(mktemp -d)
+trap 'rm -rf "$index_dir"' EXIT
+cp "$(git rev-parse --git-path index)" "$index_dir/index" 2>/dev/null || true
+GIT_INDEX_FILE=$index_dir/index git add -A
+tree=$(GIT_INDEX_FILE=$index_dir/index git write-tree)
 out=$root/target/bench_pairs
 src=$out/src-$sha
 if [ ! -d "$src" ]; then
@@ -60,7 +70,7 @@ if [ -z "$seconds" ]; then
     echo "bench_pairs: no run_seconds in BENCHMARK.json" >&2
     exit 1
 fi
-results=$out/$workload-${sha:0:12}
+results=$out/$workload-${sha:0:12}-${tree:0:12}
 mkdir -p "$results" "$out/work-A" "$out/work-B"
 
 # run SIDE: one benchmark run, from the side's own working directory so
