@@ -169,11 +169,7 @@ pub(crate) fn digitize_simulated_parts(
     phases: &Collector,
     timeline: &TaskTimeline,
 ) -> (Vec<RawDocument>, OcrStats) {
-    // The engine is immutable and a pure function of the built-in
-    // font, so it is built once per process and shared by every
-    // shard, as the corrector is.
-    static ENGINE: std::sync::OnceLock<OcrEngine> = std::sync::OnceLock::new();
-    let engine = ENGINE.get_or_init(OcrEngine::new);
+    let engine = ocr_engine();
     let corrector = config.correct.then(default_corrector);
     // Each pool worker keeps one strip-streaming scratch alive across
     // every document it processes, so the hot loop stops paying an
@@ -337,6 +333,14 @@ pub(crate) fn repair_text(
         }
     }
     fixed
+}
+
+/// The recognition engine. It is immutable and a pure function of the
+/// built-in font, so it is built once per process and shared by every
+/// shard, as [`default_corrector`] is.
+pub(crate) fn ocr_engine() -> &'static OcrEngine {
+    static ENGINE: std::sync::OnceLock<OcrEngine> = std::sync::OnceLock::new();
+    ENGINE.get_or_init(OcrEngine::new)
 }
 
 /// The post-correction vocabulary: every word of the failure dictionary

@@ -11,7 +11,7 @@
 //! This module produces bit-identical output (pinned by the
 //! `packed_equivalence` suite, and on the whole corpus by the root
 //! `digitize_equivalence` suite) while holding only a single
-//! [`CELL_H`](crate::raster::CELL_H)-row strip (one text line) at a
+//! [`CELL_H`]-row strip (one text line) at a
 //! time, so the digitizer's footprint scales with the page *width*.
 //!
 //! # Why the noise stream survives the restructuring
@@ -46,21 +46,40 @@
 //!   exactly `gen_bool(p)` (see `disengage_prng::bernoulli_threshold`).
 //!   The threshold is computed at the first draw at `p`, so an
 //!   out-of-range `p` panics then, as `gen_bool` would, and only then.
+//!
+//! # Why the flip draws can be made ahead, four lanes at a time
+//!
+//! With salt and erosion both positive (light and heavy noise), every
+//! pixel draws once, whatever its ink, so the page's flip draws are
+//! `width × CELL_H × strips` in number and nothing but the flip pass
+//! draws in pass two. Their outcomes can therefore be drawn before the
+//! pixels are read: [`StdRng::bernoulli_planes`] draws up to a round at
+//! a time, never past the page, into two bit planes, one per class's
+//! threshold, and a word of pixels takes its next `valid.count_ones()`
+//! bits of each: `flip = ink & E | !ink & valid & S`. Draw `k` is still
+//! compared against pixel `k`'s own class, and the generator ends the
+//! page where the per-pixel loop left it. The planes are built from the
+//! thresholds that are in range (an out-of-range one draws against 0),
+//! and each word still asks its classes' `Bernoulli::threshold`, so an
+//! out-of-range probability panics at the first pixel of its class, as
+//! before, and only then.
 
 use crate::engine::{LeanOcrOutput, OcrEngine, OcrScratch};
 use crate::noise::NoiseModel;
-use crate::raster::{rasterize_line_into, Bitmap, CELL_W};
+use crate::raster::{rasterize_line_into, Bitmap, CELL_H, CELL_W};
 use rand::rngs::StdRng;
-use rand::{bernoulli_threshold, Rng};
+use rand::{bernoulli_threshold, Rng, ROUND_DRAWS};
 
 /// Reusable buffers for [`digitize_streamed`] — one strip bitmap, the
-/// engine's row scratch, and the recorded smear bleeds.
+/// engine's row scratch, the recorded smear bleeds, and the flip
+/// pass's bit planes.
 pub struct StreamScratch {
     strip: Bitmap,
     ocr: OcrScratch,
     /// `(strip, word, bits)`: ink the smear pass bled into word `word`
     /// of strip `strip` (its index in [`Bitmap::words`]), in draw order.
     bleed: Vec<(usize, usize, u64)>,
+    flips: FlipPlanes,
 }
 
 impl Default for StreamScratch {
@@ -69,6 +88,7 @@ impl Default for StreamScratch {
             strip: Bitmap::blank(0, 0),
             ocr: OcrScratch::default(),
             bleed: Vec::new(),
+            flips: FlipPlanes::default(),
         }
     }
 }
@@ -107,6 +127,17 @@ impl Bernoulli {
     fn threshold(&mut self) -> u64 {
         let p = self.p;
         *self.threshold.get_or_insert_with(|| bernoulli_threshold(p))
+    }
+
+    /// The threshold the flip planes draw against: [`Self::threshold`]
+    /// when `p` is in range, else 0. It makes no range check, since the
+    /// planes are drawn before the pixels that read them.
+    fn plane_threshold(&self) -> u64 {
+        if (0.0..=1.0).contains(&self.p) {
+            bernoulli_threshold(self.p)
+        } else {
+            0
+        }
     }
 
     /// One draw per set bit of `at`, in ascending bit order (ascending
@@ -174,16 +205,96 @@ fn smear_strip<R: Rng + ?Sized>(
     }
 }
 
+/// Words in a flip plane: one round of draws.
+const PLANE_WORDS: usize = ROUND_DRAWS / 64;
+
+/// The page's flip draws when every pixel draws, made a round ahead of
+/// the pixels that read them: bit `k` of `erode` (`salt`) is set when
+/// the `k`th unread draw fires at erosion's (salt's) threshold.
+struct FlipPlanes {
+    erode: Vec<u64>,
+    salt: Vec<u64>,
+    /// The next unread bit of the planes.
+    pos: usize,
+    /// Bits the planes hold.
+    len: usize,
+    /// The page's flip draws not yet made.
+    left: usize,
+    thresholds: [u64; 2],
+}
+
+impl Default for FlipPlanes {
+    fn default() -> Self {
+        FlipPlanes {
+            erode: vec![0; PLANE_WORDS],
+            salt: vec![0; PLANE_WORDS],
+            pos: 0,
+            len: 0,
+            left: 0,
+            thresholds: [0; 2],
+        }
+    }
+}
+
+impl FlipPlanes {
+    /// Starts a page of `draws` flip draws at `[erosion, salt]`
+    /// thresholds.
+    fn start(&mut self, draws: usize, thresholds: [u64; 2]) {
+        (self.pos, self.len, self.left, self.thresholds) = (0, 0, draws, thresholds);
+    }
+
+    /// Bits `pos..pos + 64` of each plane; those at `len` and past it
+    /// are stale.
+    fn read(&self, pos: usize) -> (u64, u64) {
+        let (w, off) = (pos / 64, pos % 64);
+        let word = |plane: &[u64]| {
+            let next = plane.get(w + 1).copied().unwrap_or(0);
+            plane[w] >> off | next << 1 << (63 - off)
+        };
+        (word(&self.erode), word(&self.salt))
+    }
+
+    /// The next `n` draws (`n ≤ 64`) of each plane in the low `n` bits;
+    /// the bits above them are those of later draws, or stale. Draws the
+    /// next round, at most the page's remaining draws, when the planes
+    /// run out.
+    #[inline]
+    fn take(&mut self, n: usize, rng: &mut StdRng) -> (u64, u64) {
+        if self.pos + n <= self.len {
+            let bits = self.read(self.pos);
+            self.pos += n;
+            return bits;
+        }
+        let have = self.len - self.pos;
+        let round = self.left.min(ROUND_DRAWS);
+        assert!(have + round >= n, "flip draws past the page");
+        // Only a whole round leaves bits unread here (a shorter one is
+        // the page's last), and its last word ends the planes, so `read`
+        // shifts in zeros above the `have` bits left.
+        let (e0, s0) = if have > 0 {
+            self.read(self.pos)
+        } else {
+            (0, 0)
+        };
+        rng.bernoulli_planes(round, self.thresholds, [&mut self.erode, &mut self.salt]);
+        (self.pos, self.len, self.left) = (n - have, round, self.left - round);
+        let (e1, s1) = self.read(0);
+        (e0 | e1 << have, s0 | s1 << have)
+    }
+}
+
 /// The flip pass of one strip: one draw per pixel, row-major —
 /// erosion on ink, salt on background. A probability that is zero
 /// draws nothing, so with only one of them positive the draws run over
-/// that class's pixels alone.
-fn flip_strip<R: Rng + ?Sized>(
+/// that class's pixels alone. With both positive the draws come from
+/// `planes`, started for the page.
+fn flip_strip(
     strip: &mut Bitmap,
     width: usize,
     erosion: &mut Bernoulli,
     salt: &mut Bernoulli,
-    rng: &mut R,
+    planes: &mut FlipPlanes,
+    rng: &mut StdRng,
 ) {
     let (erode, speckle) = (erosion.p > 0.0, salt.p > 0.0);
     let wpr = strip.words_per_row();
@@ -194,20 +305,16 @@ fn flip_strip<R: Rng + ?Sized>(
             let flip = match (erode, speckle) {
                 (true, true) => {
                     // Every pixel draws, against its own class's
-                    // threshold (each class's is fetched only if the
-                    // word holds a pixel of it).
-                    let te = if ink != 0 { erosion.threshold() } else { 0 };
-                    let ts = if !ink & valid != 0 {
-                        salt.threshold()
-                    } else {
-                        0
-                    };
-                    let mut flip = 0;
-                    for i in 0..valid.count_ones() {
-                        let t = if ink >> i & 1 == 1 { te } else { ts };
-                        flip |= u64::from(rng.next_u64() >> 11 < t) << i;
+                    // threshold. Each class's range check runs only if
+                    // the word holds a pixel of it.
+                    if ink != 0 {
+                        erosion.threshold();
                     }
-                    flip
+                    if !ink & valid != 0 {
+                        salt.threshold();
+                    }
+                    let (e, s) = planes.take(valid.count_ones() as usize, rng);
+                    ink & e | !ink & valid & s
                 }
                 (true, false) => erosion.fire(rng, ink),
                 (false, true) => salt.fire(rng, !ink & valid),
@@ -278,6 +385,11 @@ pub fn digitize_streamed(
     let flips = noise.salt > 0.0 || noise.erosion > 0.0;
     let mut erosion = Bernoulli::new(noise.erosion);
     let mut salt = Bernoulli::new(noise.salt);
+    if noise.salt > 0.0 && noise.erosion > 0.0 {
+        let draws = width * CELL_H * strips;
+        let thresholds = [erosion.plane_threshold(), salt.plane_threshold()];
+        scratch.flips.start(draws, thresholds);
+    }
     let mut out = String::new();
     let mut conf_sum = 0.0f64;
     let mut chars = 0usize;
@@ -293,7 +405,14 @@ pub fn digitize_streamed(
             bleed_next += 1;
         }
         if flips {
-            flip_strip(&mut scratch.strip, width, &mut erosion, &mut salt, rng);
+            flip_strip(
+                &mut scratch.strip,
+                width,
+                &mut erosion,
+                &mut salt,
+                &mut scratch.flips,
+                rng,
+            );
         }
         let t2 = std::time::Instant::now();
         timings.degrade += t2 - t1;
@@ -430,6 +549,79 @@ mod tests {
             assert_eq!(rng.0, candidates, "smear draws at width {width}");
             assert_eq!(got, want, "bleeds at width {width}");
         }
+    }
+
+    /// Erosion out of range, salt in range: every pixel draws, from
+    /// the flip planes, yet erosion's range check runs only at an ink
+    /// pixel, as the per-pixel draw made it.
+    const BAD_EROSION: NoiseModel = NoiseModel {
+        salt: 0.002,
+        erosion: 1.5,
+        smear: 0.0,
+    };
+
+    /// `text` digitized under `noise`, and the generator after it.
+    fn digitize_at(text: &str, noise: &NoiseModel) -> (LeanOcrOutput, StdRng) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let out = digitize_streamed(
+            text,
+            noise,
+            &OcrEngine::new(),
+            &mut StreamScratch::default(),
+            &mut rng,
+            &mut StreamTimings::default(),
+        );
+        (out, rng)
+    }
+
+    #[test]
+    fn a_probability_no_pixel_draws_at_may_be_out_of_range() {
+        // All background, over more than a round of flip draws: no
+        // draw is made at erosion, so the page reads as it does at an
+        // in-range erosion.
+        let blank = vec![" ".repeat(40); 100].join("\n");
+        let (got, got_rng) = digitize_at(&blank, &BAD_EROSION);
+        let (want, want_rng) = digitize_at(&blank, &NoiseModel::new(0.002, 0.01));
+        assert_eq!(got.text, want.text);
+        assert_eq!(got.conf_sum.to_bits(), want.conf_sum.to_bits());
+        assert_eq!(got_rng, want_rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "p = 1.5 outside [0, 1]")]
+    fn an_out_of_range_probability_panics_at_its_first_draw() {
+        digitize_at("INK", &BAD_EROSION);
+    }
+
+    /// At probability 1 every pixel flips, and the flip planes carry
+    /// draws past a row's last pixel: the padding bits must stay white.
+    #[test]
+    fn flips_leave_the_padding_white() {
+        // 100 px: a row's second word holds 36 pixels and 28 padding bits.
+        let (width, rows) = (100, 3);
+        let mut strip = Bitmap::blank(width, rows);
+        strip.set(99, 1, true);
+        let (mut erosion, mut salt) = (Bernoulli::new(1.0), Bernoulli::new(1.0));
+        let mut planes = FlipPlanes::default();
+        planes.start(
+            width * rows,
+            [erosion.plane_threshold(), salt.plane_threshold()],
+        );
+        let mut rng = StdRng::seed_from_u64(1);
+        flip_strip(
+            &mut strip,
+            width,
+            &mut erosion,
+            &mut salt,
+            &mut planes,
+            &mut rng,
+        );
+        for y in 0..rows {
+            for x in 0..width {
+                assert_eq!(strip.get(x, y), (x, y) != (99, 1), "pixel ({x}, {y})");
+            }
+        }
+        assert!(strip.words().chunks(2).all(|row| row[1] >> 36 == 0));
     }
 
     /// Timings are added to, not reset, so one `StreamTimings` can span

@@ -12,8 +12,11 @@
 //!   winner, where the reference divides for every glyph;
 //! * for the same seed, the streamed digitizer returns the reference
 //!   pipeline's text (whole-page rasterize → whole-page noise pass →
-//!   scalar recognition) and the bits of its confidence sum, at clean,
-//!   light and heavy noise and under non-default engine configurations.
+//!   scalar recognition) and the bits of its confidence sum, and leaves
+//!   the generator where the reference's noise pass does, at clean,
+//!   light and heavy noise and under non-default engine configurations,
+//!   on pages whose flip draws end at and around the edges of the
+//!   flip pass's four-lane rounds.
 //!
 //! Any divergence would ripple into recognized text, confidences,
 //! telemetry, and every downstream fingerprint.
@@ -22,10 +25,11 @@ mod scalar;
 
 use disengage_ocr::engine::EngineConfig;
 use disengage_ocr::font::{all_glyphs, GLYPH_H, GLYPH_W};
+use disengage_ocr::raster::{CELL_H, CELL_W};
 use disengage_ocr::stream::StreamTimings;
 use disengage_ocr::{digitize_streamed, NoiseModel, OcrEngine, StreamScratch};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, SeedableRng, ROUND_DRAWS};
 use scalar::ScalarEngine;
 
 const CELL_BITS: usize = GLYPH_W * GLYPH_H;
@@ -47,19 +51,22 @@ fn assert_cell_agrees(packed: &OcrEngine, scalar: &ScalarEngine, cell: &[bool], 
 }
 
 /// Digitizes `text` under `noise` from `seed` through production and
-/// through the reference, and asserts the text, the confidence-sum bits
-/// and the character count agree.
+/// through the reference, and asserts the text, the confidence-sum bits,
+/// the character count and the generator left after the page agree.
 fn assert_page_agrees(config: EngineConfig, text: &str, noise: &NoiseModel, seed: u64, what: &str) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let got = digitize_streamed(
         text,
         noise,
         &OcrEngine::with_config(config),
         &mut StreamScratch::default(),
-        &mut StdRng::seed_from_u64(seed),
+        &mut rng,
         &mut StreamTimings::default(),
     );
     let mut page = scalar::rasterize(text);
-    scalar::degrade(&mut page, noise, &mut StdRng::seed_from_u64(seed));
+    let mut want_rng = StdRng::seed_from_u64(seed);
+    scalar::degrade(&mut page, noise, &mut want_rng);
+    assert_eq!(rng, want_rng, "generator diverged ({what})");
     let (want, confidences) = ScalarEngine::with_config(config).recognize(&page);
     let mut want_sum = 0.0f64;
     for &c in &confidences {
@@ -290,6 +297,50 @@ fn word_boundary_page_widths_agree() {
                 let what = format!("{n} cols, {label}, seed {seed}");
                 assert_page_agrees(EngineConfig::default(), &text, &noise, seed, &what);
             }
+        }
+    }
+}
+
+/// A page of `strips` lines, each `cols` chars wide: `cols · CELL_W ·
+/// CELL_H · strips` flip draws when every pixel draws.
+fn page_of(cols: usize, strips: usize) -> String {
+    let lines: Vec<String> = (0..strips)
+        .map(|i| {
+            let line = line_of(cols + i % 7);
+            line.chars().skip(i % 7).collect()
+        })
+        .collect();
+    lines.join("\n")
+}
+
+#[test]
+fn pages_at_the_edges_of_a_flip_round_agree() {
+    // A page draws 60 flips per cell (6 × 10 pixels), and 60 and a
+    // round's 16,384 draws share only the factor 4, so ±4 draws is as
+    // near a round's edge as a page ends: 4,369 cells end 4 draws short
+    // of 16 rounds, 4,096 on 15, and 3,823 (one line) 4 past 14. The
+    // kernel's own tests cover ±1 draw. Rows 17 and 8 cells wide (102
+    // and 48 px) put a word across each round's edge; the last page is
+    // shorter than a round.
+    assert_eq!((CELL_W * CELL_H, ROUND_DRAWS), (60, 16_384));
+    let pages = [
+        (17, 257, 16 * ROUND_DRAWS - 4),
+        (8, 512, 15 * ROUND_DRAWS),
+        (3823, 1, 14 * ROUND_DRAWS + 4),
+        (10, 3, 1800),
+    ];
+    let noises = [
+        ("light", NoiseModel::light()),
+        ("heavy", NoiseModel::heavy()),
+        ("salt only", NoiseModel::new(0.002, 0.0)),
+        ("erosion only", NoiseModel::new(0.0, 0.01)),
+    ];
+    for (cols, strips, draws) in pages {
+        assert_eq!(cols * CELL_W * CELL_H * strips, draws);
+        let text = page_of(cols, strips);
+        for (label, noise) in &noises {
+            let what = format!("{cols} cols × {strips} strips, {label}");
+            assert_page_agrees(EngineConfig::default(), &text, noise, 0x5EED, &what);
         }
     }
 }

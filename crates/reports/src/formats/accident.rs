@@ -3,7 +3,7 @@
 
 use crate::date::Date;
 use crate::record::{AccidentRecord, CarId, CollisionKind, Severity};
-use crate::scan::Sep;
+use crate::scan::{lines, Sep};
 use crate::types::Manufacturer;
 use crate::{ReportError, Result};
 use std::fmt::Write;
@@ -89,7 +89,7 @@ pub fn parse_accident_form(text: &str) -> Result<AccidentRecord> {
     let mut description = None;
 
     const KEY: Sep = Sep::new(": ");
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in lines(text).enumerate() {
         let line_no = i + 1;
         let Some((key, value)) = KEY.split_once(line) else {
             continue; // headers and blank lines
@@ -215,6 +215,13 @@ mod tests {
     }
 
     #[test]
+    fn lone_carriage_returns_end_the_forms_lines() {
+        let r = record();
+        let form = rendered(&r).replace('\n', "\r");
+        assert_eq!(parse_accident_form(&form).unwrap(), r);
+    }
+
+    #[test]
     fn redacted_round_trip() {
         let mut r = record();
         r.car = CarId::Redacted;
@@ -227,8 +234,7 @@ mod tests {
     fn missing_field_rejected() {
         let r = record();
         let form = rendered(&r);
-        let without_date: String = form
-            .lines()
+        let without_date: String = lines(&form)
             .filter(|l| !l.starts_with("Date:"))
             .collect::<Vec<_>>()
             .join("\n");

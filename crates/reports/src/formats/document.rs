@@ -1,5 +1,6 @@
 //! Whole-document model: a scanned filing as it arrives from the DMV.
 
+use crate::scan::LINE_ENDS;
 use crate::types::{Manufacturer, ReportYear};
 
 /// What a raw filing contains.
@@ -51,14 +52,15 @@ impl RawDocument {
     /// nothing but whitespace: every layout starts a log line with a
     /// structured field, so a description that mentions the word stays
     /// in its log line. What follows the word on its line is not
-    /// checked, since simulated OCR leaves speckle there.
+    /// checked, since simulated OCR leaves speckle there. A line begins
+    /// after `\n` or `\r`, as the parsers read lines.
     ///
     /// Returns `(log_lines_text, mileage_text)`; the mileage text is empty
     /// when the document carries no table.
     pub fn sections(&self) -> (&str, &str) {
         let text = self.text.as_str();
         let header = text.match_indices("MILEAGE").find(|&(pos, _)| {
-            let line_start = text[..pos].rfind('\n').map_or(0, |nl| nl + 1);
+            let line_start = text[..pos].rfind(LINE_ENDS).map_or(0, |end| end + 1);
             text[line_start..pos].trim().is_empty()
         });
         header.map_or((text, ""), |(pos, _)| text.split_at(pos))

@@ -3,7 +3,7 @@
 
 use crate::date::Date;
 use crate::record::{CarId, MonthlyMileage};
-use crate::scan::fields;
+use crate::scan::{fields, lines};
 use crate::types::Manufacturer;
 use crate::{ReportError, Result};
 use std::fmt::Write;
@@ -32,7 +32,7 @@ pub fn render_mileage_table(rows: &[MonthlyMileage], out: &mut String) {
 /// and [`ReportError::InvalidField`] for negative mileage.
 pub fn parse_mileage_table(manufacturer: Manufacturer, text: &str) -> Result<Vec<MonthlyMileage>> {
     let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in lines(text).enumerate() {
         let line_no = i + 1;
         let line = line.trim();
         if line.is_empty() || line == "MILEAGE" {

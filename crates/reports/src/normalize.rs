@@ -10,6 +10,7 @@ use crate::formats::disengagement::format_for;
 use crate::formats::document::{DocumentKind, RawDocument};
 use crate::formats::{parse_accident_form, parse_mileage_table};
 use crate::record::{AccidentRecord, CarId, DisengagementRecord, MonthlyMileage};
+use crate::scan;
 use crate::ReportError;
 use std::collections::BTreeMap;
 
@@ -142,7 +143,7 @@ pub fn normalize_document_traced(
             // filing year), so (manufacturer, year, car, ordinal)
             // identifies the record.
             let mut car_seq: BTreeMap<CarId, u32> = BTreeMap::new();
-            for (i, line) in log_text.lines().enumerate() {
+            for (i, line) in scan::lines(log_text).enumerate() {
                 let line = line.trim();
                 if line.is_empty() {
                     continue;
@@ -347,6 +348,35 @@ mod tests {
             let lines = obs.state().counters.get("parse.dis.lines").copied();
             assert_eq!(lines, Some(2), "{m}: {:?}", doc.text);
             assert_eq!(n.disengagements.len(), 2, "{m}: {:?}", n.failures);
+            assert_eq!(n.mileage.len(), 2, "{m}: {:?}", n.failures);
+        }
+    }
+
+    #[test]
+    fn a_lone_carriage_return_ends_a_line_in_any_layout() {
+        use disengage_obs::Collector;
+        for m in Manufacturer::ALL {
+            let record = DisengagementRecord {
+                manufacturer: m,
+                ..sample_record()
+            };
+            // Five records: `\n`, `\n`, a lone `\r` between lines 3 and
+            // 4, `\r\n`; then the header and two rows after lone `\r`s.
+            let mut text = String::new();
+            for end in ["\n", "\n", "\r", "\r\n", "\r"] {
+                format_for(m).render(&record, &mut text);
+                text.push_str(end);
+            }
+            text.push_str("MILEAGE\rcar-0 2016-01 120.5\rcar-1 2016-01 98.0\r");
+            let doc = RawDocument::new(m, ReportYear::R2016, DocumentKind::Disengagements, text);
+            let obs = Collector::new();
+            let (n, _) = normalize_document_traced(&doc, 0, Some(&obs));
+            let counters = obs.state().counters;
+            let count = |name: &str| counters.get(name).copied();
+            assert_eq!(count("parse.dis.lines"), Some(5), "{m}: {:?}", doc.text);
+            assert_eq!(count("parse.dis.parsed"), Some(5), "{m}: {:?}", n.failures);
+            assert_eq!(count("parse.dis.failed"), None, "{m}: {:?}", n.failures);
+            assert_eq!(n.disengagements.len(), 5, "{m}");
             assert_eq!(n.mileage.len(), 2, "{m}: {:?}", n.failures);
         }
     }

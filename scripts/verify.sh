@@ -16,7 +16,10 @@
 # CER edit distance's full equivalence grid against the banded
 # reference (release), the streamed digitizer's full-corpus
 # equivalence grid against the scalar whole-page reference (release,
-# ~5 s), the dictionary corrector's full equivalence grid against the
+# ~5 s), the four-lane Bernoulli-plane kernel's wide grid against plain
+# draws (release, <1 s; it prints which path it checked, and on a CPU
+# that reports avx2 the lane path must be the one that ran), the
+# dictionary corrector's full equivalence grid against the
 # full bucket scan (release, ~4 s), the distinct-value Weibull and
 # Exponentiated-Weibull fitters' full equivalence grid against the
 # reference fitters (release), the failure database's per-manufacturer
@@ -132,6 +135,29 @@ echo "== Stage I: streamed digitizer vs scalar whole-page reference, full grid =
 # sum bits and char count (~5 s in release); tier-1 runs scale 0.05 at
 # light noise.
 cargo test --release --offline --test digitize_equivalence -- --ignored
+
+echo "== Stage I: four-lane Bernoulli planes vs plain draws, wide grid =="
+# Every length to 129 draws and at and around each round's and lane's
+# edges up to five rounds, over many seeds and thresholds 0 to 1: the
+# lane path, the scalar path and bernoulli_planes against plain
+# next_u64 comparisons, both planes and the final state. A CPU without
+# AVX2 checks the scalar path alone; one that reports avx2 must check
+# the lane path, so a silent fallback to scalar fails here.
+planes_out=$(cargo test --release --offline -p disengage-prng --lib -- \
+    --ignored --nocapture 2>&1) || {
+    echo "$planes_out"
+    exit 1
+}
+planes_path=$(grep '^bernoulli_planes:' <<<"$planes_out") || {
+    echo "verify: the Bernoulli-plane grid printed no path line" >&2
+    exit 1
+}
+echo "$planes_path"
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null &&
+    [[ $planes_path != *"lane path checked"* ]]; then
+    echo "verify: this CPU reports avx2 but the lane path did not run" >&2
+    exit 1
+fi
 
 echo "== Stage I: corrector char-set prefilter vs full bucket scan, full grid =="
 # Every filing digitized at scales 0.25 and 1, light and heavy noise,

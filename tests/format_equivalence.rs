@@ -16,7 +16,13 @@
 //!   `ReportError`, message included, in every layout, not only its
 //!   own; so do the date and vocabulary parsers on every field and
 //!   token, and the paper's verbatim Table II lines with variants. Every document normalizes to the reference's records,
-//!   failures and ids, with the same counters and lineage. The lines are
+//!   failures and ids, with the same counters and lineage. Stage II ends
+//!   a line at a lone `\r` as at `\n`, and the reference only at `\n`,
+//!   so a document with a lone `\r` (the hostile mixed line endings) is
+//!   held to the reference on its text with each lone `\r` read as `\n`,
+//!   which attempts every joined line as its parts, and every record the
+//!   reference returns on the untouched text from a line without a lone
+//!   `\r` must come back unchanged, in order. The lines are
 //!   those corpora's, their simulated-OCR digitization at light and
 //!   heavy noise, chaos-injected documents, and the hostile mutations of
 //!   the [`hostile`] module.
@@ -36,12 +42,13 @@ use disengage::core::pipeline::{digitize_simulated_with, DigitizeConfig};
 use disengage::core::RunConfig;
 use disengage::corpus::{CorpusConfig, CorpusGenerator};
 use disengage::obs::Collector;
+use disengage::obs::ProvenanceEvent;
 use disengage::ocr::NoiseModel;
 use disengage::reports::formats::{
     format_for, parse_accident_form, parse_mileage_table, render_accident_form,
     render_mileage_table, DocumentKind, RawDocument,
 };
-use disengage::reports::normalize::normalize_document_traced;
+use disengage::reports::normalize::{normalize_document_traced, Normalized};
 use disengage::reports::record::{AccidentRecord, CarId, CollisionKind, Severity};
 use disengage::reports::{Date, DisengagementRecord, Manufacturer, Modality, RoadType, Weather};
 
@@ -163,7 +170,10 @@ fn assert_line_parses_agree(line: &str, line_no: usize, what: &str) {
 /// Asserts `doc` normalizes as the reference normalizes it: the same
 /// records, failures and ids, the same counters and the same lineage.
 /// Every log line is also parsed in every layout, and every mileage
-/// table and accident form on its own.
+/// table and accident form on its own. The reference reads a lone `\r`
+/// as `\n`, as Stage II does, and a document that holds one must also
+/// keep the untouched reference's records (see
+/// [`assert_unjoined_records_kept`]).
 fn assert_document_agrees(doc: &RawDocument, index: usize, what: &str) {
     let at = format!("{what}, doc {index} ({} {:?})", doc.manufacturer, doc.kind);
     let (obs, want_obs) = (
@@ -171,7 +181,13 @@ fn assert_document_agrees(doc: &RawDocument, index: usize, what: &str) {
         Collector::new().with_lineage(true),
     );
     let (got, ids) = normalize_document_traced(doc, index, Some(&obs));
-    let (want, want_ids) = reference::normalize_document_traced(doc, index, Some(&want_obs));
+    let split = hostile::lone_cr_as_lf(doc);
+    if split.is_some() {
+        assert_unjoined_records_kept(doc, index, &got, &at);
+    }
+    // What the reference reads: the lines Stage II reads.
+    let read_as = split.as_ref().unwrap_or(doc);
+    let (want, want_ids) = reference::normalize_document_traced(read_as, index, Some(&want_obs));
     assert_eq!(format!("{got:?}"), format!("{want:?}"), "{at}: normalized");
     assert_eq!(ids, want_ids, "{at}: record ids");
     assert_eq!(
@@ -186,15 +202,18 @@ fn assert_document_agrees(doc: &RawDocument, index: usize, what: &str) {
     );
     match doc.kind {
         DocumentKind::Disengagements => {
-            let (log, mileage) = doc.sections();
+            let (log, want_mileage) = read_as.sections();
             for (i, line) in log.lines().enumerate() {
                 assert_line_parses_agree(line.trim(), i + 1, &at);
             }
             assert_eq!(
-                format!("{:?}", parse_mileage_table(doc.manufacturer, mileage)),
                 format!(
                     "{:?}",
-                    reference::parse_mileage_table(doc.manufacturer, mileage)
+                    parse_mileage_table(doc.manufacturer, doc.sections().1)
+                ),
+                format!(
+                    "{:?}",
+                    reference::parse_mileage_table(doc.manufacturer, want_mileage)
                 ),
                 "{at}: mileage table"
             );
@@ -202,13 +221,50 @@ fn assert_document_agrees(doc: &RawDocument, index: usize, what: &str) {
         DocumentKind::Accident => {
             assert_eq!(
                 format!("{:?}", parse_accident_form(&doc.text)),
-                format!("{:?}", reference::parse_accident_form(&doc.text)),
+                format!("{:?}", reference::parse_accident_form(&read_as.text)),
                 "{at}: accident form"
             );
-            for line in doc.text.lines() {
+            for line in read_as.text.lines() {
                 assert_field_parses_agree(line.split_once(": ").map_or(line, |(_, v)| v), &at);
             }
         }
+    }
+}
+
+/// The rule on a document with a lone `\r`: every record the untouched
+/// reference returns from a log line that holds no `\r` (each such line
+/// survives whole), and its mileage table when that holds no `\r`, come
+/// back unchanged, and the records in the same order.
+fn assert_unjoined_records_kept(doc: &RawDocument, index: usize, got: &Normalized, at: &str) {
+    let obs = Collector::new().with_lineage(true);
+    let (want, _) = reference::normalize_document_traced(doc, index, Some(&obs));
+    let (log, mileage) = doc.sections();
+    let log: Vec<&str> = log.lines().collect();
+    let provenance = obs.provenance();
+    let lines = provenance.entries().iter().filter_map(|e| match e.event {
+        ProvenanceEvent::Normalized { line, .. } => Some(line),
+        _ => None,
+    });
+    let kept: Vec<String> = want
+        .disengagements
+        .iter()
+        .zip(lines)
+        .filter(|&(_, line)| !log[line - 1].contains('\r'))
+        .map(|(r, _)| format!("{r:?}"))
+        .collect();
+    let mut got_records = got.disengagements.iter().map(|r| format!("{r:?}"));
+    for record in &kept {
+        assert!(
+            got_records.any(|g| g == *record),
+            "{at}: a record from an unjoined line was lost or reordered: {record}"
+        );
+    }
+    if !mileage.contains('\r') {
+        assert_eq!(
+            format!("{:?}", got.mileage),
+            format!("{:?}", want.mileage),
+            "{at}: mileage rows"
+        );
     }
 }
 

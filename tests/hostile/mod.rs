@@ -7,8 +7,9 @@
 //! layout's delimiter inside a field. [`mutations`] applies each of them,
 //! and then all of them at once, to one document under a seed.
 //! `chaos_props` asserts Stage II's contract on them and
-//! `format_equivalence` holds the parsers to the reference on them; no
-//! binary produces them, so they live here.
+//! `format_equivalence` holds the parsers to the reference on them
+//! (through [`lone_cr_as_lf`] where a lone `\r` ends a line); no binary
+//! produces them, so they live here.
 
 use disengage::reports::formats::RawDocument;
 use rand::rngs::StdRng;
@@ -79,6 +80,28 @@ pub fn mutations(doc: &RawDocument, seed: u64) -> Vec<(&'static str, RawDocument
     }
     out.push(("all mutations", variant(all)));
     out
+}
+
+/// `doc` with every lone `\r` (one not before `\n`) read as `\n`, or
+/// `None` when it holds none. Stage II ends a line at a lone `\r` as it
+/// does at `\n`; the reference parsers, kept as they were, read lines
+/// with `str::lines`, which ends one only at `\n`, so on such a text
+/// the reference reads this one.
+pub fn lone_cr_as_lf(doc: &RawDocument) -> Option<RawDocument> {
+    let bytes = doc.text.as_bytes();
+    let lone = |i: usize| bytes[i] == b'\r' && bytes.get(i + 1) != Some(&b'\n');
+    if !(0..bytes.len()).any(lone) {
+        return None;
+    }
+    let text = doc
+        .text
+        .char_indices()
+        .map(|(i, c)| if lone(i) { '\n' } else { c })
+        .collect();
+    Some(RawDocument {
+        text,
+        ..doc.clone()
+    })
 }
 
 /// A uniformly drawn char boundary of `line`, its end included.

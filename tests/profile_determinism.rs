@@ -183,6 +183,25 @@ fn phase_paths_are_identical_at_every_worker_count() {
     );
 }
 
+/// Simulated OCR builds the process's engine and corrector in the
+/// `ocr_init` phase, before any shard: every simulated-OCR run records
+/// it once, the runs after the build included, and a passthrough run
+/// never does.
+#[test]
+fn every_simulated_ocr_run_records_one_ocr_init_phase() {
+    let inits = |config: &RunConfig| {
+        run_collecting(config)
+            .report()
+            .histogram(&format!("{}ocr_init", profile::WALL_PREFIX))
+            .map_or(0, |h| h.count)
+    };
+    for run in 0..2 {
+        assert_eq!(inits(&simulated()), 1, "simulated run {run}");
+    }
+    let passthrough = simulated().with_ocr(OcrMode::Passthrough);
+    assert_eq!(inits(&passthrough), 0, "passthrough run");
+}
+
 /// The acceptance bar for the profiler's usefulness: on a simulated
 /// OCR run, the named per-document phases must attribute at least 90%
 /// of Stage I OCR wall time, and the folded-stack export of the same
